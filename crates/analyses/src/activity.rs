@@ -37,6 +37,7 @@ use mpi_dfa_graph::icfg::{ActualBinding, Icfg};
 use mpi_dfa_graph::loc::{Loc, LocTable};
 use mpi_dfa_graph::mpi::MpiIcfg;
 use mpi_dfa_graph::node::{MpiInfo, MpiKind, NodeKind, RefInfo, UseSet};
+use std::sync::OnceLock;
 
 /// How communication is modeled.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -181,22 +182,20 @@ pub fn vary_useful_problems<'g>(
         vary_seed.insert(LocTable::MPI_BUFFER.index());
         useful_seed.insert(LocTable::MPI_BUFFER.index());
     }
-    let vary_fp = content_fingerprints(icfg, mode, "vary", &vary_seed);
-    let useful_fp = content_fingerprints(icfg, mode, "useful", &useful_seed);
     Ok((
         Vary {
             icfg,
             maps: BindMaps::build(icfg),
             mode,
             seed: vary_seed,
-            fp: vary_fp,
+            fp: OnceLock::new(),
         },
         Useful {
             icfg,
             maps: BindMaps::build(icfg),
             mode,
             seed: useful_seed,
-            fp: useful_fp,
+            fp: OnceLock::new(),
         },
     ))
 }
@@ -367,56 +366,6 @@ fn content_fingerprints(icfg: &Icfg, mode: Mode, phase: &str, seed: &VarSet) -> 
         .collect()
 }
 
-/// Run activity analysis over the MPI-ICFG with the Vary and Useful phases
-/// on separate OS threads. The phases are fully independent (they only share
-/// the graph immutably), so this halves the wall-clock on two cores and
-/// always produces results identical to [`analyze_mpi`].
-pub fn analyze_mpi_parallel(
-    mpi: &MpiIcfg,
-    config: &ActivityConfig,
-) -> Result<ActivityResult, String> {
-    let icfg = mpi.icfg();
-    let universe = icfg.ir.locs.len();
-    let (vary_p, useful_p) = vary_useful_problems(icfg, Mode::MpiIcfg, config)?;
-    let params = SolveParams::default();
-    let (vary, useful) = std::thread::scope(|scope| {
-        let v = scope.spawn(|| {
-            let _span = telemetry::span("analysis", "activity:vary");
-            Solver::new(&vary_p, mpi).params(params.clone()).run()
-        });
-        let u = scope.spawn(|| {
-            let _span = telemetry::span("analysis", "activity:useful");
-            Solver::new(&useful_p, mpi).params(params.clone()).run()
-        });
-        // A join error means the phase thread panicked; re-raise the
-        // original payload instead of replacing it with a fresh panic so
-        // callers (and the fuzz harness) see the real failure.
-        let vary = v.join().unwrap_or_else(|e| std::panic::resume_unwind(e));
-        let useful = u.join().unwrap_or_else(|e| std::panic::resume_unwind(e));
-        (vary, useful)
-    });
-    vary.stats.publish_metrics("vary");
-    useful.stats.publish_metrics("useful");
-
-    // Active = Vary ∩ Useful at some program point (either side of a node).
-    let mut active = VarSet::empty(universe);
-    for n in 0..mpi.num_nodes() {
-        let node = NodeId(n as u32);
-        active.union_into(&vary.before(node).intersection(useful.before(node)));
-        active.union_into(&vary.after(node).intersection(useful.after(node)));
-    }
-    let active_bytes = active_bytes(&icfg.ir.locs, &active);
-    let iterations = vary.stats.passes + useful.stats.passes;
-    Ok(ActivityResult {
-        mode: Mode::MpiIcfg,
-        vary,
-        useful,
-        active,
-        active_bytes,
-        iterations,
-    })
-}
-
 /// Outcome of an incremental ([`analyze_mpi_delta`]) activity analysis:
 /// the full result plus the per-phase region reuse accounting.
 #[derive(Debug)]
@@ -446,7 +395,6 @@ pub fn analyze_mpi_delta(
     dirty: &[NodeId],
 ) -> Result<ActivityDelta, String> {
     let icfg = mpi.icfg();
-    let universe = icfg.ir.locs.len();
     let (vary_p, useful_p) = vary_useful_problems(icfg, Mode::MpiIcfg, config)?;
     let vary_run = {
         let mut span = telemetry::span("analysis", "activity:vary:delta");
@@ -478,24 +426,8 @@ pub fn analyze_mpi_delta(
     }
     vary.stats.publish_metrics("vary");
     useful.stats.publish_metrics("useful");
-
-    let mut active = VarSet::empty(universe);
-    for n in 0..mpi.num_nodes() {
-        let node = NodeId(n as u32);
-        active.union_into(&vary.before(node).intersection(useful.before(node)));
-        active.union_into(&vary.after(node).intersection(useful.after(node)));
-    }
-    let active_bytes = active_bytes(&icfg.ir.locs, &active);
-    let iterations = vary.stats.passes + useful.stats.passes;
     Ok(ActivityDelta {
-        result: ActivityResult {
-            mode: Mode::MpiIcfg,
-            vary,
-            useful,
-            active,
-            active_bytes,
-            iterations,
-        },
+        result: assemble(Mode::MpiIcfg, icfg, mpi.num_nodes(), vary, useful),
         regions_total: vary_run.regions_total + useful_run.regions_total,
         regions_reused: vary_run.regions_reused + useful_run.regions_reused,
         regions_resolved: vary_run.regions_resolved + useful_run.regions_resolved,
@@ -517,7 +449,6 @@ pub fn demand_active_at(
     at: &[NodeId],
 ) -> Result<DemandActivity, String> {
     let icfg = mpi.icfg();
-    let universe = icfg.ir.locs.len();
     if at.is_empty() {
         return Err("demand query names no nodes".into());
     }
@@ -554,24 +485,15 @@ pub fn demand_active_at(
     if !(vary.solution.stats.converged && useful.solution.stats.converged) {
         return Err("demand slice did not converge".into());
     }
-    // Active at the queried nodes: Vary ∩ Useful on either side. Facts
-    // outside each phase's slice are top (empty), which under-approximates —
-    // but every queried node is inside both slices by construction.
-    let mut active = VarSet::empty(universe);
-    for &node in at {
-        active.union_into(
-            &vary
-                .solution
-                .before(node)
-                .intersection(useful.solution.before(node)),
-        );
-        active.union_into(
-            &vary
-                .solution
-                .after(node)
-                .intersection(useful.solution.after(node)),
-        );
-    }
+    // Active at the queried nodes. Facts outside each phase's slice are top
+    // (empty), which under-approximates — but every queried node is inside
+    // both slices by construction.
+    let active = active_at(
+        &vary.solution,
+        &useful.solution,
+        at.iter().copied(),
+        icfg.ir.locs.len(),
+    );
     let nodes_visited = vary.solution.stats.node_visits + useful.solution.stats.node_visits;
     Ok(DemandActivity {
         active,
@@ -608,7 +530,6 @@ fn analyze_over<G: FlowGraph + Sync>(
     config: &ActivityConfig,
     params: &SolveParams,
 ) -> Result<ActivityResult, String> {
-    let universe = icfg.ir.locs.len();
     let (vary_p, useful_p) = vary_useful_problems(icfg, mode, config)?;
     let vary = {
         let mut span = telemetry::span("analysis", "activity:vary");
@@ -624,25 +545,43 @@ fn analyze_over<G: FlowGraph + Sync>(
     };
     vary.stats.publish_metrics("vary");
     useful.stats.publish_metrics("useful");
+    Ok(assemble(mode, icfg, graph.num_nodes(), vary, useful))
+}
 
-    // Active = Vary ∩ Useful at some program point (either side of a node).
+/// Locations active at `nodes`: Vary ∩ Useful on either side of a node.
+fn active_at(
+    vary: &Solution<VarSet>,
+    useful: &Solution<VarSet>,
+    nodes: impl Iterator<Item = NodeId>,
+    universe: usize,
+) -> VarSet {
     let mut active = VarSet::empty(universe);
-    for n in 0..graph.num_nodes() {
-        let node = NodeId(n as u32);
-        active.union_into(&vary.before(node).intersection(useful.before(node)));
-        active.union_into(&vary.after(node).intersection(useful.after(node)));
+    for node in nodes {
+        active.union_intersection_into(vary.before(node), useful.before(node));
+        active.union_intersection_into(vary.after(node), useful.after(node));
     }
+    active
+}
 
-    let active_bytes = active_bytes(&icfg.ir.locs, &active);
-    let iterations = vary.stats.passes + useful.stats.passes;
-    Ok(ActivityResult {
+/// The result of both solved phases over a `num_nodes`-node graph: Active
+/// = Vary ∩ Useful at some program point, its bytes, and the summed passes.
+fn assemble(
+    mode: Mode,
+    icfg: &Icfg,
+    num_nodes: usize,
+    vary: Solution<VarSet>,
+    useful: Solution<VarSet>,
+) -> ActivityResult {
+    let nodes = (0..num_nodes as u32).map(NodeId);
+    let active = active_at(&vary, &useful, nodes, icfg.ir.locs.len());
+    ActivityResult {
         mode,
+        active_bytes: active_bytes(&icfg.ir.locs, &active),
+        iterations: vary.stats.passes + useful.stats.passes,
         vary,
         useful,
         active,
-        active_bytes,
-        iterations,
-    })
+    }
 }
 
 /// Sum the sizes of active floating-point storage, excluding the synthetic
@@ -712,7 +651,9 @@ pub struct Vary<'g> {
     maps: BindMaps,
     mode: Mode,
     seed: VarSet,
-    fp: Vec<u64>,
+    /// Content fingerprints, computed on the first `node_fingerprint` call
+    /// (only seed capture and `Solver::seed` read them).
+    fp: OnceLock<Vec<u64>>,
 }
 
 impl Dataflow for Vary<'_> {
@@ -807,7 +748,10 @@ impl Dataflow for Vary<'_> {
     }
 
     fn node_fingerprint(&self, n: NodeId) -> Option<u64> {
-        Some(self.fp[n.index()])
+        let fp = self
+            .fp
+            .get_or_init(|| content_fingerprints(self.icfg, self.mode, "vary", &self.seed));
+        Some(fp[n.index()])
     }
 }
 
@@ -821,7 +765,8 @@ pub struct Useful<'g> {
     maps: BindMaps,
     mode: Mode,
     seed: VarSet,
-    fp: Vec<u64>,
+    /// Lazy content fingerprints, as in [`Vary`].
+    fp: OnceLock<Vec<u64>>,
 }
 
 impl Dataflow for Useful<'_> {
@@ -962,7 +907,10 @@ impl Dataflow for Useful<'_> {
     }
 
     fn node_fingerprint(&self, n: NodeId) -> Option<u64> {
-        Some(self.fp[n.index()])
+        let fp = self
+            .fp
+            .get_or_init(|| content_fingerprints(self.icfg, self.mode, "useful", &self.seed));
+        Some(fp[n.index()])
     }
 }
 
@@ -1451,37 +1399,5 @@ mod incremental_tests {
             q.nodes_visited,
             full_visits
         );
-    }
-}
-
-#[cfg(test)]
-mod parallel_tests {
-    use super::*;
-    use crate::mpi_match::{build_mpi_icfg, Matching};
-    use mpi_dfa_graph::icfg::ProgramIr;
-
-    #[test]
-    fn parallel_matches_sequential_on_benchmark_shapes() {
-        let src = "program p\n\
-            global u: real[64]; global omega: real; global resid: real;\n\
-            sub main() {\n\
-              var i: int; var t: real;\n\
-              for i = 2, 63 { u[i] = u[i] + omega * (u[i - 1] + u[i + 1]); }\n\
-              send(u[1], mod(rank() + 1, nprocs()), 4);\n\
-              recv(u[64], ANY, 4);\n\
-              t = 0.0;\n\
-              for i = 1, 64 { t = t + u[i] * u[i]; }\n\
-              allreduce(SUM, t, resid);\n\
-            }";
-        let ir = ProgramIr::from_source(src).unwrap();
-        let mpi = build_mpi_icfg(ir, "main", 0, Matching::ReachingConstants).unwrap();
-        let config = ActivityConfig::new(["omega"], ["resid"]);
-        let seq = analyze_mpi(&mpi, &config).unwrap();
-        let par = analyze_mpi_parallel(&mpi, &config).unwrap();
-        assert_eq!(seq.active, par.active);
-        assert_eq!(seq.active_bytes, par.active_bytes);
-        assert_eq!(seq.iterations, par.iterations);
-        assert_eq!(seq.vary.input, par.vary.input);
-        assert_eq!(seq.useful.output, par.useful.output);
     }
 }

@@ -33,12 +33,14 @@ pub enum UseSelector {
 }
 
 impl UseSelector {
-    /// Iterate the selected uses of `e`.
-    pub fn uses<'a>(self, e: &'a ExprInfo) -> Box<dyn Iterator<Item = Loc> + 'a> {
-        match self {
-            UseSelector::Differentiable => Box::new(e.uses.diff.iter().copied()),
-            UseSelector::All => Box::new(e.uses.all()),
-        }
+    /// Iterate the selected uses of `e`, differentiable first (no
+    /// allocation: this runs inside transfer functions).
+    pub fn uses<'a>(self, e: &'a ExprInfo) -> impl Iterator<Item = Loc> + 'a {
+        let nondiff: &[Loc] = match self {
+            UseSelector::Differentiable => &[],
+            UseSelector::All => &e.uses.nondiff,
+        };
+        e.uses.diff.iter().chain(nondiff).copied()
     }
 
     /// Does `e` read any location in `set` (under this selector)?
@@ -237,6 +239,20 @@ mod tests {
             s.insert(icfg.ir.locs.resolve(p, name).unwrap().index());
         }
         s
+    }
+
+    #[test]
+    fn use_selector_yields_differentiable_uses_first() {
+        let (icfg, _) = setup();
+        // `arr[i] * 2.0`: `arr` is a differentiable use, the subscript `i`
+        // is not.
+        let e = &icfg.call_args(0).args[2].value;
+        let arr = icfg.ir.locs.global("arr").unwrap();
+        let i = icfg.ir.locs.global("i").unwrap();
+        let diff: Vec<Loc> = UseSelector::Differentiable.uses(e).collect();
+        assert_eq!(diff, vec![arr]);
+        let all: Vec<Loc> = UseSelector::All.uses(e).collect();
+        assert_eq!(all, vec![arr, i]);
     }
 
     #[test]

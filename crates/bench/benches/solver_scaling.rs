@@ -51,7 +51,7 @@ fn bench_scaling(c: &mut Criterion) {
     group.finish();
 
     // Budget headroom: both strategies report the same consumption schema
-    // (node visits, comm-edge evaluations, elapsed), so the work-unit cost
+    // (node visits, `f_comm` evaluations, elapsed), so the work-unit cost
     // of a full fixpoint — i.e. the budget a production caller must grant
     // before the degradation ladder kicks in — can be charted per strategy.
     let p = ReachingConsts::new(mpi.icfg());

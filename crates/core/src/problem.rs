@@ -61,7 +61,12 @@ pub trait Dataflow {
     /// The communication transfer function `f_comm`: computes the fact sent
     /// over outgoing (direction-adjusted) communication edges from this
     /// node's `input` fact. Only called for nodes that have communication
-    /// edges. Analyses with `CommFact = ()` can rely on the default.
+    /// edges.
+    ///
+    /// The result must depend only on `node` and `input`: every solver
+    /// strategy memoises it per source node and re-evaluates it only after
+    /// that node's input fact changes, handing clones of the memoised fact
+    /// to every comm edge leaving the node.
     fn comm_transfer(&self, node: NodeId, input: &Self::Fact) -> Self::CommFact;
 
     /// Translate a fact across a call or return edge (actual↔formal

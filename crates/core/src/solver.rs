@@ -22,7 +22,10 @@
 //! `f_comm` at each edge's source using that source's *input* fact —
 //! matching the paper's `commOUT(n) = f_comm(IN(n))` for forward analyses
 //! and `commIN(n) = f_comm(OUT(n))` for backward ones — and hands the
-//! collected communication facts to the node's transfer function.
+//! collected communication facts to the node's transfer function. Every
+//! strategy memoises `f_comm` per source until that source's input fact
+//! changes, so `ConvergenceStats::comm_evals` counts evaluations
+//! performed, not comm edges visited.
 //!
 //! All solving goes through the [`Solver`] builder — there are no free-
 //! function entry points. Beyond the three full-fixpoint strategies the
@@ -215,7 +218,11 @@ pub struct ConvergenceStats {
     pub passes: usize,
     /// Total node transfer evaluations.
     pub node_visits: u64,
-    /// Total `f_comm` evaluations.
+    /// Total `f_comm` evaluations performed. Every strategy memoises
+    /// `f_comm` per comm source, so a source is evaluated once per change
+    /// of its input fact (on the next read), not once per comm edge per
+    /// visit. The region engine re-evaluates a source once more in each
+    /// region that reads it.
     pub comm_evals: u64,
     /// Total meet operations applied while recomputing node inputs (one per
     /// upstream non-communication edge visited).
@@ -787,7 +794,9 @@ impl<'g, G: FlowGraph> Oriented<'g, G> {
 }
 
 /// State shared by the sequential strategies: recompute one node, returning
-/// (input_changed, output_changed).
+/// (input_changed, output_changed). `cache` is the solve's [`CommCache`]:
+/// one epoch for the whole solve, an entry dropped whenever its source's
+/// input changes.
 #[allow(clippy::too_many_arguments)] // hot path: a context struct would add a borrow dance
 fn update_node<G: FlowGraph, P: Dataflow>(
     graph: &Oriented<'_, G>,
@@ -796,6 +805,7 @@ fn update_node<G: FlowGraph, P: Dataflow>(
     input: &mut [P::Fact],
     output: &mut [P::Fact],
     comm_buf: &mut Vec<P::CommFact>,
+    cache: &mut CommCache<P::CommFact>,
     stats: &mut ConvergenceStats,
     n: NodeId,
 ) -> (bool, bool) {
@@ -825,19 +835,25 @@ fn update_node<G: FlowGraph, P: Dataflow>(
     }
 
     // Communication facts from upstream comm edges: f_comm applied to the
-    // *input* fact of the communication source.
+    // *input* fact of the communication source, memoised per source until
+    // that input changes (see [`CommCache`]).
     comm_buf.clear();
     for e in graph.upstream(n) {
         if e.kind.is_comm() {
             let src = graph.source(e);
-            comm_buf.push(problem.comm_transfer(src, &input[src.index()]));
-            stats.comm_evals += 1;
+            let si = src.index();
+            if !cache.valid(si) {
+                cache.store(si, problem.comm_transfer(src, &input[si]));
+                stats.comm_evals += 1;
+            }
+            comm_buf.push(cache.fact(si).clone());
         }
     }
 
     let in_changed = new_in != input[n.index()];
     if in_changed {
         input[n.index()] = new_in;
+        cache.invalidate(n.index());
     }
     let new_out = problem.transfer(n, &input[n.index()], comm_buf);
     let out_changed = new_out != output[n.index()];
@@ -870,6 +886,7 @@ fn run_round_robin<G: FlowGraph, P: Dataflow>(
         ..Default::default()
     };
     let mut comm_buf = Vec::new();
+    let mut cache = CommCache::new(n);
     let mut span = telemetry::span("solver", "fixpoint:round_robin");
     let traced = telemetry::is_enabled();
     let started = Instant::now();
@@ -893,6 +910,7 @@ fn run_round_robin<G: FlowGraph, P: Dataflow>(
                 &mut input,
                 &mut output,
                 &mut comm_buf,
+                &mut cache,
                 &mut stats,
                 node,
             );
@@ -949,6 +967,7 @@ fn run_worklist<G: FlowGraph, P: Dataflow>(
         ..Default::default()
     };
     let mut comm_buf = Vec::new();
+    let mut cache = CommCache::new(n);
 
     let mut queue: std::collections::VecDeque<NodeId> = order.iter().copied().collect();
     let mut queued = vec![true; n];
@@ -977,6 +996,7 @@ fn run_worklist<G: FlowGraph, P: Dataflow>(
             &mut input,
             &mut output,
             &mut comm_buf,
+            &mut cache,
             &mut stats,
             node,
         );
@@ -1305,22 +1325,23 @@ struct RegionStats {
     exhausted: Option<Exhaustion>,
 }
 
-/// Per-worker memo of `f_comm` source facts, epoch-validated per region
-/// solve.
+/// Memo of `f_comm` source facts, shared by every strategy: one epoch per
+/// sequential solve (round-robin, worklist), one per region solve in the
+/// region engine (a per-worker cache).
 ///
 /// The dominant cost on comm-dense graphs is re-evaluating `comm_transfer`
 /// for *every* incoming communication edge on every visit — all-pairs
 /// collective matching makes that quadratic in clique size per sweep. A
-/// source's comm fact changes only when its *input* fact changes, so
-/// within a region solve each source is evaluated once per input change
-/// instead of once per (visit × in-edge); unchanged sources hand out a
-/// clone of the memoised fact.
+/// source's comm fact changes only when its *input* fact changes (the
+/// [`Dataflow::comm_transfer`] contract), so each source is evaluated once
+/// per input change instead of once per (visit × in-edge); unchanged
+/// sources hand out a clone of the memoised fact.
 ///
 /// The epoch bump at region start drops every entry, so facts that flow in
 /// from upstream regions are re-read after those regions finalize — never
-/// stale. Hit/miss behavior depends only on the region's deterministic
-/// visit sequence, which keeps `comm_evals` (the miss count) independent
-/// of the thread count and of which worker solves which region.
+/// stale. Hit/miss behavior depends only on the deterministic visit
+/// sequence, which keeps `comm_evals` (the miss count) independent of the
+/// thread count and of which worker solves which region.
 struct CommCache<F> {
     /// Entry `i` is valid iff `epoch[i] == cur` (0 = never / invalidated).
     epoch: Vec<u64>,
@@ -1329,11 +1350,12 @@ struct CommCache<F> {
 }
 
 impl<F> CommCache<F> {
+    /// An empty cache whose first epoch is already open.
     fn new(n: usize) -> Self {
         CommCache {
             epoch: vec![0; n],
             facts: (0..n).map(|_| None).collect(),
-            cur: 0,
+            cur: 1,
         }
     }
 
@@ -2407,6 +2429,121 @@ mod tests {
         assert_eq!(a.input, b.input);
         assert_eq!(a.output, b.output);
         assert!(b.stats.node_visits <= a.stats.node_visits);
+    }
+
+    /// Forward union problem over `u16` bitsets that counts its `f_comm`
+    /// calls per source and the input changes of every node. `transfer`
+    /// observes each input change: the solvers call it right after writing
+    /// a node's new input.
+    struct CountingClique {
+        gen: Vec<u16>,
+        /// Doubles its set (`x | x << 1`) so each loop trip grows the facts.
+        latch: usize,
+        comm_calls: std::sync::Mutex<Vec<u64>>,
+        /// Per node: the last input `transfer` saw, and how often it changed.
+        inputs: std::sync::Mutex<Vec<(u16, u64)>>,
+    }
+
+    impl Dataflow for CountingClique {
+        type Fact = u16;
+        type CommFact = u16;
+        fn direction(&self) -> Direction {
+            Direction::Forward
+        }
+        fn top(&self) -> u16 {
+            0
+        }
+        fn boundary(&self) -> u16 {
+            0
+        }
+        fn meet_into(&self, dst: &mut u16, src: &u16) -> bool {
+            let before = *dst;
+            *dst |= *src;
+            *dst != before
+        }
+        fn transfer(&self, n: NodeId, input: &u16, comm: &[u16]) -> u16 {
+            let seen = &mut self.inputs.lock().unwrap()[n.index()];
+            if seen.0 != *input {
+                *seen = (*input, seen.1 + 1);
+            }
+            let mut out = *input | self.gen[n.index()];
+            for c in comm {
+                out |= *c;
+            }
+            if n.index() == self.latch {
+                out |= out << 1;
+            }
+            out
+        }
+        fn comm_transfer(&self, n: NodeId, input: &u16) -> u16 {
+            self.comm_calls.lock().unwrap()[n.index()] += 1;
+            *input
+        }
+    }
+
+    /// Entry 0 → loop header 1 → chain 2..=9 → latch 10 → back to 1, exit
+    /// 11; nodes 2..=9 form an all-pairs comm clique (56 comm edges).
+    fn clique_in_loop() -> (SimpleGraph, impl Fn() -> CountingClique) {
+        let mut g = SimpleGraph::new(12);
+        g.flow(0, 1);
+        for i in 1..10 {
+            g.flow(i, i + 1);
+        }
+        g.flow(10, 1);
+        g.flow(1, 11);
+        for i in 2..=9 {
+            for j in 2..=9 {
+                if i != j {
+                    g.comm(i, j, 0);
+                }
+            }
+        }
+        g.set_entry(0);
+        g.set_exit(11);
+        let problem = || {
+            let mut gen = vec![0u16; 12];
+            gen[0] = 1;
+            gen[5] = 1 << 3;
+            CountingClique {
+                gen,
+                latch: 10,
+                comm_calls: std::sync::Mutex::new(vec![0; 12]),
+                inputs: std::sync::Mutex::new(vec![(0, 0); 12]),
+            }
+        };
+        (g, problem)
+    }
+
+    #[test]
+    fn sequential_strategies_evaluate_f_comm_once_per_input_change() {
+        let (g, problem) = clique_in_loop();
+        let reference = rp(&g, &problem(), 1);
+        for strategy in [Strategy::RoundRobin, Strategy::Worklist] {
+            let p = problem();
+            let sol = Solver::new(&p, &g).strategy(strategy).run();
+            assert!(sol.stats.converged, "{strategy}");
+            assert_eq!(sol.input, reference.input, "{strategy}");
+            assert_eq!(sol.output, reference.output, "{strategy}");
+            let calls = p.comm_calls.lock().unwrap().clone();
+            let inputs = p.inputs.lock().unwrap().clone();
+            for src in 2..=9 {
+                let changes = inputs[src].1;
+                assert!(
+                    changes >= 2,
+                    "{strategy}: node {src} input changed {changes}×"
+                );
+                assert!(
+                    calls[src] <= changes + 1,
+                    "{strategy}: node {src}: {} f_comm calls for {changes} input changes",
+                    calls[src]
+                );
+            }
+            assert_eq!(
+                sol.stats.comm_evals,
+                calls.iter().sum::<u64>(),
+                "{strategy}: comm_evals counts evaluations performed"
+            );
+        }
     }
 
     #[test]

@@ -97,6 +97,25 @@ impl VarSet {
         changed
     }
 
+    /// `self ∪= a ∩ b` without materialising the intersection; returns true
+    /// if `self` changed.
+    pub fn union_intersection_into(&mut self, a: &VarSet, b: &VarSet) -> bool {
+        debug_assert_eq!(self.universe, a.universe);
+        debug_assert_eq!(self.universe, b.universe);
+        let mut changed = false;
+        for ((d, x), y) in self
+            .words
+            .iter_mut()
+            .zip(a.words.iter())
+            .zip(b.words.iter())
+        {
+            let before = *d;
+            *d |= x & y;
+            changed |= *d != before;
+        }
+        changed
+    }
+
     /// `self -= other` (set difference); returns true if `self` changed.
     pub fn subtract_into(&mut self, other: &VarSet) -> bool {
         debug_assert_eq!(self.universe, other.universe);
@@ -232,6 +251,27 @@ mod tests {
         assert_eq!(c.iter().collect::<Vec<_>>(), vec![2, 64]);
         assert!(a.subtract_into(&b2));
         assert_eq!(a.iter().collect::<Vec<_>>(), vec![1, 3, 65]);
+    }
+
+    #[test]
+    fn union_intersection_matches_union_of_intersection() {
+        let set = |ids: &[usize]| {
+            let mut s = VarSet::empty(130);
+            for &i in ids {
+                s.insert(i);
+            }
+            s
+        };
+        let (a, b) = (set(&[1, 64, 100, 129]), set(&[64, 99, 129]));
+        let mut fused = set(&[1, 5]);
+        let mut want = fused.clone();
+        want.union_into(&a.intersection(&b));
+        assert!(fused.union_intersection_into(&a, &b));
+        assert_eq!(fused, want);
+        assert!(
+            !fused.union_intersection_into(&a, &b),
+            "no-op reports no change"
+        );
     }
 
     #[test]

@@ -20,13 +20,6 @@ pub struct UseSet {
     pub nondiff: Vec<Loc>,
 }
 
-impl UseSet {
-    /// All used locations, differentiable first.
-    pub fn all(&self) -> impl Iterator<Item = Loc> + '_ {
-        self.diff.iter().chain(self.nondiff.iter()).copied()
-    }
-}
-
 /// An expression with resolved, classified uses.
 #[derive(Debug, Clone)]
 pub struct ExprInfo {
@@ -270,14 +263,5 @@ mod tests {
         };
         assert!(strong.is_strong_def());
         assert!(!weak.is_strong_def());
-    }
-
-    #[test]
-    fn useset_all_iterates_both_classes() {
-        let u = UseSet {
-            diff: vec![Loc(1)],
-            nondiff: vec![Loc(2), Loc(3)],
-        };
-        assert_eq!(u.all().collect::<Vec<_>>(), vec![Loc(1), Loc(2), Loc(3)]);
     }
 }
