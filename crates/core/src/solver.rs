@@ -3461,6 +3461,7 @@ mod tests {
         let (g, p) = chain(10, 7);
         let full = wl(&g, &p);
         let run = Solver::new(&p, &g)
+            .strategy(Strategy::RoundRobin)
             .demand(NodeId(2))
             .unwrap()
             .demand(NodeId(4))
@@ -3509,7 +3510,11 @@ mod tests {
         g.set_entry(0);
         g.set_exit(3);
         let full = wl(&g, &Live);
-        let run = Solver::new(&Live, &g).demand(NodeId(2)).unwrap().run();
+        let run = Solver::new(&Live, &g)
+            .strategy(Strategy::RoundRobin)
+            .demand(NodeId(2))
+            .unwrap()
+            .run();
         // Backward: "upstream" is the exit side — the slice is 2, 3.
         assert_eq!(run.node_in_slice, vec![false, false, true, true]);
         assert_eq!(run.solution.output[2], full.output[2]);

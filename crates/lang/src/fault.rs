@@ -590,9 +590,11 @@ impl Transport for ChannelTransport {
                 ]
             });
         }
-        for _ in 0..copies {
+        // Clone for the extra copies only; the last one takes the payload.
+        for _ in 1..copies {
             self.deliver(dest, msg.clone(), reorder);
         }
+        self.deliver(dest, msg, reorder);
     }
 
     fn recv(

@@ -18,8 +18,19 @@
 //! programs (like the paper's benchmarks) execute collectives in the same
 //! order on every process.
 //!
+//! A run costs the statements it executes and the elements it writes, not
+//! the sizes the program declares. The program is lowered once per run into
+//! a tree with every name resolved to a frame slot or global index, shared
+//! by all rank threads. Arrays are a whole-array fill plus only the pages
+//! written, so declaring, filling or `read`ing one is O(1) whatever its
+//! length; building a whole-array value costs its length and fails the rank
+//! with an error, not an abort, when the allocation is refused.
+//!
 //! Semantics notes:
 //! * numbers are stored as `f64` (exact for the integer ranges used);
+//! * names resolve by scope at run time: a local binds when its `var`
+//!   statement executes, and until then a reference falls through to the
+//!   same-named global;
 //! * whole-array assignment is elementwise; scalar-to-array assignment
 //!   broadcasts the scalar;
 //! * `read(x)` produces deterministic pseudo-inputs from a per-process
@@ -31,15 +42,17 @@
 //!   like `recv` (a deliberate simplification; the *analyses* treat them
 //!   distinctly where it matters).
 
-use crate::ast::*;
+use crate::ast::{
+    self, visit_stmts, BinOp, Intrinsic, LValue, MpiStmt, Program, RedOp, SubDecl, UnOp, VarDecl,
+};
 use crate::fault::{ChannelTransport, FaultPlan, RankWait, RecvError, Transport};
 use crate::span::Span;
+use crate::types::Type;
 use mpi_dfa_core::telemetry::{self, ArgValue, TraceLevel};
 use std::cell::RefCell;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::rc::Rc;
-use std::sync::Arc;
 use std::time::Duration;
 
 /// Runtime failure during interpretation. Communication deadlocks carry a
@@ -274,27 +287,26 @@ pub fn run_with_transport(
     transport: &(dyn Transport + Sync),
 ) -> Result<Vec<ProcessResult>, RuntimeError> {
     let nprocs = config.nprocs.max(1);
-    let program = Arc::new(program.clone());
+    let code = Code::lower(program);
     let mut run_span = telemetry::span("runtime", "interp:run");
     run_span.arg("nprocs", nprocs);
     run_span.arg("entry", config.entry.as_str());
 
     std::thread::scope(|scope| {
+        let code = &code;
         let mut handles = Vec::with_capacity(nprocs);
         for rank in 0..nprocs {
-            let program = Arc::clone(&program);
-            let config = config.clone();
             handles.push(scope.spawn(move || {
                 transport.rank_started(rank);
                 let mut proc = Process {
-                    program: &program,
+                    code,
                     rank,
                     nprocs,
                     transport,
                     result: ProcessResult::default(),
                     read_counter: rank as u64,
                     coll_seq: 0,
-                    config: &config,
+                    config,
                 };
                 let outcome = proc.run_entry().map(|_| proc.result);
                 // Always unregister from the wait graph, success or not, so
@@ -332,37 +344,565 @@ pub fn run_with_transport(
 /// Tag space reserved for lowered collectives; user tags must stay below.
 const COLLECTIVE_TAG_BASE: i64 = 1 << 40;
 
-// ---- values and storage -----------------------------------------------------
+// ---- the lowered program ------------------------------------------------------
 
-/// Runtime storage: a scalar or a flattened array with its dims.
-#[derive(Debug, Clone, PartialEq)]
-enum Storage {
-    Scalar(f64),
-    Array { data: Vec<f64>, dims: Vec<i64> },
+/// `program` with every name resolved, built once per run and shared
+/// read-only by every rank thread.
+struct Code {
+    /// One entry per global name, in name order; a redeclared name keeps
+    /// its last declaration.
+    globals: Vec<Global>,
+    subs: Vec<Sub>,
 }
 
-impl Storage {
-    fn from_type(ty: &crate::types::Type) -> Storage {
-        if ty.is_scalar() {
-            Storage::Scalar(0.0)
-        } else {
-            Storage::Array {
-                data: vec![0.0; ty.elem_count() as usize],
-                dims: ty.dims.clone(),
-            }
+struct Global {
+    name: String,
+    span: Span,
+    shape: Shape,
+}
+
+/// A declared variable's shape.
+struct Shape {
+    /// Array extents; empty for a scalar.
+    dims: Box<[i64]>,
+    /// Element count of an array.
+    len: usize,
+}
+
+struct Sub {
+    name: String,
+    span: Span,
+    /// Frame slot and shape of each parameter, in order.
+    params: Vec<(u32, Shape)>,
+    /// Frame size: one slot per distinct parameter or local name.
+    slots: usize,
+    body: Vec<Stmt>,
+}
+
+/// A resolved variable reference. A local binds only when its `var`
+/// statement executes; until then the reference falls through to the
+/// same-named global.
+struct Var {
+    /// Frame slot of the enclosing subroutine's same-named parameter or local.
+    local: Option<u32>,
+    /// Index of the same-named global.
+    global: Option<u32>,
+    name: Box<str>,
+}
+
+/// A storage reference: a variable plus one subscript per dimension (none
+/// for the whole variable).
+struct Place {
+    var: Var,
+    indices: Vec<Expr>,
+    span: Span,
+}
+
+struct Expr {
+    kind: ExprKind,
+    span: Span,
+}
+
+impl Expr {
+    fn num(&self) -> Option<f64> {
+        match self.kind {
+            ExprKind::Num(x) => Some(x),
+            _ => None,
         }
     }
 }
 
-type Slot = Rc<RefCell<Storage>>;
-
-/// One call frame: name → storage slot. Parameters may alias caller slots.
-struct Frame {
-    vars: HashMap<String, Slot>,
+enum ExprKind {
+    /// A literal, or an operator applied to literals, folded to its value.
+    Num(f64),
+    Rank,
+    Nprocs,
+    Any,
+    Load(Place),
+    Unary(UnOp, Box<Expr>),
+    Binary(BinOp, Box<Expr>, Box<Expr>),
+    Intrinsic(Intrinsic, Vec<Expr>),
 }
 
+struct Stmt {
+    kind: StmtKind,
+    span: Span,
+}
+
+enum StmtKind {
+    Local {
+        slot: u32,
+        shape: Shape,
+        init: Option<Expr>,
+    },
+    Assign {
+        lhs: Place,
+        rhs: Expr,
+    },
+    If {
+        cond: Expr,
+        then_blk: Vec<Stmt>,
+        else_blk: Option<Vec<Stmt>>,
+    },
+    While {
+        cond: Expr,
+        body: Vec<Stmt>,
+    },
+    For {
+        var: Var,
+        lo: Expr,
+        hi: Expr,
+        step: Option<Expr>,
+        body: Vec<Stmt>,
+    },
+    Call {
+        name: String,
+        /// Index of the first subroutine named `name`.
+        callee: Option<u32>,
+        args: Vec<Arg>,
+    },
+    Return,
+    Mpi(Mpi),
+    Read(Place),
+    Print(Expr),
+}
+
+/// An actual argument: a whole variable binds by reference, anything else
+/// (an expression or an array element) by value.
+enum Arg {
+    Ref(Var, Span),
+    Value(Expr),
+}
+
+enum Mpi {
+    Send {
+        buf: Place,
+        dest: Expr,
+        tag: Expr,
+        comm: Option<Expr>,
+    },
+    /// A `None` source or tag is `ANY`.
+    Recv {
+        buf: Place,
+        src: Option<Expr>,
+        tag: Option<Expr>,
+        comm: Option<Expr>,
+    },
+    Bcast {
+        buf: Place,
+        root: Expr,
+        comm: Option<Expr>,
+    },
+    Reduce {
+        op: RedOp,
+        send: Expr,
+        recv: Place,
+        root: Expr,
+        comm: Option<Expr>,
+    },
+    Allreduce {
+        op: RedOp,
+        send: Expr,
+        recv: Place,
+        comm: Option<Expr>,
+    },
+    Barrier,
+    Wait,
+}
+
+impl Code {
+    fn lower(program: &Program) -> Code {
+        let mut by_name: BTreeMap<&str, &VarDecl> = BTreeMap::new();
+        for g in &program.globals {
+            by_name.insert(&g.name, g);
+        }
+        let globals = by_name
+            .values()
+            .map(|g| Global {
+                name: g.name.clone(),
+                span: g.span,
+                shape: Shape::of(&g.ty),
+            })
+            .collect();
+        let global_index: HashMap<&str, u32> =
+            by_name.keys().zip(0..).map(|(n, i)| (*n, i)).collect();
+        let mut sub_index: HashMap<&str, u32> = HashMap::new();
+        for (s, i) in program.subs.iter().zip(0..) {
+            sub_index.entry(s.name.as_str()).or_insert(i);
+        }
+        let subs = program
+            .subs
+            .iter()
+            .map(|s| Lower::sub(s, &global_index, &sub_index))
+            .collect();
+        Code { globals, subs }
+    }
+}
+
+impl Shape {
+    fn of(ty: &Type) -> Shape {
+        Shape {
+            dims: ty.dims.clone().into_boxed_slice(),
+            len: usize::try_from(ty.elem_count()).unwrap_or(usize::MAX),
+        }
+    }
+
+    /// Fresh storage holding `x` in every element, O(1) whatever the
+    /// declared length.
+    fn filled(&self, x: f64) -> Storage<'_> {
+        if self.dims.is_empty() {
+            Storage::Scalar(x)
+        } else {
+            Storage::Array(Array::new(&self.dims, self.len, Fill::Const(x)))
+        }
+    }
+}
+
+/// Name resolution for one subroutine.
+struct Lower<'p> {
+    globals: &'p HashMap<&'p str, u32>,
+    subs: &'p HashMap<&'p str, u32>,
+    locals: HashMap<&'p str, u32>,
+}
+
+impl<'p> Lower<'p> {
+    fn sub(
+        sub: &'p SubDecl,
+        globals: &'p HashMap<&'p str, u32>,
+        subs: &'p HashMap<&'p str, u32>,
+    ) -> Sub {
+        let mut cx = Lower {
+            globals,
+            subs,
+            locals: HashMap::new(),
+        };
+        let params = sub
+            .params
+            .iter()
+            .map(|p| (cx.bind(&p.name), Shape::of(&p.ty)))
+            .collect();
+        visit_stmts(&sub.body, &mut |s| {
+            if let ast::StmtKind::Local { decl, .. } = &s.kind {
+                cx.bind(&decl.name);
+            }
+        });
+        Sub {
+            name: sub.name.clone(),
+            span: sub.span,
+            params,
+            slots: cx.locals.len(),
+            body: cx.block(&sub.body),
+        }
+    }
+
+    /// The frame slot of a parameter or local; a repeated name shares it.
+    fn bind(&mut self, name: &'p str) -> u32 {
+        let next = self.locals.len() as u32;
+        *self.locals.entry(name).or_insert(next)
+    }
+
+    fn var(&self, name: &str) -> Var {
+        Var {
+            local: self.locals.get(name).copied(),
+            global: self.globals.get(name).copied(),
+            name: name.into(),
+        }
+    }
+
+    fn place(&self, lv: &LValue) -> Place {
+        Place {
+            var: self.var(&lv.name),
+            indices: lv.indices.iter().map(|e| self.expr(e)).collect(),
+            span: lv.span,
+        }
+    }
+
+    fn expr(&self, e: &ast::Expr) -> Expr {
+        let kind = match &e.kind {
+            ast::ExprKind::IntLit(v) => ExprKind::Num(*v as f64),
+            ast::ExprKind::RealLit(v) => ExprKind::Num(*v),
+            ast::ExprKind::BoolLit(b) => ExprKind::Num(if *b { 1.0 } else { 0.0 }),
+            ast::ExprKind::Rank => ExprKind::Rank,
+            ast::ExprKind::Nprocs => ExprKind::Nprocs,
+            ast::ExprKind::AnyWildcard => ExprKind::Any,
+            ast::ExprKind::Var(lv) => ExprKind::Load(self.place(lv)),
+            ast::ExprKind::Unary(op, inner) => {
+                let inner = self.expr(inner);
+                match inner.num() {
+                    Some(x) => ExprKind::Num(unary(*op, x)),
+                    None => ExprKind::Unary(*op, Box::new(inner)),
+                }
+            }
+            ast::ExprKind::Binary(op, a, b) => {
+                let (a, b) = (self.expr(a), self.expr(b));
+                match (a.num(), b.num()) {
+                    (Some(x), Some(y)) => ExprKind::Num(scalar(*op, x, y)),
+                    _ => ExprKind::Binary(*op, Box::new(a), Box::new(b)),
+                }
+            }
+            ast::ExprKind::Intrinsic(i, args) => {
+                ExprKind::Intrinsic(*i, args.iter().map(|a| self.expr(a)).collect())
+            }
+        };
+        Expr { kind, span: e.span }
+    }
+
+    /// `None` for the `ANY` wildcard.
+    fn wildcard(&self, e: &ast::Expr) -> Option<Expr> {
+        match e.kind {
+            ast::ExprKind::AnyWildcard => None,
+            _ => Some(self.expr(e)),
+        }
+    }
+
+    fn comm(&self, comm: &Option<ast::Expr>) -> Option<Expr> {
+        comm.as_ref().map(|c| self.expr(c))
+    }
+
+    fn block(&self, b: &ast::Block) -> Vec<Stmt> {
+        b.stmts.iter().map(|s| self.stmt(s)).collect()
+    }
+
+    fn stmt(&self, s: &ast::Stmt) -> Stmt {
+        let kind = match &s.kind {
+            ast::StmtKind::Local { decl, init } => StmtKind::Local {
+                slot: self.locals[decl.name.as_str()],
+                shape: Shape::of(&decl.ty),
+                init: init.as_ref().map(|e| self.expr(e)),
+            },
+            ast::StmtKind::Assign { lhs, rhs } => StmtKind::Assign {
+                lhs: self.place(lhs),
+                rhs: self.expr(rhs),
+            },
+            ast::StmtKind::If {
+                cond,
+                then_blk,
+                else_blk,
+            } => StmtKind::If {
+                cond: self.expr(cond),
+                then_blk: self.block(then_blk),
+                else_blk: else_blk.as_ref().map(|b| self.block(b)),
+            },
+            ast::StmtKind::While { cond, body } => StmtKind::While {
+                cond: self.expr(cond),
+                body: self.block(body),
+            },
+            ast::StmtKind::For {
+                var,
+                lo,
+                hi,
+                step,
+                body,
+            } => StmtKind::For {
+                var: self.var(var),
+                lo: self.expr(lo),
+                hi: self.expr(hi),
+                step: step.as_ref().map(|e| self.expr(e)),
+                body: self.block(body),
+            },
+            ast::StmtKind::Call { name, args } => StmtKind::Call {
+                name: name.clone(),
+                callee: self.subs.get(name.as_str()).copied(),
+                args: args
+                    .iter()
+                    .map(|a| match a.as_lvalue() {
+                        Some(lv) if lv.is_whole() => Arg::Ref(self.var(&lv.name), lv.span),
+                        _ => Arg::Value(self.expr(a)),
+                    })
+                    .collect(),
+            },
+            ast::StmtKind::Return => StmtKind::Return,
+            ast::StmtKind::Mpi(m) => StmtKind::Mpi(self.mpi(m)),
+            ast::StmtKind::Read(lv) => StmtKind::Read(self.place(lv)),
+            ast::StmtKind::Print(e) => StmtKind::Print(self.expr(e)),
+        };
+        Stmt { kind, span: s.span }
+    }
+
+    fn mpi(&self, m: &MpiStmt) -> Mpi {
+        match m {
+            MpiStmt::Send {
+                buf,
+                dest,
+                tag,
+                comm,
+                ..
+            } => Mpi::Send {
+                buf: self.place(buf),
+                dest: self.expr(dest),
+                tag: self.expr(tag),
+                comm: self.comm(comm),
+            },
+            MpiStmt::Recv {
+                buf,
+                src,
+                tag,
+                comm,
+                ..
+            } => Mpi::Recv {
+                buf: self.place(buf),
+                src: self.wildcard(src),
+                tag: self.wildcard(tag),
+                comm: self.comm(comm),
+            },
+            MpiStmt::Bcast { buf, root, comm } => Mpi::Bcast {
+                buf: self.place(buf),
+                root: self.expr(root),
+                comm: self.comm(comm),
+            },
+            MpiStmt::Reduce {
+                op,
+                send,
+                recv,
+                root,
+                comm,
+            } => Mpi::Reduce {
+                op: *op,
+                send: self.expr(send),
+                recv: self.place(recv),
+                root: self.expr(root),
+                comm: self.comm(comm),
+            },
+            MpiStmt::Allreduce {
+                op,
+                send,
+                recv,
+                comm,
+            } => Mpi::Allreduce {
+                op: *op,
+                send: self.expr(send),
+                recv: self.place(recv),
+                comm: self.comm(comm),
+            },
+            MpiStmt::Barrier => Mpi::Barrier,
+            MpiStmt::Wait => Mpi::Wait,
+        }
+    }
+}
+
+// ---- values and storage -----------------------------------------------------
+
+/// Elements per array page.
+const PAGE: usize = 1 << 10;
+
+/// The value of every array element that no page overrides.
+#[derive(Clone, Copy)]
+enum Fill {
+    Const(f64),
+    /// `read`'s deterministic ramp: element `k` holds `v + (k % 97) * 0.001`.
+    Ramp(f64),
+}
+
+impl Fill {
+    fn at(self, k: usize) -> f64 {
+        match self {
+            Fill::Const(c) => c,
+            Fill::Ramp(v) => v + (k % 97) as f64 * 0.001,
+        }
+    }
+
+    /// Append elements `from..to`.
+    fn extend(self, out: &mut Vec<f64>, from: usize, to: usize) {
+        match self {
+            Fill::Const(c) => out.resize(out.len() + (to - from), c),
+            Fill::Ramp(_) => out.extend((from..to).map(|k| self.at(k))),
+        }
+    }
+}
+
+/// A flattened array: a whole-array fill plus only the pages written
+/// since, keyed by page number. Declaring, filling and `read`ing an
+/// array cost O(1) whatever its length, and so does an element access.
+struct Array<'a> {
+    dims: &'a [i64],
+    /// Element count. Differs from the product of `dims` when a by-value
+    /// actual of another length binds an array parameter.
+    len: usize,
+    fill: Fill,
+    pages: BTreeMap<usize, Box<[f64]>>,
+}
+
+impl<'a> Array<'a> {
+    fn new(dims: &'a [i64], len: usize, fill: Fill) -> Self {
+        Array {
+            dims,
+            len,
+            fill,
+            pages: BTreeMap::new(),
+        }
+    }
+
+    fn from_vec(dims: &'a [i64], xs: &[f64]) -> Self {
+        let mut a = Array::new(dims, xs.len(), Fill::Const(0.0));
+        a.assign(xs);
+        a
+    }
+
+    fn get(&self, k: usize) -> f64 {
+        match self.pages.get(&(k / PAGE)) {
+            Some(page) => page[k % PAGE],
+            None => self.fill.at(k),
+        }
+    }
+
+    fn set(&mut self, k: usize, x: f64) {
+        let (len, fill) = (self.len, self.fill);
+        let page = self.pages.entry(k / PAGE).or_insert_with(|| {
+            let start = k - k % PAGE;
+            let mut elems = Vec::new();
+            fill.extend(&mut elems, start, len.min(start.saturating_add(PAGE)));
+            elems.into_boxed_slice()
+        });
+        page[k % PAGE] = x;
+    }
+
+    fn fill(&mut self, fill: Fill) {
+        self.fill = fill;
+        self.pages.clear();
+    }
+
+    /// Overwrite every element; `xs.len()` must equal `self.len`.
+    fn assign(&mut self, xs: &[f64]) {
+        self.fill = Fill::Const(0.0);
+        self.pages = xs.chunks(PAGE).map(Box::from).enumerate().collect();
+    }
+
+    /// The whole array as one value, built page by page. The allocation is
+    /// reserved up front and refused with an error rather than aborting.
+    fn to_vec(&self) -> Result<Vec<f64>, String> {
+        let mut out = Vec::new();
+        out.try_reserve_exact(self.len).map_err(|_| {
+            format!(
+                "cannot materialise a whole array of {} elements: allocation refused",
+                self.len
+            )
+        })?;
+        let mut next = 0;
+        for (&p, page) in &self.pages {
+            let start = p * PAGE;
+            self.fill.extend(&mut out, next, start);
+            out.extend_from_slice(page);
+            next = start + page.len();
+        }
+        self.fill.extend(&mut out, next, self.len);
+        Ok(out)
+    }
+}
+
+/// Runtime storage: a scalar or an array. The kind can change at run time
+/// (a `for` loop stores a scalar into its variable's slot).
+enum Storage<'a> {
+    Scalar(f64),
+    Array(Array<'a>),
+}
+
+type Slot<'a> = Rc<RefCell<Storage<'a>>>;
+
+/// One call frame, indexed by [`Var::local`]. A slot is bound by a
+/// parameter or an executed `var`; parameters may alias caller slots.
+type Frame<'a> = Vec<Option<Slot<'a>>>;
+
 /// A value produced by expression evaluation.
-#[derive(Debug, Clone)]
 enum Val {
     Num(f64),
     Arr(Vec<f64>),
@@ -375,6 +915,32 @@ impl Val {
             Val::Arr(_) => Err(err()),
         }
     }
+
+    /// A received or reduced payload: one element is a scalar.
+    fn from_payload(payload: Vec<f64>) -> Val {
+        if payload.len() == 1 {
+            Val::Num(payload[0])
+        } else {
+            Val::Arr(payload)
+        }
+    }
+
+    fn into_payload(self) -> Vec<f64> {
+        match self {
+            Val::Num(x) => vec![x],
+            Val::Arr(xs) => xs,
+        }
+    }
+}
+
+/// Where a [`Place`] points once its subscripts are evaluated.
+enum At {
+    Whole,
+    /// An element of an array (never produced for a scalar).
+    Elem(usize),
+    /// Subscripts that do not fit the storage; the caller reports the
+    /// message at its own span.
+    Misfit(String),
 }
 
 // ---- the per-process interpreter --------------------------------------------
@@ -386,7 +952,7 @@ enum Flow {
 }
 
 struct Process<'a> {
-    program: &'a Program,
+    code: &'a Code,
     rank: usize,
     nprocs: usize,
     transport: &'a (dyn Transport + Sync),
@@ -398,50 +964,44 @@ struct Process<'a> {
 
 impl<'a> Process<'a> {
     fn run_entry(&mut self) -> Result<(), RuntimeError> {
-        let entry = self.program.sub(&self.config.entry).ok_or_else(|| {
-            self.err(
-                Span::DUMMY,
-                format!("entry subroutine `{}` not found", self.config.entry),
-            )
-        })?;
+        let code = self.code;
+        let entry = code
+            .subs
+            .iter()
+            .find(|s| s.name == self.config.entry)
+            .ok_or_else(|| {
+                self.err(
+                    Span::DUMMY,
+                    format!("entry subroutine `{}` not found", self.config.entry),
+                )
+            })?;
         if !entry.params.is_empty() {
             return Err(self.err(entry.span, "entry subroutine must take no parameters"));
         }
-        // Globals live in the root frame of every call (by-name fallback).
-        let mut globals = HashMap::new();
-        for g in &self.program.globals {
-            let mut storage = Storage::from_type(&g.ty);
-            if let Some((_, v)) = self
-                .config
-                .init_globals
-                .iter()
-                .find(|(name, _)| *name == g.name)
-            {
-                match &mut storage {
-                    Storage::Scalar(x) => *x = *v,
-                    Storage::Array { data, .. } => data.fill(*v),
-                }
-            }
-            globals.insert(g.name.clone(), Rc::new(RefCell::new(storage)));
-        }
-        let globals = Frame { vars: globals };
-        let mut frame = Frame {
-            vars: HashMap::new(),
-        };
+        let globals: Vec<Slot<'a>> = code
+            .globals
+            .iter()
+            .map(|g| {
+                let init = self
+                    .config
+                    .init_globals
+                    .iter()
+                    .find(|(name, _)| *name == g.name)
+                    .map_or(0.0, |(_, v)| *v);
+                Rc::new(RefCell::new(g.shape.filled(init)))
+            })
+            .collect();
+        let mut frame = vec![None; entry.slots];
         self.exec_block(&entry.body, &mut frame, &globals)?;
         if self.config.capture_globals {
-            let mut finals: Vec<(String, Vec<f64>)> = globals
-                .vars
-                .iter()
-                .map(|(name, slot)| {
-                    let values = match &*slot.borrow() {
-                        Storage::Scalar(v) => vec![*v],
-                        Storage::Array { data, .. } => data.clone(),
-                    };
-                    (name.clone(), values)
-                })
-                .collect();
-            finals.sort_by(|a, b| a.0.cmp(&b.0));
+            let mut finals = Vec::with_capacity(globals.len());
+            for (g, slot) in code.globals.iter().zip(&globals) {
+                let values = match &*slot.borrow() {
+                    Storage::Scalar(v) => vec![*v],
+                    Storage::Array(a) => a.to_vec().map_err(|m| self.err(g.span, m))?,
+                };
+                finals.push((g.name.clone(), values));
+            }
             self.result.final_globals = finals;
         }
         Ok(())
@@ -455,19 +1015,21 @@ impl<'a> Process<'a> {
         }
     }
 
-    fn lookup(
+    /// The slot `var` names: the enclosing subroutine's binding once it
+    /// exists, else the same-named global.
+    fn slot<'f>(
         &self,
-        frame: &Frame,
-        globals: &Frame,
-        name: &str,
+        var: &Var,
+        frame: &'f Frame<'a>,
+        globals: &'f [Slot<'a>],
         span: Span,
-    ) -> Result<Slot, RuntimeError> {
-        frame
-            .vars
-            .get(name)
-            .or_else(|| globals.vars.get(name))
-            .cloned()
-            .ok_or_else(|| self.err(span, format!("undefined variable `{name}`")))
+    ) -> Result<&'f Slot<'a>, RuntimeError> {
+        if let Some(slot) = var.local.and_then(|l| frame[l as usize].as_ref()) {
+            return Ok(slot);
+        }
+        var.global
+            .map(|g| &globals[g as usize])
+            .ok_or_else(|| self.err(span, format!("undefined variable `{}`", var.name)))
     }
 
     fn tick(&mut self, span: Span) -> Result<(), RuntimeError> {
@@ -480,11 +1042,11 @@ impl<'a> Process<'a> {
 
     fn exec_block(
         &mut self,
-        block: &Block,
-        frame: &mut Frame,
-        globals: &Frame,
+        block: &'a [Stmt],
+        frame: &mut Frame<'a>,
+        globals: &[Slot<'a>],
     ) -> Result<Flow, RuntimeError> {
-        for stmt in &block.stmts {
+        for stmt in block {
             if let Flow::Return = self.exec_stmt(stmt, frame, globals)? {
                 return Ok(Flow::Return);
             }
@@ -494,25 +1056,23 @@ impl<'a> Process<'a> {
 
     fn exec_stmt(
         &mut self,
-        stmt: &Stmt,
-        frame: &mut Frame,
-        globals: &Frame,
+        stmt: &'a Stmt,
+        frame: &mut Frame<'a>,
+        globals: &[Slot<'a>],
     ) -> Result<Flow, RuntimeError> {
         self.tick(stmt.span)?;
         match &stmt.kind {
-            StmtKind::Local { decl, init } => {
-                let slot = Rc::new(RefCell::new(Storage::from_type(&decl.ty)));
+            StmtKind::Local { slot, shape, init } => {
+                let fresh = Rc::new(RefCell::new(shape.filled(0.0)));
                 if let Some(e) = init {
                     let v = self.eval(e, frame, globals)?;
-                    self.store_into(&slot, &[], v, stmt.span)?;
+                    self.store(&fresh, At::Whole, v, stmt.span)?;
                 }
-                frame.vars.insert(decl.name.clone(), slot);
+                frame[*slot as usize] = Some(fresh);
             }
             StmtKind::Assign { lhs, rhs } => {
                 let v = self.eval(rhs, frame, globals)?;
-                let slot = self.lookup(frame, globals, &lhs.name, lhs.span)?;
-                let idx = self.eval_indices(lhs, frame, globals)?;
-                self.store_into(&slot, &idx, v, stmt.span)?;
+                self.assign(lhs, v, stmt.span, frame, globals)?;
             }
             StmtKind::If {
                 cond,
@@ -562,7 +1122,9 @@ impl<'a> Process<'a> {
                 if st == 0.0 {
                     return Err(self.err(stmt.span, "zero loop step"));
                 }
-                let slot = self.lookup(frame, globals, var, stmt.span)?;
+                // Held across the body: a `var` of the same name in the body
+                // binds a new slot but does not redirect the loop.
+                let slot = Rc::clone(self.slot(var, frame, globals, stmt.span)?);
                 let mut i = lo;
                 while (st > 0.0 && i <= hi) || (st < 0.0 && i >= hi) {
                     self.tick(stmt.span)?;
@@ -577,38 +1139,29 @@ impl<'a> Process<'a> {
                     };
                 }
             }
-            StmtKind::Call { name, args } => {
-                self.exec_call(name, args, stmt.span, frame, globals)?;
+            StmtKind::Call { name, callee, args } => {
+                self.exec_call(name, *callee, args, stmt.span, frame, globals)?;
             }
             StmtKind::Return => return Ok(Flow::Return),
             StmtKind::Mpi(m) => self.exec_mpi(m, stmt.span, frame, globals)?,
-            StmtKind::Read(lv) => {
-                let slot = self.lookup(frame, globals, &lv.name, lv.span)?;
-                let idx = self.eval_indices(lv, frame, globals)?;
+            StmtKind::Read(place) => {
+                let slot = self.slot(&place.var, frame, globals, place.span)?;
+                let at = self.locate(place, slot, frame, globals)?;
                 let v = self.next_input();
-                if idx.is_empty() {
+                match at {
                     // Whole-variable read: fill arrays elementwise with a
                     // deterministic ramp.
-                    let mut s = slot.borrow_mut();
-                    match &mut *s {
+                    At::Whole => match &mut *slot.borrow_mut() {
                         Storage::Scalar(x) => *x = v,
-                        Storage::Array { data, .. } => {
-                            for (k, x) in data.iter_mut().enumerate() {
-                                *x = v + (k % 97) as f64 * 0.001;
-                            }
-                        }
-                    }
-                } else {
-                    self.store_into(&slot, &idx, Val::Num(v), stmt.span)?;
+                        Storage::Array(a) => a.fill(Fill::Ramp(v)),
+                    },
+                    at => self.store(slot, at, Val::Num(v), stmt.span)?,
                 }
             }
-            StmtKind::Print(e) => {
-                let v = self.eval(e, frame, globals)?;
-                match v {
-                    Val::Num(x) => self.result.printed.push(x),
-                    Val::Arr(xs) => self.result.printed.extend(xs),
-                }
-            }
+            StmtKind::Print(e) => match self.eval(e, frame, globals)? {
+                Val::Num(x) => self.result.printed.push(x),
+                Val::Arr(xs) => self.result.printed.extend(xs),
+            },
         }
         Ok(Flow::Normal)
     }
@@ -626,50 +1179,34 @@ impl<'a> Process<'a> {
     fn exec_call(
         &mut self,
         name: &str,
-        args: &[Expr],
+        callee: Option<u32>,
+        args: &'a [Arg],
         span: Span,
-        frame: &mut Frame,
-        globals: &Frame,
+        frame: &Frame<'a>,
+        globals: &[Slot<'a>],
     ) -> Result<(), RuntimeError> {
-        let callee = self
-            .program
-            .sub(name)
+        let code = self.code;
+        let callee = callee
+            .map(|c| &code.subs[c as usize])
             .ok_or_else(|| self.err(span, format!("call to unknown subroutine `{name}`")))?;
         if callee.params.len() != args.len() {
             return Err(self.err(span, format!("arity mismatch calling `{name}`")));
         }
-        let mut new_frame = Frame {
-            vars: HashMap::new(),
-        };
-        for (param, arg) in callee.params.iter().zip(args) {
-            let slot = match arg.as_lvalue() {
-                Some(lv) if lv.is_whole() => {
-                    // Whole variable: alias the caller's storage (by reference).
-                    self.lookup(frame, globals, &lv.name, lv.span)?
-                }
-                _ => {
-                    // Expression or array element: fresh storage (by value).
-                    let v = self.eval(arg, frame, globals)?;
-                    let storage = match v {
-                        Val::Num(x) => {
-                            if param.ty.is_array() {
-                                Storage::Array {
-                                    data: vec![x; param.ty.elem_count() as usize],
-                                    dims: param.ty.dims.clone(),
-                                }
-                            } else {
-                                Storage::Scalar(x)
-                            }
-                        }
-                        Val::Arr(xs) => Storage::Array {
-                            data: xs,
-                            dims: param.ty.dims.clone(),
-                        },
+        let mut new_frame = vec![None; callee.slots];
+        for ((slot, shape), arg) in callee.params.iter().zip(args) {
+            let bound = match arg {
+                // Whole variable: alias the caller's storage (by reference).
+                Arg::Ref(var, vspan) => Rc::clone(self.slot(var, frame, globals, *vspan)?),
+                // Expression or array element: fresh storage (by value).
+                Arg::Value(e) => {
+                    let storage = match self.eval(e, frame, globals)? {
+                        Val::Num(x) => shape.filled(x),
+                        Val::Arr(xs) => Storage::Array(Array::from_vec(&shape.dims, &xs)),
                     };
                     Rc::new(RefCell::new(storage))
                 }
             };
-            new_frame.vars.insert(param.name.clone(), slot);
+            new_frame[*slot as usize] = Some(bound);
         }
         self.exec_block(&callee.body, &mut new_frame, globals)?;
         Ok(())
@@ -679,62 +1216,57 @@ impl<'a> Process<'a> {
 
     fn exec_mpi(
         &mut self,
-        m: &MpiStmt,
+        m: &'a Mpi,
         span: Span,
-        frame: &mut Frame,
-        globals: &Frame,
+        frame: &Frame<'a>,
+        globals: &[Slot<'a>],
     ) -> Result<(), RuntimeError> {
         match m {
-            MpiStmt::Send {
+            Mpi::Send {
                 buf,
                 dest,
                 tag,
                 comm,
-                ..
             } => {
-                let payload = self.load_payload(buf, frame, globals)?;
+                let payload = self.load(buf, frame, globals)?.into_payload();
                 let dest = self.eval_rank(dest, frame, globals)?;
                 let tag = self.eval_int(tag, frame, globals)?;
                 let comm = self.eval_comm(comm, frame, globals)?;
                 self.post(dest, tag, comm, payload, span)?;
             }
-            MpiStmt::Recv {
+            Mpi::Recv {
                 buf,
                 src,
                 tag,
                 comm,
-                ..
             } => {
-                let src = match src.kind {
-                    ExprKind::AnyWildcard => None,
-                    _ => Some(self.eval_rank(src, frame, globals)?),
+                let src = match src {
+                    Some(e) => Some(self.eval_rank(e, frame, globals)?),
+                    None => None,
                 };
-                let tag = match tag.kind {
-                    ExprKind::AnyWildcard => None,
-                    _ => Some(self.eval_int(tag, frame, globals)?),
+                let tag = match tag {
+                    Some(e) => Some(self.eval_int(e, frame, globals)?),
+                    None => None,
                 };
                 let comm = self.eval_comm(comm, frame, globals)?;
                 let msg = self.take(src, tag, comm, span)?;
-                self.store_payload(buf, msg.payload, frame, globals, span)?;
+                self.assign(buf, Val::from_payload(msg.payload), span, frame, globals)?;
             }
-            MpiStmt::Bcast { buf, root, comm } => {
+            Mpi::Bcast { buf, root, comm } => {
                 let root = self.eval_rank(root, frame, globals)?;
                 let comm = self.eval_comm(comm, frame, globals)?;
                 let tag = self.next_coll_tag();
                 self.trace_collective("bcast", root);
                 if self.rank == root {
-                    let payload = self.load_payload(buf, frame, globals)?;
-                    for dest in 0..self.nprocs {
-                        if dest != root {
-                            self.post(dest, tag, comm, payload.clone(), span)?;
-                        }
-                    }
+                    let payload = self.load(buf, frame, globals)?.into_payload();
+                    let dests = (0..self.nprocs).filter(|&d| d != root);
+                    self.fan_out(dests, tag, comm, payload, span)?;
                 } else {
                     let msg = self.take(Some(root), Some(tag), comm, span)?;
-                    self.store_payload(buf, msg.payload, frame, globals, span)?;
+                    self.assign(buf, Val::from_payload(msg.payload), span, frame, globals)?;
                 }
             }
-            MpiStmt::Reduce {
+            Mpi::Reduce {
                 op,
                 send,
                 recv,
@@ -745,11 +1277,7 @@ impl<'a> Process<'a> {
                 let comm = self.eval_comm(comm, frame, globals)?;
                 let tag = self.next_coll_tag();
                 self.trace_collective("reduce", root);
-                let mine = self.eval(send, frame, globals)?;
-                let mine = match mine {
-                    Val::Num(x) => vec![x],
-                    Val::Arr(xs) => xs,
-                };
+                let mine = self.eval(send, frame, globals)?.into_payload();
                 if self.rank == root {
                     let mut acc = mine;
                     // Combine in rank order for determinism.
@@ -765,19 +1293,12 @@ impl<'a> Process<'a> {
                             *a = combine(*op, *a, b);
                         }
                     }
-                    let v = if acc.len() == 1 {
-                        Val::Num(acc[0])
-                    } else {
-                        Val::Arr(acc)
-                    };
-                    let slot = self.lookup(frame, globals, &recv.name, recv.span)?;
-                    let idx = self.eval_indices(recv, frame, globals)?;
-                    self.store_into(&slot, &idx, v, span)?;
+                    self.assign(recv, Val::from_payload(acc), span, frame, globals)?;
                 } else {
                     self.post(root, tag, comm, mine, span)?;
                 }
             }
-            MpiStmt::Allreduce {
+            Mpi::Allreduce {
                 op,
                 send,
                 recv,
@@ -788,10 +1309,7 @@ impl<'a> Process<'a> {
                 let tag_r = self.next_coll_tag();
                 let tag_b = self.next_coll_tag();
                 self.trace_collective("allreduce", 0);
-                let mine = match self.eval(send, frame, globals)? {
-                    Val::Num(x) => vec![x],
-                    Val::Arr(xs) => xs,
-                };
+                let mine = self.eval(send, frame, globals)?.into_payload();
                 let result = if self.rank == 0 {
                     let mut acc = mine;
                     for src in 1..self.nprocs {
@@ -803,24 +1321,17 @@ impl<'a> Process<'a> {
                             *a = combine(*op, *a, b);
                         }
                     }
-                    for dest in 1..self.nprocs {
-                        self.post(dest, tag_b, comm_v, acc.clone(), span)?;
-                    }
-                    acc
+                    // The root keeps its own copy; the last peer takes `acc`.
+                    let own = Val::from_payload(acc.clone());
+                    self.fan_out(1..self.nprocs, tag_b, comm_v, acc, span)?;
+                    own
                 } else {
                     self.post(0, tag_r, comm_v, mine, span)?;
-                    self.take(Some(0), Some(tag_b), comm_v, span)?.payload
+                    Val::from_payload(self.take(Some(0), Some(tag_b), comm_v, span)?.payload)
                 };
-                let v = if result.len() == 1 {
-                    Val::Num(result[0])
-                } else {
-                    Val::Arr(result)
-                };
-                let slot = self.lookup(frame, globals, &recv.name, recv.span)?;
-                let idx = self.eval_indices(recv, frame, globals)?;
-                self.store_into(&slot, &idx, v, span)?;
+                self.assign(recv, result, span, frame, globals)?;
             }
-            MpiStmt::Barrier => {
+            Mpi::Barrier => {
                 // All-to-root gather of empty payloads, then root broadcast.
                 let tag_r = self.next_coll_tag();
                 let tag_b = self.next_coll_tag();
@@ -829,15 +1340,13 @@ impl<'a> Process<'a> {
                     for src in 1..self.nprocs {
                         self.take(Some(src), Some(tag_r), 0, span)?;
                     }
-                    for dest in 1..self.nprocs {
-                        self.post(dest, tag_b, 0, Vec::new(), span)?;
-                    }
+                    self.fan_out(1..self.nprocs, tag_b, 0, Vec::new(), span)?;
                 } else {
                     self.post(0, tag_r, 0, Vec::new(), span)?;
                     self.take(Some(0), Some(tag_b), 0, span)?;
                 }
             }
-            MpiStmt::Wait => {}
+            Mpi::Wait => {}
         }
         Ok(())
     }
@@ -862,6 +1371,27 @@ impl<'a> Process<'a> {
                 ("seq", ArgValue::I64(self.coll_seq)),
             ],
         );
+    }
+
+    /// Post `payload` to each of `dests` in order, cloning it for all but
+    /// the last, which takes it by move.
+    fn fan_out(
+        &mut self,
+        dests: impl Iterator<Item = usize>,
+        tag: i64,
+        comm: i64,
+        mut payload: Vec<f64>,
+        span: Span,
+    ) -> Result<(), RuntimeError> {
+        let mut dests = dests.peekable();
+        while let Some(dest) = dests.next() {
+            let copy = match dests.peek() {
+                Some(_) => payload.clone(),
+                None => std::mem::take(&mut payload),
+            };
+            self.post(dest, tag, comm, copy, span)?;
+        }
+        Ok(())
     }
 
     fn post(
@@ -910,55 +1440,22 @@ impl<'a> Process<'a> {
         }
     }
 
-    fn load_payload(
-        &mut self,
-        lv: &LValue,
-        frame: &Frame,
-        globals: &Frame,
-    ) -> Result<Vec<f64>, RuntimeError> {
-        let slot = self.lookup(frame, globals, &lv.name, lv.span)?;
-        let idx = self.eval_indices(lv, frame, globals)?;
-        let s = slot.borrow();
-        match (&*s, idx.is_empty()) {
-            (Storage::Scalar(v), true) => Ok(vec![*v]),
-            (Storage::Array { data, .. }, true) => Ok(data.clone()),
-            (Storage::Array { data, dims }, false) => {
-                let off = self.flat_index(dims, &idx, lv.span)?;
-                Ok(vec![data[off]])
-            }
-            (Storage::Scalar(_), false) => Err(self.err(lv.span, "cannot index scalar")),
-        }
-    }
-
-    fn store_payload(
-        &mut self,
-        lv: &LValue,
-        payload: Vec<f64>,
-        frame: &Frame,
-        globals: &Frame,
-        span: Span,
-    ) -> Result<(), RuntimeError> {
-        let slot = self.lookup(frame, globals, &lv.name, lv.span)?;
-        let idx = self.eval_indices(lv, frame, globals)?;
-        let v = if payload.len() == 1 {
-            Val::Num(payload[0])
-        } else {
-            Val::Arr(payload)
-        };
-        self.store_into(&slot, &idx, v, span)
-    }
-
     fn eval_rank(
-        &mut self,
+        &self,
         e: &Expr,
-        frame: &Frame,
-        globals: &Frame,
+        frame: &Frame<'a>,
+        globals: &[Slot<'a>],
     ) -> Result<usize, RuntimeError> {
         let v = self.eval_int(e, frame, globals)?;
         usize::try_from(v).map_err(|_| self.err(e.span, format!("negative rank {v}")))
     }
 
-    fn eval_int(&mut self, e: &Expr, frame: &Frame, globals: &Frame) -> Result<i64, RuntimeError> {
+    fn eval_int(
+        &self,
+        e: &Expr,
+        frame: &Frame<'a>,
+        globals: &[Slot<'a>],
+    ) -> Result<i64, RuntimeError> {
         let v = self
             .eval(e, frame, globals)?
             .as_num(|| self.err(e.span, "expected scalar"))?;
@@ -966,10 +1463,10 @@ impl<'a> Process<'a> {
     }
 
     fn eval_comm(
-        &mut self,
+        &self,
         comm: &Option<Expr>,
-        frame: &Frame,
-        globals: &Frame,
+        frame: &Frame<'a>,
+        globals: &[Slot<'a>],
     ) -> Result<i64, RuntimeError> {
         match comm {
             Some(c) => self.eval_int(c, frame, globals),
@@ -977,118 +1474,159 @@ impl<'a> Process<'a> {
         }
     }
 
-    // ---- expressions -----------------------------------------------------
+    // ---- places ----------------------------------------------------------
 
-    fn eval_indices(
-        &mut self,
-        lv: &LValue,
-        frame: &Frame,
-        globals: &Frame,
-    ) -> Result<Vec<i64>, RuntimeError> {
-        lv.indices
-            .iter()
-            .map(|e| self.eval_int(e, frame, globals))
-            .collect()
-    }
-
-    /// Column-major (Fortran) flattening of 1-based subscripts.
-    fn flat_index(&self, dims: &[i64], idx: &[i64], span: Span) -> Result<usize, RuntimeError> {
-        if dims.len() != idx.len() {
-            return Err(self.err(span, "subscript count mismatch"));
+    /// Evaluate `place`'s subscripts and flatten them column-major
+    /// (Fortran order, 1-based) against the storage in `slot`. A subscript
+    /// that fails to evaluate is an error here; one that does not fit the
+    /// storage is reported by the caller, after every subscript is
+    /// evaluated, so subscripts are read in order without a buffer.
+    fn locate(
+        &self,
+        place: &Place,
+        slot: &Slot<'a>,
+        frame: &Frame<'a>,
+        globals: &[Slot<'a>],
+    ) -> Result<At, RuntimeError> {
+        if place.indices.is_empty() {
+            return Ok(At::Whole);
         }
-        let mut off: i64 = 0;
-        let mut stride: i64 = 1;
-        for (d, i) in dims.iter().zip(idx) {
-            if *i < 1 || *i > *d {
-                return Err(self.err(span, format!("index {i} out of bounds 1..={d}")));
+        // Expressions cannot write, so the shape stays put while the
+        // subscripts are evaluated.
+        let shape = match &*slot.borrow() {
+            Storage::Scalar(_) => None,
+            Storage::Array(a) => Some((a.dims, a.len)),
+        };
+        let dims = shape.map_or(&[][..], |(dims, _)| dims);
+        let (mut off, mut stride, mut outside) = (0i64, 1i64, None);
+        for (k, e) in place.indices.iter().enumerate() {
+            let i = self.eval_int(e, frame, globals)?;
+            if let (Some(&d), None) = (dims.get(k), outside) {
+                if i < 1 || i > d {
+                    outside = Some((i, d));
+                } else {
+                    off = off.wrapping_add((i - 1).wrapping_mul(stride));
+                    stride = stride.wrapping_mul(d);
+                }
             }
-            off += (i - 1) * stride;
-            stride *= d;
         }
-        Ok(off as usize)
+        let Some((dims, len)) = shape else {
+            return Ok(At::Misfit("cannot index scalar".to_string()));
+        };
+        if dims.len() != place.indices.len() {
+            return Ok(At::Misfit("subscript count mismatch".to_string()));
+        }
+        if let Some((i, d)) = outside {
+            return Ok(At::Misfit(format!("index {i} out of bounds 1..={d}")));
+        }
+        Ok(match usize::try_from(off) {
+            Ok(k) if k < len => At::Elem(k),
+            _ => At::Misfit(format!(
+                "element {} out of bounds of the {len} stored elements",
+                off.wrapping_add(1)
+            )),
+        })
     }
 
-    fn store_into(&self, slot: &Slot, idx: &[i64], v: Val, span: Span) -> Result<(), RuntimeError> {
+    /// The value at `place`.
+    fn load(
+        &self,
+        place: &Place,
+        frame: &Frame<'a>,
+        globals: &[Slot<'a>],
+    ) -> Result<Val, RuntimeError> {
+        let slot = self.slot(&place.var, frame, globals, place.span)?;
+        let at = self.locate(place, slot, frame, globals)?;
+        let s = slot.borrow();
+        match (&*s, at) {
+            (_, At::Misfit(m)) => Err(self.err(place.span, m)),
+            (Storage::Scalar(v), _) => Ok(Val::Num(*v)),
+            (Storage::Array(a), At::Whole) => a
+                .to_vec()
+                .map(Val::Arr)
+                .map_err(|m| self.err(place.span, m)),
+            (Storage::Array(a), At::Elem(k)) => Ok(Val::Num(a.get(k))),
+        }
+    }
+
+    /// Store `v` at `place`, reporting a misfit at `span`.
+    fn assign(
+        &self,
+        place: &Place,
+        v: Val,
+        span: Span,
+        frame: &Frame<'a>,
+        globals: &[Slot<'a>],
+    ) -> Result<(), RuntimeError> {
+        let slot = self.slot(&place.var, frame, globals, place.span)?;
+        let at = self.locate(place, slot, frame, globals)?;
+        self.store(slot, at, v, span)
+    }
+
+    fn store(&self, slot: &Slot<'a>, at: At, v: Val, span: Span) -> Result<(), RuntimeError> {
         let mut s = slot.borrow_mut();
-        match (&mut *s, idx.is_empty(), v) {
-            (Storage::Scalar(dst), true, Val::Num(x)) => *dst = x,
-            (Storage::Scalar(_), true, Val::Arr(_)) => {
-                return Err(self.err(span, "cannot assign array to scalar"));
+        match (&mut *s, at, v) {
+            (Storage::Array(_), At::Elem(_) | At::Misfit(_), Val::Arr(_)) => {
+                Err(self.err(span, "cannot assign array to array element"))
             }
-            (Storage::Scalar(_), false, _) => {
-                return Err(self.err(span, "cannot index scalar"));
+            (_, At::Misfit(m), _) => Err(self.err(span, m)),
+            (Storage::Scalar(dst), _, Val::Num(x)) => {
+                *dst = x;
+                Ok(())
             }
-            (Storage::Array { data, .. }, true, Val::Num(x)) => {
-                data.fill(x);
+            (Storage::Scalar(_), _, Val::Arr(_)) => {
+                Err(self.err(span, "cannot assign array to scalar"))
             }
-            (Storage::Array { data, .. }, true, Val::Arr(xs)) => {
-                if xs.len() != data.len() {
+            (Storage::Array(a), At::Whole, Val::Num(x)) => {
+                a.fill(Fill::Const(x));
+                Ok(())
+            }
+            (Storage::Array(a), At::Whole, Val::Arr(xs)) => {
+                if xs.len() != a.len {
                     return Err(self.err(
                         span,
-                        format!("array length mismatch: {} vs {}", xs.len(), data.len()),
+                        format!("array length mismatch: {} vs {}", xs.len(), a.len),
                     ));
                 }
-                data.copy_from_slice(&xs);
+                a.assign(&xs);
+                Ok(())
             }
-            (Storage::Array { data, dims }, false, Val::Num(x)) => {
-                let dims = dims.clone();
-                let off = self.flat_index(&dims, idx, span)?;
-                data[off] = x;
-            }
-            (Storage::Array { .. }, false, Val::Arr(_)) => {
-                return Err(self.err(span, "cannot assign array to array element"));
+            (Storage::Array(a), At::Elem(k), Val::Num(x)) => {
+                a.set(k, x);
+                Ok(())
             }
         }
-        Ok(())
     }
 
-    fn eval(&mut self, e: &Expr, frame: &Frame, globals: &Frame) -> Result<Val, RuntimeError> {
+    // ---- expressions -----------------------------------------------------
+
+    fn eval(&self, e: &Expr, frame: &Frame<'a>, globals: &[Slot<'a>]) -> Result<Val, RuntimeError> {
         match &e.kind {
-            ExprKind::IntLit(v) => Ok(Val::Num(*v as f64)),
-            ExprKind::RealLit(v) => Ok(Val::Num(*v)),
-            ExprKind::BoolLit(b) => Ok(Val::Num(if *b { 1.0 } else { 0.0 })),
+            ExprKind::Num(v) => Ok(Val::Num(*v)),
             ExprKind::Rank => Ok(Val::Num(self.rank as f64)),
             ExprKind::Nprocs => Ok(Val::Num(self.nprocs as f64)),
-            ExprKind::AnyWildcard => Err(self.err(e.span, "`ANY` has no value")),
-            ExprKind::Var(lv) => {
-                let slot = self.lookup(frame, globals, &lv.name, lv.span)?;
-                let idx = self.eval_indices(lv, frame, globals)?;
-                let s = slot.borrow();
-                match (&*s, idx.is_empty()) {
-                    (Storage::Scalar(v), true) => Ok(Val::Num(*v)),
-                    (Storage::Array { data, .. }, true) => Ok(Val::Arr(data.clone())),
-                    (Storage::Array { data, dims }, false) => {
-                        let dims = dims.clone();
-                        let data_ref = data;
-                        let off = self.flat_index(&dims, &idx, lv.span)?;
-                        Ok(Val::Num(data_ref[off]))
-                    }
-                    (Storage::Scalar(_), false) => Err(self.err(lv.span, "cannot index scalar")),
-                }
-            }
-            ExprKind::Unary(op, inner) => {
-                let v = self.eval(inner, frame, globals)?;
-                Ok(match (op, v) {
-                    (UnOp::Neg, Val::Num(x)) => Val::Num(-x),
-                    (UnOp::Neg, Val::Arr(xs)) => Val::Arr(xs.into_iter().map(|x| -x).collect()),
-                    (UnOp::Not, Val::Num(x)) => Val::Num(if x == 0.0 { 1.0 } else { 0.0 }),
-                    (UnOp::Not, Val::Arr(_)) => {
-                        return Err(self.err(e.span, "cannot negate array logically"));
-                    }
-                })
-            }
+            ExprKind::Any => Err(self.err(e.span, "`ANY` has no value")),
+            ExprKind::Load(place) => self.load(place, frame, globals),
+            ExprKind::Unary(op, inner) => match (op, self.eval(inner, frame, globals)?) {
+                (_, Val::Num(x)) => Ok(Val::Num(unary(*op, x))),
+                (UnOp::Neg, Val::Arr(xs)) => Ok(Val::Arr(xs.into_iter().map(|x| -x).collect())),
+                (UnOp::Not, Val::Arr(_)) => Err(self.err(e.span, "cannot negate array logically")),
+            },
             ExprKind::Binary(op, a, b) => {
                 let va = self.eval(a, frame, globals)?;
                 let vb = self.eval(b, frame, globals)?;
                 self.binop(*op, va, vb, e.span)
             }
             ExprKind::Intrinsic(i, args) => {
-                let mut vals = Vec::with_capacity(args.len());
-                for a in args {
-                    vals.push(
-                        self.eval(a, frame, globals)?
-                            .as_num(|| self.err(a.span, "array intrinsic arg"))?,
-                    );
+                // The parser fixes the arity (at most two arguments).
+                let mut vals = [0.0; 2];
+                for (k, a) in args.iter().enumerate() {
+                    let v = self
+                        .eval(a, frame, globals)?
+                        .as_num(|| self.err(a.span, "array intrinsic arg"))?;
+                    if let Some(slot) = vals.get_mut(k) {
+                        *slot = v;
+                    }
                 }
                 let r = match i {
                     Intrinsic::Sqrt => vals[0].abs().sqrt(),
@@ -1113,29 +1651,6 @@ impl<'a> Process<'a> {
     }
 
     fn binop(&self, op: BinOp, a: Val, b: Val, span: Span) -> Result<Val, RuntimeError> {
-        use BinOp::*;
-        fn scalar(op: BinOp, x: f64, y: f64) -> f64 {
-            match op {
-                Add => x + y,
-                Sub => x - y,
-                Mul => x * y,
-                Div => {
-                    if y == 0.0 {
-                        0.0 // benign: benchmarks guard real divisions
-                    } else {
-                        x / y
-                    }
-                }
-                Eq => (x == y) as i64 as f64,
-                Ne => (x != y) as i64 as f64,
-                Lt => (x < y) as i64 as f64,
-                Le => (x <= y) as i64 as f64,
-                Gt => (x > y) as i64 as f64,
-                Ge => (x >= y) as i64 as f64,
-                And => ((x != 0.0) && (y != 0.0)) as i64 as f64,
-                Or => ((x != 0.0) || (y != 0.0)) as i64 as f64,
-            }
-        }
         Ok(match (a, b) {
             (Val::Num(x), Val::Num(y)) => Val::Num(scalar(op, x, y)),
             (Val::Arr(xs), Val::Num(y)) => {
@@ -1156,6 +1671,43 @@ impl<'a> Process<'a> {
                 )
             }
         })
+    }
+}
+
+fn unary(op: UnOp, x: f64) -> f64 {
+    match op {
+        UnOp::Neg => -x,
+        UnOp::Not => {
+            if x == 0.0 {
+                1.0
+            } else {
+                0.0
+            }
+        }
+    }
+}
+
+fn scalar(op: BinOp, x: f64, y: f64) -> f64 {
+    use BinOp::*;
+    match op {
+        Add => x + y,
+        Sub => x - y,
+        Mul => x * y,
+        Div => {
+            if y == 0.0 {
+                0.0 // benign: benchmarks guard real divisions
+            } else {
+                x / y
+            }
+        }
+        Eq => (x == y) as i64 as f64,
+        Ne => (x != y) as i64 as f64,
+        Lt => (x < y) as i64 as f64,
+        Le => (x <= y) as i64 as f64,
+        Gt => (x > y) as i64 as f64,
+        Ge => (x >= y) as i64 as f64,
+        And => ((x != 0.0) && (y != 0.0)) as i64 as f64,
+        Or => ((x != 0.0) || (y != 0.0)) as i64 as f64,
     }
 }
 
@@ -1646,5 +2198,103 @@ mod capture_tests {
             },
         );
         assert_eq!(out[0].printed, vec![4.0]);
+    }
+}
+
+#[cfg(test)]
+mod sparse_tests {
+    use super::*;
+    use crate::parser::parse;
+
+    /// 10^11 declared reals (800 GB) on every rank.
+    fn huge(tail: &str) -> Program {
+        let src = format!(
+            "program huge global a: real[100000000000]; global x: real;\n\
+             sub main() {{\n\
+               a[5] = 1.0;\n\
+               if (rank() == 0) {{ send(x, 1, 7); }} else {{ recv(x, 0, 7); }}\n\
+               {tail}\n\
+             }}"
+        );
+        let p = parse(&src).expect("parse");
+        crate::sema::check(&p).expect("sema");
+        p
+    }
+
+    fn two_ranks() -> InterpConfig {
+        InterpConfig {
+            nprocs: 2,
+            limits: RuntimeLimits::quick_test(),
+            ..Default::default()
+        }
+    }
+
+    #[test]
+    fn declared_length_costs_nothing() {
+        let out = run(&huge("print(a[5]); print(a[99999999999]);"), &two_ranks()).unwrap();
+        for pr in &out {
+            assert_eq!(pr.printed, vec![1.0, 0.0]);
+        }
+    }
+
+    #[test]
+    fn refused_whole_array_fails_the_rank_with_its_element_count() {
+        // Materialising `a` reserves 800 GB up front, which the allocator
+        // refuses: the rank fails with a structured error, not an abort.
+        let e = run(&huge("print(a);"), &two_ranks()).unwrap_err();
+        match e {
+            RuntimeError::Failed { rank, message, .. } => {
+                assert_eq!(rank, 0);
+                assert!(message.contains("100000000000 elements"), "{message}");
+            }
+            other => panic!("expected a structured failure, got: {other}"),
+        }
+    }
+
+    #[test]
+    fn short_by_value_actual_is_an_error_not_a_panic() {
+        // Sema does not compare actual and parameter shapes: `v` holds two
+        // elements under a three-element declaration.
+        let p = parse(
+            "program t sub f(v: real[3]) { print(v[3]); }\n\
+             sub main() { var a: real[2]; call f(a + 1.0); }",
+        )
+        .unwrap();
+        crate::sema::check(&p).expect("sema");
+        let e = run(&p, &two_ranks()).unwrap_err();
+        assert_eq!(e.rank(), 0);
+        assert!(
+            e.to_string()
+                .contains("element 3 out of bounds of the 2 stored elements"),
+            "{e}"
+        );
+    }
+
+    #[test]
+    fn pages_agree_with_a_dense_array() {
+        // 3000 elements span three pages, the last one partial. Writes land
+        // in the first and third page over `read`'s ramp; a whole copy and
+        // an element write then diverge `b` from `a`.
+        let src = "program t global a: real[3000]; global b: real[3000];\n\
+             sub main() { read(a); print(a[1]); a[1] = 5.0; a[2048] = 6.0; a[3000] = 7.0;\n\
+               b = a; b[1025] = 8.0; }";
+        let p = parse(src).unwrap();
+        let cfg = InterpConfig {
+            nprocs: 1,
+            capture_globals: true,
+            ..Default::default()
+        };
+        let out = run(&p, &cfg).unwrap();
+        // The ramp's first element is the value `read` drew.
+        let v = out[0].printed[0];
+        let mut a: Vec<f64> = (0..3000).map(|k| v + (k % 97) as f64 * 0.001).collect();
+        a[0] = 5.0;
+        a[2047] = 6.0;
+        a[2999] = 7.0;
+        let mut b = a.clone();
+        b[1024] = 8.0;
+        let finals = &out[0].final_globals;
+        assert_eq!(finals[0], ("a".to_string(), a));
+        assert_eq!(finals[1], ("b".to_string(), b));
     }
 }

@@ -1181,6 +1181,29 @@ mod tests {
     }
 
     #[test]
+    fn verify_of_a_huge_declaration_answers_and_the_engine_lives_on() {
+        // 10^11 declared reals (800 GB), one element touched: the request
+        // costs the element, and the next request is still answered.
+        let e = engine();
+        let source = "program huge\\n\
+                      global a: real[100000000000];\\n\
+                      global x: real;\\n\
+                      sub main() {\\n\
+                        a[5] = 1.0;\\n\
+                        if (rank() == 0) { send(x, 1, 7); } else { recv(x, 0, 7); }\\n\
+                        print(a[5]);\\n\
+                      }\\n";
+        let r = e.handle_line(&format!(
+            r#"{{"id":1,"kind":"verify","source":"{source}","schedules":8}}"#
+        ));
+        assert!(r.contains("\"ok\":true"), "{r}");
+        assert!(r.contains("\"verdict\":\"safe\""), "{r}");
+        assert!(r.contains("\"outcome\":\"consistent-safe\""), "{r}");
+        let pong = e.handle_line(r#"{"id":2,"kind":"ping"}"#);
+        assert!(pong.contains("\"pong\":true"), "{pong}");
+    }
+
+    #[test]
     fn wall_clock_budget_bypasses_cache() {
         let e = engine();
         let req = parse(

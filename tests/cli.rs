@@ -116,3 +116,27 @@ fn missing_required_flags_fail() {
     assert!(!ok);
     assert!(stderr.contains("--stmt"), "{stderr}");
 }
+
+#[test]
+fn verify_survives_a_huge_declaration() {
+    // 10^11 declared reals (800 GB), one element touched: the cross-check
+    // runs must cost the element, not abort on the declaration.
+    let dir = std::env::temp_dir().join("mpidfa-cli-test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let huge = dir.join("huge.smpl");
+    std::fs::write(
+        &huge,
+        "program huge\n\
+         global a: real[100000000000];\n\
+         global x: real;\n\
+         sub main() {\n\
+           a[5] = 1.0;\n\
+           if (rank() == 0) { send(x, 1, 7); } else { recv(x, 0, 7); }\n\
+           print(a[5]);\n\
+         }\n",
+    )
+    .unwrap();
+    let (stdout, stderr, ok) = mpidfa(&["verify", huge.to_str().unwrap()]);
+    assert!(ok, "verify must exit 0 (safe): {stdout}{stderr}");
+    assert!(stdout.contains("consistent-safe"), "{stdout}");
+}

@@ -115,3 +115,31 @@ fn verify_report_json_is_deterministic() {
         assert_eq!(a, b, "verify JSON must be byte-identical across runs");
     }
 }
+
+/// A sema-valid program that declares 10^11 reals (800 GB) and touches one
+/// element. The schedule explorer must pay for the element, not the
+/// declaration, so the program verifies like any small safe program.
+const HUGE_DECLARATION: &str = "\
+program huge
+global a: real[100000000000];
+global x: real;
+sub main() {
+  a[5] = 1.0;
+  if (rank() == 0) { send(x, 1, 7); } else { recv(x, 0, 7); }
+  print(a[5]);
+}
+";
+
+#[test]
+fn huge_declaration_verifies_safe_without_allocating_it() {
+    let r = verify_src(HUGE_DECLARATION, &cfg(8));
+    assert_eq!(r.verdict, Verdict::Safe, "{:?}", r.deadlock);
+    assert_eq!(
+        r.crosscheck.outcome,
+        Outcome::ConsistentSafe,
+        "{:?}",
+        r.crosscheck
+    );
+    assert!(r.crosscheck.baseline_ok);
+    assert_eq!(r.crosscheck.completed, 8);
+}
