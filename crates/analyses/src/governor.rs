@@ -718,16 +718,16 @@ mod tests {
           f = y + t;\n\
         }";
 
-    fn rp_gov() -> GovernorConfig {
+    fn region_gov() -> GovernorConfig {
         GovernorConfig {
-            strategy: Strategy::RegionParallel { threads: 2 },
+            strategy: Strategy::Region,
             ..GovernorConfig::default()
         }
     }
 
     #[test]
     fn delta_matches_the_full_governed_solve() {
-        let gov = rp_gov();
+        let gov = region_gov();
         let cfg = ActivityConfig::new(["x"], ["f"]);
         let base = ProgramIr::from_source(TWO_PROC_BASE).expect("compile base");
         let edit = ProgramIr::from_source(TWO_PROC_EDIT).expect("compile edit");
@@ -770,19 +770,19 @@ mod tests {
         let base = ProgramIr::from_source(TWO_PROC_BASE).expect("compile base");
         let edit = ProgramIr::from_source(TWO_PROC_EDIT).expect("compile edit");
 
-        // A worklist run never captures seed regions, so the incremental
+        // A round-robin run never captures seed regions, so the incremental
         // attempt must be rejected — and the governor answers with a full
         // precise solve, not an error and not a tier drop.
-        let wl_gov = GovernorConfig {
-            strategy: Strategy::Worklist,
+        let rr_gov = GovernorConfig {
+            strategy: Strategy::RoundRobin,
             ..GovernorConfig::default()
         };
-        let prev = governed_activity(&base, "main", &cfg, &wl_gov).unwrap();
+        let prev = governed_activity(&base, "main", &cfg, &rr_gov).unwrap();
         let delta = governed_activity_delta(
             &edit,
             "main",
             &cfg,
-            &wl_gov,
+            &rr_gov,
             &prev.result,
             &["work".to_string()],
         )
@@ -794,7 +794,7 @@ mod tests {
         assert_eq!(delta.governed.provenance.tier, Tier::T0);
         assert!(delta.governed.result.converged());
 
-        let full = governed_activity(&edit, "main", &cfg, &wl_gov).unwrap();
+        let full = governed_activity(&edit, "main", &cfg, &rr_gov).unwrap();
         assert_eq!(delta.governed.result.active, full.result.active);
     }
 
@@ -804,7 +804,7 @@ mod tests {
         let base = ProgramIr::from_source(TWO_PROC_BASE).expect("compile base");
         let edit = ProgramIr::from_source(TWO_PROC_EDIT).expect("compile edit");
 
-        let prev = governed_activity(&base, "main", &cfg, &rp_gov()).unwrap();
+        let prev = governed_activity(&base, "main", &cfg, &region_gov()).unwrap();
 
         // A budget too small for the incremental attempt: the delta path
         // must not publish a tier-dropped incremental answer — it hands
@@ -812,7 +812,7 @@ mod tests {
         // (or saturates) with its usual provenance.
         let tiny = GovernorConfig {
             budget: Budget::unlimited().with_max_work(1),
-            ..rp_gov()
+            ..region_gov()
         };
         let delta = governed_activity_delta(
             &edit,

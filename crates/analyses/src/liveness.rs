@@ -148,7 +148,7 @@ impl Dataflow for Liveness<'_> {
 
 /// Solve liveness over any graph built from `icfg` (the plain ICFG or the
 /// MPI-ICFG — the result is identical because the problem is separable).
-pub fn analyze<G: FlowGraph + Sync>(graph: &G, icfg: &Icfg) -> Solution<VarSet> {
+pub fn analyze<G: FlowGraph>(graph: &G, icfg: &Icfg) -> Solution<VarSet> {
     Solver::new(&Liveness::new(icfg), graph).run()
 }
 

@@ -155,7 +155,7 @@ impl Dataflow for ReachingDefs<'_> {
 
 /// Solve reaching definitions over `graph` (ICFG or MPI-ICFG; results are
 /// identical — separable).
-pub fn analyze<'g, G: FlowGraph + Sync>(
+pub fn analyze<'g, G: FlowGraph>(
     graph: &G,
     icfg: &'g Icfg,
 ) -> (ReachingDefs<'g>, Solution<VarSet>) {

@@ -164,7 +164,7 @@ impl Dataflow for Taint<'_> {
 }
 
 /// Run trust analysis.
-pub fn analyze<G: FlowGraph + Sync>(
+pub fn analyze<G: FlowGraph>(
     graph: &G,
     icfg: &Icfg,
     mode: TaintMode,

@@ -2,8 +2,9 @@
 //!
 //! The paper bounds convergence by graph depth × number of variables and
 //! observes that real iteration counts stay far below the bound. This bench
-//! measures how the two solver strategies scale with generated-program size
-//! and quantifies the round-robin vs worklist gap on a fixed program.
+//! measures how activity solving scales with generated-program size and
+//! times the round-robin sweep on a fixed program (the region engine's
+//! gate on the same generator is `solver_parallel`).
 
 use mpi_dfa_analyses::activity::{self, ActivityConfig};
 use mpi_dfa_analyses::consts::ReachingConsts;
@@ -44,26 +45,21 @@ fn bench_scaling(c: &mut Criterion) {
         let p = ReachingConsts::new(mpi.icfg());
         b.iter(|| black_box(Solver::new(&p, &mpi).strategy(Strategy::RoundRobin).run()));
     });
-    group.bench_function("worklist", |b| {
-        let p = ReachingConsts::new(mpi.icfg());
-        b.iter(|| black_box(Solver::new(&p, &mpi).strategy(Strategy::Worklist).run()));
-    });
     group.finish();
 
-    // Budget headroom: both strategies report the same consumption schema
-    // (node visits, `f_comm` evaluations, elapsed), so the work-unit cost
-    // of a full fixpoint — i.e. the budget a production caller must grant
-    // before the degradation ladder kicks in — can be charted per strategy.
+    // Budget headroom: the work-unit cost of a full fixpoint (node visits,
+    // `f_comm` evaluations, elapsed) — i.e. the budget a production caller
+    // must grant before the degradation ladder kicks in.
     let p = ReachingConsts::new(mpi.icfg());
-    let rr = Solver::new(&p, &mpi).strategy(Strategy::RoundRobin).run();
-    let wl = Solver::new(&p, &mpi).strategy(Strategy::Worklist).run();
-    for (name, stats) in [("round_robin", &rr.stats), ("worklist", &wl.stats)] {
-        println!(
-            "solver_scaling/budget_headroom/{name}: {} node visits, {} comm evals, \
-             {} passes, {:?} (converged={})",
-            stats.node_visits, stats.comm_evals, stats.passes, stats.elapsed, stats.converged
-        );
-    }
+    let stats = Solver::new(&p, &mpi)
+        .strategy(Strategy::RoundRobin)
+        .run()
+        .stats;
+    println!(
+        "solver_scaling/budget_headroom/round_robin: {} node visits, {} comm evals, \
+         {} passes, {:?} (converged={})",
+        stats.node_visits, stats.comm_evals, stats.passes, stats.elapsed, stats.converged
+    );
 }
 
 criterion_group!(benches, bench_scaling);

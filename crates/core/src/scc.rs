@@ -1,7 +1,7 @@
 //! Tarjan condensation of a [`FlowGraph`] into strongly connected regions.
 //!
-//! The region-parallel solver strategy ([`crate::solver::Strategy::RegionParallel`])
-//! needs to know which nodes can participate in a fact cycle. On an MPI-ICFG
+//! The region solver strategy ([`crate::solver::Strategy::Region`]) needs
+//! to know which nodes can participate in a fact cycle. On an MPI-ICFG
 //! a cycle may run through **communication edges** — a send whose payload
 //! feeds a receive that loops back to the send (CG's cyclic communication
 //! structure is the canonical case) — so the condensation here traverses
@@ -51,9 +51,8 @@ impl Condensation {
         self.regions.len()
     }
 
-    /// Size of the largest region — the sequential bottleneck of any
-    /// region-parallel schedule (a single giant comm SCC degrades the whole
-    /// solve to effectively sequential).
+    /// Size of the largest region (a single giant comm SCC means the region
+    /// engine solves almost the whole graph as one region).
     pub fn largest_region(&self) -> usize {
         self.regions.iter().map(Vec::len).max().unwrap_or(0)
     }

@@ -1,34 +1,30 @@
 //! The iterative data-flow solver behind the unified [`Solver`] builder.
 //!
-//! Three strategies are provided (see [`Strategy`]):
+//! Two strategies are provided (see [`Strategy`]):
 //!
 //! * [`Strategy::RoundRobin`] — full passes in reverse postorder until a
 //!   pass changes nothing. The pass count it records is the "Iter"
 //!   statistic the paper's Table 1 reports, so the experiment harness pins
 //!   this strategy.
-//! * [`Strategy::Worklist`] — a FIFO worklist that only revisits nodes
-//!   whose inputs may have changed. Faster in practice; the reference for
-//!   the region-parallel strategy's byte-identical guarantee.
-//! * [`Strategy::RegionParallel`] — Tarjan-condenses the graph (including
+//! * [`Strategy::Region`] — Tarjan-condenses the graph (including
 //!   communication edges, see [`crate::scc`]) and solves each strongly
-//!   connected region to a local fixpoint in topological order, running
-//!   independent ready regions on a scoped thread pool. For monotone
-//!   problems the solution is **byte-identical** to the sequential
-//!   worklist at any thread count: parallelism changes wall-clock, never
-//!   facts. See `docs/SOLVER.md` for the full determinism argument.
+//!   connected region to a local fixpoint in topological order, revisiting
+//!   only nodes whose inputs may have changed. For monotone problems the
+//!   solution is **byte-identical** to round-robin's (the maximal fixpoint
+//!   is unique); only the counters differ. See `docs/SOLVER.md`.
 //!
-//! All strategies handle communication edges: at a node with
+//! Both strategies handle communication edges: at a node with
 //! (direction-adjusted) incoming communication edges, the solver evaluates
 //! `f_comm` at each edge's source using that source's *input* fact —
 //! matching the paper's `commOUT(n) = f_comm(IN(n))` for forward analyses
 //! and `commIN(n) = f_comm(OUT(n))` for backward ones — and hands the
-//! collected communication facts to the node's transfer function. Every
-//! strategy memoises `f_comm` per source until that source's input fact
-//! changes, so `ConvergenceStats::comm_evals` counts evaluations
-//! performed, not comm edges visited.
+//! collected communication facts to the node's transfer function. Both
+//! memoise `f_comm` per source until that source's input fact changes, so
+//! `ConvergenceStats::comm_evals` counts evaluations performed, not comm
+//! edges visited.
 //!
 //! All solving goes through the [`Solver`] builder — there are no free-
-//! function entry points. Beyond the three full-fixpoint strategies the
+//! function entry points. Beyond the two full-fixpoint strategies the
 //! builder exposes two *partial* modes: [`Solver::seed`] re-solves only the
 //! SCC regions invalidated by an edit (transplanting byte-identical facts
 //! into the rest), and [`Solver::demand`] answers facts at specific nodes
@@ -52,24 +48,20 @@
 //! g.flow(0, 1);
 //! g.set_entry(0);
 //! g.set_exit(1);
-//! let sol = Solver::new(&Reach, &g)
-//!     .strategy(Strategy::RegionParallel { threads: 2 })
-//!     .run();
+//! let sol = Solver::new(&Reach, &g).strategy(Strategy::Region).run();
 //! assert!(sol.output[1]);
 //! assert!(sol.stats.converged);
 //! ```
 
-use crate::budget::{Budget, Exhaustion, CHECK_INTERVAL};
+use crate::budget::{Budget, BudgetMeter, Exhaustion};
 use crate::graph::{reverse_postorder, Edge, FlowGraph, NodeId};
 use crate::problem::{Dataflow, Direction};
 use crate::scc::{self, Condensation};
 use crate::telemetry;
-use std::cell::UnsafeCell;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex, MutexGuard, OnceLock};
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Environment variable consulted once per process by
@@ -86,58 +78,51 @@ pub const STRATEGY_ENV: &str = "MPIDFA_SOLVER";
 pub enum Strategy {
     /// Full reverse-postorder passes; `passes` matches Table 1's "Iter".
     RoundRobin,
-    /// Sequential FIFO worklist; the determinism reference.
-    Worklist,
-    /// SCC condensation + topological region schedule on a scoped thread
-    /// pool. `threads: 0` means "use available parallelism".
-    RegionParallel {
-        /// Worker thread count; `0` resolves to the machine's available
-        /// parallelism at run time.
-        threads: usize,
-    },
+    /// SCC condensation solved region by region in topological order;
+    /// converged solves capture the seed [`Solver::seed`] needs.
+    Region,
 }
 
 static SESSION_DEFAULT: OnceLock<Strategy> = OnceLock::new();
 
 impl Strategy {
-    /// Parse the CLI/service spelling: `round-robin`, `worklist`,
-    /// `region-parallel`, or `region-parallel:N` (N ≥ 1 worker threads).
+    /// Parse the CLI/service spelling: `round-robin` or `region`.
     pub fn parse(s: &str) -> Result<Strategy, String> {
         match s {
             "round-robin" => Ok(Strategy::RoundRobin),
-            "worklist" => Ok(Strategy::Worklist),
-            "region-parallel" => Ok(Strategy::RegionParallel { threads: 0 }),
-            other => match other.strip_prefix("region-parallel:") {
-                Some(n) => match n.parse::<usize>() {
-                    Ok(t) if t >= 1 => Ok(Strategy::RegionParallel { threads: t }),
-                    Ok(_) => Err(
-                        "region-parallel thread count must be >= 1 (omit `:N` for auto)".into(),
-                    ),
-                    Err(_) => Err(format!("invalid region-parallel thread count {n:?}")),
-                },
-                None => Err(format!(
-                    "unknown solver strategy {other:?} (expected round-robin|worklist|region-parallel[:N])"
-                )),
-            },
+            "region" => Ok(Strategy::Region),
+            other => Err(format!(
+                "unknown solver strategy {other:?} (expected round-robin|region)"
+            )),
         }
     }
 
-    /// The strategy named by [`STRATEGY_ENV`], or `default` when the
-    /// variable is unset, empty, or unparsable (a bad value must not turn
-    /// library calls into panics; the CLIs validate loudly instead).
-    pub fn from_env_or(default: Strategy) -> Strategy {
+    /// The strategy named by [`STRATEGY_ENV`]: `Ok(None)` when the variable
+    /// is unset or empty, `Err` naming the accepted spellings when it holds
+    /// anything else. The CLIs call this at startup, so a stale value fails
+    /// loudly there.
+    pub fn from_env() -> Result<Option<Strategy>, String> {
         match std::env::var(STRATEGY_ENV) {
-            Ok(v) if !v.trim().is_empty() => Strategy::parse(v.trim()).unwrap_or(default),
-            _ => default,
+            Ok(v) if !v.trim().is_empty() => Strategy::parse(v.trim())
+                .map(Some)
+                .map_err(|e| format!("{STRATEGY_ENV}: {e}")),
+            _ => Ok(None),
         }
     }
 
     /// Process-wide default strategy: [`STRATEGY_ENV`] read once, falling
     /// back to [`Strategy::RoundRobin`] (the paper's Table-1 iteration
-    /// scheme). Cached so hot paths constructing [`SolveParams::default`]
-    /// never touch the environment again.
+    /// scheme) when it is unset or unparsable (a bad value must not turn
+    /// library calls into panics; the CLIs validate loudly instead).
+    /// Cached so hot paths constructing [`SolveParams::default`] never
+    /// touch the environment again.
     pub fn session_default() -> Strategy {
-        *SESSION_DEFAULT.get_or_init(|| Strategy::from_env_or(Strategy::RoundRobin))
+        *SESSION_DEFAULT.get_or_init(|| {
+            Strategy::from_env()
+                .ok()
+                .flatten()
+                .unwrap_or(Strategy::RoundRobin)
+        })
     }
 
     /// Pin the process-wide default strategy (what `--solver` on the CLIs
@@ -154,9 +139,7 @@ impl fmt::Display for Strategy {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Strategy::RoundRobin => write!(f, "round-robin"),
-            Strategy::Worklist => write!(f, "worklist"),
-            Strategy::RegionParallel { threads: 0 } => write!(f, "region-parallel"),
-            Strategy::RegionParallel { threads } => write!(f, "region-parallel:{threads}"),
+            Strategy::Region => write!(f, "region"),
         }
     }
 }
@@ -164,8 +147,8 @@ impl fmt::Display for Strategy {
 /// Solver tuning knobs.
 #[derive(Debug, Clone)]
 pub struct SolveParams {
-    /// Upper bound on round-robin passes (or, for worklist-based
-    /// strategies, on node visits divided by node count). Exceeding it sets
+    /// Upper bound on round-robin passes (or, for the region engine, on
+    /// rounds per region). Exceeding it sets
     /// `ConvergenceStats::converged = false` instead of looping forever.
     pub max_passes: usize,
     /// Resource budget (deadline, work-unit cap, cancellation). The solver
@@ -208,17 +191,16 @@ impl SolveParams {
 /// Convergence accounting, reported uniformly by all solver strategies so
 /// bench output can chart budget headroom.
 ///
-/// Under [`Strategy::RegionParallel`] every field except `elapsed` is
-/// derived from per-region accounting merged in region-id order, so the
-/// whole struct (minus wall-clock) is independent of the thread count.
+/// Under [`Strategy::Region`] every field except `elapsed` is derived from
+/// per-region accounting merged in region-id order.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ConvergenceStats {
     /// Number of full passes over the graph (round-robin) or an equivalent
-    /// estimate (worklist strategies: visits / nodes, rounded up).
+    /// estimate (region engine: visits / nodes, rounded up).
     pub passes: usize,
     /// Total node transfer evaluations.
     pub node_visits: u64,
-    /// Total `f_comm` evaluations performed. Every strategy memoises
+    /// Total `f_comm` evaluations performed. Both strategies memoise
     /// `f_comm` per comm source, so a source is evaluated once per change
     /// of its input fact (on the next read), not once per comm edge per
     /// visit. The region engine re-evaluates a source once more in each
@@ -227,15 +209,13 @@ pub struct ConvergenceStats {
     /// Total meet operations applied while recomputing node inputs (one per
     /// upstream non-communication edge visited).
     pub meets: u64,
-    /// High-water mark of the worklist depth (0 for the round-robin
-    /// strategy, which has no queue). Under the region-parallel strategy
-    /// this is the **maximum over per-region queue high-waters** — a
-    /// deterministic quantity — never a racy global queue measurement.
+    /// High-water mark of the region engine's pending nodes: the **maximum
+    /// over per-region queue high-waters** (0 for round-robin, which has no
+    /// queue).
     pub worklist_peak: usize,
     /// Number of nodes whose input or output changed, per pass (round-robin)
-    /// or per visit bucket (worklist strategies). Region-parallel merges
-    /// per-region bucket series element-wise in region-id order, so the
-    /// result is deterministic at any thread count.
+    /// or per round (region engine: per-region round series summed
+    /// element-wise in region-id order).
     pub pass_deltas: Vec<u64>,
     /// Per-node visit counts, indexed by `NodeId::index()`. Feeds the DOT
     /// heat overlay; element-wise summed by [`ConvergenceStats::absorb`].
@@ -250,14 +230,13 @@ pub struct ConvergenceStats {
 
 impl ConvergenceStats {
     /// Merge the consumption of a sub-solve into this one (used by clients
-    /// that run several solves under one budget, and by the region-parallel
-    /// engine to fold per-region stats).
+    /// that run several solves under one budget).
     ///
     /// On the pure counters (`passes`, `node_visits`, `comm_evals`, `meets`,
     /// `worklist_peak`, `pass_deltas`, `per_node_visits`, `elapsed`,
     /// `converged`) this operation is commutative and associative — sums,
-    /// maxima, element-wise sums, and conjunction all are — which is what
-    /// makes parallel merges order-independent. `exhausted` deliberately
+    /// maxima, element-wise sums, and conjunction all are — so merged
+    /// metrics do not depend on merge order. `exhausted` deliberately
     /// keeps the *first* recorded reason, so it depends on absorb order (a
     /// degradation trace reads in pipeline order).
     pub fn absorb(&mut self, other: &ConvergenceStats) {
@@ -330,7 +309,7 @@ impl ConvergenceStats {
 }
 
 /// Region-level seed data captured by fingerprint-capable solves (the
-/// region-parallel strategy and incremental re-solves, when the problem
+/// region strategy and incremental re-solves, when the problem
 /// implements [`Dataflow::node_fingerprint`]). Consumed by
 /// [`Solver::seed`] on the *next* build of the graph: regions whose local
 /// fingerprint and upstream facts are unchanged get their facts and solve
@@ -375,10 +354,6 @@ pub enum SolverConfigError {
     /// The problem returns `None` from [`Dataflow::node_fingerprint`], so
     /// regions cannot be matched across graph builds.
     FingerprintsUnavailable,
-    /// `.demand()` was combined with [`Strategy::RegionParallel`]: a demand
-    /// slice is solved sequentially in topological order, so a parallel
-    /// strategy request would be silently ignored — rejected instead.
-    DemandWithRegionParallel,
     /// A node handed to `.demand()` or `.dirty()` is outside the graph.
     NodeOutOfRange { node: NodeId, num_nodes: usize },
 }
@@ -403,11 +378,6 @@ impl fmt::Display for SolverConfigError {
                 "problem does not implement node_fingerprint; incremental \
                  seeding is unavailable"
             ),
-            SolverConfigError::DemandWithRegionParallel => write!(
-                f,
-                "demand mode is sequential by construction and cannot honor \
-                 a region-parallel strategy"
-            ),
             SolverConfigError::NodeOutOfRange { node, num_nodes } => {
                 write!(f, "node {node} is outside the graph ({num_nodes} nodes)")
             }
@@ -431,7 +401,7 @@ pub struct Solution<F> {
     /// ran the region engine (or an incremental re-solve), converged, and
     /// the problem implements [`Dataflow::node_fingerprint`]; `None`
     /// otherwise. Cheap to clone (shared via `Arc`).
-    pub regions: Option<std::sync::Arc<SeedRegions>>,
+    pub regions: Option<Arc<SeedRegions>>,
 }
 
 impl<F> Solution<F> {
@@ -452,12 +422,12 @@ impl<F> Solution<F> {
     }
 }
 
-/// Unified builder over every iteration strategy — the only solve entry
+/// Unified builder over both iteration strategies — the only solve entry
 /// point in the framework.
 ///
 /// ```text
 /// Solver::new(problem, graph)
-///     .strategy(Strategy::RegionParallel { threads: 8 })
+///     .strategy(Strategy::Region)
 ///     .params(SolveParams::default())   // or .max_passes(..) / .budget(..)
 ///     .run()
 /// ```
@@ -476,25 +446,16 @@ impl<F> Solution<F> {
 ///   legal: every region is then validated purely by fingerprint + input
 ///   facts), which yields an [`IncrementalSolver`] whose
 ///   [`IncrementalSolver::run`] re-solves only invalidated regions and
-///   transplants the rest. The strategy knob is irrelevant here: an
-///   incremental re-solve is sequential in region topological order by
-///   construction.
+///   transplants the rest.
 /// * **Demand**: [`Solver::demand`] returns a [`DemandSolver`] that
 ///   answers facts at the requested node(s) by solving only the upstream
-///   region slice. Combining demand with
-///   [`Strategy::RegionParallel`] fails with
-///   [`SolverConfigError::DemandWithRegionParallel`] — the slice is solved
-///   sequentially, and silently ignoring a parallelism request would lie.
-///   More roots can be added by chaining [`DemandSolver::demand`].
+///   region slice. More roots can be added by chaining
+///   [`DemandSolver::demand`].
 ///
-/// Both sub-builders consume `self`, so a partial mode cannot be combined
-/// with a later `.strategy(..)` / `.params(..)` rewrite — whatever was
-/// configured before the branch is what runs.
-///
-/// `run()` requires the problem, graph, and facts to be shareable across
-/// threads (`Sync`/`Send`) because the region-parallel strategy may fan out
-/// to a scoped pool; every analysis in this workspace satisfies the bounds
-/// structurally (plain owned data).
+/// Both partial modes run the region engine whatever the configured
+/// strategy. Both sub-builders consume `self`, so a partial mode cannot be
+/// combined with a later `.strategy(..)` / `.params(..)` rewrite — whatever
+/// was configured before the branch is what runs.
 #[derive(Debug)]
 pub struct Solver<'a, P, G> {
     problem: &'a P,
@@ -538,19 +499,10 @@ impl<'a, P: Dataflow, G: FlowGraph> Solver<'a, P, G> {
     }
 
     /// Run the fixpoint to completion (or budget/pass-bound exhaustion).
-    pub fn run(self) -> Solution<P::Fact>
-    where
-        P: Sync,
-        G: Sync,
-        P::Fact: Send,
-        P::CommFact: Send,
-    {
+    pub fn run(self) -> Solution<P::Fact> {
         match self.params.strategy {
             Strategy::RoundRobin => run_round_robin(self.graph, self.problem, &self.params),
-            Strategy::Worklist => run_worklist(self.graph, self.problem, &self.params),
-            Strategy::RegionParallel { threads } => {
-                run_region_parallel(self.graph, self.problem, &self.params, threads)
-            }
+            Strategy::Region => run_region(self.graph, self.problem, &self.params),
         }
     }
 
@@ -595,24 +547,14 @@ impl<'a, P: Dataflow, G: FlowGraph> Solver<'a, P, G> {
     /// Branch into **demand mode**: answer facts at `at` (and any further
     /// nodes added with [`DemandSolver::demand`]) by solving only the
     /// upstream region slice. Errors with
-    /// [`SolverConfigError::DemandWithRegionParallel`] when the configured
-    /// strategy is [`Strategy::RegionParallel`] and
     /// [`SolverConfigError::NodeOutOfRange`] when `at` is not a node of the
     /// graph.
     pub fn demand(self, at: NodeId) -> Result<DemandSolver<'a, P, G>, SolverConfigError> {
-        if matches!(self.params.strategy, Strategy::RegionParallel { .. }) {
-            return Err(SolverConfigError::DemandWithRegionParallel);
-        }
-        if at.index() >= self.graph.num_nodes() {
-            return Err(SolverConfigError::NodeOutOfRange {
-                node: at,
-                num_nodes: self.graph.num_nodes(),
-            });
-        }
-        Ok(DemandSolver {
+        DemandSolver {
             solver: self,
-            roots: vec![at],
-        })
+            roots: Vec::new(),
+        }
+        .demand(at)
     }
 }
 
@@ -649,10 +591,10 @@ impl<P: Dataflow, G: FlowGraph> IncrementalSolver<'_, P, G> {
     /// Run the incremental re-solve: condense the (new) graph, force-dirty
     /// the declared regions, validate every other region against the seed,
     /// transplant validated regions' facts and accounting, and re-solve the
-    /// rest sequentially in region topological order. For monotone
-    /// converging problems the resulting facts — and, for transplanted
-    /// regions, the solve accounting — are byte-identical to a cold
-    /// region-engine solve of the same graph.
+    /// rest in region topological order. For monotone converging problems
+    /// the resulting facts — and, for transplanted regions, the solve
+    /// accounting — are byte-identical to a cold region-engine solve of the
+    /// same graph.
     pub fn run(self) -> SeededRun<P::Fact> {
         run_incremental(
             self.seeded.solver.graph,
@@ -688,7 +630,7 @@ pub struct DemandSolver<'a, P, G> {
 impl<P: Dataflow, G: FlowGraph> DemandSolver<'_, P, G> {
     /// Add another demand root; the slice is the union over all roots.
     /// Errors with [`SolverConfigError::NodeOutOfRange`] for a node outside
-    /// the graph (the strategy was already validated by [`Solver::demand`]).
+    /// the graph.
     pub fn demand(mut self, at: NodeId) -> Result<Self, SolverConfigError> {
         if at.index() >= self.solver.graph.num_nodes() {
             return Err(SolverConfigError::NodeOutOfRange {
@@ -700,11 +642,10 @@ impl<P: Dataflow, G: FlowGraph> DemandSolver<'_, P, G> {
         Ok(self)
     }
 
-    /// Solve the upstream region slice of the demand roots, sequentially in
-    /// topological order. Facts at every node inside the slice are
-    /// byte-identical to a whole-program fixpoint; nodes outside the slice
-    /// keep lattice top and must not be read (consult
-    /// [`DemandRun::node_in_slice`]).
+    /// Solve the upstream region slice of the demand roots in topological
+    /// order. Facts at every node inside the slice are byte-identical to a
+    /// whole-program fixpoint; nodes outside the slice keep lattice top and
+    /// must not be read (consult [`DemandRun::node_in_slice`]).
     pub fn run(self) -> DemandRun<P::Fact> {
         run_demand(
             self.solver.graph,
@@ -793,74 +734,100 @@ impl<'g, G: FlowGraph> Oriented<'g, G> {
     }
 }
 
-/// State shared by the sequential strategies: recompute one node, returning
-/// (input_changed, output_changed). `cache` is the solve's [`CommCache`]:
-/// one epoch for the whole solve, an entry dropped whenever its source's
-/// input changes.
-#[allow(clippy::too_many_arguments)] // hot path: a context struct would add a borrow dance
-fn update_node<G: FlowGraph, P: Dataflow>(
-    graph: &Oriented<'_, G>,
-    problem: &P,
-    is_boundary: &[bool],
-    input: &mut [P::Fact],
-    output: &mut [P::Fact],
-    comm_buf: &mut Vec<P::CommFact>,
-    cache: &mut CommCache<P::CommFact>,
-    stats: &mut ConvergenceStats,
-    n: NodeId,
-) -> (bool, bool) {
-    stats.node_visits += 1;
-    stats.per_node_visits[n.index()] += 1;
+/// Everything a node visit reads and writes besides the fact slices: the
+/// direction-adjusted graph, the problem, the boundary flags, the solve's
+/// [`CommCache`] and comm-fact buffer, and the two counters a visit bumps.
+/// Both strategies drive their visits through one of these.
+struct Visitor<'a, P: Dataflow, G: FlowGraph> {
+    graph: Oriented<'a, G>,
+    problem: &'a P,
+    is_boundary: Vec<bool>,
+    comm_buf: Vec<P::CommFact>,
+    cache: CommCache<P::CommFact>,
+    meets: u64,
+    comm_evals: u64,
+}
 
-    // Meet over upstream non-communication edges.
-    let mut new_in = if is_boundary[n.index()] {
-        problem.boundary()
-    } else {
-        problem.top()
-    };
-    for e in graph.upstream(n) {
-        if e.kind.is_comm() {
-            continue;
+impl<'a, P: Dataflow, G: FlowGraph> Visitor<'a, P, G> {
+    fn new(graph: &'a G, problem: &'a P) -> Self {
+        let graph = Oriented::new(graph, problem.direction());
+        let n = graph.graph.num_nodes();
+        let mut is_boundary = vec![false; n];
+        for &b in graph.boundary() {
+            is_boundary[b.index()] = true;
         }
-        stats.meets += 1;
-        let src = graph.source(e);
-        match problem.translate(e, &output[src.index()]) {
-            Some(translated) => {
-                problem.meet_into(&mut new_in, &translated);
-            }
-            None => {
-                problem.meet_into(&mut new_in, &output[src.index()]);
-            }
+        Visitor {
+            graph,
+            problem,
+            is_boundary,
+            comm_buf: Vec::new(),
+            cache: CommCache::new(n),
+            meets: 0,
+            comm_evals: 0,
         }
     }
 
-    // Communication facts from upstream comm edges: f_comm applied to the
-    // *input* fact of the communication source, memoised per source until
-    // that input changes (see [`CommCache`]).
-    comm_buf.clear();
-    for e in graph.upstream(n) {
-        if e.kind.is_comm() {
-            let src = graph.source(e);
-            let si = src.index();
-            if !cache.valid(si) {
-                cache.store(si, problem.comm_transfer(src, &input[si]));
-                stats.comm_evals += 1;
-            }
-            comm_buf.push(cache.fact(si).clone());
-        }
-    }
+    /// Recompute node `n` from its upstream facts, returning
+    /// (input_changed, output_changed). A changed input drops `n`'s
+    /// memoised comm fact.
+    fn update_node(
+        &mut self,
+        input: &mut [P::Fact],
+        output: &mut [P::Fact],
+        n: NodeId,
+    ) -> (bool, bool) {
+        let problem = self.problem;
 
-    let in_changed = new_in != input[n.index()];
-    if in_changed {
-        input[n.index()] = new_in;
-        cache.invalidate(n.index());
+        // Meet over upstream non-communication edges.
+        let mut new_in = if self.is_boundary[n.index()] {
+            problem.boundary()
+        } else {
+            problem.top()
+        };
+        for e in self.graph.upstream(n) {
+            if e.kind.is_comm() {
+                continue;
+            }
+            self.meets += 1;
+            let src = self.graph.source(e);
+            match problem.translate(e, &output[src.index()]) {
+                Some(translated) => {
+                    problem.meet_into(&mut new_in, &translated);
+                }
+                None => {
+                    problem.meet_into(&mut new_in, &output[src.index()]);
+                }
+            }
+        }
+
+        // Communication facts from upstream comm edges: f_comm applied to the
+        // *input* fact of the communication source, memoised per source until
+        // that input changes (see [`CommCache`]).
+        self.comm_buf.clear();
+        for e in self.graph.upstream(n) {
+            if e.kind.is_comm() {
+                let src = self.graph.source(e);
+                let si = src.index();
+                if !self.cache.valid(si) {
+                    self.cache.store(si, problem.comm_transfer(src, &input[si]));
+                    self.comm_evals += 1;
+                }
+                self.comm_buf.push(self.cache.fact(si).clone());
+            }
+        }
+
+        let in_changed = new_in != input[n.index()];
+        if in_changed {
+            input[n.index()] = new_in;
+            self.cache.invalidate(n.index());
+        }
+        let new_out = problem.transfer(n, &input[n.index()], &self.comm_buf);
+        let out_changed = new_out != output[n.index()];
+        if out_changed {
+            output[n.index()] = new_out;
+        }
+        (in_changed, out_changed)
     }
-    let new_out = problem.transfer(n, &input[n.index()], comm_buf);
-    let out_changed = new_out != output[n.index()];
-    if out_changed {
-        output[n.index()] = new_out;
-    }
-    (in_changed, out_changed)
 }
 
 /// Round-robin fixpoint in reverse postorder. The recorded `passes` value is
@@ -870,13 +837,9 @@ fn run_round_robin<G: FlowGraph, P: Dataflow>(
     problem: &P,
     params: &SolveParams,
 ) -> Solution<P::Fact> {
-    let oriented = Oriented::new(graph, problem.direction());
+    let mut visitor = Visitor::new(graph, problem);
     let n = graph.num_nodes();
-    let order = oriented.order();
-    let mut is_boundary = vec![false; n];
-    for &b in oriented.boundary() {
-        is_boundary[b.index()] = true;
-    }
+    let order = visitor.graph.order();
 
     let mut input = vec![problem.top(); n];
     let mut output = vec![problem.top(); n];
@@ -885,8 +848,6 @@ fn run_round_robin<G: FlowGraph, P: Dataflow>(
         per_node_visits: vec![0; n],
         ..Default::default()
     };
-    let mut comm_buf = Vec::new();
-    let mut cache = CommCache::new(n);
     let mut span = telemetry::span("solver", "fixpoint:round_robin");
     let traced = telemetry::is_enabled();
     let started = Instant::now();
@@ -903,17 +864,9 @@ fn run_round_robin<G: FlowGraph, P: Dataflow>(
                 stats.pass_deltas.push(pass_delta);
                 break 'passes;
             }
-            let (ic, oc) = update_node(
-                &oriented,
-                problem,
-                &is_boundary,
-                &mut input,
-                &mut output,
-                &mut comm_buf,
-                &mut cache,
-                &mut stats,
-                node,
-            );
+            stats.node_visits += 1;
+            stats.per_node_visits[node.index()] += 1;
+            let (ic, oc) = visitor.update_node(&mut input, &mut output, node);
             if ic || oc {
                 pass_delta += 1;
             }
@@ -932,109 +885,8 @@ fn run_round_robin<G: FlowGraph, P: Dataflow>(
         }
     }
 
-    stats.elapsed = started.elapsed();
-    close_solver_span(&mut span, &stats, n);
-    Solution {
-        direction: problem.direction(),
-        input,
-        output,
-        stats,
-        regions: None,
-    }
-}
-
-/// FIFO worklist fixpoint. Produces the same solution as round-robin for
-/// monotone problems, usually with far fewer node visits; `passes` reports
-/// `ceil(node_visits / num_nodes)` for rough comparability.
-fn run_worklist<G: FlowGraph, P: Dataflow>(
-    graph: &G,
-    problem: &P,
-    params: &SolveParams,
-) -> Solution<P::Fact> {
-    let oriented = Oriented::new(graph, problem.direction());
-    let n = graph.num_nodes();
-    let order = oriented.order();
-    let mut is_boundary = vec![false; n];
-    for &b in oriented.boundary() {
-        is_boundary[b.index()] = true;
-    }
-
-    let mut input = vec![problem.top(); n];
-    let mut output = vec![problem.top(); n];
-    let mut stats = ConvergenceStats {
-        converged: true,
-        per_node_visits: vec![0; n],
-        ..Default::default()
-    };
-    let mut comm_buf = Vec::new();
-    let mut cache = CommCache::new(n);
-
-    let mut queue: std::collections::VecDeque<NodeId> = order.iter().copied().collect();
-    let mut queued = vec![true; n];
-    let visit_budget = (params.max_passes as u64).saturating_mul(n.max(1) as u64);
-    let mut span = telemetry::span("solver", "fixpoint:worklist");
-    let traced = telemetry::is_enabled();
-    let started = Instant::now();
-    let mut meter = params.budget.meter();
-    stats.worklist_peak = queue.len();
-    // Bucket deltas every `n` visits so pass_deltas is roughly comparable
-    // to the round-robin per-pass series.
-    let bucket = n.max(1) as u64;
-    let mut bucket_delta = 0u64;
-
-    while let Some(node) = queue.pop_front() {
-        queued[node.index()] = false;
-        if let Err(e) = meter.charge(1) {
-            stats.converged = false;
-            stats.exhausted = Some(e);
-            break;
-        }
-        let (ic, oc) = update_node(
-            &oriented,
-            problem,
-            &is_boundary,
-            &mut input,
-            &mut output,
-            &mut comm_buf,
-            &mut cache,
-            &mut stats,
-            node,
-        );
-        if ic || oc {
-            bucket_delta += 1;
-            for e in oriented.downstream(node) {
-                // Output changes invalidate flow successors; input changes
-                // invalidate communication successors (whose comm facts read
-                // our input).
-                let relevant = if e.kind.is_comm() { ic } else { oc };
-                if relevant {
-                    let t = oriented.target(e);
-                    if !queued[t.index()] {
-                        queued[t.index()] = true;
-                        queue.push_back(t);
-                    }
-                }
-            }
-            stats.worklist_peak = stats.worklist_peak.max(queue.len());
-        }
-        if stats.node_visits.is_multiple_of(bucket) {
-            stats.pass_deltas.push(bucket_delta);
-            bucket_delta = 0;
-            if traced {
-                sample_budget_headroom(&params.budget, meter.work());
-                telemetry::counter("solver", "worklist_depth", queue.len() as f64);
-            }
-        }
-        if stats.node_visits >= visit_budget {
-            stats.converged = false;
-            break;
-        }
-    }
-    if bucket_delta > 0 {
-        stats.pass_deltas.push(bucket_delta);
-    }
-
-    stats.passes = (stats.node_visits as usize).div_ceil(n.max(1));
+    stats.meets = visitor.meets;
+    stats.comm_evals = visitor.comm_evals;
     stats.elapsed = started.elapsed();
     close_solver_span(&mut span, &stats, n);
     Solution {
@@ -1047,271 +899,13 @@ fn run_worklist<G: FlowGraph, P: Dataflow>(
 }
 
 // ---------------------------------------------------------------------------
-// Region-parallel strategy
+// Region engine
 // ---------------------------------------------------------------------------
-
-/// Per-element interior mutability for the fact vectors shared across the
-/// region pool.
-///
-/// Soundness is delegated to the region scheduler: each element belongs to
-/// exactly one region, a region is solved by exactly one thread at a time,
-/// and a region only starts after every region it reads from has completed
-/// — with the scheduler mutex providing the happens-before edge between the
-/// upstream region's final write and the downstream region's first read.
-struct SharedSlice<F>(Vec<UnsafeCell<F>>);
-
-// SAFETY: see the struct docs — element access is partitioned by region and
-// ordered by the scheduler lock; `F: Send` is required because elements are
-// written from pool threads and read back on the calling thread.
-unsafe impl<F: Send> Sync for SharedSlice<F> {}
-
-impl<F> SharedSlice<F> {
-    fn new(init: Vec<F>) -> Self {
-        SharedSlice(init.into_iter().map(UnsafeCell::new).collect())
-    }
-
-    /// Read element `i`.
-    ///
-    /// # Safety
-    /// No thread may hold or create a mutable reference to element `i`
-    /// concurrently (scheduler protocol: `i` is in the caller's region or
-    /// in a completed upstream region).
-    unsafe fn get(&self, i: usize) -> &F {
-        &*self.0[i].get()
-    }
-
-    /// Mutably access element `i`.
-    ///
-    /// # Safety
-    /// The caller must have exclusive access to element `i` (scheduler
-    /// protocol: `i` is in the region the caller currently owns).
-    #[allow(clippy::mut_from_ref)]
-    unsafe fn get_mut(&self, i: usize) -> &mut F {
-        &mut *self.0[i].get()
-    }
-
-    fn into_vec(self) -> Vec<F> {
-        self.0.into_iter().map(UnsafeCell::into_inner).collect()
-    }
-}
-
-fn encode_exhaustion(e: Exhaustion) -> u8 {
-    match e {
-        Exhaustion::Deadline => 1,
-        Exhaustion::WorkUnits => 2,
-        Exhaustion::FactMemory => 3,
-        Exhaustion::Cancelled => 4,
-    }
-}
-
-fn decode_exhaustion(code: u8) -> Option<Exhaustion> {
-    match code {
-        1 => Some(Exhaustion::Deadline),
-        2 => Some(Exhaustion::WorkUnits),
-        3 => Some(Exhaustion::FactMemory),
-        4 => Some(Exhaustion::Cancelled),
-        _ => None,
-    }
-}
-
-/// Budget meter shared by all solver threads.
-///
-/// Only wall-clock deadlines and cooperative cancellation are metered here:
-/// deterministic caps (`max_work`, `max_fact_bytes`) make the
-/// region-parallel strategy degrade to the sequential worklist *before*
-/// this type is constructed, because "which node hit the cap" cannot be
-/// answered identically by racing threads. Exhaustion is recorded
-/// first-writer-wins and observed by every other thread on its next
-/// charge, which is what makes cancellation cancel *across* threads.
-struct SharedMeter<'b> {
-    budget: &'b Budget,
-    work: AtomicU64,
-    /// 0 = healthy; otherwise an encoded [`Exhaustion`].
-    tripped: AtomicU8,
-    /// Enforce the deterministic `max_work` cap on every charge. Only the
-    /// *sequential* incremental/demand runners set this — a single caller
-    /// makes "which node hit the cap" well-defined; the parallel engine
-    /// still degrades to the worklist before this type is constructed.
-    enforce_work_cap: bool,
-}
-
-impl<'b> SharedMeter<'b> {
-    fn new(budget: &'b Budget) -> Self {
-        SharedMeter {
-            budget,
-            work: AtomicU64::new(0),
-            tripped: AtomicU8::new(0),
-            enforce_work_cap: false,
-        }
-    }
-
-    /// A meter for single-threaded callers: deterministic work caps are
-    /// enforced inline (see `enforce_work_cap`).
-    fn new_sequential(budget: &'b Budget) -> Self {
-        SharedMeter {
-            enforce_work_cap: true,
-            ..SharedMeter::new(budget)
-        }
-    }
-
-    /// Charge one work unit; deadline/cancel polled every
-    /// [`CHECK_INTERVAL`] units (same cadence as the sequential
-    /// [`crate::budget::BudgetMeter`]).
-    fn charge(&self) -> Result<(), Exhaustion> {
-        if let Some(e) = decode_exhaustion(self.tripped.load(Ordering::Relaxed)) {
-            return Err(e);
-        }
-        let done = self.work.fetch_add(1, Ordering::Relaxed) + 1;
-        if self.enforce_work_cap {
-            if let Some(max) = self.budget.max_work {
-                if done > max {
-                    return Err(self.trip(Exhaustion::WorkUnits));
-                }
-            }
-        }
-        if done.is_multiple_of(CHECK_INTERVAL) {
-            self.poll_controls()?;
-        }
-        Ok(())
-    }
-
-    /// Unconditionally poll deadline + cancellation (called once per region
-    /// start so cancellation propagates promptly even on small regions).
-    fn poll_controls(&self) -> Result<(), Exhaustion> {
-        if let Some(e) = decode_exhaustion(self.tripped.load(Ordering::Relaxed)) {
-            return Err(e);
-        }
-        if let Some(deadline) = self.budget.deadline {
-            if Instant::now() >= deadline {
-                return Err(self.trip(Exhaustion::Deadline));
-            }
-        }
-        if self
-            .budget
-            .cancel
-            .as_ref()
-            .is_some_and(|c| c.is_cancelled())
-        {
-            return Err(self.trip(Exhaustion::Cancelled));
-        }
-        Ok(())
-    }
-
-    /// Record an exhaustion reason; the first writer wins and every thread
-    /// reports that same reason from then on.
-    fn trip(&self, e: Exhaustion) -> Exhaustion {
-        let _ = self.tripped.compare_exchange(
-            0,
-            encode_exhaustion(e),
-            Ordering::Relaxed,
-            Ordering::Relaxed,
-        );
-        decode_exhaustion(self.tripped.load(Ordering::Relaxed)).unwrap_or(e)
-    }
-}
-
-fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|p| p.into_inner())
-}
-
-struct SchedState {
-    dep_count: Vec<u32>,
-    /// Ready regions, lowest id (earliest in topological order) first.
-    ready: BinaryHeap<Reverse<u32>>,
-    incomplete: usize,
-    stop: bool,
-}
-
-/// Topological region scheduler: a region becomes ready when all regions it
-/// reads facts from have completed.
-struct Scheduler {
-    state: Mutex<SchedState>,
-    cv: Condvar,
-}
-
-impl Scheduler {
-    fn new(deps: &[Vec<u32>]) -> Scheduler {
-        let dep_count: Vec<u32> = deps.iter().map(|d| d.len() as u32).collect();
-        let ready: BinaryHeap<Reverse<u32>> = dep_count
-            .iter()
-            .enumerate()
-            .filter_map(|(i, &c)| (c == 0).then_some(Reverse(i as u32)))
-            .collect();
-        Scheduler {
-            state: Mutex::new(SchedState {
-                incomplete: deps.len(),
-                dep_count,
-                ready,
-                stop: false,
-            }),
-            cv: Condvar::new(),
-        }
-    }
-
-    /// Block until a region is ready (returning the lowest ready id), the
-    /// schedule has drained, or the solve was aborted.
-    fn claim(&self) -> Option<u32> {
-        let mut st = lock_recover(&self.state);
-        loop {
-            if st.stop {
-                return None;
-            }
-            if let Some(Reverse(rid)) = st.ready.pop() {
-                return Some(rid);
-            }
-            if st.incomplete == 0 {
-                return None;
-            }
-            st = self.cv.wait(st).unwrap_or_else(|p| p.into_inner());
-        }
-    }
-
-    /// Mark `rid` complete, unlocking any dependents whose inputs are now
-    /// final.
-    fn complete(&self, rid: u32, dependents: &[Vec<u32>]) {
-        let mut st = lock_recover(&self.state);
-        st.incomplete -= 1;
-        for &d in &dependents[rid as usize] {
-            st.dep_count[d as usize] -= 1;
-            if st.dep_count[d as usize] == 0 {
-                st.ready.push(Reverse(d));
-                self.cv.notify_one();
-            }
-        }
-        if st.incomplete == 0 {
-            self.cv.notify_all();
-        }
-    }
-
-    /// Stop the schedule (budget exhaustion, or a worker panicking mid
-    /// region — turning a panic into a clean join instead of a hang).
-    fn abort(&self) {
-        let mut st = lock_recover(&self.state);
-        st.stop = true;
-        self.cv.notify_all();
-    }
-}
-
-/// Aborts the schedule if dropped while armed, so a panic in a transfer
-/// function wakes the other workers (which then exit and let the scope
-/// propagate the panic) instead of deadlocking the pool.
-struct AbortOnPanic<'s> {
-    sched: &'s Scheduler,
-    armed: bool,
-}
-
-impl Drop for AbortOnPanic<'_> {
-    fn drop(&mut self) {
-        if self.armed {
-            self.sched.abort();
-        }
-    }
-}
 
 /// Per-region accounting; merged into [`ConvergenceStats`] in region-id
-/// order, making every derived stat independent of thread scheduling.
-/// `Clone` because [`SeedRegions`] stores each region's accounting and the
-/// incremental solver replays it when the region's facts are transplanted.
+/// order. `Clone` because [`SeedRegions`] stores each region's accounting
+/// and the incremental solver replays it when the region's facts are
+/// transplanted.
 #[derive(Debug, Default, Clone)]
 struct RegionStats {
     node_visits: u64,
@@ -1325,9 +919,8 @@ struct RegionStats {
     exhausted: Option<Exhaustion>,
 }
 
-/// Memo of `f_comm` source facts, shared by every strategy: one epoch per
-/// sequential solve (round-robin, worklist), one per region solve in the
-/// region engine (a per-worker cache).
+/// Memo of `f_comm` source facts, shared by both strategies: one epoch per
+/// round-robin solve, one per region solve in the region engine.
 ///
 /// The dominant cost on comm-dense graphs is re-evaluating `comm_transfer`
 /// for *every* incoming communication edge on every visit — all-pairs
@@ -1338,10 +931,9 @@ struct RegionStats {
 /// sources hand out a clone of the memoised fact.
 ///
 /// The epoch bump at region start drops every entry, so facts that flow in
-/// from upstream regions are re-read after those regions finalize — never
-/// stale. Hit/miss behavior depends only on the deterministic visit
-/// sequence, which keeps `comm_evals` (the miss count) independent of the
-/// thread count and of which worker solves which region.
+/// from upstream regions (solved or transplanted) are re-read, never stale.
+/// Hit/miss behavior depends only on the deterministic visit sequence, so
+/// `comm_evals` (the miss count) is a deterministic function of the graph.
 struct CommCache<F> {
     /// Entry `i` is valid iff `epoch[i] == cur` (0 = never / invalidated).
     epoch: Vec<u64>,
@@ -1383,416 +975,319 @@ impl<F> CommCache<F> {
     }
 }
 
-/// Everything a worker needs to solve one region; immutable and shared.
-struct RegionCtx<'a, P: Dataflow, G: FlowGraph> {
-    oriented: &'a Oriented<'a, G>,
-    problem: &'a P,
-    cond: &'a Condensation,
+/// What the region driver does with one region.
+enum Plan {
+    /// Solve the region to its local fixpoint.
+    Solve,
+    /// Leave the region at lattice top (outside a demand slice).
+    Skip,
+    /// The caller already wrote the region's facts (a seed transplant);
+    /// record this accounting for it.
+    Reuse(RegionStats),
+}
+
+/// One region-engine solve: the node visitor, the SCC condensation, each
+/// node's RPO position, the fact vectors, and the budget meter. The full
+/// solve, the incremental re-solve and the demand slice all run
+/// [`RegionEngine::walk`]; they differ only in their [`Plan`]s.
+struct RegionEngine<'a, P: Dataflow, G: FlowGraph> {
+    visitor: Visitor<'a, P, G>,
+    cond: Condensation,
     /// Node index → position in the global direction-adjusted RPO.
-    rpo_pos: &'a [u32],
-    is_boundary: &'a [bool],
-    input: &'a SharedSlice<P::Fact>,
-    output: &'a SharedSlice<P::Fact>,
-    meter: &'a SharedMeter<'a>,
+    rpo_pos: Vec<u32>,
+    input: Vec<P::Fact>,
+    output: Vec<P::Fact>,
+    meter: BudgetMeter,
     max_passes: usize,
 }
 
-/// Recompute one node against the shared fact slices; the parallel analogue
-/// of [`update_node`].
-///
-/// # Safety
-/// The calling thread must currently own region `cond.region_of[n]` under
-/// the scheduler protocol. Then:
-/// * writes touch only `input[n]` / `output[n]` — nodes of the owned region;
-/// * reads touch `n`'s upstream sources, which are either in the owned
-///   region (no other writer) or in a region that completed before this one
-///   was scheduled (no concurrent writer, ordered by the scheduler lock).
-///   Communication edges are part of the condensation, so comm sources obey
-///   the same rule.
-unsafe fn update_node_shared<P: Dataflow, G: FlowGraph>(
-    ctx: &RegionCtx<'_, P, G>,
-    comm_buf: &mut Vec<P::CommFact>,
-    cache: &mut CommCache<P::CommFact>,
-    stats: &mut RegionStats,
-    n: NodeId,
-) -> (bool, bool) {
-    // Meet over upstream non-communication edges.
-    let mut new_in = if ctx.is_boundary[n.index()] {
-        ctx.problem.boundary()
-    } else {
-        ctx.problem.top()
-    };
-    for e in ctx.oriented.upstream(n) {
-        if e.kind.is_comm() {
-            continue;
+impl<'a, P: Dataflow, G: FlowGraph> RegionEngine<'a, P, G> {
+    fn new(graph: &'a G, problem: &'a P, params: &SolveParams) -> Self {
+        let visitor = Visitor::new(graph, problem);
+        let n = graph.num_nodes();
+        let mut rpo_pos = vec![0u32; n];
+        for (i, nd) in visitor.graph.order().iter().enumerate() {
+            rpo_pos[nd.index()] = i as u32;
         }
-        stats.meets += 1;
-        let src = ctx.oriented.source(e);
-        let src_out = ctx.output.get(src.index());
-        match ctx.problem.translate(e, src_out) {
-            Some(translated) => {
-                ctx.problem.meet_into(&mut new_in, &translated);
-            }
-            None => {
-                ctx.problem.meet_into(&mut new_in, src_out);
-            }
+        RegionEngine {
+            visitor,
+            cond: scc::condense(graph),
+            rpo_pos,
+            input: vec![problem.top(); n],
+            output: vec![problem.top(); n],
+            meter: params.budget.meter(),
+            max_passes: params.max_passes,
         }
     }
 
-    // Communication facts: f_comm applied to the source's *input* fact,
-    // memoised per source until that input changes (see [`CommCache`]).
-    comm_buf.clear();
-    for e in ctx.oriented.upstream(n) {
-        if e.kind.is_comm() {
-            let src = ctx.oriented.source(e);
-            let si = src.index();
-            if !cache.valid(si) {
-                cache.store(si, ctx.problem.comm_transfer(src, ctx.input.get(si)));
-                stats.comm_evals += 1;
-            }
-            comm_buf.push(cache.fact(si).clone());
-        }
-    }
-
-    let input_n = ctx.input.get_mut(n.index());
-    let in_changed = new_in != *input_n;
-    if in_changed {
-        *input_n = new_in;
-        // `n`'s memoised comm fact (if any) was computed from the old
-        // input; the next reader must re-evaluate it.
-        cache.invalidate(n.index());
-    }
-    let new_out = ctx.problem.transfer(n, input_n, comm_buf);
-    let output_n = ctx.output.get_mut(n.index());
-    let out_changed = new_out != *output_n;
-    if out_changed {
-        *output_n = new_out;
-    }
-    (in_changed, out_changed)
-}
-
-/// Solve one region to its local fixpoint with **round-separated dirty
-/// sweeps**: each round pops pending nodes from a priority heap in global
-/// RPO order, and a change propagates *within* the current round only to
-/// targets later in RPO (forward edges) — back-edge targets, which already
-/// ran this round, are deferred to the next round's heap. Pops are
-/// therefore monotone in RPO within a round, every node runs at most once
-/// per round, and a round visits only the dirty subset — so the region
-/// never does more work than a round-robin sweep restricted to it, and the
-/// visit order is deterministic regardless of which thread runs the
-/// region.
-///
-/// (A single heap without the round barrier is pathological on the
-/// all-pairs comm-edge cliques collective matching produces: a change at a
-/// high-RPO clique member re-enqueues every lower-RPO member *ahead of*
-/// the still-pending tail, driving O(k²) visits per wave through a
-/// k-clique. The round barrier restores the O(k)-per-wave sweep bound.)
-fn solve_region<P: Dataflow, G: FlowGraph>(
-    ctx: &RegionCtx<'_, P, G>,
-    cache: &mut CommCache<P::CommFact>,
-    rid: u32,
-) -> RegionStats {
-    cache.begin_region();
-    let nodes = &ctx.cond.regions[rid as usize];
-    let len = nodes.len();
-    let mut span = telemetry::span("solver", "region");
-    let mut stats = RegionStats {
-        converged: true,
-        visits: vec![0; len],
-        ..Default::default()
-    };
-
-    if ctx.meter.poll_controls().is_err() {
-        // Don't even start: deadline passed or cancellation requested. The
-        // region records zero work and the exhaustion reason.
-        stats.converged = false;
-        stats.exhausted = ctx.meter.poll_controls().err();
-        return stats;
-    }
-
-    let mut current: BinaryHeap<Reverse<(u32, u32)>> = nodes
-        .iter()
-        .map(|&nd| Reverse((ctx.rpo_pos[nd.index()], nd.0)))
-        .collect();
-    let mut next: BinaryHeap<Reverse<(u32, u32)>> = BinaryHeap::new();
-    let mut in_current = vec![true; len];
-    let mut in_next = vec![false; len];
-    stats.worklist_peak = current.len();
-    let mut rounds = 0usize;
-    let mut round_delta = 0u64;
-    let mut comm_buf: Vec<P::CommFact> = Vec::new();
-
-    'rounds: loop {
-        rounds += 1;
-        while let Some(Reverse((pos, v))) = current.pop() {
-            let node = NodeId(v);
-            let local = ctx.cond.local_index[node.index()] as usize;
-            in_current[local] = false;
-            if let Err(e) = ctx.meter.charge() {
-                stats.converged = false;
-                stats.exhausted = Some(e);
-                break 'rounds;
-            }
-            stats.node_visits += 1;
-            stats.visits[local] += 1;
-            // SAFETY: this thread owns region `rid` (handed out exactly once
-            // by `Scheduler::claim`), and every upstream region completed
-            // first.
-            let (ic, oc) =
-                unsafe { update_node_shared(ctx, &mut comm_buf, cache, &mut stats, node) };
-            if ic || oc {
-                round_delta += 1;
-                for e in ctx.oriented.downstream(node) {
-                    // Output changes invalidate flow successors; input
-                    // changes invalidate communication successors.
-                    let relevant = if e.kind.is_comm() { ic } else { oc };
-                    if !relevant {
-                        continue;
-                    }
-                    let t = ctx.oriented.target(e);
-                    // Cross-region targets need no notification: their
-                    // region seeds every node when it starts, after this
-                    // one is final.
-                    if ctx.cond.region_of[t.index()] != rid {
-                        continue;
-                    }
-                    let lt = ctx.cond.local_index[t.index()] as usize;
-                    if in_current[lt] || in_next[lt] {
-                        continue; // already pending this round or the next
-                    }
-                    if ctx.rpo_pos[t.index()] > pos {
-                        // Forward edge: `t` has not run yet this round
-                        // (pops are RPO-monotone), so it sweeps with fresh
-                        // data in this round.
-                        in_current[lt] = true;
-                        current.push(Reverse((ctx.rpo_pos[t.index()], t.0)));
-                    } else {
-                        // Back edge: `t` already ran this round — defer.
-                        in_next[lt] = true;
-                        next.push(Reverse((ctx.rpo_pos[t.index()], t.0)));
-                    }
-                }
-                stats.worklist_peak = stats.worklist_peak.max(current.len() + next.len());
+    /// The region driver: visit the regions in direction-adjusted
+    /// topological order (ids are forward-topological, so a backward
+    /// analysis walks them in reverse), let `plan` decide what happens to
+    /// each, and stop after the first region that exhausts the budget. Each
+    /// region reads only regions visited before it, so a solved region
+    /// sees final upstream facts. Returns the per-region accounting.
+    fn walk(
+        &mut self,
+        mut plan: impl FnMut(&Condensation, usize, &mut [P::Fact], &mut [P::Fact]) -> Plan,
+    ) -> Vec<Option<RegionStats>> {
+        let num_regions = self.cond.num_regions();
+        let mut per_region: Vec<Option<RegionStats>> = (0..num_regions).map(|_| None).collect();
+        for i in 0..num_regions {
+            let rid = if self.visitor.graph.backward {
+                num_regions - 1 - i
+            } else {
+                i
+            };
+            let rs = match plan(&self.cond, rid, &mut self.input, &mut self.output) {
+                Plan::Skip => continue,
+                Plan::Reuse(rs) => rs,
+                Plan::Solve => self.solve_region(rid),
+            };
+            let stop = rs.exhausted.is_some();
+            per_region[rid] = Some(rs);
+            if stop {
+                break;
             }
         }
-        stats.pass_deltas.push(round_delta);
-        round_delta = 0;
-        if next.is_empty() {
-            break;
-        }
-        if rounds >= ctx.max_passes {
+        per_region
+    }
+
+    /// Solve one region to its local fixpoint with **round-separated dirty
+    /// sweeps**: each round pops pending nodes from a priority heap in
+    /// global RPO order, and a change propagates *within* the current round
+    /// only to targets later in RPO (forward edges) — back-edge targets,
+    /// which already ran this round, are deferred to the next round's heap.
+    /// Pops are therefore monotone in RPO within a round, every node runs at
+    /// most once per round, and a round visits only the dirty subset — so
+    /// the region never does more work than a round-robin sweep restricted
+    /// to it.
+    ///
+    /// (A single heap without the round barrier is pathological on the
+    /// all-pairs comm-edge cliques collective matching produces: a change
+    /// at a high-RPO clique member re-enqueues every lower-RPO member
+    /// *ahead of* the still-pending tail, driving O(k²) visits per wave
+    /// through a k-clique. The round barrier restores the O(k)-per-wave
+    /// sweep bound.)
+    fn solve_region(&mut self, rid: usize) -> RegionStats {
+        self.visitor.cache.begin_region();
+        let nodes = &self.cond.regions[rid];
+        let len = nodes.len();
+        let mut span = telemetry::span("solver", "region");
+        let mut stats = RegionStats {
+            converged: true,
+            visits: vec![0; len],
+            ..Default::default()
+        };
+
+        if let Err(e) = self.meter.poll() {
+            // Don't even start: deadline passed or cancellation requested. The
+            // region records zero work and the exhaustion reason.
             stats.converged = false;
-            break;
+            stats.exhausted = Some(e);
+            return stats;
         }
-        std::mem::swap(&mut current, &mut next);
-        std::mem::swap(&mut in_current, &mut in_next);
+        let (meets_before, evals_before) = (self.visitor.meets, self.visitor.comm_evals);
+
+        let rpo_pos = &self.rpo_pos;
+        let local_index = &self.cond.local_index;
+        let region_of = &self.cond.region_of;
+        let mut current: BinaryHeap<Reverse<(u32, u32)>> = nodes
+            .iter()
+            .map(|&nd| Reverse((rpo_pos[nd.index()], nd.0)))
+            .collect();
+        let mut next: BinaryHeap<Reverse<(u32, u32)>> = BinaryHeap::new();
+        let mut in_current = vec![true; len];
+        let mut in_next = vec![false; len];
+        stats.worklist_peak = current.len();
+        let mut rounds = 0usize;
+        let mut round_delta = 0u64;
+
+        'rounds: loop {
+            rounds += 1;
+            while let Some(Reverse((pos, v))) = current.pop() {
+                let node = NodeId(v);
+                let local = local_index[node.index()] as usize;
+                in_current[local] = false;
+                if let Err(e) = self.meter.charge(1) {
+                    stats.converged = false;
+                    stats.exhausted = Some(e);
+                    break 'rounds;
+                }
+                stats.node_visits += 1;
+                stats.visits[local] += 1;
+                let (ic, oc) = self
+                    .visitor
+                    .update_node(&mut self.input, &mut self.output, node);
+                if ic || oc {
+                    round_delta += 1;
+                    for e in self.visitor.graph.downstream(node) {
+                        // Output changes invalidate flow successors; input
+                        // changes invalidate communication successors.
+                        let relevant = if e.kind.is_comm() { ic } else { oc };
+                        if !relevant {
+                            continue;
+                        }
+                        let t = self.visitor.graph.target(e);
+                        // Cross-region targets need no notification: their
+                        // region seeds every node when it starts, after this
+                        // one is final.
+                        if region_of[t.index()] as usize != rid {
+                            continue;
+                        }
+                        let lt = local_index[t.index()] as usize;
+                        if in_current[lt] || in_next[lt] {
+                            continue; // already pending this round or the next
+                        }
+                        if rpo_pos[t.index()] > pos {
+                            // Forward edge: `t` has not run yet this round
+                            // (pops are RPO-monotone), so it sweeps with fresh
+                            // data in this round.
+                            in_current[lt] = true;
+                            current.push(Reverse((rpo_pos[t.index()], t.0)));
+                        } else {
+                            // Back edge: `t` already ran this round — defer.
+                            in_next[lt] = true;
+                            next.push(Reverse((rpo_pos[t.index()], t.0)));
+                        }
+                    }
+                    stats.worklist_peak = stats.worklist_peak.max(current.len() + next.len());
+                }
+            }
+            stats.pass_deltas.push(round_delta);
+            round_delta = 0;
+            if next.is_empty() {
+                break;
+            }
+            if rounds >= self.max_passes {
+                stats.converged = false;
+                break;
+            }
+            std::mem::swap(&mut current, &mut next);
+            std::mem::swap(&mut in_current, &mut in_next);
+        }
+        stats.meets = self.visitor.meets - meets_before;
+        stats.comm_evals = self.visitor.comm_evals - evals_before;
+
+        if span.id().is_some() {
+            span.arg("region", rid as u64);
+            span.arg("nodes", len);
+            span.arg("node_visits", stats.node_visits);
+            span.arg("converged", stats.converged);
+        }
+        stats
     }
 
-    if span.id().is_some() {
-        span.arg("region", rid as u64);
-        span.arg("nodes", len);
-        span.arg("node_visits", stats.node_visits);
-        span.arg("converged", stats.converged);
+    /// Merge per-region accounting into one [`ConvergenceStats`] in
+    /// region-id order, whichever plan produced each entry.
+    fn merge(&self, per_region: &[Option<RegionStats>], started: Instant) -> ConvergenceStats {
+        let n = self.input.len();
+        let mut stats = ConvergenceStats {
+            converged: true,
+            per_node_visits: vec![0; n],
+            ..Default::default()
+        };
+        for (rid, rs) in per_region.iter().enumerate() {
+            let Some(rs) = rs else {
+                continue;
+            };
+            stats.node_visits += rs.node_visits;
+            stats.comm_evals += rs.comm_evals;
+            stats.meets += rs.meets;
+            stats.worklist_peak = stats.worklist_peak.max(rs.worklist_peak);
+            if stats.pass_deltas.len() < rs.pass_deltas.len() {
+                stats.pass_deltas.resize(rs.pass_deltas.len(), 0);
+            }
+            for (d, s) in stats.pass_deltas.iter_mut().zip(rs.pass_deltas.iter()) {
+                *d += *s;
+            }
+            for (local, &count) in rs.visits.iter().enumerate() {
+                stats.per_node_visits[self.cond.regions[rid][local].index()] += count;
+            }
+            stats.converged &= rs.converged;
+            if stats.exhausted.is_none() {
+                stats.exhausted = rs.exhausted;
+            }
+        }
+        stats.passes = (stats.node_visits as usize).div_ceil(n.max(1));
+        stats.elapsed = started.elapsed();
+        stats
     }
-    stats
+
+    /// Structural fingerprints of this engine's regions (see
+    /// [`scc::region_fingerprints`]).
+    fn fingerprints(&self, node_fp: &[u64]) -> scc::RegionFingerprints {
+        let v = &self.visitor;
+        scc::region_fingerprints(
+            v.graph.graph,
+            &self.cond,
+            node_fp,
+            &v.is_boundary,
+            &self.rpo_pos,
+            v.graph.backward,
+        )
+    }
+
+    /// The [`SeedRegions`] of a converged walk; `None` when some region has
+    /// no accounting.
+    fn seed(
+        &self,
+        fps: scc::RegionFingerprints,
+        per_region: Vec<Option<RegionStats>>,
+    ) -> Option<Arc<SeedRegions>> {
+        Some(Arc::new(SeedRegions {
+            regions: self.cond.regions.clone(),
+            local_fp: fps.local_fp,
+            ext_in: fps.ext_in,
+            stats: per_region.into_iter().collect::<Option<Vec<_>>>()?,
+        }))
+    }
+
+    /// Close the solve's span and hand back its facts.
+    fn into_solution(
+        self,
+        span: &mut telemetry::SpanGuard,
+        stats: ConvergenceStats,
+        regions: Option<Arc<SeedRegions>>,
+    ) -> Solution<P::Fact> {
+        close_solver_span(span, &stats, self.input.len());
+        Solution {
+            direction: self.visitor.problem.direction(),
+            input: self.input,
+            output: self.output,
+            stats,
+            regions,
+        }
+    }
 }
 
-fn resolve_threads(threads: usize) -> usize {
-    if threads > 0 {
-        threads
-    } else {
-        std::thread::available_parallelism()
-            .map(usize::from)
-            .unwrap_or(1)
-    }
-}
-
-/// Region-parallel fixpoint: condense, schedule regions topologically,
-/// solve independent ready regions on a scoped pool. Facts are
-/// byte-identical to [`Strategy::Worklist`] for monotone converging
-/// problems at any thread count; stats (except `elapsed`) are
-/// thread-count-independent by construction.
-fn run_region_parallel<G, P>(
+/// Region engine over the whole graph: solve every region in topological
+/// order; a converged solve of a fingerprintable problem captures the seed
+/// for the next incremental re-solve.
+fn run_region<G: FlowGraph, P: Dataflow>(
     graph: &G,
     problem: &P,
     params: &SolveParams,
-    threads: usize,
-) -> Solution<P::Fact>
-where
-    G: FlowGraph + Sync,
-    P: Dataflow + Sync,
-    P::Fact: Send,
-    P::CommFact: Send,
-{
-    // Deterministic resource caps answer "which node hit the cap", which
-    // racing threads cannot answer reproducibly. Degrade to the sequential
-    // worklist so capped runs stay deterministic (and cacheable); deadline
-    // and cancellation budgets — which already bypass every cache — stay
-    // truly parallel below.
-    if params.budget.max_work.is_some() || params.budget.max_fact_bytes.is_some() {
-        telemetry::instant("solver", "region_parallel_degraded_to_worklist", vec![]);
-        return run_worklist(graph, problem, params);
-    }
-
-    let n = graph.num_nodes();
-    let oriented = Oriented::new(graph, problem.direction());
-    let order = oriented.order();
-    let mut rpo_pos = vec![0u32; n];
-    for (i, nd) in order.iter().enumerate() {
-        rpo_pos[nd.index()] = i as u32;
-    }
-    let mut is_boundary = vec![false; n];
-    for &b in oriented.boundary() {
-        is_boundary[b.index()] = true;
-    }
-
-    let mut span = telemetry::span("solver", "fixpoint:region_parallel");
+) -> Solution<P::Fact> {
+    let mut span = telemetry::span("solver", "fixpoint:region");
     let started = Instant::now();
-
-    let cond = scc::condense(graph);
-    let num_regions = cond.num_regions();
-
-    // Direction-adjusted dependencies: a forward analysis reads facts from
-    // predecessor regions, a backward one from successor regions.
-    let (deps, dependents) = match problem.direction() {
-        Direction::Forward => (&cond.preds, &cond.succs),
-        Direction::Backward => (&cond.succs, &cond.preds),
-    };
-
-    let input = SharedSlice::new(vec![problem.top(); n]);
-    let output = SharedSlice::new(vec![problem.top(); n]);
-    let meter = SharedMeter::new(&params.budget);
-    let sched = Scheduler::new(deps);
-    let region_stats: Vec<OnceLock<RegionStats>> =
-        (0..num_regions).map(|_| OnceLock::new()).collect();
-    let workers = resolve_threads(threads).clamp(1, num_regions.max(1));
-    let active = AtomicUsize::new(0);
-    let peak_active = AtomicUsize::new(0);
-
-    let ctx = RegionCtx {
-        oriented: &oriented,
-        problem,
-        cond: &cond,
-        rpo_pos: &rpo_pos,
-        is_boundary: &is_boundary,
-        input: &input,
-        output: &output,
-        meter: &meter,
-        max_passes: params.max_passes,
-    };
-
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| {
-                let mut guard = AbortOnPanic {
-                    sched: &sched,
-                    armed: true,
-                };
-                // Per-worker comm-fact memo, epoch-cleared at each region.
-                let mut cache = CommCache::new(n);
-                while let Some(rid) = sched.claim() {
-                    let now = active.fetch_add(1, Ordering::Relaxed) + 1;
-                    peak_active.fetch_max(now, Ordering::Relaxed);
-                    let rs = solve_region(&ctx, &mut cache, rid);
-                    active.fetch_sub(1, Ordering::Relaxed);
-                    let stop = rs.exhausted.is_some();
-                    let _ = region_stats[rid as usize].set(rs);
-                    if stop {
-                        sched.abort();
-                    } else {
-                        sched.complete(rid, dependents);
-                    }
-                }
-                guard.armed = false;
-            });
-        }
-    });
-
-    // Deterministic merge in region-id order. Each per-region stat depends
-    // only on the region's seed order and its (final) upstream facts, never
-    // on which thread ran it — so everything below except `elapsed` is
-    // identical at any thread count.
-    let per_region: Vec<Option<RegionStats>> =
-        region_stats.into_iter().map(OnceLock::into_inner).collect();
-    let mut stats = merge_region_stats(n, &cond, &per_region, num_regions);
-    stats.elapsed = started.elapsed();
-
-    // Seed capture: a converged region solve by a fingerprintable problem
-    // is the raw material for the next incremental re-solve.
+    let mut engine = RegionEngine::new(graph, problem, params);
+    let per_region = engine.walk(|_, _, _, _| Plan::Solve);
+    let stats = engine.merge(&per_region, started);
     let regions = if stats.converged {
-        capture_seed(graph, problem, &cond, &is_boundary, &rpo_pos, per_region)
+        node_fingerprints(graph, problem)
+            .and_then(|node_fp| engine.seed(engine.fingerprints(&node_fp), per_region))
     } else {
         None
     };
-
+    let num_regions = engine.cond.num_regions();
     if telemetry::is_enabled() {
         telemetry::metric_add("solver_regions_total", num_regions as f64);
-        telemetry::metric_max(
-            "solver_threads_peak",
-            peak_active.load(Ordering::Relaxed) as f64,
-        );
     }
     if span.id().is_some() {
         span.arg("regions", num_regions);
-        span.arg("largest_region", cond.largest_region());
-        span.arg("threads", workers);
+        span.arg("largest_region", engine.cond.largest_region());
     }
-    close_solver_span(&mut span, &stats, n);
-
-    Solution {
-        direction: problem.direction(),
-        input: input.into_vec(),
-        output: output.into_vec(),
-        stats,
-        regions,
-    }
-}
-
-/// Merge per-region accounting into one [`ConvergenceStats`] in region-id
-/// order (deterministic regardless of which thread — or which of the
-/// transplant/re-solve paths — produced each entry). `expected` is how many
-/// regions were *supposed* to run; fewer completions mean the schedule was
-/// cut short, so `converged` is cleared.
-fn merge_region_stats(
-    n: usize,
-    cond: &Condensation,
-    per_region: &[Option<RegionStats>],
-    expected: usize,
-) -> ConvergenceStats {
-    let mut stats = ConvergenceStats {
-        converged: true,
-        per_node_visits: vec![0; n],
-        ..Default::default()
-    };
-    let mut completed = 0usize;
-    for (rid, cell) in per_region.iter().enumerate() {
-        let Some(rs) = cell else {
-            continue;
-        };
-        completed += 1;
-        stats.node_visits += rs.node_visits;
-        stats.comm_evals += rs.comm_evals;
-        stats.meets += rs.meets;
-        stats.worklist_peak = stats.worklist_peak.max(rs.worklist_peak);
-        if stats.pass_deltas.len() < rs.pass_deltas.len() {
-            stats.pass_deltas.resize(rs.pass_deltas.len(), 0);
-        }
-        for (d, s) in stats.pass_deltas.iter_mut().zip(rs.pass_deltas.iter()) {
-            *d += *s;
-        }
-        for (local, &count) in rs.visits.iter().enumerate() {
-            stats.per_node_visits[cond.regions[rid][local].index()] += count;
-        }
-        stats.converged &= rs.converged;
-        if stats.exhausted.is_none() {
-            stats.exhausted = rs.exhausted;
-        }
-    }
-    if completed < expected {
-        stats.converged = false;
-    }
-    stats.passes = (stats.node_visits as usize).div_ceil(n.max(1));
-    stats
+    engine.into_solution(&mut span, stats, regions)
 }
 
 /// Per-node content fingerprints, or `None` when the problem declines for
@@ -1801,27 +1296,6 @@ fn node_fingerprints<G: FlowGraph, P: Dataflow>(graph: &G, problem: &P) -> Optio
     (0..graph.num_nodes() as u32)
         .map(|i| problem.node_fingerprint(NodeId(i)))
         .collect()
-}
-
-/// Build the [`SeedRegions`] for a just-completed, fully-converged solve.
-fn capture_seed<G: FlowGraph, P: Dataflow>(
-    graph: &G,
-    problem: &P,
-    cond: &Condensation,
-    is_boundary: &[bool],
-    rpo_pos: &[u32],
-    per_region: Vec<Option<RegionStats>>,
-) -> Option<std::sync::Arc<SeedRegions>> {
-    let node_fp = node_fingerprints(graph, problem)?;
-    let backward = problem.direction() == Direction::Backward;
-    let fps = scc::region_fingerprints(graph, cond, &node_fp, is_boundary, rpo_pos, backward);
-    let stats: Option<Vec<RegionStats>> = per_region.into_iter().collect();
-    Some(std::sync::Arc::new(SeedRegions {
-        regions: cond.regions.clone(),
-        local_fp: fps.local_fp,
-        ext_in: fps.ext_in,
-        stats: stats?,
-    }))
 }
 
 // ---------------------------------------------------------------------------
@@ -1849,8 +1323,8 @@ fn find_transplant<F: Clone + PartialEq>(
     new_members: usize,
     prev_input: &[F],
     prev_output: &[F],
-    cur_input: &SharedSlice<F>,
-    cur_output: &SharedSlice<F>,
+    cur_input: &[F],
+    cur_output: &[F],
 ) -> Option<u32> {
     let cands = candidates.get(&fps.local_fp[rid])?;
     let new_ext = &fps.ext_in[rid];
@@ -1867,13 +1341,11 @@ fn find_transplant<F: Clone + PartialEq>(
                 continue 'cand;
             }
         }
-        // SAFETY: the incremental runner is sequential; no other thread
-        // touches the shared slices, and upstream regions are final.
         let new_fact = |d: &scc::ExtInEdge| -> &F {
             if d.is_comm() {
-                unsafe { cur_input.get(d.src.index()) }
+                &cur_input[d.src.index()]
             } else {
-                unsafe { cur_output.get(d.src.index()) }
+                &cur_output[d.src.index()]
             }
         };
         let old_fact = |d: &scc::ExtInEdge| -> &F {
@@ -1913,9 +1385,9 @@ fn find_transplant<F: Clone + PartialEq>(
     None
 }
 
-/// Sequential incremental re-solve over the (new) graph: transplant
-/// validated regions, re-solve the rest in topological order. See
-/// [`IncrementalSolver::run`] for the equivalence contract.
+/// Incremental re-solve over the (new) graph: transplant validated regions,
+/// re-solve the rest in topological order. See [`IncrementalSolver::run`]
+/// for the equivalence contract.
 fn run_incremental<G: FlowGraph, P: Dataflow>(
     graph: &G,
     problem: &P,
@@ -1925,32 +1397,18 @@ fn run_incremental<G: FlowGraph, P: Dataflow>(
     dirty: &[NodeId],
 ) -> SeededRun<P::Fact> {
     let seed = prev.regions.as_deref().expect("validated by Solver::seed");
-    let n = graph.num_nodes();
-    let oriented = Oriented::new(graph, problem.direction());
-    let order = oriented.order();
-    let mut rpo_pos = vec![0u32; n];
-    for (i, nd) in order.iter().enumerate() {
-        rpo_pos[nd.index()] = i as u32;
-    }
-    let mut is_boundary = vec![false; n];
-    for &b in oriented.boundary() {
-        is_boundary[b.index()] = true;
-    }
-
     let mut span = telemetry::span("solver", "fixpoint:incremental");
     let started = Instant::now();
-
-    let cond = scc::condense(graph);
-    let num_regions = cond.num_regions();
-    let backward = problem.direction() == Direction::Backward;
-    let fps = scc::region_fingerprints(graph, &cond, node_fp, &is_boundary, &rpo_pos, backward);
+    let mut engine = RegionEngine::new(graph, problem, params);
+    let fps = engine.fingerprints(node_fp);
+    let num_regions = engine.cond.num_regions();
 
     // Dirty planning: a declared-dirty node forces its whole region (nodes
     // outside the graph cannot name a region and are ignored).
     let mut force = vec![false; num_regions];
     for &nd in dirty {
-        if nd.index() < n {
-            force[cond.region_of[nd.index()] as usize] = true;
+        if nd.index() < graph.num_nodes() {
+            force[engine.cond.region_of[nd.index()] as usize] = true;
         }
     }
 
@@ -1963,34 +1421,10 @@ fn run_incremental<G: FlowGraph, P: Dataflow>(
         candidates.entry(fp).or_default().push(rid as u32);
     }
 
-    let input = SharedSlice::new(vec![problem.top(); n]);
-    let output = SharedSlice::new(vec![problem.top(); n]);
-    let meter = SharedMeter::new_sequential(&params.budget);
-    let ctx = RegionCtx {
-        oriented: &oriented,
-        problem,
-        cond: &cond,
-        rpo_pos: &rpo_pos,
-        is_boundary: &is_boundary,
-        input: &input,
-        output: &output,
-        meter: &meter,
-        max_passes: params.max_passes,
-    };
-
-    let mut per_region: Vec<Option<RegionStats>> = (0..num_regions).map(|_| None).collect();
     let mut reused = 0usize;
     let mut resolved = 0usize;
-    let mut cache = CommCache::new(n);
-
-    // Region ids are forward-topological; a backward analysis consumes
-    // facts from successor regions, so it walks them in reverse.
-    let schedule: Vec<usize> = if backward {
-        (0..num_regions).rev().collect()
-    } else {
-        (0..num_regions).collect()
-    };
-    for rid in schedule {
+    let per_region = engine.walk(|cond, rid, input, output| {
+        let members = &cond.regions[rid];
         let transplant = if force[rid] {
             None
         } else {
@@ -1999,51 +1433,30 @@ fn run_incremental<G: FlowGraph, P: Dataflow>(
                 &candidates,
                 &fps,
                 rid,
-                cond.regions[rid].len(),
+                members.len(),
                 &prev.input,
                 &prev.output,
-                &input,
-                &output,
+                input,
+                output,
             )
         };
-        if let Some(old_rid) = transplant {
-            let old_members = &seed.regions[old_rid as usize];
-            for (i, &nd) in cond.regions[rid].iter().enumerate() {
-                let old = old_members[i];
-                // SAFETY: sequential runner — this is the only live accessor
-                // of the shared slices.
-                unsafe {
-                    *input.get_mut(nd.index()) = prev.input[old.index()].clone();
-                    *output.get_mut(nd.index()) = prev.output[old.index()].clone();
-                }
-            }
-            per_region[rid] = Some(seed.stats[old_rid as usize].clone());
-            reused += 1;
-            continue;
+        let Some(old_rid) = transplant else {
+            resolved += 1;
+            return Plan::Solve;
+        };
+        let old_members = &seed.regions[old_rid as usize];
+        for (&nd, &old) in members.iter().zip(old_members) {
+            input[nd.index()] = prev.input[old.index()].clone();
+            output[nd.index()] = prev.output[old.index()].clone();
         }
-        let rs = solve_region(&ctx, &mut cache, rid as u32);
-        let stop = rs.exhausted.is_some();
-        per_region[rid] = Some(rs);
-        resolved += 1;
-        if stop {
-            break;
-        }
-    }
+        reused += 1;
+        Plan::Reuse(seed.stats[old_rid as usize].clone())
+    });
 
-    let mut stats = merge_region_stats(n, &cond, &per_region, num_regions);
-    stats.elapsed = started.elapsed();
-
+    let stats = engine.merge(&per_region, started);
     // An incremental result can itself seed the next edit.
     let regions = if stats.converged {
-        let stats_vec: Option<Vec<RegionStats>> = per_region.into_iter().collect();
-        stats_vec.map(|sv| {
-            std::sync::Arc::new(SeedRegions {
-                regions: cond.regions.clone(),
-                local_fp: fps.local_fp,
-                ext_in: fps.ext_in,
-                stats: sv,
-            })
-        })
+        engine.seed(fps, per_region)
     } else {
         None
     };
@@ -2057,16 +1470,8 @@ fn run_incremental<G: FlowGraph, P: Dataflow>(
         span.arg("reused", reused);
         span.arg("resolved", resolved);
     }
-    close_solver_span(&mut span, &stats, n);
-
     SeededRun {
-        solution: Solution {
-            direction: problem.direction(),
-            input: input.into_vec(),
-            output: output.into_vec(),
-            stats,
-            regions,
-        },
+        solution: engine.into_solution(&mut span, stats, regions),
         regions_total: num_regions,
         regions_reused: reused,
         regions_resolved: resolved,
@@ -2077,8 +1482,8 @@ fn run_incremental<G: FlowGraph, P: Dataflow>(
 // Demand-driven slice solve (Solver::demand)
 // ---------------------------------------------------------------------------
 
-/// Solve only the upstream region closure of the demand roots, sequentially
-/// in topological order. Inside the slice every fact is what the
+/// Solve only the upstream region closure of the demand roots, in
+/// topological order. Inside the slice every fact is what the
 /// whole-program fixpoint would compute (each solved region reads only
 /// already-final slice regions); outside it, facts stay at lattice top.
 fn run_demand<G: FlowGraph, P: Dataflow>(
@@ -2087,101 +1492,42 @@ fn run_demand<G: FlowGraph, P: Dataflow>(
     params: &SolveParams,
     roots: &[NodeId],
 ) -> DemandRun<P::Fact> {
-    let n = graph.num_nodes();
-    let oriented = Oriented::new(graph, problem.direction());
-    let order = oriented.order();
-    let mut rpo_pos = vec![0u32; n];
-    for (i, nd) in order.iter().enumerate() {
-        rpo_pos[nd.index()] = i as u32;
-    }
-    let mut is_boundary = vec![false; n];
-    for &b in oriented.boundary() {
-        is_boundary[b.index()] = true;
-    }
-
     let mut span = telemetry::span("solver", "fixpoint:demand");
     let started = Instant::now();
-
-    let cond = scc::condense(graph);
-    let num_regions = cond.num_regions();
-    let backward = problem.direction() == Direction::Backward;
+    let mut engine = RegionEngine::new(graph, problem, params);
+    let cond = &engine.cond;
     let root_regions: Vec<u32> = roots.iter().map(|nd| cond.region_of[nd.index()]).collect();
-    let in_slice = scc::upstream_closure(&cond, &root_regions, backward);
-    let slice_size = in_slice.iter().filter(|&&b| b).count();
-
-    let input = SharedSlice::new(vec![problem.top(); n]);
-    let output = SharedSlice::new(vec![problem.top(); n]);
-    let meter = SharedMeter::new_sequential(&params.budget);
-    let ctx = RegionCtx {
-        oriented: &oriented,
-        problem,
-        cond: &cond,
-        rpo_pos: &rpo_pos,
-        is_boundary: &is_boundary,
-        input: &input,
-        output: &output,
-        meter: &meter,
-        max_passes: params.max_passes,
-    };
-
-    let mut per_region: Vec<Option<RegionStats>> = (0..num_regions).map(|_| None).collect();
-    let mut cache = CommCache::new(n);
-    let mut solved = 0usize;
-    // Forward-topological ids, walked in direction-adjusted order (see
-    // `run_incremental`).
-    let schedule: Vec<usize> = if backward {
-        (0..num_regions).rev().collect()
-    } else {
-        (0..num_regions).collect()
-    };
-    for rid in schedule {
-        if !in_slice[rid] {
-            continue;
-        }
-        let rs = solve_region(&ctx, &mut cache, rid as u32);
-        let stop = rs.exhausted.is_some();
-        per_region[rid] = Some(rs);
-        solved += 1;
-        if stop {
-            break;
+    let in_slice = scc::upstream_closure(cond, &root_regions, engine.visitor.graph.backward);
+    let mut node_in_slice = vec![false; graph.num_nodes()];
+    for (members, _) in cond.regions.iter().zip(&in_slice).filter(|(_, &s)| s) {
+        for nd in members {
+            node_in_slice[nd.index()] = true;
         }
     }
 
-    let mut stats = merge_region_stats(n, &cond, &per_region, slice_size);
-    stats.elapsed = started.elapsed();
-
-    let mut node_in_slice = vec![false; n];
-    for (rid, members) in cond.regions.iter().enumerate() {
+    let per_region = engine.walk(|_, rid, _, _| {
         if in_slice[rid] {
-            for nd in members {
-                node_in_slice[nd.index()] = true;
-            }
+            Plan::Solve
+        } else {
+            Plan::Skip
         }
-    }
-
+    });
+    let stats = engine.merge(&per_region, started);
+    let num_regions = engine.cond.num_regions();
     if span.id().is_some() {
         span.arg("regions", num_regions);
-        span.arg("slice_regions", slice_size);
+        span.arg("slice_regions", in_slice.iter().filter(|&&b| b).count());
     }
-    close_solver_span(&mut span, &stats, n);
-
     DemandRun {
-        solution: Solution {
-            direction: problem.direction(),
-            input: input.into_vec(),
-            output: output.into_vec(),
-            stats,
-            regions: None,
-        },
+        solution: engine.into_solution(&mut span, stats, None),
         regions_total: num_regions,
-        regions_solved: solved,
+        regions_solved: per_region.iter().flatten().count(),
         node_in_slice,
     }
 }
 
 /// Sample remaining budget headroom into the trace as counter series (only
-/// called when the sink is enabled, at pass/bucket granularity — never per
-/// node).
+/// called when the sink is enabled, at pass granularity — never per node).
 fn sample_budget_headroom(budget: &Budget, work_done: u64) {
     if let Some(max) = budget.max_work {
         telemetry::counter(
@@ -2296,34 +1642,12 @@ mod tests {
         }
     }
 
-    fn rr<P: Dataflow + Sync, G: FlowGraph + Sync>(g: &G, p: &P) -> Solution<P::Fact>
-    where
-        P::Fact: Send,
-        P::CommFact: Send,
-    {
+    fn rr<P: Dataflow, G: FlowGraph>(g: &G, p: &P) -> Solution<P::Fact> {
         Solver::new(p, g).strategy(Strategy::RoundRobin).run()
     }
 
-    fn wl<P: Dataflow + Sync, G: FlowGraph + Sync>(g: &G, p: &P) -> Solution<P::Fact>
-    where
-        P::Fact: Send,
-        P::CommFact: Send,
-    {
-        Solver::new(p, g).strategy(Strategy::Worklist).run()
-    }
-
-    fn rp<P: Dataflow + Sync, G: FlowGraph + Sync>(
-        g: &G,
-        p: &P,
-        threads: usize,
-    ) -> Solution<P::Fact>
-    where
-        P::Fact: Send,
-        P::CommFact: Send,
-    {
-        Solver::new(p, g)
-            .strategy(Strategy::RegionParallel { threads })
-            .run()
+    fn rg<P: Dataflow, G: FlowGraph>(g: &G, p: &P) -> Solution<P::Fact> {
+        Solver::new(p, g).strategy(Strategy::Region).run()
     }
 
     /// The graph used by several equivalence tests: branches, a loop, and
@@ -2422,12 +1746,14 @@ mod tests {
     }
 
     #[test]
-    fn worklist_matches_round_robin() {
+    fn region_matches_round_robin() {
         let (g, p) = loopy_comm_graph();
         let a = rr(&g, &p);
-        let b = wl(&g, &p);
+        let b = rg(&g, &p);
         assert_eq!(a.input, b.input);
         assert_eq!(a.output, b.output);
+        assert!(b.stats.converged);
+        assert!(b.stats.comm_evals > 0);
         assert!(b.stats.node_visits <= a.stats.node_visits);
     }
 
@@ -2439,9 +1765,9 @@ mod tests {
         gen: Vec<u16>,
         /// Doubles its set (`x | x << 1`) so each loop trip grows the facts.
         latch: usize,
-        comm_calls: std::sync::Mutex<Vec<u64>>,
+        comm_calls: std::cell::RefCell<Vec<u64>>,
         /// Per node: the last input `transfer` saw, and how often it changed.
-        inputs: std::sync::Mutex<Vec<(u16, u64)>>,
+        inputs: std::cell::RefCell<Vec<(u16, u64)>>,
     }
 
     impl Dataflow for CountingClique {
@@ -2462,7 +1788,7 @@ mod tests {
             *dst != before
         }
         fn transfer(&self, n: NodeId, input: &u16, comm: &[u16]) -> u16 {
-            let seen = &mut self.inputs.lock().unwrap()[n.index()];
+            let seen = &mut self.inputs.borrow_mut()[n.index()];
             if seen.0 != *input {
                 *seen = (*input, seen.1 + 1);
             }
@@ -2476,7 +1802,7 @@ mod tests {
             out
         }
         fn comm_transfer(&self, n: NodeId, input: &u16) -> u16 {
-            self.comm_calls.lock().unwrap()[n.index()] += 1;
+            self.comm_calls.borrow_mut()[n.index()] += 1;
             *input
         }
     }
@@ -2507,25 +1833,25 @@ mod tests {
             CountingClique {
                 gen,
                 latch: 10,
-                comm_calls: std::sync::Mutex::new(vec![0; 12]),
-                inputs: std::sync::Mutex::new(vec![(0, 0); 12]),
+                comm_calls: std::cell::RefCell::new(vec![0; 12]),
+                inputs: std::cell::RefCell::new(vec![(0, 0); 12]),
             }
         };
         (g, problem)
     }
 
     #[test]
-    fn sequential_strategies_evaluate_f_comm_once_per_input_change() {
+    fn both_strategies_evaluate_f_comm_once_per_input_change() {
         let (g, problem) = clique_in_loop();
-        let reference = rp(&g, &problem(), 1);
-        for strategy in [Strategy::RoundRobin, Strategy::Worklist] {
+        let reference = rr(&g, &problem());
+        for strategy in [Strategy::RoundRobin, Strategy::Region] {
             let p = problem();
             let sol = Solver::new(&p, &g).strategy(strategy).run();
             assert!(sol.stats.converged, "{strategy}");
             assert_eq!(sol.input, reference.input, "{strategy}");
             assert_eq!(sol.output, reference.output, "{strategy}");
-            let calls = p.comm_calls.lock().unwrap().clone();
-            let inputs = p.inputs.lock().unwrap().clone();
+            let calls = p.comm_calls.borrow().clone();
+            let inputs = p.inputs.borrow().clone();
             for src in 2..=9 {
                 let changes = inputs[src].1;
                 assert!(
@@ -2547,42 +1873,7 @@ mod tests {
     }
 
     #[test]
-    fn region_parallel_matches_worklist_at_every_thread_count() {
-        let (g, p) = loopy_comm_graph();
-        let reference = wl(&g, &p);
-        for threads in [1, 2, 8] {
-            let sol = rp(&g, &p, threads);
-            assert_eq!(sol.input, reference.input, "threads={threads}");
-            assert_eq!(sol.output, reference.output, "threads={threads}");
-            assert!(sol.stats.converged);
-            assert!(sol.stats.comm_evals > 0);
-        }
-        // Auto thread count too.
-        let auto = rp(&g, &p, 0);
-        assert_eq!(auto.input, reference.input);
-        assert_eq!(auto.output, reference.output);
-    }
-
-    #[test]
-    fn region_parallel_stats_are_thread_count_independent() {
-        let (g, p) = loopy_comm_graph();
-        let s1 = rp(&g, &p, 1).stats;
-        for threads in [2, 3, 8] {
-            let s = rp(&g, &p, threads).stats;
-            assert_eq!(s.passes, s1.passes, "threads={threads}");
-            assert_eq!(s.node_visits, s1.node_visits, "threads={threads}");
-            assert_eq!(s.comm_evals, s1.comm_evals, "threads={threads}");
-            assert_eq!(s.meets, s1.meets, "threads={threads}");
-            assert_eq!(s.worklist_peak, s1.worklist_peak, "threads={threads}");
-            assert_eq!(s.pass_deltas, s1.pass_deltas, "threads={threads}");
-            assert_eq!(s.per_node_visits, s1.per_node_visits, "threads={threads}");
-            assert_eq!(s.converged, s1.converged, "threads={threads}");
-            assert_eq!(s.exhausted, s1.exhausted, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn region_parallel_backward_direction() {
+    fn region_backward_direction() {
         struct Live;
         impl Dataflow for Live {
             type Fact = bool;
@@ -2614,12 +1905,10 @@ mod tests {
         g.flow(3, 4);
         g.set_entry(0);
         g.set_exit(4);
-        let reference = wl(&g, &Live);
-        for threads in [1, 2, 8] {
-            let sol = rp(&g, &Live, threads);
-            assert_eq!(sol.input, reference.input, "threads={threads}");
-            assert_eq!(sol.output, reference.output, "threads={threads}");
-        }
+        let reference = rr(&g, &Live);
+        let sol = rg(&g, &Live);
+        assert_eq!(sol.input, reference.input);
+        assert_eq!(sol.output, reference.output);
         assert!(reference.output.iter().all(|&b| b));
     }
 
@@ -2700,10 +1989,10 @@ mod tests {
         assert_eq!(sol.stats.passes, 50);
         // Pass-bound non-convergence is distinct from budget exhaustion.
         assert_eq!(sol.stats.exhausted, None);
-        // The region-parallel strategy hits its per-region visit bound too
-        // instead of spinning forever.
+        // The region strategy hits its per-region round bound too instead
+        // of spinning forever.
         let par = Solver::new(&Flip, &g)
-            .strategy(Strategy::RegionParallel { threads: 2 })
+            .strategy(Strategy::Region)
             .max_passes(50)
             .run();
         assert!(!par.stats.converged);
@@ -2711,7 +2000,7 @@ mod tests {
     }
 
     #[test]
-    fn budget_exhaustion_stops_round_robin_and_is_reported() {
+    fn budget_exhaustion_stops_both_strategies_and_is_reported() {
         let mut g = SimpleGraph::new(4);
         g.flow(0, 1);
         g.flow(1, 2);
@@ -2721,84 +2010,32 @@ mod tests {
         g.set_exit(3);
         let mut p = toy(4);
         p.gen[0] = Some(1);
-        let sol = Solver::new(&p, &g)
-            .strategy(Strategy::RoundRobin)
-            .budget(crate::budget::Budget::unlimited().with_max_work(3))
-            .run();
-        assert!(!sol.stats.converged);
-        assert_eq!(
-            sol.stats.exhausted,
-            Some(crate::budget::Exhaustion::WorkUnits)
-        );
-        assert!(sol.stats.node_visits <= 3);
+        for strategy in [Strategy::RoundRobin, Strategy::Region] {
+            let sol = Solver::new(&p, &g)
+                .strategy(strategy)
+                .budget(crate::budget::Budget::unlimited().with_max_work(3))
+                .run();
+            assert!(!sol.stats.converged, "{strategy}");
+            assert_eq!(
+                sol.stats.exhausted,
+                Some(crate::budget::Exhaustion::WorkUnits),
+                "{strategy}"
+            );
+            assert!(sol.stats.node_visits <= 3, "{strategy}");
+            assert!(
+                sol.regions.is_none(),
+                "{strategy}: no seed from a cut solve"
+            );
+        }
     }
 
     #[test]
-    fn budget_exhaustion_stops_worklist_and_is_reported() {
-        let mut g = SimpleGraph::new(4);
-        g.flow(0, 1);
-        g.flow(1, 2);
-        g.flow(2, 1);
-        g.flow(2, 3);
-        g.set_entry(0);
-        g.set_exit(3);
-        let mut p = toy(4);
-        p.gen[0] = Some(1);
-        let sol = Solver::new(&p, &g)
-            .strategy(Strategy::Worklist)
-            .budget(crate::budget::Budget::unlimited().with_max_work(3))
-            .run();
-        assert!(!sol.stats.converged);
-        assert_eq!(
-            sol.stats.exhausted,
-            Some(crate::budget::Exhaustion::WorkUnits)
-        );
-        assert!(sol.stats.node_visits <= 3);
-    }
-
-    #[test]
-    fn region_parallel_with_deterministic_cap_degrades_to_worklist() {
-        // A `max_work` cap must produce the exact sequential-worklist
-        // outcome (the strategy degrades), keeping exhaustion reproducible.
-        let mut g = SimpleGraph::new(4);
-        g.flow(0, 1);
-        g.flow(1, 2);
-        g.flow(2, 1);
-        g.flow(2, 3);
-        g.set_entry(0);
-        g.set_exit(3);
-        let mut p = toy(4);
-        p.gen[0] = Some(1);
-        let budget = || crate::budget::Budget::unlimited().with_max_work(3);
-        let seq = Solver::new(&p, &g)
-            .strategy(Strategy::Worklist)
-            .budget(budget())
-            .run();
-        let par = Solver::new(&p, &g)
-            .strategy(Strategy::RegionParallel { threads: 8 })
-            .budget(budget())
-            .run();
-        assert_eq!(par.input, seq.input);
-        assert_eq!(par.output, seq.output);
-        let mut a = par.stats.clone();
-        let mut b = seq.stats.clone();
-        a.elapsed = Duration::ZERO;
-        b.elapsed = Duration::ZERO;
-        assert_eq!(a, b, "degraded run is the sequential worklist, exactly");
-        assert_eq!(
-            par.stats.exhausted,
-            Some(crate::budget::Exhaustion::WorkUnits)
-        );
-        assert!(par.stats.node_visits <= 3);
-    }
-
-    #[test]
-    fn region_parallel_observes_cancellation_across_threads() {
+    fn region_observes_cancellation() {
         let token = crate::budget::CancelToken::new();
         token.cancel(); // pre-cancelled: every region must refuse to start
         let (g, p) = loopy_comm_graph();
         let sol = Solver::new(&p, &g)
-            .strategy(Strategy::RegionParallel { threads: 4 })
+            .strategy(Strategy::Region)
             .budget(crate::budget::Budget::unlimited().with_cancel(token))
             .run();
         assert!(!sol.stats.converged);
@@ -2810,10 +2047,10 @@ mod tests {
     }
 
     #[test]
-    fn region_parallel_expired_deadline_stops_immediately() {
+    fn region_expired_deadline_stops_immediately() {
         let (g, p) = loopy_comm_graph();
         let sol = Solver::new(&p, &g)
-            .strategy(Strategy::RegionParallel { threads: 2 })
+            .strategy(Strategy::Region)
             .budget(crate::budget::Budget::unlimited().with_deadline_ms(0))
             .run();
         assert!(!sol.stats.converged);
@@ -2833,9 +2070,8 @@ mod tests {
         let mut p = toy(3);
         p.gen[0] = Some(7);
         let a = rr(&g, &p);
-        let b = wl(&g, &p);
-        let c = rp(&g, &p, 2);
-        for s in [&a.stats, &b.stats, &c.stats] {
+        let b = rg(&g, &p);
+        for s in [&a.stats, &b.stats] {
             assert!(s.node_visits > 0);
             assert!(s.converged);
             assert_eq!(s.exhausted, None);
@@ -2876,7 +2112,7 @@ mod tests {
         g.set_exit(3);
         let mut p = toy(4);
         p.gen[0] = Some(1);
-        for sol in [rr(&g, &p), wl(&g, &p), rp(&g, &p, 3)] {
+        for sol in [rr(&g, &p), rg(&g, &p)] {
             assert_eq!(sol.stats.per_node_visits.len(), 4);
             assert_eq!(
                 sol.stats.per_node_visits.iter().sum::<u64>(),
@@ -2907,7 +2143,7 @@ mod tests {
     }
 
     #[test]
-    fn worklist_tracks_queue_high_water() {
+    fn region_tracks_queue_high_water() {
         let mut g = SimpleGraph::new(5);
         g.flow(0, 1);
         g.flow(0, 2);
@@ -2918,15 +2154,12 @@ mod tests {
         g.set_exit(4);
         let mut p = toy(5);
         p.gen[0] = Some(2);
-        let sol = wl(&g, &p);
-        // The initial seeding puts every node on the queue.
-        assert!(sol.stats.worklist_peak >= 5, "{}", sol.stats.worklist_peak);
         // Round-robin has no queue.
         let rr_sol = rr(&g, &p);
         assert_eq!(rr_sol.stats.worklist_peak, 0);
-        // Region-parallel: peak is the max per-region high-water — on this
+        // Region: peak is the max per-region high-water — on this
         // acyclic graph every region is a single node, so the peak is 1.
-        let rp_sol = rp(&g, &p, 2);
+        let rp_sol = rg(&g, &p);
         assert_eq!(rp_sol.stats.worklist_peak, 1);
     }
 
@@ -3010,7 +2243,7 @@ mod tests {
         let mut p = toy(3);
         p.gen[0] = Some(7);
         let s1 = rr(&g, &p).stats;
-        let s2 = wl(&g, &p).stats;
+        let s2 = rg(&g, &p).stats;
         let mut acc = ConvergenceStats {
             converged: true,
             ..Default::default()
@@ -3049,24 +2282,20 @@ mod tests {
     }
 
     #[test]
-    fn region_parallel_publishes_region_metrics() {
+    fn region_publishes_region_metrics() {
         use crate::telemetry::{self, TraceLevel, TEST_SINK_GATE};
         let _gate = TEST_SINK_GATE.lock().unwrap_or_else(|p| p.into_inner());
         let (g, p) = loopy_comm_graph();
         telemetry::install(TraceLevel::Full);
-        let _ = rp(&g, &p, 2);
+        let _ = rg(&g, &p);
         let report = telemetry::finish();
         assert!(
             report.metrics.get("solver_regions_total").copied() > Some(0.0),
             "metrics: {:?}",
             report.metrics.keys().collect::<Vec<_>>()
         );
-        assert!(report.metrics.get("solver_threads_peak").copied() >= Some(1.0));
         // Per-region spans exist under the solver category.
-        assert!(report
-            .events
-            .iter()
-            .any(|e| e.name == "fixpoint:region_parallel"));
+        assert!(report.events.iter().any(|e| e.name == "fixpoint:region"));
         assert!(report.events.iter().any(|e| e.name == "region"));
     }
 
@@ -3110,7 +2339,7 @@ mod tests {
         let sol = rr(&g, &Inc);
         assert_eq!(sol.input[1], ConstLattice::Const(11));
         // Translate must behave identically across strategies.
-        let par = rp(&g, &Inc, 2);
+        let par = rg(&g, &Inc);
         assert_eq!(par.input, sol.input);
         assert_eq!(par.output, sol.output);
     }
@@ -3119,27 +2348,35 @@ mod tests {
     fn strategy_parse_and_display_round_trip() {
         for (text, want) in [
             ("round-robin", Strategy::RoundRobin),
-            ("worklist", Strategy::Worklist),
-            ("region-parallel", Strategy::RegionParallel { threads: 0 }),
-            ("region-parallel:4", Strategy::RegionParallel { threads: 4 }),
-            ("region-parallel:1", Strategy::RegionParallel { threads: 1 }),
+            ("region", Strategy::Region),
         ] {
             let parsed = Strategy::parse(text).unwrap();
             assert_eq!(parsed, want);
             assert_eq!(parsed.to_string(), text, "display round-trips");
         }
-        assert!(Strategy::parse("bogus").is_err());
-        assert!(Strategy::parse("region-parallel:0").is_err());
-        assert!(Strategy::parse("region-parallel:x").is_err());
-        assert!(Strategy::parse("Worklist").is_err(), "case-sensitive");
-        // `from_env_or` honors the given default unless the environment
-        // names a parsable strategy (as CI's solver-parallel job does, so
-        // this assertion must not assume the variable is unset).
-        let expect = std::env::var(STRATEGY_ENV)
-            .ok()
-            .and_then(|v| Strategy::parse(v.trim()).ok())
-            .unwrap_or(Strategy::Worklist);
-        assert_eq!(Strategy::from_env_or(Strategy::Worklist), expect);
+        for old in [
+            "worklist",
+            "region-parallel",
+            "region-parallel:4",
+            "Region",
+            "bogus",
+        ] {
+            let err = Strategy::parse(old).unwrap_err();
+            assert!(
+                err.contains("round-robin") && err.contains("region"),
+                "{old}: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn solver_env_when_set_names_a_strategy() {
+        // Library calls fall back to round-robin on a value they cannot
+        // parse; this keeps a stale spelling from silently turning a
+        // `MPIDFA_SOLVER=...` test run into a second round-robin run.
+        if let Err(e) = Strategy::from_env() {
+            panic!("{e}");
+        }
     }
 
     // -- incremental (Solver::seed) ----------------------------------------
@@ -3159,15 +2396,14 @@ mod tests {
     }
 
     #[test]
-    fn seed_requires_a_region_parallel_solution() {
+    fn seed_requires_a_region_solution() {
         let (g, p) = loopy_comm_graph();
-        assert!(rr(&g, &p).regions.is_none());
-        assert!(wl(&g, &p).regions.is_none());
         let cold = rr(&g, &p);
+        assert!(cold.regions.is_none());
         let err = Solver::new(&p, &g).seed(&cold).err().unwrap();
         assert_eq!(err, SolverConfigError::SeedWithoutRegions);
-        // Converged region-parallel runs capture a seed.
-        let warm = rp(&g, &p, 2);
+        // Converged region runs capture a seed.
+        let warm = rg(&g, &p);
         assert!(warm.regions.is_some());
         assert!(Solver::new(&p, &g).seed(&warm).is_ok());
     }
@@ -3201,7 +2437,7 @@ mod tests {
             }
         }
         let (g, p) = loopy_comm_graph();
-        let warm = rp(&g, &p, 2);
+        let warm = rg(&g, &p);
         let back = BackToy(toy(6));
         assert_eq!(
             Solver::new(&back, &g).seed(&warm).err().unwrap(),
@@ -3210,7 +2446,7 @@ mod tests {
                 got: Direction::Forward,
             }
         );
-        let mut stale = rp(&g, &p, 2);
+        let mut stale = rg(&g, &p);
         stale.stats.converged = false;
         assert_eq!(
             Solver::new(&p, &g).seed(&stale).err().unwrap(),
@@ -3248,7 +2484,7 @@ mod tests {
         g.flow(0, 1);
         g.set_entry(0);
         g.set_exit(1);
-        let warm = rp(&g, &NoFp, 2);
+        let warm = rg(&g, &NoFp);
         // The run itself cannot even capture a seed...
         assert!(warm.regions.is_none());
         // ...so seeding reports the missing regions first; a hand-made
@@ -3262,8 +2498,12 @@ mod tests {
 
     #[test]
     fn incremental_identity_edit_transplants_everything_byte_identically() {
+        // Seeded runs publish reuse metrics into any installed sink.
+        let _gate = crate::telemetry::TEST_SINK_GATE
+            .lock()
+            .unwrap_or_else(|p| p.into_inner());
         let (g, p) = loopy_comm_graph();
-        let cold = rp(&g, &p, 2);
+        let cold = rg(&g, &p);
         let run = Solver::new(&p, &g).seed(&cold).unwrap().dirty(&[]).run();
         assert_eq!(run.regions_reused, run.regions_total);
         assert_eq!(run.regions_resolved, 0);
@@ -3281,8 +2521,12 @@ mod tests {
 
     #[test]
     fn incremental_gen_change_resolves_only_downstream_regions() {
+        // Seeded runs publish reuse metrics into any installed sink.
+        let _gate = crate::telemetry::TEST_SINK_GATE
+            .lock()
+            .unwrap_or_else(|p| p.into_inner());
         let (g, p) = chain(12, 3);
-        let warm = rp(&g, &p, 2);
+        let warm = rg(&g, &p);
         // Edit: node 6 now generates 5 instead of passing through. Its
         // fingerprint changes (forced re-solve) and every downstream
         // region's upstream fact changes (fact-cutoff re-solve); nodes
@@ -3290,7 +2534,7 @@ mod tests {
         let mut edited = toy(12);
         edited.gen[0] = Some(3);
         edited.gen[6] = Some(5);
-        let cold = rp(&g, &edited, 2);
+        let cold = rg(&g, &edited);
         let run = Solver::new(&edited, &g)
             .seed(&warm)
             .unwrap()
@@ -3305,11 +2549,15 @@ mod tests {
 
     #[test]
     fn incremental_fact_neutral_insertion_matches_cold_solve() {
+        // Seeded runs publish reuse metrics into any installed sink.
+        let _gate = crate::telemetry::TEST_SINK_GATE
+            .lock()
+            .unwrap_or_else(|p| p.into_inner());
         // "Insert a pass-through statement": same chain semantics, one more
         // node spliced in the middle, with different node ids downstream —
         // the structural fingerprints must still line regions up.
         let (g_old, p_old) = chain(8, 3);
-        let warm = rp(&g_old, &p_old, 2);
+        let warm = rg(&g_old, &p_old);
         // New graph: 0 -> .. -> 4 -> 8(new) -> 5 -> 6 -> 7.
         let mut g_new = SimpleGraph::new(9);
         for i in 0..4 {
@@ -3323,7 +2571,7 @@ mod tests {
         g_new.set_exit(7);
         let mut p_new = toy(9);
         p_new.gen[0] = Some(3);
-        let cold = rp(&g_new, &p_new, 2);
+        let cold = rg(&g_new, &p_new);
         let run = Solver::new(&p_new, &g_new)
             .seed(&warm)
             .unwrap()
@@ -3338,8 +2586,12 @@ mod tests {
 
     #[test]
     fn incremental_ignores_out_of_range_dirty_nodes() {
+        // Seeded runs publish reuse metrics into any installed sink.
+        let _gate = crate::telemetry::TEST_SINK_GATE
+            .lock()
+            .unwrap_or_else(|p| p.into_inner());
         let (g, p) = loopy_comm_graph();
-        let warm = rp(&g, &p, 2);
+        let warm = rg(&g, &p);
         let run = Solver::new(&p, &g)
             .seed(&warm)
             .unwrap()
@@ -3351,8 +2603,12 @@ mod tests {
 
     #[test]
     fn incremental_respects_work_budget() {
+        // Seeded runs publish reuse metrics into any installed sink.
+        let _gate = crate::telemetry::TEST_SINK_GATE
+            .lock()
+            .unwrap_or_else(|p| p.into_inner());
         let (g, p) = chain(12, 3);
-        let warm = rp(&g, &p, 2);
+        let warm = rg(&g, &p);
         let mut edited = toy(12);
         edited.gen[0] = Some(3);
         edited.gen[1] = Some(5); // early change: 11 regions must re-solve
@@ -3376,7 +2632,7 @@ mod tests {
         use crate::telemetry::{self, TraceLevel, TEST_SINK_GATE};
         let _gate = TEST_SINK_GATE.lock().unwrap_or_else(|p| p.into_inner());
         let (g, p) = loopy_comm_graph();
-        let warm = rp(&g, &p, 2);
+        let warm = rg(&g, &p);
         telemetry::install(TraceLevel::Full);
         let _ = Solver::new(&p, &g).seed(&warm).unwrap().dirty(&[]).run();
         let report = telemetry::finish();
@@ -3399,29 +2655,16 @@ mod tests {
     // -- demand (Solver::demand) -------------------------------------------
 
     #[test]
-    fn demand_rejects_region_parallel_and_out_of_range_roots() {
+    fn demand_rejects_out_of_range_roots() {
         let (g, p) = loopy_comm_graph();
         assert_eq!(
-            Solver::new(&p, &g)
-                .strategy(Strategy::RegionParallel { threads: 2 })
-                .demand(NodeId(0))
-                .err()
-                .unwrap(),
-            SolverConfigError::DemandWithRegionParallel
-        );
-        assert_eq!(
-            Solver::new(&p, &g)
-                .strategy(Strategy::Worklist)
-                .demand(NodeId(99))
-                .err()
-                .unwrap(),
+            Solver::new(&p, &g).demand(NodeId(99)).err().unwrap(),
             SolverConfigError::NodeOutOfRange {
                 node: NodeId(99),
                 num_nodes: 6,
             }
         );
         let chained = Solver::new(&p, &g)
-            .strategy(Strategy::Worklist)
             .demand(NodeId(0))
             .unwrap()
             .demand(NodeId(99));
@@ -3431,14 +2674,10 @@ mod tests {
     #[test]
     fn demand_slice_facts_match_the_full_fixpoint() {
         let (g, p) = loopy_comm_graph();
-        let full = wl(&g, &p);
+        let full = rr(&g, &p);
         // Node 1 lives in the comm-loop region {1,2,3,4}; its upstream
         // closure is {0} ∪ {1,2,3,4} — node 5's region stays unsolved.
-        let run = Solver::new(&p, &g)
-            .strategy(Strategy::Worklist)
-            .demand(NodeId(1))
-            .unwrap()
-            .run();
+        let run = Solver::new(&p, &g).demand(NodeId(1)).unwrap().run();
         assert_eq!(run.regions_total, 3);
         assert_eq!(run.regions_solved, 2);
         assert!(!run.node_in_slice[5]);
@@ -3459,7 +2698,7 @@ mod tests {
     #[test]
     fn demand_union_of_roots_covers_both_slices() {
         let (g, p) = chain(10, 7);
-        let full = wl(&g, &p);
+        let full = rr(&g, &p);
         let run = Solver::new(&p, &g)
             .strategy(Strategy::RoundRobin)
             .demand(NodeId(2))
@@ -3509,7 +2748,7 @@ mod tests {
         g.flow(2, 3);
         g.set_entry(0);
         g.set_exit(3);
-        let full = wl(&g, &Live);
+        let full = rr(&g, &Live);
         let run = Solver::new(&Live, &g)
             .strategy(Strategy::RoundRobin)
             .demand(NodeId(2))
@@ -3527,10 +2766,6 @@ mod tests {
             (SolverConfigError::SeedNotConverged, "converge"),
             (SolverConfigError::SeedWithoutRegions, "region"),
             (SolverConfigError::FingerprintsUnavailable, "fingerprint"),
-            (
-                SolverConfigError::DemandWithRegionParallel,
-                "region-parallel",
-            ),
             (
                 SolverConfigError::NodeOutOfRange {
                     node: NodeId(9),

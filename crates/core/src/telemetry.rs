@@ -550,7 +550,7 @@ pub fn comm_event(name: &str, args: Vec<(&'static str, ArgValue)>) {
 }
 
 /// Sample a counter series (Chrome trace `ph: "C"`), e.g. budget headroom
-/// over time or worklist depth.
+/// over time.
 #[inline]
 pub fn counter(cat: &'static str, name: &str, value: f64) {
     if !is_enabled() {
@@ -963,7 +963,7 @@ mod tests {
         {
             let mut s = span("solver", "fixpoint \"vary\"\nline2");
             s.arg("passes", 3u64);
-            s.arg("strategy", "worklist");
+            s.arg("strategy", "region");
         }
         counter("solver", "budget_headroom", 0.5);
         let report = finish();

@@ -164,7 +164,7 @@ fn node_label(g: &Icfg, n: NodeId) -> String {
 /// other ASCII control characters are replaced with spaces — a raw newline
 /// or control byte inside a quoted ID produces invalid `.dot` output in
 /// several Graphviz consumers.
-fn escape(s: &str) -> String {
+pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {

@@ -8,7 +8,7 @@
 //! after-call, so facts must flow through the callee.
 //!
 //! Procedures marked by the clone policy ([`crate::callgraph`]) are
-//! instantiated once per call site (recursively, so a cloned wrapper's
+//! instantiated once per call site (transitively, so a cloned wrapper's
 //! internal call sites get their own clones too); all other procedures get a
 //! single shared instance, which is exactly the context-insensitivity the
 //! paper's clone levels trade against.
@@ -492,14 +492,63 @@ struct Builder<'a> {
     meter: BudgetMeter,
 }
 
+/// A procedure instance whose call sites [`Builder::instantiate`] is still
+/// wiring: `next` is the first site not yet wired to its callee.
+struct Pending {
+    idx: u32,
+    proc: ProcId,
+    base: u32,
+    sites: Vec<CallSiteInfo>,
+    next: usize,
+}
+
+/// What [`Builder::open`] found for a procedure.
+enum Opened {
+    /// The procedure's shared instance, which already exists.
+    Shared(u32),
+    /// A new instance whose call sites are still to wire.
+    Fresh(Pending),
+}
+
 impl<'a> Builder<'a> {
-    /// Create (or reuse) an instance of `proc`; returns its index.
-    /// Recursion depth is bounded by the call-tree depth (sema rejects
-    /// recursion in SMPL programs).
+    /// Create (or reuse) an instance of `proc` and, depth first, of every
+    /// procedure it calls; returns its index. The walk keeps its own stack
+    /// (sema rejects recursion but not depth), so a deep call chain cannot
+    /// overflow the thread's stack.
     fn instantiate(&mut self, proc: ProcId) -> Result<u32, IcfgError> {
+        let mut stack = match self.open(proc)? {
+            Opened::Shared(idx) => return Ok(idx),
+            Opened::Fresh(fresh) => vec![fresh],
+        };
+        // The instance the site `next` of the top frame calls, once known.
+        let mut callee_inst = None;
+        while let Some(top) = stack.last_mut() {
+            if let Some(inst) = callee_inst.take() {
+                self.wire(top, inst)?;
+                top.next += 1;
+            }
+            if top.next == top.sites.len() {
+                let done = stack.pop().expect("non-empty");
+                if stack.is_empty() {
+                    return Ok(done.idx);
+                }
+                callee_inst = Some(done.idx);
+                continue;
+            }
+            match self.open(top.sites[top.next].callee)? {
+                Opened::Shared(idx) => callee_inst = Some(idx),
+                Opened::Fresh(fresh) => stack.push(fresh),
+            }
+        }
+        unreachable!("the root instance returns from inside the loop")
+    }
+
+    /// The shared instance of `proc` when one exists and `proc` is not
+    /// cloned; otherwise a new instance.
+    fn open(&mut self, proc: ProcId) -> Result<Opened, IcfgError> {
         if !self.clone_marks[proc.index()] {
             if let Some(&i) = self.shared.get(&proc) {
-                return Ok(i);
+                return Ok(Opened::Shared(i));
             }
         }
         let (num_nodes, sites) = {
@@ -521,22 +570,31 @@ impl<'a> Builder<'a> {
         if !self.clone_marks[proc.index()] {
             self.shared.insert(proc, idx);
         }
-        for (local_site, cs) in sites.iter().enumerate() {
-            let callee_inst = self.instantiate(cs.callee)?;
-            let callee_base = self.instances[callee_inst as usize].base;
-            let bindings = self.bindings(cs)?;
-            self.call_sites.push(GlobalCallSite {
-                caller_proc: proc,
-                local_site: local_site as u32,
-                call_node: NodeId(base + cs.call_node),
-                after_node: NodeId(base + cs.after_node),
-                callee_entry: NodeId(callee_base + ENTRY),
-                callee_exit: NodeId(callee_base + EXIT),
-                callee: cs.callee,
-                bindings,
-            });
-        }
-        Ok(idx)
+        Ok(Opened::Fresh(Pending {
+            idx,
+            proc,
+            base,
+            sites,
+            next: 0,
+        }))
+    }
+
+    /// Record call site `at.next` of `at` as calling instance `callee_inst`.
+    fn wire(&mut self, at: &Pending, callee_inst: u32) -> Result<(), IcfgError> {
+        let cs = &at.sites[at.next];
+        let callee_base = self.instances[callee_inst as usize].base;
+        let bindings = self.bindings(cs)?;
+        self.call_sites.push(GlobalCallSite {
+            caller_proc: at.proc,
+            local_site: at.next as u32,
+            call_node: NodeId(at.base + cs.call_node),
+            after_node: NodeId(at.base + cs.after_node),
+            callee_entry: NodeId(callee_base + ENTRY),
+            callee_exit: NodeId(callee_base + EXIT),
+            callee: cs.callee,
+            bindings,
+        });
+        Ok(())
     }
 
     fn bindings(&self, cs: &CallSiteInfo) -> Result<Vec<Binding>, IcfgError> {

@@ -307,6 +307,7 @@ pub fn run_with_transport(
                     read_counter: rank as u64,
                     coll_seq: 0,
                     config,
+                    depth: 0,
                 };
                 let outcome = proc.run_entry().map(|_| proc.result);
                 // Always unregister from the wait graph, success or not, so
@@ -343,6 +344,13 @@ pub fn run_with_transport(
 
 /// Tag space reserved for lowered collectives; user tags must stay below.
 const COLLECTIVE_TAG_BASE: i64 = 1 << 40;
+
+/// Deepest chain of nested subroutine calls a rank may run. Sema rejects
+/// recursion but not depth, and each level costs interpreter stack: about
+/// 10 KiB in a debug build, under 1 KiB in release. At this bound a chain
+/// still fits a rank thread's default 2 MiB stack in either build; one
+/// call deeper fails the rank with [`RuntimeError::Failed`].
+pub const MAX_CALL_DEPTH: usize = 128;
 
 // ---- the lowered program ------------------------------------------------------
 
@@ -960,6 +968,8 @@ struct Process<'a> {
     read_counter: u64,
     coll_seq: i64,
     config: &'a InterpConfig,
+    /// Subroutine calls currently open on this rank (`main` is depth 0).
+    depth: usize,
 }
 
 impl<'a> Process<'a> {
@@ -1192,6 +1202,12 @@ impl<'a> Process<'a> {
         if callee.params.len() != args.len() {
             return Err(self.err(span, format!("arity mismatch calling `{name}`")));
         }
+        if self.depth >= MAX_CALL_DEPTH {
+            return Err(self.err(
+                span,
+                format!("call depth exceeds {MAX_CALL_DEPTH} at call to `{name}`"),
+            ));
+        }
         let mut new_frame = vec![None; callee.slots];
         for ((slot, shape), arg) in callee.params.iter().zip(args) {
             let bound = match arg {
@@ -1208,8 +1224,10 @@ impl<'a> Process<'a> {
             };
             new_frame[*slot as usize] = Some(bound);
         }
-        self.exec_block(&callee.body, &mut new_frame, globals)?;
-        Ok(())
+        self.depth += 1;
+        let done = self.exec_block(&callee.body, &mut new_frame, globals);
+        self.depth -= 1;
+        done.map(|_| ())
     }
 
     // ---- MPI -----------------------------------------------------------

@@ -91,7 +91,7 @@ struct SeedEntry {
 
 /// Bounded FIFO map from `analyze` request id → seed. Populated by every
 /// computed precise T0 `analyze` whose solutions captured seed regions
-/// (i.e. a converged region-parallel solve); consulted by `analyze-delta`
+/// (i.e. a converged region solve); consulted by `analyze-delta`
 /// via its `prev` field.
 /// FIFO insertion order paired with the id → seed map it bounds.
 type SeedEntries = (HashMap<u64, Arc<SeedEntry>>, VecDeque<u64>);
@@ -749,7 +749,7 @@ impl Engine {
 
     /// Retain `result` as an incremental seed when it can actually seed a
     /// re-solve: a precise, converged T0 `mpi` analysis whose solutions
-    /// carry solver regions (only converged region-parallel runs capture
+    /// carry solver regions (only converged region-strategy runs capture
     /// them — see `docs/INCREMENTAL.md`).
     fn maybe_seed(
         &self,
@@ -1074,19 +1074,15 @@ mod tests {
     fn warm_cache_hits_across_solver_strategies() {
         // Satellite regression: the strategy is excluded from the result
         // cache key because all strategies produce identical facts. A
-        // result computed under the worklist must be served as a *hit* to
-        // a region-parallel request for the same analysis — and the ids
+        // result computed under the region engine must be served as a *hit*
+        // to a round-robin request for the same analysis — and the ids
         // aside, the payload must be the very same cached bytes.
         let e = engine();
         let miss = e.handle(&parse(
-            r#"{"id":1,"kind":"analyze","program":"figure1","ind":["x"],"dep":["f"],"solver":"worklist"}"#,
+            r#"{"id":1,"kind":"analyze","program":"figure1","ind":["x"],"dep":["f"],"solver":"region"}"#,
         ));
         assert!(miss.contains("\"cache\":\"miss\""), "{miss}");
-        for (id, solver) in [
-            (2, "region-parallel"),
-            (3, "region-parallel:8"),
-            (4, "round-robin"),
-        ] {
+        for (id, solver) in [(2, "round-robin"), (3, "region")] {
             let hit = e.handle(&parse(&format!(
                 r#"{{"id":{id},"kind":"analyze","program":"figure1","ind":["x"],"dep":["f"],"solver":"{solver}"}}"#,
             )));
@@ -1095,7 +1091,7 @@ mod tests {
                 miss.replace("\"id\":1", &format!("\"id\":{id}"))
                     .replace("\"cache\":\"miss\"", "\"cache\":\"hit\""),
                 hit,
-                "{solver} must be served the cached worklist result"
+                "{solver} must be served the cached region result"
             );
         }
         // An invalid solver value is a structured error, not a panic.
@@ -1104,6 +1100,15 @@ mod tests {
         );
         assert!(err.contains("\"error\""), "{err}");
         assert!(err.contains("unknown solver strategy"), "{err}");
+        // So are the retired spellings, and the message names the
+        // surviving strategies.
+        for old in ["worklist", "region-parallel", "region-parallel:2"] {
+            let err = e.handle_line(&format!(
+                r#"{{"id":6,"kind":"analyze","program":"figure1","ind":["x"],"dep":["f"],"solver":"{old}"}}"#,
+            ));
+            assert!(err.contains("\"error\""), "{old}: {err}");
+            assert!(err.contains("round-robin|region"), "{old}: {err}");
+        }
     }
 
     #[test]
@@ -1199,6 +1204,26 @@ mod tests {
         assert!(r.contains("\"ok\":true"), "{r}");
         assert!(r.contains("\"verdict\":\"safe\""), "{r}");
         assert!(r.contains("\"outcome\":\"consistent-safe\""), "{r}");
+        let pong = e.handle_line(r#"{"id":2,"kind":"ping"}"#);
+        assert!(pong.contains("\"pong\":true"), "{pong}");
+    }
+
+    #[test]
+    fn verify_of_a_deep_call_chain_answers_and_the_engine_lives_on() {
+        // Sema rejects recursion but not depth: a 20,000-deep chain of
+        // calls fails the explorer's ranks with a structured error instead
+        // of overflowing a stack, and the next request is still answered.
+        let e = engine();
+        let mut source = String::from("program deep\\nglobal x: real;\\n");
+        for i in 0..19_999 {
+            source.push_str(&format!("sub s{i}() {{ call s{}(); }}\\n", i + 1));
+        }
+        source.push_str("sub s19999() { x = 1.0; }\\nsub main() { call s0(); }\\n");
+        let r = e.handle_line(&format!(
+            r#"{{"id":1,"kind":"verify","source":"{source}","schedules":2}}"#
+        ));
+        assert!(r.contains("\"ok\":true"), "{r}");
+        assert!(r.contains("\"outcome\":\"skipped\""), "{r}");
         let pong = e.handle_line(r#"{"id":2,"kind":"ping"}"#);
         assert!(pong.contains("\"pong\":true"), "{pong}");
     }
@@ -1404,7 +1429,7 @@ mod tests {
 
     fn analyze_line(id: u64, kind: &str, source: &str, extra: &str) -> String {
         format!(
-            r#"{{"id":{id},"kind":"{kind}","source":"{source}","ind":["x"],"dep":["f"],"solver":"region-parallel:2"{extra}}}"#
+            r#"{{"id":{id},"kind":"{kind}","source":"{source}","ind":["x"],"dep":["f"],"solver":"region"{extra}}}"#
         )
     }
 
@@ -1417,7 +1442,7 @@ mod tests {
     #[test]
     fn analyze_delta_is_partial_and_byte_identical_to_cold() {
         let e = engine();
-        // Seed: a precise converged region-parallel analyze.
+        // Seed: a precise converged region analyze.
         let seed_resp = e.handle(&parse(&analyze_line(10, "analyze", DELTA_BASE, "")));
         assert!(seed_resp.contains("\"cache\":\"miss\""), "{seed_resp}");
         // Incremental re-analyze of the edited source.
@@ -1476,7 +1501,7 @@ mod tests {
             .contains("\"cache\":\"miss\""));
         // Same prev id, different dep set: the seed must be rejected.
         let resp = e.handle(&parse(&format!(
-            r#"{{"id":31,"kind":"analyze-delta","source":"{DELTA_EDIT}","ind":["x"],"dep":["t"],"solver":"region-parallel:2","prev":30}}"#
+            r#"{{"id":31,"kind":"analyze-delta","source":"{DELTA_EDIT}","ind":["x"],"dep":["t"],"solver":"region","prev":30}}"#
         )));
         assert!(
             resp.contains("\"cache\":\"miss\""),

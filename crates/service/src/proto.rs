@@ -198,10 +198,10 @@ pub struct Request {
     pub max_fact_bytes: Option<u64>,
     pub degrade: DegradeMode,
     pub max_passes: Option<u64>,
-    /// Fixpoint strategy (`round-robin` | `worklist` | `region-parallel` |
-    /// `region-parallel:N`). Deliberately **not** part of the result cache
-    /// key: every strategy produces identical facts (`docs/SOLVER.md`), so
-    /// a result computed under one strategy is a valid hit for any other.
+    /// Fixpoint strategy (`round-robin` | `region`). Deliberately **not**
+    /// part of the result cache key: every strategy produces identical
+    /// facts (`docs/SOLVER.md`), so a result computed under one strategy is
+    /// a valid hit for any other.
     pub solver: Option<Strategy>,
     /// For `analyze-delta`: the request id of a previous `analyze`
     /// response whose solver regions seed the re-solve. Deliberately
@@ -738,7 +738,7 @@ mod tests {
         let lines = [
             r#"{"id":1,"kind":"ping"}"#,
             r#"{"id":2,"kind":"analyze","program":"figure1","ind":["x"],"dep":["f"]}"#,
-            r#"{"id":3,"kind":"table1-row","row":"Biostat","solver":"region-parallel:2"}"#,
+            r#"{"id":3,"kind":"table1-row","row":"Biostat","solver":"region"}"#,
             r#"{"id":4,"kind":"analyze","source":"program \"p\"","ind":["a","b"],"dep":["c"],"clone":2,"matching":"naive","mode":"global","budget_ms":5,"deadline_ms":9,"max_visits":10,"max_fact_bytes":11,"degrade":"off","max_passes":3}"#,
             r#"{"id":5,"kind":"metrics","trace":{"id":"1234","parent":9,"attempt":1}}"#,
             r#"{"id":6,"kind":"verify","program":"figure1","nprocs":4,"schedules":12}"#,

@@ -20,8 +20,8 @@
 //! labelled `cache: hit|miss` in Table 1 and the JSON report; runs under a
 //! wall-clock `--budget-ms` bypass the cache.
 //!
-//! Every command accepts `--solver round-robin|worklist|region-parallel[:N]`
-//! to pick the fixpoint strategy for every solve in the run. Strategies
+//! Every command accepts `--solver round-robin|region` to pick the
+//! fixpoint strategy for every solve in the run. Strategies
 //! produce identical rows (see `docs/SOLVER.md`), so the row cache is
 //! shared across them: the strategy is not part of any cache key.
 //!
@@ -95,9 +95,11 @@ fn telemetry_from_args(args: &[String]) -> Result<(CliTelemetry, Vec<String>), S
 /// Split `--solver STRATEGY` out of `args` and pin it as the process-wide
 /// default (same strip-pass pattern as [`telemetry_from_args`], and for the
 /// same reason: `--solver` alone must not flip a run into governed
-/// rendering). The strategy is deliberately **not** part of the row-cache
-/// key — all strategies produce identical rows (`docs/SOLVER.md`).
+/// rendering). A bad `MPIDFA_SOLVER` is rejected here too. The strategy is
+/// deliberately **not** part of the row-cache key — all strategies produce
+/// identical rows (`docs/SOLVER.md`).
 fn solver_from_args(args: &[String]) -> Result<Vec<String>, String> {
+    mpi_dfa_core::solver::Strategy::from_env()?;
     let mut rest = Vec::with_capacity(args.len());
     let mut it = args.iter();
     while let Some(a) = it.next() {
@@ -364,7 +366,7 @@ fn drive(args: &[String]) -> ExitCode {
                  caching (row commands): --cache-dir DIR — content-addressed on-disk row store;\n\
                  rows render `cache: hit|miss` and the JSON report gains a `cache` key\n\
                  (--budget-ms runs bypass the cache; see docs/SERVING.md)\n\
-                 solver (any command): --solver round-robin|worklist|region-parallel[:N]\n\
+                 solver (any command): --solver round-robin|region\n\
                  fixpoint strategy for every solve in the run; rows and cache keys are\n\
                  strategy-independent (see docs/SOLVER.md)\n\
                  telemetry flags (any command): --trace-out FILE.json --metrics-out FILE.txt\n\

@@ -310,12 +310,7 @@ mod tests {
         let spec = by_id("Biostat").unwrap();
         let base = GovernorConfig::default();
         let k0 = RowCache::key(&spec, Some(&base)).unwrap();
-        for strategy in [
-            Strategy::RoundRobin,
-            Strategy::Worklist,
-            Strategy::RegionParallel { threads: 0 },
-            Strategy::RegionParallel { threads: 8 },
-        ] {
+        for strategy in [Strategy::RoundRobin, Strategy::Region] {
             let gov = GovernorConfig {
                 strategy,
                 ..base.clone()

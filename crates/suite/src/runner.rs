@@ -542,7 +542,7 @@ mod tests {
             &SolveParams {
                 max_passes: 1,
                 // Pin the strategy: "one pass" is a round-robin notion; the
-                // region-parallel engine's per-region bound could still
+                // region engine's per-region bound could still
                 // reach the fixpoint under a 1-pass budget.
                 strategy: mpi_dfa_core::solver::Strategy::RoundRobin,
                 ..SolveParams::default()

@@ -2,14 +2,11 @@
 //!
 //! The unit tests in `mpi-dfa-core` pin the counter semantics on toy
 //! graphs; these tests re-check them where it matters — the Table 1
-//! benchmarks — and add the cross-strategy bound the telemetry layer's
-//! numbers rely on: summed across the suite the FIFO worklist performs no
-//! more node visits than the round-robin sweep it replaces, while producing
-//! the identical fixpoint. (The bound is *aggregate*, not per-program: on
-//! CG's cyclic communication structure the FIFO order re-enqueues comm-edge
-//! successors often enough that one phase visits ~1.4× the nodes a sweep
-//! does — a churn pattern these very telemetry counters made visible. A
-//! per-program 2× sanity factor guards against regressions beyond that.)
+//! benchmarks — and add the cross-strategy bound the region engine's
+//! design promises: a region's round-separated dirty sweeps never do more
+//! work than a round-robin sweep restricted to that region, so on every
+//! program the region engine visits no more nodes than round-robin, while
+//! producing the identical fixpoint.
 
 use mpi_dfa_analyses::activity::{vary_useful_problems, ActivityConfig, Mode};
 use mpi_dfa_analyses::mpi_match::{build_mpi_icfg, Matching};
@@ -43,22 +40,18 @@ fn suite_graphs() -> Vec<(&'static str, MpiIcfg, ActivityConfig)> {
 }
 
 #[test]
-fn worklist_visits_bounded_by_round_robin_on_suite_programs() {
-    let mut rr_total: u64 = 0;
-    let mut wl_total: u64 = 0;
+fn region_visits_bounded_by_round_robin_on_suite_programs() {
     for (id, mpi, config) in suite_graphs() {
         let (vary_p, useful_p) =
             vary_useful_problems(mpi.icfg(), Mode::MpiIcfg, &config).expect("problems");
 
-        for (phase, rr, wl) in [
+        for (phase, rr, rg) in [
             (
                 "vary",
                 Solver::new(&vary_p, &mpi)
                     .strategy(Strategy::RoundRobin)
                     .run(),
-                Solver::new(&vary_p, &mpi)
-                    .strategy(Strategy::Worklist)
-                    .run(),
+                Solver::new(&vary_p, &mpi).strategy(Strategy::Region).run(),
             ),
             (
                 "useful",
@@ -66,28 +59,24 @@ fn worklist_visits_bounded_by_round_robin_on_suite_programs() {
                     .strategy(Strategy::RoundRobin)
                     .run(),
                 Solver::new(&useful_p, &mpi)
-                    .strategy(Strategy::Worklist)
+                    .strategy(Strategy::Region)
                     .run(),
             ),
         ] {
-            assert!(rr.stats.converged && wl.stats.converged, "{id}");
+            assert!(rr.stats.converged && rg.stats.converged, "{id}");
             assert_eq!(
-                rr.input, wl.input,
+                rr.input, rg.input,
                 "{id} {phase}: strategies must agree on the fixpoint"
             );
-            assert_eq!(rr.output, wl.output, "{id} {phase}");
-            rr_total += rr.stats.node_visits;
-            wl_total += wl.stats.node_visits;
-            // Per-program sanity factor (see module docs: CG's vary phase
-            // legitimately exceeds 1× under FIFO ordering).
+            assert_eq!(rr.output, rg.output, "{id} {phase}");
             assert!(
-                wl.stats.node_visits <= 2 * rr.stats.node_visits,
-                "{id} {phase}: worklist {} visits > 2x round-robin {}",
-                wl.stats.node_visits,
+                rg.stats.node_visits <= rr.stats.node_visits,
+                "{id} {phase}: region {} visits > round-robin {}",
+                rg.stats.node_visits,
                 rr.stats.node_visits
             );
             // Counter bookkeeping holds on real graphs, not just toys.
-            for s in [&rr.stats, &wl.stats] {
+            for s in [&rr.stats, &rg.stats] {
                 assert_eq!(
                     s.per_node_visits.iter().sum::<u64>(),
                     s.node_visits,
@@ -109,18 +98,11 @@ fn worklist_visits_bounded_by_round_robin_on_suite_programs() {
                 "{id} {phase}: a converged round-robin run ends with a zero-delta pass"
             );
             assert!(
-                wl.stats.worklist_peak > 0 && rr.stats.worklist_peak == 0,
-                "{id} {phase}: only the worklist strategy has a queue"
+                rg.stats.worklist_peak > 0 && rr.stats.worklist_peak == 0,
+                "{id} {phase}: only the region strategy has a queue"
             );
         }
     }
-    // The aggregate bound: across the whole suite the FIFO worklist does
-    // strictly less work than the sweep, even though CG's vary phase locally
-    // exceeds it.
-    assert!(
-        wl_total <= rr_total,
-        "summed across the suite the worklist must not exceed round-robin: {wl_total} > {rr_total}"
-    );
 }
 
 #[test]
@@ -128,12 +110,10 @@ fn absorb_is_order_independent_across_benchmark_stats() {
     // Absorbing the per-benchmark stats in any order yields the same
     // counters — the property that makes cross-run metric aggregation in
     // the telemetry sink well-defined. Mixing in stats produced by the
-    // region-parallel engine (which itself merges per-region stats in
-    // region-id order) extends the PR-3 property to parallel-merged
-    // inputs: absorbing sequential and parallel-produced stats together
-    // must stay order-independent.
+    // region engine (which itself merges per-region stats in region-id
+    // order) extends the property to region-merged inputs.
     let mut stats: Vec<ConvergenceStats> = Vec::new();
-    for (i, (_, mpi, config)) in suite_graphs().iter().enumerate() {
+    for (_, mpi, config) in suite_graphs().iter() {
         let (vary_p, _) = vary_useful_problems(mpi.icfg(), Mode::MpiIcfg, config).unwrap();
         stats.push(
             Solver::new(&vary_p, mpi)
@@ -141,13 +121,9 @@ fn absorb_is_order_independent_across_benchmark_stats() {
                 .run()
                 .stats,
         );
-        // Alternate the thread count so the absorbed set contains stats
-        // merged from differently-scheduled parallel runs.
         stats.push(
             Solver::new(&vary_p, mpi)
-                .strategy(Strategy::RegionParallel {
-                    threads: 1 + (i % 8),
-                })
+                .strategy(Strategy::Region)
                 .run()
                 .stats,
         );

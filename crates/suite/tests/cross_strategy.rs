@@ -1,36 +1,28 @@
-//! Cross-strategy equivalence on the Table-1 benchmarks — the PR-5
-//! determinism contract, checked where it matters.
+//! Cross-strategy equivalence on the Table-1 benchmarks, checked against
+//! an independent oracle.
 //!
 //! Every Table-1 program (Biostat, SOR, CG, LU, MG, Sweep3d) × the two
 //! nonseparable analyses the paper runs (reaching constants; Vary/Useful
-//! activity, i.e. both solver directions) × all three strategies × region-
-//! parallel thread counts {1, 2, 8} must produce **identical** `Solution`
-//! facts. Parallelism may change wall-clock and scheduling stats — never
-//! facts. The same runs also re-check the `ConvergenceStats` bookkeeping
-//! invariants under every strategy.
+//! activity, i.e. both solver directions) × both strategies must produce
+//! exactly the facts of the naive reference solver in `oracle/`. The two
+//! engines share their node update, so their agreement with each other
+//! could not catch a bug in it; the oracle shares no code with either. The
+//! same runs also re-check the `ConvergenceStats` bookkeeping invariants
+//! under every strategy.
+
+mod oracle;
 
 use mpi_dfa_analyses::activity::{vary_useful_problems, ActivityConfig, Mode};
 use mpi_dfa_analyses::consts::ReachingConsts;
 use mpi_dfa_analyses::mpi_match::{build_mpi_icfg, Matching};
 use mpi_dfa_core::problem::Dataflow;
-use mpi_dfa_core::solver::{ConvergenceStats, Solution, Solver, Strategy};
+use mpi_dfa_core::solver::{ConvergenceStats, Solver, Strategy};
 use mpi_dfa_graph::mpi::MpiIcfg;
 use mpi_dfa_suite::{all_experiments, programs};
 
 /// One row per distinct benchmark program — together these cover every
 /// program in Table 1.
 const ROWS: &[&str] = &["Biostat", "SOR", "CG", "LU-1", "MG-1", "Sw-1"];
-
-/// The strategy matrix under test: the region-parallel engine at several
-/// thread counts (1 = degenerate pool, 2 = small, 8 = oversubscribed on CI
-/// hardware) against both sequential baselines.
-fn strategies() -> Vec<Strategy> {
-    let mut v = vec![Strategy::RoundRobin, Strategy::Worklist];
-    for threads in [1usize, 2, 8] {
-        v.push(Strategy::RegionParallel { threads });
-    }
-    v
-}
 
 fn check_stats_invariants(id: &str, label: &str, strategy: Strategy, stats: &ConvergenceStats) {
     assert!(stats.converged, "{id} {label} [{strategy}] must converge");
@@ -49,32 +41,30 @@ fn check_stats_invariants(id: &str, label: &str, strategy: Strategy, stats: &Con
     );
 }
 
-/// Solve `problem` over `mpi` under every strategy and assert the facts are
-/// identical to the worklist reference, byte for byte.
-fn assert_all_strategies_agree<P>(id: &str, label: &str, mpi: &MpiIcfg, problem: &P)
+/// Solve `problem` over `mpi` under both strategies and assert the facts
+/// are identical to the oracle's, byte for byte.
+fn assert_strategies_match_oracle<P>(id: &str, label: &str, mpi: &MpiIcfg, problem: &P)
 where
-    P: Dataflow + Sync,
-    P::Fact: std::fmt::Debug + PartialEq + Send,
-    P::CommFact: Send,
+    P: Dataflow,
+    P::Fact: std::fmt::Debug,
 {
-    let reference: Solution<P::Fact> = Solver::new(problem, mpi).strategy(Strategy::Worklist).run();
-    check_stats_invariants(id, label, Strategy::Worklist, &reference.stats);
-    for strategy in strategies() {
+    let reference = oracle::solve(problem, mpi, 10_000);
+    for strategy in [Strategy::RoundRobin, Strategy::Region] {
         let sol = Solver::new(problem, mpi).strategy(strategy).run();
         check_stats_invariants(id, label, strategy, &sol.stats);
         assert_eq!(
             sol.input, reference.input,
-            "{id} {label} [{strategy}]: IN facts must match the worklist"
+            "{id} {label} [{strategy}]: IN facts must match the oracle"
         );
         assert_eq!(
             sol.output, reference.output,
-            "{id} {label} [{strategy}]: OUT facts must match the worklist"
+            "{id} {label} [{strategy}]: OUT facts must match the oracle"
         );
     }
 }
 
 #[test]
-fn every_table1_program_and_analysis_agrees_across_strategies_and_threads() {
+fn every_table1_program_and_analysis_matches_the_oracle() {
     for spec in all_experiments().iter().filter(|s| ROWS.contains(&s.id)) {
         let ir = programs::ir(spec.program);
         let mpi = build_mpi_icfg(
@@ -87,57 +77,14 @@ fn every_table1_program_and_analysis_agrees_across_strategies_and_threads() {
 
         // Reaching constants over the MPI-ICFG (forward, nonseparable).
         let consts = ReachingConsts::new(mpi.icfg());
-        assert_all_strategies_agree(spec.id, "consts", &mpi, &consts);
+        assert_strategies_match_oracle(spec.id, "consts", &mpi, &consts);
 
         // Activity: Vary (forward) and Useful (backward) — both solver
         // directions over communication edges.
         let config = ActivityConfig::new(spec.independents.to_vec(), spec.dependents.to_vec());
         let (vary_p, useful_p) =
             vary_useful_problems(mpi.icfg(), Mode::MpiIcfg, &config).expect("problems");
-        assert_all_strategies_agree(spec.id, "vary", &mpi, &vary_p);
-        assert_all_strategies_agree(spec.id, "useful", &mpi, &useful_p);
-    }
-}
-
-#[test]
-fn region_parallel_stats_on_benchmarks_are_thread_count_invariant() {
-    // Everything except wall-clock: the per-region merge in region-id order
-    // makes the published counters a deterministic function of the graph,
-    // not of the scheduler interleaving.
-    let spec = all_experiments()
-        .iter()
-        .find(|s| s.id == "CG")
-        .cloned()
-        .expect("CG row exists");
-    let ir = programs::ir(spec.program);
-    let mpi = build_mpi_icfg(
-        ir,
-        spec.context,
-        spec.clone_level,
-        Matching::ReachingConstants,
-    )
-    .unwrap();
-    let consts = ReachingConsts::new(mpi.icfg());
-    let norm = |mut s: ConvergenceStats| {
-        s.elapsed = std::time::Duration::ZERO;
-        s
-    };
-    let base = norm(
-        Solver::new(&consts, &mpi)
-            .strategy(Strategy::RegionParallel { threads: 1 })
-            .run()
-            .stats,
-    );
-    for threads in [2usize, 8] {
-        let s = norm(
-            Solver::new(&consts, &mpi)
-                .strategy(Strategy::RegionParallel { threads })
-                .run()
-                .stats,
-        );
-        assert_eq!(
-            s, base,
-            "region-parallel stats must not depend on the thread count ({threads})"
-        );
+        assert_strategies_match_oracle(spec.id, "vary", &mpi, &vary_p);
+        assert_strategies_match_oracle(spec.id, "useful", &mpi, &useful_p);
     }
 }

@@ -287,12 +287,11 @@ fn chrome_trace_from_cg_and_lu_repro_is_valid_and_complete() {
     }
     assert_eq!(begins, ends, "every span must open and close");
     // The fixpoint span name depends on the strategy the run solved under,
-    // which CI varies via `MPIDFA_SOLVER` (the solver-parallel job runs the
-    // whole suite with the region-parallel default).
+    // which CI varies via `MPIDFA_SOLVER` (the solver-region job runs the
+    // whole suite with the region default).
     let fixpoint_span = match Strategy::session_default() {
         Strategy::RoundRobin => "fixpoint:round_robin",
-        Strategy::Worklist => "fixpoint:worklist",
-        Strategy::RegionParallel { .. } => "fixpoint:region_parallel",
+        Strategy::Region => "fixpoint:region",
     };
     for required in [
         "compile",

@@ -67,6 +67,9 @@ pub struct CrossCheck {
     pub deadlocked: u32,
     /// Rendered wait-for cycle of the first observed deadlock.
     pub first_deadlock: Option<String>,
+    /// Why the fault-free baseline failed, when it failed for a reason
+    /// other than deadlock (the exploration is then skipped).
+    pub baseline_error: Option<String>,
     pub outcome: Outcome,
 }
 
@@ -106,6 +109,7 @@ pub fn run(program: &Program, flagged: bool, cfg: &VerifyConfig) -> CrossCheck {
         completed: 0,
         deadlocked: 0,
         first_deadlock: None,
+        baseline_error: None,
         outcome: Outcome::Skipped,
     };
     if cfg.schedules == 0 {
@@ -120,9 +124,10 @@ pub fn run(program: &Program, flagged: bool, cfg: &VerifyConfig) -> CrossCheck {
             out.deadlocked += 1;
             out.first_deadlock = Some(render_deadlock(&e));
         }
-        Err(_) => {
+        Err(e) => {
             // The program does not run (missing entry, runtime failure):
             // exploration cannot say anything about deadlock freedom.
+            out.baseline_error = Some(e.to_string());
             span.arg("outcome", out.outcome.as_str().to_string());
             return out;
         }

@@ -10,6 +10,7 @@
 
 use crate::VerifyReport;
 use mpi_dfa_core::graph::{EdgeKind, FlowGraph, NodeId};
+use mpi_dfa_graph::dot::escape;
 use mpi_dfa_graph::mpi::MpiIcfg;
 use std::collections::HashSet;
 use std::fmt::Write;
@@ -99,21 +100,6 @@ pub fn overlay(g: &MpiIcfg, report: &VerifyReport, title: &str) -> String {
         );
     }
     let _ = writeln!(out, "}}");
-    out
-}
-
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            '\n' => out.push_str("\\n"),
-            '\r' => {}
-            c if (c as u32) < 0x20 => out.push(' '),
-            c => out.push(c),
-        }
-    }
     out
 }
 

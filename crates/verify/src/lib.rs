@@ -174,6 +174,7 @@ pub fn verify_static(
             completed: 0,
             deadlocked: 0,
             first_deadlock: None,
+            baseline_error: None,
             outcome: Outcome::Skipped,
         },
     })
@@ -404,7 +405,10 @@ pub fn render_text(r: &VerifyReport, title: &str, cfg: &VerifyConfig) -> String 
 
     let c = &r.crosscheck;
     match c.outcome {
-        Outcome::Skipped => out.push_str("  crosscheck: skipped\n"),
+        Outcome::Skipped => match &c.baseline_error {
+            Some(e) => out.push_str(&format!("  crosscheck: skipped (baseline failed: {e})\n")),
+            None => out.push_str("  crosscheck: skipped\n"),
+        },
         _ => {
             out.push_str(&format!(
                 "  crosscheck: baseline {}; {}/{} schedules completed, {} deadlocked -> {}\n",

@@ -6,7 +6,7 @@
 //! synchronization points and compute, per node, the set of *phases*
 //! (inter-synchronization regions) the node can execute in. The phase
 //! computation is an ordinary forward may-analysis run through the
-//! [`Solver`] builder, so it inherits region-parallel execution, budget
+//! [`Solver`] builder, so it inherits strategy selection, budget
 //! metering, and fixpoint telemetry like every other analysis client.
 //!
 //! Two communication statements may happen in parallel on ranks `(a, b)`

@@ -37,7 +37,7 @@ of the whole fleet, and — after a full cluster restart onto the same
 cache is content-addressed, not topology-addressed.
 
 With `--delta` the incremental surface (docs/INCREMENTAL.md) is driven:
-a region-parallel `analyze` seeds the worker, an `analyze-delta` of an
+a region-strategy `analyze` seeds the worker, an `analyze-delta` of an
 edited source answers incrementally (`cache: partial` on the
 single-process daemon, where the seed is always local; on a cluster the
 router may land the delta on a seedless shard, which falls back to a
@@ -195,7 +195,7 @@ def verify_step(client, base_id):
 def delta_step(client, base_id, expect_partial):
     """`--delta`: the incremental surface (docs/INCREMENTAL.md).
 
-    Seed with a region-parallel `analyze` (only region-engine solves
+    Seed with a `"solver": "region"` `analyze` (only region-engine solves
     capture a reusable seed), send an `analyze-delta` of the edited
     source naming the seed via `prev`, and assert its result is
     byte-identical to a cold `analyze` of the same edited source.
@@ -205,8 +205,13 @@ def delta_step(client, base_id, expect_partial):
     (`cache: miss`) — identical bytes either way.
     """
     base = {"ind": ["x"], "dep": ["out"]}
-    seed = {"id": base_id, "kind": "analyze", "source": DELTA_BASE,
-            "solver": "region-parallel:2", **base}
+    # Retired strategy spellings are rejected with the surviving names.
+    old = {"id": base_id, "kind": "analyze", "source": DELTA_BASE,
+           "solver": "region-parallel:2", **base}
+    r_old = client.raw(json.dumps(old))
+    assert r_old["ok"] is False, r_old
+    assert "round-robin|region" in r_old["error"]["message"], r_old
+    seed = {**old, "solver": "region"}
     r_seed = client.rpc(seed)
     assert r_seed["ok"] and r_seed["cache"] == "miss", r_seed
 
@@ -214,16 +219,16 @@ def delta_step(client, base_id, expect_partial):
     # upcoming delta: facts are strategy-invariant but pass counters are
     # not, and `solver` is deliberately excluded from the result key, so
     # the byte-identity comparison needs this entry to have been computed
-    # at region-parallel:2 (different kind => different key, so the delta
+    # under the region strategy (different kind => different key, so the delta
     # below genuinely runs the seeded path rather than hitting this one).
     cold = {"id": base_id + 1, "kind": "analyze", "source": DELTA_EDIT,
-            "solver": "region-parallel:2", **base}
+            "solver": "region", **base}
     r_cold = client.rpc(cold)
     assert r_cold["ok"] and r_cold["cache"] == "miss", r_cold
 
     delta = {"id": base_id + 2, "kind": "analyze-delta",
              "source": DELTA_EDIT, "prev": base_id,
-             "solver": "region-parallel:2", **base}
+             "solver": "region", **base}
     r_delta = client.rpc(delta)
     assert r_delta["ok"], r_delta
     if expect_partial:

@@ -104,7 +104,8 @@ fn run(args: &[String]) -> Result<(), String> {
     // `--solver` pins the process-wide default strategy before any analysis
     // runs; every fixpoint in this invocation (including batch/serve
     // requests without their own `"solver"` field) then uses it. A bad
-    // value fails loudly here, unlike the forgiving `MPIDFA_SOLVER` path.
+    // value of either `--solver` or `MPIDFA_SOLVER` fails loudly here.
+    Strategy::from_env()?;
     if let Some(v) = opts.value("solver") {
         let strategy = Strategy::parse(v).map_err(|e| format!("--solver: {e}"))?;
         Strategy::set_session_default(strategy);
@@ -894,10 +895,9 @@ fn usage() -> String {
                   reorder=P,delay=P,max_delay=US,stagger=US,dup=P,drop=P`\n\
                   (--max-steps / --recv-timeout-ms override the documented\n\
                   RuntimeLimits defaults: 20000000 steps, 10000 ms)\n\
-     solver (every command): [--solver round-robin|worklist|region-parallel[:N]]\n\
+     solver (every command): [--solver round-robin|region]\n\
                   fixpoint strategy for all analyses in this invocation\n\
-                  (default: $MPIDFA_SOLVER, else round-robin; `region-parallel`\n\
-                  without `:N` sizes the pool from available parallelism; all\n\
+                  (default: $MPIDFA_SOLVER, else round-robin; both\n\
                   strategies produce identical facts — see docs/SOLVER.md)\n\
      telemetry (every command): [--trace-out FILE.json] [--metrics-out FILE.txt]\n\
                   [--trace-level off|spans|full]\n\
@@ -909,6 +909,6 @@ fn usage() -> String {
      bundled programs: figure1, biostat, sor, cg, lu, mg, sweep3d\n\
      seeded deadlock corpus (verify/run): deadlock-head-to-head,\n\
                   deadlock-tag-mismatch, deadlock-barrier-mismatch,\n\
-                  deadlock-orphan-recv"
+                  deadlock-orphan-recv, deadlock-loop-starved"
         .to_string()
 }

@@ -15,8 +15,7 @@
 //!   and MPI-ICFG communication-edge matching;
 //! * [`core`] — the generic solver: lattices, the [`core::Dataflow`] trait
 //!   with its communication transfer function, and the [`core::Solver`]
-//!   builder over round-robin, worklist, and SCC-region-parallel
-//!   strategies, plus incremental (`seed`/`dirty`) and demand-driven
+//!   builder over round-robin and SCC-region strategies, plus incremental (`seed`/`dirty`) and demand-driven
 //!   (`demand`) partial modes (see `docs/SOLVER.md` and
 //!   `docs/INCREMENTAL.md`);
 //! * [`analyses`] — reaching constants, activity (Vary/Useful/Active),

@@ -118,6 +118,30 @@ fn missing_required_flags_fail() {
 }
 
 #[test]
+fn retired_solver_spellings_are_rejected_naming_both_strategies() {
+    let args = ["activity", "figure1", "--ind", "x", "--dep", "f"];
+    for old in ["worklist", "region-parallel", "region-parallel:4"] {
+        let (_, stderr, ok) = mpidfa(&[&args[..], &["--solver", old]].concat());
+        assert!(
+            !ok && stderr.contains("round-robin|region"),
+            "{old}: {stderr}"
+        );
+        let out = Command::new(env!("CARGO_BIN_EXE_mpidfa"))
+            .args(args)
+            .env("MPIDFA_SOLVER", old)
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            !out.status.success()
+                && stderr.contains("MPIDFA_SOLVER")
+                && stderr.contains("round-robin|region"),
+            "{old}: {stderr}"
+        );
+    }
+}
+
+#[test]
 fn verify_survives_a_huge_declaration() {
     // 10^11 declared reals (800 GB), one element touched: the cross-check
     // runs must cost the element, not abort on the declaration.
@@ -139,4 +163,42 @@ fn verify_survives_a_huge_declaration() {
     let (stdout, stderr, ok) = mpidfa(&["verify", huge.to_str().unwrap()]);
     assert!(ok, "verify must exit 0 (safe): {stdout}{stderr}");
     assert!(stdout.contains("consistent-safe"), "{stdout}");
+}
+
+/// A sema-valid chain of `depth` nested calls: `main` calls `s0`, `s0`
+/// calls `s1`, and so on.
+fn call_chain(depth: usize) -> String {
+    let mut src = String::from("program deep\nglobal x: real;\n");
+    for i in 0..depth - 1 {
+        src.push_str(&format!("sub s{i}() {{ call s{}(); }}\n", i + 1));
+    }
+    src.push_str(&format!("sub s{}() {{ x = 1.0; }}\n", depth - 1));
+    src.push_str("sub main() { call s0(); }\n");
+    src
+}
+
+#[test]
+fn deep_call_chains_fail_the_rank_instead_of_aborting() {
+    use mpi_dfa::lang::interp::MAX_CALL_DEPTH;
+    let dir = std::env::temp_dir().join("mpidfa-cli-test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let write = |name: &str, depth: usize| {
+        let path = dir.join(name);
+        std::fs::write(&path, call_chain(depth)).unwrap();
+        path.to_str().unwrap().to_string()
+    };
+    // A chain exactly at the bound still runs on a rank thread's stack.
+    let at_bound = write("chain-at-bound.smpl", MAX_CALL_DEPTH);
+    let (stdout, stderr, ok) = mpidfa(&["run", &at_bound]);
+    assert!(ok, "{stdout}{stderr}");
+
+    let deep = write("chain-20000.smpl", 20_000);
+    let want = format!("call depth exceeds {MAX_CALL_DEPTH}");
+    let (stdout, stderr, ok) = mpidfa(&["run", &deep]);
+    assert!(!ok && stderr.contains(&want), "{stdout}{stderr}");
+    // Nothing to deadlock on, so the static verdict stands; the cross-check
+    // names the failed baseline run instead of aborting the process.
+    let (stdout, stderr, ok) = mpidfa(&["verify", &deep]);
+    assert!(ok, "{stdout}{stderr}");
+    assert!(stdout.contains(&want), "{stdout}");
 }
