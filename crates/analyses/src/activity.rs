@@ -671,14 +671,13 @@ impl Dataflow for Vary<'_> {
         dst.union_into(src)
     }
 
-    fn transfer(&self, node: NodeId, input: &VarSet, comm: &[BoolOr]) -> VarSet {
-        let mut out = input.clone();
+    fn transfer(&self, node: NodeId, input: &VarSet, comm: &BoolOr, out: &mut VarSet) {
         match &self.icfg.payload(node).kind {
             NodeKind::Assign { lhs, rhs } => {
                 let varies = UseSelector::Differentiable.reads_from(rhs, input);
-                apply_def(&mut out, lhs, varies);
+                apply_def(out, lhs, varies);
             }
-            NodeKind::Read { target } => apply_def(&mut out, target, false),
+            NodeKind::Read { target } => apply_def(out, target, false),
             // (see below: the seed re-union keeps independents varying
             // through their own initialization, e.g. Figure 1's `x = 0`)
             NodeKind::Mpi(m) => match self.mode {
@@ -686,7 +685,7 @@ impl Dataflow for Vary<'_> {
                     // No model of communication: a receive is an unknown
                     // external write — nothing varies because of it.
                     if m.kind.receives_data() {
-                        recv_def_forward(&mut out, m, false);
+                        recv_def_forward(out, m, false);
                     }
                 }
                 Mode::GlobalBuffer => {
@@ -695,20 +694,19 @@ impl Dataflow for Vary<'_> {
                     }
                     if m.kind.receives_data() {
                         let arriving = out.contains(LocTable::MPI_BUFFER.index());
-                        recv_def_forward(&mut out, m, arriving);
+                        recv_def_forward(out, m, arriving);
                     }
                 }
                 Mode::GlobalBufferSound => {
                     // Worst case: varying data may always arrive, so every
                     // receive gens its buffer and never strongly kills it.
                     if m.kind.receives_data() {
-                        recv_def_forward(&mut out, m, true);
+                        recv_def_forward(out, m, true);
                     }
                 }
                 Mode::MpiIcfg => {
                     if m.kind.receives_data() {
-                        let arriving = comm.iter().any(|b| b.0);
-                        recv_def_forward(&mut out, m, arriving);
+                        recv_def_forward(out, m, comm.0);
                     }
                 }
             },
@@ -718,7 +716,6 @@ impl Dataflow for Vary<'_> {
         // input, so it varies at every point, including through its own
         // initialization (Figure 1 seeds `x` and then executes `x = 0`).
         out.union_into(&self.seed);
-        out
     }
 
     fn comm_transfer(&self, node: NodeId, input: &VarSet) -> BoolOr {
@@ -784,9 +781,9 @@ impl Dataflow for Useful<'_> {
         dst.union_into(src)
     }
 
-    /// `input` here is the OUT set (facts after the node in program order).
-    fn transfer(&self, node: NodeId, input: &VarSet, comm: &[BoolOr]) -> VarSet {
-        let mut inset = input.clone();
+    /// `input` here is the OUT set (facts after the node in program order)
+    /// and `inset` becomes the IN set.
+    fn transfer(&self, node: NodeId, input: &VarSet, comm: &BoolOr, inset: &mut VarSet) {
         match &self.icfg.payload(node).kind {
             NodeKind::Assign { lhs, rhs } => {
                 let lhs_useful = input.contains(lhs.loc.index());
@@ -794,7 +791,7 @@ impl Dataflow for Useful<'_> {
                     inset.remove(lhs.loc.index());
                 }
                 if lhs_useful {
-                    UseSelector::Differentiable.insert_uses(rhs, &mut inset);
+                    UseSelector::Differentiable.insert_uses(rhs, inset);
                 }
             }
             NodeKind::Read { target } if target.is_strong_def() => {
@@ -842,7 +839,7 @@ impl Dataflow for Useful<'_> {
                         Mode::GlobalBuffer => inset.contains(LocTable::MPI_BUFFER.index()),
                         // Worst case: some receiver always needs the data.
                         Mode::GlobalBufferSound => true,
-                        Mode::MpiIcfg => comm.iter().any(|b| b.0),
+                        Mode::MpiIcfg => comm.0,
                     };
                     if self.mode == Mode::GlobalBuffer {
                         // buffer = sent: a strong kill of the buffer.
@@ -852,7 +849,7 @@ impl Dataflow for Useful<'_> {
                         match m.kind {
                             MpiKind::Reduce | MpiKind::Allreduce => {
                                 if let Some(v) = m.value.as_ref() {
-                                    UseSelector::Differentiable.insert_uses(v, &mut inset);
+                                    UseSelector::Differentiable.insert_uses(v, inset);
                                 }
                             }
                             _ => {
@@ -867,7 +864,6 @@ impl Dataflow for Useful<'_> {
             // Print output is not a dependent unless selected explicitly.
             _ => {}
         }
-        inset
     }
 
     /// Backward `f_comm`: at a receive-like node, "is the received buffer

@@ -18,6 +18,7 @@
 
 use crate::interproc::BindMaps;
 use mpi_dfa_core::graph::{Edge, EdgeKind, FlowGraph, NodeId};
+use mpi_dfa_core::lattice::MeetSemiLattice;
 use mpi_dfa_core::problem::{Dataflow, Direction};
 use mpi_dfa_core::solver::{Solution, Solver};
 use mpi_dfa_graph::icfg::{ActualBinding, Icfg};
@@ -39,8 +40,37 @@ pub fn bits_for(v: i64) -> u8 {
 }
 
 /// Per-location widths: the fact type.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct WidthEnv(pub Vec<u8>);
+
+impl Clone for WidthEnv {
+    fn clone(&self) -> Self {
+        WidthEnv(self.0.clone())
+    }
+
+    /// Reuses the existing buffer (a derived `Clone` would reallocate).
+    fn clone_from(&mut self, source: &Self) {
+        self.0.clone_from(&source.0);
+    }
+}
+
+/// The width a send transmits: the communication fact. Its meet is `max`
+/// with top 0, so the meet over a receive's matching sends is the widest
+/// of them (0 for a receive nothing matches).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Width(pub u8);
+
+impl MeetSemiLattice for Width {
+    fn top() -> Self {
+        Width(0)
+    }
+
+    fn meet_with(&mut self, other: &Self) -> bool {
+        let changed = other.0 > self.0;
+        self.0 = self.0.max(other.0);
+        changed
+    }
+}
 
 impl WidthEnv {
     pub fn top(universe: usize) -> Self {
@@ -199,7 +229,7 @@ impl<'g> Bitwidth<'g> {
 impl Dataflow for Bitwidth<'_> {
     type Fact = WidthEnv;
     /// The width of the transmitted data.
-    type CommFact = u8;
+    type CommFact = Width;
 
     fn direction(&self) -> Direction {
         Direction::Forward
@@ -228,27 +258,26 @@ impl Dataflow for Bitwidth<'_> {
         changed
     }
 
-    fn transfer(&self, node: NodeId, input: &WidthEnv, comm: &[u8]) -> WidthEnv {
-        let mut out = input.clone();
+    fn transfer(&self, node: NodeId, input: &WidthEnv, comm: &Width, out: &mut WidthEnv) {
         match &self.icfg.payload(node).kind {
             NodeKind::Assign { lhs, rhs } => {
                 let w = self.eval(&rhs.expr, input, node);
-                self.assign(&mut out, lhs, w);
+                self.assign(out, lhs, w);
             }
-            NodeKind::Read { target } => self.assign(&mut out, target, FULL),
+            NodeKind::Read { target } => self.assign(out, target, FULL),
             NodeKind::Mpi(m) if m.kind.receives_data() => {
                 // Receives always carry a buffer; a malformed node has
                 // nothing to write and transfers as the identity.
                 let Some(buf) = m.buf.as_ref() else {
-                    return out;
+                    return;
                 };
                 let arriving = match self.mode {
                     WidthMode::Conservative => FULL,
-                    WidthMode::MpiIcfg => comm.iter().copied().max().unwrap_or(0),
+                    WidthMode::MpiIcfg => comm.0,
                 };
                 match m.kind {
                     MpiKind::Recv | MpiKind::Irecv | MpiKind::Allreduce => {
-                        self.assign(&mut out, buf, arriving)
+                        self.assign(out, buf, arriving)
                     }
                     // Roots keep their local value: widen only. The widen
                     // is also the conservative catch-all for any other
@@ -258,11 +287,10 @@ impl Dataflow for Bitwidth<'_> {
             }
             _ => {}
         }
-        out
     }
 
-    fn comm_transfer(&self, node: NodeId, input: &WidthEnv) -> u8 {
-        self.sent_width(node, input)
+    fn comm_transfer(&self, node: NodeId, input: &WidthEnv) -> Width {
+        Width(self.sent_width(node, input))
     }
 
     fn translate(&self, edge: &Edge, fact: &WidthEnv) -> Option<WidthEnv> {

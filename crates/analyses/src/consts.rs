@@ -24,11 +24,26 @@ use mpi_dfa_lang::ast::{BinOp, Expr, ExprKind, Intrinsic, RedOp, UnOp};
 use std::sync::Arc;
 
 /// A constant runtime value.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy)]
 pub enum CVal {
     Int(i64),
     Real(f64),
     Bool(bool),
+}
+
+/// Equality of constants, not IEEE comparison: two NaN reals are the same
+/// constant. Otherwise `Const(NaN)` would never equal itself, and a node
+/// holding it would count as changed on every pass, so the solve could
+/// never reach its fixpoint. `0.0 == -0.0` still holds.
+impl PartialEq for CVal {
+    fn eq(&self, other: &Self) -> bool {
+        match (self, other) {
+            (CVal::Int(a), CVal::Int(b)) => a == b,
+            (CVal::Real(a), CVal::Real(b)) => a == b || (a.is_nan() && b.is_nan()),
+            (CVal::Bool(a), CVal::Bool(b)) => a == b,
+            _ => false,
+        }
+    }
 }
 
 impl std::fmt::Display for CVal {
@@ -71,8 +86,19 @@ impl CVal {
 /// Indexed densely by [`Loc`]. An array location's value models "every
 /// element holds this constant" (whole-array assignment of a scalar); any
 /// element write meets the element's value into the array's value.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, PartialEq)]
 pub struct ConstEnv(pub Vec<ConstLattice<CVal>>);
+
+impl Clone for ConstEnv {
+    fn clone(&self) -> Self {
+        ConstEnv(self.0.clone())
+    }
+
+    /// Reuses the existing buffer (a derived `Clone` would reallocate).
+    fn clone_from(&mut self, source: &Self) {
+        self.0.clone_from(&source.0);
+    }
+}
 
 impl ConstEnv {
     pub fn top(universe: usize) -> Self {
@@ -321,29 +347,25 @@ impl Dataflow for ReachingConsts<'_> {
         dst.meet_env(src)
     }
 
-    fn transfer(&self, node: NodeId, input: &ConstEnv, comm: &[Self::CommFact]) -> ConstEnv {
-        let mut out = input.clone();
+    fn transfer(&self, node: NodeId, input: &ConstEnv, comm: &Self::CommFact, out: &mut ConstEnv) {
         match &self.icfg.payload(node).kind {
             NodeKind::Assign { lhs, rhs } => {
                 let v = eval_expr(&rhs.expr, input, &self.resolver(node));
-                self.assign(&mut out, lhs, v);
+                self.assign(out, lhs, v);
             }
             NodeKind::Read { target } => {
-                self.assign(&mut out, target, ConstLattice::Bottom);
+                self.assign(out, target, ConstLattice::Bottom);
             }
             NodeKind::Mpi(m) if m.kind.receives_data() => {
                 // A malformed receive with no recorded buffer updates
                 // nothing (reported elsewhere; never panic here).
                 if let Some(buf) = m.buf.as_ref() {
-                    // Meet the values arriving over all communication edges
-                    // (the paper's ⊓ over commpred(n)); with no incoming
-                    // edges the meet is ⊤ (unreachable receive).
-                    let mut v = ConstLattice::Top;
-                    for c in comm {
-                        v.meet_with(c);
-                    }
+                    // `comm` is the meet of the values arriving over all
+                    // communication edges (the paper's ⊓ over commpred(n));
+                    // with no incoming edges it is ⊤ (unreachable receive).
+                    let v = *comm;
                     match m.kind {
-                        MpiKind::Recv | MpiKind::Irecv => self.assign(&mut out, buf, v),
+                        MpiKind::Recv | MpiKind::Irecv => self.assign(out, buf, v),
                         // The root of a bcast/reduce keeps its local value,
                         // so the received value can only be met in weakly.
                         MpiKind::Bcast => out.weaken(buf.loc, &v),
@@ -356,7 +378,7 @@ impl Dataflow for ReachingConsts<'_> {
                                 _ => ConstLattice::Bottom,
                             };
                             if m.kind == MpiKind::Allreduce {
-                                self.assign(&mut out, buf, r);
+                                self.assign(out, buf, r);
                             } else {
                                 out.weaken(buf.loc, &r);
                             }
@@ -368,7 +390,6 @@ impl Dataflow for ReachingConsts<'_> {
             // Entry/Exit/Branch/Print/Nop/CallSite/AfterCall: identity.
             _ => {}
         }
-        out
     }
 
     fn comm_transfer(&self, node: NodeId, input: &ConstEnv) -> Self::CommFact {
@@ -559,6 +580,25 @@ mod tests {
             "x",
         );
         assert_eq!(same, ConstLattice::Const(CVal::Real(5.0)));
+    }
+
+    #[test]
+    fn nan_constant_reaches_a_fixpoint() {
+        // inf - inf: a NaN constant must equal itself, or the node holding
+        // it changes on every pass and the solve never converges.
+        let src = "program p global x: real; global y: real;\n\
+                   sub main() { x = exp(1000.0) - exp(1000.0); y = x + 1.0; print(y); }";
+        let mpi = MpiIcfg::build(icfg(src, "main"), &SyntacticConsts);
+        let sol = analyze_mpi(&mpi);
+        assert!(sol.stats.converged, "{:?}", sol.stats.passes);
+        let exit = mpi.context_exit();
+        let x = mpi.resolve_at(exit, "x").expect("x");
+        match sol.input[exit.index()].get(x) {
+            ConstLattice::Const(CVal::Real(v)) => assert!(v.is_nan(), "{v}"),
+            other => panic!("x should be the NaN constant, got {other:?}"),
+        }
+        assert_eq!(CVal::Real(0.0), CVal::Real(-0.0));
+        assert_ne!(CVal::Real(f64::NAN), CVal::Int(0));
     }
 
     #[test]

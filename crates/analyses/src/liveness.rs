@@ -73,22 +73,21 @@ impl Dataflow for Liveness<'_> {
         dst.union_into(src)
     }
 
-    fn transfer(&self, node: NodeId, out: &VarSet, _comm: &[()]) -> VarSet {
-        let mut live = out.clone();
+    fn transfer(&self, node: NodeId, out: &VarSet, _comm: &(), live: &mut VarSet) {
         match &self.icfg.payload(node).kind {
             NodeKind::Assign { lhs, rhs } => {
                 let needed = out.contains(lhs.loc.index());
-                kill(&mut live, lhs);
-                gen_indices(&mut live, lhs);
+                kill(live, lhs);
+                gen_indices(live, lhs);
                 if needed || !lhs.is_strong_def() {
-                    UseSelector::All.insert_uses(rhs, &mut live);
+                    UseSelector::All.insert_uses(rhs, live);
                 }
             }
-            NodeKind::Branch { cond } => UseSelector::All.insert_uses(cond, &mut live),
-            NodeKind::Print { value } => UseSelector::All.insert_uses(value, &mut live),
+            NodeKind::Branch { cond } => UseSelector::All.insert_uses(cond, live),
+            NodeKind::Print { value } => UseSelector::All.insert_uses(value, live),
             NodeKind::Read { target } => {
-                kill(&mut live, target);
-                gen_indices(&mut live, target);
+                kill(live, target);
+                gen_indices(live, target);
             }
             NodeKind::Mpi(m) => {
                 // A receive defines the buffer (kill); a send uses it (gen).
@@ -96,19 +95,17 @@ impl Dataflow for Liveness<'_> {
                 if m.kind.receives_data() {
                     if let Some(buf) = &m.buf {
                         match m.kind {
-                            MpiKind::Recv | MpiKind::Irecv | MpiKind::Allreduce => {
-                                kill(&mut live, buf)
-                            }
+                            MpiKind::Recv | MpiKind::Irecv | MpiKind::Allreduce => kill(live, buf),
                             _ => {} // bcast/reduce roots keep their buffer
                         }
-                        gen_indices(&mut live, buf);
+                        gen_indices(live, buf);
                     }
                 }
                 if m.kind.sends_data() {
                     match m.kind {
                         MpiKind::Reduce | MpiKind::Allreduce => {
                             if let Some(v) = &m.value {
-                                UseSelector::All.insert_uses(v, &mut live);
+                                UseSelector::All.insert_uses(v, live);
                             }
                         }
                         _ => {
@@ -126,7 +123,6 @@ impl Dataflow for Liveness<'_> {
             }
             _ => {}
         }
-        live
     }
 
     fn comm_transfer(&self, _node: NodeId, _input: &VarSet) {}

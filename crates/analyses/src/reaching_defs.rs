@@ -132,16 +132,14 @@ impl Dataflow for ReachingDefs<'_> {
         dst.union_into(src)
     }
 
-    fn transfer(&self, node: NodeId, input: &VarSet, _comm: &[()]) -> VarSet {
+    fn transfer(&self, node: NodeId, _input: &VarSet, _comm: &(), out: &mut VarSet) {
         let _ = self.icfg;
-        let mut out = input.clone();
         for &k in &self.kill_at[node.index()] {
             out.remove(k);
         }
         for &g in &self.gen_at[node.index()] {
             out.insert(g);
         }
-        out
     }
 
     fn comm_transfer(&self, _node: NodeId, _input: &VarSet) {}

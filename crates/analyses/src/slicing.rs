@@ -60,8 +60,7 @@ impl Dataflow for Influence<'_> {
         dst.union_into(src)
     }
 
-    fn transfer(&self, node: NodeId, input: &VarSet, comm: &[BoolOr]) -> VarSet {
-        let mut out = input.clone();
+    fn transfer(&self, node: NodeId, input: &VarSet, comm: &BoolOr, out: &mut VarSet) {
         let seeded = self.is_seed(node);
         match &self.icfg.payload(node).kind {
             NodeKind::Assign { lhs, rhs } => {
@@ -85,9 +84,9 @@ impl Dataflow for Influence<'_> {
                 // Receives always carry a buffer; a malformed node has
                 // nothing to gen or kill and transfers as the identity.
                 let Some(buf) = m.buf.as_ref() else {
-                    return out;
+                    return;
                 };
-                let arriving = self.use_comm && comm.iter().any(|b| b.0);
+                let arriving = self.use_comm && comm.0;
                 let gen = arriving || seeded;
                 match m.kind {
                     MpiKind::Recv | MpiKind::Irecv | MpiKind::Allreduce => {
@@ -106,7 +105,6 @@ impl Dataflow for Influence<'_> {
             }
             _ => {}
         }
-        out
     }
 
     fn comm_transfer(&self, node: NodeId, input: &VarSet) -> BoolOr {

@@ -79,8 +79,7 @@ impl Dataflow for Taint<'_> {
         dst.union_into(src)
     }
 
-    fn transfer(&self, node: NodeId, input: &VarSet, comm: &[BoolOr]) -> VarSet {
-        let mut out = input.clone();
+    fn transfer(&self, node: NodeId, input: &VarSet, comm: &BoolOr, out: &mut VarSet) {
         match &self.icfg.payload(node).kind {
             NodeKind::Assign { lhs, rhs } => {
                 // Taint flows through every use, including subscripts.
@@ -104,11 +103,11 @@ impl Dataflow for Taint<'_> {
                 // nothing and transfers as the identity (it cannot launder
                 // taint because it cannot kill anything either).
                 let Some(buf) = m.buf.as_ref() else {
-                    return out;
+                    return;
                 };
                 let arriving = match self.mode {
                     TaintMode::AllReceivesUntrusted => true,
-                    TaintMode::MpiIcfg => comm.iter().any(|b| b.0),
+                    TaintMode::MpiIcfg => comm.0,
                 };
                 match m.kind {
                     MpiKind::Recv | MpiKind::Irecv | MpiKind::Allreduce => {
@@ -127,7 +126,6 @@ impl Dataflow for Taint<'_> {
             }
             _ => {}
         }
-        out
     }
 
     fn comm_transfer(&self, node: NodeId, input: &VarSet) -> BoolOr {

@@ -173,8 +173,14 @@ impl<P: Dataflow> Dataflow for Rebased<'_, P> {
         self.inner.meet_into(dst, src)
     }
 
-    fn transfer(&self, node: NodeId, input: &Self::Fact, comm: &[Self::CommFact]) -> Self::Fact {
-        self.inner.transfer(self.base(node), input, comm)
+    fn transfer(
+        &self,
+        node: NodeId,
+        input: &Self::Fact,
+        comm: &Self::CommFact,
+        out: &mut Self::Fact,
+    ) {
+        self.inner.transfer(self.base(node), input, comm, out)
     }
 
     fn comm_transfer(&self, node: NodeId, input: &Self::Fact) -> Self::CommFact {

@@ -10,7 +10,9 @@
 //!   the paper);
 //! * [`BoolOr`] / [`BoolAnd`] — the two boolean semilattices; `BoolOr` is the
 //!   communication fact for Vary/Useful ("some matching send's value
-//!   varies" / "some matching receive's target is useful").
+//!   varies" / "some matching receive's target is useful");
+//! * `()` — the one-point lattice, the communication fact of analyses that
+//!   ignore communication edges.
 
 use std::fmt;
 
@@ -97,6 +99,16 @@ impl<T: fmt::Display> fmt::Display for ConstLattice<T> {
             ConstLattice::Const(c) => write!(f, "{c}"),
             ConstLattice::Bottom => write!(f, "⊥"),
         }
+    }
+}
+
+/// The one-point lattice: the communication fact of analyses that send
+/// nothing over communication edges.
+impl MeetSemiLattice for () {
+    fn top() -> Self {}
+
+    fn meet_with(&mut self, _other: &Self) -> bool {
+        false
     }
 }
 
@@ -220,6 +232,12 @@ mod tests {
         assert!(x.meet_with(&BoolAnd(false)));
         assert!(!x.meet_with(&BoolAnd(false)));
         assert!(!x.0);
+    }
+
+    #[test]
+    fn unit_lattice_never_changes() {
+        <() as MeetSemiLattice>::top();
+        assert!(!().meet_with(&()));
     }
 
     #[test]

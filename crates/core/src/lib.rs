@@ -10,8 +10,9 @@
 //!
 //! * direction, lattice top, boundary fact, and meet — as in any classic
 //!   framework;
-//! * the node transfer function, which additionally receives the
-//!   communication facts arriving over communication edges;
+//! * the node transfer function, which edits the node's output fact in
+//!   place and additionally receives the meet of the communication facts
+//!   arriving over its communication edges;
 //! * the **communication transfer function** `f_comm`, computing the fact a
 //!   send-like node emits over its communication edges from its IN set
 //!   (forward) or a receive-like node emits from its OUT set (backward);
@@ -37,7 +38,7 @@
 //! #     fn top(&self) -> bool { false }
 //! #     fn boundary(&self) -> bool { true }
 //! #     fn meet_into(&self, d: &mut bool, s: &bool) -> bool { let c = !*d && *s; *d |= *s; c }
-//! #     fn transfer(&self, _: NodeId, i: &bool, _: &[()]) -> bool { *i }
+//! #     fn transfer(&self, _: NodeId, _: &bool, _: &(), _: &mut bool) {}
 //! #     fn comm_transfer(&self, _: NodeId, _: &bool) {}
 //! # }
 //! let mut g = SimpleGraph::new(2);

@@ -8,13 +8,15 @@
 //!   (caller↔callee mapping);
 //! * and, new for the MPI-ICFG, a **communication transfer function**
 //!   `f_comm` producing the fact propagated over communication edges, plus
-//!   the receive-side use of those facts (folded into `transfer` via the
-//!   `comm` argument).
+//!   the receive-side use of those facts: the solver meets `f_comm` over a
+//!   node's communication predecessors (the paper's ⊓ over `commpred(n)`)
+//!   and hands that one fact to `transfer` as its `comm` argument.
 //!
-//! Analyses that do not use communication edges set `CommFact = ()` and keep
-//! the default `comm_transfer`; the solver then never materializes comm facts.
+//! Analyses that do not use communication edges set `CommFact = ()` (the
+//! one-point lattice) and make `comm_transfer` a no-op.
 
 use crate::graph::{Edge, NodeId};
+use crate::lattice::MeetSemiLattice;
 
 /// Direction of propagation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -26,18 +28,22 @@ pub enum Direction {
 /// A data-flow analysis over a [`crate::graph::FlowGraph`].
 ///
 /// `Fact` is the per-program-point value (the IN/OUT set); `CommFact` is the
-/// value `f_comm` computes at a communication source and the receive
-/// transfer consumes.
+/// value `f_comm` computes at a communication source, met over all of a
+/// node's communication predecessors before the node's transfer reads it.
 ///
 /// Monotonicity contract: `transfer` and `translate` must be monotone in
-/// their fact argument and the fact lattice must have finite height,
+/// their fact arguments and the fact lattice must have finite height,
 /// otherwise the solver may hit its pass bound and report non-convergence.
 pub trait Dataflow {
-    /// The per-node data-flow fact.
+    /// The per-node data-flow fact. The solver rebuilds facts in reusable
+    /// buffers with `Clone::clone_from`, so a fact type that owns heap
+    /// storage should implement it without reallocating.
     type Fact: Clone + PartialEq;
 
-    /// The fact propagated over communication edges (`()` when unused).
-    type CommFact: Clone;
+    /// The fact propagated over communication edges (`()` when unused). Its
+    /// meet is the communication meet; `CommFact::top()` is what a node with
+    /// no communication predecessor receives.
+    type CommFact: MeetSemiLattice;
 
     /// Propagation direction.
     fn direction(&self) -> Direction;
@@ -52,11 +58,19 @@ pub trait Dataflow {
     /// `dst ⊓= src`; must return true iff `dst` changed.
     fn meet_into(&self, dst: &mut Self::Fact, src: &Self::Fact) -> bool;
 
-    /// The node transfer function. `input` is the IN set (forward) or OUT
-    /// set (backward); `comm` holds one entry per incoming communication
-    /// edge (direction-adjusted), produced by [`Dataflow::comm_transfer`] at
-    /// the other endpoint. Non-communication nodes receive an empty slice.
-    fn transfer(&self, node: NodeId, input: &Self::Fact, comm: &[Self::CommFact]) -> Self::Fact;
+    /// The node transfer function, applied in place. `input` is the IN set
+    /// (forward) or OUT set (backward); `comm` is the meet of
+    /// [`Dataflow::comm_transfer`] over the node's incoming
+    /// (direction-adjusted) communication edges, or `CommFact::top()` when
+    /// it has none. `out` arrives equal to `input`; the transfer edits it
+    /// into the node's output fact.
+    fn transfer(
+        &self,
+        node: NodeId,
+        input: &Self::Fact,
+        comm: &Self::CommFact,
+        out: &mut Self::Fact,
+    );
 
     /// The communication transfer function `f_comm`: computes the fact sent
     /// over outgoing (direction-adjusted) communication edges from this
@@ -65,8 +79,8 @@ pub trait Dataflow {
     ///
     /// The result must depend only on `node` and `input`: every solver
     /// strategy memoises it per source node and re-evaluates it only after
-    /// that node's input fact changes, handing clones of the memoised fact
-    /// to every comm edge leaving the node.
+    /// that node's input fact changes, and memoises the communication meet
+    /// per set of sources until one of them changes.
     fn comm_transfer(&self, node: NodeId, input: &Self::Fact) -> Self::CommFact;
 
     /// Translate a fact across a call or return edge (actual↔formal
@@ -128,9 +142,7 @@ mod tests {
             changed
         }
 
-        fn transfer(&self, _node: NodeId, input: &bool, _comm: &[()]) -> bool {
-            *input
-        }
+        fn transfer(&self, _node: NodeId, _input: &bool, _comm: &(), _out: &mut bool) {}
 
         fn comm_transfer(&self, _node: NodeId, _input: &bool) {}
     }

@@ -17,11 +17,14 @@
 //! (direction-adjusted) incoming communication edges, the solver evaluates
 //! `f_comm` at each edge's source using that source's *input* fact —
 //! matching the paper's `commOUT(n) = f_comm(IN(n))` for forward analyses
-//! and `commIN(n) = f_comm(OUT(n))` for backward ones — and hands the
-//! collected communication facts to the node's transfer function. Both
-//! memoise `f_comm` per source until that source's input fact changes, so
+//! and `commIN(n) = f_comm(OUT(n))` for backward ones — and hands the meet
+//! of those facts to the node's transfer function. Both memoise `f_comm`
+//! per source until that source's input fact changes, so
 //! `ConvergenceStats::comm_evals` counts evaluations performed, not comm
-//! edges visited.
+//! edges visited; and both memoise the meet itself per *receiver class*
+//! (the nodes with one set of comm sources), so a visit whose sources are
+//! unchanged reads no comm edge at all. See `docs/SOLVER.md`, "The cost of
+//! a visit".
 //!
 //! All solving goes through the [`Solver`] builder — there are no free-
 //! function entry points. Beyond the two full-fixpoint strategies the
@@ -41,7 +44,7 @@
 //! #     fn top(&self) -> bool { false }
 //! #     fn boundary(&self) -> bool { true }
 //! #     fn meet_into(&self, d: &mut bool, s: &bool) -> bool { let c = !*d && *s; *d |= *s; c }
-//! #     fn transfer(&self, _: NodeId, i: &bool, _: &[()]) -> bool { *i }
+//! #     fn transfer(&self, _: NodeId, _: &bool, _: &(), _: &mut bool) {}
 //! #     fn comm_transfer(&self, _: NodeId, _: &bool) {}
 //! # }
 //! let mut g = SimpleGraph::new(2);
@@ -55,11 +58,12 @@
 
 use crate::budget::{Budget, BudgetMeter, Exhaustion};
 use crate::graph::{reverse_postorder, Edge, FlowGraph, NodeId};
+use crate::lattice::MeetSemiLattice;
 use crate::problem::{Dataflow, Direction};
 use crate::scc::{self, Condensation};
 use crate::telemetry;
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, HashMap};
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
@@ -735,17 +739,27 @@ impl<'g, G: FlowGraph> Oriented<'g, G> {
 }
 
 /// Everything a node visit reads and writes besides the fact slices: the
-/// direction-adjusted graph, the problem, the boundary flags, the solve's
-/// [`CommCache`] and comm-fact buffer, and the two counters a visit bumps.
-/// Both strategies drive their visits through one of these.
+/// direction-adjusted graph, the problem, the boundary flags, a CSR of each
+/// node's upstream non-communication edges, the solve's [`CommCache`], the
+/// problem's `top()` and `boundary()`, two scratch facts, and the meet
+/// counter. Both strategies drive their visits through one of these, built
+/// once per solve.
 struct Visitor<'a, P: Dataflow, G: FlowGraph> {
     graph: Oriented<'a, G>,
     problem: &'a P,
     is_boundary: Vec<bool>,
-    comm_buf: Vec<P::CommFact>,
+    /// Node `i`'s upstream non-communication edges, in graph order, are
+    /// `ctrl[ctrl_start[i]..ctrl_start[i + 1]]`.
+    ctrl_start: Vec<u32>,
+    ctrl: Vec<Edge>,
     cache: CommCache<P::CommFact>,
+    top: P::Fact,
+    boundary: P::Fact,
+    /// Scratch for the met input and the transfer output; each is installed
+    /// into the fact vectors by swapping, only when it differs.
+    met: P::Fact,
+    out: P::Fact,
     meets: u64,
-    comm_evals: u64,
 }
 
 impl<'a, P: Dataflow, G: FlowGraph> Visitor<'a, P, G> {
@@ -756,20 +770,33 @@ impl<'a, P: Dataflow, G: FlowGraph> Visitor<'a, P, G> {
         for &b in graph.boundary() {
             is_boundary[b.index()] = true;
         }
+        let mut ctrl_start = Vec::with_capacity(n + 1);
+        let mut ctrl = Vec::new();
+        ctrl_start.push(0);
+        for i in 0..n {
+            let upstream = graph.upstream(NodeId(i as u32));
+            ctrl.extend(upstream.iter().filter(|e| !e.kind.is_comm()));
+            ctrl_start.push(ctrl.len() as u32);
+        }
+        let top = problem.top();
         Visitor {
+            cache: CommCache::new(CommClasses::build(&graph)),
             graph,
             problem,
             is_boundary,
-            comm_buf: Vec::new(),
-            cache: CommCache::new(n),
+            ctrl_start,
+            ctrl,
+            boundary: problem.boundary(),
+            met: top.clone(),
+            out: top.clone(),
+            top,
             meets: 0,
-            comm_evals: 0,
         }
     }
 
     /// Recompute node `n` from its upstream facts, returning
     /// (input_changed, output_changed). A changed input drops `n`'s
-    /// memoised comm fact.
+    /// memoised comm fact and every class meet it feeds.
     fn update_node(
         &mut self,
         input: &mut [P::Fact],
@@ -777,54 +804,40 @@ impl<'a, P: Dataflow, G: FlowGraph> Visitor<'a, P, G> {
         n: NodeId,
     ) -> (bool, bool) {
         let problem = self.problem;
+        let i = n.index();
 
         // Meet over upstream non-communication edges.
-        let mut new_in = if self.is_boundary[n.index()] {
-            problem.boundary()
+        self.met.clone_from(if self.is_boundary[i] {
+            &self.boundary
         } else {
-            problem.top()
-        };
-        for e in self.graph.upstream(n) {
-            if e.kind.is_comm() {
-                continue;
-            }
-            self.meets += 1;
-            let src = self.graph.source(e);
-            match problem.translate(e, &output[src.index()]) {
-                Some(translated) => {
-                    problem.meet_into(&mut new_in, &translated);
-                }
-                None => {
-                    problem.meet_into(&mut new_in, &output[src.index()]);
-                }
-            }
+            &self.top
+        });
+        let edges = &self.ctrl[self.ctrl_start[i] as usize..self.ctrl_start[i + 1] as usize];
+        self.meets += edges.len() as u64;
+        for e in edges {
+            let src = &output[self.graph.source(e).index()];
+            match problem.translate(e, src) {
+                Some(translated) => problem.meet_into(&mut self.met, &translated),
+                None => problem.meet_into(&mut self.met, src),
+            };
         }
 
-        // Communication facts from upstream comm edges: f_comm applied to the
-        // *input* fact of the communication source, memoised per source until
-        // that input changes (see [`CommCache`]).
-        self.comm_buf.clear();
-        for e in self.graph.upstream(n) {
-            if e.kind.is_comm() {
-                let src = self.graph.source(e);
-                let si = src.index();
-                if !self.cache.valid(si) {
-                    self.cache.store(si, problem.comm_transfer(src, &input[si]));
-                    self.comm_evals += 1;
-                }
-                self.comm_buf.push(self.cache.fact(si).clone());
-            }
-        }
+        // The communication meet, read before `n`'s own input moves (a
+        // collective is its own comm source).
+        let comm = self.cache.meet(i, problem, input);
 
-        let in_changed = new_in != input[n.index()];
+        let in_changed = self.met != input[i];
         if in_changed {
-            input[n.index()] = new_in;
-            self.cache.invalidate(n.index());
+            std::mem::swap(&mut self.met, &mut input[i]);
         }
-        let new_out = problem.transfer(n, &input[n.index()], &self.comm_buf);
-        let out_changed = new_out != output[n.index()];
+        self.out.clone_from(&input[i]);
+        problem.transfer(n, &input[i], comm, &mut self.out);
+        if in_changed {
+            self.cache.invalidate(i);
+        }
+        let out_changed = self.out != output[i];
         if out_changed {
-            output[n.index()] = new_out;
+            std::mem::swap(&mut self.out, &mut output[i]);
         }
         (in_changed, out_changed)
     }
@@ -886,7 +899,7 @@ fn run_round_robin<G: FlowGraph, P: Dataflow>(
     }
 
     stats.meets = visitor.meets;
-    stats.comm_evals = visitor.comm_evals;
+    stats.comm_evals = visitor.cache.evals;
     stats.elapsed = started.elapsed();
     close_solver_span(&mut span, &stats, n);
     Solution {
@@ -919,35 +932,137 @@ struct RegionStats {
     exhausted: Option<Exhaustion>,
 }
 
-/// Memo of `f_comm` source facts, shared by both strategies: one epoch per
-/// round-robin solve, one per region solve in the region engine.
+/// Marks a node with no upstream communication edge in
+/// [`CommClasses::class_of`].
+const NO_CLASS: u32 = u32::MAX;
+
+/// Receiver classes: nodes whose upstream communication edges come from the
+/// same set of sources share one class, and with it one memoised
+/// communication meet. Collective matching connects every member of a
+/// clique to every member, itself included, so a k-clique's k² comm edges
+/// collapse into one class of k sources. Built once per solve.
+struct CommClasses {
+    /// Node index → its class, or [`NO_CLASS`].
+    class_of: Vec<u32>,
+    /// Class `c`'s distinct sources, ascending, are
+    /// `srcs[src_start[c]..src_start[c + 1]]`.
+    src_start: Vec<u32>,
+    srcs: Vec<u32>,
+    /// The classes source `i` feeds are `feeds[feeds_start[i]..feeds_start[i + 1]]`.
+    feeds_start: Vec<u32>,
+    feeds: Vec<u32>,
+}
+
+impl CommClasses {
+    fn build<G: FlowGraph>(graph: &Oriented<'_, G>) -> Self {
+        let n = graph.graph.num_nodes();
+        let mut class_of = vec![NO_CLASS; n];
+        let mut ids: HashMap<Vec<u32>, u32> = HashMap::new();
+        let mut src_start = vec![0u32];
+        let mut srcs = Vec::new();
+        let mut key = Vec::new();
+        for (i, class) in class_of.iter_mut().enumerate() {
+            key.clear();
+            key.extend(
+                graph
+                    .upstream(NodeId(i as u32))
+                    .iter()
+                    .filter(|e| e.kind.is_comm())
+                    .map(|e| graph.source(e).0),
+            );
+            if key.is_empty() {
+                continue;
+            }
+            key.sort_unstable();
+            key.dedup();
+            *class = match ids.get(&key) {
+                Some(&c) => c,
+                None => {
+                    let c = ids.len() as u32;
+                    ids.insert(key.clone(), c);
+                    srcs.extend_from_slice(&key);
+                    src_start.push(srcs.len() as u32);
+                    c
+                }
+            };
+        }
+        // Invert the class → sources lists (a counting sort by source).
+        let mut feeds_start = vec![0u32; n + 1];
+        for &s in &srcs {
+            feeds_start[s as usize + 1] += 1;
+        }
+        for i in 0..n {
+            feeds_start[i + 1] += feeds_start[i];
+        }
+        let mut fill = feeds_start.clone();
+        let mut feeds = vec![0u32; srcs.len()];
+        for c in 0..src_start.len() - 1 {
+            for &s in &srcs[src_start[c] as usize..src_start[c + 1] as usize] {
+                feeds[fill[s as usize] as usize] = c as u32;
+                fill[s as usize] += 1;
+            }
+        }
+        CommClasses {
+            class_of,
+            src_start,
+            srcs,
+            feeds_start,
+            feeds,
+        }
+    }
+
+    fn num_classes(&self) -> usize {
+        self.src_start.len() - 1
+    }
+}
+
+/// Memo of `f_comm` per source and of the communication meet per receiver
+/// class, shared by both strategies: one epoch per round-robin solve, one
+/// per region solve in the region engine.
 ///
-/// The dominant cost on comm-dense graphs is re-evaluating `comm_transfer`
-/// for *every* incoming communication edge on every visit — all-pairs
-/// collective matching makes that quadratic in clique size per sweep. A
-/// source's comm fact changes only when its *input* fact changes (the
-/// [`Dataflow::comm_transfer`] contract), so each source is evaluated once
-/// per input change instead of once per (visit × in-edge); unchanged
-/// sources hand out a clone of the memoised fact.
+/// The dominant cost on comm-dense graphs is the all-pairs cliques
+/// collective matching produces. A source's comm fact changes only when its
+/// *input* fact changes (the [`Dataflow::comm_transfer`] contract), so each
+/// source is evaluated once per input change instead of once per (visit ×
+/// in-edge); and a class meet changes only when one of its sources does, so
+/// a receiver whose class meet is valid reads it without touching a comm
+/// edge.
 ///
 /// The epoch bump at region start drops every entry, so facts that flow in
 /// from upstream regions (solved or transplanted) are re-read, never stale.
 /// Hit/miss behavior depends only on the deterministic visit sequence, so
-/// `comm_evals` (the miss count) is a deterministic function of the graph.
+/// `comm_evals` (the source miss count) is a deterministic function of the
+/// graph.
 struct CommCache<F> {
-    /// Entry `i` is valid iff `epoch[i] == cur` (0 = never / invalidated).
+    classes: CommClasses,
+    /// Source `i`'s fact is valid iff `epoch[i] == cur` (0 = never /
+    /// invalidated).
     epoch: Vec<u64>,
-    facts: Vec<Option<F>>,
+    facts: Vec<F>,
+    /// Class `c`'s meet is valid iff `class_epoch[c] == cur`.
+    class_epoch: Vec<u64>,
+    class_meet: Vec<F>,
+    /// `F::top()`: the meet over no comm edge.
+    top: F,
     cur: u64,
+    /// `f_comm` evaluations performed.
+    evals: u64,
 }
 
-impl<F> CommCache<F> {
+impl<F: MeetSemiLattice> CommCache<F> {
     /// An empty cache whose first epoch is already open.
-    fn new(n: usize) -> Self {
+    fn new(classes: CommClasses) -> Self {
+        let n = classes.class_of.len();
+        let k = classes.num_classes();
         CommCache {
             epoch: vec![0; n],
-            facts: (0..n).map(|_| None).collect(),
+            facts: vec![F::top(); n],
+            class_epoch: vec![0; k],
+            class_meet: vec![F::top(); k],
+            classes,
+            top: F::top(),
             cur: 1,
+            evals: 0,
         }
     }
 
@@ -956,22 +1071,43 @@ impl<F> CommCache<F> {
         self.cur += 1;
     }
 
-    fn valid(&self, i: usize) -> bool {
-        self.epoch[i] == self.cur
+    /// The communication meet node `i`'s transfer reads: its class meet,
+    /// recomputed from the memoised source facts only when invalid
+    /// (evaluating `f_comm` at the sources whose memo is stale), or top
+    /// for a node with no upstream comm edge.
+    fn meet<P: Dataflow<CommFact = F>>(&mut self, i: usize, problem: &P, input: &[P::Fact]) -> &F {
+        let c = self.classes.class_of[i];
+        if c == NO_CLASS {
+            return &self.top;
+        }
+        let c = c as usize;
+        if self.class_epoch[c] != self.cur {
+            let meet = &mut self.class_meet[c];
+            meet.clone_from(&self.top);
+            let range = self.classes.src_start[c] as usize..self.classes.src_start[c + 1] as usize;
+            for &s in &self.classes.srcs[range] {
+                let s = s as usize;
+                if self.epoch[s] != self.cur {
+                    self.facts[s] = problem.comm_transfer(NodeId(s as u32), &input[s]);
+                    self.epoch[s] = self.cur;
+                    self.evals += 1;
+                }
+                meet.meet_with(&self.facts[s]);
+            }
+            self.class_epoch[c] = self.cur;
+        }
+        &self.class_meet[c]
     }
 
-    fn store(&mut self, i: usize, f: F) {
-        self.epoch[i] = self.cur;
-        self.facts[i] = Some(f);
-    }
-
-    fn fact(&self, i: usize) -> &F {
-        self.facts[i].as_ref().expect("validated before read")
-    }
-
-    /// Drop one source's memo (its input fact just changed).
+    /// Drop source `i`'s memo and the meet of every class it feeds (its
+    /// input fact just changed).
     fn invalidate(&mut self, i: usize) {
         self.epoch[i] = 0;
+        let feeds = &self.classes.feeds
+            [self.classes.feeds_start[i] as usize..self.classes.feeds_start[i + 1] as usize];
+        for &c in feeds {
+            self.class_epoch[c as usize] = 0;
+        }
     }
 }
 
@@ -1086,7 +1222,7 @@ impl<'a, P: Dataflow, G: FlowGraph> RegionEngine<'a, P, G> {
             stats.exhausted = Some(e);
             return stats;
         }
-        let (meets_before, evals_before) = (self.visitor.meets, self.visitor.comm_evals);
+        let (meets_before, evals_before) = (self.visitor.meets, self.visitor.cache.evals);
 
         let rpo_pos = &self.rpo_pos;
         let local_index = &self.cond.local_index;
@@ -1166,7 +1302,7 @@ impl<'a, P: Dataflow, G: FlowGraph> RegionEngine<'a, P, G> {
             std::mem::swap(&mut in_current, &mut in_next);
         }
         stats.meets = self.visitor.meets - meets_before;
-        stats.comm_evals = self.visitor.comm_evals - evals_before;
+        stats.comm_evals = self.visitor.cache.evals - evals_before;
 
         if span.id().is_some() {
             span.arg("region", rid as u64);
@@ -1604,19 +1740,14 @@ mod tests {
         fn transfer(
             &self,
             node: NodeId,
-            input: &Self::Fact,
-            comm: &[Self::CommFact],
-        ) -> Self::Fact {
+            _input: &Self::Fact,
+            comm: &Self::CommFact,
+            out: &mut Self::Fact,
+        ) {
             if self.recv[node.index()] {
-                let mut v = ConstLattice::Top;
-                for c in comm {
-                    v.meet_with(c);
-                }
-                v
+                *out = *comm;
             } else if let Some(c) = self.gen[node.index()] {
-                ConstLattice::Const(c)
-            } else {
-                *input
+                *out = ConstLattice::Const(c);
             }
         }
 
@@ -1757,6 +1888,22 @@ mod tests {
         assert!(b.stats.node_visits <= a.stats.node_visits);
     }
 
+    /// A `u16` bitset whose meet is union: the comm fact of
+    /// [`CountingClique`].
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    struct Bits(u16);
+
+    impl MeetSemiLattice for Bits {
+        fn top() -> Self {
+            Bits(0)
+        }
+        fn meet_with(&mut self, other: &Self) -> bool {
+            let before = self.0;
+            self.0 |= other.0;
+            self.0 != before
+        }
+    }
+
     /// Forward union problem over `u16` bitsets that counts its `f_comm`
     /// calls per source and the input changes of every node. `transfer`
     /// observes each input change: the solvers call it right after writing
@@ -1772,7 +1919,7 @@ mod tests {
 
     impl Dataflow for CountingClique {
         type Fact = u16;
-        type CommFact = u16;
+        type CommFact = Bits;
         fn direction(&self) -> Direction {
             Direction::Forward
         }
@@ -1787,23 +1934,19 @@ mod tests {
             *dst |= *src;
             *dst != before
         }
-        fn transfer(&self, n: NodeId, input: &u16, comm: &[u16]) -> u16 {
+        fn transfer(&self, n: NodeId, input: &u16, comm: &Bits, out: &mut u16) {
             let seen = &mut self.inputs.borrow_mut()[n.index()];
             if seen.0 != *input {
                 *seen = (*input, seen.1 + 1);
             }
-            let mut out = *input | self.gen[n.index()];
-            for c in comm {
-                out |= *c;
-            }
+            *out |= self.gen[n.index()] | comm.0;
             if n.index() == self.latch {
-                out |= out << 1;
+                *out |= *out << 1;
             }
-            out
         }
-        fn comm_transfer(&self, n: NodeId, input: &u16) -> u16 {
+        fn comm_transfer(&self, n: NodeId, input: &u16) -> Bits {
             self.comm_calls.borrow_mut()[n.index()] += 1;
-            *input
+            Bits(*input)
         }
     }
 
@@ -1892,9 +2035,7 @@ mod tests {
                 *dst |= src;
                 c
             }
-            fn transfer(&self, _n: NodeId, input: &bool, _c: &[()]) -> bool {
-                *input
-            }
+            fn transfer(&self, _n: NodeId, _i: &bool, _c: &(), _o: &mut bool) {}
             fn comm_transfer(&self, _n: NodeId, _i: &bool) {}
         }
         let mut g = SimpleGraph::new(5);
@@ -1932,9 +2073,7 @@ mod tests {
                 *dst |= src;
                 c
             }
-            fn transfer(&self, _n: NodeId, input: &bool, _c: &[()]) -> bool {
-                *input
-            }
+            fn transfer(&self, _n: NodeId, _i: &bool, _c: &(), _o: &mut bool) {}
             fn comm_transfer(&self, _n: NodeId, _i: &bool) {}
         }
         let mut g = SimpleGraph::new(3);
@@ -1970,8 +2109,8 @@ mod tests {
                 *dst = *src;
                 c
             }
-            fn transfer(&self, _n: NodeId, input: &bool, _c: &[()]) -> bool {
-                !*input
+            fn transfer(&self, _n: NodeId, input: &bool, _c: &(), out: &mut bool) {
+                *out = !*input;
             }
             fn comm_transfer(&self, _n: NodeId, _i: &bool) {}
         }
@@ -2319,9 +2458,7 @@ mod tests {
             fn meet_into(&self, dst: &mut Self::Fact, src: &Self::Fact) -> bool {
                 dst.meet_with(src)
             }
-            fn transfer(&self, _n: NodeId, input: &Self::Fact, _c: &[()]) -> Self::Fact {
-                *input
-            }
+            fn transfer(&self, _n: NodeId, _i: &Self::Fact, _c: &(), _o: &mut Self::Fact) {}
             fn comm_transfer(&self, _n: NodeId, _i: &Self::Fact) {}
             fn translate(&self, edge: &Edge, fact: &Self::Fact) -> Option<Self::Fact> {
                 match (edge.kind, fact) {
@@ -2426,8 +2563,8 @@ mod tests {
             fn meet_into(&self, d: &mut Self::Fact, s: &Self::Fact) -> bool {
                 self.0.meet_into(d, s)
             }
-            fn transfer(&self, n: NodeId, i: &Self::Fact, c: &[Self::CommFact]) -> Self::Fact {
-                self.0.transfer(n, i, c)
+            fn transfer(&self, n: NodeId, i: &Self::Fact, c: &Self::CommFact, o: &mut Self::Fact) {
+                self.0.transfer(n, i, c, o)
             }
             fn comm_transfer(&self, n: NodeId, i: &Self::Fact) -> Self::CommFact {
                 self.0.comm_transfer(n, i)
@@ -2475,9 +2612,7 @@ mod tests {
                 *d |= *s;
                 c
             }
-            fn transfer(&self, _n: NodeId, i: &bool, _c: &[()]) -> bool {
-                *i
-            }
+            fn transfer(&self, _n: NodeId, _i: &bool, _c: &(), _o: &mut bool) {}
             fn comm_transfer(&self, _n: NodeId, _i: &bool) {}
         }
         let mut g = SimpleGraph::new(2);
@@ -2737,9 +2872,7 @@ mod tests {
                 *d |= *s;
                 c
             }
-            fn transfer(&self, _n: NodeId, i: &bool, _c: &[()]) -> bool {
-                *i
-            }
+            fn transfer(&self, _n: NodeId, _i: &bool, _c: &(), _o: &mut bool) {}
             fn comm_transfer(&self, _n: NodeId, _i: &bool) {}
         }
         let mut g = SimpleGraph::new(4);

@@ -12,10 +12,30 @@
 use std::fmt;
 
 /// A dense bitset over `0..universe` variable ids.
-#[derive(Clone, PartialEq, Eq, Hash)]
+#[derive(PartialEq, Eq, Hash)]
 pub struct VarSet {
     words: Box<[u64]>,
     universe: usize,
+}
+
+impl Clone for VarSet {
+    fn clone(&self) -> Self {
+        VarSet {
+            words: self.words.clone(),
+            universe: self.universe,
+        }
+    }
+
+    /// Copies into the existing words when the universes match, so the
+    /// solver's scratch facts never reallocate.
+    fn clone_from(&mut self, source: &Self) {
+        if self.words.len() == source.words.len() {
+            self.words.copy_from_slice(&source.words);
+        } else {
+            self.words = source.words.clone();
+        }
+        self.universe = source.universe;
+    }
 }
 
 const BITS: usize = 64;
@@ -220,6 +240,20 @@ mod tests {
         assert!(!s.remove(64));
         assert!(!s.contains(64));
         assert_eq!(s.len(), 2);
+    }
+
+    #[test]
+    fn clone_from_copies_across_universes() {
+        let mut a = VarSet::empty(130);
+        a.insert(7);
+        let mut b = VarSet::empty(130);
+        b.insert(129);
+        a.clone_from(&b);
+        assert_eq!(a, b);
+        let small: VarSet = [2usize].into_iter().collect();
+        a.clone_from(&small);
+        assert_eq!(a, small);
+        assert_eq!(a.universe(), 3);
     }
 
     #[test]

@@ -35,15 +35,15 @@ impl Dataflow for Forwarder {
         dst.meet_with(src)
     }
 
-    fn transfer(&self, node: NodeId, input: &Self::Fact, comm: &[Self::CommFact]) -> Self::Fact {
+    fn transfer(
+        &self,
+        node: NodeId,
+        _input: &Self::Fact,
+        comm: &Self::CommFact,
+        out: &mut Self::Fact,
+    ) {
         if self.recv[node.index()] {
-            let mut v = ConstLattice::Top;
-            for c in comm {
-                v.meet_with(c);
-            }
-            v
-        } else {
-            *input
+            *out = *comm;
         }
     }
 
@@ -223,20 +223,15 @@ fn conflicting_comm_sources_meet_to_bottom() {
         fn transfer(
             &self,
             node: NodeId,
-            input: &Self::Fact,
-            comm: &[Self::CommFact],
-        ) -> Self::Fact {
+            _input: &Self::Fact,
+            comm: &Self::CommFact,
+            out: &mut Self::Fact,
+        ) {
             match node.0 {
-                0 => ConstLattice::Const(1),
-                1 => ConstLattice::Const(2),
-                2 => {
-                    let mut v = ConstLattice::Top;
-                    for c in comm {
-                        v.meet_with(c);
-                    }
-                    v
-                }
-                _ => *input,
+                0 => *out = ConstLattice::Const(1),
+                1 => *out = ConstLattice::Const(2),
+                2 => *out = *comm,
+                _ => {}
             }
         }
         fn comm_transfer(&self, node: NodeId, _input: &Self::Fact) -> Self::CommFact {
@@ -283,17 +278,12 @@ fn call_edges_and_comm_edges_interleave() {
         fn transfer(
             &self,
             node: NodeId,
-            input: &Self::Fact,
-            comm: &[Self::CommFact],
-        ) -> Self::Fact {
+            _input: &Self::Fact,
+            comm: &Self::CommFact,
+            out: &mut Self::Fact,
+        ) {
             if node.0 == 3 {
-                let mut v = ConstLattice::Top;
-                for c in comm {
-                    v.meet_with(c);
-                }
-                v
-            } else {
-                *input
+                *out = *comm;
             }
         }
         fn comm_transfer(&self, _n: NodeId, input: &Self::Fact) -> Self::CommFact {

@@ -74,12 +74,12 @@ impl LocInfo {
 #[derive(Debug, Clone)]
 pub struct LocTable {
     infos: Vec<LocInfo>,
-    /// (proc index or NONE, name) → Loc. Globals keyed with `usize::MAX`.
-    by_name: HashMap<(usize, String), Loc>,
+    /// Name → Loc per scope, so a lookup borrows the `&str` it is given.
+    globals: HashMap<String, Loc>,
+    /// Indexed by procedure: its parameters and locals.
+    procs: Vec<HashMap<String, Loc>>,
     num_globals: usize,
 }
-
-const GLOBAL_KEY: usize = usize::MAX;
 
 impl LocTable {
     /// The synthetic global communication buffer (always id 0).
@@ -90,7 +90,8 @@ impl LocTable {
     pub fn build(unit: &CompiledUnit) -> Self {
         let mut t = LocTable {
             infos: Vec::new(),
-            by_name: HashMap::new(),
+            globals: HashMap::new(),
+            procs: vec![HashMap::new(); unit.program.subs.len()],
             num_globals: unit.symbols.globals.len(),
         };
         t.infos.push(LocInfo {
@@ -99,29 +100,38 @@ impl LocTable {
             ty: Type::scalar(BaseType::Real),
         });
         for g in &unit.symbols.globals {
-            t.intern(GLOBAL_KEY, &g.name, None, g.ty.clone());
+            t.intern(&g.name, None, g.ty.clone());
         }
         for (pi, sub) in unit.program.subs.iter().enumerate() {
             let ss = unit.symbols.sub(&sub.name);
             for p in &ss.params {
-                t.intern(pi, &p.name, Some(ProcId(pi as u32)), p.ty.clone());
+                t.intern(&p.name, Some(ProcId(pi as u32)), p.ty.clone());
             }
             for l in &ss.locals {
-                t.intern(pi, &l.name, Some(ProcId(pi as u32)), l.ty.clone());
+                t.intern(&l.name, Some(ProcId(pi as u32)), l.ty.clone());
             }
         }
         t
     }
 
-    fn intern(&mut self, key: usize, name: &str, proc: Option<ProcId>, ty: Type) -> Loc {
+    fn intern(&mut self, name: &str, proc: Option<ProcId>, ty: Type) -> Loc {
         let loc = Loc(self.infos.len() as u32);
         self.infos.push(LocInfo {
             name: name.to_string(),
             proc,
             ty,
         });
-        self.by_name.insert((key, name.to_string()), loc);
+        let scope = match proc {
+            Some(p) => &mut self.procs[p.index()],
+            None => &mut self.globals,
+        };
+        scope.insert(name.to_string(), loc);
         loc
+    }
+
+    /// `name` among procedure `proc`'s parameters and locals.
+    fn local(&self, proc: ProcId, name: &str) -> Option<Loc> {
+        self.procs.get(proc.index())?.get(name).copied()
     }
 
     /// Total number of locations (the `VarSet` universe size).
@@ -141,24 +151,19 @@ impl LocTable {
     /// Resolve `name` as seen from procedure `proc` (index), using the same
     /// scoping as sema: procedure scope first, then globals.
     pub fn resolve(&self, proc: ProcId, name: &str) -> Option<Loc> {
-        self.by_name
-            .get(&(proc.index(), name.to_string()))
-            .or_else(|| self.by_name.get(&(GLOBAL_KEY, name.to_string())))
-            .copied()
+        self.local(proc, name).or_else(|| self.global(name))
     }
 
     /// Resolve a global by name.
     pub fn global(&self, name: &str) -> Option<Loc> {
-        self.by_name.get(&(GLOBAL_KEY, name.to_string())).copied()
+        self.globals.get(name).copied()
     }
 
     /// Resolve a symbol-kind from sema (used when lowering).
     pub fn from_symkind(&self, proc: ProcId, name: &str, kind: SymKind) -> Option<Loc> {
         match kind {
             SymKind::Global(_) => self.global(name),
-            SymKind::Param(_) | SymKind::Local(_) => {
-                self.by_name.get(&(proc.index(), name.to_string())).copied()
-            }
+            SymKind::Param(_) | SymKind::Local(_) => self.local(proc, name),
         }
     }
 

@@ -137,75 +137,43 @@ impl MpiIcfg {
             }
         };
         let mut edges = Vec::new();
-        // Non-MPI payloads in `mpi_nodes()` would be an internal
-        // inconsistency; they are skipped rather than panicked on.
-        let nodes: Vec<(NodeId, MpiKind)> = icfg
+        // Each MPI node's match arguments are evaluated once, here, not per
+        // candidate pair. Non-MPI payloads in `mpi_nodes()` would be an
+        // internal inconsistency; they are skipped rather than panicked on.
+        let nodes: Vec<MatchNode> = icfg
             .mpi_nodes()
             .iter()
             .filter_map(|&n| match &icfg.payload(n).kind {
-                NodeKind::Mpi(info) => Some((n, info.kind)),
+                NodeKind::Mpi(info) => Some(MatchNode::new(n, info, consts)),
                 _ => None,
             })
             .collect();
 
-        let mpi_info = |n: NodeId| -> Option<&MpiInfo> {
-            match &icfg.payload(n).kind {
-                NodeKind::Mpi(info) => Some(info),
-                _ => None,
-            }
-        };
-        // A non-MPI payload yields Unknown, which matches conservatively.
-        let arg = |n: NodeId, f: fn(&MpiInfo) -> &Option<MatchExpr>| -> ArgVal {
-            match mpi_info(n) {
-                Some(info) => ArgVal::of(f(info), n, consts),
-                None => ArgVal::Unknown,
-            }
-        };
-        // A missing communicator argument *is* the constant COMM_WORLD (0).
-        let comm_arg = |n: NodeId| -> ArgVal {
-            match mpi_info(n) {
-                Some(info) => match &info.comm {
-                    None => ArgVal::Const(0),
-                    some => ArgVal::of(some, n, consts),
-                },
-                None => ArgVal::Unknown,
-            }
-        };
-
         // Point-to-point: sends × receives on tag and communicator.
-        for &(s, _) in nodes.iter().filter(|(_, k)| k.is_p2p_send()) {
-            let s_tag = arg(s, |i| &i.tag);
-            let s_comm = comm_arg(s);
-            for &(r, _) in nodes.iter().filter(|(_, k)| k.is_p2p_recv()) {
+        for s in nodes.iter().filter(|m| m.kind.is_p2p_send()) {
+            for r in nodes.iter().filter(|m| m.kind.is_p2p_recv()) {
                 charge(1)?;
-                let r_tag = arg(r, |i| &i.tag);
-                let r_comm = comm_arg(r);
-                if s_tag.compatible(&r_tag) && s_comm.compatible(&r_comm) {
-                    edges.push(CommEdgeInfo { from: s, to: r });
+                if s.matches(r) {
+                    edges.push(CommEdgeInfo {
+                        from: s.node,
+                        to: r.node,
+                    });
                 }
             }
         }
 
         // Collectives: all ordered pairs (including self) of the same kind
         // with compatible root (bcast/reduce) and communicator.
-        let collective = |kind: MpiKind| {
-            nodes
-                .iter()
-                .filter(move |(_, k)| *k == kind)
-                .map(|&(n, _)| n)
-                .collect::<Vec<_>>()
-        };
         for kind in [MpiKind::Bcast, MpiKind::Reduce, MpiKind::Allreduce] {
-            let group = collective(kind);
-            for &a in &group {
-                let a_root = arg(a, |i| &i.root);
-                let a_comm = comm_arg(a);
-                for &b in &group {
+            let group: Vec<&MatchNode> = nodes.iter().filter(|m| m.kind == kind).collect();
+            for a in &group {
+                for b in &group {
                     charge(1)?;
-                    let b_root = arg(b, |i| &i.root);
-                    let b_comm = comm_arg(b);
-                    if a_root.compatible(&b_root) && a_comm.compatible(&b_comm) {
-                        edges.push(CommEdgeInfo { from: a, to: b });
+                    if a.matches(b) {
+                        edges.push(CommEdgeInfo {
+                            from: a.node,
+                            to: b.node,
+                        });
                     }
                 }
             }
@@ -302,6 +270,50 @@ impl FlowGraph for MpiIcfg {
 
     fn exits(&self) -> &[NodeId] {
         self.icfg.exits()
+    }
+}
+
+/// One MPI node as matching sees it.
+struct MatchNode {
+    node: NodeId,
+    kind: MpiKind,
+    /// The tag of a point-to-point operation, the root of a collective.
+    key: ArgVal,
+    comm: ArgVal,
+}
+
+impl MatchNode {
+    fn new(node: NodeId, info: &MpiInfo, consts: &dyn ConstQuery) -> MatchNode {
+        let kind = info.kind;
+        let key = match kind {
+            MpiKind::Send | MpiKind::Isend | MpiKind::Recv | MpiKind::Irecv => &info.tag,
+            MpiKind::Bcast | MpiKind::Reduce | MpiKind::Allreduce => &info.root,
+            // Never matched: nothing to evaluate.
+            MpiKind::Barrier | MpiKind::Wait => {
+                let (key, comm) = (ArgVal::Unknown, ArgVal::Unknown);
+                return MatchNode {
+                    node,
+                    kind,
+                    key,
+                    comm,
+                };
+            }
+        };
+        MatchNode {
+            node,
+            kind,
+            key: ArgVal::of(key, node, consts),
+            comm: match &info.comm {
+                // A missing communicator argument *is* the constant
+                // COMM_WORLD (0).
+                None => ArgVal::Const(0),
+                some => ArgVal::of(some, node, consts),
+            },
+        }
+    }
+
+    fn matches(&self, other: &MatchNode) -> bool {
+        self.key.compatible(&other.key) && self.comm.compatible(&other.comm)
     }
 }
 

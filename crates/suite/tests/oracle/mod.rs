@@ -10,9 +10,11 @@
 //!    elsewhere, met with the output of every upstream non-communication
 //!    edge's source, translated across call/return edges;
 //! 2. communication: `f_comm` evaluated afresh at every upstream
-//!    communication edge's source, on that source's *input* fact;
+//!    communication edge's source, on that source's *input* fact, and
+//!    folded with `meet_with` from `CommFact::top()` (the paper's ⊓ over
+//!    `commpred(n)`);
 //! 3. transfer: the node transfer function of the met input and the
-//!    communication facts.
+//!    communication meet, applied to a fresh copy of the met input.
 //!
 //! Rounds repeat until none changes a fact. There is no memo, no visit
 //! order beyond node ids, and no regions. For a monotone problem the
@@ -20,6 +22,7 @@
 //! facts.
 
 use mpi_dfa_core::graph::{Edge, FlowGraph, NodeId};
+use mpi_dfa_core::lattice::MeetSemiLattice;
 use mpi_dfa_core::problem::{Dataflow, Direction};
 
 /// The oracle's fixpoint, oriented like a solver `Solution`: `input` feeds
@@ -71,11 +74,11 @@ pub fn solve<P: Dataflow, G: FlowGraph>(
             } else {
                 problem.top()
             };
-            let mut comm = Vec::new();
+            let mut comm = P::CommFact::top();
             for e in upstream(node) {
                 let src = source(e);
                 if e.kind.is_comm() {
-                    comm.push(problem.comm_transfer(src, &input[src.index()]));
+                    comm.meet_with(&problem.comm_transfer(src, &input[src.index()]));
                 } else {
                     let fact = &output[src.index()];
                     match problem.translate(e, fact) {
@@ -84,7 +87,8 @@ pub fn solve<P: Dataflow, G: FlowGraph>(
                     };
                 }
             }
-            let out = problem.transfer(node, &met, &comm);
+            let mut out = met.clone();
+            problem.transfer(node, &met, &comm, &mut out);
             if met != input[i] {
                 input[i] = met;
                 changed = true;

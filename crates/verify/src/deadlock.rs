@@ -116,14 +116,10 @@ impl Dataflow for MustBlockReach {
         dst.intersect_into(src)
     }
 
-    fn transfer(&self, node: NodeId, input: &VarSet, _comm: &[()]) -> VarSet {
+    fn transfer(&self, node: NodeId, _input: &VarSet, _comm: &(), out: &mut VarSet) {
         let b = self.bit_of[node.index()];
-        if b == NO_BIT {
-            input.clone()
-        } else {
-            let mut f = input.clone();
-            f.insert(b as usize);
-            f
+        if b != NO_BIT {
+            out.insert(b as usize);
         }
     }
 

@@ -118,14 +118,11 @@ impl Dataflow for PhaseReach {
         dst.union_into(src)
     }
 
-    fn transfer(&self, node: NodeId, input: &VarSet, _comm: &[()]) -> VarSet {
+    fn transfer(&self, node: NodeId, _input: &VarSet, _comm: &(), out: &mut VarSet) {
         let p = self.phase_of[node.index()];
-        if p == NO_PHASE {
-            input.clone()
-        } else {
-            let mut f = VarSet::empty(self.universe);
-            f.insert(p as usize);
-            f
+        if p != NO_PHASE {
+            out.clear();
+            out.insert(p as usize);
         }
     }
 

@@ -101,6 +101,40 @@ fn file_input_and_errors() {
 }
 
 #[test]
+fn nan_constant_answers_at_the_precise_tier() {
+    // inf - inf folds to a NaN constant. The constants bootstrap must treat
+    // it as equal to itself, converge, and leave the answer at T0.
+    let dir = std::env::temp_dir().join("mpidfa-cli-test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let nan = dir.join("nan.smpl");
+    std::fs::write(
+        &nan,
+        "program nan\n\
+         global x: real;\n\
+         global y: real;\n\
+         sub main() {\n\
+           x = exp(1000.0) - exp(1000.0);\n\
+           y = x + 1.0;\n\
+           print(y);\n\
+         }\n",
+    )
+    .unwrap();
+    let (stdout, stderr, ok) = mpidfa(&[
+        "activity",
+        nan.to_str().unwrap(),
+        "--context",
+        "main",
+        "--ind",
+        "x",
+        "--dep",
+        "y",
+    ]);
+    assert!(ok, "{stdout}{stderr}");
+    assert!(stdout.contains("tier T0"), "{stdout}");
+    assert!(!stdout.contains("degraded:"), "{stdout}");
+}
+
+#[test]
 fn unknown_command_fails_with_usage() {
     let (_, stderr, ok) = mpidfa(&["frobnicate", "figure1"]);
     assert!(!ok);
