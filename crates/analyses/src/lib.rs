@@ -16,6 +16,8 @@
 //! * [`taint`] — trust analysis (Section 2's second example client);
 //! * [`interproc`] — shared caller↔callee fact mapping for set analyses.
 
+#![forbid(unsafe_code)]
+
 pub mod activity;
 pub mod bitwidth;
 pub mod consts;

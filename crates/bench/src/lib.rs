@@ -13,6 +13,8 @@
 //! `cargo bench` keeps producing the paper-table printouts and order-of-
 //! magnitude timings in a dependency-free build.
 
+#![forbid(unsafe_code)]
+
 use std::fmt::Display;
 use std::time::{Duration, Instant};
 

@@ -64,7 +64,7 @@ pub enum TraceLevel {
     /// suppressed.
     Spans = 1,
     /// Everything, including per-message communication events from the
-    /// runtime transport.
+    /// interpreter's scheduler.
     Full = 2,
 }
 
@@ -634,6 +634,17 @@ pub fn metric_name(base: &str, labels: &[(&str, &str)]) -> String {
 /// hand-rolled JSON writer in the workspace so escaping stays consistent.
 pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
+    json_escape_into(s, &mut out);
+    out
+}
+
+/// Append `s` JSON-escaped onto `out` without an intermediate allocation;
+/// the common all-clean case is a single `push_str`.
+pub fn json_escape_into(s: &str, out: &mut String) {
+    if s.bytes().all(|b| b >= 0x20 && b != b'"' && b != b'\\') {
+        out.push_str(s);
+        return;
+    }
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -647,7 +658,6 @@ pub fn json_escape(s: &str) -> String {
             c => out.push(c),
         }
     }
-    out
 }
 
 /// Render events as Chrome trace-event JSON (the "JSON Array Format" with

@@ -30,6 +30,8 @@
 //! assert_eq!(mpi.comm_edges.len(), 1);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod callgraph;
 pub mod cfg;
 pub mod dot;

@@ -6,23 +6,26 @@
 //! completion under P processes, communicate, and produce deterministic
 //! results.
 //!
-//! Each process runs on its own OS thread; all communication goes through a
-//! [`Transport`] (see [`crate::fault`]) — by default per-rank mailboxes with
-//! a blocked-rank registry that detects genuine deadlocks immediately, and
-//! optionally a seeded [`FaultPlan`] that perturbs delivery for adversarial
-//! schedule exploration. `send` is eager/buffered (never blocks); `recv`
-//! blocks until a matching message arrives, the registry proves a deadlock,
-//! or the fallback timeout expires. Collectives are lowered onto
-//! point-to-point transfers using a reserved tag space keyed by a
-//! per-process collective sequence number, which is valid because SMPL
-//! programs (like the paper's benchmarks) execute collectives in the same
-//! order on every process.
+//! [`run`] runs every rank of a run on the calling thread under one
+//! scheduler loop. A rank is its interpreter state plus an explicit
+//! activation stack (block cursors, loop state, call frames), so it can
+//! stop at an MPI statement and resume there. Every send and every receive
+//! is a scheduling point: the loop moves on round-robin, or, under a
+//! [`FaultPlan`], to a rank drawn from the plan's seeded stream, so a
+//! schedule is a pure function of the program, the configuration and the
+//! seed. `send` is eager/buffered (never blocks); a `recv` with no matching
+//! queued message leaves its rank blocked on the statement. A run in which
+//! no rank can step while one is blocked is deadlocked, exactly and at
+//! once. Collectives are lowered onto point-to-point transfers using a
+//! reserved tag space keyed by a per-process collective sequence number,
+//! which is valid because SMPL programs (like the paper's benchmarks)
+//! execute collectives in the same order on every process.
 //!
 //! A run costs the statements it executes and the elements it writes, not
 //! the sizes the program declares. The program is lowered once per run into
 //! a tree with every name resolved to a frame slot or global index, shared
-//! by all rank threads. Arrays are a whole-array fill plus only the pages
-//! written, so declaring, filling or `read`ing one is O(1) whatever its
+//! by all ranks. Arrays are a whole-array fill plus only the pages written,
+//! so declaring, filling, `read`ing or sending one is O(1) whatever its
 //! length; building a whole-array value costs its length and fails the rank
 //! with an error, not an abort, when the allocation is refused.
 //!
@@ -45,29 +48,29 @@
 use crate::ast::{
     self, visit_stmts, BinOp, Intrinsic, LValue, MpiStmt, Program, RedOp, SubDecl, UnOp, VarDecl,
 };
-use crate::fault::{ChannelTransport, FaultPlan, RankWait, RecvError, Transport};
+use crate::fault::{FaultPlan, Mailboxes, Message, RankWait};
+use crate::rng::SplitMix64;
 use crate::span::Span;
 use crate::types::Type;
 use mpi_dfa_core::telemetry::{self, ArgValue, TraceLevel};
 use std::cell::RefCell;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fmt;
 use std::rc::Rc;
-use std::time::Duration;
 
 /// Runtime failure during interpretation. Communication deadlocks carry a
-/// structured per-rank wait-for report from the transport's blocked-rank
-/// registry; everything else is a per-rank failure with a source span.
+/// structured per-rank wait-for report; everything else is a per-rank
+/// failure with a source span.
 #[derive(Debug, Clone)]
 pub enum RuntimeError {
     /// A rank failed executing a statement (bad index, budget exceeded,
-    /// arity mismatch, receive timeout, ...).
+    /// arity mismatch, ...).
     Failed {
         rank: usize,
         span: Span,
         message: String,
     },
-    /// Every live rank was blocked with no matching message in flight.
+    /// No rank could step while at least one was blocked on a receive.
     Deadlock { waiting: Vec<RankWait> },
 }
 
@@ -168,58 +171,26 @@ impl std::error::Error for RuntimeError {}
 
 /// Execution limits that keep interpreter runs bounded.
 ///
-/// Every "magic" safety constant of the runtime lives here, so library
-/// callers, the test suites, and `mpidfa run` all draw from one documented
-/// source instead of scattering literals. The named presets cover the
-/// recurring configurations:
-///
-/// * [`RuntimeLimits::default`] — production defaults, generous enough for
-///   the full benchmark suite (20 M steps, 10 s receive backstop);
-/// * [`RuntimeLimits::quick_test`] — a shorter receive backstop for fast
-///   in-process unit tests that are not expected to block;
-/// * [`RuntimeLimits::detector_backstop`] — a deliberately *long* receive
-///   timeout for tests asserting the structural deadlock detector fires
-///   (a test that finishes quickly under this limit proves the detector,
-///   not the timeout, reported the deadlock).
+/// Every safety constant of the runtime lives here, so library callers,
+/// the test suites, and `mpidfa run` all draw from one documented source
+/// instead of scattering literals. A run needs no time limit: one in which
+/// no rank can step ends at once with a deadlock report, and `max_steps`
+/// bounds the work of each rank.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RuntimeLimits {
     /// Per-process statement execution budget (guards infinite loops).
     pub max_steps: u64,
-    /// How long a blocked `recv` waits before reporting deadlock. The
-    /// structural deadlock detector normally fires long before this; the
-    /// timeout is the backstop for schedules the detector cannot prove.
-    pub recv_timeout: Duration,
 }
 
 impl RuntimeLimits {
     /// Default per-process statement budget.
     pub const DEFAULT_MAX_STEPS: u64 = 20_000_000;
-    /// Default receive-timeout backstop.
-    pub const DEFAULT_RECV_TIMEOUT: Duration = Duration::from_secs(10);
-
-    /// Short receive backstop (5 s) for unit tests that should never block.
-    pub fn quick_test() -> Self {
-        RuntimeLimits {
-            recv_timeout: Duration::from_secs(5),
-            ..RuntimeLimits::default()
-        }
-    }
-
-    /// Patient receive backstop (30 s) for tests asserting that the
-    /// structural deadlock detector — not the timeout — reports deadlocks.
-    pub fn detector_backstop() -> Self {
-        RuntimeLimits {
-            recv_timeout: Duration::from_secs(30),
-            ..RuntimeLimits::default()
-        }
-    }
 }
 
 impl Default for RuntimeLimits {
     fn default() -> Self {
         RuntimeLimits {
             max_steps: Self::DEFAULT_MAX_STEPS,
-            recv_timeout: Self::DEFAULT_RECV_TIMEOUT,
         }
     }
 }
@@ -231,7 +202,7 @@ pub struct InterpConfig {
     pub nprocs: usize,
     /// Entry subroutine (must take no parameters).
     pub entry: String,
-    /// Step and timeout limits; see [`RuntimeLimits`].
+    /// Step limit; see [`RuntimeLimits`].
     pub limits: RuntimeLimits,
     /// Initial values for global scalars (arrays are filled elementwise),
     /// applied identically on every rank before the entry runs. Used by the
@@ -241,7 +212,7 @@ pub struct InterpConfig {
     /// [`ProcessResult::final_globals`].
     pub capture_globals: bool,
     /// Optional seeded fault-injection / adversarial-schedule plan applied
-    /// by the transport (see [`crate::fault::FaultPlan`]).
+    /// by the scheduler (see [`crate::fault::FaultPlan`]).
     pub fault_plan: Option<FaultPlan>,
 }
 
@@ -273,89 +244,231 @@ pub struct ProcessResult {
     pub final_globals: Vec<(String, Vec<f64>)>,
 }
 
-/// Run `program` under `config`, returning per-rank results. Uses the
-/// default [`ChannelTransport`], configured with `config.fault_plan`.
-pub fn run(program: &Program, config: &InterpConfig) -> Result<Vec<ProcessResult>, RuntimeError> {
-    let transport = ChannelTransport::new(config.nprocs.max(1), config.fault_plan.clone());
-    run_with_transport(program, config, &transport)
+// ---- the scheduler ------------------------------------------------------------
+
+/// Where a rank stands between two turns.
+enum State {
+    Ready,
+    Blocked(RankWait),
+    Done,
+    Failed(RuntimeError),
 }
 
-/// Run `program` with an explicit [`Transport`] implementation.
-pub fn run_with_transport(
-    program: &Program,
-    config: &InterpConfig,
-    transport: &(dyn Transport + Sync),
-) -> Result<Vec<ProcessResult>, RuntimeError> {
+/// Why a rank handed control back to the scheduler.
+enum Yield {
+    /// It sent a message with this destination, tag and communicator.
+    Sent {
+        dest: usize,
+        tag: i64,
+        comm: i64,
+    },
+    Received,
+    Blocked(RankWait),
+    Done,
+}
+
+/// Run `program` under `config`, returning per-rank results. Every rank
+/// runs on the calling thread; see the module documentation for the
+/// schedule.
+pub fn run(program: &Program, config: &InterpConfig) -> Result<Vec<ProcessResult>, RuntimeError> {
     let nprocs = config.nprocs.max(1);
     let code = Code::lower(program);
     let mut run_span = telemetry::span("runtime", "interp:run");
     run_span.arg("nprocs", nprocs);
     run_span.arg("entry", config.entry.as_str());
 
-    std::thread::scope(|scope| {
-        let code = &code;
-        let mut handles = Vec::with_capacity(nprocs);
-        for rank in 0..nprocs {
-            handles.push(scope.spawn(move || {
-                transport.rank_started(rank);
-                let mut proc = Process {
-                    code,
-                    rank,
-                    nprocs,
-                    transport,
-                    result: ProcessResult::default(),
-                    read_counter: rank as u64,
-                    coll_seq: 0,
-                    config,
-                    depth: 0,
-                };
-                let outcome = proc.run_entry().map(|_| proc.result);
-                // Always unregister from the wait graph, success or not, so
-                // the deadlock detector never counts a dead rank as live.
-                transport.rank_finished(rank);
-                outcome
-            }));
-        }
-        let mut results = Vec::with_capacity(nprocs);
-        let mut errors: Vec<RuntimeError> = Vec::new();
-        for h in handles {
-            match h.join() {
-                Ok(Ok(r)) => results.push(r),
-                Ok(Err(e)) => errors.push(e),
-                Err(_) => errors.push(RuntimeError::Failed {
-                    rank: usize::MAX,
-                    span: Span::DUMMY,
-                    message: "interpreter thread panicked".to_string(),
-                }),
+    let mut net = Net {
+        mailboxes: Mailboxes::new(nprocs),
+        plan: config
+            .fault_plan
+            .as_ref()
+            .map(|p| (p, SplitMix64::new(p.seed))),
+        clock: 0,
+    };
+    let mut procs = Vec::with_capacity(nprocs);
+    let mut states = Vec::with_capacity(nprocs);
+    for rank in 0..nprocs {
+        trace(&mut net.clock, "rank_start", rank, Vec::new);
+        let mut proc = Process::new(&code, config, rank, nprocs);
+        states.push(match proc.enter() {
+            Ok(()) => State::Ready,
+            Err(e) => {
+                trace(&mut net.clock, "rank_finish", rank, Vec::new);
+                State::Failed(e)
             }
+        });
+        procs.push(proc);
+    }
+
+    let mut ready = Vec::with_capacity(nprocs);
+    let mut last = nprocs - 1;
+    loop {
+        ready.clear();
+        ready.extend((0..nprocs).filter(|&r| matches!(states[r], State::Ready)));
+        let Some(&first) = ready.first() else {
+            break;
+        };
+        let rank = match &mut net.plan {
+            Some((_, rng)) => ready[rng.below(ready.len())],
+            None => ready.iter().copied().find(|&r| r > last).unwrap_or(first),
+        };
+        last = rank;
+        states[rank] = match procs[rank].resume(&mut net) {
+            Ok(Yield::Sent { dest, tag, comm }) => {
+                // Only the new message can end the wait; the queue is
+                // searched only when its envelope fits (a plan may have
+                // dropped it).
+                if let State::Blocked(wait) = &states[dest] {
+                    if wait.accepts(rank, tag, comm) && net.mailboxes.has_match(wait) {
+                        trace(&mut net.clock, "unblock", dest, Vec::new);
+                        states[dest] = State::Ready;
+                    }
+                }
+                State::Ready
+            }
+            Ok(Yield::Received) => State::Ready,
+            Ok(Yield::Blocked(wait)) => {
+                trace(&mut net.clock, "block", rank, || {
+                    let any = || ArgValue::Str("ANY".to_string());
+                    vec![
+                        (
+                            "src",
+                            wait.src.map_or_else(any, |s| ArgValue::U64(s as u64)),
+                        ),
+                        ("tag", wait.tag.map_or_else(any, ArgValue::I64)),
+                        ("comm", ArgValue::I64(wait.comm)),
+                    ]
+                });
+                State::Blocked(wait)
+            }
+            Ok(Yield::Done) => {
+                trace(&mut net.clock, "rank_finish", rank, Vec::new);
+                State::Done
+            }
+            Err(e) => {
+                trace(&mut net.clock, "rank_finish", rank, Vec::new);
+                State::Failed(e)
+            }
+        };
+    }
+
+    // No rank can step. A deadlock is often the *consequence* of another
+    // rank's failure (it died and left its peers stranded), so the lowest
+    // failed rank's error wins over it.
+    let mut waiting = Vec::new();
+    let mut failure = None;
+    for (rank, state) in states.into_iter().enumerate() {
+        match state {
+            State::Blocked(wait) => {
+                trace(&mut net.clock, "deadlock", rank, Vec::new);
+                waiting.push(wait);
+            }
+            State::Failed(e) => failure = failure.or(Some(e)),
+            State::Ready | State::Done => {}
         }
-        // A deadlock report is often the *consequence* of another rank's
-        // failure (it died and left its peers stranded); prefer the root
-        // cause when both kinds are present.
-        match errors.iter().position(|e| !e.is_deadlock()) {
-            Some(pos) => Err(errors.swap_remove(pos)),
-            None => match errors.into_iter().next() {
-                Some(e) => Err(e),
-                None => Ok(results),
-            },
+    }
+    match failure {
+        Some(e) => Err(e),
+        None if !waiting.is_empty() => Err(RuntimeError::Deadlock { waiting }),
+        None => Ok(procs.into_iter().map(|p| p.result).collect()),
+    }
+}
+
+/// The communication fabric of one run.
+struct Net<'c> {
+    mailboxes: Mailboxes,
+    /// The fault plan, and the stream every scheduling and delivery
+    /// decision under it is drawn from.
+    plan: Option<(&'c FaultPlan, SplitMix64)>,
+    /// The run's event counter: communication-timeline events recorded so
+    /// far, which stamps the next one's `lt`.
+    clock: u64,
+}
+
+impl Net<'_> {
+    /// Deliver a message, subject to the fault plan.
+    fn send(&mut self, src: usize, dest: usize, tag: i64, comm: i64, payload: Payload) {
+        trace(&mut self.clock, "send", src, || {
+            vec![
+                ("dest", ArgValue::U64(dest as u64)),
+                ("tag", ArgValue::I64(tag)),
+                ("comm", ArgValue::I64(comm)),
+                ("len", ArgValue::U64(payload.len() as u64)),
+            ]
+        });
+        let msg = Message {
+            src,
+            tag,
+            comm,
+            payload,
+        };
+        let Some((plan, rng)) = &mut self.plan else {
+            self.mailboxes.deliver(dest, msg, None);
+            return;
+        };
+        let dropped = rng.chance(plan.drop);
+        let duplicated = rng.chance(plan.duplicate);
+        let reorder = rng.chance(plan.reorder);
+        if dropped || duplicated {
+            let name = if dropped {
+                "fault:drop"
+            } else {
+                "fault:duplicate"
+            };
+            trace(&mut self.clock, name, src, || {
+                vec![
+                    ("dest", ArgValue::U64(dest as u64)),
+                    ("tag", ArgValue::I64(tag)),
+                ]
+            });
         }
-    })
+        if dropped {
+            return;
+        }
+        if duplicated {
+            self.mailboxes
+                .deliver(dest, msg.clone(), reorder.then_some(&mut *rng));
+        }
+        self.mailboxes.deliver(dest, msg, reorder.then_some(rng));
+    }
+}
+
+/// Record one communication-timeline event at [`TraceLevel::Full`],
+/// stamped with the run's event counter as `lt`. The argument list is only
+/// built when the sink records, so the disabled path allocates nothing.
+#[inline]
+fn trace(
+    clock: &mut u64,
+    name: &str,
+    rank: usize,
+    extra: impl FnOnce() -> Vec<(&'static str, ArgValue)>,
+) {
+    if telemetry::level() < TraceLevel::Full {
+        return;
+    }
+    let mut args = vec![
+        ("rank", ArgValue::U64(rank as u64)),
+        ("lt", ArgValue::U64(*clock)),
+    ];
+    *clock += 1;
+    args.extend(extra());
+    telemetry::comm_event(name, args);
 }
 
 /// Tag space reserved for lowered collectives; user tags must stay below.
 const COLLECTIVE_TAG_BASE: i64 = 1 << 40;
 
 /// Deepest chain of nested subroutine calls a rank may run. Sema rejects
-/// recursion but not depth, and each level costs interpreter stack: about
-/// 10 KiB in a debug build, under 1 KiB in release. At this bound a chain
-/// still fits a rank thread's default 2 MiB stack in either build; one
-/// call deeper fails the rank with [`RuntimeError::Failed`].
+/// recursion but not depth. A call costs no native stack (it is a frame on
+/// the rank's activation stack), so the bound only keeps a run's memory in
+/// proportion to the program; one call deeper fails the rank with
+/// [`RuntimeError::Failed`].
 pub const MAX_CALL_DEPTH: usize = 128;
 
 // ---- the lowered program ------------------------------------------------------
 
 /// `program` with every name resolved, built once per run and shared
-/// read-only by every rank thread.
+/// read-only by every rank.
 struct Code {
     /// One entry per global name, in name order; a redeclared name keeps
     /// its last declaration.
@@ -795,7 +908,7 @@ const PAGE: usize = 1 << 10;
 
 /// The value of every array element that no page overrides.
 #[derive(Clone, Copy)]
-enum Fill {
+pub(crate) enum Fill {
     Const(f64),
     /// `read`'s deterministic ramp: element `k` holds `v + (k % 97) * 0.001`.
     Ramp(f64),
@@ -875,16 +988,9 @@ impl<'a> Array<'a> {
         self.pages = xs.chunks(PAGE).map(Box::from).enumerate().collect();
     }
 
-    /// The whole array as one value, built page by page. The allocation is
-    /// reserved up front and refused with an error rather than aborting.
+    /// The whole array as one value, built page by page.
     fn to_vec(&self) -> Result<Vec<f64>, String> {
-        let mut out = Vec::new();
-        out.try_reserve_exact(self.len).map_err(|_| {
-            format!(
-                "cannot materialise a whole array of {} elements: allocation refused",
-                self.len
-            )
-        })?;
+        let mut out = with_room(self.len)?;
         let mut next = 0;
         for (&p, page) in &self.pages {
             let start = p * PAGE;
@@ -894,6 +1000,50 @@ impl<'a> Array<'a> {
         }
         self.fill.extend(&mut out, next, self.len);
         Ok(out)
+    }
+}
+
+/// An empty vector with room for `len` elements, reserved up front and
+/// refused with an error rather than aborting.
+fn with_room(len: usize) -> Result<Vec<f64>, String> {
+    let mut out = Vec::new();
+    out.try_reserve_exact(len).map_err(|_| {
+        format!("cannot materialise a whole array of {len} elements: allocation refused")
+    })?;
+    Ok(out)
+}
+
+/// A message payload: elements, or the fill of a whole array none of whose
+/// elements was written since, which travels as it is whatever its length.
+#[derive(Clone)]
+pub(crate) enum Payload {
+    Elems(Vec<f64>),
+    Filled(Fill, usize),
+}
+
+impl Default for Payload {
+    fn default() -> Self {
+        Payload::Elems(Vec::new())
+    }
+}
+
+impl Payload {
+    pub(crate) fn len(&self) -> usize {
+        match self {
+            Payload::Elems(xs) => xs.len(),
+            Payload::Filled(_, len) => *len,
+        }
+    }
+
+    fn into_elems(self) -> Result<Vec<f64>, String> {
+        match self {
+            Payload::Elems(xs) => Ok(xs),
+            Payload::Filled(fill, len) => {
+                let mut out = with_room(len)?;
+                fill.extend(&mut out, 0, len);
+                Ok(out)
+            }
+        }
     }
 }
 
@@ -953,27 +1103,97 @@ enum At {
 
 // ---- the per-process interpreter --------------------------------------------
 
-/// Control-flow signal from statement execution.
-enum Flow {
-    Normal,
-    Return,
+/// One entry of a rank's activation stack.
+enum Act<'a> {
+    /// The statements of a block still to run.
+    Block(std::slice::Iter<'a, Stmt>),
+    /// A `while` loop, whose condition is tested each time it is on top.
+    While {
+        cond: &'a Expr,
+        body: &'a [Stmt],
+        span: Span,
+    },
+    /// A `for` loop whose body just ran.
+    For(ForLoop<'a>),
+    /// An open call: leaving it closes the callee's frame.
+    Call,
+}
+
+struct ForLoop<'a> {
+    /// Held across the body: a `var` of the same name in the body binds a
+    /// new slot but does not redirect the loop.
+    slot: Slot<'a>,
+    hi: f64,
+    step: f64,
+    body: &'a [Stmt],
+    span: Span,
+}
+
+/// One communication step of an MPI statement. A statement is turned into
+/// its steps once, so a rank that blocks on a step resumes there without
+/// repeating a tick, a collective tag or a send.
+enum Step<'a> {
+    /// Send `payload`, or a copy of the accumulator for `None`.
+    Post {
+        dest: usize,
+        tag: i64,
+        comm: i64,
+        payload: Option<Payload>,
+    },
+    /// Receive a matching message into the accumulator, or, with `fold`,
+    /// combine it elementwise into the accumulator (the name is the
+    /// collective's, for a length mismatch).
+    Take {
+        src: Option<usize>,
+        tag: Option<i64>,
+        comm: i64,
+        fold: Option<(RedOp, &'static str)>,
+    },
+    /// Store the accumulator at a place.
+    Store(&'a Place),
 }
 
 struct Process<'a> {
     code: &'a Code,
+    config: &'a InterpConfig,
     rank: usize,
     nprocs: usize,
-    transport: &'a (dyn Transport + Sync),
     result: ProcessResult,
     read_counter: u64,
     coll_seq: i64,
-    config: &'a InterpConfig,
-    /// Subroutine calls currently open on this rank (`main` is depth 0).
-    depth: usize,
+    globals: Vec<Slot<'a>>,
+    /// One frame per open call, innermost last; `main`'s is the first.
+    frames: Vec<Frame<'a>>,
+    /// What runs next, innermost last.
+    stack: Vec<Act<'a>>,
+    /// The steps left of the MPI statement in progress, and its span.
+    steps: VecDeque<Step<'a>>,
+    at: Span,
+    /// The payload a receive delivers or a reduction combines into.
+    acc: Payload,
 }
 
 impl<'a> Process<'a> {
-    fn run_entry(&mut self) -> Result<(), RuntimeError> {
+    fn new(code: &'a Code, config: &'a InterpConfig, rank: usize, nprocs: usize) -> Self {
+        Process {
+            code,
+            config,
+            rank,
+            nprocs,
+            result: ProcessResult::default(),
+            read_counter: rank as u64,
+            coll_seq: 0,
+            globals: Vec::new(),
+            frames: Vec::new(),
+            stack: Vec::new(),
+            steps: VecDeque::new(),
+            at: Span::DUMMY,
+            acc: Payload::default(),
+        }
+    }
+
+    /// Bind the globals and open the entry subroutine.
+    fn enter(&mut self) -> Result<(), RuntimeError> {
         let code = self.code;
         let entry = code
             .subs
@@ -988,7 +1208,7 @@ impl<'a> Process<'a> {
         if !entry.params.is_empty() {
             return Err(self.err(entry.span, "entry subroutine must take no parameters"));
         }
-        let globals: Vec<Slot<'a>> = code
+        self.globals = code
             .globals
             .iter()
             .map(|g| {
@@ -1001,19 +1221,78 @@ impl<'a> Process<'a> {
                 Rc::new(RefCell::new(g.shape.filled(init)))
             })
             .collect();
-        let mut frame = vec![None; entry.slots];
-        self.exec_block(&entry.body, &mut frame, &globals)?;
-        if self.config.capture_globals {
-            let mut finals = Vec::with_capacity(globals.len());
-            for (g, slot) in code.globals.iter().zip(&globals) {
-                let values = match &*slot.borrow() {
-                    Storage::Scalar(v) => vec![*v],
-                    Storage::Array(a) => a.to_vec().map_err(|m| self.err(g.span, m))?,
-                };
-                finals.push((g.name.clone(), values));
+        self.open(vec![None; entry.slots], &entry.body);
+        Ok(())
+    }
+
+    /// Push a call of `body` with `frame`.
+    fn open(&mut self, frame: Frame<'a>, body: &'a [Stmt]) {
+        self.frames.push(frame);
+        self.stack.push(Act::Call);
+        self.stack.push(Act::Block(body.iter()));
+    }
+
+    /// Run until the next send or receive, a receive that must wait, or
+    /// the end of the entry subroutine.
+    fn resume(&mut self, net: &mut Net) -> Result<Yield, RuntimeError> {
+        loop {
+            if let Some(step) = self.steps.pop_front() {
+                match self.communicate(step, net)? {
+                    Some(y) => return Ok(y),
+                    None => continue,
+                }
             }
-            self.result.final_globals = finals;
+            // The common case, the next statement of a block, steps the
+            // cursor in place.
+            if let Some(Act::Block(stmts)) = self.stack.last_mut() {
+                if let Some(stmt) = stmts.next() {
+                    self.exec(stmt)?;
+                    continue;
+                }
+            }
+            let Some(act) = self.stack.pop() else {
+                self.capture()?;
+                return Ok(Yield::Done);
+            };
+            match act {
+                // An exhausted block.
+                Act::Block(_) => {}
+                Act::While { cond, body, span } => {
+                    self.tick(span)?;
+                    if self.truth(cond)? {
+                        self.stack.push(Act::While { cond, body, span });
+                        self.stack.push(Act::Block(body.iter()));
+                    }
+                }
+                Act::For(lp) => {
+                    // Re-read in case the body modified the loop variable.
+                    let next = match *lp.slot.borrow() {
+                        Storage::Scalar(v) => v + lp.step,
+                        _ => return Err(self.err(lp.span, "loop variable became an array")),
+                    };
+                    self.iterate(lp, next)?;
+                }
+                Act::Call => {
+                    self.frames.pop();
+                }
+            }
         }
+    }
+
+    /// Record every global's final value, when the configuration asks.
+    fn capture(&mut self) -> Result<(), RuntimeError> {
+        if !self.config.capture_globals {
+            return Ok(());
+        }
+        let mut finals = Vec::with_capacity(self.globals.len());
+        for (g, slot) in self.code.globals.iter().zip(&self.globals) {
+            let values = match &*slot.borrow() {
+                Storage::Scalar(v) => vec![*v],
+                Storage::Array(a) => a.to_vec().map_err(|m| self.err(g.span, m))?,
+            };
+            finals.push((g.name.clone(), values));
+        }
+        self.result.final_globals = finals;
         Ok(())
     }
 
@@ -1025,20 +1304,18 @@ impl<'a> Process<'a> {
         }
     }
 
+    fn frame(&self) -> &Frame<'a> {
+        self.frames.last().expect("a running rank has an open call")
+    }
+
     /// The slot `var` names: the enclosing subroutine's binding once it
     /// exists, else the same-named global.
-    fn slot<'f>(
-        &self,
-        var: &Var,
-        frame: &'f Frame<'a>,
-        globals: &'f [Slot<'a>],
-        span: Span,
-    ) -> Result<&'f Slot<'a>, RuntimeError> {
-        if let Some(slot) = var.local.and_then(|l| frame[l as usize].as_ref()) {
+    fn slot(&self, var: &Var, span: Span) -> Result<&Slot<'a>, RuntimeError> {
+        if let Some(slot) = var.local.and_then(|l| self.frame()[l as usize].as_ref()) {
             return Ok(slot);
         }
         var.global
-            .map(|g| &globals[g as usize])
+            .map(|g| &self.globals[g as usize])
             .ok_or_else(|| self.err(span, format!("undefined variable `{}`", var.name)))
     }
 
@@ -1050,66 +1327,51 @@ impl<'a> Process<'a> {
         Ok(())
     }
 
-    fn exec_block(
-        &mut self,
-        block: &'a [Stmt],
-        frame: &mut Frame<'a>,
-        globals: &[Slot<'a>],
-    ) -> Result<Flow, RuntimeError> {
-        for stmt in block {
-            if let Flow::Return = self.exec_stmt(stmt, frame, globals)? {
-                return Ok(Flow::Return);
-            }
-        }
-        Ok(Flow::Normal)
+    /// A condition's truth.
+    fn truth(&self, cond: &Expr) -> Result<bool, RuntimeError> {
+        let c = self
+            .eval(cond)?
+            .as_num(|| self.err(cond.span, "array condition"))?;
+        Ok(c != 0.0)
     }
 
-    fn exec_stmt(
-        &mut self,
-        stmt: &'a Stmt,
-        frame: &mut Frame<'a>,
-        globals: &[Slot<'a>],
-    ) -> Result<Flow, RuntimeError> {
+    /// Run one statement: a simple one to completion; a compound one by
+    /// pushing what it runs next; an MPI one by queueing its steps.
+    fn exec(&mut self, stmt: &'a Stmt) -> Result<(), RuntimeError> {
         self.tick(stmt.span)?;
         match &stmt.kind {
             StmtKind::Local { slot, shape, init } => {
                 let fresh = Rc::new(RefCell::new(shape.filled(0.0)));
                 if let Some(e) = init {
-                    let v = self.eval(e, frame, globals)?;
+                    let v = self.eval(e)?;
                     self.store(&fresh, At::Whole, v, stmt.span)?;
                 }
+                let frame = self
+                    .frames
+                    .last_mut()
+                    .expect("a running rank has an open call");
                 frame[*slot as usize] = Some(fresh);
             }
             StmtKind::Assign { lhs, rhs } => {
-                let v = self.eval(rhs, frame, globals)?;
-                self.assign(lhs, v, stmt.span, frame, globals)?;
+                let v = self.eval(rhs)?;
+                self.assign(lhs, v, stmt.span)?;
             }
             StmtKind::If {
                 cond,
                 then_blk,
                 else_blk,
             } => {
-                let c = self
-                    .eval(cond, frame, globals)?
-                    .as_num(|| self.err(cond.span, "array condition"))?;
-                if c != 0.0 {
-                    return self.exec_block(then_blk, frame, globals);
+                if self.truth(cond)? {
+                    self.stack.push(Act::Block(then_blk.iter()));
                 } else if let Some(e) = else_blk {
-                    return self.exec_block(e, frame, globals);
+                    self.stack.push(Act::Block(e.iter()));
                 }
             }
-            StmtKind::While { cond, body } => loop {
-                self.tick(stmt.span)?;
-                let c = self
-                    .eval(cond, frame, globals)?
-                    .as_num(|| self.err(cond.span, "array condition"))?;
-                if c == 0.0 {
-                    break;
-                }
-                if let Flow::Return = self.exec_block(body, frame, globals)? {
-                    return Ok(Flow::Return);
-                }
-            },
+            StmtKind::While { cond, body } => self.stack.push(Act::While {
+                cond,
+                body,
+                span: stmt.span,
+            }),
             StmtKind::For {
                 var,
                 lo,
@@ -1118,47 +1380,44 @@ impl<'a> Process<'a> {
                 body,
             } => {
                 let lo = self
-                    .eval(lo, frame, globals)?
+                    .eval(lo)?
                     .as_num(|| self.err(stmt.span, "array loop bound"))?;
                 let hi = self
-                    .eval(hi, frame, globals)?
+                    .eval(hi)?
                     .as_num(|| self.err(stmt.span, "array loop bound"))?;
-                let st = match step {
-                    Some(s) => self
-                        .eval(s, frame, globals)?
-                        .as_num(|| self.err(stmt.span, "array step"))?,
+                let step = match step {
+                    Some(s) => self.eval(s)?.as_num(|| self.err(stmt.span, "array step"))?,
                     None => 1.0,
                 };
-                if st == 0.0 {
+                if step == 0.0 {
                     return Err(self.err(stmt.span, "zero loop step"));
                 }
-                // Held across the body: a `var` of the same name in the body
-                // binds a new slot but does not redirect the loop.
-                let slot = Rc::clone(self.slot(var, frame, globals, stmt.span)?);
-                let mut i = lo;
-                while (st > 0.0 && i <= hi) || (st < 0.0 && i >= hi) {
-                    self.tick(stmt.span)?;
-                    *slot.borrow_mut() = Storage::Scalar(i);
-                    if let Flow::Return = self.exec_block(body, frame, globals)? {
-                        return Ok(Flow::Return);
-                    }
-                    // Re-read in case the body modified the loop variable.
-                    i = match *slot.borrow() {
-                        Storage::Scalar(v) => v + st,
-                        _ => return Err(self.err(stmt.span, "loop variable became an array")),
-                    };
-                }
+                let slot = Rc::clone(self.slot(var, stmt.span)?);
+                let lp = ForLoop {
+                    slot,
+                    hi,
+                    step,
+                    body,
+                    span: stmt.span,
+                };
+                self.iterate(lp, lo)?;
             }
             StmtKind::Call { name, callee, args } => {
-                self.exec_call(name, *callee, args, stmt.span, frame, globals)?;
+                self.call(name, *callee, args, stmt.span)?;
             }
-            StmtKind::Return => return Ok(Flow::Return),
-            StmtKind::Mpi(m) => self.exec_mpi(m, stmt.span, frame, globals)?,
+            StmtKind::Return => {
+                while let Some(act) = self.stack.pop() {
+                    if let Act::Call = act {
+                        self.frames.pop();
+                        break;
+                    }
+                }
+            }
+            StmtKind::Mpi(m) => self.mpi(m, stmt.span)?,
             StmtKind::Read(place) => {
-                let slot = self.slot(&place.var, frame, globals, place.span)?;
-                let at = self.locate(place, slot, frame, globals)?;
                 let v = self.next_input();
-                match at {
+                let slot = self.slot(&place.var, place.span)?;
+                match self.locate(place, slot)? {
                     // Whole-variable read: fill arrays elementwise with a
                     // deterministic ramp.
                     At::Whole => match &mut *slot.borrow_mut() {
@@ -1168,12 +1427,25 @@ impl<'a> Process<'a> {
                     at => self.store(slot, at, Val::Num(v), stmt.span)?,
                 }
             }
-            StmtKind::Print(e) => match self.eval(e, frame, globals)? {
+            StmtKind::Print(e) => match self.eval(e)? {
                 Val::Num(x) => self.result.printed.push(x),
                 Val::Arr(xs) => self.result.printed.extend(xs),
             },
         }
-        Ok(Flow::Normal)
+        Ok(())
+    }
+
+    /// Start the iteration of `lp` in which its variable holds `i`, or
+    /// leave the loop when `i` is past the bound.
+    fn iterate(&mut self, lp: ForLoop<'a>, i: f64) -> Result<(), RuntimeError> {
+        if (lp.step > 0.0 && i <= lp.hi) || (lp.step < 0.0 && i >= lp.hi) {
+            self.tick(lp.span)?;
+            *lp.slot.borrow_mut() = Storage::Scalar(i);
+            let body = lp.body.iter();
+            self.stack.push(Act::For(lp));
+            self.stack.push(Act::Block(body));
+        }
+        Ok(())
     }
 
     /// Deterministic pseudo-input stream, distinct per rank.
@@ -1186,14 +1458,12 @@ impl<'a> Process<'a> {
         ((self.read_counter >> 33) % 1000) as f64 / 100.0 + 1.0
     }
 
-    fn exec_call(
+    fn call(
         &mut self,
         name: &str,
         callee: Option<u32>,
         args: &'a [Arg],
         span: Span,
-        frame: &Frame<'a>,
-        globals: &[Slot<'a>],
     ) -> Result<(), RuntimeError> {
         let code = self.code;
         let callee = callee
@@ -1202,43 +1472,39 @@ impl<'a> Process<'a> {
         if callee.params.len() != args.len() {
             return Err(self.err(span, format!("arity mismatch calling `{name}`")));
         }
-        if self.depth >= MAX_CALL_DEPTH {
+        // `main`'s frame is the first, at depth 0.
+        if self.frames.len() > MAX_CALL_DEPTH {
             return Err(self.err(
                 span,
                 format!("call depth exceeds {MAX_CALL_DEPTH} at call to `{name}`"),
             ));
         }
-        let mut new_frame = vec![None; callee.slots];
+        let mut frame = vec![None; callee.slots];
         for ((slot, shape), arg) in callee.params.iter().zip(args) {
             let bound = match arg {
                 // Whole variable: alias the caller's storage (by reference).
-                Arg::Ref(var, vspan) => Rc::clone(self.slot(var, frame, globals, *vspan)?),
+                Arg::Ref(var, vspan) => Rc::clone(self.slot(var, *vspan)?),
                 // Expression or array element: fresh storage (by value).
                 Arg::Value(e) => {
-                    let storage = match self.eval(e, frame, globals)? {
+                    let storage = match self.eval(e)? {
                         Val::Num(x) => shape.filled(x),
                         Val::Arr(xs) => Storage::Array(Array::from_vec(&shape.dims, &xs)),
                     };
                     Rc::new(RefCell::new(storage))
                 }
             };
-            new_frame[*slot as usize] = Some(bound);
+            frame[*slot as usize] = Some(bound);
         }
-        self.depth += 1;
-        let done = self.exec_block(&callee.body, &mut new_frame, globals);
-        self.depth -= 1;
-        done.map(|_| ())
+        self.open(frame, &callee.body);
+        Ok(())
     }
 
     // ---- MPI -----------------------------------------------------------
 
-    fn exec_mpi(
-        &mut self,
-        m: &'a Mpi,
-        span: Span,
-        frame: &Frame<'a>,
-        globals: &[Slot<'a>],
-    ) -> Result<(), RuntimeError> {
+    /// Evaluate an MPI statement's operands, draw its collective tags, and
+    /// queue its communication steps.
+    fn mpi(&mut self, m: &'a Mpi, span: Span) -> Result<(), RuntimeError> {
+        self.at = span;
         match m {
             Mpi::Send {
                 buf,
@@ -1246,11 +1512,11 @@ impl<'a> Process<'a> {
                 tag,
                 comm,
             } => {
-                let payload = self.load(buf, frame, globals)?.into_payload();
-                let dest = self.eval_rank(dest, frame, globals)?;
-                let tag = self.eval_int(tag, frame, globals)?;
-                let comm = self.eval_comm(comm, frame, globals)?;
-                self.post(dest, tag, comm, payload, span)?;
+                let payload = self.payload(buf)?;
+                let dest = self.eval_rank(dest)?;
+                let tag = self.eval_int(tag)?;
+                let comm = self.eval_comm(comm)?;
+                self.post(dest, tag, comm, Some(payload));
             }
             Mpi::Recv {
                 buf,
@@ -1258,30 +1524,24 @@ impl<'a> Process<'a> {
                 tag,
                 comm,
             } => {
-                let src = match src {
-                    Some(e) => Some(self.eval_rank(e, frame, globals)?),
-                    None => None,
-                };
-                let tag = match tag {
-                    Some(e) => Some(self.eval_int(e, frame, globals)?),
-                    None => None,
-                };
-                let comm = self.eval_comm(comm, frame, globals)?;
-                let msg = self.take(src, tag, comm, span)?;
-                self.assign(buf, Val::from_payload(msg.payload), span, frame, globals)?;
+                let src = src.as_ref().map(|e| self.eval_rank(e)).transpose()?;
+                let tag = tag.as_ref().map(|e| self.eval_int(e)).transpose()?;
+                let comm = self.eval_comm(comm)?;
+                self.take(src, tag, comm, None);
+                self.steps.push_back(Step::Store(buf));
             }
             Mpi::Bcast { buf, root, comm } => {
-                let root = self.eval_rank(root, frame, globals)?;
-                let comm = self.eval_comm(comm, frame, globals)?;
+                let root = self.eval_rank(root)?;
+                let comm = self.eval_comm(comm)?;
                 let tag = self.next_coll_tag();
                 self.trace_collective("bcast", root);
                 if self.rank == root {
-                    let payload = self.load(buf, frame, globals)?.into_payload();
+                    let payload = self.payload(buf)?;
                     let dests = (0..self.nprocs).filter(|&d| d != root);
-                    self.fan_out(dests, tag, comm, payload, span)?;
+                    self.fan_out(dests, tag, comm, payload);
                 } else {
-                    let msg = self.take(Some(root), Some(tag), comm, span)?;
-                    self.assign(buf, Val::from_payload(msg.payload), span, frame, globals)?;
+                    self.take(Some(root), Some(tag), comm, None);
+                    self.steps.push_back(Step::Store(buf));
                 }
             }
             Mpi::Reduce {
@@ -1291,29 +1551,20 @@ impl<'a> Process<'a> {
                 root,
                 comm,
             } => {
-                let root = self.eval_rank(root, frame, globals)?;
-                let comm = self.eval_comm(comm, frame, globals)?;
+                let root = self.eval_rank(root)?;
+                let comm = self.eval_comm(comm)?;
                 let tag = self.next_coll_tag();
                 self.trace_collective("reduce", root);
-                let mine = self.eval(send, frame, globals)?.into_payload();
+                let mine = self.eval(send)?.into_payload();
                 if self.rank == root {
-                    let mut acc = mine;
+                    self.acc = Payload::Elems(mine);
                     // Combine in rank order for determinism.
-                    for src in 0..self.nprocs {
-                        if src == root {
-                            continue;
-                        }
-                        let msg = self.take(Some(src), Some(tag), comm, span)?;
-                        if msg.payload.len() != acc.len() {
-                            return Err(self.err(span, "reduce payload length mismatch"));
-                        }
-                        for (a, b) in acc.iter_mut().zip(msg.payload) {
-                            *a = combine(*op, *a, b);
-                        }
+                    for src in (0..self.nprocs).filter(|&s| s != root) {
+                        self.take(Some(src), Some(tag), comm, Some((*op, "reduce")));
                     }
-                    self.assign(recv, Val::from_payload(acc), span, frame, globals)?;
+                    self.steps.push_back(Step::Store(recv));
                 } else {
-                    self.post(root, tag, comm, mine, span)?;
+                    self.post(root, tag, comm, Some(Payload::Elems(mine)));
                 }
             }
             Mpi::Allreduce {
@@ -1323,31 +1574,24 @@ impl<'a> Process<'a> {
                 comm,
             } => {
                 // Lower to reduce-to-0 + bcast using two collective tags.
-                let comm_v = self.eval_comm(comm, frame, globals)?;
+                let comm = self.eval_comm(comm)?;
                 let tag_r = self.next_coll_tag();
                 let tag_b = self.next_coll_tag();
                 self.trace_collective("allreduce", 0);
-                let mine = self.eval(send, frame, globals)?.into_payload();
-                let result = if self.rank == 0 {
-                    let mut acc = mine;
+                let mine = self.eval(send)?.into_payload();
+                if self.rank == 0 {
+                    self.acc = Payload::Elems(mine);
                     for src in 1..self.nprocs {
-                        let msg = self.take(Some(src), Some(tag_r), comm_v, span)?;
-                        if msg.payload.len() != acc.len() {
-                            return Err(self.err(span, "allreduce payload length mismatch"));
-                        }
-                        for (a, b) in acc.iter_mut().zip(msg.payload) {
-                            *a = combine(*op, *a, b);
-                        }
+                        self.take(Some(src), Some(tag_r), comm, Some((*op, "allreduce")));
                     }
-                    // The root keeps its own copy; the last peer takes `acc`.
-                    let own = Val::from_payload(acc.clone());
-                    self.fan_out(1..self.nprocs, tag_b, comm_v, acc, span)?;
-                    own
+                    for dest in 1..self.nprocs {
+                        self.post(dest, tag_b, comm, None);
+                    }
                 } else {
-                    self.post(0, tag_r, comm_v, mine, span)?;
-                    Val::from_payload(self.take(Some(0), Some(tag_b), comm_v, span)?.payload)
-                };
-                self.assign(recv, result, span, frame, globals)?;
+                    self.post(0, tag_r, comm, Some(Payload::Elems(mine)));
+                    self.take(Some(0), Some(tag_b), comm, None);
+                }
+                self.steps.push_back(Step::Store(recv));
             }
             Mpi::Barrier => {
                 // All-to-root gather of empty payloads, then root broadcast.
@@ -1356,12 +1600,12 @@ impl<'a> Process<'a> {
                 self.trace_collective("barrier", 0);
                 if self.rank == 0 {
                     for src in 1..self.nprocs {
-                        self.take(Some(src), Some(tag_r), 0, span)?;
+                        self.take(Some(src), Some(tag_r), 0, None);
                     }
-                    self.fan_out(1..self.nprocs, tag_b, 0, Vec::new(), span)?;
+                    self.fan_out(1..self.nprocs, tag_b, 0, Payload::default());
                 } else {
-                    self.post(0, tag_r, 0, Vec::new(), span)?;
-                    self.take(Some(0), Some(tag_b), 0, span)?;
+                    self.post(0, tag_r, 0, Some(Payload::default()));
+                    self.take(Some(0), Some(tag_b), 0, None);
                 }
             }
             Mpi::Wait => {}
@@ -1376,7 +1620,7 @@ impl<'a> Process<'a> {
 
     /// Emit a collective-entry event on the communication timeline (the
     /// lowered point-to-point traffic appears as individual send/recv
-    /// events from the transport). No-op below [`TraceLevel::Full`].
+    /// events). No-op below [`TraceLevel::Full`].
     fn trace_collective(&self, name: &str, root: usize) {
         if telemetry::level() < TraceLevel::Full {
             return;
@@ -1391,103 +1635,181 @@ impl<'a> Process<'a> {
         );
     }
 
-    /// Post `payload` to each of `dests` in order, cloning it for all but
-    /// the last, which takes it by move.
+    /// Queue a send.
+    fn post(&mut self, dest: usize, tag: i64, comm: i64, payload: Option<Payload>) {
+        self.steps.push_back(Step::Post {
+            dest,
+            tag,
+            comm,
+            payload,
+        });
+    }
+
+    /// Queue a receive.
+    fn take(
+        &mut self,
+        src: Option<usize>,
+        tag: Option<i64>,
+        comm: i64,
+        fold: Option<(RedOp, &'static str)>,
+    ) {
+        self.steps.push_back(Step::Take {
+            src,
+            tag,
+            comm,
+            fold,
+        });
+    }
+
+    /// Queue a send of `payload` to each of `dests` in order, cloning it
+    /// for all but the last, which takes it by move.
     fn fan_out(
         &mut self,
         dests: impl Iterator<Item = usize>,
         tag: i64,
         comm: i64,
-        mut payload: Vec<f64>,
-        span: Span,
-    ) -> Result<(), RuntimeError> {
+        mut payload: Payload,
+    ) {
         let mut dests = dests.peekable();
         while let Some(dest) = dests.next() {
             let copy = match dests.peek() {
                 Some(_) => payload.clone(),
                 None => std::mem::take(&mut payload),
             };
-            self.post(dest, tag, comm, copy, span)?;
+            self.post(dest, tag, comm, Some(copy));
         }
-        Ok(())
     }
 
-    fn post(
+    /// Carry out one step of the MPI statement in progress. Returns how
+    /// the rank yields, or `None` to carry on.
+    fn communicate(
         &mut self,
-        dest: usize,
-        tag: i64,
-        comm: i64,
-        payload: Vec<f64>,
-        span: Span,
-    ) -> Result<(), RuntimeError> {
-        if dest >= self.nprocs {
-            return Err(self.err(
-                span,
-                format!("send to invalid rank {dest} (nprocs={})", self.nprocs),
-            ));
-        }
-        self.result.sends += 1;
-        self.transport.send(self.rank, dest, tag, comm, payload);
-        Ok(())
-    }
-
-    fn take(
-        &mut self,
-        src: Option<usize>,
-        tag: Option<i64>,
-        comm: i64,
-        span: Span,
-    ) -> Result<crate::fault::Message, RuntimeError> {
-        match self.transport.recv(
-            self.rank,
-            src,
-            tag,
-            comm,
-            span,
-            self.config.limits.recv_timeout,
-        ) {
-            Ok(m) => {
-                self.result.recvs += 1;
-                Ok(m)
+        step: Step<'a>,
+        net: &mut Net,
+    ) -> Result<Option<Yield>, RuntimeError> {
+        match step {
+            Step::Post {
+                dest,
+                tag,
+                comm,
+                payload,
+            } => {
+                if dest >= self.nprocs {
+                    return Err(self.err(
+                        self.at,
+                        format!("send to invalid rank {dest} (nprocs={})", self.nprocs),
+                    ));
+                }
+                let payload = payload.unwrap_or_else(|| self.acc.clone());
+                self.result.sends += 1;
+                net.send(self.rank, dest, tag, comm, payload);
+                Ok(Some(Yield::Sent { dest, tag, comm }))
             }
-            Err(RecvError::Timeout) => Err(self.err(
-                span,
-                "recv timed out: missing matching send (no deadlock proven)",
-            )),
-            Err(RecvError::Deadlock(waiting)) => Err(RuntimeError::Deadlock { waiting }),
+            Step::Take {
+                src,
+                tag,
+                comm,
+                fold,
+            } => {
+                let wait = RankWait {
+                    rank: self.rank,
+                    src,
+                    tag,
+                    comm,
+                    span: self.at,
+                };
+                let Some(msg) = net.mailboxes.take(&wait) else {
+                    self.steps.push_front(step);
+                    return Ok(Some(Yield::Blocked(wait)));
+                };
+                trace(&mut net.clock, "recv", self.rank, || {
+                    vec![
+                        ("src", ArgValue::U64(msg.src as u64)),
+                        ("tag", ArgValue::I64(msg.tag)),
+                        ("comm", ArgValue::I64(msg.comm)),
+                        ("len", ArgValue::U64(msg.payload.len() as u64)),
+                    ]
+                });
+                self.result.recvs += 1;
+                match fold {
+                    None => self.acc = msg.payload,
+                    Some((op, what)) => {
+                        if msg.payload.len() != self.acc.len() {
+                            return Err(
+                                self.err(self.at, format!("{what} payload length mismatch"))
+                            );
+                        }
+                        let acc = std::mem::take(&mut self.acc);
+                        let (acc, theirs) = match (acc.into_elems(), msg.payload.into_elems()) {
+                            (Ok(acc), Ok(theirs)) => (acc, theirs),
+                            (Err(m), _) | (_, Err(m)) => return Err(self.err(self.at, m)),
+                        };
+                        self.acc = Payload::Elems(
+                            acc.into_iter()
+                                .zip(theirs)
+                                .map(|(a, b)| combine(op, a, b))
+                                .collect(),
+                        );
+                    }
+                }
+                Ok(Some(Yield::Received))
+            }
+            Step::Store(place) => {
+                let payload = std::mem::take(&mut self.acc);
+                let slot = self.slot(&place.var, place.span)?;
+                let at = self.locate(place, slot)?;
+                // A fill arriving for a whole array of its length is adopted
+                // as it is.
+                if let (Payload::Filled(fill, len), At::Whole) = (&payload, &at) {
+                    if let Storage::Array(a) = &mut *slot.borrow_mut() {
+                        if a.len == *len {
+                            a.fill(*fill);
+                            return Ok(None);
+                        }
+                    }
+                }
+                let elems = payload.into_elems().map_err(|m| self.err(self.at, m))?;
+                self.store(slot, at, Val::from_payload(elems), self.at)?;
+                Ok(None)
+            }
         }
     }
 
-    fn eval_rank(
-        &self,
-        e: &Expr,
-        frame: &Frame<'a>,
-        globals: &[Slot<'a>],
-    ) -> Result<usize, RuntimeError> {
-        let v = self.eval_int(e, frame, globals)?;
+    /// What sending `place` carries. A whole array none of whose elements
+    /// was written travels as its fill; it is refused exactly where
+    /// building its elements would be, so such a send fails as it always
+    /// did.
+    fn payload(&self, place: &Place) -> Result<Payload, RuntimeError> {
+        if place.indices.is_empty() {
+            let slot = self.slot(&place.var, place.span)?;
+            if let Storage::Array(Array {
+                len, fill, pages, ..
+            }) = &*slot.borrow()
+            {
+                if pages.is_empty() {
+                    with_room(*len).map_err(|m| self.err(place.span, m))?;
+                    return Ok(Payload::Filled(*fill, *len));
+                }
+            }
+        }
+        Ok(Payload::Elems(self.load(place)?.into_payload()))
+    }
+
+    fn eval_rank(&self, e: &Expr) -> Result<usize, RuntimeError> {
+        let v = self.eval_int(e)?;
         usize::try_from(v).map_err(|_| self.err(e.span, format!("negative rank {v}")))
     }
 
-    fn eval_int(
-        &self,
-        e: &Expr,
-        frame: &Frame<'a>,
-        globals: &[Slot<'a>],
-    ) -> Result<i64, RuntimeError> {
+    fn eval_int(&self, e: &Expr) -> Result<i64, RuntimeError> {
         let v = self
-            .eval(e, frame, globals)?
+            .eval(e)?
             .as_num(|| self.err(e.span, "expected scalar"))?;
         Ok(v as i64)
     }
 
-    fn eval_comm(
-        &self,
-        comm: &Option<Expr>,
-        frame: &Frame<'a>,
-        globals: &[Slot<'a>],
-    ) -> Result<i64, RuntimeError> {
+    fn eval_comm(&self, comm: &Option<Expr>) -> Result<i64, RuntimeError> {
         match comm {
-            Some(c) => self.eval_int(c, frame, globals),
+            Some(c) => self.eval_int(c),
             None => Ok(0),
         }
     }
@@ -1499,13 +1821,7 @@ impl<'a> Process<'a> {
     /// that fails to evaluate is an error here; one that does not fit the
     /// storage is reported by the caller, after every subscript is
     /// evaluated, so subscripts are read in order without a buffer.
-    fn locate(
-        &self,
-        place: &Place,
-        slot: &Slot<'a>,
-        frame: &Frame<'a>,
-        globals: &[Slot<'a>],
-    ) -> Result<At, RuntimeError> {
+    fn locate(&self, place: &Place, slot: &Slot<'a>) -> Result<At, RuntimeError> {
         if place.indices.is_empty() {
             return Ok(At::Whole);
         }
@@ -1518,7 +1834,7 @@ impl<'a> Process<'a> {
         let dims = shape.map_or(&[][..], |(dims, _)| dims);
         let (mut off, mut stride, mut outside) = (0i64, 1i64, None);
         for (k, e) in place.indices.iter().enumerate() {
-            let i = self.eval_int(e, frame, globals)?;
+            let i = self.eval_int(e)?;
             if let (Some(&d), None) = (dims.get(k), outside) {
                 if i < 1 || i > d {
                     outside = Some((i, d));
@@ -1547,14 +1863,9 @@ impl<'a> Process<'a> {
     }
 
     /// The value at `place`.
-    fn load(
-        &self,
-        place: &Place,
-        frame: &Frame<'a>,
-        globals: &[Slot<'a>],
-    ) -> Result<Val, RuntimeError> {
-        let slot = self.slot(&place.var, frame, globals, place.span)?;
-        let at = self.locate(place, slot, frame, globals)?;
+    fn load(&self, place: &Place) -> Result<Val, RuntimeError> {
+        let slot = self.slot(&place.var, place.span)?;
+        let at = self.locate(place, slot)?;
         let s = slot.borrow();
         match (&*s, at) {
             (_, At::Misfit(m)) => Err(self.err(place.span, m)),
@@ -1568,16 +1879,9 @@ impl<'a> Process<'a> {
     }
 
     /// Store `v` at `place`, reporting a misfit at `span`.
-    fn assign(
-        &self,
-        place: &Place,
-        v: Val,
-        span: Span,
-        frame: &Frame<'a>,
-        globals: &[Slot<'a>],
-    ) -> Result<(), RuntimeError> {
-        let slot = self.slot(&place.var, frame, globals, place.span)?;
-        let at = self.locate(place, slot, frame, globals)?;
+    fn assign(&self, place: &Place, v: Val, span: Span) -> Result<(), RuntimeError> {
+        let slot = self.slot(&place.var, place.span)?;
+        let at = self.locate(place, slot)?;
         self.store(slot, at, v, span)
     }
 
@@ -1618,21 +1922,21 @@ impl<'a> Process<'a> {
 
     // ---- expressions -----------------------------------------------------
 
-    fn eval(&self, e: &Expr, frame: &Frame<'a>, globals: &[Slot<'a>]) -> Result<Val, RuntimeError> {
+    fn eval(&self, e: &Expr) -> Result<Val, RuntimeError> {
         match &e.kind {
             ExprKind::Num(v) => Ok(Val::Num(*v)),
             ExprKind::Rank => Ok(Val::Num(self.rank as f64)),
             ExprKind::Nprocs => Ok(Val::Num(self.nprocs as f64)),
             ExprKind::Any => Err(self.err(e.span, "`ANY` has no value")),
-            ExprKind::Load(place) => self.load(place, frame, globals),
-            ExprKind::Unary(op, inner) => match (op, self.eval(inner, frame, globals)?) {
+            ExprKind::Load(place) => self.load(place),
+            ExprKind::Unary(op, inner) => match (op, self.eval(inner)?) {
                 (_, Val::Num(x)) => Ok(Val::Num(unary(*op, x))),
                 (UnOp::Neg, Val::Arr(xs)) => Ok(Val::Arr(xs.into_iter().map(|x| -x).collect())),
                 (UnOp::Not, Val::Arr(_)) => Err(self.err(e.span, "cannot negate array logically")),
             },
             ExprKind::Binary(op, a, b) => {
-                let va = self.eval(a, frame, globals)?;
-                let vb = self.eval(b, frame, globals)?;
+                let va = self.eval(a)?;
+                let vb = self.eval(b)?;
                 self.binop(*op, va, vb, e.span)
             }
             ExprKind::Intrinsic(i, args) => {
@@ -1640,7 +1944,7 @@ impl<'a> Process<'a> {
                 let mut vals = [0.0; 2];
                 for (k, a) in args.iter().enumerate() {
                     let v = self
-                        .eval(a, frame, globals)?
+                        .eval(a)?
                         .as_num(|| self.err(a.span, "array intrinsic arg"))?;
                     if let Some(slot) = vals.get_mut(k) {
                         *slot = v;
@@ -1750,7 +2054,6 @@ mod tests {
             &p,
             &InterpConfig {
                 nprocs,
-                limits: RuntimeLimits::quick_test(),
                 ..Default::default()
             },
         )
@@ -1872,23 +2175,23 @@ mod tests {
         assert_eq!(r[0].printed, vec![3.0]);
     }
 
-    /// Run expecting a structured deadlock; the detector (not the timeout)
-    /// must fire, so a generous timeout still finishes almost instantly.
+    /// Run expecting a structured deadlock report.
     fn expect_deadlock(src: &str, nprocs: usize) -> Vec<crate::fault::RankWait> {
+        expect_deadlock_under(src, nprocs, None)
+    }
+
+    fn expect_deadlock_under(
+        src: &str,
+        nprocs: usize,
+        fault_plan: Option<FaultPlan>,
+    ) -> Vec<crate::fault::RankWait> {
         let p = parse(src).unwrap();
         let cfg = InterpConfig {
             nprocs,
-            limits: RuntimeLimits::detector_backstop(),
+            fault_plan,
             ..Default::default()
         };
-        let started = std::time::Instant::now();
-        let e = run(&p, &cfg).unwrap_err();
-        assert!(
-            started.elapsed() < Duration::from_secs(1),
-            "deadlock took {:?} — detector did not fire, timeout did",
-            started.elapsed()
-        );
-        match e {
+        match run(&p, &cfg).unwrap_err() {
             RuntimeError::Deadlock { waiting } => waiting,
             other => panic!("expected structured deadlock, got: {other}"),
         }
@@ -1976,10 +2279,7 @@ mod tests {
         let p = parse("program t sub main() { while (true) { } }").unwrap();
         let cfg = InterpConfig {
             nprocs: 1,
-            limits: RuntimeLimits {
-                max_steps: 1000,
-                ..RuntimeLimits::default()
-            },
+            limits: RuntimeLimits { max_steps: 1000 },
             ..Default::default()
         };
         let e = run(&p, &cfg).unwrap_err();
@@ -2065,6 +2365,124 @@ mod tests {
         let b = run_src(src, 3);
         assert_eq!(a[0].printed, b[0].printed);
         assert!(!a[0].printed.is_empty());
+    }
+
+    /// Ranks 1–3 each send their rank to rank 0, which receives from `ANY`
+    /// and prints the senders in arrival order.
+    const THREE_SENDERS: &str = "program t sub main() {\n\
+           var y: real; var k: int;\n\
+           if (rank() > 0) { y = rank() * 1.0; send(y, 0, 5); }\n\
+           else { for k = 1, 3 { recv(y, ANY, 5); print(y); } }\n\
+         }";
+
+    #[test]
+    fn a_seed_replays_its_schedule() {
+        let p = parse(THREE_SENDERS).unwrap();
+        let mut orders = std::collections::BTreeSet::new();
+        for seed in 0..20 {
+            for plan in [FaultPlan::adversarial(seed), FaultPlan::chaotic(seed)] {
+                let cfg = InterpConfig {
+                    nprocs: 4,
+                    fault_plan: Some(plan.clone()),
+                    ..Default::default()
+                };
+                let runs = [run(&p, &cfg), run(&p, &cfg)].map(|r| format!("{r:?}"));
+                assert_eq!(runs[0], runs[1], "{plan:?} must replay");
+                if plan.is_legal() {
+                    let order = run(&p, &cfg).unwrap()[0].printed.clone();
+                    orders.insert(order.iter().map(|&x| x as u8).collect::<Vec<_>>());
+                }
+            }
+        }
+        assert!(
+            orders.len() >= 2,
+            "adversarial schedules never changed the arrival order: {orders:?}"
+        );
+        // Without a plan the scheduler is round-robin: senders arrive in
+        // rank order.
+        assert_eq!(run_src(THREE_SENDERS, 4)[0].printed, vec![1.0, 2.0, 3.0]);
+    }
+
+    #[test]
+    fn a_dropped_message_is_a_deadlock_while_the_sender_computes() {
+        // Rank 0's only send is dropped and it then keeps computing; rank 1
+        // waits for it. Once rank 0 is done no rank can step.
+        let src = "program t sub main() {\n\
+               var x: real; var i: int; x = 1.0;\n\
+               if (rank() == 0) { send(x, 1, 5); for i = 1, 20000 { x = x + 1.0; } }\n\
+               else { recv(x, 0, 5); }\n\
+             }";
+        let plan = FaultPlan {
+            drop: 1.0,
+            ..FaultPlan::chaotic(1)
+        };
+        let waiting = expect_deadlock_under(src, 2, Some(plan));
+        assert_eq!(waiting.len(), 1);
+        assert_eq!((waiting[0].rank, waiting[0].src), (1, Some(0)));
+    }
+
+    #[test]
+    fn a_peer_that_finishes_without_sending_strands_its_receiver() {
+        let waiting = expect_deadlock(
+            "program t sub main() { var x: real; if (rank() == 0) { recv(x, 1, 9); } }",
+            2,
+        );
+        assert_eq!(waiting.len(), 1);
+        assert_eq!((waiting[0].rank, waiting[0].src), (0, Some(1)));
+    }
+
+    #[test]
+    fn a_queued_match_is_not_a_deadlock() {
+        // Rank 1 sends and then waits; rank 0 finds the message already
+        // queued, so no schedule may report a deadlock.
+        let src = "program t sub main() {\n\
+               var x: real; x = 9.0;\n\
+               if (rank() == 1) { send(x, 0, 3); recv(x, 0, 4); print(x); }\n\
+               else { recv(x, 1, 3); x = x + 1.0; send(x, 1, 4); }\n\
+             }";
+        let p = parse(src).unwrap();
+        for seed in 0..20 {
+            let cfg = InterpConfig {
+                nprocs: 2,
+                fault_plan: Some(FaultPlan::adversarial(seed)),
+                ..Default::default()
+            };
+            assert_eq!(run(&p, &cfg).unwrap()[1].printed, vec![10.0], "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn a_late_send_is_received() {
+        // The receiver blocks first and waits however long the sender
+        // computes.
+        let r = run_src(
+            "program t sub main() {\n\
+               var x: real; var i: int; x = 0.0;\n\
+               if (rank() == 0) { for i = 1, 20000 { x = x + 1.0; } send(x, 1, 11); }\n\
+               else { recv(x, 0, 11); print(x); }\n\
+             }",
+            2,
+        );
+        assert_eq!(r[1].printed, vec![20000.0]);
+    }
+
+    #[test]
+    fn duplicated_messages_arrive_twice() {
+        let src = "program t sub main() {\n\
+               var x: real; x = 4.0;\n\
+               if (rank() == 1) { send(x, 0, 5); } else { recv(x, 1, 5); recv(x, 1, 5); print(x); }\n\
+             }";
+        let cfg = InterpConfig {
+            nprocs: 2,
+            fault_plan: Some(FaultPlan {
+                duplicate: 1.0,
+                drop: 0.0,
+                ..FaultPlan::chaotic(1)
+            }),
+            ..Default::default()
+        };
+        let r = run(&parse(src).unwrap(), &cfg).unwrap();
+        assert_eq!((r[0].recvs, r[0].printed.clone()), (2, vec![4.0]));
     }
 }
 
@@ -2242,7 +2660,6 @@ mod sparse_tests {
     fn two_ranks() -> InterpConfig {
         InterpConfig {
             nprocs: 2,
-            limits: RuntimeLimits::quick_test(),
             ..Default::default()
         }
     }
@@ -2286,6 +2703,25 @@ mod sparse_tests {
                 .contains("element 3 out of bounds of the 2 stored elements"),
             "{e}"
         );
+    }
+
+    #[test]
+    fn an_untouched_array_travels_as_its_fill() {
+        // Rank 1 adopts rank 0's `read` ramp without either side building
+        // the array; a send that could not be built still fails as before.
+        let src = "program t global a: real[300000]; global b: real[100000000000];\n\
+             sub main() { if (rank() == 0) { read(a); } bcast(a, 0); print(a[299999]);\n\
+               if (nprocs() > 2) { bcast(b, 0); } }";
+        let p = parse(src).unwrap();
+        let out = run(&p, &two_ranks()).unwrap();
+        assert_eq!(out[0].printed, out[1].printed);
+        let cfg = InterpConfig {
+            nprocs: 3,
+            ..Default::default()
+        };
+        let e = run(&p, &cfg).unwrap_err();
+        assert_eq!(e.rank(), 0);
+        assert!(e.to_string().contains("100000000000 elements"), "{e}");
     }
 
     #[test]

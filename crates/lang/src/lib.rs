@@ -30,6 +30,8 @@
 //! assert_eq!(unit.symbols.globals.len(), 1);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod ast;
 pub mod error;
 pub mod fault;

@@ -122,47 +122,16 @@ impl Json {
     }
 }
 
-/// Escape a string for embedding inside JSON double quotes.
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    escape_into(s, &mut out);
-    out
-}
-
-/// Append `s` JSON-escaped onto `out` without an intermediate allocation;
-/// the common all-clean case is a single `push_str`. Hot on the access-log
-/// path, where every answered request renders one line.
-pub fn escape_into(s: &str, out: &mut String) {
-    if s.bytes().all(|b| b >= 0x20 && b != b'"' && b != b'\\') {
-        out.push_str(s);
-        return;
-    }
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-}
+pub use mpi_dfa_core::telemetry::{json_escape as escape, json_escape_into as escape_into};
 
 /// Parse one JSON document; trailing content (other than whitespace) is an
 /// error. Errors carry the byte offset where parsing failed.
 pub fn parse(src: &str) -> Result<Json, ParseError> {
-    let mut p = Parser {
-        bytes: src.as_bytes(),
-        pos: 0,
-    };
+    let mut p = Parser { src, pos: 0 };
     p.skip_ws();
     let v = p.value(0)?;
     p.skip_ws();
-    if p.pos != p.bytes.len() {
+    if p.pos != src.len() {
         return Err(p.err("trailing content after JSON value"));
     }
     Ok(v)
@@ -182,7 +151,7 @@ impl std::fmt::Display for ParseError {
 }
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    src: &'a str,
     pos: usize,
 }
 
@@ -195,7 +164,7 @@ impl<'a> Parser<'a> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.src.as_bytes().get(self.pos).copied()
     }
 
     fn skip_ws(&mut self) {
@@ -214,7 +183,7 @@ impl<'a> Parser<'a> {
     }
 
     fn literal(&mut self, word: &str, v: Json) -> Result<Json, ParseError> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+        if self.src[self.pos..].starts_with(word) {
             self.pos += word.len();
             Ok(v)
         } else {
@@ -358,13 +327,16 @@ impl<'a> Parser<'a> {
                 }
                 Some(c) if c < 0x20 => return Err(self.err("raw control character in string")),
                 Some(_) => {
-                    // Copy one UTF-8 scalar (input is &str, so boundaries
-                    // are valid).
-                    let rest = &self.bytes[self.pos..];
-                    let s = unsafe { std::str::from_utf8_unchecked(rest) };
-                    let c = s.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run of plain characters up to the next `"`,
+                    // `\` or control byte. Those delimiters are ASCII, so
+                    // they always fall on char boundaries.
+                    let rest = &self.src[self.pos..];
+                    let len = rest
+                        .bytes()
+                        .position(|b| b == b'"' || b == b'\\' || b < 0x20)
+                        .unwrap_or(rest.len());
+                    out.push_str(&rest[..len]);
+                    self.pos += len;
                 }
             }
         }
@@ -393,8 +365,9 @@ impl<'a> Parser<'a> {
                 self.pos += 1;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii");
-        let n: f64 = text.parse().map_err(|_| self.err("invalid number"))?;
+        let n: f64 = self.src[start..self.pos]
+            .parse()
+            .map_err(|_| self.err("invalid number"))?;
         if !n.is_finite() {
             return Err(self.err("number out of range"));
         }

@@ -59,6 +59,8 @@
 //! "Overload & failure semantics" section and the cluster behavior in
 //! its "Cluster topology & failure semantics" section.
 
+#![forbid(unsafe_code)]
+
 pub mod admission;
 pub mod cache;
 pub mod chaos;

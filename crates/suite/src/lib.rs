@@ -8,6 +8,8 @@
 //!
 //! See `cargo run -p mpi-dfa-suite --bin repro -- table1 | fig4`.
 
+#![forbid(unsafe_code)]
+
 pub mod experiments;
 pub mod fuzz;
 pub mod gen;

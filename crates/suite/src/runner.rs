@@ -12,6 +12,7 @@ use mpi_dfa_analyses::activity::{self, ActivityConfig, Mode};
 use mpi_dfa_analyses::governor::{governed_activity, AnalysisProvenance, GovernorConfig};
 use mpi_dfa_analyses::mpi_match::{build_mpi_icfg, Matching};
 use mpi_dfa_core::solver::{ConvergenceStats, SolveParams};
+use mpi_dfa_core::telemetry::json_escape;
 use mpi_dfa_graph::icfg::Icfg;
 use std::fmt::Write as _;
 
@@ -378,9 +379,6 @@ pub const JSON_EXPERIMENT_KEYS: [&str; 15] = [
 /// CI can diff reports. The only fields that vary *between* runs of the
 /// same experiment are wall-clock measurements (`elapsed_ms`).
 pub fn render_json(rows: &[MeasuredRow]) -> String {
-    fn esc(s: &str) -> String {
-        s.replace('\\', "\\\\").replace('"', "\\\"")
-    }
     fn mode_json(m: &MeasuredMode) -> String {
         format!(
             "{{\"iterations\": {}, \"active_bytes\": {}, \"deriv_bytes\": {}, \
@@ -407,7 +405,7 @@ pub fn render_json(rows: &[MeasuredRow]) -> String {
                 p.budget_spent.elapsed.as_millis(),
                 match &p.degradation_reason {
                     None => "null".to_string(),
-                    Some(s) => format!("\"{}\"", esc(s)),
+                    Some(s) => format!("\"{}\"", json_escape(s)),
                 }
             ),
         };
@@ -418,12 +416,12 @@ pub fn render_json(rows: &[MeasuredRow]) -> String {
         let _ = write!(
             out,
             "    {{\"id\": \"{}\", \"program\": \"{}\", \"context\": \"{}\", \"clone_level\": {}, \"independents\": [{}], \"dependents\": [{}], \"num_indeps\": {}, \"comm_edges\": {}, \"converged\": {}, \"icfg\": {}, \"mpi_icfg\": {}, \"pct_decrease\": {:.4}, \"paper\": {{\"icfg_active_bytes\": {}, \"mpi_active_bytes\": {}, \"pct_decrease\": {}}}, \"provenance\": {provenance}, \"cache\": {cache}}}",
-            esc(r.spec.id),
-            esc(r.spec.program),
-            esc(r.spec.context),
+            json_escape(r.spec.id),
+            json_escape(r.spec.program),
+            json_escape(r.spec.context),
             r.spec.clone_level,
-            r.spec.independents.iter().map(|s| format!("\"{}\"", esc(s))).collect::<Vec<_>>().join(", "),
-            r.spec.dependents.iter().map(|s| format!("\"{}\"", esc(s))).collect::<Vec<_>>().join(", "),
+            r.spec.independents.iter().map(|s| format!("\"{}\"", json_escape(s))).collect::<Vec<_>>().join(", "),
+            r.spec.dependents.iter().map(|s| format!("\"{}\"", json_escape(s))).collect::<Vec<_>>().join(", "),
             r.spec.num_indeps,
             r.comm_edges,
             r.converged(),

@@ -3,11 +3,13 @@
 //!
 //! The paper's claim is that analyses over the MPI-ICFG are sound for
 //! *every possible* send/receive pairing. A single interpreter run only
-//! witnesses the one interleaving the OS scheduler happens to produce, so
-//! this module replays each program under `K` seeded [`FaultPlan`]s —
-//! per-message reordering across sources, injected delivery delays, and
-//! staggered rank starts, all legal under MPI's non-overtaking guarantee —
-//! and re-checks both dynamic soundness obligations against each run:
+//! witnesses one interleaving, so this module replays each program under
+//! `K` seeded [`FaultPlan`]s — a seeded choice of the next rank at every
+//! send and receive, and per-message reordering across sources, all legal
+//! under MPI's non-overtaking guarantee — and re-checks both dynamic
+//! soundness obligations against each run (a schedule is a pure function
+//! of the program, the configuration and its seed, so the seed a violation
+//! reports replays it):
 //!
 //! 1. **Reaching constants**: a global the analysis proves constant at the
 //!    context exit must hold that constant on every rank of every schedule.
@@ -27,8 +29,6 @@ use mpi_dfa_graph::icfg::ProgramIr;
 use mpi_dfa_lang::compile;
 use mpi_dfa_lang::fault::FaultPlan;
 use mpi_dfa_lang::interp::{run, InterpConfig, ProcessResult, RuntimeError, RuntimeLimits};
-use mpi_dfa_lang::rng::SplitMix64;
-use std::time::Duration;
 
 /// How many schedules to explore and how each run is bounded.
 #[derive(Debug, Clone)]
@@ -39,14 +39,13 @@ pub struct ScheduleConfig {
     pub base_seed: u64,
     /// Template fault plan re-seeded per schedule. Defaults to
     /// [`FaultPlan::adversarial`]; pass a chaotic plan to also exercise
-    /// illegal (dropping/duplicating) transports.
+    /// illegal (dropping/duplicating) deliveries.
     pub plan: FaultPlan,
     /// Simulated process count.
     pub nprocs: usize,
-    /// Per-run step budget and recv deadline (structural deadlock
-    /// detection usually fires long before the timeout). Defaults to a
-    /// much shorter deadline and step budget than the production
-    /// [`RuntimeLimits::default`] because each schedule run is tiny.
+    /// Per-run step budget. Defaults to a much smaller budget than the
+    /// production [`RuntimeLimits::default`] because each schedule run is
+    /// tiny.
     pub limits: RuntimeLimits,
 }
 
@@ -57,10 +56,7 @@ impl Default for ScheduleConfig {
             base_seed: 0xFA017,
             plan: FaultPlan::adversarial(0),
             nprocs: 2,
-            limits: RuntimeLimits {
-                recv_timeout: Duration::from_millis(400),
-                max_steps: 500_000,
-            },
+            limits: RuntimeLimits { max_steps: 500_000 },
         }
     }
 }
@@ -69,11 +65,7 @@ impl ScheduleConfig {
     /// The fault plan for schedule `i`: the template re-seeded from a
     /// splitmix64 stream over (`base_seed`, `i`).
     pub fn plan_for(&self, i: usize) -> FaultPlan {
-        let seed = SplitMix64::fork(self.base_seed, i as u64).next_u64();
-        FaultPlan {
-            seed,
-            ..self.plan.clone()
-        }
+        self.plan.for_schedule(self.base_seed, i as u64)
     }
 }
 

@@ -15,14 +15,15 @@
 //!   confirmed one is ground truth.
 //!
 //! Everything is seeded (`base_seed` forks per schedule exactly like
-//! `suite::schedules`) and the report carries no wall-clock data, so
-//! verify responses stay content-addressable and byte-identical across
-//! cache hits, recomputes, and service topologies.
+//! `suite::schedules`, through [`FaultPlan::for_schedule`]), every run is
+//! a pure function of its seed, and the report carries no wall-clock
+//! data, so verify responses stay content-addressable and byte-identical
+//! across cache hits, recomputes, and service topologies.
 
+use mpi_dfa_core::telemetry;
 use mpi_dfa_lang::ast::Program;
 use mpi_dfa_lang::fault::FaultPlan;
 use mpi_dfa_lang::interp::{self, InterpConfig, RuntimeError};
-use mpi_dfa_lang::rng::SplitMix64;
 
 use crate::VerifyConfig;
 
@@ -73,12 +74,6 @@ pub struct CrossCheck {
     pub outcome: Outcome,
 }
 
-/// The per-schedule fault plan: `base_seed` forked by schedule index,
-/// mirroring `suite::schedules::ScheduleConfig::plan_for`.
-fn plan_for(base_seed: u64, i: u32) -> FaultPlan {
-    FaultPlan::adversarial(SplitMix64::fork(base_seed, i as u64).next_u64())
-}
-
 fn interp_config(cfg: &VerifyConfig, plan: Option<FaultPlan>) -> InterpConfig {
     InterpConfig {
         nprocs: cfg.nprocs,
@@ -101,8 +96,13 @@ fn render_deadlock(err: &RuntimeError) -> String {
 
 /// Explore `schedules` adversarial interleavings and classify the result
 /// against the static verdict (`flagged`).
+///
+/// The fault-free baseline and the schedules are independent runs, so
+/// they run concurrently, one per available core, under the caller's
+/// trace context; the report is assembled in schedule order and does not
+/// depend on the core count.
 pub fn run(program: &Program, flagged: bool, cfg: &VerifyConfig) -> CrossCheck {
-    let mut span = mpi_dfa_core::telemetry::span("verify", "crosscheck");
+    let mut span = telemetry::span("verify", "crosscheck");
     let mut out = CrossCheck {
         baseline_ok: false,
         attempted: 0,
@@ -117,9 +117,37 @@ pub fn run(program: &Program, flagged: bool, cfg: &VerifyConfig) -> CrossCheck {
         return out;
     }
 
-    // Fault-free baseline.
-    match interp::run(program, &interp_config(cfg, None)) {
-        Ok(_) => out.baseline_ok = true,
+    // Run 0 is the fault-free baseline; run `i + 1` is schedule `i`.
+    let runs = cfg.schedules as usize + 1;
+    let explore = |k: usize| {
+        let plan = k
+            .checked_sub(1)
+            .map(|i| FaultPlan::adversarial(0).for_schedule(cfg.base_seed, i as u64));
+        interp::run(program, &interp_config(cfg, plan)).map(drop)
+    };
+    let mut results = vec![Ok(()); runs];
+    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let trace = telemetry::current_trace();
+    // Runs go in waves of one per core: the calling thread takes the
+    // first of each wave and a fresh scoped thread each of the others. A
+    // thread per run hands its allocator caches back when it ends; a
+    // long-lived helper would keep a freed whole-array payload per run
+    // resident.
+    for (w, wave) in results.chunks_mut(threads).enumerate() {
+        let (first, rest) = wave.split_first_mut().expect("chunks are never empty");
+        std::thread::scope(|scope| {
+            for (k, slot) in rest.iter_mut().enumerate() {
+                let explore = &explore;
+                let k = w * threads + k + 1;
+                scope.spawn(move || telemetry::with_trace(trace, || *slot = explore(k)));
+            }
+            *first = explore(w * threads);
+        });
+    }
+    let mut results = results.into_iter();
+
+    match results.next().expect("the baseline ran") {
+        Ok(()) => out.baseline_ok = true,
         Err(e) if e.is_deadlock() => {
             out.deadlocked += 1;
             out.first_deadlock = Some(render_deadlock(&e));
@@ -133,13 +161,10 @@ pub fn run(program: &Program, flagged: bool, cfg: &VerifyConfig) -> CrossCheck {
         }
     }
 
-    for i in 0..cfg.schedules {
+    for result in results {
         out.attempted += 1;
-        match interp::run(
-            program,
-            &interp_config(cfg, Some(plan_for(cfg.base_seed, i))),
-        ) {
-            Ok(_) => out.completed += 1,
+        match result {
+            Ok(()) => out.completed += 1,
             Err(e) if e.is_deadlock() => {
                 out.deadlocked += 1;
                 if out.first_deadlock.is_none() {
@@ -156,7 +181,7 @@ pub fn run(program: &Program, flagged: bool, cfg: &VerifyConfig) -> CrossCheck {
         (true, true) => Outcome::Confirmed,
         (true, false) => Outcome::Unrealized,
     };
-    mpi_dfa_core::telemetry::metric_add("verify_crosscheck_schedules_total", out.attempted as f64);
+    telemetry::metric_add("verify_crosscheck_schedules_total", out.attempted as f64);
     span.arg("outcome", out.outcome.as_str().to_string());
     out
 }

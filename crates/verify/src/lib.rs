@@ -19,6 +19,8 @@
 //! wall-clock fields — so the `verify` service verb is fully
 //! content-addressable.
 
+#![forbid(unsafe_code)]
+
 pub mod corpus;
 pub mod crosscheck;
 pub mod deadlock;
@@ -30,10 +32,9 @@ pub mod report;
 
 use mpi_dfa_core::budget::Budget;
 use mpi_dfa_core::graph::FlowGraph;
-use mpi_dfa_core::telemetry;
+use mpi_dfa_core::telemetry::{self, json_escape};
 use mpi_dfa_graph::mpi::MpiIcfg;
 use mpi_dfa_lang::interp::RuntimeLimits;
-use std::time::Duration;
 
 pub use crosscheck::{CrossCheck, Outcome};
 pub use deadlock::DeadlockReport;
@@ -69,10 +70,7 @@ impl Default for VerifyConfig {
             schedules: 8,
             base_seed: 0xFA017,
             entry: "main".to_string(),
-            limits: RuntimeLimits {
-                max_steps: 500_000,
-                recv_timeout: Duration::from_millis(400),
-            },
+            limits: RuntimeLimits { max_steps: 500_000 },
             max_passes: 10_000,
         }
     }
@@ -222,31 +220,15 @@ pub fn verify(
 // ---------------------------------------------------------------------
 // Rendering
 
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 fn diag_json(d: &Diag) -> String {
     format!(
         "{{\"node\":{},\"op\":\"{}\",\"proc\":\"{}\",\"instance\":{},\"span\":\"{}\",\"reason\":\"{}\"}}",
         d.node,
-        esc(&d.op),
-        esc(&d.proc),
+        json_escape(&d.op),
+        json_escape(&d.proc),
         d.instance,
-        esc(&d.span),
-        esc(&d.reason)
+        json_escape(&d.span),
+        json_escape(&d.reason)
     )
 }
 
@@ -324,7 +306,7 @@ pub fn render_json(r: &VerifyReport) -> String {
 
     let c = &r.crosscheck;
     let first = match &c.first_deadlock {
-        Some(s) => format!("\"{}\"", esc(s)),
+        Some(s) => format!("\"{}\"", json_escape(s)),
         None => "null".to_string(),
     };
     out.push_str(&format!(

@@ -782,16 +782,12 @@ fn cmd_serve_cluster(opts: &Opts, shards: usize, addr: &str) -> Result<(), Strin
     result
 }
 
-/// Build [`RuntimeLimits`] from `mpidfa run`'s `--max-steps` and
-/// `--recv-timeout-ms` flags, starting from the documented defaults.
+/// Build [`RuntimeLimits`] from the `--max-steps` flag, starting from the
+/// documented default.
 fn runtime_limits(opts: &Opts) -> Result<RuntimeLimits, String> {
     let mut limits = RuntimeLimits::default();
     if let Some(v) = opts.value("max-steps") {
         limits.max_steps = v.parse().map_err(|e| format!("--max-steps: {e}"))?;
-    }
-    if let Some(v) = opts.value("recv-timeout-ms") {
-        let ms: u64 = v.parse().map_err(|e| format!("--recv-timeout-ms: {e}"))?;
-        limits.recv_timeout = std::time::Duration::from_millis(ms);
     }
     Ok(limits)
 }
@@ -890,11 +886,11 @@ fn usage() -> String {
                   the deterministic report object; --dot overlays findings on\n\
                   the MPI-ICFG; see docs/VERIFY.md)\n\
        run        [--nprocs N] [--entry main] [--faults SPEC] [--schedules K]\n\
-                  [--max-steps N] [--recv-timeout-ms MS]\n\
+                  [--max-steps N]\n\
                   SPEC: bare seed (`7`) or `seed=7,mode=adversarial|chaotic,\n\
-                  reorder=P,delay=P,max_delay=US,stagger=US,dup=P,drop=P`\n\
-                  (--max-steps / --recv-timeout-ms override the documented\n\
-                  RuntimeLimits defaults: 20000000 steps, 10000 ms)\n\
+                  reorder=P,dup=P,drop=P`; a seed replays its schedule\n\
+                  (--max-steps overrides the documented RuntimeLimits\n\
+                  default of 20000000 steps per rank)\n\
      solver (every command): [--solver round-robin|region]\n\
                   fixpoint strategy for all analyses in this invocation\n\
                   (default: $MPIDFA_SOLVER, else round-robin; both\n\

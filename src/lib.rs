@@ -57,6 +57,8 @@
 //! assert_eq!(result.active_bytes, 24); // x, y, out
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use mpi_dfa_analyses as analyses;
 pub use mpi_dfa_core as core;
 pub use mpi_dfa_graph as graph;

@@ -2,13 +2,13 @@
 //! under the rank-simulating interpreter, communicate, and produce
 //! deterministic results.
 //!
-//! LU and MG are excluded — their Table-1-accurate array declarations are
-//! hundreds of megabytes per rank, which is exactly why the paper's memory
-//! savings matter; the analyses never materialize them.
+//! LU and MG run as well: their Table-1-accurate array declarations are
+//! hundreds of megabytes per rank, but the interpreter keeps arrays sparse,
+//! so declared size costs nothing. `tests/interp_golden.rs` pins all seven
+//! programs.
 
-use mpi_dfa::lang::interp::{run, InterpConfig, ProcessResult, RuntimeLimits};
+use mpi_dfa::lang::interp::{run, InterpConfig, ProcessResult};
 use mpi_dfa::prelude::*;
-use std::time::Duration;
 
 fn execute(name: &str, nprocs: usize) -> Vec<ProcessResult> {
     let unit = compile(mpi_dfa::suite::programs::source(name).unwrap())
@@ -17,10 +17,6 @@ fn execute(name: &str, nprocs: usize) -> Vec<ProcessResult> {
         &unit.program,
         &InterpConfig {
             nprocs,
-            limits: RuntimeLimits {
-                recv_timeout: Duration::from_secs(20),
-                ..RuntimeLimits::default()
-            },
             ..Default::default()
         },
     )
@@ -102,21 +98,12 @@ fn figure1_deadlocks_with_more_ranks_and_is_detected() {
         &unit.program,
         &InterpConfig {
             nprocs: 3,
-            limits: RuntimeLimits {
-                recv_timeout: Duration::from_millis(200),
-                ..RuntimeLimits::default()
-            },
             ..Default::default()
         },
     )
     .unwrap_err();
-    let text = err.to_string();
-    assert!(
-        text.contains("deadlock") || text.contains("timed out"),
-        "{err}"
-    );
-    // With structural detection the error carries the full per-rank
-    // wait-for set rather than a single reporting rank.
+    // The error carries the full per-rank wait-for set rather than a
+    // single reporting rank.
     assert!(err.is_deadlock(), "{err}");
 }
 

@@ -236,3 +236,67 @@ fn deep_call_chains_fail_the_rank_instead_of_aborting() {
     assert!(ok, "{stdout}{stderr}");
     assert!(stdout.contains(&want), "{stdout}");
 }
+
+#[test]
+fn chaotic_mode_keeps_explicit_zero_probabilities() {
+    // `drop=0,dup=0` leaves nothing illegal in the plan, so the schedules
+    // are adversarial ones.
+    let (stdout, stderr, ok) = mpidfa(&[
+        "run",
+        "figure1",
+        "--nprocs",
+        "2",
+        "--faults",
+        "seed=1,mode=chaotic,drop=0,dup=0",
+        "--schedules",
+        "2",
+    ]);
+    assert!(ok, "{stdout}{stderr}");
+    assert!(
+        stdout.contains("exploring 2 adversarial schedules"),
+        "{stdout}"
+    );
+}
+
+#[test]
+fn verify_answers_do_not_depend_on_how_long_a_sender_computes() {
+    // Rank 0 computes for well over a second in a debug build before its
+    // only send, while rank 1 waits in `recv`. The CLI and the service verb
+    // must both see the run complete and agree byte for byte.
+    let src = "program slow\n\
+               global a: real[1000000];\n\
+               global x: real;\n\
+               sub main() {\n\
+                 var i: int;\n\
+                 if (rank() == 0) { for i = 1, 60 { a = a + 1.0; } x = a[1]; send(x, 1, 7); }\n\
+                 else { recv(x, 0, 7); }\n\
+               }\n";
+    let dir = std::env::temp_dir().join("mpidfa-cli-test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let prog = dir.join("slow-sender.smpl");
+    std::fs::write(&prog, src).unwrap();
+    let (cli, stderr, ok) = mpidfa(&[
+        "verify",
+        prog.to_str().unwrap(),
+        "--json",
+        "--schedules",
+        "1",
+    ]);
+    assert!(ok, "{cli}{stderr}");
+    assert!(cli.contains("\"outcome\":\"consistent-safe\""), "{cli}");
+
+    let request = format!(
+        "{{\"id\":1,\"kind\":\"verify\",\"source\":\"{}\",\"schedules\":1}}\n",
+        src.replace('\n', "\\n")
+    );
+    let requests = dir.join("slow-sender.jsonl");
+    std::fs::write(&requests, request).unwrap();
+    let (batch, stderr, ok) = mpidfa(&["batch", requests.to_str().unwrap()]);
+    assert!(ok, "{batch}{stderr}");
+    assert!(
+        batch
+            .trim_end()
+            .ends_with(&format!(",\"result\":{}}}", cli.trim_end())),
+        "the service answer differs from the CLI's:\n{batch}\n{cli}"
+    );
+}

@@ -14,11 +14,12 @@
 //! a batch of generated programs (skipping seeds whose programs deadlock —
 //! the static analyses don't care, the interpreter does).
 //!
-//! Beyond the single OS-scheduled interleaving, the
+//! Beyond the fault-free round-robin schedule, the
 //! `*_under_adversarial_schedules` tests replay each program under `K = 8`
-//! seeded adversarial legal schedules (cross-source reordering, delivery
-//! delays, staggered rank starts — see `mpi_dfa::suite::schedules`) and
-//! re-check both obligations under every explored schedule.
+//! seeded adversarial legal schedules (a seeded choice of the next rank at
+//! every send and receive, and cross-source reordering — see
+//! `mpi_dfa::suite::schedules`) and re-check both obligations under every
+//! explored schedule.
 
 use mpi_dfa::analyses::consts::{self, CVal};
 use mpi_dfa::core::lattice::ConstLattice;
@@ -26,7 +27,6 @@ use mpi_dfa::lang::interp::{run, InterpConfig, ProcessResult, RuntimeLimits};
 use mpi_dfa::prelude::*;
 use mpi_dfa::suite::gen::{generate, GenConfig};
 use mpi_dfa::suite::schedules::{self, ScheduleConfig};
-use std::time::Duration;
 
 fn interp(src: &str, init: &[(&str, f64)]) -> Option<Vec<ProcessResult>> {
     let unit = compile(src).unwrap();
@@ -34,10 +34,7 @@ fn interp(src: &str, init: &[(&str, f64)]) -> Option<Vec<ProcessResult>> {
         &unit.program,
         &InterpConfig {
             nprocs: 2,
-            limits: RuntimeLimits {
-                recv_timeout: Duration::from_millis(400),
-                max_steps: 500_000,
-            },
+            limits: RuntimeLimits { max_steps: 500_000 },
             capture_globals: true,
             init_globals: init.iter().map(|(n, v)| (n.to_string(), *v)).collect(),
             ..Default::default()

@@ -101,7 +101,7 @@ fn render_programs() -> String {
             ] {
                 let cfg = InterpConfig {
                     nprocs,
-                    limits: RuntimeLimits::quick_test(),
+                    limits: RuntimeLimits::default(),
                     capture_globals: total < CAPTURE_LIMIT,
                     fault_plan: plan,
                     ..InterpConfig::default()
@@ -459,10 +459,7 @@ fn render_cases() -> String {
         let program = parse(src).unwrap_or_else(|e| panic!("{name}: {e:?}"));
         let cfg = InterpConfig {
             nprocs: *nprocs,
-            limits: RuntimeLimits {
-                max_steps: 10_000,
-                ..RuntimeLimits::quick_test()
-            },
+            limits: RuntimeLimits { max_steps: 10_000 },
             init_globals: vec![("x".to_string(), 1.5), ("arr".to_string(), 2.25)],
             capture_globals: true,
             ..InterpConfig::default()
