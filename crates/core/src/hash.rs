@@ -16,7 +16,8 @@
 //!
 //! FNV-1a is used rather than SplitMix64-as-a-hash because it is a genuine
 //! streaming hash over byte strings (SplitMix64 is a PRNG; see
-//! `mpi_dfa_lang::rng`). This is **not** a cryptographic hash: cache keys
+//! [`crate::rng`], whose finalizer the router applies on top of these
+//! hashes to spread them over its ring). This is **not** a cryptographic hash: cache keys
 //! here defend against accidents, not adversaries, which matches the
 //! threat model of a local analysis cache (the cache directory is as
 //! trusted as the binary itself — see docs/SERVING.md).

@@ -225,31 +225,19 @@ impl LogHistogram {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// SplitMix64: the workspace's standard seeded generator (inlined here
-    /// — core sits below the crates that expose one).
-    struct SplitMix64(u64);
-    impl SplitMix64 {
-        fn next(&mut self) -> u64 {
-            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            let mut z = self.0;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            z ^ (z >> 31)
-        }
-    }
+    use crate::rng::SplitMix64;
 
     /// A latency-shaped sample set: mixed magnitudes from sub-µs to tens
     /// of seconds, plus exact small values and octave boundaries.
     fn samples(seed: u64, n: usize) -> Vec<u64> {
-        let mut rng = SplitMix64(seed);
+        let mut rng = SplitMix64::new(seed);
         let mut out = Vec::with_capacity(n);
         for i in 0..n {
             let v = match i % 4 {
-                0 => rng.next() % 32,           // exact range
-                1 => 100 + rng.next() % 10_000, // typical request
-                2 => rng.next() % 50_000_000,   // long tail
-                _ => 1u64 << (rng.next() % 40), // octave boundaries
+                0 => rng.next_u64() % 32,           // exact range
+                1 => 100 + rng.next_u64() % 10_000, // typical request
+                2 => rng.next_u64() % 50_000_000,   // long tail
+                _ => 1u64 << (rng.next_u64() % 40), // octave boundaries
             };
             out.push(v);
         }

@@ -1,15 +1,21 @@
-//! A minimal JSON reader/writer for the JSONL service protocol.
+//! The workspace's one JSON codec: value type, strict parser, renderer and
+//! string escaping.
 //!
-//! The workspace is dependency-free, so the protocol layer carries its own
-//! ~200-line JSON implementation. It is deliberately strict and small:
+//! The workspace is dependency-free, so every JSON writer (the telemetry
+//! exporters, the verify and repro reports, the service protocol) and
+//! every reader (the JSONL protocol, the trace and access-log tools, the
+//! tests that check exporter output) goes through this module. It is
+//! deliberately strict and small:
 //!
 //! * full escape handling (`\uXXXX` incl. surrogate pairs) on input;
+//! * numbers follow RFC 8259's grammar exactly (no `01`, `1.`, `-.5`,
+//!   `1.e5`) and round-trip through `f64` — protocol fields are small
+//!   integers (ids, budgets, clone levels), far inside the 2^53 exact
+//!   range;
 //! * a hard nesting-depth limit ([`MAX_DEPTH`]) so a hostile request like
 //!   `[[[[…]]]]` cannot overflow the parser stack;
 //! * objects preserve key order (stored as a `Vec`), which is what makes
-//!   the hand-rendered responses byte-deterministic and testable;
-//! * numbers round-trip through `f64` — protocol fields are small integers
-//!   (ids, budgets, clone levels), far inside the 2^53 exact range.
+//!   the hand-rendered responses byte-deterministic and testable.
 //!
 //! Parse errors carry a byte offset so the server can answer a structured
 //! error instead of dropping the connection.
@@ -122,7 +128,34 @@ impl Json {
     }
 }
 
-pub use mpi_dfa_core::telemetry::{json_escape as escape, json_escape_into as escape_into};
+/// Escape a string for inclusion in a JSON string literal.
+pub fn escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    escape_into(s, &mut out);
+    out
+}
+
+/// Append `s` JSON-escaped onto `out` without an intermediate allocation;
+/// the common all-clean case is a single `push_str`.
+pub fn escape_into(s: &str, out: &mut String) {
+    if s.bytes().all(|b| b >= 0x20 && b != b'"' && b != b'\\') {
+        out.push_str(s);
+        return;
+    }
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+}
 
 /// Parse one JSON document; trailing content (other than whitespace) is an
 /// error. Errors carry the byte offset where parsing failed.
@@ -342,28 +375,41 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// One or more decimal digits.
+    fn digits(&mut self) -> Result<(), ParseError> {
+        if !matches!(self.peek(), Some(b'0'..=b'9')) {
+            return Err(self.err("expected a digit"));
+        }
+        while matches!(self.peek(), Some(b'0'..=b'9')) {
+            self.pos += 1;
+        }
+        Ok(())
+    }
+
+    /// RFC 8259: `-? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?`.
     fn number(&mut self) -> Result<Json, ParseError> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
-        while matches!(self.peek(), Some(b'0'..=b'9')) {
+        if self.peek() == Some(b'0') {
             self.pos += 1;
+            if matches!(self.peek(), Some(b'0'..=b'9')) {
+                return Err(self.err("leading zero in number"));
+            }
+        } else {
+            self.digits()?;
         }
         if self.peek() == Some(b'.') {
             self.pos += 1;
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-            }
+            self.digits()?;
         }
         if matches!(self.peek(), Some(b'e' | b'E')) {
             self.pos += 1;
             if matches!(self.peek(), Some(b'+' | b'-')) {
                 self.pos += 1;
             }
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-            }
+            self.digits()?;
         }
         let n: f64 = self.src[start..self.pos]
             .parse()
@@ -385,6 +431,9 @@ mod tests {
         assert_eq!(j.get("id").unwrap().as_u64(), Some(3));
         assert_eq!(j.get("kind").unwrap().as_str(), Some("ping"));
         assert_eq!(j.get("deep").unwrap().as_array().unwrap().len(), 4);
+        let v = parse(r#"{"a":[1,2.5,-3e2],"b":"x\"\nA","c":true,"d":null,"e":{}}"#).unwrap();
+        assert_eq!(v.get("b").and_then(Json::as_str), Some("x\"\nA"));
+        assert_eq!(v.get("e"), Some(&Json::Obj(Vec::new())));
     }
 
     #[test]
@@ -400,6 +449,8 @@ mod tests {
         let rendered = Json::Str("x\n\"\\\u{1}".into()).render();
         assert_eq!(rendered, "\"x\\n\\\"\\\\\\u0001\"");
         assert_eq!(parse(&rendered).unwrap().as_str(), Some("x\n\"\\\u{1}"));
+        assert_eq!(escape("a\"b\\c\nd\te"), "a\\\"b\\\\c\\nd\\te");
+        assert_eq!(escape("\u{1}"), "\\u0001");
     }
 
     #[test]
@@ -425,6 +476,16 @@ mod tests {
             "1e999",
             "\"\\ud800\"",
             "nullx",
+            "{\"a\":1,}",
+            "[1 2]",
+            "01",
+            "1.",
+            "-.5",
+            "1.e5",
+            "-",
+            "1e",
+            "{\"id\":01,\"kind\":\"ping\"}",
+            "{\"id\":1.,\"kind\":\"ping\"}",
         ] {
             let e = parse(bad).unwrap_err();
             assert!(e.offset <= bad.len(), "{bad}: {e}");
@@ -433,6 +494,17 @@ mod tests {
 
     #[test]
     fn numbers_parse_exactly_in_protocol_range() {
+        for (good, n) in [
+            ("0", 0.0),
+            ("-0", 0.0),
+            ("10", 10.0),
+            ("0.5", 0.5),
+            ("-3e2", -300.0),
+            ("1E+2", 100.0),
+            ("2e-1", 0.2),
+        ] {
+            assert_eq!(parse(good), Ok(Json::Num(n)), "{good}");
+        }
         assert_eq!(parse("18446744073709551615").unwrap().as_u64(), None); // > 2^53
         assert_eq!(parse("9007199254740992").unwrap().as_u64(), Some(1 << 53));
         assert_eq!(parse("-1").unwrap().as_u64(), None);

@@ -57,8 +57,10 @@ pub mod cache;
 pub mod graph;
 pub mod hash;
 pub mod hist;
+pub mod json;
 pub mod lattice;
 pub mod problem;
+pub mod rng;
 pub mod scc;
 pub mod solver;
 pub mod telemetry;

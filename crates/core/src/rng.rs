@@ -1,14 +1,18 @@
-//! A tiny deterministic PRNG (splitmix64).
+//! The workspace's one PRNG (splitmix64).
 //!
 //! The workspace builds fully offline, so instead of pulling in `rand` the
-//! program generator, the fault-injection layer, and the property tests all
-//! share this splitmix64 implementation. It is *not* cryptographic — it only
-//! needs to be fast, well-distributed, and bit-for-bit reproducible from a
-//! `u64` seed on every platform.
+//! program generator, the interpreter's schedules, the fuzz and chaos
+//! harnesses, the property tests and the router's hash ring all share this
+//! splitmix64 implementation. It is *not* cryptographic — it only needs to
+//! be fast, well-distributed, and bit-for-bit reproducible from a `u64`
+//! seed on every platform.
 //!
 //! Sequences are stable: changing the output for a given seed invalidates
-//! recorded fault-injection schedules (see `crates/lang/src/fault.rs`), so
-//! treat the stream as a compatibility surface.
+//! recorded schedules (see `mpi_dfa_lang::fault`), so treat the stream as
+//! a compatibility surface.
+
+/// The stream's increment: each step adds it to the state, then finalizes.
+pub const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// Splitmix64 stream. `Clone` copies the full state, so forked generators
 /// replay identically.
@@ -27,15 +31,16 @@ impl SplitMix64 {
     /// Derive a decorrelated child stream (e.g. one per rank) from this
     /// stream's seed and a stream index.
     pub fn fork(seed: u64, stream: u64) -> Self {
-        let mut base = SplitMix64::new(seed ^ stream.wrapping_mul(0x9E3779B97F4A7C15));
+        let mut base = SplitMix64::new(seed ^ stream.wrapping_mul(GAMMA));
         // Burn one output so `fork(s, 0)` differs from `new(s)`.
         base.next_u64();
         base
     }
 
     /// Next raw 64-bit output.
+    #[inline]
     pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E3779B97F4A7C15);
+        self.state = self.state.wrapping_add(GAMMA);
         let mut z = self.state;
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
@@ -43,6 +48,7 @@ impl SplitMix64 {
     }
 
     /// Uniform in `[0, n)`. `n = 0` returns 0.
+    #[inline]
     pub fn below(&mut self, n: usize) -> usize {
         if n == 0 {
             return 0;
@@ -53,6 +59,7 @@ impl SplitMix64 {
     }
 
     /// Uniform in `[lo, hi)`; requires `lo < hi`.
+    #[inline]
     pub fn range(&mut self, lo: usize, hi: usize) -> usize {
         debug_assert!(lo < hi, "empty range {lo}..{hi}");
         lo + self.below(hi - lo)
@@ -65,11 +72,13 @@ impl SplitMix64 {
     }
 
     /// Bernoulli trial with probability `p` (clamped to `[0, 1]`).
+    #[inline]
     pub fn chance(&mut self, p: f64) -> bool {
         self.next_f64() < p
     }
 
     /// Uniform in `[0, 1)`.
+    #[inline]
     pub fn next_f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }

@@ -43,6 +43,7 @@
 //! assert!(text.contains("frontend_tokens_total 42"));
 //! ```
 
+use crate::json;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
@@ -115,6 +116,13 @@ pub enum ArgValue {
 }
 
 impl ArgValue {
+    /// The value as a JSON literal; a non-finite float renders as `null`.
+    pub fn render(&self) -> String {
+        let mut out = String::new();
+        self.write_json(&mut out);
+        out
+    }
+
     fn write_json(&self, out: &mut String) {
         match self {
             ArgValue::U64(v) => {
@@ -135,7 +143,7 @@ impl ArgValue {
             }
             ArgValue::Str(s) => {
                 out.push('"');
-                out.push_str(&json_escape(s));
+                out.push_str(&json::escape(s));
                 out.push('"');
             }
         }
@@ -630,36 +638,6 @@ pub fn metric_name(base: &str, labels: &[(&str, &str)]) -> String {
 // Exporters
 // ---------------------------------------------------------------------------
 
-/// Escape a string for inclusion in a JSON string literal. Shared by every
-/// hand-rolled JSON writer in the workspace so escaping stays consistent.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    json_escape_into(s, &mut out);
-    out
-}
-
-/// Append `s` JSON-escaped onto `out` without an intermediate allocation;
-/// the common all-clean case is a single `push_str`.
-pub fn json_escape_into(s: &str, out: &mut String) {
-    if s.bytes().all(|b| b >= 0x20 && b != b'"' && b != b'\\') {
-        out.push_str(s);
-        return;
-    }
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-}
-
 /// Render events as Chrome trace-event JSON (the "JSON Array Format" with
 /// the `traceEvents` wrapper), loadable in `chrome://tracing` and Perfetto.
 ///
@@ -676,8 +654,8 @@ pub fn export_chrome_trace(events: &[Event]) -> String {
         let _ = write!(
             out,
             "\"name\":\"{}\",\"cat\":\"{}\",",
-            json_escape(&e.name),
-            json_escape(e.cat)
+            json::escape(&e.name),
+            json::escape(e.cat)
         );
         let ph = match e.kind {
             EventKind::SpanBegin { .. } => "B",
@@ -720,7 +698,7 @@ pub fn export_chrome_trace(events: &[Event]) -> String {
                 }
                 for (k, v) in &e.args {
                     sep(&mut out);
-                    let _ = write!(out, "\"{}\":", json_escape(k));
+                    let _ = write!(out, "\"{}\":", json::escape(k));
                     v.write_json(&mut out);
                 }
                 if wrote_args {
@@ -892,6 +870,7 @@ impl CliTelemetry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::Json;
 
     #[test]
     fn disabled_sink_records_nothing() {
@@ -977,20 +956,43 @@ mod tests {
         }
         counter("solver", "budget_headroom", 0.5);
         let report = finish();
-        let json = export_chrome_trace(&report.events);
-        // Shape checks (a proper parse test lives in the suite crate).
-        assert!(json.starts_with("{\"traceEvents\":["));
-        assert!(json.trim_end().ends_with("],\"displayTimeUnit\":\"ms\"}"));
-        assert!(json.contains("\"ph\":\"B\""));
-        assert!(json.contains("\"ph\":\"E\""));
-        assert!(json.contains("\"ph\":\"C\""));
-        // Newline/quote in the span name must be escaped.
-        assert!(json.contains("fixpoint \\\"vary\\\"\\nline2"));
-        assert!(!json.contains("vary\"\nline2"));
+        let text = export_chrome_trace(&report.events);
+        let doc = json::parse(&text).expect("the exporter writes valid JSON");
+        assert_eq!(
+            doc.get("displayTimeUnit").and_then(Json::as_str),
+            Some("ms")
+        );
+        // Other tests' solver spans may land in the sink too, so pick this
+        // test's events out by name.
+        let named = |name: &str| -> Vec<&Json> {
+            let events = doc.get("traceEvents").and_then(Json::as_array);
+            let events = events.expect("traceEvents is an array");
+            events
+                .iter()
+                .filter(|e| e.get("name").and_then(Json::as_str) == Some(name))
+                .collect()
+        };
+        // The quote and newline in the span name survive the round trip.
+        let span = named("fixpoint \"vary\"\nline2");
+        let counter = named("budget_headroom");
+        let phases: Vec<_> = span
+            .iter()
+            .map(|e| e.get("ph").and_then(Json::as_str))
+            .collect();
+        assert_eq!(phases, [Some("B"), Some("E")]);
+        assert_eq!(counter.len(), 1);
+        assert_eq!(counter[0].get("ph").and_then(Json::as_str), Some("C"));
         // Fixed key order.
-        let b = json.find("\"ph\":\"B\"").unwrap();
-        let n = json.find("\"name\":").unwrap();
-        assert!(n < b);
+        let Json::Obj(fields) = span[0] else {
+            panic!("an event is an object: {:?}", span[0]);
+        };
+        let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys, ["name", "cat", "ph", "pid", "tid", "ts"]);
+        let args = span[1].get("args").expect("the span end carries its args");
+        assert_eq!(args.get("passes").and_then(Json::as_u64), Some(3));
+        assert_eq!(args.get("strategy").and_then(Json::as_str), Some("region"));
+        let value = counter[0].get("args").and_then(|a| a.get("value"));
+        assert_eq!(value, Some(&Json::Num(0.5)));
     }
 
     #[test]
@@ -1100,11 +1102,5 @@ mod tests {
         assert_eq!(parse_trace_id(""), None);
         assert_eq!(parse_trace_id("xyz"), None);
         assert_eq!(parse_trace_id(&"0".repeat(33)), None);
-    }
-
-    #[test]
-    fn json_escape_handles_control_chars() {
-        assert_eq!(json_escape("a\"b\\c\nd\te"), "a\\\"b\\\\c\\nd\\te");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
     }
 }

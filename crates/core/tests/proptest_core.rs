@@ -3,39 +3,19 @@
 //! the solver's fixpoint argument to hold.
 //!
 //! The workspace builds fully offline, so instead of `proptest` these are
-//! seeded exhaustive-ish sweeps over a deterministic splitmix64 stream
-//! (`mpi-dfa-core` cannot depend on `mpi-dfa-lang`'s shared PRNG without a
-//! cycle, hence the tiny inline copy). Each law is checked over `CASES`
+//! seeded exhaustive-ish sweeps over the workspace's splitmix64 stream
+//! ([`mpi_dfa_core::rng::SplitMix64`]). Each law is checked over `CASES`
 //! independently drawn inputs; a failing case prints its seed so it can be
 //! replayed.
 
 use mpi_dfa_core::lattice::{BoolAnd, BoolOr, ConstLattice, MeetSemiLattice};
+use mpi_dfa_core::rng::SplitMix64;
 use mpi_dfa_core::varset::VarSet;
 
 const UNIVERSE: usize = 200;
 const CASES: u64 = 256;
 
-/// Minimal splitmix64 (same algorithm as `mpi_dfa_lang::rng::SplitMix64`).
-struct Rng(u64);
-
-impl Rng {
-    fn next_u64(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E3779B97F4A7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: usize) -> usize {
-        if n == 0 {
-            return 0;
-        }
-        ((self.next_u64() as u128 * n as u128) >> 64) as usize
-    }
-}
-
-fn varset(rng: &mut Rng) -> VarSet {
+fn varset(rng: &mut SplitMix64) -> VarSet {
     let mut s = VarSet::empty(UNIVERSE);
     for _ in 0..rng.below(40) {
         s.insert(rng.below(UNIVERSE));
@@ -43,7 +23,7 @@ fn varset(rng: &mut Rng) -> VarSet {
     s
 }
 
-fn const_lattice(rng: &mut Rng) -> ConstLattice<i64> {
+fn const_lattice(rng: &mut SplitMix64) -> ConstLattice<i64> {
     match rng.below(3) {
         0 => ConstLattice::Top,
         1 => ConstLattice::Const(rng.below(6) as i64 - 3),
@@ -52,9 +32,9 @@ fn const_lattice(rng: &mut Rng) -> ConstLattice<i64> {
 }
 
 /// Run `f` over `CASES` seeded draws, reporting the failing seed.
-fn for_cases(f: impl Fn(&mut Rng)) {
+fn for_cases(f: impl Fn(&mut SplitMix64)) {
     for seed in 0..CASES {
-        let mut rng = Rng(seed.wrapping_mul(0x5851F42D4C957F2D) ^ 0xDEADBEEF);
+        let mut rng = SplitMix64::new(seed.wrapping_mul(0x5851F42D4C957F2D) ^ 0xDEADBEEF);
         f(&mut rng);
     }
 }

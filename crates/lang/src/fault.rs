@@ -22,8 +22,8 @@
 //! legal MPI execution.
 
 use crate::interp::Payload;
-use crate::rng::SplitMix64;
 use crate::span::Span;
+use mpi_dfa_core::rng::SplitMix64;
 use std::fmt;
 
 /// One point-to-point message (collectives are lowered onto these).

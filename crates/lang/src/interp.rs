@@ -49,9 +49,9 @@ use crate::ast::{
     self, visit_stmts, BinOp, Intrinsic, LValue, MpiStmt, Program, RedOp, SubDecl, UnOp, VarDecl,
 };
 use crate::fault::{FaultPlan, Mailboxes, Message, RankWait};
-use crate::rng::SplitMix64;
 use crate::span::Span;
 use crate::types::Type;
+use mpi_dfa_core::rng::SplitMix64;
 use mpi_dfa_core::telemetry::{self, ArgValue, TraceLevel};
 use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap, VecDeque};

@@ -39,7 +39,8 @@ pub mod interp;
 pub mod lexer;
 pub mod parser;
 pub mod pretty;
-pub mod rng;
+/// The workspace PRNG, re-exported from its home in `mpi_dfa_core`.
+pub use mpi_dfa_core::rng;
 pub mod sema;
 pub mod span;
 pub mod symbols;

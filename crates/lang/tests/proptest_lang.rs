@@ -3,13 +3,13 @@
 //! must be total on arbitrary input.
 //!
 //! The workspace builds fully offline, so instead of `proptest` these are
-//! seeded sweeps driven by the shared `mpi_dfa_lang::rng::SplitMix64`
+//! seeded sweeps driven by the shared `mpi_dfa_core::rng::SplitMix64`
 //! stream. A failing case panics with its seed for replay.
 
+use mpi_dfa_core::rng::SplitMix64;
 use mpi_dfa_lang::ast::*;
 use mpi_dfa_lang::parser::parse;
 use mpi_dfa_lang::pretty::program_to_string;
-use mpi_dfa_lang::rng::SplitMix64;
 use mpi_dfa_lang::span::Span;
 use mpi_dfa_lang::types::{BaseType, Type};
 

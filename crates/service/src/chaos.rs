@@ -41,8 +41,8 @@ use crate::admission::AdmissionConfig;
 use crate::engine::{Engine, EngineConfig};
 use crate::proto::RequestKind;
 use crate::server::{Server, ServerConfig};
+use mpi_dfa_core::rng::SplitMix64;
 use mpi_dfa_core::telemetry;
-use mpi_dfa_lang::rng::SplitMix64;
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -246,7 +246,7 @@ fn check_response(
     resp: &str,
     report: &mut ChaosReport,
 ) -> Option<String> {
-    let parsed = match crate::json::parse(resp) {
+    let parsed = match mpi_dfa_core::json::parse(resp) {
         Ok(v) => v,
         Err(e) => return Some(format!("response is not valid JSON ({e}): {resp}")),
     };
@@ -990,7 +990,7 @@ fn run_cluster_scenario(
                 c.send_raw(b"{\"id\":,\"kind\":\"analyze\"}\n")?;
                 report.requests_sent += 1;
                 let resp = c.read_line()?;
-                let parsed = crate::json::parse(&resp)
+                let parsed = mpi_dfa_core::json::parse(&resp)
                     .map_err(|e| format!("malformed-line answer is not JSON ({e}): {resp}"))?;
                 if parsed.get("ok").and_then(|v| v.as_bool()) != Some(false) {
                     return Err(format!("malformed line not rejected: {resp}"));
@@ -1076,7 +1076,7 @@ fn run_cluster_scenario(
             c.send_raw(format!("{line}\n").as_bytes())?;
             report.requests_sent += 1;
             let resp = c.read_line()?;
-            let parsed = crate::json::parse(&resp)
+            let parsed = mpi_dfa_core::json::parse(&resp)
                 .map_err(|e| format!("cache-stats is not JSON ({e}): {resp}"))?;
             let result = parsed
                 .get("result")

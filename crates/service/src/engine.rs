@@ -16,7 +16,6 @@
 
 use crate::admission::{AdmissionConfig, AdmissionControl};
 use crate::cache::{proc_cfg_key, result_key, source_key, ServiceCaches, RESULTS_NAMESPACE};
-use crate::json::escape;
 use crate::proto::{CacheStatus, ProtoError, Request, RequestKind};
 use crate::slo::SloRegistry;
 use mpi_dfa_analyses::activity::{self, demand_active_at, ActivityConfig, ActivityResult, Mode};
@@ -28,6 +27,7 @@ use mpi_dfa_core::budget::{Budget, Exhaustion};
 use mpi_dfa_core::cache::{CacheSnapshot, DiskStore, FsckReport};
 use mpi_dfa_core::graph::NodeId;
 use mpi_dfa_core::hash::Hasher128;
+use mpi_dfa_core::json::escape;
 use mpi_dfa_core::solver::{SolveParams, Strategy};
 use mpi_dfa_core::telemetry;
 use mpi_dfa_graph::cfg::ProcCfg;
@@ -242,9 +242,9 @@ impl Engine {
 
     /// Parse + process one raw request line.
     pub fn handle_line(&self, line: &str) -> String {
-        match crate::proto::parse_request(line) {
+        match crate::proto::read_request(line) {
             Ok(req) => self.handle(&req),
-            Err(e) => crate::proto::render_err(0, &e),
+            Err(resp) => resp,
         }
     }
 
@@ -1056,7 +1056,7 @@ mod tests {
             second
         );
         // Response is valid JSON with the provenance attached.
-        let parsed = crate::json::parse(&second).unwrap();
+        let parsed = mpi_dfa_core::json::parse(&second).unwrap();
         let result = parsed.get("result").unwrap();
         assert_eq!(
             result
@@ -1272,7 +1272,7 @@ mod tests {
         ));
         let r = e.handle(&parse(r#"{"id":2,"kind":"cache-stats"}"#));
         assert!(r.contains("\"cache\":\"bypass\""), "{r}");
-        let parsed = crate::json::parse(&r).unwrap();
+        let parsed = mpi_dfa_core::json::parse(&r).unwrap();
         let result = parsed.get("result").unwrap();
         let admission = result.get("admission").unwrap();
         assert_eq!(admission.get("inflight").unwrap().as_u64(), Some(0));
@@ -1280,8 +1280,8 @@ mod tests {
         let caches = result.get("caches").unwrap();
         assert!(caches.get("result").unwrap().get("insertions").is_some());
         // No --cache-dir: disk and fsck are null.
-        assert_eq!(caches.get("disk"), Some(&crate::json::Json::Null));
-        assert_eq!(result.get("fsck"), Some(&crate::json::Json::Null));
+        assert_eq!(caches.get("disk"), Some(&mpi_dfa_core::json::Json::Null));
+        assert_eq!(result.get("fsck"), Some(&mpi_dfa_core::json::Json::Null));
     }
 
     #[test]

@@ -27,8 +27,8 @@
 //!   past the cap requests shed with a structured `overloaded` error.
 //! * [`proto`] — request parsing/validation and response rendering;
 //!   every malformed input maps to a structured error, never a panic.
-//! * [`json`] — a minimal hand-rolled JSON parser/renderer (the
-//!   workspace is dependency-free by design).
+//! * [`json`] — a re-export of [`mpi_dfa_core::json`], the workspace's
+//!   one JSON parser/renderer, kept for downstream users of this path.
 //! * [`chaos`] — the seeded service-layer fault harness: partial I/O,
 //!   disconnects, stalls, corrupted cache files, and burst load against
 //!   an in-process server, asserting structured-errors-only and
@@ -66,7 +66,8 @@ pub mod cache;
 pub mod chaos;
 pub mod engine;
 pub mod health;
-pub mod json;
+/// The workspace JSON codec, re-exported from its home in `mpi_dfa_core`.
+pub use mpi_dfa_core::json;
 pub mod obs;
 pub mod proto;
 pub mod router;
@@ -82,7 +83,8 @@ pub use engine::{Engine, EngineConfig};
 pub use health::{HealthConfig, HealthMonitor, HealthVerdict};
 pub use obs::{AccessRecord, CompletedSpan, SpanPairer, TelemetryHub, TELE_PREFIX};
 pub use proto::{
-    parse_request, render_err, render_ok, CacheStatus, ProtoError, Request, RequestKind,
+    parse_request, read_request, render_err, render_ok, CacheStatus, ProtoError, Request,
+    RequestKind,
 };
 pub use router::{
     serve_cluster, Cluster, ClusterConfig, HashRing, RouterConfig, RouterHandler, RouterStats,

@@ -29,9 +29,9 @@
 //! cluster metrics are byte-identical regardless of shard-report arrival
 //! order (asserted by tests).
 
-use crate::json::{self, Json};
 use crate::slo::{self, SloSnapshot};
-use mpi_dfa_core::telemetry::{self, ArgValue, Event, EventKind};
+use mpi_dfa_core::json::{self, Json};
+use mpi_dfa_core::telemetry::{self, Event, EventKind};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::fs::{File, OpenOptions};
@@ -66,22 +66,6 @@ pub fn mint_trace_id() -> u128 {
         .write_u64(SEQ.fetch_add(1, Ordering::Relaxed))
         .write_u64(std::process::id() as u64);
     h.finish()
-}
-
-fn arg_json(v: &ArgValue) -> String {
-    match v {
-        ArgValue::U64(n) => n.to_string(),
-        ArgValue::I64(n) => n.to_string(),
-        ArgValue::F64(n) => {
-            if n.is_finite() {
-                n.to_string()
-            } else {
-                "null".to_string()
-            }
-        }
-        ArgValue::Bool(b) => b.to_string(),
-        ArgValue::Str(s) => format!("\"{}\"", json::escape(s)),
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -238,7 +222,7 @@ impl SpanPairer {
                             args: e
                                 .args
                                 .iter()
-                                .map(|(k, v)| (k.to_string(), arg_json(v)))
+                                .map(|(k, v)| (k.to_string(), v.render()))
                                 .collect(),
                         },
                     );
@@ -249,7 +233,7 @@ impl SpanPairer {
                     if let Some(mut span) = self.open.remove(&id) {
                         span.dur_us = Some((base_us + e.ts_us).saturating_sub(span.ts_us));
                         span.args
-                            .extend(e.args.iter().map(|(k, v)| (k.to_string(), arg_json(v))));
+                            .extend(e.args.iter().map(|(k, v)| (k.to_string(), v.render())));
                         done.push(span);
                     }
                 }
@@ -268,7 +252,7 @@ impl SpanPairer {
                         args: e
                             .args
                             .iter()
-                            .map(|(k, v)| (k.to_string(), arg_json(v)))
+                            .map(|(k, v)| (k.to_string(), v.render()))
                             .collect(),
                     });
                 }

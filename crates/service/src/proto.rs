@@ -15,9 +15,9 @@
 //!   wall-clock fields, so a batch run is byte-identical across worker
 //!   pool sizes and repeated runs.
 
-use crate::json::{self, Json};
 use mpi_dfa_analyses::governor::DegradeMode;
 use mpi_dfa_analyses::mpi_match::Matching;
+use mpi_dfa_core::json::{self, Json};
 use mpi_dfa_core::solver::Strategy;
 use mpi_dfa_core::telemetry;
 
@@ -294,25 +294,46 @@ fn list_field(v: &Json, name: &str) -> Result<Vec<String>, ProtoError> {
 /// non-object payloads, unknown kinds, and unknown fields — all as
 /// structured [`ProtoError`]s.
 pub fn parse_request(line: &str) -> Result<Request, ProtoError> {
+    parse_line(line).map_err(|(_, e)| e)
+}
+
+/// Parse one request line, or render the error response it gets. Every
+/// front end (batch, server, router) answers a bad line through this, so
+/// the error echoes the request's `id` once it was read; only a line that
+/// cannot yield one is answered with `"id":0`.
+pub fn read_request(line: &str) -> Result<Request, String> {
+    parse_line(line).map_err(|(id, e)| render_err(id, &e))
+}
+
+/// [`parse_request`], with each error paired with the id to answer it under.
+fn parse_line(line: &str) -> Result<Request, (u64, ProtoError)> {
     if line.len() > MAX_LINE_BYTES {
-        return Err(ProtoError::new(
-            "too-large",
-            format!(
-                "request line is {} bytes; the limit is {} bytes",
-                line.len(),
-                MAX_LINE_BYTES
+        return Err((
+            0,
+            ProtoError::new(
+                "too-large",
+                format!(
+                    "request line is {} bytes; the limit is {} bytes",
+                    line.len(),
+                    MAX_LINE_BYTES
+                ),
             ),
         ));
     }
-    let value = json::parse(line).map_err(|e| ProtoError::new("parse", e.to_string()))?;
+    let value = json::parse(line).map_err(|e| (0, ProtoError::new("parse", e.to_string())))?;
     let Json::Obj(fields) = &value else {
-        return Err(ProtoError::bad("request must be a JSON object"));
+        return Err((0, ProtoError::bad("request must be a JSON object")));
     };
-
     let id = match value.get("id") {
-        Some(v) => u64_field(v, "id")?,
-        None => return Err(ProtoError::bad("missing required field `id`")),
+        Some(v) => u64_field(v, "id").map_err(|e| (0, e))?,
+        None => return Err((0, ProtoError::bad("missing required field `id`"))),
     };
+    request_fields(id, &value, fields).map_err(|e| (id, e))
+}
+
+/// Validate everything after the `id` of a request object (`value`, whose
+/// `fields` these are).
+fn request_fields(id: u64, value: &Json, fields: &[(String, Json)]) -> Result<Request, ProtoError> {
     let kind_str = match value.get("kind") {
         Some(v) => str_field(v, "kind")?,
         None => return Err(ProtoError::bad("missing required field `kind`")),
@@ -814,7 +835,7 @@ mod tests {
             err,
             r#"{"id":9,"ok":false,"error":{"code":"overloaded","message":"shed","retry_after_ms":125}}"#
         );
-        let parsed = crate::json::parse(&err).unwrap();
+        let parsed = mpi_dfa_core::json::parse(&err).unwrap();
         assert_eq!(
             parsed
                 .get("error")
@@ -842,7 +863,7 @@ mod tests {
             r#"{"id":0,"ok":false,"error":{"code":"parse","message":"boom \"quoted\""}}"#
         );
         // Both responses are themselves valid JSON.
-        assert!(crate::json::parse(&ok).is_ok());
-        assert!(crate::json::parse(&err).is_ok());
+        assert!(mpi_dfa_core::json::parse(&ok).is_ok());
+        assert!(mpi_dfa_core::json::parse(&err).is_ok());
     }
 }

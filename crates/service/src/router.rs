@@ -35,16 +35,17 @@
 //! per-shard supervisor state and the router's own counters.
 
 use crate::cache::routing_key;
-use crate::json;
 use crate::obs::{mint_trace_id, AccessRecord, TelemetryHub};
 use crate::proto::{
-    parse_request, render_err, render_ok, render_request, CacheStatus, ProtoError, Request,
-    RequestKind, TraceCtx,
+    parse_request, read_request, render_err, render_ok, render_request, CacheStatus, ProtoError,
+    Request, RequestKind, TraceCtx,
 };
 use crate::server::{LineHandler, Server, ServerConfig};
 use crate::slo::{self, SloRegistry};
 use crate::supervisor::{ShardTable, Supervisor, WorkerSpec};
 use mpi_dfa_core::hash::Hasher128;
+use mpi_dfa_core::json;
+use mpi_dfa_core::rng::{SplitMix64, GAMMA};
 use mpi_dfa_core::telemetry::{self, ArgValue};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -56,27 +57,19 @@ use std::time::{Duration, Instant};
 /// within a few percent of evenly, cheap enough to rebuild at startup.
 const VNODES_PER_SHARD: usize = 128;
 
-/// SplitMix64 finalizer: full-avalanche mixing for one 64-bit lane.
-fn mix64(mut x: u64) -> u64 {
-    x ^= x >> 30;
-    x = x.wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x ^= x >> 27;
-    x = x.wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^= x >> 31;
-    x
-}
-
 /// Spread a 128-bit content hash uniformly over the ring's key space.
 /// FNV (the workspace's content hash) is collision-resistant enough for
 /// cache keys but has weak high-bit avalanche on short inputs, and ring
 /// ownership is decided by *ordering* — i.e. by the most significant
-/// bits — so both ring points and lookup keys go through a real
-/// finalizer first.
+/// bits — so both ring points and lookup keys go through the SplitMix64
+/// finalizer first. One step finalizes `state + GAMMA`, so a stream
+/// seeded at `x - GAMMA` yields the finalizer of `x` itself.
 fn spread(key: u128) -> u128 {
+    let mix = |x: u64| SplitMix64::new(x.wrapping_sub(GAMMA)).next_u64();
     let lo = key as u64;
     let hi = (key >> 64) as u64;
-    let a = mix64(lo ^ hi.rotate_left(32) ^ 0x9e37_79b9_7f4a_7c15);
-    let b = mix64(hi.wrapping_add(a));
+    let a = mix(lo ^ hi.rotate_left(32) ^ GAMMA);
+    let b = mix(hi.wrapping_add(a));
     ((b as u128) << 64) | a as u128
 }
 
@@ -687,8 +680,8 @@ impl RouterHandler {
 
 impl LineHandler for RouterHandler {
     fn answer(&self, line: &str) -> (String, bool) {
-        match parse_request(line) {
-            Err(e) => (render_err(0, &e), false),
+        match read_request(line) {
+            Err(resp) => (resp, false),
             Ok(req) => match req.kind {
                 // Local verbs render the exact bytes a worker would, so a
                 // client cannot tell a cluster from a single box.
@@ -915,6 +908,45 @@ mod tests {
         }
         // Same key, same order, every time.
         assert_eq!(ring.order(42), ring.order(42));
+    }
+
+    #[test]
+    fn every_front_end_echoes_a_readable_id_on_a_validation_error() {
+        // (line, id the error answers under, error code)
+        let cases = [
+            (r#"{"id":3,"kind":"ping","x":1}"#, 3, "bad-request"),
+            (r#"{"id":4,"kind":"warp"}"#, 4, "unknown-kind"),
+            (r#"{"id":5}"#, 5, "bad-request"),
+            (
+                r#"{"id":6,"kind":"analyze","program":"figure1","at":"x"}"#,
+                6,
+                "bad-request",
+            ),
+            // No id can be read from these, so they answer under id 0.
+            (r#"{"id":7,"kind":"#, 0, "parse"),
+            (r#"{"id":01,"kind":"ping"}"#, 0, "parse"),
+            (r#"{"id":1.,"kind":"ping"}"#, 0, "parse"),
+            (r#"{"id":"8","kind":"ping"}"#, 0, "bad-request"),
+            (r#"{"kind":"ping"}"#, 0, "bad-request"),
+            (r#"[9]"#, 0, "bad-request"),
+        ];
+        let (addr, engine, handle) = start_worker(AdmissionConfig::default());
+        // No request here is valid, so the router never forwards one.
+        let router = RouterHandler::new(ShardTable::fixed(&[None]), RouterConfig::default());
+        for (line, id, code) in cases {
+            let want = format!(r#"{{"id":{id},"ok":false,"error":{{"code":"{code}","#);
+            let batch = crate::sched::run_batch(&engine, line, 1).remove(0);
+            let served = direct(addr, line);
+            let (routed, _) = router.answer(line);
+            for (front, resp) in [("batch", &batch), ("server", &served), ("router", &routed)] {
+                assert!(
+                    resp.starts_with(&want),
+                    "{front} answered {line} with {resp}"
+                );
+            }
+        }
+        stop_worker(addr);
+        handle.join().unwrap().unwrap();
     }
 
     #[test]

@@ -30,7 +30,7 @@
 //! rest of the batch completes.
 
 use crate::engine::Engine;
-use crate::proto::{parse_request, render_err, ProtoError, Request, RequestKind};
+use crate::proto::{read_request, render_err, ProtoError, Request, RequestKind};
 use std::collections::{HashSet, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Mutex;
@@ -58,8 +58,8 @@ pub fn run_batch(engine: &Engine, input: &str, pool: usize) -> Vec<String> {
         }
         let slot = responses.len();
         responses.push(None);
-        match parse_request(line) {
-            Err(e) => responses[slot] = Some(render_err(0, &e)),
+        match read_request(line) {
+            Err(resp) => responses[slot] = Some(resp),
             Ok(req) if req.kind == RequestKind::Shutdown => {
                 // Shutting down a batch run is meaningless; answering it
                 // inline keeps the remaining lines flowing.

@@ -32,7 +32,7 @@
 
 use crate::engine::Engine;
 use crate::obs::{mint_trace_id, AccessRecord, TelemetryHub};
-use crate::proto::{parse_request, render_err, ProtoError, RequestKind, TraceCtx, MAX_LINE_BYTES};
+use crate::proto::{read_request, render_err, ProtoError, RequestKind, TraceCtx, MAX_LINE_BYTES};
 use crate::slo;
 use mpi_dfa_core::telemetry;
 use std::collections::HashMap;
@@ -142,8 +142,8 @@ impl LineHandler for EngineLineHandler {
     fn answer(&self, line: &str) -> (String, bool) {
         let engine = &self.engine;
         let started = std::time::Instant::now();
-        match parse_request(line) {
-            Err(e) => (render_err(0, &e), false),
+        match read_request(line) {
+            Err(resp) => (resp, false),
             Ok(mut req) => {
                 let control = matches!(
                     req.kind,

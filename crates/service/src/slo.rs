@@ -17,8 +17,8 @@
 //! byte-identical); it only exists here, in the access log, and in the
 //! `metrics` verb output.
 
-use crate::json::Json;
 use mpi_dfa_core::hist::LogHistogram;
+use mpi_dfa_core::json::Json;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::Mutex;
@@ -76,9 +76,9 @@ pub fn to_json(snap: &SloSnapshot) -> String {
         let _ = write!(
             out,
             "{{\"verb\":\"{}\",\"cache\":\"{}\",\"shard\":\"{}\",\"h\":{}}}",
-            crate::json::escape(verb),
-            crate::json::escape(cache),
-            crate::json::escape(shard),
+            mpi_dfa_core::json::escape(verb),
+            mpi_dfa_core::json::escape(cache),
+            mpi_dfa_core::json::escape(shard),
             hist.to_json()
         );
     }
@@ -229,7 +229,7 @@ mod tests {
         let snap = sample_snapshot(42, 500);
         assert!(!snap.is_empty());
         let json = to_json(&snap);
-        let parsed = crate::json::parse(&json).unwrap();
+        let parsed = mpi_dfa_core::json::parse(&json).unwrap();
         let back = from_json(&parsed).unwrap();
         assert_eq!(back, snap);
         assert_eq!(to_json(&back), json);

@@ -10,7 +10,7 @@
 //! Deterministic in the seed: a CI failure reproduces locally with
 //! `cargo test -p mpi-dfa-service --test fuzz_protocol`.
 
-use mpi_dfa_lang::rng::SplitMix64;
+use mpi_dfa_core::rng::SplitMix64;
 use mpi_dfa_service::proto::MAX_LINE_BYTES;
 use mpi_dfa_service::{Engine, EngineConfig};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -19,7 +19,7 @@ use std::time::{Duration, Instant};
 /// A response line must be valid JSON with either a successful `result` or
 /// a structured `error` object carrying a code and message.
 fn assert_structured(line: &str, resp: &str) {
-    let parsed = mpi_dfa_service::json::parse(resp)
+    let parsed = mpi_dfa_core::json::parse(resp)
         .unwrap_or_else(|e| panic!("response is not JSON ({e}) for input {line:.80}: {resp:.200}"));
     let ok = parsed
         .get("ok")

@@ -37,10 +37,10 @@ use mpi_dfa_analyses::activity::{
 };
 use mpi_dfa_analyses::mpi_match::{build_mpi_icfg_with_budget, Matching};
 use mpi_dfa_core::budget::Budget;
+use mpi_dfa_core::rng::SplitMix64;
 use mpi_dfa_core::solver::{SolveParams, Strategy};
 use mpi_dfa_core::telemetry::{self, TraceLevel};
 use mpi_dfa_graph::icfg::{dirty_procs, ProgramIr};
-use mpi_dfa_lang::rng::SplitMix64;
 use std::fmt::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
@@ -255,6 +255,15 @@ fn verify_contract(g: &mpi_dfa_graph::mpi::MpiIcfg) {
     );
 }
 
+/// The text a panic carried, for a failure report.
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    payload
+        .downcast_ref::<String>()
+        .cloned()
+        .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+        .unwrap_or_else(|| "non-string panic payload".to_string())
+}
+
 /// Run one seeded case against `corpus`. `Err` means contract violation.
 pub fn run_case(
     seed: u64,
@@ -268,18 +277,11 @@ pub fn run_case(
     let outcome = catch_unwind(AssertUnwindSafe(|| pipeline(&mutant, deadline)));
     let elapsed = started.elapsed();
     match outcome {
-        Err(payload) => {
-            let msg = payload
-                .downcast_ref::<String>()
-                .cloned()
-                .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
-                .unwrap_or_else(|| "non-string panic payload".to_string());
-            Err(FuzzFailure {
-                seed,
-                kind: FailureKind::Panic,
-                detail: msg,
-            })
-        }
+        Err(payload) => Err(FuzzFailure {
+            seed,
+            kind: FailureKind::Panic,
+            detail: panic_message(payload.as_ref()),
+        }),
         Ok(stage) => {
             if elapsed > deadline * HANG_FACTOR {
                 Err(FuzzFailure {
@@ -646,18 +648,11 @@ pub fn run_edit_case(
     let outcome = catch_unwind(AssertUnwindSafe(|| edit_pipeline(base, &mutant, deadline)));
     let elapsed = started.elapsed();
     match outcome {
-        Err(payload) => {
-            let msg = payload
-                .downcast_ref::<String>()
-                .cloned()
-                .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
-                .unwrap_or_else(|| "non-string panic payload".to_string());
-            Err(FuzzFailure {
-                seed,
-                kind: FailureKind::Panic,
-                detail: msg,
-            })
-        }
+        Err(payload) => Err(FuzzFailure {
+            seed,
+            kind: FailureKind::Panic,
+            detail: panic_message(payload.as_ref()),
+        }),
         Ok(out) => {
             // Three solves and two graph builds per case, so the hang bar
             // is HANG_FACTOR times *five* deadlines rather than one.

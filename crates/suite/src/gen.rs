@@ -10,7 +10,7 @@
 //! form `mod(<int var>, dim) + 1`, which keeps every generated index in
 //! bounds by construction.
 
-use mpi_dfa_lang::rng::SplitMix64;
+use mpi_dfa_core::rng::SplitMix64;
 use std::fmt::Write;
 
 /// Size/shape knobs for generated programs.

@@ -11,8 +11,8 @@ use crate::programs;
 use mpi_dfa_analyses::activity::{self, ActivityConfig, Mode};
 use mpi_dfa_analyses::governor::{governed_activity, AnalysisProvenance, GovernorConfig};
 use mpi_dfa_analyses::mpi_match::{build_mpi_icfg, Matching};
+use mpi_dfa_core::json::escape as json_escape;
 use mpi_dfa_core::solver::{ConvergenceStats, SolveParams};
-use mpi_dfa_core::telemetry::json_escape;
 use mpi_dfa_graph::icfg::Icfg;
 use std::fmt::Write as _;
 

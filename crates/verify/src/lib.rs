@@ -32,7 +32,8 @@ pub mod report;
 
 use mpi_dfa_core::budget::Budget;
 use mpi_dfa_core::graph::FlowGraph;
-use mpi_dfa_core::telemetry::{self, json_escape};
+use mpi_dfa_core::json::escape as json_escape;
+use mpi_dfa_core::telemetry;
 use mpi_dfa_graph::mpi::MpiIcfg;
 use mpi_dfa_lang::interp::RuntimeLimits;
 

@@ -300,3 +300,76 @@ fn verify_answers_do_not_depend_on_how_long_a_sender_computes() {
         "the service answer differs from the CLI's:\n{batch}\n{cli}"
     );
 }
+
+#[test]
+fn verify_exits_zero_on_bundled_programs_and_one_on_the_deadlock_corpus() {
+    let safe = ["figure1", "biostat", "sor", "cg", "lu", "mg", "sweep3d"].map(|p| (p, "8", 0));
+    let flagged = [
+        "deadlock-head-to-head",
+        "deadlock-tag-mismatch",
+        "deadlock-barrier-mismatch",
+        "deadlock-orphan-recv",
+        "deadlock-loop-starved",
+    ]
+    .map(|p| (p, "4", 1));
+    for (prog, schedules, code) in safe.into_iter().chain(flagged) {
+        let out = Command::new(env!("CARGO_BIN_EXE_mpidfa"))
+            .args(["verify", prog, "--schedules", schedules])
+            .output()
+            .expect("binary runs");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        // A usage error also exits 1, so the verdict must be printed too.
+        let verdict = if code == 0 {
+            "-> consistent-safe\nverdict: SAFE"
+        } else {
+            "verdict: FLAGGED"
+        };
+        assert_eq!(out.status.code(), Some(code), "{prog}:\n{stdout}");
+        assert!(stdout.contains(verdict), "{prog}:\n{stdout}");
+    }
+}
+
+#[test]
+fn batch_output_does_not_depend_on_the_pool_size() {
+    // Five Table-1 rows, two repeats (answered from the cache) and one
+    // analyze.
+    let rows = ["Biostat", "SOR", "CG", "LU-1", "MG-1", "Biostat", "CG"];
+    let mut requests: String = rows
+        .iter()
+        .enumerate()
+        .map(|(i, row)| {
+            format!(
+                "{{\"id\":{},\"kind\":\"table1-row\",\"row\":\"{row}\"}}\n",
+                i + 1
+            )
+        })
+        .collect();
+    requests.push_str(
+        "{\"id\":99,\"kind\":\"analyze\",\"program\":\"figure1\",\"ind\":[\"x\"],\"dep\":[\"f\"]}\n",
+    );
+    let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"))
+        .join(format!("batch-pool-{}.jsonl", std::process::id()));
+    std::fs::write(&path, requests).unwrap();
+    let file = path.to_str().unwrap();
+    let outputs: Vec<String> = ["1", "4", "8"]
+        .iter()
+        .map(|pool| {
+            let (stdout, stderr, ok) = mpidfa(&["batch", file, "--pool", pool]);
+            assert!(ok, "{stderr}");
+            stdout
+        })
+        .collect();
+    let _ = std::fs::remove_file(&path);
+    let lines: Vec<&str> = outputs[0].lines().collect();
+    assert_eq!(lines.len(), rows.len() + 1, "{}", outputs[0]);
+    assert!(
+        lines.iter().all(|l| l.contains("\"ok\":true")),
+        "{}",
+        outputs[0]
+    );
+    for repeat in &lines[5..7] {
+        assert!(repeat.contains("\"cache\":\"hit\""), "{repeat}");
+    }
+    assert_eq!(outputs[0], outputs[1], "pool 1 and pool 4 differ");
+    assert_eq!(outputs[0], outputs[2], "pool 1 and pool 8 differ");
+}

@@ -70,7 +70,7 @@ fn tmp_dir(tag: &str) -> std::path::PathBuf {
 }
 
 fn parse_access(line: &str) -> AccessRecord {
-    let v = mpi_dfa_service::json::parse(line).expect("access line parses");
+    let v = mpi_dfa_core::json::parse(line).expect("access line parses");
     AccessRecord::parse(&v).expect("access record shape")
 }
 
@@ -249,7 +249,7 @@ fn metrics_verb_returns_cluster_wide_merge() {
             resp.contains("\"cluster\":{\"shards\":3}"),
             "bad envelope: {resp}"
         );
-        let v = mpi_dfa_service::json::parse(&resp).expect("metrics response parses");
+        let v = mpi_dfa_core::json::parse(&resp).expect("metrics response parses");
         let prom = v
             .get("result")
             .and_then(|r| r.get("prometheus"))

@@ -18,7 +18,7 @@
 //! `SplitMix64` stream; a failing case names its seed for replay.
 
 use mpi_dfa::analyses::{consts, liveness, reaching_defs};
-use mpi_dfa::lang::rng::SplitMix64;
+use mpi_dfa::core::rng::SplitMix64;
 use mpi_dfa::prelude::*;
 use mpi_dfa::suite::gen::{generate, GenConfig};
 
