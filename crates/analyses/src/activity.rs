@@ -228,12 +228,12 @@ fn squash(wide: u128) -> u64 {
 
 /// Per-node content fingerprints for the activity problems (the
 /// [`Dataflow::node_fingerprint`] contract): everything `transfer`,
-/// `comm_transfer`, and `translate` read for the node, hashed over raw
+/// `comm_transfer`, and `translate_into` read for the node, hashed over raw
 /// [`Loc`] indices — an edit that renumbers the location table renumbers
 /// the facts too, so loc-shifted nodes must *not* transplant — and
 /// excluding unstable statement ids and spans. Call/after-call nodes fold
 /// in the full call-site semantics (callee name, formal/actual bindings,
-/// argument uses) because the adjacent Call/Return edges' `translate`
+/// argument uses) because the adjacent Call/Return edges' `translate_into`
 /// reads exactly those.
 fn content_fingerprints(icfg: &Icfg, mode: Mode, phase: &str, seed: &VarSet) -> Vec<u64> {
     let mut salt_h = Hasher128::new();
@@ -725,17 +725,18 @@ impl Dataflow for Vary<'_> {
         }
     }
 
-    fn translate(&self, edge: &Edge, fact: &VarSet) -> Option<VarSet> {
+    fn translate_into(&self, edge: &Edge, fact: &VarSet, out: &mut VarSet) {
         match edge.kind {
-            EdgeKind::Call { site } => Some(call_forward(
+            EdgeKind::Call { site } => call_forward(
                 self.icfg,
                 &self.maps,
                 site,
                 fact,
+                out,
                 UseSelector::Differentiable,
-            )),
-            EdgeKind::Return { site } => Some(return_forward(self.icfg, &self.maps, site, fact)),
-            _ => None,
+            ),
+            EdgeKind::Return { site } => return_forward(self.icfg, &self.maps, site, fact, out),
+            EdgeKind::Flow | EdgeKind::Comm { .. } => {}
         }
     }
 
@@ -883,17 +884,18 @@ impl Dataflow for Useful<'_> {
         }
     }
 
-    fn translate(&self, edge: &Edge, fact: &VarSet) -> Option<VarSet> {
+    fn translate_into(&self, edge: &Edge, fact: &VarSet, out: &mut VarSet) {
         match edge.kind {
-            EdgeKind::Return { site } => Some(return_backward(self.icfg, &self.maps, site, fact)),
-            EdgeKind::Call { site } => Some(call_backward(
+            EdgeKind::Return { site } => return_backward(self.icfg, &self.maps, site, fact, out),
+            EdgeKind::Call { site } => call_backward(
                 self.icfg,
                 &self.maps,
                 site,
                 fact,
+                out,
                 UseSelector::Differentiable,
-            )),
-            _ => None,
+            ),
+            EdgeKind::Flow | EdgeKind::Comm { .. } => {}
         }
     }
 

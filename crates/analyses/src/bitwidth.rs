@@ -164,11 +164,11 @@ impl<'g> Bitwidth<'g> {
                 }
             }
             ExprKind::Intrinsic(i, args) => match i {
-                Intrinsic::Mod => match crate::consts::eval_expr(
-                    &args[1],
-                    &crate::consts::ConstEnv::top(self.universe),
-                    &|_| None,
-                ) {
+                // The divisor folds with every variable ⊥: only literal
+                // arithmetic bounds the result.
+                Intrinsic::Mod => match crate::consts::fold(&args[1], &mut |_| {
+                    mpi_dfa_core::lattice::ConstLattice::Bottom
+                }) {
                     // `mod(x, m)` with literal m: result < m.
                     mpi_dfa_core::lattice::ConstLattice::Const(c) => match c.as_int() {
                         Some(m) if m > 0 => bits_for(m - 1),
@@ -293,12 +293,11 @@ impl Dataflow for Bitwidth<'_> {
         Width(self.sent_width(node, input))
     }
 
-    fn translate(&self, edge: &Edge, fact: &WidthEnv) -> Option<WidthEnv> {
+    fn translate_into(&self, edge: &Edge, fact: &WidthEnv, out: &mut WidthEnv) {
         match edge.kind {
             EdgeKind::Call { site } => {
                 let cs = self.icfg.call_site(site);
                 let args = self.icfg.call_args(site);
-                let mut out = fact.clone();
                 for &l in self.maps.locals_of(cs.callee) {
                     out.set(l, 0);
                 }
@@ -311,11 +310,9 @@ impl Dataflow for Bitwidth<'_> {
                     };
                     out.set(b.formal, w);
                 }
-                Some(out)
             }
             EdgeKind::Return { site } => {
                 let cs = self.icfg.call_site(site);
-                let mut out = fact.clone();
                 for b in &cs.bindings {
                     match b.actual {
                         ActualBinding::RefWhole(a) => out.set(a, fact.get(b.formal)),
@@ -326,9 +323,8 @@ impl Dataflow for Bitwidth<'_> {
                 for &l in self.maps.frame_of(cs.callee) {
                     out.set(l, 0);
                 }
-                Some(out)
             }
-            _ => None,
+            EdgeKind::Flow | EdgeKind::Comm { .. } => {}
         }
     }
 }
@@ -435,6 +431,28 @@ mod tests {
         );
         let r = analyze_mpi(&mpi);
         assert_eq!(width_at_exit(&ir, &mpi, &r, "a"), bits_for(15));
+    }
+
+    #[test]
+    fn mod_folds_only_literal_divisors() {
+        // The divisor folds with every variable ⊥: literal arithmetic and
+        // intrinsics bound the result, a variable (even a constant one)
+        // leaves the dividend's width.
+        for (divisor, want) in [
+            ("max(2, 3)", bits_for(2)),
+            ("4 * 2", bits_for(7)),
+            ("-(4)", 17),
+            ("m", 17),
+            ("m + 1", 17),
+        ] {
+            let src = format!(
+                "program p global a: int; global b: int; global m: int;\n\
+                 sub main() {{ m = 8; a = 65535; b = mod(a, {divisor}); }}"
+            );
+            let (ir, mpi) = build(&src);
+            let r = analyze_mpi(&mpi);
+            assert_eq!(width_at_exit(&ir, &mpi, &r, "b"), want, "mod(a, {divisor})");
+        }
     }
 
     #[test]

@@ -97,17 +97,18 @@ impl BindMaps {
     }
 }
 
-/// Forward translation across a `Call` edge.
+/// Forward translation across a `Call` edge. Like every translation here,
+/// it edits `out`, which arrives equal to `fact`, and reads `fact`.
 pub fn call_forward(
     icfg: &Icfg,
     maps: &BindMaps,
     site: u32,
     fact: &VarSet,
+    out: &mut VarSet,
     sel: UseSelector,
-) -> VarSet {
+) {
     let cs = icfg.call_site(site);
     let args = icfg.call_args(site);
-    let mut out = fact.clone();
     for &l in maps.locals_of(cs.callee) {
         out.remove(l.index());
     }
@@ -122,13 +123,11 @@ pub fn call_forward(
             out.remove(b.formal.index());
         }
     }
-    out
 }
 
 /// Forward translation across a `Return` edge.
-pub fn return_forward(icfg: &Icfg, maps: &BindMaps, site: u32, fact: &VarSet) -> VarSet {
+pub fn return_forward(icfg: &Icfg, maps: &BindMaps, site: u32, fact: &VarSet, out: &mut VarSet) {
     let cs = icfg.call_site(site);
-    let mut out = fact.clone();
     for b in &cs.bindings {
         match b.actual {
             ActualBinding::RefWhole(a) => {
@@ -149,14 +148,12 @@ pub fn return_forward(icfg: &Icfg, maps: &BindMaps, site: u32, fact: &VarSet) ->
     for &l in maps.frame_of(cs.callee) {
         out.remove(l.index());
     }
-    out
 }
 
 /// Backward translation across a `Return` edge (fact flows after-node →
 /// callee exit).
-pub fn return_backward(icfg: &Icfg, maps: &BindMaps, site: u32, fact: &VarSet) -> VarSet {
+pub fn return_backward(icfg: &Icfg, maps: &BindMaps, site: u32, fact: &VarSet, out: &mut VarSet) {
     let cs = icfg.call_site(site);
-    let mut out = fact.clone();
     for &l in maps.locals_of(cs.callee) {
         out.remove(l.index());
     }
@@ -172,7 +169,6 @@ pub fn return_backward(icfg: &Icfg, maps: &BindMaps, site: u32, fact: &VarSet) -
             out.remove(b.formal.index());
         }
     }
-    out
 }
 
 /// Backward translation across a `Call` edge (fact flows callee entry →
@@ -182,11 +178,11 @@ pub fn call_backward(
     maps: &BindMaps,
     site: u32,
     fact: &VarSet,
+    out: &mut VarSet,
     sel: UseSelector,
-) -> VarSet {
+) {
     let cs = icfg.call_site(site);
     let args = icfg.call_args(site);
-    let mut out = fact.clone();
     for b in &cs.bindings {
         let member = fact.contains(b.formal.index());
         match b.actual {
@@ -204,7 +200,7 @@ pub fn call_backward(
             }
             ActualBinding::Value => {
                 if member {
-                    sel.insert_uses(&args.args[b.arg_idx].value, &mut out);
+                    sel.insert_uses(&args.args[b.arg_idx].value, out);
                 }
             }
         }
@@ -212,7 +208,6 @@ pub fn call_backward(
     for &l in maps.frame_of(cs.callee) {
         out.remove(l.index());
     }
-    out
 }
 
 #[cfg(test)]
@@ -230,6 +225,13 @@ mod tests {
         let icfg = Icfg::build(ir, "main", 0).unwrap();
         let maps = BindMaps::build(&icfg);
         (icfg, maps)
+    }
+
+    /// Run an in-place translation on a copy of `fact`.
+    fn translated(fact: &VarSet, translate: impl FnOnce(&mut VarSet)) -> VarSet {
+        let mut out = fact.clone();
+        translate(&mut out);
+        out
     }
 
     fn set_of(icfg: &Icfg, names: &[(&str, &str)]) -> VarSet {
@@ -259,7 +261,9 @@ mod tests {
     fn call_forward_maps_actuals_to_formals() {
         let (icfg, maps) = setup();
         let fact = set_of(&icfg, &[("main", "g"), ("main", "arr")]);
-        let out = call_forward(&icfg, &maps, 0, &fact, UseSelector::Differentiable);
+        let out = translated(&fact, |out| {
+            call_forward(&icfg, &maps, 0, &fact, out, UseSelector::Differentiable)
+        });
         let f = icfg.ir.proc_id("f").unwrap();
         let x = icfg.ir.locs.resolve(f, "x").unwrap();
         let a = icfg.ir.locs.resolve(f, "a").unwrap();
@@ -275,7 +279,9 @@ mod tests {
     fn call_forward_clears_unbound_formals() {
         let (icfg, maps) = setup();
         let fact = VarSet::empty(icfg.ir.locs.len());
-        let out = call_forward(&icfg, &maps, 0, &fact, UseSelector::Differentiable);
+        let out = translated(&fact, |out| {
+            call_forward(&icfg, &maps, 0, &fact, out, UseSelector::Differentiable)
+        });
         assert!(out.is_empty());
     }
 
@@ -287,9 +293,13 @@ mod tests {
         let fact = set_of(&icfg, &[("main", "i")]);
         let f = icfg.ir.proc_id("f").unwrap();
         let v = icfg.ir.locs.resolve(f, "v").unwrap();
-        let diff = call_forward(&icfg, &maps, 0, &fact, UseSelector::Differentiable);
+        let diff = translated(&fact, |out| {
+            call_forward(&icfg, &maps, 0, &fact, out, UseSelector::Differentiable)
+        });
         assert!(!diff.contains(v.index()));
-        let all = call_forward(&icfg, &maps, 0, &fact, UseSelector::All);
+        let all = translated(&fact, |out| {
+            call_forward(&icfg, &maps, 0, &fact, out, UseSelector::All)
+        });
         assert!(all.contains(v.index()));
     }
 
@@ -300,7 +310,7 @@ mod tests {
         let mut fact = VarSet::empty(icfg.ir.locs.len());
         fact.insert(icfg.ir.locs.resolve(f, "x").unwrap().index());
         fact.insert(icfg.ir.locs.resolve(f, "v").unwrap().index());
-        let out = return_forward(&icfg, &maps, 0, &fact);
+        let out = translated(&fact, |out| return_forward(&icfg, &maps, 0, &fact, out));
         assert!(
             out.contains(icfg.ir.locs.global("g").unwrap().index()),
             "x → g (whole ref)"
@@ -318,7 +328,7 @@ mod tests {
         let fact = set_of(&icfg, &[("main", "g")]);
         // fact here plays the role of the callee exit fact; g is a global
         // so it passes through, but the binding for x strong-updates g.
-        let out = return_forward(&icfg, &maps, 0, &fact);
+        let out = translated(&fact, |out| return_forward(&icfg, &maps, 0, &fact, out));
         assert!(!out.contains(icfg.ir.locs.global("g").unwrap().index()));
     }
 
@@ -335,7 +345,7 @@ mod tests {
         // arr member, formal not member: weak binding must NOT kill arr.
         let mut fact = VarSet::empty(icfg2.ir.locs.len());
         fact.insert(icfg2.ir.locs.global("arr").unwrap().index());
-        let out = return_forward(&icfg2, &maps2, 0, &fact);
+        let out = translated(&fact, |out| return_forward(&icfg2, &maps2, 0, &fact, out));
         assert!(out.contains(icfg2.ir.locs.global("arr").unwrap().index()));
     }
 
@@ -345,18 +355,22 @@ mod tests {
         let f = icfg.ir.proc_id("f").unwrap();
         // Backward across Return: actual g member → formal x member.
         let fact = set_of(&icfg, &[("main", "g")]);
-        let out = return_backward(&icfg, &maps, 0, &fact);
+        let out = translated(&fact, |out| return_backward(&icfg, &maps, 0, &fact, out));
         assert!(out.contains(icfg.ir.locs.resolve(f, "x").unwrap().index()));
         // Backward across Call: formal v member → value-arg uses marked.
         let mut fact2 = VarSet::empty(icfg.ir.locs.len());
         fact2.insert(icfg.ir.locs.resolve(f, "v").unwrap().index());
-        let out2 = call_backward(&icfg, &maps, 0, &fact2, UseSelector::All);
+        let out2 = translated(&fact2, |out| {
+            call_backward(&icfg, &maps, 0, &fact2, out, UseSelector::All)
+        });
         assert!(out2.contains(icfg.ir.locs.global("arr").unwrap().index()));
         assert!(
             out2.contains(icfg.ir.locs.global("i").unwrap().index()),
             "All selector includes index"
         );
-        let out3 = call_backward(&icfg, &maps, 0, &fact2, UseSelector::Differentiable);
+        let out3 = translated(&fact2, |out| {
+            call_backward(&icfg, &maps, 0, &fact2, out, UseSelector::Differentiable)
+        });
         assert!(!out3.contains(icfg.ir.locs.global("i").unwrap().index()));
     }
 

@@ -127,17 +127,13 @@ impl Dataflow for Liveness<'_> {
 
     fn comm_transfer(&self, _node: NodeId, _input: &VarSet) {}
 
-    fn translate(&self, edge: &Edge, fact: &VarSet) -> Option<VarSet> {
+    fn translate_into(&self, edge: &Edge, fact: &VarSet, out: &mut VarSet) {
         match edge.kind {
-            EdgeKind::Return { site } => Some(return_backward(self.icfg, &self.maps, site, fact)),
-            EdgeKind::Call { site } => Some(call_backward(
-                self.icfg,
-                &self.maps,
-                site,
-                fact,
-                UseSelector::All,
-            )),
-            _ => None,
+            EdgeKind::Return { site } => return_backward(self.icfg, &self.maps, site, fact, out),
+            EdgeKind::Call { site } => {
+                call_backward(self.icfg, &self.maps, site, fact, out, UseSelector::All)
+            }
+            EdgeKind::Flow | EdgeKind::Comm { .. } => {}
         }
     }
 }

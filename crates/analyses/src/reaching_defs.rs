@@ -8,7 +8,7 @@
 //!
 //! Facts are sets of definition sites (graph nodes that define a location).
 
-use mpi_dfa_core::graph::{Edge, FlowGraph, NodeId};
+use mpi_dfa_core::graph::{FlowGraph, NodeId};
 use mpi_dfa_core::problem::{Dataflow, Direction};
 use mpi_dfa_core::solver::{Solution, Solver};
 use mpi_dfa_core::varset::VarSet;
@@ -144,11 +144,9 @@ impl Dataflow for ReachingDefs<'_> {
 
     fn comm_transfer(&self, _node: NodeId, _input: &VarSet) {}
 
-    fn translate(&self, _edge: &Edge, _fact: &VarSet) -> Option<VarSet> {
-        // Definition sites are global node ids: they pass through calls
-        // unchanged (the classic ICFG formulation).
-        None
-    }
+    // `translate_into` keeps its default: definition sites are global node
+    // ids, so they pass through calls unchanged (the classic ICFG
+    // formulation).
 }
 
 /// Solve reaching definitions over `graph` (ICFG or MPI-ICFG; results are

@@ -146,17 +146,13 @@ impl Dataflow for Taint<'_> {
         }
     }
 
-    fn translate(&self, edge: &Edge, fact: &VarSet) -> Option<VarSet> {
+    fn translate_into(&self, edge: &Edge, fact: &VarSet, out: &mut VarSet) {
         match edge.kind {
-            EdgeKind::Call { site } => Some(call_forward(
-                self.icfg,
-                &self.maps,
-                site,
-                fact,
-                UseSelector::All,
-            )),
-            EdgeKind::Return { site } => Some(return_forward(self.icfg, &self.maps, site, fact)),
-            _ => None,
+            EdgeKind::Call { site } => {
+                call_forward(self.icfg, &self.maps, site, fact, out, UseSelector::All)
+            }
+            EdgeKind::Return { site } => return_forward(self.icfg, &self.maps, site, fact, out),
+            EdgeKind::Flow | EdgeKind::Comm { .. } => {}
         }
     }
 }

@@ -187,13 +187,13 @@ impl<P: Dataflow> Dataflow for Rebased<'_, P> {
         self.inner.comm_transfer(self.base(node), input)
     }
 
-    fn translate(&self, edge: &Edge, fact: &Self::Fact) -> Option<Self::Fact> {
+    fn translate_into(&self, edge: &Edge, fact: &Self::Fact, out: &mut Self::Fact) {
         let rebased = Edge {
             from: self.base(edge.from),
             to: self.base(edge.to),
             kind: edge.kind,
         };
-        self.inner.translate(&rebased, fact)
+        self.inner.translate_into(&rebased, fact, out)
     }
 }
 

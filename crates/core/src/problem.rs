@@ -5,7 +5,7 @@
 //! * the usual ingredients — direction, lattice top, boundary fact, meet,
 //!   and per-node transfer function;
 //! * interprocedural fact *translation* across call/return edges
-//!   (caller↔callee mapping);
+//!   (caller↔callee mapping), in place like the transfer;
 //! * and, new for the MPI-ICFG, a **communication transfer function**
 //!   `f_comm` producing the fact propagated over communication edges, plus
 //!   the receive-side use of those facts: the solver meets `f_comm` over a
@@ -31,7 +31,7 @@ pub enum Direction {
 /// value `f_comm` computes at a communication source, met over all of a
 /// node's communication predecessors before the node's transfer reads it.
 ///
-/// Monotonicity contract: `transfer` and `translate` must be monotone in
+/// Monotonicity contract: `transfer` and `translate_into` must be monotone in
 /// their fact arguments and the fact lattice must have finite height,
 /// otherwise the solver may hit its pass bound and report non-convergence.
 pub trait Dataflow {
@@ -84,11 +84,13 @@ pub trait Dataflow {
     fn comm_transfer(&self, node: NodeId, input: &Self::Fact) -> Self::CommFact;
 
     /// Translate a fact across a call or return edge (actual↔formal
-    /// mapping). `None` means "use the fact unchanged" and lets the solver
-    /// skip a clone. `Flow` edges are never passed here.
-    fn translate(&self, edge: &Edge, fact: &Self::Fact) -> Option<Self::Fact> {
-        let _ = (edge, fact);
-        None
+    /// mapping), in place. `out` is a scratch fact the solver reuses; it
+    /// arrives equal to `fact`, and the translation edits it into the fact
+    /// the edge delivers. The default delivers `fact` unchanged. Only
+    /// `Call` and `Return` edges are passed here: a `Flow` edge delivers
+    /// its source's fact as it is.
+    fn translate_into(&self, edge: &Edge, fact: &Self::Fact, out: &mut Self::Fact) {
+        let _ = (edge, fact, out);
     }
 
     /// Stable content fingerprint of node `n`'s transfer semantics, used by
@@ -96,7 +98,7 @@ pub trait Dataflow {
     /// regions across two builds of "the same" graph.
     ///
     /// The contract: if two nodes (possibly in different graphs) return the
-    /// same fingerprint, their `transfer`, `comm_transfer`, and `translate`
+    /// same fingerprint, their `transfer`, `comm_transfer`, and `translate_into`
     /// behavior must be identical for identical inputs. The fingerprint must
     /// therefore cover everything those functions read for the node —
     /// operand locations, callee identity, argument bindings — while
@@ -155,7 +157,9 @@ mod tests {
             to: NodeId(1),
             kind: EdgeKind::Call { site: 0 },
         };
-        assert_eq!(p.translate(&e, &true), None);
+        let mut out = true;
+        p.translate_into(&e, &true, &mut out);
+        assert!(out);
     }
 
     #[test]

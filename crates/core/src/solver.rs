@@ -57,7 +57,7 @@
 //! ```
 
 use crate::budget::{Budget, BudgetMeter, Exhaustion};
-use crate::graph::{reverse_postorder, Edge, FlowGraph, NodeId};
+use crate::graph::{reverse_postorder, Edge, EdgeKind, FlowGraph, NodeId};
 use crate::lattice::MeetSemiLattice;
 use crate::problem::{Dataflow, Direction};
 use crate::scc::{self, Condensation};
@@ -741,7 +741,7 @@ impl<'g, G: FlowGraph> Oriented<'g, G> {
 /// Everything a node visit reads and writes besides the fact slices: the
 /// direction-adjusted graph, the problem, the boundary flags, a CSR of each
 /// node's upstream non-communication edges, the solve's [`CommCache`], the
-/// problem's `top()` and `boundary()`, two scratch facts, and the meet
+/// problem's `top()` and `boundary()`, three scratch facts, and the meet
 /// counter. Both strategies drive their visits through one of these, built
 /// once per solve.
 struct Visitor<'a, P: Dataflow, G: FlowGraph> {
@@ -759,6 +759,8 @@ struct Visitor<'a, P: Dataflow, G: FlowGraph> {
     /// into the fact vectors by swapping, only when it differs.
     met: P::Fact,
     out: P::Fact,
+    /// Scratch for a fact translated across a call or return edge.
+    translated: P::Fact,
     meets: u64,
 }
 
@@ -789,6 +791,7 @@ impl<'a, P: Dataflow, G: FlowGraph> Visitor<'a, P, G> {
             boundary: problem.boundary(),
             met: top.clone(),
             out: top.clone(),
+            translated: top.clone(),
             top,
             meets: 0,
         }
@@ -805,31 +808,49 @@ impl<'a, P: Dataflow, G: FlowGraph> Visitor<'a, P, G> {
     ) -> (bool, bool) {
         let problem = self.problem;
         let i = n.index();
-
-        // Meet over upstream non-communication edges.
-        self.met.clone_from(if self.is_boundary[i] {
-            &self.boundary
-        } else {
-            &self.top
-        });
         let edges = &self.ctrl[self.ctrl_start[i] as usize..self.ctrl_start[i + 1] as usize];
         self.meets += edges.len() as u64;
-        for e in edges {
-            let src = &output[self.graph.source(e).index()];
-            match problem.translate(e, src) {
-                Some(translated) => problem.meet_into(&mut self.met, &translated),
-                None => problem.meet_into(&mut self.met, src),
-            };
-        }
 
         // The communication meet, read before `n`'s own input moves (a
         // collective is its own comm source).
         let comm = self.cache.meet(i, problem, input);
 
-        let in_changed = self.met != input[i];
-        if in_changed {
-            std::mem::swap(&mut self.met, &mut input[i]);
-        }
+        let in_changed = match edges {
+            // One upstream flow edge into a non-boundary node: ⊤ ⊓ x = x,
+            // so the met input is the predecessor's output itself.
+            [e] if e.kind == EdgeKind::Flow && !self.is_boundary[i] => {
+                let src = &output[self.graph.source(e).index()];
+                let changed = *src != input[i];
+                if changed {
+                    input[i].clone_from(src);
+                }
+                changed
+            }
+            _ => {
+                // Meet over upstream non-communication edges, translating
+                // across call and return edges.
+                self.met.clone_from(if self.is_boundary[i] {
+                    &self.boundary
+                } else {
+                    &self.top
+                });
+                for e in edges {
+                    let src = &output[self.graph.source(e).index()];
+                    if e.kind == EdgeKind::Flow {
+                        problem.meet_into(&mut self.met, src);
+                    } else {
+                        self.translated.clone_from(src);
+                        problem.translate_into(e, src, &mut self.translated);
+                        problem.meet_into(&mut self.met, &self.translated);
+                    }
+                }
+                let changed = self.met != input[i];
+                if changed {
+                    std::mem::swap(&mut self.met, &mut input[i]);
+                }
+                changed
+            }
+        };
         self.out.clone_from(&input[i]);
         problem.transfer(n, &input[i], comm, &mut self.out);
         if in_changed {
@@ -2460,12 +2481,9 @@ mod tests {
             }
             fn transfer(&self, _n: NodeId, _i: &Self::Fact, _c: &(), _o: &mut Self::Fact) {}
             fn comm_transfer(&self, _n: NodeId, _i: &Self::Fact) {}
-            fn translate(&self, edge: &Edge, fact: &Self::Fact) -> Option<Self::Fact> {
-                match (edge.kind, fact) {
-                    (EdgeKind::Call { .. }, ConstLattice::Const(c)) => {
-                        Some(ConstLattice::Const(c + 1))
-                    }
-                    _ => None,
+            fn translate_into(&self, edge: &Edge, fact: &Self::Fact, out: &mut Self::Fact) {
+                if let (EdgeKind::Call { .. }, ConstLattice::Const(c)) = (edge.kind, fact) {
+                    *out = ConstLattice::Const(c + 1);
                 }
             }
         }

@@ -289,10 +289,14 @@ fn call_edges_and_comm_edges_interleave() {
         fn comm_transfer(&self, _n: NodeId, input: &Self::Fact) -> Self::CommFact {
             *input
         }
-        fn translate(&self, edge: &mpi_dfa_core::Edge, fact: &Self::Fact) -> Option<Self::Fact> {
-            match (edge.kind, fact) {
-                (EdgeKind::Call { .. }, ConstLattice::Const(c)) => Some(ConstLattice::Const(c + 1)),
-                _ => None,
+        fn translate_into(
+            &self,
+            edge: &mpi_dfa_core::Edge,
+            fact: &Self::Fact,
+            out: &mut Self::Fact,
+        ) {
+            if let (EdgeKind::Call { .. }, ConstLattice::Const(c)) = (edge.kind, fact) {
+                *out = ConstLattice::Const(c + 1);
             }
         }
     }
@@ -307,4 +311,60 @@ fn call_edges_and_comm_edges_interleave() {
     let sol = Solver::new(&Inc, &g).strategy(Strategy::RoundRobin).run();
     // 10 at entry, +1 across the call edge, sent over the comm edge.
     assert_eq!(sol.output[3], ConstLattice::Const(11));
+}
+
+#[test]
+fn translate_sees_only_call_and_return_edges() {
+    // A callee entered from two call sites, whose exit returns to both
+    // after-call nodes: flow edges with one and with several predecessors,
+    // call and return edges, a boundary node, and a loop. `translate_into`
+    // marks each translation and panics if it is handed a `Flow` edge.
+    struct CallsOnly;
+    impl Dataflow for CallsOnly {
+        type Fact = u32;
+        type CommFact = ();
+        fn direction(&self) -> Direction {
+            Direction::Forward
+        }
+        fn top(&self) -> u32 {
+            0
+        }
+        fn boundary(&self) -> u32 {
+            1
+        }
+        fn meet_into(&self, dst: &mut u32, src: &u32) -> bool {
+            let before = *dst;
+            *dst |= *src;
+            *dst != before
+        }
+        fn transfer(&self, _node: NodeId, _input: &u32, _comm: &(), _out: &mut u32) {}
+        fn comm_transfer(&self, _node: NodeId, _input: &u32) {}
+        fn translate_into(&self, edge: &mpi_dfa_core::Edge, fact: &u32, out: &mut u32) {
+            *out = fact
+                | match edge.kind {
+                    EdgeKind::Call { .. } => 2,
+                    EdgeKind::Return { .. } => 4,
+                    kind => panic!("translate_into was given a {kind:?} edge"),
+                };
+        }
+    }
+    // main: 0 entry -> 1 call A; 2 after A -> 3 call B; 4 after B -> 5 loop
+    // header <-> 6 body; 5 -> 7 exit. Callee: 8 entry -> 9 exit.
+    let mut g = SimpleGraph::new(10);
+    g.add_edge(1, 8, EdgeKind::Call { site: 0 });
+    g.add_edge(9, 2, EdgeKind::Return { site: 0 });
+    g.add_edge(3, 8, EdgeKind::Call { site: 1 });
+    g.add_edge(9, 4, EdgeKind::Return { site: 1 });
+    for (a, b) in [(0, 1), (2, 3), (4, 5), (5, 6), (6, 5), (5, 7), (8, 9)] {
+        g.flow(a, b);
+    }
+    g.set_entry(0);
+    g.set_exit(7);
+    for strategy in [Strategy::RoundRobin, Strategy::Region] {
+        let sol = Solver::new(&CallsOnly, &g).strategy(strategy).run();
+        assert!(sol.stats.converged, "{strategy}");
+        assert_eq!(sol.input[1], 1, "{strategy}: a flow edge delivers as is");
+        assert_eq!(sol.input[2], 1 | 2 | 4, "{strategy}: called and returned");
+        assert_eq!(sol.output[7], 1 | 2 | 4, "{strategy}");
+    }
 }

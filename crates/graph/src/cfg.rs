@@ -524,9 +524,12 @@ impl<'a> Lowerer<'a> {
         });
         dedup(&mut uses.diff);
         dedup(&mut uses.nondiff);
+        let mut operands = Vec::new();
+        collect_operands(e, &mut operands, &|n| self.resolve(n));
         ExprInfo {
             expr: e.clone(),
             uses,
+            operands,
         }
     }
 
@@ -571,6 +574,31 @@ impl UseSetSink<'_> {
             }
             UseSetSink::NonDiffOnly(v) => v.push(loc),
         }
+    }
+}
+
+/// Push the location of every `Var` leaf of `e` in evaluation order: the
+/// order a constant evaluator meets them, so it can read them by position.
+/// Subscripts are not evaluated there, so they are not walked here.
+fn collect_operands(e: &Expr, out: &mut Vec<Loc>, resolve: &impl Fn(&str) -> Loc) {
+    match &e.kind {
+        ExprKind::Var(lv) => out.push(resolve(&lv.name)),
+        ExprKind::Unary(_, inner) => collect_operands(inner, out, resolve),
+        ExprKind::Binary(_, a, b) => {
+            collect_operands(a, out, resolve);
+            collect_operands(b, out, resolve);
+        }
+        ExprKind::Intrinsic(_, args) => {
+            for a in args {
+                collect_operands(a, out, resolve);
+            }
+        }
+        ExprKind::IntLit(_)
+        | ExprKind::RealLit(_)
+        | ExprKind::BoolLit(_)
+        | ExprKind::Rank
+        | ExprKind::Nprocs
+        | ExprKind::AnyWildcard => {}
     }
 }
 
@@ -754,6 +782,23 @@ mod tests {
             "subscript use is non-differentiable"
         );
         assert!(!rhs.uses.diff.contains(&i));
+        assert_eq!(rhs.operands, [a, b], "an element read is its array");
+    }
+
+    #[test]
+    fn operands_follow_evaluation_order_with_repeats() {
+        let (_, locs, cfgs) = lower(
+            "program p global x: real; global k: int; global a: real[4];\n\
+             sub main() { var y: real; y = max(x, -k) * x + mod(k, 3) + a[k]; }",
+        );
+        let (_, node) = find_nodes(&cfgs[0], |k| matches!(k, NodeKind::Assign { .. }))[0];
+        let NodeKind::Assign { rhs, .. } = &node.kind else {
+            unreachable!()
+        };
+        let x = locs.global("x").unwrap();
+        let k = locs.global("k").unwrap();
+        let a = locs.global("a").unwrap();
+        assert_eq!(rhs.operands, [x, k, x, k, a]);
     }
 
     #[test]

@@ -5,7 +5,8 @@
 //! *non-differentiable* (array subscripts, branch conditions, integer `mod`
 //! arithmetic) — the distinction Section 3 of the paper relies on for the
 //! Vary/Useful transfer functions. The original expression ASTs are kept so
-//! reaching constants can evaluate right-hand sides and MPI match arguments.
+//! reaching constants can evaluate right-hand sides (through their resolved
+//! operands) and MPI match arguments.
 
 use crate::loc::{Loc, ProcId};
 use mpi_dfa_lang::ast::{Expr, RedOp, StmtId};
@@ -25,6 +26,11 @@ pub struct UseSet {
 pub struct ExprInfo {
     pub expr: Expr,
     pub uses: UseSet,
+    /// The location of every `Var` leaf, in evaluation order (left to
+    /// right, operands before operators) and with repeats. Subscripts are
+    /// not leaves: an element read stands for its array's location. A
+    /// constant evaluator reads these instead of resolving names.
+    pub operands: Vec<Loc>,
 }
 
 /// A resolved storage reference (assignment target, MPI buffer, `read`

@@ -377,26 +377,35 @@ fn serve_connection<H: LineHandler>(
     // dwarfs a warm cache hit.
     stream.set_nodelay(true)?;
     let mut buf: Vec<u8> = Vec::new();
+    // `buf[..scanned]` is known to hold no newline, so each byte is
+    // searched once however many reads a long line takes.
+    let mut scanned = 0;
     let mut chunk = [0u8; 16 * 1024];
     // After an oversized line is reported, discard bytes up to the next
     // newline so the stream resynchronizes on line boundaries.
     let mut skip_to_newline = false;
 
     loop {
-        // Drain every complete line currently buffered.
-        while let Some(pos) = buf.iter().position(|&b| b == b'\n') {
-            let line_bytes: Vec<u8> = buf.drain(..=pos).collect();
+        // Answer every complete line currently buffered, then drop them
+        // from the buffer in one move.
+        let mut start = 0;
+        while let Some(pos) = buf[scanned..].iter().position(|&b| b == b'\n') {
+            let end = scanned + pos + 1;
+            let line = &buf[start..end];
+            (start, scanned) = (end, end);
             if skip_to_newline {
                 skip_to_newline = false; // this newline ends the giant line
                 continue;
             }
-            if answer_line(handler, &mut stream, &line_bytes)? {
+            if answer_line(handler, &mut stream, line)? {
                 shutdown.store(true, Ordering::SeqCst);
                 // Wake the acceptor if it is parked in `accept`.
                 let _ = TcpStream::connect(server_addr);
                 return Ok(true);
             }
         }
+        buf.drain(..start);
+        scanned = buf.len();
         if buf.len() > MAX_LINE_BYTES {
             if !skip_to_newline {
                 let e = ProtoError::new(
@@ -407,6 +416,7 @@ fn serve_connection<H: LineHandler>(
                 skip_to_newline = true;
             }
             buf.clear();
+            scanned = 0;
         }
         if shutdown.load(Ordering::SeqCst) {
             return Ok(false);

@@ -135,7 +135,7 @@ fn constant_claims(src: &str) -> Result<Vec<(String, f64)>, String> {
     let mpi = build_mpi_icfg(ir.clone(), "main", 0, Matching::ReachingConstants)
         .map_err(|e| e.to_string())?;
     let sol = consts::analyze_mpi(&mpi);
-    let exit_env = &sol.input[mpi.context_exit().index()];
+    let exit_env = sol.before(mpi.context_exit());
     let mut claims = Vec::new();
     for (loc, info) in ir.locs.iter() {
         if !checkable(info) {

@@ -8,7 +8,7 @@
 //!
 //! 1. control meet: the boundary fact at boundary nodes and lattice top
 //!    elsewhere, met with the output of every upstream non-communication
-//!    edge's source, translated across call/return edges;
+//!    edge's source, translated (on a fresh copy) across call/return edges;
 //! 2. communication: `f_comm` evaluated afresh at every upstream
 //!    communication edge's source, on that source's *input* fact, and
 //!    folded with `meet_with` from `CommFact::top()` (the paper's ⊓ over
@@ -21,7 +21,7 @@
 //! maximal fixpoint is unique, so both engines must land on exactly these
 //! facts.
 
-use mpi_dfa_core::graph::{Edge, FlowGraph, NodeId};
+use mpi_dfa_core::graph::{Edge, EdgeKind, FlowGraph, NodeId};
 use mpi_dfa_core::lattice::MeetSemiLattice;
 use mpi_dfa_core::problem::{Dataflow, Direction};
 
@@ -79,12 +79,13 @@ pub fn solve<P: Dataflow, G: FlowGraph>(
                 let src = source(e);
                 if e.kind.is_comm() {
                     comm.meet_with(&problem.comm_transfer(src, &input[src.index()]));
+                } else if e.kind == EdgeKind::Flow {
+                    problem.meet_into(&mut met, &output[src.index()]);
                 } else {
                     let fact = &output[src.index()];
-                    match problem.translate(e, fact) {
-                        Some(translated) => problem.meet_into(&mut met, &translated),
-                        None => problem.meet_into(&mut met, fact),
-                    };
+                    let mut translated = fact.clone();
+                    problem.translate_into(e, fact, &mut translated);
+                    problem.meet_into(&mut met, &translated);
                 }
             }
             let mut out = met.clone();

@@ -126,7 +126,7 @@ impl Dataflow for MustBlockReach {
     fn comm_transfer(&self, _node: NodeId, _input: &VarSet) {}
 
     // Must-precedence is a global property of the interprocedural paths;
-    // the identity `translate` across call/return edges is exact here.
+    // the identity `translate_into` across call/return edges is exact here.
 }
 
 pub struct DeadlockError(pub String);

@@ -129,7 +129,7 @@ impl Dataflow for PhaseReach {
     fn comm_transfer(&self, _node: NodeId, _input: &VarSet) {}
 
     // Phases are global: call/return edges carry the fact unchanged, so
-    // the default identity `translate` is exactly right.
+    // the default identity `translate_into` is exactly right.
 }
 
 pub struct MhpError(pub String);

@@ -42,7 +42,7 @@ fn main() {
         "\nReaching constants: after recv(y), y = {} (the constant sent as x = 0 + 1,\n\
          visible only because the framework propagates lattice values over the\n\
          communication edge; a plain CFG analysis knows nothing about y here)",
-        sol.output[recv.index()].get(y)
+        sol.after(recv).get(y)
     );
 
     // ---- activity analysis in all three modes -----------------------------

@@ -229,7 +229,7 @@ fn dispatch(cmd: &str, opts: &Opts) -> Result<(), String> {
         "constants" => {
             let g = graph(Matching::ReachingConstants)?;
             let sol = consts::analyze_mpi(&g);
-            let env = &sol.input[g.context_exit().index()];
+            let env = sol.before(g.context_exit());
             println!("reaching constants at the exit of `{context}` (MPI-ICFG):");
             let ir = ir()?;
             for (loc, info) in ir.locs.iter() {

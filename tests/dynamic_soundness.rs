@@ -61,7 +61,7 @@ fn check_constants(src: &str) -> bool {
     let ir = ProgramIr::from_source(src).unwrap();
     let mpi = build_mpi_icfg(ir.clone(), "main", 0, Matching::ReachingConstants).unwrap();
     let sol = consts::analyze_mpi(&mpi);
-    let exit_env = &sol.input[mpi.context_exit().index()];
+    let exit_env = sol.before(mpi.context_exit());
     for (loc, info) in ir.locs.iter() {
         if info.proc.is_some() || info.name == "__mpi_buffer" {
             continue;

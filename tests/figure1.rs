@@ -45,13 +45,13 @@ fn reaching_constants_propagate_one_over_the_comm_edge() {
     let recv = find_mpi(&g, MpiKind::Recv);
     let y = g.resolve_at(recv, "y").unwrap();
     assert_eq!(
-        sol.output[recv.index()].get(y),
+        sol.after(recv).get(y),
         &ConstLattice::Const(CVal::Real(1.0))
     );
     // And b = 7 ⊓ (x*3 = 3) merges to ⊥ at the reduce.
     let reduce = find_mpi(&g, MpiKind::Reduce);
     let b = g.resolve_at(reduce, "b").unwrap();
-    assert!(sol.input[reduce.index()].get(b).is_bottom());
+    assert!(sol.before(reduce).get(b).is_bottom());
 }
 
 #[test]
