@@ -736,7 +736,7 @@ impl Dataflow for Vary<'_> {
                 UseSelector::Differentiable,
             ),
             EdgeKind::Return { site } => return_forward(self.icfg, &self.maps, site, fact, out),
-            EdgeKind::Flow | EdgeKind::Comm { .. } => {}
+            EdgeKind::Flow => {}
         }
     }
 
@@ -895,7 +895,7 @@ impl Dataflow for Useful<'_> {
                 out,
                 UseSelector::Differentiable,
             ),
-            EdgeKind::Flow | EdgeKind::Comm { .. } => {}
+            EdgeKind::Flow => {}
         }
     }
 

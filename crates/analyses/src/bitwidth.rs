@@ -24,7 +24,7 @@ use mpi_dfa_core::solver::{Solution, Solver};
 use mpi_dfa_graph::icfg::{ActualBinding, Icfg};
 use mpi_dfa_graph::loc::{Loc, LocTable};
 use mpi_dfa_graph::mpi::MpiIcfg;
-use mpi_dfa_graph::node::{MpiKind, NodeKind, RefInfo};
+use mpi_dfa_graph::node::{ExprInfo, MpiKind, NodeKind, RefInfo};
 use mpi_dfa_lang::ast::{BinOp, Expr, ExprKind, Intrinsic, UnOp};
 
 /// Bits required to represent a variable's value. 0 = no information (⊤);
@@ -122,33 +122,38 @@ impl<'g> Bitwidth<'g> {
         }
     }
 
-    fn eval(&self, e: &Expr, env: &WidthEnv, node: NodeId) -> u8 {
+    /// The width of a lowered expression under `env`, reading its operands
+    /// by position; no name is looked up.
+    fn eval_info(&self, e: &ExprInfo, env: &WidthEnv) -> u8 {
+        self.eval(&e.expr, &mut e.operands.iter(), env)
+    }
+
+    /// The width of `e`, taking each `Var` leaf's location from `ops` in
+    /// evaluation order (the order of [`ExprInfo::operands`]). A branch
+    /// whose value is not needed still advances `ops` past its leaves.
+    fn eval(&self, e: &Expr, ops: &mut std::slice::Iter<'_, Loc>, env: &WidthEnv) -> u8 {
         match &e.kind {
             ExprKind::IntLit(v) => bits_for(*v),
             ExprKind::RealLit(_) => FULL,
             ExprKind::BoolLit(_) => 1,
             ExprKind::Rank | ExprKind::Nprocs => self.rank_bits,
             ExprKind::AnyWildcard => FULL,
-            ExprKind::Var(lv) => match self.icfg.resolve_at(node, &lv.name) {
-                Some(loc) => {
-                    let info = self.icfg.ir.locs.info(loc);
-                    if info.is_float() {
-                        FULL
-                    } else {
-                        env.get(loc)
-                    }
-                }
-                None => FULL,
+            ExprKind::Var(_) => match ops.next() {
+                Some(&loc) if !self.icfg.ir.locs.info(loc).is_float() => env.get(loc),
+                // Lowering records one operand per leaf; full width keeps a
+                // mismatch sound.
+                _ => FULL,
             },
             ExprKind::Unary(op, inner) => {
-                let w = self.eval(inner, env, node);
+                let w = self.eval(inner, ops, env);
                 match op {
                     UnOp::Neg => w, // sign bit already accounted
                     UnOp::Not => 1,
                 }
             }
             ExprKind::Binary(op, a, b) => {
-                let (wa, wb) = (self.eval(a, env, node), self.eval(b, env, node));
+                let wa = self.eval(a, ops, env);
+                let wb = self.eval(b, ops, env);
                 match op {
                     BinOp::Add | BinOp::Sub => wa.max(wb).saturating_add(1).min(FULL),
                     BinOp::Mul => wa.saturating_add(wb).min(FULL),
@@ -166,21 +171,38 @@ impl<'g> Bitwidth<'g> {
             ExprKind::Intrinsic(i, args) => match i {
                 // The divisor folds with every variable ⊥: only literal
                 // arithmetic bounds the result.
-                Intrinsic::Mod => match crate::consts::fold(&args[1], &mut |_| {
-                    mpi_dfa_core::lattice::ConstLattice::Bottom
-                }) {
-                    // `mod(x, m)` with literal m: result < m.
-                    mpi_dfa_core::lattice::ConstLattice::Const(c) => match c.as_int() {
-                        Some(m) if m > 0 => bits_for(m - 1),
-                        _ => self.eval(&args[0], env, node),
-                    },
-                    _ => self.eval(&args[0], env, node),
-                },
-                Intrinsic::Abs => self.eval(&args[0], env, node),
-                Intrinsic::Max | Intrinsic::Min => self
-                    .eval(&args[0], env, node)
-                    .max(self.eval(&args[1], env, node)),
-                _ => FULL, // transcendental intrinsics are floating point
+                Intrinsic::Mod => {
+                    let divisor = match crate::consts::fold(&args[1], &mut |_| {
+                        mpi_dfa_core::lattice::ConstLattice::Bottom
+                    }) {
+                        mpi_dfa_core::lattice::ConstLattice::Const(c) => {
+                            c.as_int().filter(|&m| m > 0)
+                        }
+                        _ => None,
+                    };
+                    let w = match divisor {
+                        // `mod(x, m)` with literal m: result < m.
+                        Some(m) => {
+                            skip(&args[0], ops);
+                            bits_for(m - 1)
+                        }
+                        None => self.eval(&args[0], ops, env),
+                    };
+                    skip(&args[1], ops);
+                    w
+                }
+                Intrinsic::Abs => self.eval(&args[0], ops, env),
+                Intrinsic::Max | Intrinsic::Min => {
+                    let w0 = self.eval(&args[0], ops, env);
+                    w0.max(self.eval(&args[1], ops, env))
+                }
+                _ => {
+                    // Transcendental intrinsics are floating point.
+                    for a in args {
+                        skip(a, ops);
+                    }
+                    FULL
+                }
             },
         }
     }
@@ -204,7 +226,7 @@ impl<'g> Bitwidth<'g> {
                     };
                     // Reductions accumulate across nprocs processes: a SUM
                     // can grow by log2(nprocs) bits.
-                    self.eval(&v.expr, input, node)
+                    self.eval_info(v, input)
                         .saturating_add(self.rank_bits)
                         .min(FULL)
                 }
@@ -223,6 +245,27 @@ impl<'g> Bitwidth<'g> {
             },
             _ => 0,
         }
+    }
+}
+
+/// Advance `ops` past the `Var` leaves of `e` (subscripts are not leaves).
+fn skip(e: &Expr, ops: &mut std::slice::Iter<'_, Loc>) {
+    match &e.kind {
+        ExprKind::Var(_) => {
+            ops.next();
+        }
+        ExprKind::Unary(_, inner) => skip(inner, ops),
+        ExprKind::Binary(_, a, b) => {
+            skip(a, ops);
+            skip(b, ops);
+        }
+        ExprKind::Intrinsic(_, args) => args.iter().for_each(|a| skip(a, ops)),
+        ExprKind::IntLit(_)
+        | ExprKind::RealLit(_)
+        | ExprKind::BoolLit(_)
+        | ExprKind::Rank
+        | ExprKind::Nprocs
+        | ExprKind::AnyWildcard => {}
     }
 }
 
@@ -261,7 +304,7 @@ impl Dataflow for Bitwidth<'_> {
     fn transfer(&self, node: NodeId, input: &WidthEnv, comm: &Width, out: &mut WidthEnv) {
         match &self.icfg.payload(node).kind {
             NodeKind::Assign { lhs, rhs } => {
-                let w = self.eval(&rhs.expr, input, node);
+                let w = self.eval_info(rhs, input);
                 self.assign(out, lhs, w);
             }
             NodeKind::Read { target } => self.assign(out, target, FULL),
@@ -304,9 +347,7 @@ impl Dataflow for Bitwidth<'_> {
                 for b in &cs.bindings {
                     let w = match b.actual {
                         ActualBinding::RefWhole(a) | ActualBinding::RefElement(a) => fact.get(a),
-                        ActualBinding::Value => {
-                            self.eval(&args.args[b.arg_idx].value.expr, fact, cs.call_node)
-                        }
+                        ActualBinding::Value => self.eval_info(&args.args[b.arg_idx].value, fact),
                     };
                     out.set(b.formal, w);
                 }
@@ -324,7 +365,7 @@ impl Dataflow for Bitwidth<'_> {
                     out.set(l, 0);
                 }
             }
-            EdgeKind::Flow | EdgeKind::Comm { .. } => {}
+            EdgeKind::Flow => {}
         }
     }
 }

@@ -611,7 +611,7 @@ impl Dataflow for ReachingConsts<'_> {
                     out.set(l, ConstCell::TOP);
                 }
             }
-            EdgeKind::Flow | EdgeKind::Comm { .. } => {}
+            EdgeKind::Flow => {}
         }
     }
 }

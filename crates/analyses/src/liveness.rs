@@ -133,7 +133,7 @@ impl Dataflow for Liveness<'_> {
             EdgeKind::Call { site } => {
                 call_backward(self.icfg, &self.maps, site, fact, out, UseSelector::All)
             }
-            EdgeKind::Flow | EdgeKind::Comm { .. } => {}
+            EdgeKind::Flow => {}
         }
     }
 }

@@ -131,7 +131,7 @@ impl Dataflow for Influence<'_> {
                 call_forward(self.icfg, &self.maps, site, fact, out, UseSelector::All)
             }
             EdgeKind::Return { site } => return_forward(self.icfg, &self.maps, site, fact, out),
-            EdgeKind::Flow | EdgeKind::Comm { .. } => {}
+            EdgeKind::Flow => {}
         }
     }
 }
@@ -146,11 +146,8 @@ pub fn forward_slice<G: FlowGraph>(graph: &G, icfg: &Icfg, seed: StmtId) -> BTre
         .nodes()
         .filter(|&n| icfg.payload(n).stmt == Some(seed))
         .collect();
-    let use_comm = {
-        // Detect communication edges in the graph we were given.
-        (0..graph.num_nodes() as u32)
-            .any(|i| graph.out_edges(NodeId(i)).iter().any(|e| e.kind.is_comm()))
-    };
+    // Whether the graph we were given models communication at all.
+    let use_comm = !graph.comm_classes().is_empty();
     let problem = Influence {
         icfg,
         maps: BindMaps::build(icfg),

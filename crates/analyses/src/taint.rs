@@ -152,7 +152,7 @@ impl Dataflow for Taint<'_> {
                 call_forward(self.icfg, &self.maps, site, fact, out, UseSelector::All)
             }
             EdgeKind::Return { site } => return_forward(self.icfg, &self.maps, site, fact, out),
-            EdgeKind::Flow | EdgeKind::Comm { .. } => {}
+            EdgeKind::Flow => {}
         }
     }
 }

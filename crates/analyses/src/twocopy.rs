@@ -15,11 +15,11 @@
 //! two namespaces never mix through the crossing edges, so both copies can
 //! share one location universe.
 
-use mpi_dfa_core::graph::{Edge, FlowGraph, NodeId};
+use mpi_dfa_core::graph::{CommClasses, Edge, FlowGraph, NodeId};
 use mpi_dfa_core::problem::{Dataflow, Direction};
 use mpi_dfa_graph::mpi::MpiIcfg;
 
-/// Two disjoint copies of a base graph with communication edges crossing
+/// Two disjoint copies of a base graph with communication crossing
 /// between the copies. Node `i + N` is copy B's instance of base node `i`.
 #[derive(Debug)]
 pub struct TwoCopyGraph {
@@ -28,6 +28,9 @@ pub struct TwoCopyGraph {
     out_edges: Vec<Vec<Edge>>,
     entries: Vec<NodeId>,
     exits: Vec<NodeId>,
+    /// Each base class twice: copy A's sources feeding copy B's receivers
+    /// and the other way round.
+    comm: CommClasses,
 }
 
 impl TwoCopyGraph {
@@ -42,43 +45,33 @@ impl TwoCopyGraph {
             ins[e.to.index()].push(e);
         };
         for i in 0..n {
-            let node = NodeId(i as u32);
-            for e in g.out_edges(node) {
-                if e.kind.is_comm() {
-                    // Crossing edges only: copy A sends to copy B and vice
-                    // versa (the two simulated processes).
-                    push(
-                        Edge {
-                            from: e.from,
-                            to: shift(e.to),
-                            kind: e.kind,
-                        },
-                        &mut in_edges,
-                        &mut out_edges,
-                    );
-                    push(
-                        Edge {
-                            from: shift(e.from),
-                            to: e.to,
-                            kind: e.kind,
-                        },
-                        &mut in_edges,
-                        &mut out_edges,
-                    );
-                } else {
-                    push(*e, &mut in_edges, &mut out_edges);
-                    push(
-                        Edge {
-                            from: shift(e.from),
-                            to: shift(e.to),
-                            kind: e.kind,
-                        },
-                        &mut in_edges,
-                        &mut out_edges,
-                    );
-                }
+            for e in g.out_edges(NodeId(i as u32)) {
+                push(*e, &mut in_edges, &mut out_edges);
+                push(
+                    Edge {
+                        from: shift(e.from),
+                        to: shift(e.to),
+                        kind: e.kind,
+                    },
+                    &mut in_edges,
+                    &mut out_edges,
+                );
             }
         }
+        // Crossing classes only: copy A sends to copy B and vice versa (the
+        // two simulated processes).
+        let base = g.comm_classes();
+        let shifted = |list: &[NodeId]| list.iter().map(|&m| shift(m)).collect::<Vec<_>>();
+        let comm = CommClasses::new(
+            2 * n,
+            (0..base.num_classes()).flat_map(|c| {
+                let (srcs, rcvs) = (base.sources(c), base.receivers(c));
+                [
+                    (srcs.to_vec(), shifted(rcvs)),
+                    (shifted(srcs), rcvs.to_vec()),
+                ]
+            }),
+        );
         let entries = g.entries().iter().flat_map(|&e| [e, shift(e)]).collect();
         let exits = g.exits().iter().flat_map(|&e| [e, shift(e)]).collect();
         TwoCopyGraph {
@@ -87,6 +80,7 @@ impl TwoCopyGraph {
             out_edges,
             entries,
             exits,
+            comm,
         }
     }
 
@@ -124,6 +118,10 @@ impl FlowGraph for TwoCopyGraph {
 
     fn exits(&self) -> &[NodeId] {
         &self.exits
+    }
+
+    fn comm_classes(&self) -> &CommClasses {
+        &self.comm
     }
 }
 
@@ -267,21 +265,16 @@ mod tests {
         assert_eq!(doubled.num_nodes(), 2 * n);
         assert_eq!(doubled.entries().len(), 2);
         assert_eq!(doubled.exits().len(), 2);
-        // Every comm edge crosses: count comm edges in the doubled graph.
-        let doubled_comm: usize = (0..doubled.num_nodes())
-            .map(|i| {
-                doubled
-                    .out_edges(NodeId(i as u32))
-                    .iter()
-                    .filter(|e| e.kind.is_comm())
-                    .count()
-            })
-            .sum();
-        assert_eq!(doubled_comm, 2 * comm);
+        // Every comm pair crosses, once in each direction; control edges
+        // stay inside their copy.
+        let doubled_comm: Vec<(NodeId, NodeId)> = doubled.comm_classes().pairs().collect();
+        assert_eq!(doubled_comm.len(), 2 * comm);
+        for (from, to) in doubled_comm {
+            assert_ne!(from.index() < n, to.index() < n, "comm pairs cross");
+        }
         for i in 0..doubled.num_nodes() {
             for e in doubled.out_edges(NodeId(i as u32)) {
-                let cross = (e.from.index() < n) != (e.to.index() < n);
-                assert_eq!(e.kind.is_comm(), cross, "comm edges cross, others stay");
+                assert_eq!(e.from.index() < n, e.to.index() < n, "control edges stay");
             }
         }
     }

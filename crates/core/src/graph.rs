@@ -1,12 +1,19 @@
 //! The flow-graph abstraction the solver runs over.
 //!
 //! The framework is deliberately independent of any concrete IR: anything
-//! that exposes nodes, typed edges (control-flow, interprocedural
-//! call/return, and *communication* edges), and boundary nodes can be
-//! analyzed. The `mpi-dfa-graph` crate implements this trait for the ICFG
-//! and MPI-ICFG; tests here use a tiny hand-built [`SimpleGraph`].
+//! that exposes nodes, typed control edges (intraprocedural flow and
+//! interprocedural call/return), *communication classes*, and boundary
+//! nodes can be analyzed. The `mpi-dfa-graph` crate implements this trait
+//! for the ICFG and MPI-ICFG; tests here use a tiny hand-built
+//! [`SimpleGraph`].
+//!
+//! Communication is not stored as edges. A [`CommClasses`] view groups the
+//! receivers that share one set of sources into a class, so a collective
+//! group of k members is one class of k sources and k receivers rather than
+//! k² edges. The paper's `commpred(n)` is the source list of `n`'s class.
 
 use std::fmt;
+use std::sync::OnceLock;
 
 /// Dense node identifier within one flow graph.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -24,10 +31,10 @@ impl fmt::Display for NodeId {
     }
 }
 
-/// Edge classification. Data-flow facts are *translated* across `Call` /
-/// `Return` edges (actual↔formal renaming) and flow unchanged across `Flow`
-/// edges. `Comm` edges carry communication facts computed by `f_comm`
-/// instead of ordinary facts — the key distinction of the paper's framework.
+/// Control-edge classification. Data-flow facts are *translated* across
+/// `Call` / `Return` edges (actual↔formal renaming) and flow unchanged
+/// across `Flow` edges. Communication is not an edge kind: it lives in the
+/// graph's [`CommClasses`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EdgeKind {
     /// Intraprocedural control flow.
@@ -37,18 +44,9 @@ pub enum EdgeKind {
     Call { site: u32 },
     /// Callee exit → return node of call site `site`.
     Return { site: u32 },
-    /// Communication edge (send → receive, or among collective calls).
-    /// `pair` identifies the edge in the graph's communication-edge table.
-    Comm { pair: u32 },
 }
 
-impl EdgeKind {
-    pub fn is_comm(self) -> bool {
-        matches!(self, EdgeKind::Comm { .. })
-    }
-}
-
-/// A directed edge.
+/// A directed control edge.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Edge {
     pub from: NodeId,
@@ -56,17 +54,236 @@ pub struct Edge {
     pub kind: EdgeKind,
 }
 
-/// Graphs the solver can run over. Implementations store adjacency lists;
-/// `in_edges`/`out_edges` include communication edges (kind
-/// [`EdgeKind::Comm`]) — the solver filters by kind.
+/// Marks a node that receives in no class.
+const NO_CLASS: u32 = u32::MAX;
+
+/// The communication of a graph, as classes: class `c` connects each of its
+/// sources to each of its receivers. Receivers with the same source set may
+/// share a class; every node receives in at most one class. Storage grows
+/// with Σ (|sources| + |receivers|), never with the number of pairs
+/// Σ |sources| × |receivers| the classes stand for.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct CommClasses {
+    /// Class `c`'s sources, ascending, are `srcs[src_start[c]..src_start[c + 1]]`.
+    src_start: Vec<u32>,
+    srcs: Vec<NodeId>,
+    /// Class `c`'s receivers, ascending, are `rcvs[rcv_start[c]..rcv_start[c + 1]]`.
+    rcv_start: Vec<u32>,
+    rcvs: Vec<NodeId>,
+    /// Node index → the class it receives in, or [`NO_CLASS`]. Empty when
+    /// there are no classes.
+    class_of: Vec<u32>,
+    /// The classes node `i` is a source of, ascending, are
+    /// `feeds[feeds_start[i]..feeds_start[i + 1]]`. Empty when there are no
+    /// classes.
+    feeds_start: Vec<u32>,
+    feeds: Vec<u32>,
+    /// Σ |sources| × |receivers|.
+    pairs: usize,
+}
+
+impl CommClasses {
+    /// Classes over nodes `0..num_nodes` from (sources, receivers) lists.
+    /// Each list is sorted and deduplicated here; a class with no source or
+    /// no receiver connects nothing and is dropped. A node may be a source
+    /// of many classes but a receiver in at most one.
+    pub fn new(
+        num_nodes: usize,
+        classes: impl IntoIterator<Item = (Vec<NodeId>, Vec<NodeId>)>,
+    ) -> Self {
+        let mut src_start = vec![0u32];
+        let mut srcs = Vec::new();
+        let mut rcv_start = vec![0u32];
+        let mut rcvs = Vec::new();
+        let mut class_of = vec![NO_CLASS; num_nodes];
+        let mut pairs = 0usize;
+        for (mut s, mut r) in classes {
+            s.sort_unstable();
+            s.dedup();
+            r.sort_unstable();
+            r.dedup();
+            if s.is_empty() || r.is_empty() {
+                continue;
+            }
+            let c = (src_start.len() - 1) as u32;
+            for &n in &r {
+                assert_eq!(class_of[n.index()], NO_CLASS, "{n} receives in two classes");
+                class_of[n.index()] = c;
+            }
+            pairs += s.len() * r.len();
+            srcs.extend_from_slice(&s);
+            src_start.push(srcs.len() as u32);
+            rcvs.extend_from_slice(&r);
+            rcv_start.push(rcvs.len() as u32);
+        }
+        if src_start.len() == 1 {
+            return CommClasses::default();
+        }
+        // Invert class → sources (a counting sort by source; classes are
+        // visited in ascending order, so each node's list comes out sorted).
+        let mut feeds_start = vec![0u32; num_nodes + 1];
+        for s in &srcs {
+            feeds_start[s.index() + 1] += 1;
+        }
+        for i in 0..num_nodes {
+            feeds_start[i + 1] += feeds_start[i];
+        }
+        let mut fill = feeds_start.clone();
+        let mut feeds = vec![0u32; srcs.len()];
+        for c in 0..src_start.len() - 1 {
+            for s in &srcs[src_start[c] as usize..src_start[c + 1] as usize] {
+                feeds[fill[s.index()] as usize] = c as u32;
+                fill[s.index()] += 1;
+            }
+        }
+        CommClasses {
+            src_start,
+            srcs,
+            rcv_start,
+            rcvs,
+            class_of,
+            feeds_start,
+            feeds,
+            pairs,
+        }
+    }
+
+    /// Classes from explicit (source, receiver) pairs: receivers with equal
+    /// source sets share a class.
+    pub fn from_pairs(num_nodes: usize, pairs: impl IntoIterator<Item = (NodeId, NodeId)>) -> Self {
+        let mut preds: Vec<Vec<NodeId>> = vec![Vec::new(); num_nodes];
+        for (from, to) in pairs {
+            preds[to.index()].push(from);
+        }
+        let mut by_sources: std::collections::BTreeMap<Vec<NodeId>, Vec<NodeId>> =
+            std::collections::BTreeMap::new();
+        for (r, mut s) in preds.into_iter().enumerate() {
+            if s.is_empty() {
+                continue;
+            }
+            s.sort_unstable();
+            s.dedup();
+            by_sources.entry(s).or_default().push(NodeId(r as u32));
+        }
+        CommClasses::new(num_nodes, by_sources)
+    }
+
+    /// The same communication with every pair reversed: senders that feed
+    /// the same set of classes share one class, whose sources are those
+    /// classes' receivers. A backward solve reads its classes from here.
+    pub fn transpose(&self) -> CommClasses {
+        let n = self.class_of.len();
+        let mut by_feeds: std::collections::BTreeMap<&[u32], Vec<NodeId>> =
+            std::collections::BTreeMap::new();
+        for i in 0..n {
+            let fed = self.feeds(NodeId(i as u32));
+            if !fed.is_empty() {
+                by_feeds.entry(fed).or_default().push(NodeId(i as u32));
+            }
+        }
+        let classes = by_feeds.into_iter().map(|(fed, senders)| {
+            let receivers = fed
+                .iter()
+                .flat_map(|&c| self.receivers(c as usize).iter().copied())
+                .collect();
+            (receivers, senders)
+        });
+        CommClasses::new(n, classes)
+    }
+
+    /// Number of classes.
+    pub fn num_classes(&self) -> usize {
+        self.src_start.len().saturating_sub(1)
+    }
+
+    /// Whether the graph has no communication at all.
+    pub fn is_empty(&self) -> bool {
+        self.num_classes() == 0
+    }
+
+    /// Class `c`'s sources, ascending.
+    pub fn sources(&self, c: usize) -> &[NodeId] {
+        &self.srcs[self.src_start[c] as usize..self.src_start[c + 1] as usize]
+    }
+
+    /// Class `c`'s receivers, ascending.
+    pub fn receivers(&self, c: usize) -> &[NodeId] {
+        &self.rcvs[self.rcv_start[c] as usize..self.rcv_start[c + 1] as usize]
+    }
+
+    /// The class `n` receives in, if any.
+    pub fn class_of(&self, n: NodeId) -> Option<usize> {
+        match self.class_of.get(n.index()) {
+            Some(&c) if c != NO_CLASS => Some(c as usize),
+            _ => None,
+        }
+    }
+
+    /// The classes `n` is a source of, ascending.
+    pub fn feeds(&self, n: NodeId) -> &[u32] {
+        match (
+            self.feeds_start.get(n.index()),
+            self.feeds_start.get(n.index() + 1),
+        ) {
+            (Some(&a), Some(&b)) => &self.feeds[a as usize..b as usize],
+            _ => &[],
+        }
+    }
+
+    /// The communication predecessors of `n` (the paper's `commpred(n)`),
+    /// ascending.
+    pub fn preds(&self, n: NodeId) -> &[NodeId] {
+        self.class_of(n).map_or(&[], |c| self.sources(c))
+    }
+
+    /// The communication successors of `n`, ascending: the receivers of
+    /// every class `n` feeds.
+    pub fn succs(&self, n: NodeId) -> Vec<NodeId> {
+        let mut out: Vec<NodeId> = self
+            .feeds(n)
+            .iter()
+            .flat_map(|&c| self.receivers(c as usize).iter().copied())
+            .collect();
+        out.sort_unstable();
+        out
+    }
+
+    /// Number of (source, receiver) pairs the classes stand for:
+    /// Σ |sources| × |receivers|.
+    pub fn num_pairs(&self) -> usize {
+        self.pairs
+    }
+
+    /// Every (source, receiver) pair, by source then receiver, ascending.
+    pub fn pairs(&self) -> impl Iterator<Item = (NodeId, NodeId)> + '_ {
+        (0..self.feeds_start.len().saturating_sub(1) as u32)
+            .map(NodeId)
+            .flat_map(move |s| self.succs(s).into_iter().map(move |r| (s, r)))
+    }
+}
+
+/// The class view of a graph without communication.
+static NO_COMM: CommClasses = CommClasses {
+    src_start: Vec::new(),
+    srcs: Vec::new(),
+    rcv_start: Vec::new(),
+    rcvs: Vec::new(),
+    class_of: Vec::new(),
+    feeds_start: Vec::new(),
+    feeds: Vec::new(),
+    pairs: 0,
+};
+
+/// Graphs the solver can run over. `in_edges`/`out_edges` hold control
+/// edges only; communication comes from [`FlowGraph::comm_classes`].
 pub trait FlowGraph {
     /// Number of nodes; ids are `0..num_nodes`.
     fn num_nodes(&self) -> usize;
 
-    /// Edges arriving at `n`.
+    /// Control edges arriving at `n`.
     fn in_edges(&self, n: NodeId) -> &[Edge];
 
-    /// Edges leaving `n`.
+    /// Control edges leaving `n`.
     fn out_edges(&self, n: NodeId) -> &[Edge];
 
     /// Boundary nodes for forward analyses (program/context entry).
@@ -74,46 +291,129 @@ pub trait FlowGraph {
 
     /// Boundary nodes for backward analyses (program/context exit).
     fn exits(&self) -> &[NodeId];
+
+    /// The graph's communication classes; none by default.
+    fn comm_classes(&self) -> &CommClasses {
+        &NO_COMM
+    }
 }
 
-/// Reverse postorder over all edge kinds, starting from `roots`, following
-/// `out_edges` (pass the exits and swap direction for backward problems).
-/// Nodes unreachable from the roots are appended in index order so every
-/// node still gets visited.
-pub fn reverse_postorder<G: FlowGraph>(graph: &G, roots: &[NodeId], backward: bool) -> Vec<NodeId> {
-    let n = graph.num_nodes();
-    let mut visited = vec![false; n];
-    let mut postorder = Vec::with_capacity(n);
-    // Iterative DFS: (node, next edge index).
-    let mut stack: Vec<(NodeId, usize)> = Vec::new();
-    for &root in roots {
-        if visited[root.index()] {
-            continue;
+/// An iterative depth-first search over control edges and then
+/// communication neighbours, the latter in ascending node id. Forward, a
+/// node's communication neighbours are the receivers of the classes it
+/// feeds; backward, the sources of its class.
+///
+/// Each class keeps one cursor at its first possibly-unvisited entry.
+/// Visits only accumulate, so an entry a cursor has passed stays visited,
+/// and "the next unvisited neighbour in ascending order" (what a scan of a
+/// sorted pair list finds) is the least cursor head over the node's
+/// classes. A search therefore costs O(control edges + class entries), not
+/// O(pairs), and visits nodes in the order the pairwise search did.
+pub(crate) struct Dfs<'g, G: FlowGraph> {
+    graph: &'g G,
+    backward: bool,
+    /// `visited[i]` once node `i` has been pushed (or marked by the caller).
+    pub(crate) visited: Vec<bool>,
+    cursor: Vec<u32>,
+    /// Frames: (node, next control edge; past the end means the
+    /// communication phase).
+    stack: Vec<(NodeId, usize)>,
+}
+
+impl<'g, G: FlowGraph> Dfs<'g, G> {
+    pub(crate) fn new(graph: &'g G, backward: bool) -> Self {
+        Dfs {
+            graph,
+            backward,
+            visited: vec![false; graph.num_nodes()],
+            cursor: vec![0; graph.comm_classes().num_classes()],
+            stack: Vec::new(),
         }
-        visited[root.index()] = true;
-        stack.push((root, 0));
-        while let Some(&mut (node, ref mut idx)) = stack.last_mut() {
-            let edges = if backward {
-                graph.in_edges(node)
-            } else {
-                graph.out_edges(node)
-            };
-            if *idx < edges.len() {
-                let e = edges[*idx];
-                *idx += 1;
-                let next = if backward { e.from } else { e.to };
-                if !visited[next.index()] {
-                    visited[next.index()] = true;
-                    stack.push((next, 0));
+    }
+
+    /// Advance a class's `cursor` past the visited entries of its `list`
+    /// and return the first unvisited one.
+    fn head(cursor: &mut u32, list: &[NodeId], visited: &[bool]) -> Option<NodeId> {
+        while let Some(&m) = list.get(*cursor as usize) {
+            if !visited[m.index()] {
+                return Some(m);
+            }
+            *cursor += 1;
+        }
+        None
+    }
+
+    /// The least unvisited communication neighbour of `n`.
+    fn next_comm(&mut self, n: NodeId) -> Option<NodeId> {
+        let comm = self.graph.comm_classes();
+        if self.backward {
+            let c = comm.class_of(n)?;
+            Self::head(&mut self.cursor[c], comm.sources(c), &self.visited)
+        } else {
+            let mut best: Option<NodeId> = None;
+            for &c in comm.feeds(n) {
+                let c = c as usize;
+                if let Some(m) = Self::head(&mut self.cursor[c], comm.receivers(c), &self.visited) {
+                    best = Some(best.map_or(m, |b| b.min(m)));
                 }
+            }
+            best
+        }
+    }
+
+    /// Search from `root` unless it is already visited, calling `finish`
+    /// on each node as its frame completes (postorder).
+    pub(crate) fn run(&mut self, root: NodeId, mut finish: impl FnMut(NodeId)) {
+        if std::mem::replace(&mut self.visited[root.index()], true) {
+            return;
+        }
+        self.stack.push((root, 0));
+        while let Some(&(node, idx)) = self.stack.last() {
+            let edges = if self.backward {
+                self.graph.in_edges(node)
             } else {
-                postorder.push(node);
-                stack.pop();
+                self.graph.out_edges(node)
+            };
+            let next = if idx < edges.len() {
+                self.stack.last_mut().expect("the frame just read").1 += 1;
+                let e = edges[idx];
+                let next = if self.backward { e.from } else { e.to };
+                if self.visited[next.index()] {
+                    continue;
+                }
+                Some(next)
+            } else {
+                self.next_comm(node)
+            };
+            match next {
+                Some(next) => {
+                    self.visited[next.index()] = true;
+                    self.stack.push((next, 0));
+                }
+                None => {
+                    finish(node);
+                    self.stack.pop();
+                }
             }
         }
     }
+}
+
+/// Reverse postorder over control edges and communication, starting from
+/// `roots`, following `out_edges` and communication successors (pass the
+/// exits and `backward` for backward problems, which follow `in_edges` and
+/// communication predecessors). A node's communication neighbours come
+/// after its control edges, in ascending node id. Nodes unreachable from
+/// the roots are appended in index order so every node still gets visited.
+pub fn reverse_postorder<G: FlowGraph>(graph: &G, roots: &[NodeId], backward: bool) -> Vec<NodeId> {
+    let n = graph.num_nodes();
+    let mut dfs = Dfs::new(graph, backward);
+    let mut postorder = Vec::with_capacity(n);
+    for &root in roots {
+        dfs.run(root, |v| postorder.push(v));
+    }
     postorder.reverse();
-    for (i, seen) in visited.iter().enumerate() {
+    for (i, seen) in dfs.visited.iter().enumerate() {
         if !seen {
             postorder.push(NodeId(i as u32));
         }
@@ -129,6 +429,9 @@ pub struct SimpleGraph {
     out_edges: Vec<Vec<Edge>>,
     entries: Vec<NodeId>,
     exits: Vec<NodeId>,
+    /// Communication pairs as added; grouped into classes on first use.
+    comm_pairs: Vec<(NodeId, NodeId)>,
+    classes: OnceLock<CommClasses>,
 }
 
 impl SimpleGraph {
@@ -136,8 +439,7 @@ impl SimpleGraph {
         SimpleGraph {
             in_edges: vec![Vec::new(); num_nodes],
             out_edges: vec![Vec::new(); num_nodes],
-            entries: Vec::new(),
-            exits: Vec::new(),
+            ..Default::default()
         }
     }
 
@@ -155,8 +457,11 @@ impl SimpleGraph {
         self.add_edge(from, to, EdgeKind::Flow);
     }
 
-    pub fn comm(&mut self, from: u32, to: u32, pair: u32) {
-        self.add_edge(from, to, EdgeKind::Comm { pair });
+    /// Add the communication pair `from → to`. Receivers with equal source
+    /// sets share one class.
+    pub fn comm(&mut self, from: u32, to: u32) {
+        self.comm_pairs.push((NodeId(from), NodeId(to)));
+        self.classes = OnceLock::new();
     }
 
     pub fn set_entry(&mut self, n: u32) {
@@ -187,6 +492,12 @@ impl FlowGraph for SimpleGraph {
 
     fn exits(&self) -> &[NodeId] {
         &self.exits
+    }
+
+    fn comm_classes(&self) -> &CommClasses {
+        self.classes.get_or_init(|| {
+            CommClasses::from_pairs(self.num_nodes(), self.comm_pairs.iter().copied())
+        })
     }
 }
 
@@ -257,7 +568,7 @@ mod tests {
     fn comm_edges_participate_in_ordering() {
         let mut g = SimpleGraph::new(3);
         g.flow(0, 1);
-        g.comm(1, 2, 0);
+        g.comm(1, 2);
         g.set_entry(0);
         let order = reverse_postorder(&g, g.entries(), false);
         let pos: Vec<usize> = (0..3)
@@ -266,10 +577,99 @@ mod tests {
         assert!(pos[1] < pos[2], "comm successor ordered after its source");
     }
 
+    /// The pairwise search the class cursors replace: control edges, then
+    /// the communication neighbours in ascending order, each scanned once.
+    fn pairwise_rpo(g: &SimpleGraph, roots: &[NodeId], backward: bool) -> Vec<NodeId> {
+        let n = g.num_nodes();
+        let mut adj: Vec<Vec<NodeId>> = (0..n)
+            .map(|i| {
+                let node = NodeId(i as u32);
+                let ctrl = if backward {
+                    g.in_edges(node)
+                } else {
+                    g.out_edges(node)
+                };
+                ctrl.iter()
+                    .map(|e| if backward { e.from } else { e.to })
+                    .collect()
+            })
+            .collect();
+        for (i, list) in adj.iter_mut().enumerate() {
+            let node = NodeId(i as u32);
+            if backward {
+                list.extend_from_slice(g.comm_classes().preds(node));
+            } else {
+                list.extend(g.comm_classes().succs(node));
+            }
+        }
+        let mut visited = vec![false; n];
+        let mut post = Vec::new();
+        for &root in roots {
+            if std::mem::replace(&mut visited[root.index()], true) {
+                continue;
+            }
+            let mut stack = vec![(root, 0usize)];
+            while let Some(&mut (v, ref mut k)) = stack.last_mut() {
+                if let Some(&w) = adj[v.index()].get(*k) {
+                    *k += 1;
+                    if !std::mem::replace(&mut visited[w.index()], true) {
+                        stack.push((w, 0));
+                    }
+                } else {
+                    post.push(v);
+                    stack.pop();
+                }
+            }
+        }
+        post.reverse();
+        post.extend((0..n as u32).map(NodeId).filter(|v| !visited[v.index()]));
+        post
+    }
+
     #[test]
-    fn edge_kind_helpers() {
-        assert!(EdgeKind::Comm { pair: 0 }.is_comm());
-        assert!(!EdgeKind::Flow.is_comm());
-        assert!(!EdgeKind::Call { site: 1 }.is_comm());
+    fn class_cursors_reproduce_the_pairwise_search() {
+        let mut rng = crate::rng::SplitMix64::new(21);
+        for _ in 0..200 {
+            let n = 2 + rng.below(14) as u32;
+            let mut g = SimpleGraph::new(n as usize);
+            for _ in 0..rng.below(2 * n as usize) {
+                g.flow(rng.below(n as usize) as u32, rng.below(n as usize) as u32);
+            }
+            for _ in 0..rng.below(3 * n as usize) {
+                g.comm(rng.below(n as usize) as u32, rng.below(n as usize) as u32);
+            }
+            g.set_entry(0);
+            g.set_exit(n - 1);
+            for backward in [false, true] {
+                let roots = if backward { g.exits() } else { g.entries() };
+                assert_eq!(
+                    reverse_postorder(&g, roots, backward),
+                    pairwise_rpo(&g, roots, backward)
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn classes_group_receivers_by_source_set() {
+        let mut g = SimpleGraph::new(5);
+        for (s, r) in [(0, 2), (1, 2), (1, 3), (0, 3), (4, 4)] {
+            g.comm(s, r);
+        }
+        let c = g.comm_classes();
+        assert_eq!(c.num_classes(), 2);
+        assert_eq!(c.num_pairs(), 5);
+        assert_eq!(c.class_of(NodeId(2)), c.class_of(NodeId(3)));
+        assert_eq!(c.preds(NodeId(3)), &[NodeId(0), NodeId(1)]);
+        assert_eq!(c.succs(NodeId(1)), vec![NodeId(2), NodeId(3)]);
+        assert_eq!(c.preds(NodeId(0)), &[] as &[NodeId]);
+        let pairs: Vec<(u32, u32)> = c.pairs().map(|(s, r)| (s.0, r.0)).collect();
+        assert_eq!(pairs, vec![(0, 2), (0, 3), (1, 2), (1, 3), (4, 4)]);
+        let t = c.transpose();
+        let back: Vec<(u32, u32)> = t.pairs().map(|(s, r)| (r.0, s.0)).collect();
+        let mut sorted = back.clone();
+        sorted.sort_unstable();
+        assert_eq!(sorted, pairs);
+        assert_eq!(t.preds(NodeId(0)), &[NodeId(2), NodeId(3)]);
     }
 }

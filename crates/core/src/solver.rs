@@ -57,11 +57,12 @@
 //! ```
 
 use crate::budget::{Budget, BudgetMeter, Exhaustion};
-use crate::graph::{reverse_postorder, Edge, EdgeKind, FlowGraph, NodeId};
+use crate::graph::{reverse_postorder, CommClasses, Edge, EdgeKind, FlowGraph, NodeId};
 use crate::lattice::MeetSemiLattice;
 use crate::problem::{Dataflow, Direction};
 use crate::scc::{self, Condensation};
 use crate::telemetry;
+use std::borrow::Cow;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 use std::fmt;
@@ -328,8 +329,14 @@ pub struct SeedRegions {
     /// Region id → local structural fingerprint (see
     /// [`scc::region_fingerprints`]).
     local_fp: Vec<u64>,
-    /// Region id → external upstream-edge descriptors.
+    /// Region id → external upstream control-edge descriptors.
     ext_in: Vec<Vec<scc::ExtInEdge>>,
+    /// Region id → external communication descriptors.
+    ext_comm: Vec<Vec<scc::ExtComm>>,
+    /// The direction-adjusted class view the descriptors name classes of.
+    comm: CommClasses,
+    /// Node index → region id.
+    region_of: Vec<u32>,
     /// Region id → the region's solve accounting, replayed on transplant so
     /// a seeded re-solve's merged stats match a cold region-engine solve.
     stats: Vec<RegionStats>,
@@ -675,21 +682,31 @@ pub struct DemandRun<F> {
     pub node_in_slice: Vec<bool>,
 }
 
-/// Direction-adjusted view of the graph.
+/// Direction-adjusted view of the graph. `comm` is the class view whose
+/// sources feed facts to its receivers under the analysis direction: the
+/// graph's own classes forward, their transpose backward.
 struct Oriented<'g, G: FlowGraph> {
     graph: &'g G,
     backward: bool,
+    comm: Cow<'g, CommClasses>,
 }
 
 impl<'g, G: FlowGraph> Oriented<'g, G> {
     fn new(graph: &'g G, direction: Direction) -> Self {
+        let backward = direction == Direction::Backward;
         Oriented {
             graph,
-            backward: direction == Direction::Backward,
+            backward,
+            comm: if backward {
+                Cow::Owned(graph.comm_classes().transpose())
+            } else {
+                Cow::Borrowed(graph.comm_classes())
+            },
         }
     }
 
-    /// Edges whose facts flow *into* `n` under the analysis direction.
+    /// Control edges whose facts flow *into* `n` under the analysis
+    /// direction.
     fn upstream(&self, n: NodeId) -> &[Edge] {
         if self.backward {
             self.graph.out_edges(n)
@@ -698,7 +715,8 @@ impl<'g, G: FlowGraph> Oriented<'g, G> {
         }
     }
 
-    /// Edges whose facts flow *out of* `n` under the analysis direction.
+    /// Control edges whose facts flow *out of* `n` under the analysis
+    /// direction.
     fn downstream(&self, n: NodeId) -> &[Edge] {
         if self.backward {
             self.graph.in_edges(n)
@@ -739,19 +757,15 @@ impl<'g, G: FlowGraph> Oriented<'g, G> {
 }
 
 /// Everything a node visit reads and writes besides the fact slices: the
-/// direction-adjusted graph, the problem, the boundary flags, a CSR of each
-/// node's upstream non-communication edges, the solve's [`CommCache`], the
-/// problem's `top()` and `boundary()`, three scratch facts, and the meet
-/// counter. Both strategies drive their visits through one of these, built
-/// once per solve.
+/// direction-adjusted graph, the problem, the boundary flags, the solve's
+/// [`CommCache`], the problem's `top()` and `boundary()`, three scratch
+/// facts, and the meet counter.
+/// Both strategies drive their visits through one of these, built once per
+/// solve.
 struct Visitor<'a, P: Dataflow, G: FlowGraph> {
     graph: Oriented<'a, G>,
     problem: &'a P,
     is_boundary: Vec<bool>,
-    /// Node `i`'s upstream non-communication edges, in graph order, are
-    /// `ctrl[ctrl_start[i]..ctrl_start[i + 1]]`.
-    ctrl_start: Vec<u32>,
-    ctrl: Vec<Edge>,
     cache: CommCache<P::CommFact>,
     top: P::Fact,
     boundary: P::Fact,
@@ -772,22 +786,12 @@ impl<'a, P: Dataflow, G: FlowGraph> Visitor<'a, P, G> {
         for &b in graph.boundary() {
             is_boundary[b.index()] = true;
         }
-        let mut ctrl_start = Vec::with_capacity(n + 1);
-        let mut ctrl = Vec::new();
-        ctrl_start.push(0);
-        for i in 0..n {
-            let upstream = graph.upstream(NodeId(i as u32));
-            ctrl.extend(upstream.iter().filter(|e| !e.kind.is_comm()));
-            ctrl_start.push(ctrl.len() as u32);
-        }
         let top = problem.top();
         Visitor {
-            cache: CommCache::new(CommClasses::build(&graph)),
+            cache: CommCache::new(n, graph.comm.num_classes()),
             graph,
             problem,
             is_boundary,
-            ctrl_start,
-            ctrl,
             boundary: problem.boundary(),
             met: top.clone(),
             out: top.clone(),
@@ -808,12 +812,12 @@ impl<'a, P: Dataflow, G: FlowGraph> Visitor<'a, P, G> {
     ) -> (bool, bool) {
         let problem = self.problem;
         let i = n.index();
-        let edges = &self.ctrl[self.ctrl_start[i] as usize..self.ctrl_start[i + 1] as usize];
+        let edges = self.graph.upstream(n);
         self.meets += edges.len() as u64;
 
         // The communication meet, read before `n`'s own input moves (a
         // collective is its own comm source).
-        let comm = self.cache.meet(i, problem, input);
+        let comm = self.cache.meet(&self.graph.comm, i, problem, input);
 
         let in_changed = match edges {
             // One upstream flow edge into a non-boundary node: ⊤ ⊓ x = x,
@@ -827,8 +831,8 @@ impl<'a, P: Dataflow, G: FlowGraph> Visitor<'a, P, G> {
                 changed
             }
             _ => {
-                // Meet over upstream non-communication edges, translating
-                // across call and return edges.
+                // Meet over upstream control edges, translating across call
+                // and return edges.
                 self.met.clone_from(if self.is_boundary[i] {
                     &self.boundary
                 } else {
@@ -854,7 +858,7 @@ impl<'a, P: Dataflow, G: FlowGraph> Visitor<'a, P, G> {
         self.out.clone_from(&input[i]);
         problem.transfer(n, &input[i], comm, &mut self.out);
         if in_changed {
-            self.cache.invalidate(i);
+            self.cache.invalidate(&self.graph.comm, i);
         }
         let out_changed = self.out != output[i];
         if out_changed {
@@ -953,101 +957,17 @@ struct RegionStats {
     exhausted: Option<Exhaustion>,
 }
 
-/// Marks a node with no upstream communication edge in
-/// [`CommClasses::class_of`].
-const NO_CLASS: u32 = u32::MAX;
-
-/// Receiver classes: nodes whose upstream communication edges come from the
-/// same set of sources share one class, and with it one memoised
-/// communication meet. Collective matching connects every member of a
-/// clique to every member, itself included, so a k-clique's k² comm edges
-/// collapse into one class of k sources. Built once per solve.
-struct CommClasses {
-    /// Node index → its class, or [`NO_CLASS`].
-    class_of: Vec<u32>,
-    /// Class `c`'s distinct sources, ascending, are
-    /// `srcs[src_start[c]..src_start[c + 1]]`.
-    src_start: Vec<u32>,
-    srcs: Vec<u32>,
-    /// The classes source `i` feeds are `feeds[feeds_start[i]..feeds_start[i + 1]]`.
-    feeds_start: Vec<u32>,
-    feeds: Vec<u32>,
-}
-
-impl CommClasses {
-    fn build<G: FlowGraph>(graph: &Oriented<'_, G>) -> Self {
-        let n = graph.graph.num_nodes();
-        let mut class_of = vec![NO_CLASS; n];
-        let mut ids: HashMap<Vec<u32>, u32> = HashMap::new();
-        let mut src_start = vec![0u32];
-        let mut srcs = Vec::new();
-        let mut key = Vec::new();
-        for (i, class) in class_of.iter_mut().enumerate() {
-            key.clear();
-            key.extend(
-                graph
-                    .upstream(NodeId(i as u32))
-                    .iter()
-                    .filter(|e| e.kind.is_comm())
-                    .map(|e| graph.source(e).0),
-            );
-            if key.is_empty() {
-                continue;
-            }
-            key.sort_unstable();
-            key.dedup();
-            *class = match ids.get(&key) {
-                Some(&c) => c,
-                None => {
-                    let c = ids.len() as u32;
-                    ids.insert(key.clone(), c);
-                    srcs.extend_from_slice(&key);
-                    src_start.push(srcs.len() as u32);
-                    c
-                }
-            };
-        }
-        // Invert the class → sources lists (a counting sort by source).
-        let mut feeds_start = vec![0u32; n + 1];
-        for &s in &srcs {
-            feeds_start[s as usize + 1] += 1;
-        }
-        for i in 0..n {
-            feeds_start[i + 1] += feeds_start[i];
-        }
-        let mut fill = feeds_start.clone();
-        let mut feeds = vec![0u32; srcs.len()];
-        for c in 0..src_start.len() - 1 {
-            for &s in &srcs[src_start[c] as usize..src_start[c + 1] as usize] {
-                feeds[fill[s as usize] as usize] = c as u32;
-                fill[s as usize] += 1;
-            }
-        }
-        CommClasses {
-            class_of,
-            src_start,
-            srcs,
-            feeds_start,
-            feeds,
-        }
-    }
-
-    fn num_classes(&self) -> usize {
-        self.src_start.len() - 1
-    }
-}
-
 /// Memo of `f_comm` per source and of the communication meet per receiver
-/// class, shared by both strategies: one epoch per round-robin solve, one
-/// per region solve in the region engine.
+/// class (of the direction-adjusted class view), shared by both strategies:
+/// one epoch per round-robin solve, one per region solve in the region
+/// engine.
 ///
-/// The dominant cost on comm-dense graphs is the all-pairs cliques
-/// collective matching produces. A source's comm fact changes only when its
-/// *input* fact changes (the [`Dataflow::comm_transfer`] contract), so each
-/// source is evaluated once per input change instead of once per (visit ×
-/// in-edge); and a class meet changes only when one of its sources does, so
-/// a receiver whose class meet is valid reads it without touching a comm
-/// edge.
+/// A source's comm fact changes only when its *input* fact changes (the
+/// [`Dataflow::comm_transfer`] contract), so each source is evaluated once
+/// per input change instead of once per (visit × receiver); and a class
+/// meet changes only when one of its sources does, so a receiver whose
+/// class meet is valid reads it without touching a source. The meet folds
+/// a class's sources in ascending node id.
 ///
 /// The epoch bump at region start drops every entry, so facts that flow in
 /// from upstream regions (solved or transplanted) are re-read, never stale.
@@ -1055,7 +975,6 @@ impl CommClasses {
 /// `comm_evals` (the source miss count) is a deterministic function of the
 /// graph.
 struct CommCache<F> {
-    classes: CommClasses,
     /// Source `i`'s fact is valid iff `epoch[i] == cur` (0 = never /
     /// invalidated).
     epoch: Vec<u64>,
@@ -1071,16 +990,14 @@ struct CommCache<F> {
 }
 
 impl<F: MeetSemiLattice> CommCache<F> {
-    /// An empty cache whose first epoch is already open.
-    fn new(classes: CommClasses) -> Self {
-        let n = classes.class_of.len();
-        let k = classes.num_classes();
+    /// An empty cache over `n` nodes and `k` classes whose first epoch is
+    /// already open.
+    fn new(n: usize, k: usize) -> Self {
         CommCache {
             epoch: vec![0; n],
             facts: vec![F::top(); n],
             class_epoch: vec![0; k],
             class_meet: vec![F::top(); k],
-            classes,
             top: F::top(),
             cur: 1,
             evals: 0,
@@ -1095,19 +1012,22 @@ impl<F: MeetSemiLattice> CommCache<F> {
     /// The communication meet node `i`'s transfer reads: its class meet,
     /// recomputed from the memoised source facts only when invalid
     /// (evaluating `f_comm` at the sources whose memo is stale), or top
-    /// for a node with no upstream comm edge.
-    fn meet<P: Dataflow<CommFact = F>>(&mut self, i: usize, problem: &P, input: &[P::Fact]) -> &F {
-        let c = self.classes.class_of[i];
-        if c == NO_CLASS {
+    /// for a node that receives in no class.
+    fn meet<P: Dataflow<CommFact = F>>(
+        &mut self,
+        classes: &CommClasses,
+        i: usize,
+        problem: &P,
+        input: &[P::Fact],
+    ) -> &F {
+        let Some(c) = classes.class_of(NodeId(i as u32)) else {
             return &self.top;
-        }
-        let c = c as usize;
+        };
         if self.class_epoch[c] != self.cur {
             let meet = &mut self.class_meet[c];
             meet.clone_from(&self.top);
-            let range = self.classes.src_start[c] as usize..self.classes.src_start[c + 1] as usize;
-            for &s in &self.classes.srcs[range] {
-                let s = s as usize;
+            for s in classes.sources(c) {
+                let s = s.index();
                 if self.epoch[s] != self.cur {
                     self.facts[s] = problem.comm_transfer(NodeId(s as u32), &input[s]);
                     self.epoch[s] = self.cur;
@@ -1122,11 +1042,9 @@ impl<F: MeetSemiLattice> CommCache<F> {
 
     /// Drop source `i`'s memo and the meet of every class it feeds (its
     /// input fact just changed).
-    fn invalidate(&mut self, i: usize) {
+    fn invalidate(&mut self, classes: &CommClasses, i: usize) {
         self.epoch[i] = 0;
-        let feeds = &self.classes.feeds
-            [self.classes.feeds_start[i] as usize..self.classes.feeds_start[i + 1] as usize];
-        for &c in feeds {
+        for &c in classes.feeds(NodeId(i as u32)) {
             self.class_epoch[c as usize] = 0;
         }
     }
@@ -1185,7 +1103,7 @@ impl<'a, P: Dataflow, G: FlowGraph> RegionEngine<'a, P, G> {
     /// sees final upstream facts. Returns the per-region accounting.
     fn walk(
         &mut self,
-        mut plan: impl FnMut(&Condensation, usize, &mut [P::Fact], &mut [P::Fact]) -> Plan,
+        mut plan: impl FnMut(&Condensation, &CommClasses, usize, &mut [P::Fact], &mut [P::Fact]) -> Plan,
     ) -> Vec<Option<RegionStats>> {
         let num_regions = self.cond.num_regions();
         let mut per_region: Vec<Option<RegionStats>> = (0..num_regions).map(|_| None).collect();
@@ -1195,7 +1113,8 @@ impl<'a, P: Dataflow, G: FlowGraph> RegionEngine<'a, P, G> {
             } else {
                 i
             };
-            let rs = match plan(&self.cond, rid, &mut self.input, &mut self.output) {
+            let comm = &self.visitor.graph.comm;
+            let rs = match plan(&self.cond, comm, rid, &mut self.input, &mut self.output) {
                 Plan::Skip => continue,
                 Plan::Reuse(rs) => rs,
                 Plan::Solve => self.solve_region(rid),
@@ -1220,11 +1139,11 @@ impl<'a, P: Dataflow, G: FlowGraph> RegionEngine<'a, P, G> {
     /// to it.
     ///
     /// (A single heap without the round barrier is pathological on the
-    /// all-pairs comm-edge cliques collective matching produces: a change
-    /// at a high-RPO clique member re-enqueues every lower-RPO member
-    /// *ahead of* the still-pending tail, driving O(k²) visits per wave
-    /// through a k-clique. The round barrier restores the O(k)-per-wave
-    /// sweep bound.)
+    /// collective classes matching produces, where every member feeds every
+    /// member: a change at a high-RPO member re-enqueues every lower-RPO
+    /// member *ahead of* the still-pending tail, driving O(k²) visits per
+    /// wave through a k-member class. The round barrier restores the
+    /// O(k)-per-wave sweep bound.)
     fn solve_region(&mut self, rid: usize) -> RegionStats {
         self.visitor.cache.begin_region();
         let nodes = &self.cond.regions[rid];
@@ -1277,23 +1196,17 @@ impl<'a, P: Dataflow, G: FlowGraph> RegionEngine<'a, P, G> {
                     .update_node(&mut self.input, &mut self.output, node);
                 if ic || oc {
                     round_delta += 1;
-                    for e in self.visitor.graph.downstream(node) {
-                        // Output changes invalidate flow successors; input
-                        // changes invalidate communication successors.
-                        let relevant = if e.kind.is_comm() { ic } else { oc };
-                        if !relevant {
-                            continue;
-                        }
-                        let t = self.visitor.graph.target(e);
+                    let graph = &self.visitor.graph;
+                    let mut notify = |t: NodeId| {
                         // Cross-region targets need no notification: their
                         // region seeds every node when it starts, after this
                         // one is final.
                         if region_of[t.index()] as usize != rid {
-                            continue;
+                            return;
                         }
                         let lt = local_index[t.index()] as usize;
                         if in_current[lt] || in_next[lt] {
-                            continue; // already pending this round or the next
+                            return; // already pending this round or the next
                         }
                         if rpo_pos[t.index()] > pos {
                             // Forward edge: `t` has not run yet this round
@@ -1305,6 +1218,21 @@ impl<'a, P: Dataflow, G: FlowGraph> RegionEngine<'a, P, G> {
                             // Back edge: `t` already ran this round — defer.
                             in_next[lt] = true;
                             next.push(Reverse((rpo_pos[t.index()], t.0)));
+                        }
+                    };
+                    // Output changes invalidate control successors; input
+                    // changes invalidate the receivers of the classes `node`
+                    // feeds.
+                    if oc {
+                        for e in graph.downstream(node) {
+                            notify(graph.target(e));
+                        }
+                    }
+                    if ic {
+                        for &c in graph.comm.feeds(node) {
+                            for &t in graph.comm.receivers(c as usize) {
+                                notify(t);
+                            }
                         }
                     }
                     stats.worklist_peak = stats.worklist_peak.max(current.len() + next.len());
@@ -1381,6 +1309,7 @@ impl<'a, P: Dataflow, G: FlowGraph> RegionEngine<'a, P, G> {
             &v.is_boundary,
             &self.rpo_pos,
             v.graph.backward,
+            &v.graph.comm,
         )
     }
 
@@ -1395,6 +1324,9 @@ impl<'a, P: Dataflow, G: FlowGraph> RegionEngine<'a, P, G> {
             regions: self.cond.regions.clone(),
             local_fp: fps.local_fp,
             ext_in: fps.ext_in,
+            ext_comm: fps.ext_comm,
+            comm: self.visitor.graph.comm.clone().into_owned(),
+            region_of: self.cond.region_of.clone(),
             stats: per_region.into_iter().collect::<Option<Vec<_>>>()?,
         }))
     }
@@ -1428,7 +1360,7 @@ fn run_region<G: FlowGraph, P: Dataflow>(
     let mut span = telemetry::span("solver", "fixpoint:region");
     let started = Instant::now();
     let mut engine = RegionEngine::new(graph, problem, params);
-    let per_region = engine.walk(|_, _, _, _| Plan::Solve);
+    let per_region = engine.walk(|_, _, _, _, _| Plan::Solve);
     let stats = engine.merge(&per_region, started);
     let regions = if stats.converged {
         node_fingerprints(graph, problem)
@@ -1459,87 +1391,144 @@ fn node_fingerprints<G: FlowGraph, P: Dataflow>(graph: &G, problem: &P) -> Optio
 // Incremental re-solve (Solver::seed)
 // ---------------------------------------------------------------------------
 
-/// Find an old region whose structure and upstream facts prove that region
-/// `rid` of the new graph would re-solve to exactly the old facts. Returns
-/// the old region id to transplant from.
+/// Finds, for a region of the new graph, an old region whose structure and
+/// upstream facts prove it would re-solve to exactly the old facts.
 ///
 /// The local-fingerprint match guarantees identical member content, member
-/// visit order, internal edges, and external-input *shape*; what remains is
-/// the **input-fact cutoff**: each external upstream edge's source fact
+/// visit order, internal edges and communication, and external-input
+/// *shape*; what remains is the **input-fact cutoff**: each external input
 /// (current, already-final — regions are processed in topological order)
-/// must equal the fact the old run saw. Descriptors are paired by their
+/// must equal what the old run saw. Control descriptors are paired by their
 /// graph-independent key; within a run of equal keys the facts are matched
-/// as a multiset. Comm edges compare the source's *input* fact (that is
-/// what `f_comm` reads); all other kinds compare the source's output.
-#[allow(clippy::too_many_arguments)]
-fn find_transplant<F: Clone + PartialEq>(
-    seed: &SeedRegions,
-    candidates: &std::collections::HashMap<u64, Vec<u32>>,
-    fps: &scc::RegionFingerprints,
-    rid: usize,
-    new_members: usize,
-    prev_input: &[F],
-    prev_output: &[F],
-    cur_input: &[F],
-    cur_output: &[F],
-) -> Option<u32> {
-    let cands = candidates.get(&fps.local_fp[rid])?;
-    let new_ext = &fps.ext_in[rid];
-    'cand: for &old_rid in cands {
-        let old_ext = &seed.ext_in[old_rid as usize];
-        // Shape equality is implied by the fingerprint; re-checked here so
-        // a (astronomically unlikely) fingerprint collision degrades to a
-        // harmless re-solve instead of a wrong transplant.
-        if old_ext.len() != new_ext.len() || seed.regions[old_rid as usize].len() != new_members {
-            continue;
+/// as a multiset, and they compare the source's output. Communication
+/// descriptors are paired by slot and compare the *input* facts (what
+/// `f_comm` reads) of the class's outside sources, in ascending node id.
+struct Transplant<'s, F> {
+    seed: &'s SeedRegions,
+    prev_input: &'s [F],
+    prev_output: &'s [F],
+    /// Old region ids by local fingerprint. Deliberately non-consuming:
+    /// several structurally identical new regions may each validate
+    /// against the same old region — each still proves its own upstream
+    /// facts, so every transplant is individually justified.
+    candidates: HashMap<u64, Vec<u32>>,
+    /// (new class, old class) → whether the sources of two classes with no
+    /// source inside their regions carry equal input facts. Sources are
+    /// final once checked, so the answer holds for the rest of the walk.
+    class_match: HashMap<(u32, u32), bool>,
+}
+
+impl<'s, F: PartialEq> Transplant<'s, F> {
+    fn new(seed: &'s SeedRegions, prev: &'s Solution<F>) -> Self {
+        let mut candidates: HashMap<u64, Vec<u32>> = HashMap::new();
+        for (rid, &fp) in seed.local_fp.iter().enumerate() {
+            candidates.entry(fp).or_default().push(rid as u32);
         }
-        for (a, b) in new_ext.iter().zip(old_ext.iter()) {
-            if a.key() != b.key() {
-                continue 'cand;
-            }
+        Transplant {
+            seed,
+            prev_input: &prev.input,
+            prev_output: &prev.output,
+            candidates,
+            class_match: HashMap::new(),
         }
-        let new_fact = |d: &scc::ExtInEdge| -> &F {
-            if d.is_comm() {
-                &cur_input[d.src.index()]
-            } else {
-                &cur_output[d.src.index()]
+    }
+
+    /// The old region to transplant into region `rid` of the new graph
+    /// (class view `comm`, condensation `cond`), if any.
+    fn find(
+        &mut self,
+        fps: &scc::RegionFingerprints,
+        comm: &CommClasses,
+        cond: &Condensation,
+        rid: usize,
+        cur_input: &[F],
+        cur_output: &[F],
+    ) -> Option<u32> {
+        let Transplant {
+            seed,
+            prev_input,
+            prev_output,
+            candidates,
+            class_match,
+        } = self;
+        let new_ext = &fps.ext_in[rid];
+        let new_comm = &fps.ext_comm[rid];
+        'cand: for &old_rid in candidates.get(&fps.local_fp[rid])? {
+            let old_ext = &seed.ext_in[old_rid as usize];
+            let old_comm = &seed.ext_comm[old_rid as usize];
+            // Shape equality is implied by the fingerprint; re-checked here so
+            // a (astronomically unlikely) fingerprint collision degrades to a
+            // harmless re-solve instead of a wrong transplant.
+            if old_ext.len() != new_ext.len()
+                || old_comm.len() != new_comm.len()
+                || seed.regions[old_rid as usize].len() != cond.regions[rid].len()
+            {
+                continue;
             }
-        };
-        let old_fact = |d: &scc::ExtInEdge| -> &F {
-            if d.is_comm() {
-                &prev_input[d.src.index()]
-            } else {
-                &prev_output[d.src.index()]
-            }
-        };
-        let mut i = 0;
-        while i < new_ext.len() {
-            let mut j = i + 1;
-            while j < new_ext.len() && new_ext[j].key() == new_ext[i].key() {
-                j += 1;
-            }
-            // Multiset fact match within the equal-key run (runs are tiny:
-            // parallel edges of one kind from same-fingerprint sources).
-            let mut used = vec![false; j - i];
-            for edge in &new_ext[i..j] {
-                let fa = new_fact(edge);
-                let mut matched = false;
-                for b in i..j {
-                    if !used[b - i] && *fa == *old_fact(&old_ext[b]) {
-                        used[b - i] = true;
-                        matched = true;
-                        break;
-                    }
-                }
-                if !matched {
+            for (a, b) in new_ext.iter().zip(old_ext.iter()) {
+                if a.key() != b.key() {
                     continue 'cand;
                 }
             }
-            i = j;
+            let mut i = 0;
+            while i < new_ext.len() {
+                let mut j = i + 1;
+                while j < new_ext.len() && new_ext[j].key() == new_ext[i].key() {
+                    j += 1;
+                }
+                // Multiset fact match within the equal-key run (runs are tiny:
+                // parallel edges of one kind from same-fingerprint sources).
+                let mut used = vec![false; j - i];
+                for edge in &new_ext[i..j] {
+                    let fa = &cur_output[edge.src.index()];
+                    let mut matched = false;
+                    for b in i..j {
+                        if !used[b - i] && *fa == prev_output[old_ext[b].src.index()] {
+                            used[b - i] = true;
+                            matched = true;
+                            break;
+                        }
+                    }
+                    if !matched {
+                        continue 'cand;
+                    }
+                }
+                i = j;
+            }
+            for (a, b) in new_comm.iter().zip(old_comm.iter()) {
+                if (a.slot, a.src_fp, a.all_outside) != (b.slot, b.src_fp, b.all_outside) {
+                    continue 'cand;
+                }
+                let new_srcs = comm.sources(a.class as usize);
+                let old_srcs = seed.comm.sources(b.class as usize);
+                let same = || {
+                    let new_out = new_srcs
+                        .iter()
+                        .filter(|s| cond.region_of[s.index()] as usize != rid);
+                    let mut old_out = old_srcs
+                        .iter()
+                        .filter(|s| seed.region_of[s.index()] != old_rid);
+                    for s in new_out {
+                        match old_out.next() {
+                            Some(o) if cur_input[s.index()] == prev_input[o.index()] => {}
+                            _ => return false,
+                        }
+                    }
+                    old_out.next().is_none()
+                };
+                let ok = if a.all_outside {
+                    *class_match.entry((a.class, b.class)).or_insert_with(same)
+                } else {
+                    same()
+                };
+                if !ok {
+                    continue 'cand;
+                }
+            }
+            return Some(old_rid);
         }
-        return Some(old_rid);
+        None
     }
-    None
 }
 
 /// Incremental re-solve over the (new) graph: transplant validated regions,
@@ -1569,40 +1558,21 @@ fn run_incremental<G: FlowGraph, P: Dataflow>(
         }
     }
 
-    // Candidate old regions by local fingerprint. Deliberately
-    // non-consuming: several structurally identical new regions may each
-    // validate against the same old region — each still proves its own
-    // upstream facts, so every transplant is individually justified.
-    let mut candidates: std::collections::HashMap<u64, Vec<u32>> = std::collections::HashMap::new();
-    for (rid, &fp) in seed.local_fp.iter().enumerate() {
-        candidates.entry(fp).or_default().push(rid as u32);
-    }
-
+    let mut transplant = Transplant::new(seed, prev);
     let mut reused = 0usize;
     let mut resolved = 0usize;
-    let per_region = engine.walk(|cond, rid, input, output| {
-        let members = &cond.regions[rid];
-        let transplant = if force[rid] {
+    let per_region = engine.walk(|cond, comm, rid, input, output| {
+        let found = if force[rid] {
             None
         } else {
-            find_transplant(
-                seed,
-                &candidates,
-                &fps,
-                rid,
-                members.len(),
-                &prev.input,
-                &prev.output,
-                input,
-                output,
-            )
+            transplant.find(&fps, comm, cond, rid, input, output)
         };
-        let Some(old_rid) = transplant else {
+        let Some(old_rid) = found else {
             resolved += 1;
             return Plan::Solve;
         };
         let old_members = &seed.regions[old_rid as usize];
-        for (&nd, &old) in members.iter().zip(old_members) {
+        for (&nd, &old) in cond.regions[rid].iter().zip(old_members) {
             input[nd.index()] = prev.input[old.index()].clone();
             output[nd.index()] = prev.output[old.index()].clone();
         }
@@ -1654,7 +1624,12 @@ fn run_demand<G: FlowGraph, P: Dataflow>(
     let mut engine = RegionEngine::new(graph, problem, params);
     let cond = &engine.cond;
     let root_regions: Vec<u32> = roots.iter().map(|nd| cond.region_of[nd.index()]).collect();
-    let in_slice = scc::upstream_closure(cond, &root_regions, engine.visitor.graph.backward);
+    let in_slice = scc::upstream_closure(
+        cond,
+        graph.comm_classes(),
+        &root_regions,
+        engine.visitor.graph.backward,
+    );
     let mut node_in_slice = vec![false; graph.num_nodes()];
     for (members, _) in cond.regions.iter().zip(&in_slice).filter(|(_, &s)| s) {
         for nd in members {
@@ -1662,7 +1637,7 @@ fn run_demand<G: FlowGraph, P: Dataflow>(
         }
     }
 
-    let per_region = engine.walk(|_, rid, _, _| {
+    let per_region = engine.walk(|_, _, rid, _, _| {
         if in_slice[rid] {
             Plan::Solve
         } else {
@@ -1813,7 +1788,7 @@ mod tests {
         g.flow(3, 4);
         g.flow(4, 1); // loop back
         g.flow(3, 5);
-        g.comm(1, 2, 0);
+        g.comm(1, 2);
         g.set_entry(0);
         g.set_exit(5);
         let mut p = toy(6);
@@ -1866,7 +1841,7 @@ mod tests {
         g.flow(0, 2);
         g.flow(1, 3);
         g.flow(2, 3);
-        g.comm(1, 2, 0);
+        g.comm(1, 2);
         g.set_entry(0);
         g.set_exit(3);
         let mut p = toy(4);
@@ -1984,7 +1959,7 @@ mod tests {
         for i in 2..=9 {
             for j in 2..=9 {
                 if i != j {
-                    g.comm(i, j, 0);
+                    g.comm(i, j);
                 }
             }
         }

@@ -122,7 +122,7 @@ fn comm_edge_chain_adds_one_pass_per_hop_at_worst() {
     for i in 0..p {
         g.flow(2 * i as u32, 2 * i as u32 + 1); // segment: in -> out
         if i + 1 < p {
-            g.comm(2 * i as u32 + 1, 2 * (i + 1) as u32, i as u32);
+            g.comm(2 * i as u32 + 1, 2 * (i + 1) as u32);
             problem.recv[2 * (i + 1)] = true;
         }
     }
@@ -157,8 +157,8 @@ fn irreducible_comm_cycle_converges() {
     let mut g = SimpleGraph::new(4);
     g.flow(0, 1);
     g.flow(2, 3);
-    g.comm(1, 2, 0);
-    g.comm(3, 0, 1); // closes the cycle (node 0 ignores its comm fact)
+    g.comm(1, 2);
+    g.comm(3, 0); // closes the cycle (node 0 ignores its comm fact)
     g.set_entry(0);
     g.set_entry(2);
     g.set_exit(1);
@@ -244,8 +244,8 @@ fn conflicting_comm_sources_meet_to_bottom() {
         }
     }
     let mut g = SimpleGraph::new(3);
-    g.comm(0, 2, 0);
-    g.comm(1, 2, 1);
+    g.comm(0, 2);
+    g.comm(1, 2);
     g.set_entry(0);
     g.set_entry(1);
     g.set_exit(2);
@@ -304,7 +304,7 @@ fn call_edges_and_comm_edges_interleave() {
     let mut g = SimpleGraph::new(4);
     g.add_edge(0, 1, EdgeKind::Call { site: 0 });
     g.flow(2, 3);
-    g.comm(1, 3, 0);
+    g.comm(1, 3);
     g.set_entry(0);
     g.set_entry(2);
     g.set_exit(3);

@@ -12,18 +12,18 @@
 use crate::icfg::Icfg;
 use crate::mpi::MpiIcfg;
 use crate::node::NodeKind;
-use mpi_dfa_core::graph::{EdgeKind, FlowGraph, NodeId};
+use mpi_dfa_core::graph::{CommClasses, EdgeKind, FlowGraph, NodeId};
 use mpi_dfa_lang::pretty;
 use std::fmt::Write;
 
-/// Render an ICFG (optionally with its communication edges) to DOT.
+/// Render an ICFG (control edges only) to DOT.
 pub fn icfg_to_dot(g: &Icfg, title: &str) -> String {
-    render(g, title, None)
+    render(g, g.comm_classes(), title, None)
 }
 
 /// Render an MPI-ICFG to DOT (communication edges dashed red).
 pub fn mpi_icfg_to_dot(g: &MpiIcfg, title: &str) -> String {
-    icfg_to_dot(g.icfg(), title)
+    render(g.icfg(), g.comm_classes(), title, None)
 }
 
 /// Render an MPI-ICFG with a heat overlay: each node is filled on a
@@ -34,7 +34,7 @@ pub fn mpi_icfg_to_dot(g: &MpiIcfg, title: &str) -> String {
 /// unreachable communication stands out. `visits` shorter than the node
 /// count is treated as zero-extended.
 pub fn mpi_icfg_to_dot_heat(g: &MpiIcfg, title: &str, visits: &[u64]) -> String {
-    render(g.icfg(), title, Some(visits))
+    render(g.icfg(), g.comm_classes(), title, Some(visits))
 }
 
 fn heat_fill(v: u64, max: u64) -> String {
@@ -48,7 +48,9 @@ fn heat_fill(v: u64, max: u64) -> String {
     format!("0.000 {sat:.3} 1.000")
 }
 
-fn render(g: &Icfg, title: &str, heat: Option<&[u64]>) -> String {
+/// Each node's control out-edges are followed by its communication
+/// successors in ascending node id: the pairs are expanded only here.
+fn render(g: &Icfg, comm: &CommClasses, title: &str, heat: Option<&[u64]>) -> String {
     let visit = |n: NodeId| -> u64 {
         heat.and_then(|v| v.get(n.index()).copied())
             .unwrap_or_default()
@@ -109,24 +111,18 @@ fn render(g: &Icfg, title: &str, heat: Option<&[u64]>) -> String {
             let style = match e.kind {
                 EdgeKind::Flow => "solid",
                 EdgeKind::Call { .. } | EdgeKind::Return { .. } => "dotted",
-                EdgeKind::Comm { .. } => "dashed",
             };
-            let extra = if e.kind.is_comm() {
-                if heat.is_some() && visit(e.from).min(visit(e.to)) == 0 {
-                    // A comm edge whose endpoints the solver never reached:
-                    // either dead code or a pairing no schedule exercises.
-                    ", color=gray55, constraint=false, label=\"never\", fontcolor=gray40"
-                } else {
-                    ", color=red, constraint=false"
-                }
+            let _ = writeln!(out, "  n{} -> n{} [style={style}];", e.from.0, e.to.0);
+        }
+        for to in comm.succs(n) {
+            let extra = if heat.is_some() && visit(n).min(visit(to)) == 0 {
+                // A comm edge whose endpoints the solver never reached:
+                // either dead code or a pairing no schedule exercises.
+                ", color=gray55, constraint=false, label=\"never\", fontcolor=gray40"
             } else {
-                ""
+                ", color=red, constraint=false"
             };
-            let _ = writeln!(
-                out,
-                "  n{} -> n{} [style={style}{extra}];",
-                e.from.0, e.to.0
-            );
+            let _ = writeln!(out, "  n{} -> n{} [style=dashed{extra}];", n.0, to.0);
         }
     }
     let _ = writeln!(out, "}}");

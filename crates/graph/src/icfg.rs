@@ -442,20 +442,9 @@ impl Icfg {
         self.exits[0]
     }
 
-    /// Number of edges of every kind (used in reports and tests).
+    /// Number of control edges of every kind (used in reports and tests).
     pub fn num_edges(&self) -> usize {
         self.out_edges.iter().map(Vec::len).sum()
-    }
-
-    /// Append a communication edge (used by the MPI-ICFG builder).
-    pub(crate) fn push_comm_edge(&mut self, from: NodeId, to: NodeId, pair: u32) {
-        let e = Edge {
-            from,
-            to,
-            kind: EdgeKind::Comm { pair },
-        };
-        self.out_edges[from.index()].push(e);
-        self.in_edges[to.index()].push(e);
     }
 }
 

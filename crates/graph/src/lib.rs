@@ -8,8 +8,9 @@
 //! 3. the call graph with the paper's clone-level policy ([`callgraph`]);
 //! 4. the **ICFG** with partial context sensitivity via procedure cloning
 //!    ([`icfg`]); and
-//! 5. the **MPI-ICFG** — the ICFG plus communication edges matched on
-//!    constant tag/communicator/root arguments ([`mpi`]).
+//! 5. the **MPI-ICFG** — the ICFG plus its communication, matched on
+//!    constant tag/communicator/root arguments and stored as classes of
+//!    sources and receivers ([`mpi`]).
 //!
 //! Both graphs implement [`mpi_dfa_core::graph::FlowGraph`], so the solver in
 //! `mpi-dfa-core` runs over either unchanged.

@@ -1,11 +1,18 @@
-//! MPI-ICFG construction: communication-edge matching.
+//! MPI-ICFG construction: communication matching.
 //!
-//! Following Section 4.1 of the paper, communication edges are added
-//! between possible `send`/`isend` → `recv`/`irecv` pairs, among all calls
-//! to `bcast`, and among all calls to `reduce` (we also cover `allreduce`).
-//! An interprocedural reaching-constants analysis evaluates the tag,
-//! communicator, and root arguments; when both sides evaluate to constants
-//! they must match, otherwise the pair is kept conservatively.
+//! Following Section 4.1 of the paper, communication connects possible
+//! `send`/`isend` → `recv`/`irecv` pairs, all calls to `bcast` with each
+//! other, and all calls to `reduce` with each other (we also cover
+//! `allreduce`). An interprocedural reaching-constants analysis evaluates
+//! the tag, communicator, and root arguments; when both sides evaluate to
+//! constants they must match, otherwise the pair is kept conservatively.
+//!
+//! Matching never enumerates pairs. Nodes of one kind with equal (key,
+//! communicator) values form a group; every receiver in a group has the
+//! same sources — the members of the compatible sender groups — so each
+//! receiver group becomes one communication class of the graph
+//! ([`CommClasses`]). A collective group of k members is one class of k
+//! sources and k receivers, where the paper draws k² edges.
 //!
 //! The constant evaluation is abstracted behind [`ConstQuery`] so that the
 //! matcher can run with
@@ -19,8 +26,9 @@
 use crate::icfg::{Icfg, IcfgError};
 use crate::node::{MatchExpr, MpiInfo, MpiKind, NodeKind};
 use mpi_dfa_core::budget::{Budget, BudgetMeter};
-use mpi_dfa_core::graph::{Edge, FlowGraph, NodeId};
+use mpi_dfa_core::graph::{CommClasses, Edge, FlowGraph, NodeId};
 use mpi_dfa_lang::ast::{BinOp, Expr, ExprKind, Intrinsic, UnOp};
+use std::collections::HashMap;
 use std::ops::Deref;
 
 /// Resolves MPI match arguments to integer constants where possible.
@@ -51,37 +59,39 @@ impl ConstQuery for SyntacticConsts {
     }
 }
 
-/// Literal constant folding shared by [`SyntacticConsts`] and the tests.
+/// Literal constant folding shared by [`SyntacticConsts`], the verify
+/// passes and the tests. An operation that overflows `i64` (or divides by
+/// zero) is not a constant.
 pub fn fold_int(e: &Expr) -> Option<i64> {
     match &e.kind {
         ExprKind::IntLit(v) => Some(*v),
-        ExprKind::Unary(UnOp::Neg, inner) => fold_int(inner).map(|v| -v),
+        ExprKind::Unary(UnOp::Neg, inner) => fold_int(inner)?.checked_neg(),
         ExprKind::Binary(op, a, b) => {
             let (a, b) = (fold_int(a)?, fold_int(b)?);
             match op {
-                BinOp::Add => Some(a + b),
-                BinOp::Sub => Some(a - b),
-                BinOp::Mul => Some(a * b),
-                BinOp::Div => (b != 0).then(|| a / b),
+                BinOp::Add => a.checked_add(b),
+                BinOp::Sub => a.checked_sub(b),
+                BinOp::Mul => a.checked_mul(b),
+                BinOp::Div => a.checked_div(b),
                 _ => None,
             }
         }
         ExprKind::Intrinsic(Intrinsic::Mod, args) => {
             let (a, m) = (fold_int(&args[0])?, fold_int(&args[1])?);
-            (m != 0).then(|| a.rem_euclid(m))
+            a.checked_rem_euclid(m)
         }
         _ => None,
     }
 }
 
-/// One communication edge: `from` sends data that `to` may receive.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// One communication pair: `from` sends data that `to` may receive.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CommEdgeInfo {
     pub from: NodeId,
     pub to: NodeId,
 }
 
-/// Per-kind counts of MPI nodes and the resulting edge count, for reports
+/// Per-kind counts of MPI nodes and the resulting pair count, for reports
 /// and the matching ablation.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CommStats {
@@ -93,17 +103,49 @@ pub struct CommStats {
     pub comm_edges: usize,
 }
 
-/// The MPI-ICFG: an [`Icfg`] whose edge lists additionally contain
-/// communication edges. Dereferences to the underlying ICFG.
+/// The communication edges of an MPI-ICFG, held as classes. `len()` is the
+/// number of (source, receiver) pairs the classes stand for, and `iter()`
+/// expands them in matching order: point-to-point pairs, then `bcast`,
+/// `reduce` and `allreduce` pairs, each by source and then receiver in
+/// ascending node id. Storage grows with the classes, not the pairs.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct CommEdges {
+    classes: CommClasses,
+    /// Every source, in pair order.
+    sources: Vec<NodeId>,
+}
+
+impl CommEdges {
+    /// Number of communication pairs: Σ |sources| × |receivers|.
+    pub fn len(&self) -> usize {
+        self.classes.num_pairs()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The pairs, expanded in matching order.
+    pub fn iter(&self) -> impl Iterator<Item = CommEdgeInfo> + '_ {
+        self.sources.iter().flat_map(move |&from| {
+            self.classes
+                .succs(from)
+                .into_iter()
+                .map(move |to| CommEdgeInfo { from, to })
+        })
+    }
+}
+
+/// The MPI-ICFG: an [`Icfg`] plus its communication classes. Dereferences
+/// to the underlying ICFG, which has control edges only.
 #[derive(Debug)]
 pub struct MpiIcfg {
     icfg: Icfg,
-    pub comm_edges: Vec<CommEdgeInfo>,
+    pub comm_edges: CommEdges,
 }
 
 impl MpiIcfg {
-    /// Add communication edges to `icfg` using `consts` for argument
-    /// matching.
+    /// Match `icfg`'s communication using `consts` for argument matching.
     pub fn build(icfg: Icfg, consts: &dyn ConstQuery) -> MpiIcfg {
         match Self::build_metered(icfg, consts, None) {
             Ok(g) => g,
@@ -112,9 +154,10 @@ impl MpiIcfg {
         }
     }
 
-    /// Like [`MpiIcfg::build`], but charges one work unit per candidate
-    /// pair checked during send/receive and collective matching; returns
-    /// [`IcfgError::Budget`] if matching exhausts `budget`.
+    /// Like [`MpiIcfg::build`], but charges `budget` one work unit per
+    /// candidate pair a pairwise matcher would check (|sends| × |recvs| +
+    /// Σ over collective kinds of |calls|², charged at once); returns
+    /// [`IcfgError::Budget`] if that exhausts it.
     pub fn try_build(
         icfg: Icfg,
         consts: &dyn ConstQuery,
@@ -125,21 +168,14 @@ impl MpiIcfg {
     }
 
     fn build_metered(
-        mut icfg: Icfg,
+        icfg: Icfg,
         consts: &dyn ConstQuery,
-        mut meter: Option<&mut BudgetMeter>,
+        meter: Option<&mut BudgetMeter>,
     ) -> Result<MpiIcfg, IcfgError> {
         let mut span = mpi_dfa_core::telemetry::span("pipeline", "mpi_matching");
-        let mut charge = move |units: u64| -> Result<(), IcfgError> {
-            match meter.as_deref_mut() {
-                Some(m) => m.charge(units).map_err(IcfgError::Budget),
-                None => Ok(()),
-            }
-        };
-        let mut edges = Vec::new();
-        // Each MPI node's match arguments are evaluated once, here, not per
-        // candidate pair. Non-MPI payloads in `mpi_nodes()` would be an
-        // internal inconsistency; they are skipped rather than panicked on.
+        // Each MPI node's match arguments are evaluated once, here. Non-MPI
+        // payloads in `mpi_nodes()` would be an internal inconsistency;
+        // they are skipped rather than panicked on.
         let nodes: Vec<MatchNode> = icfg
             .mpi_nodes()
             .iter()
@@ -149,45 +185,36 @@ impl MpiIcfg {
             })
             .collect();
 
-        // Point-to-point: sends × receives on tag and communicator.
-        for s in nodes.iter().filter(|m| m.kind.is_p2p_send()) {
-            for r in nodes.iter().filter(|m| m.kind.is_p2p_recv()) {
-                charge(1)?;
-                if s.matches(r) {
-                    edges.push(CommEdgeInfo {
-                        from: s.node,
-                        to: r.node,
-                    });
-                }
-            }
-        }
-
-        // Collectives: all ordered pairs (including self) of the same kind
-        // with compatible root (bcast/reduce) and communicator.
+        // Matching order: point-to-point (sends feed receives), then each
+        // collective kind (every call feeds every call, itself included).
+        let of = |pick: &dyn Fn(MpiKind) -> bool| -> Vec<&MatchNode> {
+            nodes.iter().filter(|m| pick(m.kind)).collect()
+        };
+        let mut stages = vec![(of(&|k| k.is_p2p_send()), of(&|k| k.is_p2p_recv()))];
         for kind in [MpiKind::Bcast, MpiKind::Reduce, MpiKind::Allreduce] {
-            let group: Vec<&MatchNode> = nodes.iter().filter(|m| m.kind == kind).collect();
-            for a in &group {
-                for b in &group {
-                    charge(1)?;
-                    if a.matches(b) {
-                        edges.push(CommEdgeInfo {
-                            from: a.node,
-                            to: b.node,
-                        });
-                    }
-                }
-            }
+            let group = of(&|k| k == kind);
+            stages.push((group.clone(), group));
+        }
+        if let Some(m) = meter {
+            let checks = stages.iter().fold(0u64, |acc, (s, r)| {
+                acc.saturating_add((s.len() as u64).saturating_mul(r.len() as u64))
+            });
+            m.charge(checks).map_err(IcfgError::Budget)?;
         }
 
-        for (pair, e) in edges.iter().enumerate() {
-            icfg.push_comm_edge(e.from, e.to, pair as u32);
+        let mut classes = Vec::new();
+        let mut sources = Vec::new();
+        for (senders, receivers) in &stages {
+            classes.extend(match_groups(senders, receivers));
+            sources.extend(senders.iter().map(|m| m.node));
         }
+        let comm_edges = CommEdges {
+            classes: CommClasses::new(icfg.num_nodes(), classes),
+            sources,
+        };
         span.arg("mpi_nodes", nodes.len());
-        span.arg("comm_edges", edges.len());
-        Ok(MpiIcfg {
-            icfg,
-            comm_edges: edges,
-        })
+        span.arg("comm_edges", comm_edges.len());
+        Ok(MpiIcfg { icfg, comm_edges })
     }
 
     /// Full conservative connectivity (no constant matching).
@@ -195,32 +222,25 @@ impl MpiIcfg {
         Self::build(icfg, &NoConsts)
     }
 
-    /// The underlying ICFG (without communication edges it would be the
-    /// baseline graph; note the edge lists here *include* comm edges).
+    /// The underlying ICFG: control edges only, no communication. Pass the
+    /// `MpiIcfg` itself as the graph of a solve that should see
+    /// communication.
     pub fn icfg(&self) -> &Icfg {
         &self.icfg
     }
 
-    /// Communication predecessors of a node (sources of incoming comm
-    /// edges) — the paper's `commpred(n)`.
+    /// Communication predecessors of a node, ascending — the paper's
+    /// `commpred(n)`.
     pub fn comm_preds(&self, n: NodeId) -> impl Iterator<Item = NodeId> + '_ {
-        self.icfg
-            .in_edges(n)
-            .iter()
-            .filter(|e| e.kind.is_comm())
-            .map(|e| e.from)
+        self.comm_edges.classes.preds(n).iter().copied()
     }
 
-    /// Communication successors of a node.
+    /// Communication successors of a node, ascending.
     pub fn comm_succs(&self, n: NodeId) -> impl Iterator<Item = NodeId> + '_ {
-        self.icfg
-            .out_edges(n)
-            .iter()
-            .filter(|e| e.kind.is_comm())
-            .map(|e| e.to)
+        self.comm_edges.classes.succs(n).into_iter()
     }
 
-    /// Count MPI node kinds and edges.
+    /// Count MPI node kinds and communication pairs.
     pub fn stats(&self) -> CommStats {
         let mut s = CommStats {
             comm_edges: self.comm_edges.len(),
@@ -271,6 +291,63 @@ impl FlowGraph for MpiIcfg {
     fn exits(&self) -> &[NodeId] {
         self.icfg.exits()
     }
+
+    fn comm_classes(&self) -> &CommClasses {
+        &self.comm_edges.classes
+    }
+}
+
+/// Group `senders` and `receivers` by (key, communicator) and return one
+/// (sources, receivers) class per receiver group: its sources are the
+/// members of every compatible sender group. A constant is compatible only
+/// with itself, a wildcard or unknown value with everything, so a receiver
+/// group with a constant key looks up three sender keys and any other
+/// scans every sender group; either way the work is bounded by the
+/// sources it collects, not by pairs.
+fn match_groups(
+    senders: &[&MatchNode],
+    receivers: &[&MatchNode],
+) -> Vec<(Vec<NodeId>, Vec<NodeId>)> {
+    type Groups = Vec<((ArgVal, ArgVal), Vec<NodeId>)>;
+    let group = |members: &[&MatchNode]| -> Groups {
+        let mut index: HashMap<(ArgVal, ArgVal), usize> = HashMap::new();
+        let mut groups: Groups = Vec::new();
+        for m in members {
+            let g = *index.entry((m.key, m.comm)).or_insert_with(|| {
+                groups.push(((m.key, m.comm), Vec::new()));
+                groups.len() - 1
+            });
+            groups[g].1.push(m.node);
+        }
+        groups
+    };
+    let send_groups = group(senders);
+    let mut by_key: HashMap<ArgVal, Vec<usize>> = HashMap::new();
+    for (g, ((key, _), _)) in send_groups.iter().enumerate() {
+        by_key.entry(*key).or_default().push(g);
+    }
+    let all: Vec<usize> = (0..send_groups.len()).collect();
+    let none = Vec::new();
+    group(receivers)
+        .into_iter()
+        .map(|((key, comm), members)| {
+            let candidates: Vec<&Vec<usize>> = match key {
+                ArgVal::Const(_) => [key, ArgVal::Any, ArgVal::Unknown]
+                    .iter()
+                    .map(|k| by_key.get(k).unwrap_or(&none))
+                    .collect(),
+                ArgVal::Any | ArgVal::Unknown => vec![&all],
+            };
+            let sources = candidates
+                .into_iter()
+                .flatten()
+                .map(|&g| &send_groups[g])
+                .filter(|((_, c), _)| c.compatible(&comm))
+                .flat_map(|(_, nodes)| nodes.iter().copied())
+                .collect();
+            (sources, members)
+        })
+        .collect()
 }
 
 /// One MPI node as matching sees it.
@@ -311,15 +388,11 @@ impl MatchNode {
             },
         }
     }
-
-    fn matches(&self, other: &MatchNode) -> bool {
-        self.key.compatible(&other.key) && self.comm.compatible(&other.comm)
-    }
 }
 
 /// The matchable value of one argument: wildcard, known constant, or
 /// statically unknown.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum ArgVal {
     Any,
     Const(i64),
@@ -375,6 +448,15 @@ mod tests {
         assert_eq!(fold_int(&e("-(5)")), Some(-5));
         assert_eq!(fold_int(&e("mod(10, 3)")), Some(1));
         assert_eq!(fold_int(&e("10 / 0")), None);
+        // Overflow is "not a constant", never a panic or a wrapped value.
+        assert_eq!(fold_int(&e("9223372036854775807 + 1")), None);
+        assert_eq!(fold_int(&e("9223372036854775807 + 2")), None);
+        let min = "(0 - 9223372036854775807 - 1)";
+        assert_eq!(fold_int(&e(min)), Some(i64::MIN));
+        assert_eq!(fold_int(&e(&format!("{min} / (0 - 1)"))), None);
+        assert_eq!(fold_int(&e(&format!("mod({min}, 0 - 1)"))), None);
+        assert_eq!(fold_int(&e(&format!("-({min})"))), None);
+        assert_eq!(fold_int(&e("3037000500 * 3037000500")), None);
         assert_eq!(fold_int(&e("rank()")), None);
         assert_eq!(fold_int(&e("q")), None);
     }
@@ -406,7 +488,7 @@ mod tests {
             "main",
         );
         assert_eq!(edge_count(&g), 1);
-        let e = g.comm_edges[0];
+        let e = g.comm_edges.iter().next().unwrap();
         assert!(matches!(g.payload(e.from).kind, NodeKind::Mpi(ref m) if m.kind == MpiKind::Send));
         assert!(matches!(g.payload(e.to).kind, NodeKind::Mpi(ref m) if m.kind == MpiKind::Recv));
     }
@@ -493,7 +575,7 @@ mod tests {
         );
         // One self edge each; no cross edges between reduce and allreduce.
         assert_eq!(edge_count(&g), 2);
-        for e in &g.comm_edges {
+        for e in g.comm_edges.iter() {
             assert_eq!(e.from, e.to);
         }
     }
@@ -529,7 +611,7 @@ mod tests {
              sub main() { send(x, 1, 7); recv(y, ANY, 7); }",
             "main",
         );
-        let e = g.comm_edges[0];
+        let e = g.comm_edges.iter().next().unwrap();
         assert_eq!(g.comm_preds(e.to).collect::<Vec<_>>(), vec![e.from]);
         assert_eq!(g.comm_succs(e.from).collect::<Vec<_>>(), vec![e.to]);
         assert_eq!(g.comm_preds(e.from).count(), 0);

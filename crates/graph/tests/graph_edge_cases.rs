@@ -57,7 +57,10 @@ fn num_edges_counts_every_kind() {
     let icfg = Icfg::build(ir, "main", 0).unwrap();
     let plain = icfg.num_edges();
     let mpi = MpiIcfg::build(icfg, &SyntacticConsts);
-    assert_eq!(mpi.num_edges(), plain + mpi.comm_edges.len());
+    // Matching adds classes, not edges: the edge count stays the control
+    // count and the pair count is `comm_edges.len()`.
+    assert_eq!(mpi.num_edges(), plain);
+    assert_eq!(mpi.comm_edges.len(), 1);
 }
 
 #[test]

@@ -154,6 +154,7 @@ const SPLICE: &[&str] = &[
     "rank()",
     "nprocs()",
     "9999999999999999999",
+    "9223372036854775807",
     "0",
     "1e308",
     "sub ",
@@ -224,15 +225,20 @@ pub fn pipeline(src: &str, deadline: Duration) -> Stage {
     };
     let budget = Budget::unlimited().with_deadline_ms(deadline.as_millis() as u64);
     // Clone level 1 + reaching-constants matching exercises instantiation,
-    // the bootstrap solve, and pairwise matching. Mutants usually keep a
-    // `main`; those that lose it exercise the unknown-context error path.
-    match build_mpi_icfg_with_budget(ir, "main", 1, Matching::ReachingConstants, &budget) {
-        Ok(g) => {
-            verify_contract(&g);
-            Stage::Built
-        }
-        Err(_) => Stage::RejectedGraph,
+    // the bootstrap solve, and matching; clone level 0 + syntactic matching
+    // is the governor's T1 graph, whose literal folding must survive any
+    // argument. Mutants usually keep a `main`; those that lose it exercise
+    // the unknown-context error path.
+    let built =
+        build_mpi_icfg_with_budget(ir.clone(), "main", 1, Matching::ReachingConstants, &budget);
+    let Ok(g) = built else {
+        return Stage::RejectedGraph;
+    };
+    verify_contract(&g);
+    if let Ok(t1) = build_mpi_icfg_with_budget(ir, "main", 0, Matching::Syntactic, &budget) {
+        verify_contract(&t1);
     }
+    Stage::Built
 }
 
 /// The verify leg of the fuzz contract: the static passes must neither

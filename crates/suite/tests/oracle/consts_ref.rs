@@ -167,7 +167,7 @@ impl Dataflow for RefConsts<'_> {
                     out.0[l.index()] = ConstLattice::Top;
                 }
             }
-            EdgeKind::Flow | EdgeKind::Comm { .. } => {}
+            EdgeKind::Flow => {}
         }
     }
 }

@@ -7,11 +7,12 @@
 //! loop):
 //!
 //! 1. control meet: the boundary fact at boundary nodes and lattice top
-//!    elsewhere, met with the output of every upstream non-communication
-//!    edge's source, translated (on a fresh copy) across call/return edges;
+//!    elsewhere, met with the output of every upstream control edge's
+//!    source, translated (on a fresh copy) across call/return edges;
 //! 2. communication: `f_comm` evaluated afresh at every upstream
-//!    communication edge's source, on that source's *input* fact, and
-//!    folded with `meet_with` from `CommFact::top()` (the paper's ⊓ over
+//!    communication neighbour (the graph's pairs, expanded), on that
+//!    neighbour's *input* fact, in ascending node id, and folded with
+//!    `meet_with` from `CommFact::top()` (the paper's ⊓ over
 //!    `commpred(n)`);
 //! 3. transfer: the node transfer function of the met input and the
 //!    communication meet, applied to a fresh copy of the met input.
@@ -47,8 +48,8 @@ pub fn solve<P: Dataflow, G: FlowGraph>(
     } else {
         graph.entries()
     };
-    // Under the analysis direction: the edges whose facts flow into a node,
-    // and the node each of them comes from.
+    // Under the analysis direction: the control edges whose facts flow
+    // into a node, and the node each of them comes from.
     let upstream = |node: NodeId| {
         if backward {
             graph.out_edges(node)
@@ -75,11 +76,18 @@ pub fn solve<P: Dataflow, G: FlowGraph>(
                 problem.top()
             };
             let mut comm = P::CommFact::top();
+            let classes = graph.comm_classes();
+            let comm_upstream = if backward {
+                classes.succs(node)
+            } else {
+                classes.preds(node).to_vec()
+            };
+            for src in comm_upstream {
+                comm.meet_with(&problem.comm_transfer(src, &input[src.index()]));
+            }
             for e in upstream(node) {
                 let src = source(e);
-                if e.kind.is_comm() {
-                    comm.meet_with(&problem.comm_transfer(src, &input[src.index()]));
-                } else if e.kind == EdgeKind::Flow {
+                if e.kind == EdgeKind::Flow {
                     problem.meet_into(&mut met, &output[src.index()]);
                 } else {
                     let fact = &output[src.index()];

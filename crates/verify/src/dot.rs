@@ -81,15 +81,17 @@ pub fn overlay(g: &MpiIcfg, report: &VerifyReport, title: &str) -> String {
 
     for n in icfg.nodes() {
         for e in icfg.out_edges(n) {
-            let (style, extra) = match e.kind {
-                EdgeKind::Flow => ("solid", ""),
-                EdgeKind::Call { .. } | EdgeKind::Return { .. } => ("dotted", ""),
-                EdgeKind::Comm { .. } => ("dashed", ", color=red, constraint=false"),
+            let style = match e.kind {
+                EdgeKind::Flow => "solid",
+                EdgeKind::Call { .. } | EdgeKind::Return { .. } => "dotted",
             };
+            let _ = writeln!(out, "  n{} -> n{} [style={style}];", e.from.0, e.to.0);
+        }
+        for to in g.comm_succs(n) {
             let _ = writeln!(
                 out,
-                "  n{} -> n{} [style={style}{extra}];",
-                e.from.0, e.to.0
+                "  n{} -> n{} [style=dashed, color=red, constraint=false];",
+                n.0, to.0
             );
         }
     }

@@ -76,7 +76,9 @@ impl Bound {
     fn eval(self, nprocs: i64) -> i64 {
         match self {
             Bound::Const(c) => c,
-            Bound::NprocsPlus(off) => nprocs + off,
+            // Saturating: ranks are small, so a saturated bound compares
+            // with every rank as the exact one would.
+            Bound::NprocsPlus(off) => nprocs.saturating_add(off),
         }
     }
 }
@@ -254,11 +256,11 @@ fn bound_of(e: &Expr) -> Option<Bound> {
             },
         },
         ExprKind::Binary(BinOp::Sub, a, b) => match (&a.kind, fold_int(b)) {
-            (ExprKind::Nprocs, Some(c)) => Some(Bound::NprocsPlus(-c)),
+            (ExprKind::Nprocs, Some(c)) => c.checked_neg().map(Bound::NprocsPlus),
             _ => None,
         },
         ExprKind::Unary(UnOp::Neg, inner) => match bound_of(inner)? {
-            Bound::Const(c) => Some(Bound::Const(-c)),
+            Bound::Const(c) => c.checked_neg().map(Bound::Const),
             Bound::NprocsPlus(_) => None,
         },
         _ => None,

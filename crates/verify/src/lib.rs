@@ -122,8 +122,7 @@ impl std::fmt::Display for VerifyError {
     }
 }
 
-/// Nodes reachable from the context entry along non-communication
-/// edges. Unreachable nodes keep lattice-top facts in the must-analyses
+/// Nodes reachable from the context entry along control edges. Unreachable nodes keep lattice-top facts in the must-analyses
 /// and would pollute diagnostics; every pass filters through this.
 pub fn reachable_from_entry(g: &MpiIcfg) -> Vec<bool> {
     let icfg = g.icfg();
@@ -135,7 +134,7 @@ pub fn reachable_from_entry(g: &MpiIcfg) -> Vec<bool> {
             continue;
         }
         for e in icfg.out_edges(cur) {
-            if !e.kind.is_comm() && !seen[e.to.index()] {
+            if !seen[e.to.index()] {
                 stack.push(e.to);
             }
         }

@@ -283,11 +283,7 @@ fn in_loop(icfg: &Icfg) -> Vec<bool> {
     let mut stack: Vec<usize> = Vec::new();
     let mut counter = 0u32;
 
-    let succs = |i: usize| {
-        icfg.out_edges(NodeId(i as u32))
-            .iter()
-            .filter(|e| !e.kind.is_comm())
-    };
+    let succs = |i: usize| icfg.out_edges(NodeId(i as u32)).iter();
 
     for root in 0..n {
         if index[root] != UNVISITED {

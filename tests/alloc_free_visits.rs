@@ -94,7 +94,7 @@ fn graph() -> SimpleGraph {
     g.flow(1, 9);
     for i in 2..=7 {
         for j in 2..=7 {
-            g.comm(i, j, 0);
+            g.comm(i, j);
         }
     }
     g.set_entry(0);
@@ -179,7 +179,7 @@ impl Dataflow for Shift {
         match edge.kind {
             EdgeKind::Call { .. } => out.insert(CALLED),
             EdgeKind::Return { .. } => out.insert(RETURNED),
-            EdgeKind::Flow | EdgeKind::Comm { .. } => unreachable!("only call/return"),
+            EdgeKind::Flow => unreachable!("only call/return"),
         };
     }
 }

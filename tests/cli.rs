@@ -199,6 +199,69 @@ fn verify_survives_a_huge_declaration() {
     assert!(stdout.contains("consistent-safe"), "{stdout}");
 }
 
+#[test]
+fn overflowing_match_arguments_are_not_constants() {
+    // Folding `i64::MIN / -1` used to abort verify, and `MAX + 1` /
+    // `MAX + 2` used to wrap to distinct constants, pruning a pair the
+    // interpreter (which computes in f64) delivers. Overflow is "not a
+    // constant": verify answers, and the syntactic graph keeps the pair.
+    let dir = std::env::temp_dir().join("mpidfa-cli-overflow");
+    std::fs::create_dir_all(&dir).unwrap();
+    let div_src = "program div\n\
+         global x: real;\n\
+         sub main() {\n\
+           if (rank() == 0) {\n\
+             send(x, (0 - 9223372036854775807 - 1) / (0 - 1), 7);\n\
+           } else {\n\
+             recv(x, 0, 7);\n\
+           }\n\
+           print(x);\n\
+         }\n";
+    let div = dir.join("div.smpl");
+    std::fs::write(&div, div_src).unwrap();
+    let wrap = dir.join("wrap.smpl");
+    std::fs::write(
+        &wrap,
+        "program wrap\n\
+         global x: real;\n\
+         global y: real;\n\
+         sub main() {\n\
+           if (rank() == 0) {\n\
+             send(x, 1, 9223372036854775807 + 1);\n\
+           } else {\n\
+             recv(y, 0, 9223372036854775807 + 2);\n\
+           }\n\
+         }\n",
+    )
+    .unwrap();
+    for file in [&div, &wrap] {
+        let out = Command::new(env!("CARGO_BIN_EXE_mpidfa"))
+            .args(["verify", file.to_str().unwrap()])
+            .output()
+            .expect("binary runs");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        let code = out.status.code();
+        assert!(
+            matches!(code, Some(0) | Some(1)),
+            "{file:?} exited {code:?}: {stdout}"
+        );
+        assert!(stdout.contains("verdict: "), "{stdout}");
+    }
+    let (dot, _, ok) = mpidfa(&["graph", wrap.to_str().unwrap(), "--matching", "syntactic"]);
+    assert!(ok);
+    assert_eq!(dot.matches("style=dashed").count(), 1, "{dot}");
+
+    let request = format!(
+        "{{\"id\":1,\"kind\":\"verify\",\"source\":\"{}\",\"schedules\":1}}\n",
+        mpi_dfa::core::json::escape(div_src)
+    );
+    let requests = dir.join("verify.jsonl");
+    std::fs::write(&requests, request).unwrap();
+    let (batch, stderr, ok) = mpidfa(&["batch", requests.to_str().unwrap()]);
+    assert!(ok, "{batch}{stderr}");
+    assert!(batch.contains("\"ok\":true"), "{batch}");
+}
+
 /// A sema-valid chain of `depth` nested calls: `main` calls `s0`, `s0`
 /// calls `s1`, and so on.
 fn call_chain(depth: usize) -> String {

@@ -8,10 +8,15 @@
 //!   but the active *set* keeps a polluted integer flag until the layered
 //!   `comm_lev → xfer → stubs` chain is fully cloned at level 3 — exactly
 //!   the level the paper configures;
-//! * cloning is monotone: raising the level never increases the active set.
+//! * cloning is monotone: raising the level never increases the active set;
+//! * every row's lowest precise level (its MPI-ICFG active set equals the
+//!   level-4 set) is pinned: only MG needs cloning, although Table 1
+//!   configures LU and Sweep3D at levels 1–2.
 
-use mpi_dfa::suite::by_id;
+use mpi_dfa::analyses::activity::{self, ActivityConfig};
+use mpi_dfa::analyses::mpi_match::{build_mpi_icfg, Matching};
 use mpi_dfa::suite::runner::run_experiment_at;
+use mpi_dfa::suite::{by_id, experiments, programs};
 
 #[test]
 fn mg2_needs_exactly_clone_level_one() {
@@ -76,5 +81,59 @@ fn insensitive_benchmarks_stay_flat() {
         let l3 = run_experiment_at(&spec, 3);
         assert_eq!(l0.mpi.active_bytes, l3.mpi.active_bytes, "{id}");
         assert_eq!(l0.icfg.active_bytes, l3.icfg.active_bytes, "{id}");
+    }
+}
+
+#[test]
+fn each_row_is_precise_from_its_pinned_clone_level() {
+    // (row, lowest level whose active set equals the level-4 set)
+    const LOWEST: [(&str, usize); 13] = [
+        ("Biostat", 0),
+        ("SOR", 0),
+        ("CG", 0),
+        ("LU-1", 0),
+        ("LU-2", 0),
+        ("LU-3", 0),
+        ("MG-1", 3),
+        ("MG-2", 1),
+        ("Sw-1", 0),
+        ("Sw-3", 0),
+        ("Sw-4", 0),
+        ("Sw-5", 0),
+        ("Sw-6", 0),
+    ];
+    let specs = experiments::all();
+    assert_eq!(specs.len(), LOWEST.len());
+    for (spec, (id, lowest)) in specs.iter().zip(LOWEST) {
+        assert_eq!(spec.id, id);
+        let config = ActivityConfig::new(spec.independents.to_vec(), spec.dependents.to_vec());
+        let at = |level| {
+            let mpi = build_mpi_icfg(
+                programs::ir(spec.program),
+                spec.context,
+                level,
+                Matching::ReachingConstants,
+            )
+            .unwrap();
+            let active = activity::analyze_mpi(&mpi, &config).unwrap().active;
+            (active, mpi.comm_edges.len())
+        };
+        let levels: Vec<_> = (0..=4).map(at).collect();
+        let precise = (0..=4)
+            .find(|&l| levels[l].0 == levels[4].0)
+            .expect("level 4 equals itself");
+        assert_eq!(precise, lowest, "{id}: lowest precise clone level");
+        assert!(
+            lowest <= spec.clone_level,
+            "{id}: Table 1's level {} is precise",
+            spec.clone_level
+        );
+        if lowest == 0 {
+            // Nothing to refine: the matching is the same at every level.
+            assert!(
+                levels.iter().all(|(_, edges)| *edges == levels[0].1),
+                "{id}: comm edges vary with the clone level"
+            );
+        }
     }
 }

@@ -78,6 +78,16 @@ fn separable_analyses_ignore_comm_edges() {
     }
 }
 
+/// Naive matching keeps every pair, syntactic a subset of those, and
+/// reaching-constants matching a subset of the syntactic pairs.
+fn assert_ladder(naive: &MpiIcfg, syn: &MpiIcfg, rc: &MpiIcfg, label: &str) {
+    use std::collections::HashSet;
+    let pairs = |g: &MpiIcfg| g.comm_edges.iter().collect::<HashSet<_>>();
+    let (naive, syn, rc) = (pairs(naive), pairs(syn), pairs(rc));
+    assert!(syn.is_subset(&naive), "{label}: syntactic ⊄ naive");
+    assert!(rc.is_subset(&syn), "{label}: consts ⊄ syntactic");
+}
+
 #[test]
 fn matching_strategies_form_a_ladder() {
     for seed in seeds(3) {
@@ -85,16 +95,91 @@ fn matching_strategies_form_a_ladder() {
         let naive = build_mpi_icfg(ir.clone(), "main", 0, Matching::Naive).unwrap();
         let syn = build_mpi_icfg(ir.clone(), "main", 0, Matching::Syntactic).unwrap();
         let rc = build_mpi_icfg(ir, "main", 0, Matching::ReachingConstants).unwrap();
-        assert!(
-            syn.comm_edges.len() <= naive.comm_edges.len(),
-            "seed {seed}"
-        );
-        assert!(rc.comm_edges.len() <= syn.comm_edges.len(), "seed {seed}");
-        // Refined edges must be a subset of the naive all-pairs edges.
-        for e in &rc.comm_edges {
-            assert!(naive.comm_edges.contains(e), "seed {seed}");
+        assert_ladder(&naive, &syn, &rc, &format!("seed {seed}"));
+    }
+}
+
+/// Byte ranges of the peer, tag and root arguments of every MPI call in
+/// `src` (`allreduce` has none).
+fn match_args(src: &str) -> Vec<std::ops::Range<usize>> {
+    // (call, indices of its peer/tag/root arguments)
+    const CALLS: [(&str, &[usize]); 4] = [
+        ("send(", &[1, 2]),
+        ("recv(", &[1, 2]),
+        ("bcast(", &[1]),
+        ("reduce(", &[3]),
+    ];
+    let mut out = Vec::new();
+    for (call, wanted) in CALLS {
+        for (at, _) in src.match_indices(call) {
+            if src[..at].ends_with("all") {
+                continue;
+            }
+            // Split the argument list at top-level commas.
+            let (mut depth, mut start, mut index) = (0, at + call.len(), 0);
+            for (off, ch) in src[at + call.len()..].char_indices() {
+                let pos = at + call.len() + off;
+                match ch {
+                    '(' | '[' => depth += 1,
+                    ')' | ']' if depth > 0 => depth -= 1,
+                    ',' | ')' if depth == 0 => {
+                        if wanted.contains(&index) {
+                            out.push(start..pos);
+                        }
+                        if ch == ')' {
+                            break;
+                        }
+                        index += 1;
+                        start = pos + 1;
+                    }
+                    _ => {}
+                }
+            }
         }
     }
+    out
+}
+
+#[test]
+fn hostile_match_arguments_never_panic_and_keep_the_ladder() {
+    // Each folds past i64: none is a constant, so every matcher must keep
+    // the pairs it would keep for an unknown argument.
+    const HOSTILE: [&str; 4] = [
+        " 9223372036854775807 + 1",
+        " (0 - 9223372036854775807 - 1) / (0 - 1)",
+        " mod(0 - 9223372036854775807 - 1, 0 - 1)",
+        " -(0 - 9223372036854775807 - 1)",
+    ];
+    let cfg = mpi_dfa::verify::VerifyConfig {
+        schedules: 0,
+        ..Default::default()
+    };
+    let mut variants = 0;
+    for (name, src) in mpi_dfa::suite::programs::ALL {
+        let args = match_args(src);
+        assert!(!args.is_empty(), "{name}: no match arguments found");
+        for arg in args {
+            for expr in HOSTILE {
+                let variant = format!("{}{expr}{}", &src[..arg.start], &src[arg.end..]);
+                let label = format!("{name} with `{expr}` at byte {}", arg.start);
+                let ir =
+                    ProgramIr::from_source(&variant).unwrap_or_else(|e| panic!("{label}: {e}"));
+                let build = |m| build_mpi_icfg(ir.clone(), "main", 0, m).unwrap();
+                let (naive, syn, rc) = (
+                    build(Matching::Naive),
+                    build(Matching::Syntactic),
+                    build(Matching::ReachingConstants),
+                );
+                assert_ladder(&naive, &syn, &rc, &label);
+                for g in [&naive, &syn, &rc] {
+                    mpi_dfa::verify::verify_static(g, &cfg, &Budget::unlimited())
+                        .unwrap_or_else(|e| panic!("{label}: {e}"));
+                }
+                variants += 1;
+            }
+        }
+    }
+    assert!(variants > 200, "{variants} variants");
 }
 
 #[test]
