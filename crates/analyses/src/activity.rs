@@ -27,17 +27,15 @@ use crate::interproc::{
     call_backward, call_forward, return_backward, return_forward, BindMaps, UseSelector,
 };
 use mpi_dfa_core::graph::{Edge, EdgeKind, FlowGraph, NodeId};
-use mpi_dfa_core::hash::Hasher128;
 use mpi_dfa_core::lattice::BoolOr;
 use mpi_dfa_core::problem::{Dataflow, Direction};
 use mpi_dfa_core::solver::{Solution, SolveParams, Solver};
 use mpi_dfa_core::telemetry;
 use mpi_dfa_core::varset::VarSet;
-use mpi_dfa_graph::icfg::{ActualBinding, Icfg};
+use mpi_dfa_graph::icfg::Icfg;
 use mpi_dfa_graph::loc::{Loc, LocTable};
 use mpi_dfa_graph::mpi::MpiIcfg;
-use mpi_dfa_graph::node::{MpiInfo, MpiKind, NodeKind, RefInfo, UseSet};
-use std::sync::OnceLock;
+use mpi_dfa_graph::node::{MpiInfo, MpiKind, NodeKind, RefInfo};
 
 /// How communication is modeled.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -188,258 +186,20 @@ pub fn vary_useful_problems<'g>(
             maps: BindMaps::build(icfg),
             mode,
             seed: vary_seed,
-            fp: OnceLock::new(),
         },
         Useful {
             icfg,
             maps: BindMaps::build(icfg),
             mode,
             seed: useful_seed,
-            fp: OnceLock::new(),
         },
     ))
 }
 
-// ---------------------------------------------------------------------------
-// Content fingerprints (incremental re-solving support).
-// ---------------------------------------------------------------------------
-
-fn fold_locs(h: &mut Hasher128, locs: &[Loc]) {
-    h.write_u64(locs.len() as u64);
-    for l in locs {
-        h.write_u64(l.0 as u64);
-    }
-}
-
-fn fold_ref(h: &mut Hasher128, r: &RefInfo) {
-    h.write_u64(r.loc.0 as u64);
-    h.write_bool(r.whole);
-    fold_locs(h, &r.index_uses);
-}
-
-fn fold_uses(h: &mut Hasher128, u: &UseSet) {
-    fold_locs(h, &u.diff);
-    fold_locs(h, &u.nondiff);
-}
-
-fn squash(wide: u128) -> u64 {
-    (wide as u64) ^ ((wide >> 64) as u64)
-}
-
-/// Per-node content fingerprints for the activity problems (the
-/// [`Dataflow::node_fingerprint`] contract): everything `transfer`,
-/// `comm_transfer`, and `translate_into` read for the node, hashed over raw
-/// [`Loc`] indices — an edit that renumbers the location table renumbers
-/// the facts too, so loc-shifted nodes must *not* transplant — and
-/// excluding unstable statement ids and spans. Call/after-call nodes fold
-/// in the full call-site semantics (callee name, formal/actual bindings,
-/// argument uses) because the adjacent Call/Return edges' `translate_into`
-/// reads exactly those.
-fn content_fingerprints(icfg: &Icfg, mode: Mode, phase: &str, seed: &VarSet) -> Vec<u64> {
-    let mut salt_h = Hasher128::new();
-    salt_h.write_str("activity-fp-v1");
-    salt_h.write_str(phase);
-    salt_h.write_u64(match mode {
-        Mode::Naive => 0,
-        Mode::GlobalBuffer => 1,
-        Mode::GlobalBufferSound => 2,
-        Mode::MpiIcfg => 3,
-    });
-    salt_h.write_u64(seed.universe() as u64);
-    for i in seed.iter() {
-        salt_h.write_u64(i as u64);
-    }
-    let salt = squash(salt_h.finish());
-
-    // Global node -> global call site, for CallSite/AfterCall payloads
-    // (whose local `site` field is caller-relative and clone-unstable).
-    let mut site_of = std::collections::HashMap::new();
-    for (k, cs) in icfg.call_sites.iter().enumerate() {
-        site_of.insert(cs.call_node.0, k as u32);
-        site_of.insert(cs.after_node.0, k as u32);
-    }
-
-    icfg.nodes()
-        .map(|n| {
-            let mut h = Hasher128::new();
-            h.write_u64(salt);
-            match &icfg.payload(n).kind {
-                NodeKind::Entry => {
-                    h.write_str("entry");
-                    h.write_str(icfg.ir.proc_name(icfg.proc_of(n)));
-                }
-                NodeKind::Exit => {
-                    h.write_str("exit");
-                    h.write_str(icfg.ir.proc_name(icfg.proc_of(n)));
-                }
-                NodeKind::Assign { lhs, rhs } => {
-                    h.write_str("assign");
-                    fold_ref(&mut h, lhs);
-                    fold_uses(&mut h, &rhs.uses);
-                }
-                NodeKind::Branch { cond } => {
-                    h.write_str("branch");
-                    fold_uses(&mut h, &cond.uses);
-                }
-                NodeKind::CallSite { .. } | NodeKind::AfterCall { .. } => {
-                    h.write_str(
-                        if matches!(icfg.payload(n).kind, NodeKind::CallSite { .. }) {
-                            "call"
-                        } else {
-                            "after-call"
-                        },
-                    );
-                    if let Some(&site) = site_of.get(&n.0) {
-                        let cs = icfg.call_site(site);
-                        h.write_str(icfg.ir.proc_name(cs.callee));
-                        h.write_u64(cs.bindings.len() as u64);
-                        for b in &cs.bindings {
-                            h.write_u64(b.formal.0 as u64);
-                            h.write_u64(b.arg_idx as u64);
-                            match b.actual {
-                                ActualBinding::RefWhole(l) => {
-                                    h.write_str("whole");
-                                    h.write_u64(l.0 as u64);
-                                }
-                                ActualBinding::RefElement(l) => {
-                                    h.write_str("elem");
-                                    h.write_u64(l.0 as u64);
-                                }
-                                ActualBinding::Value => {
-                                    h.write_str("value");
-                                }
-                            }
-                        }
-                        let args = icfg.call_args(site);
-                        h.write_u64(args.args.len() as u64);
-                        for a in &args.args {
-                            match a.reference.as_ref() {
-                                Some(r) => {
-                                    h.write_bool(true);
-                                    fold_ref(&mut h, r);
-                                }
-                                None => {
-                                    h.write_bool(false);
-                                }
-                            }
-                            fold_uses(&mut h, &a.value.uses);
-                        }
-                    }
-                }
-                NodeKind::Mpi(m) => {
-                    h.write_str("mpi");
-                    h.write_str(m.kind.mnemonic());
-                    match m.buf.as_ref() {
-                        Some(buf) => {
-                            h.write_bool(true);
-                            fold_ref(&mut h, buf);
-                        }
-                        None => {
-                            h.write_bool(false);
-                        }
-                    }
-                    match m.value.as_ref() {
-                        Some(v) => {
-                            h.write_bool(true);
-                            fold_uses(&mut h, &v.uses);
-                        }
-                        None => {
-                            h.write_bool(false);
-                        }
-                    }
-                }
-                NodeKind::Read { target } => {
-                    h.write_str("read");
-                    fold_ref(&mut h, target);
-                }
-                NodeKind::Print { .. } => {
-                    // Pass-through for activity: every print shares one
-                    // fingerprint, so print-only edits stay transplantable.
-                    h.write_str("print");
-                }
-                NodeKind::Nop => {
-                    h.write_str("nop");
-                }
-            }
-            squash(h.finish())
-        })
-        .collect()
-}
-
-/// Outcome of an incremental ([`analyze_mpi_delta`]) activity analysis:
-/// the full result plus the per-phase region reuse accounting.
-#[derive(Debug)]
-pub struct ActivityDelta {
-    pub result: ActivityResult,
-    /// SCC regions in the new graph (vary + useful phases summed).
-    pub regions_total: usize,
-    /// Regions whose facts were transplanted from the seed.
-    pub regions_reused: usize,
-    /// Regions re-solved.
-    pub regions_resolved: usize,
-}
-
-/// Incremental re-analysis of the MPI-ICFG: seed both fixpoint phases from
-/// a previous [`ActivityResult`] (which must have been produced by a
-/// converged region solve, so its solutions carry seed regions)
-/// and force-dirty `dirty` nodes of the *new* graph. The result is
-/// byte-identical to [`analyze_mpi_with`] on the same graph; only regions
-/// invalidated by the edit re-solve. Errors — no seed regions, direction
-/// mismatch, non-convergence — are returned as strings so callers (the
-/// governor) can fall back to a full solve.
-pub fn analyze_mpi_delta(
-    mpi: &MpiIcfg,
-    config: &ActivityConfig,
-    params: &SolveParams,
-    prev: &ActivityResult,
-    dirty: &[NodeId],
-) -> Result<ActivityDelta, String> {
-    let icfg = mpi.icfg();
-    let (vary_p, useful_p) = vary_useful_problems(icfg, Mode::MpiIcfg, config)?;
-    let vary_run = {
-        let mut span = telemetry::span("analysis", "activity:vary:delta");
-        let r = Solver::new(&vary_p, mpi)
-            .params(params.clone())
-            .seed(&prev.vary)
-            .map_err(|e| format!("vary seed rejected: {e}"))?
-            .dirty(dirty)
-            .run();
-        span.arg("converged", r.solution.stats.converged);
-        span.arg("reused", r.regions_reused);
-        r
-    };
-    let useful_run = {
-        let mut span = telemetry::span("analysis", "activity:useful:delta");
-        let r = Solver::new(&useful_p, mpi)
-            .params(params.clone())
-            .seed(&prev.useful)
-            .map_err(|e| format!("useful seed rejected: {e}"))?
-            .dirty(dirty)
-            .run();
-        span.arg("converged", r.solution.stats.converged);
-        span.arg("reused", r.regions_reused);
-        r
-    };
-    let (vary, useful) = (vary_run.solution, useful_run.solution);
-    if !(vary.stats.converged && useful.stats.converged) {
-        return Err("incremental re-solve did not converge".into());
-    }
-    vary.stats.publish_metrics("vary");
-    useful.stats.publish_metrics("useful");
-    Ok(ActivityDelta {
-        result: assemble(Mode::MpiIcfg, icfg, mpi.num_nodes(), vary, useful),
-        regions_total: vary_run.regions_total + useful_run.regions_total,
-        regions_reused: vary_run.regions_reused + useful_run.regions_reused,
-        regions_resolved: vary_run.regions_resolved + useful_run.regions_resolved,
-    })
-}
-
 /// Demand-driven activity at one statement: which locations are active at
 /// the program point(s) of the nodes in `at`? Solves only the region slices
-/// that can influence those nodes — no whole-program fixpoint. Demand
-/// solves always run the region engine, whatever `params.strategy` says;
-/// the answer agrees exactly with the full analysis restricted to the
-/// slice.
+/// that can influence those nodes — no whole-program fixpoint. The answer
+/// agrees exactly with the full analysis restricted to the slice.
 pub fn demand_active_at(
     mpi: &MpiIcfg,
     config: &ActivityConfig,
@@ -646,9 +406,6 @@ pub struct Vary<'g> {
     maps: BindMaps,
     mode: Mode,
     seed: VarSet,
-    /// Content fingerprints, computed on the first `node_fingerprint` call
-    /// (only seed capture and `Solver::seed` read them).
-    fp: OnceLock<Vec<u64>>,
 }
 
 impl Dataflow for Vary<'_> {
@@ -739,13 +496,6 @@ impl Dataflow for Vary<'_> {
             EdgeKind::Flow => {}
         }
     }
-
-    fn node_fingerprint(&self, n: NodeId) -> Option<u64> {
-        let fp = self
-            .fp
-            .get_or_init(|| content_fingerprints(self.icfg, self.mode, "vary", &self.seed));
-        Some(fp[n.index()])
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -758,8 +508,6 @@ pub struct Useful<'g> {
     maps: BindMaps,
     mode: Mode,
     seed: VarSet,
-    /// Lazy content fingerprints, as in [`Vary`].
-    fp: OnceLock<Vec<u64>>,
 }
 
 impl Dataflow for Useful<'_> {
@@ -897,13 +645,6 @@ impl Dataflow for Useful<'_> {
             ),
             EdgeKind::Flow => {}
         }
-    }
-
-    fn node_fingerprint(&self, n: NodeId) -> Option<u64> {
-        let fp = self
-            .fp
-            .get_or_init(|| content_fingerprints(self.icfg, self.mode, "useful", &self.seed));
-        Some(fp[n.index()])
     }
 }
 
@@ -1250,10 +991,9 @@ mod tests {
 }
 
 #[cfg(test)]
-mod incremental_tests {
+mod demand_tests {
     use super::*;
     use crate::mpi_match::{build_mpi_icfg, Matching};
-    use mpi_dfa_core::solver::Strategy;
     use mpi_dfa_graph::icfg::ProgramIr;
 
     const BASE: &str = "program p\n\
@@ -1265,83 +1005,9 @@ mod incremental_tests {
           out = y + 1.0;\n\
         }";
 
-    /// BASE with two prints spliced into `work` — fact-neutral for
-    /// activity, so everything outside `work` should transplant.
-    const EDITED: &str = "program p\n\
-        global x: real; global y: real; global out: real;\n\
-        sub work() { print(1.0); x = x * 2.0; print(2.0); }\n\
-        sub main() {\n\
-          call work();\n\
-          if (rank() == 0) { send(x, 1, 7); } else { recv(y, 0, 7); }\n\
-          out = y + 1.0;\n\
-        }";
-
-    fn region_params() -> SolveParams {
-        SolveParams::with_strategy(Strategy::Region)
-    }
-
     fn mpi_of(src: &str) -> MpiIcfg {
         let ir = ProgramIr::from_source(src).unwrap();
         build_mpi_icfg(ir, "main", 1, Matching::ReachingConstants).unwrap()
-    }
-
-    /// Nodes of the edited procedure in the *new* graph.
-    fn proc_nodes(mpi: &MpiIcfg, name: &str) -> Vec<NodeId> {
-        let icfg = mpi.icfg();
-        icfg.nodes()
-            .filter(|&n| icfg.ir.proc_name(icfg.proc_of(n)) == name)
-            .collect()
-    }
-
-    #[test]
-    fn delta_after_print_edit_matches_cold_solve_byte_for_byte() {
-        let cfg = ActivityConfig::new(["x"], ["out"]);
-        let old = mpi_of(BASE);
-        let prev = analyze_mpi_with(&old, &cfg, &region_params()).unwrap();
-        assert!(prev.vary.regions.is_some(), "a region solve captures seed");
-
-        let new = mpi_of(EDITED);
-        let dirty = proc_nodes(&new, "work");
-        let delta = analyze_mpi_delta(&new, &cfg, &region_params(), &prev, &dirty).unwrap();
-        let cold = analyze_mpi_with(&new, &cfg, &region_params()).unwrap();
-
-        assert_eq!(delta.result.vary.input, cold.vary.input);
-        assert_eq!(delta.result.vary.output, cold.vary.output);
-        assert_eq!(delta.result.useful.input, cold.useful.input);
-        assert_eq!(delta.result.useful.output, cold.useful.output);
-        assert_eq!(delta.result.active, cold.active);
-        assert_eq!(delta.result.active_bytes, cold.active_bytes);
-        assert!(
-            delta.regions_reused > 0,
-            "regions outside `work` transplant: {delta:?}"
-        );
-        assert!(delta.regions_resolved < delta.regions_total);
-    }
-
-    #[test]
-    fn delta_identity_edit_reuses_every_region() {
-        let cfg = ActivityConfig::new(["x"], ["out"]);
-        let mpi = mpi_of(BASE);
-        let prev = analyze_mpi_with(&mpi, &cfg, &region_params()).unwrap();
-        let delta = analyze_mpi_delta(&mpi, &cfg, &region_params(), &prev, &[]).unwrap();
-        assert_eq!(delta.regions_resolved, 0);
-        assert_eq!(delta.regions_reused, delta.regions_total);
-        assert_eq!(delta.result.active, prev.active);
-    }
-
-    #[test]
-    fn delta_without_seed_regions_is_a_clean_error() {
-        let cfg = ActivityConfig::new(["x"], ["out"]);
-        let mpi = mpi_of(BASE);
-        // A round-robin solve never captures seed regions.
-        let prev = analyze_mpi_with(
-            &mpi,
-            &cfg,
-            &SolveParams::with_strategy(Strategy::RoundRobin),
-        )
-        .unwrap();
-        let err = analyze_mpi_delta(&mpi, &cfg, &region_params(), &prev, &[]).unwrap_err();
-        assert!(err.contains("seed"), "{err}");
     }
 
     #[test]
@@ -1368,9 +1034,15 @@ mod incremental_tests {
     fn demand_visits_fewer_nodes_than_the_full_fixpoint_near_entry() {
         let cfg = ActivityConfig::new(["x"], ["out"]);
         let mpi = mpi_of(BASE);
-        let full =
-            analyze_mpi_with(&mpi, &cfg, &SolveParams::with_strategy(Strategy::Region)).unwrap();
-        let full_visits = full.vary.stats.node_visits + full.useful.stats.node_visits;
+        // The region engine over the whole graph: a demand for every node.
+        let every: Vec<NodeId> = mpi.icfg().nodes().collect();
+        let full = demand_active_at(&mpi, &cfg, &SolveParams::default(), &every).unwrap();
+        let cold = analyze_mpi_with(&mpi, &cfg, &SolveParams::default()).unwrap();
+        assert_eq!(
+            full.active, cold.active,
+            "a demand everywhere is the full answer"
+        );
+        let full_visits = full.nodes_visited;
         let entry = mpi.icfg().context_entry();
         let q = demand_active_at(&mpi, &cfg, &SolveParams::default(), &[entry]).unwrap();
         assert!(

@@ -30,14 +30,12 @@
 //! instead.
 
 use crate::activity::{
-    active_bytes, analyze_icfg_with, analyze_mpi_delta, analyze_mpi_with, ActivityConfig,
-    ActivityDelta, ActivityResult, Mode,
+    active_bytes, analyze_icfg_with, analyze_mpi_with, ActivityConfig, ActivityResult, Mode,
 };
 use crate::mpi_match::{build_mpi_icfg_with_budget, Matching};
 use mpi_dfa_core::budget::{Budget, BudgetSpent};
-use mpi_dfa_core::graph::NodeId;
 use mpi_dfa_core::problem::Direction;
-use mpi_dfa_core::solver::{ConvergenceStats, Solution, SolveParams, Strategy};
+use mpi_dfa_core::solver::{ConvergenceStats, Solution, SolveParams};
 use mpi_dfa_core::telemetry::{self, ArgValue};
 use mpi_dfa_core::varset::VarSet;
 use mpi_dfa_graph::icfg::{Icfg, ProgramIr};
@@ -116,10 +114,6 @@ pub struct GovernorConfig {
     pub degrade: DegradeMode,
     /// Solver pass bound per fixpoint (see [`SolveParams::max_passes`]).
     pub max_passes: usize,
-    /// Fixpoint strategy used by every tier's solves. Deliberately **not**
-    /// part of any result-cache key: all strategies produce identical facts
-    /// (see `docs/SOLVER.md`), so a cached result is valid for any strategy.
-    pub strategy: Strategy,
     /// Lowest rung the ladder may *start* from. `Tier::T0` (the default)
     /// is the normal full ladder; the service's admission control raises
     /// this under sustained load so heavy traffic degrades deterministically
@@ -136,7 +130,6 @@ impl Default for GovernorConfig {
             budget: Budget::unlimited(),
             degrade: DegradeMode::Auto,
             max_passes: SolveParams::default().max_passes,
-            strategy: Strategy::session_default(),
             tier_floor: Tier::T0,
         }
     }
@@ -267,135 +260,6 @@ pub fn governed_activity(
     })
 }
 
-/// A governed *incremental* analysis outcome.
-#[derive(Debug)]
-pub struct GovernedDelta {
-    pub governed: GovernedActivity,
-    /// True when the incremental engine produced the published result;
-    /// false when it fell back to a full [`governed_activity`] ladder run.
-    pub incremental: bool,
-    /// Why the incremental attempt was abandoned (seed rejected, budget
-    /// exhausted, graph rebuild failed); `None` on the incremental path.
-    pub fallback_reason: Option<String>,
-    /// SCC regions in the new graph, both phases summed (0 on fallback).
-    pub regions_total: usize,
-    /// Regions transplanted from the seed (0 on fallback).
-    pub regions_reused: usize,
-    /// Regions re-solved (0 on fallback).
-    pub regions_resolved: usize,
-}
-
-/// Incremental governed activity: seed the T0 fixpoints from `prev` and
-/// force-dirty every node of `dirty_procs` in the re-built graph. The
-/// governor's policy for this path differs from the full ladder: **any**
-/// failure — an unusable seed, budget exhaustion, non-convergence — falls
-/// back to a *full* [`governed_activity`] run (which may then degrade
-/// tier by tier as usual) rather than publishing a tier-dropped
-/// incremental answer. Incremental results are always precise-T0 or not
-/// incremental at all, so `cache: partial` provenance can never hide a
-/// degraded tier.
-pub fn governed_activity_delta(
-    ir: &Arc<ProgramIr>,
-    context: &str,
-    config: &ActivityConfig,
-    gov: &GovernorConfig,
-    prev: &ActivityResult,
-    dirty_procs: &[String],
-) -> Result<GovernedDelta, String> {
-    let started = Instant::now();
-    let mut span = telemetry::span("governor", "governed_activity_delta");
-    span.arg("context", context);
-    span.arg("dirty_procs", dirty_procs.len());
-    match attempt_delta(ir, context, config, gov, prev, dirty_procs) {
-        Ok((delta, comm_edges)) => {
-            let spent_work =
-                delta.result.vary.stats.node_visits + delta.result.useful.stats.node_visits;
-            span.arg("incremental", true);
-            span.arg("regions_reused", delta.regions_reused);
-            span.arg("regions_resolved", delta.regions_resolved);
-            Ok(GovernedDelta {
-                governed: GovernedActivity {
-                    result: delta.result,
-                    provenance: AnalysisProvenance {
-                        tier: Tier::T0,
-                        budget_spent: BudgetSpent {
-                            work: spent_work,
-                            elapsed: started.elapsed(),
-                        },
-                        degradation_reason: None,
-                        saturated: false,
-                    },
-                    comm_edges: Some(comm_edges),
-                },
-                incremental: true,
-                fallback_reason: None,
-                regions_total: delta.regions_total,
-                regions_reused: delta.regions_reused,
-                regions_resolved: delta.regions_resolved,
-            })
-        }
-        Err(reason) => {
-            if telemetry::is_enabled() {
-                telemetry::metric_add("governor_delta_fallback_total", 1.0);
-            }
-            span.arg("incremental", false);
-            span.arg("fallback_reason", reason.clone());
-            let governed = governed_activity(ir, context, config, gov)?;
-            Ok(GovernedDelta {
-                governed,
-                incremental: false,
-                fallback_reason: Some(reason),
-                regions_total: 0,
-                regions_reused: 0,
-                regions_resolved: 0,
-            })
-        }
-    }
-}
-
-/// The incremental T0 attempt of [`governed_activity_delta`]: rebuild the
-/// graph, map dirty procedures to their nodes, and run the seeded
-/// re-solve. Every error is a fallback signal, never a published result.
-fn attempt_delta(
-    ir: &Arc<ProgramIr>,
-    context: &str,
-    config: &ActivityConfig,
-    gov: &GovernorConfig,
-    prev: &ActivityResult,
-    dirty_procs: &[String],
-) -> Result<(ActivityDelta, usize), String> {
-    let remaining = &gov.budget;
-    let mpi = build_mpi_icfg_with_budget(
-        ir.clone(),
-        context,
-        gov.clone_level,
-        gov.matching,
-        remaining,
-    )
-    .map_err(|e| format!("graph rebuild failed: {e}"))?;
-    let projected = projected_activity_fact_bytes(mpi.icfg().nodes().count(), ir.locs.len());
-    remaining
-        .meter()
-        .check_fact_bytes(projected)
-        .map_err(|e| format!("{e} ({projected} bytes projected)"))?;
-    let icfg = mpi.icfg();
-    let dirty: Vec<NodeId> = icfg
-        .nodes()
-        .filter(|&n| {
-            let name = icfg.ir.proc_name(icfg.proc_of(n));
-            dirty_procs.iter().any(|p| p == name)
-        })
-        .collect();
-    let params = SolveParams {
-        max_passes: gov.max_passes,
-        budget: remaining.clone(),
-        strategy: gov.strategy,
-    };
-    let edges = mpi.comm_edges.len();
-    let delta = analyze_mpi_delta(&mpi, config, &params, prev, &dirty)?;
-    Ok((delta, edges))
-}
-
 /// Telemetry for one ladder step being tried: an instant event plus the
 /// `governor_tier_attempts_total{tier=...}` counter.
 fn trace_tier_attempt(tier: Tier) {
@@ -479,7 +343,6 @@ fn attempt_tier(
     let params = SolveParams {
         max_passes: gov.max_passes,
         budget: remaining.clone(),
-        strategy: gov.strategy,
     };
 
     let check_mem = |num_nodes: usize| -> Result<(), TierFailure> {
@@ -570,7 +433,6 @@ fn saturated_result(ir: &Arc<ProgramIr>, context: &str) -> Result<ActivityResult
         input: vec![full.clone(); n],
         output: vec![full.clone(); n],
         stats: stats.clone(),
-        regions: None,
     };
     let bytes = active_bytes(&ir.locs, &full);
     Ok(ActivityResult {
@@ -690,146 +552,5 @@ mod tests {
     fn provenance_tier_ordering_matches_ladder() {
         assert!(Tier::T0 < Tier::T1 && Tier::T1 < Tier::T2);
         assert_eq!(Tier::T1.to_string(), "T1");
-    }
-
-    const TWO_PROC_BASE: &str = "program inc\n\
-        global x: real; global y: real; global f: real; global t: real;\n\
-        sub work() {\n\
-          t = x * 2.0;\n\
-          if (rank() == 0) { send(t, 1, 4); } else { recv(y, 0, 4); }\n\
-        }\n\
-        sub main() {\n\
-          x = x + 1.0;\n\
-          call work();\n\
-          f = y + t;\n\
-        }";
-
-    const TWO_PROC_EDIT: &str = "program inc\n\
-        global x: real; global y: real; global f: real; global t: real;\n\
-        sub work() {\n\
-          print(1.0);\n\
-          t = x * 2.0;\n\
-          if (rank() == 0) { send(t, 1, 4); } else { recv(y, 0, 4); }\n\
-          print(2.0);\n\
-        }\n\
-        sub main() {\n\
-          x = x + 1.0;\n\
-          call work();\n\
-          f = y + t;\n\
-        }";
-
-    fn region_gov() -> GovernorConfig {
-        GovernorConfig {
-            strategy: Strategy::Region,
-            ..GovernorConfig::default()
-        }
-    }
-
-    #[test]
-    fn delta_matches_the_full_governed_solve() {
-        let gov = region_gov();
-        let cfg = ActivityConfig::new(["x"], ["f"]);
-        let base = ProgramIr::from_source(TWO_PROC_BASE).expect("compile base");
-        let edit = ProgramIr::from_source(TWO_PROC_EDIT).expect("compile edit");
-
-        let prev = governed_activity(&base, "main", &cfg, &gov).unwrap();
-        let full = governed_activity(&edit, "main", &cfg, &gov).unwrap();
-        let delta = governed_activity_delta(
-            &edit,
-            "main",
-            &cfg,
-            &gov,
-            &prev.result,
-            &["work".to_string()],
-        )
-        .unwrap();
-
-        assert!(delta.incremental, "{:?}", delta.fallback_reason);
-        assert_eq!(delta.fallback_reason, None);
-        assert_eq!(delta.governed.provenance.tier, Tier::T0);
-        assert!(delta.governed.provenance.is_precise());
-        assert!(delta.regions_resolved > 0);
-        assert_eq!(
-            delta.regions_reused + delta.regions_resolved,
-            delta.regions_total
-        );
-        assert_eq!(delta.governed.result.vary.input, full.result.vary.input);
-        assert_eq!(delta.governed.result.vary.output, full.result.vary.output);
-        assert_eq!(delta.governed.result.useful.input, full.result.useful.input);
-        assert_eq!(
-            delta.governed.result.useful.output,
-            full.result.useful.output
-        );
-        assert_eq!(delta.governed.result.active, full.result.active);
-        assert_eq!(delta.governed.comm_edges, full.comm_edges);
-    }
-
-    #[test]
-    fn delta_with_seedless_previous_result_falls_back_to_full_solve() {
-        let cfg = ActivityConfig::new(["x"], ["f"]);
-        let base = ProgramIr::from_source(TWO_PROC_BASE).expect("compile base");
-        let edit = ProgramIr::from_source(TWO_PROC_EDIT).expect("compile edit");
-
-        // A round-robin run never captures seed regions, so the incremental
-        // attempt must be rejected — and the governor answers with a full
-        // precise solve, not an error and not a tier drop.
-        let rr_gov = GovernorConfig {
-            strategy: Strategy::RoundRobin,
-            ..GovernorConfig::default()
-        };
-        let prev = governed_activity(&base, "main", &cfg, &rr_gov).unwrap();
-        let delta = governed_activity_delta(
-            &edit,
-            "main",
-            &cfg,
-            &rr_gov,
-            &prev.result,
-            &["work".to_string()],
-        )
-        .unwrap();
-
-        assert!(!delta.incremental);
-        let reason = delta.fallback_reason.as_deref().unwrap();
-        assert!(reason.contains("seed"), "{reason}");
-        assert_eq!(delta.governed.provenance.tier, Tier::T0);
-        assert!(delta.governed.result.converged());
-
-        let full = governed_activity(&edit, "main", &cfg, &rr_gov).unwrap();
-        assert_eq!(delta.governed.result.active, full.result.active);
-    }
-
-    #[test]
-    fn delta_budget_exhaustion_falls_back_to_the_full_ladder() {
-        let cfg = ActivityConfig::new(["x"], ["f"]);
-        let base = ProgramIr::from_source(TWO_PROC_BASE).expect("compile base");
-        let edit = ProgramIr::from_source(TWO_PROC_EDIT).expect("compile edit");
-
-        let prev = governed_activity(&base, "main", &cfg, &region_gov()).unwrap();
-
-        // A budget too small for the incremental attempt: the delta path
-        // must not publish a tier-dropped incremental answer — it hands
-        // the whole request to the normal governed ladder, which degrades
-        // (or saturates) with its usual provenance.
-        let tiny = GovernorConfig {
-            budget: Budget::unlimited().with_max_work(1),
-            ..region_gov()
-        };
-        let delta = governed_activity_delta(
-            &edit,
-            "main",
-            &cfg,
-            &tiny,
-            &prev.result,
-            &["work".to_string()],
-        )
-        .unwrap();
-
-        assert!(!delta.incremental);
-        assert!(delta.fallback_reason.is_some());
-        assert_eq!(delta.regions_reused, 0);
-        // The published result came from the ladder, with honest
-        // degradation provenance — not an incremental partial answer.
-        assert!(delta.governed.provenance.degradation_reason.is_some());
-        assert!(delta.governed.result.converged());
     }
 }

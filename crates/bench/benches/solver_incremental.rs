@@ -1,52 +1,40 @@
-//! Incremental and demand solver modes — the PR's acceptance bench.
+//! The demand solver mode's acceptance bench.
 //!
-//! Two asserted floors on the LU benchmark (context `main`, clone level 1):
+//! One asserted floor on the LU benchmark (context `main`, clone level 1):
+//! an activity-at-location query at the context entry must perform
+//! **< 25% of the node visits** of the full fixpoint. The comparator is the
+//! round-robin sweep — the classic whole-program iterative fixpoint the
+//! demand mode exists to avoid.
 //!
-//! * **incremental**: the canonical one-procedure edit (two `print`
-//!   statements inserted into LU's first procedure) must re-solve **< 10%
-//!   of the SCC regions** — everything else transplants from the seed by
-//!   fingerprint;
-//! * **demand**: an activity-at-location query at the context entry must
-//!   perform **< 25% of the node visits** of the full fixpoint. The
-//!   comparator is the round-robin sweep — the classic whole-program
-//!   iterative fixpoint the demand mode exists to avoid.
+//! The number is not a timing: node visits are exact, deterministic
+//! quantities, so the floor cannot flake with machine load.
 //!
-//! Neither number is a timing: region counts and node visits are exact,
-//! deterministic quantities, so the floors cannot flake with machine load.
-//!
-//! Around the floors, a cross-mode **byte-identity sweep** runs over every
-//! Table 1 experiment row plus three generated programs: the cold solve of
-//! the edited program is asserted fact-identical under both strategies;
-//! the seeded incremental re-solve is asserted identical to the cold region
-//! solve **including counters** (facts, active set, ActiveBytes, pass
-//! counts, node visits — transplanted regions carry their original solve's
-//! stats); and each demand query must agree with the full solution at the
-//! queried node while holding only slice facts elsewhere (equal-or-bottom
-//! at every node).
+//! Around the floor, a **byte-identity sweep** runs over every Table 1
+//! experiment row plus three generated programs, against the round-robin
+//! solve of each: a demand for every node (the region engine over the
+//! whole graph) must reproduce its facts and active set; and
+//! each demand query at the context entry and at the last node must agree
+//! with the full solution at the queried node while holding only slice
+//! facts elsewhere (equal-or-bottom at every node).
 //!
 //! The final line is a machine-readable JSON summary; the checked-in
 //! `BENCH_incremental.json` baseline is that line plus the date, git rev
 //! and command it was recorded with.
 
 use mpi_dfa_analyses::activity::{
-    analyze_mpi_delta, analyze_mpi_with, demand_active_at, ActivityConfig, ActivityResult,
+    analyze_mpi_with, demand_active_at, ActivityConfig, ActivityResult, DemandActivity,
 };
 use mpi_dfa_analyses::mpi_match::{build_mpi_icfg, Matching};
 use mpi_dfa_bench::{criterion_group, criterion_main, Criterion};
 use mpi_dfa_core::graph::NodeId;
-use mpi_dfa_core::solver::{SolveParams, Strategy};
+use mpi_dfa_core::solver::SolveParams;
 use mpi_dfa_core::FlowGraph;
-use mpi_dfa_graph::icfg::{dirty_procs, ProgramIr};
+use mpi_dfa_graph::icfg::ProgramIr;
 use mpi_dfa_graph::mpi::MpiIcfg;
 use mpi_dfa_suite::gen::{generate, GenConfig};
 use mpi_dfa_suite::{all_experiments, programs};
 use std::hint::black_box;
-use std::sync::Arc;
 use std::time::Instant;
-
-/// Asserted ceiling on the fraction of regions the LU one-procedure edit
-/// re-solves.
-const MAX_RESOLVED_FRACTION: f64 = 0.10;
 
 /// Asserted ceiling on demand node visits as a fraction of the round-robin
 /// full-fixpoint visits.
@@ -58,22 +46,6 @@ const SAMPLES: usize = 9;
 fn median_ns(mut samples: Vec<f64>) -> f64 {
     samples.sort_by(|a, b| a.partial_cmp(b).expect("no NaN timings"));
     samples[samples.len() / 2]
-}
-
-fn params(strategy: Strategy) -> SolveParams {
-    SolveParams {
-        strategy,
-        ..SolveParams::default()
-    }
-}
-
-/// The canonical one-procedure edit (PR 4's LU delta): two fact-neutral
-/// `print` statements inserted at the top of the program's first
-/// procedure.
-fn edit_first_proc(src: &str) -> String {
-    let at = src.find("sub ").expect("benchmark program has a procedure");
-    let pos = at + src[at..].find('{').expect("procedure has a body") + 1;
-    format!("{} print(1.0); print(2.0);{}", &src[..pos], &src[pos..])
 }
 
 /// One identity-sweep subject: a program, its analysis context, and the
@@ -123,10 +95,10 @@ fn subjects() -> Vec<Subject> {
     v
 }
 
-/// Fact-level byte identity — what every strategy must agree on. Pass
-/// counts and visit counters are iteration-scheme observability, not
-/// semantics, so they are *not* compared across strategies.
-fn assert_same_facts(label: &str, got: &ActivityResult, want: &ActivityResult) {
+/// A demand for every node reproduces the full solve's facts and active
+/// set. Pass counts and visit counters are iteration-scheme observability,
+/// not semantics, so they are *not* compared.
+fn assert_same_facts(label: &str, got: &DemandActivity, want: &ActivityResult) {
     assert_eq!(got.vary.input, want.vary.input, "{label}: vary IN facts");
     assert_eq!(got.vary.output, want.vary.output, "{label}: vary OUT facts");
     assert_eq!(
@@ -138,36 +110,13 @@ fn assert_same_facts(label: &str, got: &ActivityResult, want: &ActivityResult) {
         "{label}: useful OUT facts"
     );
     assert_eq!(got.active, want.active, "{label}: active set");
-    assert_eq!(got.active_bytes, want.active_bytes, "{label}: ActiveBytes");
-}
-
-/// Full byte identity: facts plus the deterministic counters. Holds
-/// between a seeded incremental re-solve and a cold solve under the
-/// *same* strategy — transplanted regions carry their original solve's
-/// stats, so even `node_visits` matches exactly.
-fn assert_identical(label: &str, got: &ActivityResult, want: &ActivityResult) {
-    assert_same_facts(label, got, want);
-    assert_eq!(got.iterations, want.iterations, "{label}: pass counts");
-    assert_eq!(
-        got.vary.stats.node_visits, want.vary.stats.node_visits,
-        "{label}: vary node visits"
-    );
-    assert_eq!(
-        got.useful.stats.node_visits, want.useful.stats.node_visits,
-        "{label}: useful node visits"
-    );
 }
 
 /// The demand contract against a full solution: exact agreement at the
 /// queried node, slice containment everywhere (each fact is either the
 /// full solve's fact or bottom — demand never fabricates facts outside
 /// its slice).
-fn assert_demand_contained(
-    label: &str,
-    q: &mpi_dfa_analyses::activity::DemandActivity,
-    full: &ActivityResult,
-    node: NodeId,
-) {
+fn assert_demand_contained(label: &str, q: &DemandActivity, full: &ActivityResult, node: NodeId) {
     assert_eq!(
         q.vary.before(node),
         full.vary.before(node),
@@ -213,110 +162,54 @@ fn assert_demand_contained(
     }
 }
 
-fn graph_of(src: &str, context: &str, clone_level: usize) -> (Arc<ProgramIr>, MpiIcfg) {
+fn graph_of(src: &str, context: &str, clone_level: usize) -> MpiIcfg {
     let ir = ProgramIr::from_source(src).expect("benchmark program compiles");
-    let mpi = build_mpi_icfg(
-        ir.clone(),
-        context,
-        clone_level,
-        Matching::ReachingConstants,
-    )
-    .expect("graph builds");
-    (ir, mpi)
+    build_mpi_icfg(ir, context, clone_level, Matching::ReachingConstants).expect("graph builds")
 }
 
-/// Cross-mode identity sweep for one subject. Returns (incremental checks,
-/// demand checks) performed.
-fn sweep_subject(s: &Subject) -> (usize, usize) {
-    let (base_ir, base_mpi) = graph_of(&s.src, &s.context, s.clone_level);
-    let edited = edit_first_proc(&s.src);
-    let (edit_ir, edit_mpi) = graph_of(&edited, &s.context, s.clone_level);
-    let dirty = edit_mpi
-        .icfg()
-        .nodes_of_procs(&dirty_procs(&base_ir, &edit_ir));
-
-    // Cold solves of the edited program under both strategies.
-    let region = params(Strategy::Region);
-    let reference =
-        analyze_mpi_with(&edit_mpi, &s.config, &params(Strategy::RoundRobin)).expect("reference");
+/// Identity sweep for one subject. Returns the demand checks performed.
+fn sweep_subject(s: &Subject) -> usize {
+    let mpi = graph_of(&s.src, &s.context, s.clone_level);
+    let params = SolveParams::default();
+    let reference = analyze_mpi_with(&mpi, &s.config, &params).expect("reference");
     assert!(reference.converged(), "{}: reference converged", s.label);
-    let cold = analyze_mpi_with(&edit_mpi, &s.config, &region).expect("cold solve");
-    assert_same_facts(&format!("{} cold region", s.label), &cold, &reference);
 
-    // Seeded incremental re-solve: byte-identical to the cold region solve
-    // (hence fact-identical to round-robin).
-    let prev = analyze_mpi_with(&base_mpi, &s.config, &region).expect("base solve");
-    assert!(
-        prev.vary.regions.is_some(),
-        "{}: region base solve captures a seed",
-        s.label
+    let every: Vec<NodeId> = mpi.icfg().nodes().collect();
+    let whole = demand_active_at(&mpi, &s.config, &params, &every).expect("demand everywhere");
+    assert_same_facts(
+        &format!("{} demand everywhere", s.label),
+        &whole,
+        &reference,
     );
-    let delta =
-        analyze_mpi_delta(&edit_mpi, &s.config, &region, &prev, &dirty).expect("seeded re-solve");
-    assert_identical(&format!("{} incremental", s.label), &delta.result, &cold);
-    assert_eq!(
-        delta.regions_reused + delta.regions_resolved,
-        delta.regions_total,
-        "{}: region accounting",
-        s.label
-    );
-    let incremental_checks = 1;
 
-    // Demand containment at the context entry and the last node of the
-    // edited graph (the two slice extremes).
-    let icfg = edit_mpi.icfg();
-    let last = NodeId(edit_mpi.num_nodes() as u32 - 1);
-    let mut demand_checks = 0;
-    for node in [icfg.context_entry(), last] {
-        let q = demand_active_at(&edit_mpi, &s.config, &SolveParams::default(), &[node])
-            .expect("demand query");
+    // Demand containment at the context entry and the last node (the two
+    // slice extremes).
+    let last = NodeId(mpi.num_nodes() as u32 - 1);
+    let mut checks = 1;
+    for node in [mpi.icfg().context_entry(), last] {
+        let q = demand_active_at(&mpi, &s.config, &params, &[node]).expect("demand query");
         assert_demand_contained(
             &format!("{} demand@{node:?}", s.label),
             &q,
             &reference,
             node,
         );
-        demand_checks += 1;
+        checks += 1;
     }
-    (incremental_checks, demand_checks)
+    checks
 }
 
 fn bench_solver_incremental(c: &mut Criterion) {
-    // --- Asserted floors on LU (context `main`, clone level 1). ---
-    let base_src = programs::LU;
-    let edited_src = edit_first_proc(base_src);
+    // --- Asserted floor on LU (context `main`, clone level 1). ---
     let config = ActivityConfig::new(["u"], ["rsd"]);
-    let region = params(Strategy::Region);
-    let (base_ir, base_mpi) = graph_of(base_src, "main", 1);
-    let (edit_ir, edit_mpi) = graph_of(&edited_src, "main", 1);
-    let dirty_names = dirty_procs(&base_ir, &edit_ir);
-    let dirty = edit_mpi.icfg().nodes_of_procs(&dirty_names);
-    let nodes = base_mpi.num_nodes();
+    let params = SolveParams::default();
+    let mpi = graph_of(programs::LU, "main", 1);
+    let nodes = mpi.num_nodes();
 
-    let prev = analyze_mpi_with(&base_mpi, &config, &region).expect("LU base solve");
-    let delta = analyze_mpi_delta(&edit_mpi, &config, &region, &prev, &dirty).expect("LU delta");
-    let resolved_fraction = delta.regions_resolved as f64 / delta.regions_total as f64;
-    println!(
-        "solver_incremental LU edit: dirty procs {dirty_names:?}, resolved {}/{} regions \
-         ({:.1}%, ceiling {:.0}%)",
-        delta.regions_resolved,
-        delta.regions_total,
-        resolved_fraction * 100.0,
-        MAX_RESOLVED_FRACTION * 100.0
-    );
-    assert!(
-        resolved_fraction < MAX_RESOLVED_FRACTION,
-        "one-procedure LU edit re-solved {:.1}% of regions (ceiling {:.0}%)",
-        resolved_fraction * 100.0,
-        MAX_RESOLVED_FRACTION * 100.0
-    );
-
-    let full_rr = analyze_mpi_with(&base_mpi, &config, &params(Strategy::RoundRobin))
-        .expect("LU round-robin fixpoint");
-    let rr_visits = full_rr.vary.stats.node_visits + full_rr.useful.stats.node_visits;
-    let entry = base_mpi.icfg().context_entry();
-    let q = demand_active_at(&base_mpi, &config, &SolveParams::default(), &[entry])
-        .expect("LU demand query");
+    let full = analyze_mpi_with(&mpi, &config, &params).expect("LU round-robin fixpoint");
+    let rr_visits = full.vary.stats.node_visits + full.useful.stats.node_visits;
+    let entry = mpi.icfg().context_entry();
+    let q = demand_active_at(&mpi, &config, &params, &[entry]).expect("LU demand query");
     let visit_fraction = q.nodes_visited as f64 / rr_visits as f64;
     println!(
         "solver_incremental LU demand@entry: {} visits vs round-robin fixpoint {} \
@@ -333,40 +226,26 @@ fn bench_solver_incremental(c: &mut Criterion) {
         MAX_DEMAND_VISIT_FRACTION * 100.0
     );
 
-    // --- Cross-mode byte-identity sweep: Table 1 + generated programs. ---
+    // --- Byte-identity sweep: Table 1 + generated programs. ---
     let mut programs_swept = 0usize;
-    let mut incremental_checks = 0usize;
     let mut demand_checks = 0usize;
     for s in subjects() {
-        let (inc, dem) = sweep_subject(&s);
+        demand_checks += sweep_subject(&s);
         programs_swept += 1;
-        incremental_checks += inc;
-        demand_checks += dem;
     }
     println!(
         "solver_incremental identity sweep: {programs_swept} programs, \
-         {incremental_checks} incremental checks, {demand_checks} demand checks — \
-         all byte-identical"
+         {demand_checks} demand checks — all byte-identical"
     );
 
-    // --- Timings: cold vs incremental vs demand on LU. ---
+    // --- Timings: round-robin full solve vs demand on LU. ---
     let mut group = c.benchmark_group("solver_incremental/lu");
     group.sample_size(10);
     group.bench_function("cold", |b| {
-        b.iter(|| black_box(analyze_mpi_with(&edit_mpi, &config, &region).expect("cold")));
-    });
-    group.bench_function("incremental", |b| {
-        b.iter(|| {
-            black_box(analyze_mpi_delta(&edit_mpi, &config, &region, &prev, &dirty).expect("delta"))
-        });
+        b.iter(|| black_box(analyze_mpi_with(&mpi, &config, &params).expect("cold")));
     });
     group.bench_function("demand", |b| {
-        b.iter(|| {
-            black_box(
-                demand_active_at(&base_mpi, &config, &SolveParams::default(), &[entry])
-                    .expect("demand"),
-            )
-        });
+        b.iter(|| black_box(demand_active_at(&mpi, &config, &params, &[entry]).expect("demand")));
     });
     group.finish();
 
@@ -380,48 +259,24 @@ fn bench_solver_incremental(c: &mut Criterion) {
         median_ns(times)
     };
     let cold_ns = time_median(&|| {
-        black_box(analyze_mpi_with(&edit_mpi, &config, &region).expect("cold"));
-    });
-    let incremental_ns = time_median(&|| {
-        black_box(analyze_mpi_delta(&edit_mpi, &config, &region, &prev, &dirty).expect("delta"));
+        black_box(analyze_mpi_with(&mpi, &config, &params).expect("cold"));
     });
     let demand_ns = time_median(&|| {
-        black_box(
-            demand_active_at(&base_mpi, &config, &SolveParams::default(), &[entry])
-                .expect("demand"),
-        );
+        black_box(demand_active_at(&mpi, &config, &params, &[entry]).expect("demand"));
     });
 
     // Machine-readable baseline — `BENCH_incremental.json` is this line.
-    let dirty_json = format!(
-        "[{}]",
-        dirty_names
-            .iter()
-            .map(|p| format!("\"{p}\""))
-            .collect::<Vec<_>>()
-            .join(",")
-    );
     println!(
-        "{{\"bench\":\"solver_incremental\",\"edit\":{{\"program\":\"lu\",\"context\":\"main\",\
-         \"clone_level\":1,\"nodes\":{nodes},\"dirty_procs\":{dirty_json},\
-         \"regions_total\":{rt},\"regions_reused\":{ru},\"regions_resolved\":{rr},\
-         \"resolved_fraction\":{rf:.4},\"max_resolved_fraction\":{MAX_RESOLVED_FRACTION}}},\
-         \"demand\":{{\"program\":\"lu\",\"at\":\"context_entry\",\"nodes_visited\":{dv},\
-         \"full_fixpoint\":\"round_robin\",\"full_fixpoint_visits\":{rrv},\
-         \"visit_fraction\":{vf:.4},\
+        "{{\"bench\":\"solver_incremental\",\
+         \"demand\":{{\"program\":\"lu\",\"context\":\"main\",\"clone_level\":1,\
+         \"nodes\":{nodes},\"at\":\"context_entry\",\"nodes_visited\":{dv},\
+         \"full_fixpoint\":\"round_robin\",\"full_fixpoint_visits\":{rr_visits},\
+         \"visit_fraction\":{visit_fraction:.4},\
          \"max_visit_fraction\":{MAX_DEMAND_VISIT_FRACTION}}},\
-         \"identity\":{{\"programs\":{programs_swept},\"strategies\":2,\
-         \"incremental_checks\":{incremental_checks},\
-         \"demand_checks\":{demand_checks},\"all_byte_identical\":true}},\
-         \"timing_ns\":{{\"cold\":{cold_ns:.0},\"incremental\":{incremental_ns:.0},\
-         \"demand\":{demand_ns:.0}}}}}",
-        rt = delta.regions_total,
-        ru = delta.regions_reused,
-        rr = delta.regions_resolved,
-        rf = resolved_fraction,
+         \"identity\":{{\"programs\":{programs_swept},\"demand_checks\":{demand_checks},\
+         \"all_byte_identical\":true}},\
+         \"timing_ns\":{{\"cold\":{cold_ns:.0},\"demand\":{demand_ns:.0}}}}}",
         dv = q.nodes_visited,
-        rrv = rr_visits,
-        vf = visit_fraction,
     );
 }
 

@@ -2,7 +2,8 @@
 //!
 //! On the largest `suite::gen` multi-procedure program (seed 42,
 //! `GenConfig::scaled(5)` — the top end of the `solver_scaling` sweep)
-//! three problems are solved under both strategies: reaching constants
+//! three problems are solved by both engines — the round-robin full solve
+//! and the region engine as a demand for every node: reaching constants
 //! (forward, nonseparable) and the Vary/Useful activity pair (both solver
 //! directions). For each problem the bench asserts that
 //!
@@ -24,9 +25,10 @@ use mpi_dfa_analyses::activity::{vary_useful_problems, ActivityConfig, Mode};
 use mpi_dfa_analyses::consts::ReachingConsts;
 use mpi_dfa_analyses::mpi_match::{build_mpi_icfg, Matching};
 use mpi_dfa_bench::{criterion_group, criterion_main, Criterion};
+use mpi_dfa_core::graph::{FlowGraph, NodeId};
 use mpi_dfa_core::problem::Dataflow;
 use mpi_dfa_core::scc::condense;
-use mpi_dfa_core::solver::{Solution, Solver, Strategy};
+use mpi_dfa_core::solver::{Solution, Solver};
 use mpi_dfa_graph::icfg::ProgramIr;
 use mpi_dfa_graph::mpi::MpiIcfg;
 use mpi_dfa_suite::gen::{generate, GenConfig};
@@ -48,7 +50,32 @@ fn graph() -> MpiIcfg {
     build_mpi_icfg(ir, "main", 1, Matching::ReachingConstants).expect("graph")
 }
 
-/// One strategy's cell: its solution, median wall-clock and visits.
+/// The two engines a cell can run.
+#[derive(Clone, Copy)]
+enum Engine {
+    RoundRobin,
+    /// The region engine over the whole graph: a demand for every node.
+    Region,
+}
+
+impl Engine {
+    fn run<P: Dataflow>(self, problem: &P, mpi: &MpiIcfg) -> Solution<P::Fact> {
+        let solver = Solver::new(problem, mpi);
+        match self {
+            Engine::RoundRobin => solver.run(),
+            Engine::Region => {
+                let first = solver.demand(NodeId(0)).expect("a node");
+                (1..mpi.num_nodes() as u32)
+                    .try_fold(first, |d, n| d.demand(NodeId(n)))
+                    .expect("every node is in range")
+                    .run()
+                    .solution
+            }
+        }
+    }
+}
+
+/// One engine's cell: its solution, median wall-clock and visits.
 struct Cell<F> {
     solution: Solution<F>,
     median_ns: f64,
@@ -74,14 +101,14 @@ impl<F> Cell<F> {
     }
 }
 
-fn solve<P: Dataflow>(mpi: &MpiIcfg, problem: &P, strategy: Strategy) -> Cell<P::Fact> {
+fn solve<P: Dataflow>(mpi: &MpiIcfg, problem: &P, engine: Engine) -> Cell<P::Fact> {
     let mut times = Vec::with_capacity(SAMPLES);
     let mut last = None;
     for _ in 0..SAMPLES {
         let t = Instant::now();
-        let sol = black_box(Solver::new(problem, mpi).strategy(strategy).run());
+        let sol = black_box(engine.run(problem, mpi));
         times.push(t.elapsed().as_secs_f64() * 1e9);
-        assert!(sol.stats.converged, "{strategy} must converge");
+        assert!(sol.stats.converged, "every engine must converge");
         last = Some(sol);
     }
     times.sort_by(|a, b| a.partial_cmp(b).expect("no NaN timings"));
@@ -96,8 +123,8 @@ fn gate<P: Dataflow>(name: &str, ceiling: f64, mpi: &MpiIcfg, problem: &P) -> St
 where
     P::Fact: std::fmt::Debug,
 {
-    let rr = solve(mpi, problem, Strategy::RoundRobin);
-    let rg = solve(mpi, problem, Strategy::Region);
+    let rr = solve(mpi, problem, Engine::RoundRobin);
+    let rg = solve(mpi, problem, Engine::Region);
     assert_eq!(
         rg.solution.input, rr.solution.input,
         "{name}: region IN facts must match round-robin"
@@ -131,7 +158,7 @@ where
 
 fn bench_solver_parallel(c: &mut Criterion) {
     let mpi = graph();
-    let nodes = mpi_dfa_core::FlowGraph::num_nodes(&mpi);
+    let nodes = mpi.num_nodes();
     let cond = condense(&mpi);
     println!(
         "solver_parallel graph: {nodes} nodes, {} regions (largest {})",
@@ -147,12 +174,12 @@ fn bench_solver_parallel(c: &mut Criterion) {
     // Standard printout via the criterion-compatible harness (consts only).
     let mut group = c.benchmark_group("solver_parallel/consts");
     group.sample_size(10);
-    for (label, strategy) in [
-        ("round_robin", Strategy::RoundRobin),
-        ("region", Strategy::Region),
+    for (label, engine) in [
+        ("round_robin", Engine::RoundRobin),
+        ("region", Engine::Region),
     ] {
         group.bench_function(label, |b| {
-            b.iter(|| black_box(Solver::new(&consts, &mpi).strategy(strategy).run()));
+            b.iter(|| black_box(engine.run(&consts, &mpi)));
         });
     }
     group.finish();

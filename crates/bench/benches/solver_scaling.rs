@@ -10,7 +10,7 @@ use mpi_dfa_analyses::activity::{self, ActivityConfig};
 use mpi_dfa_analyses::consts::ReachingConsts;
 use mpi_dfa_analyses::mpi_match::{build_mpi_icfg, Matching};
 use mpi_dfa_bench::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use mpi_dfa_core::solver::{Solver, Strategy};
+use mpi_dfa_core::solver::Solver;
 use mpi_dfa_graph::icfg::ProgramIr;
 use mpi_dfa_graph::mpi::MpiIcfg;
 use mpi_dfa_suite::gen::{generate, GenConfig};
@@ -38,12 +38,12 @@ fn bench_scaling(c: &mut Criterion) {
     }
     group.finish();
 
-    let mut group = c.benchmark_group("solver_scaling/strategy");
+    let mut group = c.benchmark_group("solver_scaling/sweep");
     group.sample_size(10);
     let mpi = graph_for(4);
     group.bench_function("round_robin", |b| {
         let p = ReachingConsts::new(mpi.icfg());
-        b.iter(|| black_box(Solver::new(&p, &mpi).strategy(Strategy::RoundRobin).run()));
+        b.iter(|| black_box(Solver::new(&p, &mpi).run()));
     });
     group.finish();
 
@@ -51,10 +51,7 @@ fn bench_scaling(c: &mut Criterion) {
     // `f_comm` evaluations, elapsed) — i.e. the budget a production caller
     // must grant before the degradation ladder kicks in.
     let p = ReachingConsts::new(mpi.icfg());
-    let stats = Solver::new(&p, &mpi)
-        .strategy(Strategy::RoundRobin)
-        .run()
-        .stats;
+    let stats = Solver::new(&p, &mpi).run().stats;
     println!(
         "solver_scaling/budget_headroom/round_robin: {} node visits, {} comm evals, \
          {} passes, {:?} (converged={})",

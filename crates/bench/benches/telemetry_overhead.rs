@@ -26,7 +26,7 @@
 use mpi_dfa_analyses::consts::ReachingConsts;
 use mpi_dfa_analyses::mpi_match::{build_mpi_icfg, Matching};
 use mpi_dfa_bench::{criterion_group, criterion_main, Criterion};
-use mpi_dfa_core::solver::{SolveParams, Solver, Strategy};
+use mpi_dfa_core::solver::Solver;
 use mpi_dfa_core::telemetry::{self, TraceLevel};
 use mpi_dfa_graph::icfg::ProgramIr;
 use mpi_dfa_graph::mpi::MpiIcfg;
@@ -49,14 +49,11 @@ fn median_ns(mut samples: Vec<f64>) -> f64 {
 /// sink state, plus the (deterministic) visit count.
 fn time_solver(mpi: &MpiIcfg, samples: usize) -> (f64, u64) {
     let p = ReachingConsts::new(mpi.icfg());
-    // Pinned: overhead numbers are defined against the round-robin
-    // sweep regardless of any MPIDFA_SOLVER override.
-    let params = SolveParams::with_strategy(Strategy::RoundRobin);
     let mut times = Vec::with_capacity(samples);
     let mut visits = 0;
     for _ in 0..samples {
         let t = Instant::now();
-        let sol = black_box(Solver::new(&p, mpi).params(params.clone()).run());
+        let sol = black_box(Solver::new(&p, mpi).run());
         times.push(t.elapsed().as_secs_f64() * 1e9);
         assert!(sol.stats.converged, "bench graph must reach a fixpoint");
         visits = sol.stats.node_visits;
@@ -73,15 +70,12 @@ fn bench_overhead(c: &mut Criterion) {
     let mut group = c.benchmark_group("telemetry_overhead/solver");
     group.sample_size(10);
     let p = ReachingConsts::new(mpi.icfg());
-    // Pinned: overhead numbers are defined against the round-robin
-    // sweep regardless of any MPIDFA_SOLVER override.
-    let params = SolveParams::with_strategy(Strategy::RoundRobin);
     group.bench_function("disabled", |b| {
-        b.iter(|| black_box(Solver::new(&p, &mpi).params(params.clone()).run()));
+        b.iter(|| black_box(Solver::new(&p, &mpi).run()));
     });
     telemetry::install(TraceLevel::Full);
     group.bench_function("full", |b| {
-        b.iter(|| black_box(Solver::new(&p, &mpi).params(params.clone()).run()));
+        b.iter(|| black_box(Solver::new(&p, &mpi).run()));
     });
     let full_report = telemetry::finish();
     group.finish();

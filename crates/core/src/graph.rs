@@ -62,7 +62,7 @@ const NO_CLASS: u32 = u32::MAX;
 /// share a class; every node receives in at most one class. Storage grows
 /// with Σ (|sources| + |receivers|), never with the number of pairs
 /// Σ |sources| × |receivers| the classes stand for.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default)]
 pub struct CommClasses {
     /// Class `c`'s sources, ascending, are `srcs[src_start[c]..src_start[c + 1]]`.
     src_start: Vec<u32>,
@@ -80,7 +80,26 @@ pub struct CommClasses {
     feeds: Vec<u32>,
     /// Σ |sources| × |receivers|.
     pairs: usize,
+    /// The view with every pair reversed, built on the first
+    /// [`CommClasses::transposed`] call and kept for the graph's lifetime.
+    transposed: OnceLock<Box<CommClasses>>,
 }
+
+/// Equality compares the classes only: `transposed` is derived from them.
+impl PartialEq for CommClasses {
+    fn eq(&self, other: &Self) -> bool {
+        self.src_start == other.src_start
+            && self.srcs == other.srcs
+            && self.rcv_start == other.rcv_start
+            && self.rcvs == other.rcvs
+            && self.class_of == other.class_of
+            && self.feeds_start == other.feeds_start
+            && self.feeds == other.feeds
+            && self.pairs == other.pairs
+    }
+}
+
+impl Eq for CommClasses {}
 
 impl CommClasses {
     /// Classes over nodes `0..num_nodes` from (sources, receivers) lists.
@@ -116,11 +135,25 @@ impl CommClasses {
             rcvs.extend_from_slice(&r);
             rcv_start.push(rcvs.len() as u32);
         }
+        CommClasses::from_parts(src_start, srcs, rcv_start, rcvs, class_of, pairs)
+    }
+
+    /// Finish a view from its class lists: derive each node's fed classes
+    /// (a counting sort by source; classes are visited in ascending order,
+    /// so each node's list comes out sorted). No class at all gives the
+    /// empty view.
+    fn from_parts(
+        src_start: Vec<u32>,
+        srcs: Vec<NodeId>,
+        rcv_start: Vec<u32>,
+        rcvs: Vec<NodeId>,
+        class_of: Vec<u32>,
+        pairs: usize,
+    ) -> Self {
         if src_start.len() == 1 {
             return CommClasses::default();
         }
-        // Invert class → sources (a counting sort by source; classes are
-        // visited in ascending order, so each node's list comes out sorted).
+        let num_nodes = class_of.len();
         let mut feeds_start = vec![0u32; num_nodes + 1];
         for s in &srcs {
             feeds_start[s.index() + 1] += 1;
@@ -145,6 +178,7 @@ impl CommClasses {
             feeds_start,
             feeds,
             pairs,
+            transposed: OnceLock::new(),
         }
     }
 
@@ -171,24 +205,46 @@ impl CommClasses {
     /// The same communication with every pair reversed: senders that feed
     /// the same set of classes share one class, whose sources are those
     /// classes' receivers. A backward solve reads its classes from here.
-    pub fn transpose(&self) -> CommClasses {
+    /// Built on the first call and kept, so every backward solve over one
+    /// graph shares it.
+    pub fn transposed(&self) -> &CommClasses {
+        self.transposed.get_or_init(|| Box::new(self.transpose()))
+    }
+
+    /// Build [`CommClasses::transposed`]. Classes are numbered in ascending
+    /// order of their fed-class lists; senders and receivers are ascending.
+    /// The lists are written straight into the flat arrays, with no
+    /// allocation per class.
+    fn transpose(&self) -> CommClasses {
         let n = self.class_of.len();
-        let mut by_feeds: std::collections::BTreeMap<&[u32], Vec<NodeId>> =
-            std::collections::BTreeMap::new();
-        for i in 0..n {
-            let fed = self.feeds(NodeId(i as u32));
-            if !fed.is_empty() {
-                by_feeds.entry(fed).or_default().push(NodeId(i as u32));
+        let fed = |s: &NodeId| self.feeds(*s);
+        let mut senders: Vec<NodeId> = (0..n as u32)
+            .map(NodeId)
+            .filter(|s| !fed(s).is_empty())
+            .collect();
+        // Stable, so senders with equal fed lists stay ascending.
+        senders.sort_by(|a, b| fed(a).cmp(fed(b)));
+        let mut src_start = vec![0u32];
+        let mut srcs = Vec::new();
+        let mut rcv_start = vec![0u32];
+        let mut class_of = vec![NO_CLASS; n];
+        let mut pairs = 0usize;
+        for group in senders.chunk_by(|a, b| fed(a) == fed(b)) {
+            let c = (src_start.len() - 1) as u32;
+            let first = srcs.len();
+            for &f in fed(&group[0]) {
+                srcs.extend_from_slice(self.receivers(f as usize));
             }
+            // A node receives in one class, so the lists are disjoint.
+            srcs[first..].sort_unstable();
+            for s in group {
+                class_of[s.index()] = c;
+            }
+            pairs += (srcs.len() - first) * group.len();
+            src_start.push(srcs.len() as u32);
+            rcv_start.push(rcv_start[c as usize] + group.len() as u32);
         }
-        let classes = by_feeds.into_iter().map(|(fed, senders)| {
-            let receivers = fed
-                .iter()
-                .flat_map(|&c| self.receivers(c as usize).iter().copied())
-                .collect();
-            (receivers, senders)
-        });
-        CommClasses::new(n, classes)
+        CommClasses::from_parts(src_start, srcs, rcv_start, senders, class_of, pairs)
     }
 
     /// Number of classes.
@@ -272,6 +328,7 @@ static NO_COMM: CommClasses = CommClasses {
     feeds_start: Vec::new(),
     feeds: Vec::new(),
     pairs: 0,
+    transposed: OnceLock::new(),
 };
 
 /// Graphs the solver can run over. `in_edges`/`out_edges` hold control
@@ -665,11 +722,48 @@ mod tests {
         assert_eq!(c.preds(NodeId(0)), &[] as &[NodeId]);
         let pairs: Vec<(u32, u32)> = c.pairs().map(|(s, r)| (s.0, r.0)).collect();
         assert_eq!(pairs, vec![(0, 2), (0, 3), (1, 2), (1, 3), (4, 4)]);
-        let t = c.transpose();
+        let t = c.transposed();
         let back: Vec<(u32, u32)> = t.pairs().map(|(s, r)| (r.0, s.0)).collect();
         let mut sorted = back.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, pairs);
         assert_eq!(t.preds(NodeId(0)), &[NodeId(2), NodeId(3)]);
+    }
+
+    #[test]
+    fn transposed_view_matches_a_map_built_reference_and_is_built_once() {
+        let mut rng = crate::rng::SplitMix64::new(22);
+        for _ in 0..300 {
+            let n = 1 + rng.below(12);
+            let pairs: Vec<(NodeId, NodeId)> = (0..rng.below(3 * n))
+                .map(|_| (NodeId(rng.below(n) as u32), NodeId(rng.below(n) as u32)))
+                .collect();
+            let c = CommClasses::from_pairs(n, pairs.iter().copied());
+            // Reference: senders grouped by their fed-class list in an
+            // ordered map, each group's sources the fed classes' receivers.
+            let mut by_fed: std::collections::BTreeMap<&[u32], Vec<NodeId>> =
+                std::collections::BTreeMap::new();
+            for i in 0..n as u32 {
+                let fed = c.feeds(NodeId(i));
+                if !fed.is_empty() {
+                    by_fed.entry(fed).or_default().push(NodeId(i));
+                }
+            }
+            let want = CommClasses::new(
+                n,
+                by_fed.into_iter().map(|(fed, senders)| {
+                    let sources = fed
+                        .iter()
+                        .flat_map(|&k| c.receivers(k as usize).iter().copied())
+                        .collect();
+                    (sources, senders)
+                }),
+            );
+            let got = c.transposed();
+            assert_eq!(got, &want, "{pairs:?}");
+            assert!(std::ptr::eq(got, c.transposed()), "built once");
+            // The memo is not part of equality.
+            assert_eq!(c, CommClasses::from_pairs(n, pairs.iter().copied()));
+        }
     }
 }

@@ -19,16 +19,16 @@
 //! * optional fact translation across call/return edges.
 //!
 //! The [`solver`] module exposes a single builder entry point,
-//! [`solver::Solver`], over two interchangeable [`solver::Strategy`]
-//! values: a round-robin strategy (whose pass count is the paper's "Iter"
-//! statistic) and an SCC region engine (backed by [`scc`]) that produces
-//! byte-identical facts and powers incremental and demand solving.
+//! [`solver::Solver`]: a full solve is round-robin (its pass count is the
+//! paper's "Iter" statistic), and a demand solve answers facts at chosen
+//! nodes with an SCC region engine (backed by [`scc`]) whose facts inside
+//! the slice are byte-identical to round-robin's.
 //! [`varset::VarSet`] and the lattices in [`lattice`] cover the fact types
 //! the canonical analyses need.
 //!
 //! ```
 //! use mpi_dfa_core::graph::SimpleGraph;
-//! use mpi_dfa_core::solver::{Solver, Strategy};
+//! use mpi_dfa_core::solver::Solver;
 //! # use mpi_dfa_core::graph::NodeId;
 //! # use mpi_dfa_core::problem::{Dataflow, Direction};
 //! # struct Reach;
@@ -45,7 +45,7 @@
 //! g.flow(0, 1);
 //! g.set_entry(0);
 //! g.set_exit(1);
-//! let sol = Solver::new(&Reach, &g).strategy(Strategy::Region).run();
+//! let sol = Solver::new(&Reach, &g).run();
 //! assert!(sol.output[1]);
 //! assert!(sol.stats.converged);
 //! ```
@@ -73,12 +73,9 @@ pub use hash::{fnv128, fnv64, hex128, Hasher128};
 pub use hist::LogHistogram;
 pub use lattice::{BoolAnd, BoolOr, ConstLattice, MeetSemiLattice};
 pub use problem::{Dataflow, Direction};
-pub use scc::{
-    condense, region_fingerprints, upstream_closure, Condensation, ExtInEdge, RegionFingerprints,
-};
+pub use scc::{condense, upstream_closure, Condensation};
 pub use solver::{
-    ConvergenceStats, DemandRun, DemandSolver, IncrementalSolver, SeedRegions, SeededRun,
-    SeededSolver, Solution, SolveParams, Solver, SolverConfigError, Strategy,
+    ConvergenceStats, DemandRun, DemandSolver, Solution, SolveParams, Solver, SolverConfigError,
 };
 pub use telemetry::{SpanGuard, TelemetryReport, TraceLevel};
 pub use varset::VarSet;

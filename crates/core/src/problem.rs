@@ -77,8 +77,8 @@ pub trait Dataflow {
     /// node's `input` fact. Only called for nodes that have communication
     /// edges.
     ///
-    /// The result must depend only on `node` and `input`: every solver
-    /// strategy memoises it per source node and re-evaluates it only after
+    /// The result must depend only on `node` and `input`: both solver
+    /// engines memoise it per source node and re-evaluates it only after
     /// that node's input fact changes, and memoises the communication meet
     /// per set of sources until one of them changes.
     fn comm_transfer(&self, node: NodeId, input: &Self::Fact) -> Self::CommFact;
@@ -91,26 +91,6 @@ pub trait Dataflow {
     /// its source's fact as it is.
     fn translate_into(&self, edge: &Edge, fact: &Self::Fact, out: &mut Self::Fact) {
         let _ = (edge, fact, out);
-    }
-
-    /// Stable content fingerprint of node `n`'s transfer semantics, used by
-    /// the incremental solver (`Solver::seed`) to recognize unchanged SCC
-    /// regions across two builds of "the same" graph.
-    ///
-    /// The contract: if two nodes (possibly in different graphs) return the
-    /// same fingerprint, their `transfer`, `comm_transfer`, and `translate_into`
-    /// behavior must be identical for identical inputs. The fingerprint must
-    /// therefore cover everything those functions read for the node —
-    /// operand locations, callee identity, argument bindings — while
-    /// excluding unstable identifiers (raw statement ids, spans, node ids)
-    /// that shift under unrelated edits.
-    ///
-    /// Returning `None` (the default) declares the problem non-fingerprintable
-    /// and disables incremental seeding: `Solver::seed` fails with
-    /// [`crate::solver::SolverConfigError::FingerprintsUnavailable`].
-    fn node_fingerprint(&self, n: NodeId) -> Option<u64> {
-        let _ = n;
-        None
     }
 }
 

@@ -1,7 +1,7 @@
 //! Strongly connected condensation of a [`FlowGraph`] into regions.
 //!
-//! The region solver strategy ([`crate::solver::Strategy::Region`]) needs
-//! to know which nodes can participate in a fact cycle. On an MPI-ICFG
+//! The region engine behind [`crate::solver::Solver::demand`] needs to
+//! know which nodes can participate in a fact cycle. On an MPI-ICFG
 //! a cycle may run through **communication** — a send whose payload
 //! feeds a receive that loops back to the send (CG's cyclic communication
 //! structure is the canonical case) — so the condensation here traverses
@@ -29,8 +29,7 @@
 //! Both searches are iterative (see [`crate::graph::Dfs`]); deep
 //! straight-line programs must not overflow the thread stack.
 
-use crate::graph::{CommClasses, Dfs, Edge, EdgeKind, FlowGraph, NodeId};
-use crate::hash::Hasher128;
+use crate::graph::{CommClasses, Dfs, FlowGraph, NodeId};
 
 /// The condensation: each node mapped to its strongly connected region, with
 /// region ids in topological order of the region DAG.
@@ -129,265 +128,6 @@ pub fn condense<G: FlowGraph>(graph: &G) -> Condensation {
         regions,
         succs,
         preds,
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Region fingerprints (incremental re-solving support)
-// ---------------------------------------------------------------------------
-
-/// Control-edge kind tag folded into region fingerprints. Raw `site` ids
-/// are deliberately excluded — they are assigned in graph-build order and
-/// shift under unrelated edits — while the *semantics* a site id selects
-/// (callee, bindings) are covered by the per-node content fingerprints.
-fn kind_tag(kind: EdgeKind) -> u8 {
-    match kind {
-        EdgeKind::Flow => 0,
-        EdgeKind::Call { .. } => 1,
-        EdgeKind::Return { .. } => 2,
-    }
-}
-
-/// One upstream control edge arriving at a region from *outside* it,
-/// described in graph-independent terms so regions of two different graph
-/// builds can be matched: the destination's local index, the edge-kind
-/// tag, and the source node's content fingerprint. `src` is the source in
-/// the graph the descriptor was computed over — used to read the source's
-/// current fact when validating a seed, never folded into any fingerprint.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ExtInEdge {
-    /// Local index (within the region) of the edge's downstream endpoint.
-    pub dst_local: u32,
-    /// [`kind_tag`] of the edge.
-    pub kind_tag: u8,
-    /// Content fingerprint of the upstream source node.
-    pub src_fp: u64,
-    /// The upstream source node in the graph this descriptor was built on.
-    pub src: NodeId,
-}
-
-impl ExtInEdge {
-    /// The graph-independent part: what two builds must agree on for the
-    /// edge to count as "the same external input".
-    pub fn key(&self) -> (u32, u8, u64) {
-        (self.dst_local, self.kind_tag, self.src_fp)
-    }
-}
-
-/// The communication a region receives from outside, one descriptor per
-/// class its members receive in: the sources of `class` that lie outside
-/// the region, in ascending node id. Their *input* facts are what `f_comm`
-/// reads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ExtComm {
-    /// The class's slot in the region: classes are numbered by the first
-    /// member (in local order) that receives in them.
-    pub slot: u32,
-    /// Ordered fingerprint of the outside sources' content fingerprints.
-    pub src_fp: u64,
-    /// The class in the class view the descriptor was computed over.
-    pub class: u32,
-    /// Whether every source of the class lies outside the region.
-    pub all_outside: bool,
-}
-
-/// Per-region structural fingerprints plus external upstream descriptors,
-/// for one direction-adjusted view of a condensed graph.
-#[derive(Debug, Clone)]
-pub struct RegionFingerprints {
-    /// Region id → local structural fingerprint. Two regions (across graph
-    /// builds) with equal fingerprints have identical member content, member
-    /// visit order, internal edge and communication structure, and
-    /// external-input shape — so a deterministic local fixpoint over them
-    /// behaves identically given equal upstream facts.
-    pub local_fp: Vec<u64>,
-    /// Region id → external upstream control edges, sorted by
-    /// [`ExtInEdge::key`] (then source id for determinism).
-    pub ext_in: Vec<Vec<ExtInEdge>>,
-    /// Region id → external communication inputs, in slot order.
-    pub ext_comm: Vec<Vec<ExtComm>>,
-}
-
-/// Ordered fingerprint of a source list.
-fn sources_fp(node_fp: &[u64], srcs: impl Iterator<Item = NodeId>) -> u64 {
-    let mut h = Hasher128::new();
-    for s in srcs {
-        h.write_u64(node_fp[s.index()]);
-    }
-    let wide = h.finish();
-    (wide as u64) ^ ((wide >> 64) as u64)
-}
-
-/// Compute [`RegionFingerprints`] for `cond` over `graph`.
-///
-/// The local fingerprint of a region folds, in deterministic order:
-/// member count; each member's content fingerprint, boundary flag, RPO
-/// rank *within the region* and class slot (in local — sorted-by-node-id —
-/// member order); the sorted internal edge list as `(src_local, dst_local,
-/// kind_tag)` triples; each slot's internal sources (local indices) and
-/// outside-source fingerprint; and the sorted external upstream-edge keys.
-/// Raw node ids, statement ids, and global RPO positions are excluded —
-/// they shift under edits elsewhere in the program.
-///
-/// `node_fp` is the per-node content fingerprint (from
-/// [`crate::problem::Dataflow::node_fingerprint`]), `is_boundary` marks the
-/// direction-adjusted boundary nodes, `rpo_pos` is the global
-/// direction-adjusted reverse postorder position of each node, `backward`
-/// selects which adjacency is "upstream", and `comm` is the
-/// direction-adjusted class view (a node's upstream communication is the
-/// source list of its class).
-pub fn region_fingerprints<G: FlowGraph>(
-    graph: &G,
-    cond: &Condensation,
-    node_fp: &[u64],
-    is_boundary: &[bool],
-    rpo_pos: &[u32],
-    backward: bool,
-    comm: &CommClasses,
-) -> RegionFingerprints {
-    let upstream = |n: NodeId| -> &[Edge] {
-        if backward {
-            graph.out_edges(n)
-        } else {
-            graph.in_edges(n)
-        }
-    };
-    let source = |e: &Edge| -> NodeId {
-        if backward {
-            e.to
-        } else {
-            e.from
-        }
-    };
-
-    const NO_SLOT: u32 = u32::MAX;
-    let mut slot_of = vec![NO_SLOT; comm.num_classes()];
-    // A class's all-sources fingerprint, computed once.
-    let mut all_fp: Vec<Option<u64>> = vec![None; comm.num_classes()];
-    let mut local_fp = Vec::with_capacity(cond.regions.len());
-    let mut ext_in: Vec<Vec<ExtInEdge>> = Vec::with_capacity(cond.regions.len());
-    let mut ext_comm: Vec<Vec<ExtComm>> = Vec::with_capacity(cond.regions.len());
-    for (rid, members) in cond.regions.iter().enumerate() {
-        // RPO rank of each member among the region's members: the relative
-        // visit order the region solver uses, independent of global RPO
-        // positions (which shift when other procedures grow or shrink).
-        let mut by_pos: Vec<(u32, u32)> = members
-            .iter()
-            .enumerate()
-            .map(|(i, nd)| (rpo_pos[nd.index()], i as u32))
-            .collect();
-        by_pos.sort_unstable();
-        let mut rpo_rank = vec![0u32; members.len()];
-        for (rank, &(_, local)) in by_pos.iter().enumerate() {
-            rpo_rank[local as usize] = rank as u32;
-        }
-
-        let mut internal: Vec<(u32, u32, u8)> = Vec::new();
-        let mut ext: Vec<ExtInEdge> = Vec::new();
-        let mut slots: Vec<u32> = Vec::new();
-        let mut member_slot = Vec::with_capacity(members.len());
-        for (local, &nd) in members.iter().enumerate() {
-            for e in upstream(nd) {
-                let src = source(e);
-                let tag = kind_tag(e.kind);
-                if cond.region_of[src.index()] == rid as u32 {
-                    internal.push((cond.local_index[src.index()], local as u32, tag));
-                } else {
-                    ext.push(ExtInEdge {
-                        dst_local: local as u32,
-                        kind_tag: tag,
-                        src_fp: node_fp[src.index()],
-                        src,
-                    });
-                }
-            }
-            member_slot.push(comm.class_of(nd).map_or(NO_SLOT, |c| {
-                if slot_of[c] == NO_SLOT {
-                    slot_of[c] = slots.len() as u32;
-                    slots.push(c as u32);
-                }
-                slot_of[c]
-            }));
-        }
-        internal.sort_unstable();
-        ext.sort_unstable_by_key(|d| (d.key(), d.src.0));
-
-        // Which slots have a source inside the region.
-        let mut has_inside = vec![false; slots.len()];
-        for &nd in members {
-            for &c in comm.feeds(nd) {
-                if slot_of[c as usize] != NO_SLOT {
-                    has_inside[slot_of[c as usize] as usize] = true;
-                }
-            }
-        }
-        let inside = |s: &NodeId| cond.region_of[s.index()] == rid as u32;
-        let mut comm_in = Vec::with_capacity(slots.len());
-        let mut comm_internal: Vec<Vec<u32>> = Vec::with_capacity(slots.len());
-        for (slot, &c) in slots.iter().enumerate() {
-            let srcs = comm.sources(c as usize);
-            let (src_fp, locals) = if has_inside[slot] {
-                let outside = srcs.iter().copied().filter(|s| !inside(s));
-                let locals = srcs
-                    .iter()
-                    .filter(|s| inside(s))
-                    .map(|s| cond.local_index[s.index()])
-                    .collect();
-                (sources_fp(node_fp, outside), locals)
-            } else {
-                let fp = *all_fp[c as usize]
-                    .get_or_insert_with(|| sources_fp(node_fp, srcs.iter().copied()));
-                (fp, Vec::new())
-            };
-            comm_in.push(ExtComm {
-                slot: slot as u32,
-                src_fp,
-                class: c,
-                all_outside: !has_inside[slot],
-            });
-            comm_internal.push(locals);
-        }
-        for &c in &slots {
-            slot_of[c as usize] = NO_SLOT;
-        }
-
-        let mut h = Hasher128::new();
-        h.write_u64(members.len() as u64);
-        for (local, &nd) in members.iter().enumerate() {
-            h.write_u64(node_fp[nd.index()]);
-            h.write_bool(is_boundary[nd.index()]);
-            h.write_u64(rpo_rank[local] as u64);
-            h.write_u64(member_slot[local] as u64);
-        }
-        h.write_u64(internal.len() as u64);
-        for &(s, d, t) in &internal {
-            h.write_u64(s as u64);
-            h.write_u64(d as u64);
-            h.write_u64(t as u64);
-        }
-        h.write_u64(comm_in.len() as u64);
-        for (d, locals) in comm_in.iter().zip(&comm_internal) {
-            h.write_u64(d.src_fp);
-            h.write_u64(locals.len() as u64);
-            for &l in locals {
-                h.write_u64(l as u64);
-            }
-        }
-        h.write_u64(ext.len() as u64);
-        for d in &ext {
-            h.write_u64(d.dst_local as u64);
-            h.write_u64(d.kind_tag as u64);
-            h.write_u64(d.src_fp);
-        }
-        let wide = h.finish();
-        local_fp.push((wide as u64) ^ ((wide >> 64) as u64));
-        ext_in.push(ext);
-        ext_comm.push(comm_in);
-    }
-    RegionFingerprints {
-        local_fp,
-        ext_in,
-        ext_comm,
     }
 }
 
@@ -624,81 +364,6 @@ mod tests {
         assert_eq!(c.succs[0], vec![1]);
         assert_eq!(c.succs[1], vec![2]);
         assert_eq!(c.preds[2], vec![1]);
-    }
-
-    fn fps_for(g: &SimpleGraph, node_fp: &[u64]) -> (Condensation, RegionFingerprints) {
-        let c = condense(g);
-        let n = g.num_nodes();
-        let order = crate::graph::reverse_postorder(g, g.entries(), false);
-        let mut rpo_pos = vec![0u32; n];
-        for (i, nd) in order.iter().enumerate() {
-            rpo_pos[nd.index()] = i as u32;
-        }
-        let mut is_boundary = vec![false; n];
-        for &b in g.entries() {
-            is_boundary[b.index()] = true;
-        }
-        let fps = region_fingerprints(
-            g,
-            &c,
-            node_fp,
-            &is_boundary,
-            &rpo_pos,
-            false,
-            g.comm_classes(),
-        );
-        (c, fps)
-    }
-
-    #[test]
-    fn region_fingerprints_are_stable_and_content_sensitive() {
-        let build = || {
-            let mut g = SimpleGraph::new(4);
-            g.flow(0, 1);
-            g.flow(1, 2);
-            g.flow(2, 1); // loop region {1, 2}
-            g.flow(2, 3);
-            g.set_entry(0);
-            g.set_exit(3);
-            g
-        };
-        let g1 = build();
-        let g2 = build();
-        let node_fp: Vec<u64> = (0..4).map(|i| 100 + i as u64).collect();
-        let (c1, f1) = fps_for(&g1, &node_fp);
-        let (_, f2) = fps_for(&g2, &node_fp);
-        assert_eq!(f1.local_fp, f2.local_fp, "same build ⇒ same fingerprints");
-        // Changing one node's content fingerprint changes its region's
-        // fingerprint and the ext-in shape of the region downstream of it.
-        let mut changed = node_fp.clone();
-        changed[1] = 999;
-        let (_, f3) = fps_for(&g1, &changed);
-        let loop_rid = c1.region_of[1] as usize;
-        assert_ne!(f1.local_fp[loop_rid], f3.local_fp[loop_rid]);
-        // Region of node 0 is upstream of the change: untouched.
-        assert_eq!(
-            f1.local_fp[c1.region_of[0] as usize],
-            f3.local_fp[c1.region_of[0] as usize]
-        );
-    }
-
-    #[test]
-    fn ext_in_descriptors_name_upstream_sources() {
-        let mut g = SimpleGraph::new(3);
-        g.flow(0, 2);
-        g.flow(1, 2);
-        g.set_entry(0);
-        g.set_exit(2);
-        let node_fp = vec![7u64, 8, 9];
-        let (c, f) = fps_for(&g, &node_fp);
-        let rid = c.region_of[2] as usize;
-        let ext = &f.ext_in[rid];
-        assert_eq!(ext.len(), 2);
-        let mut fps: Vec<u64> = ext.iter().map(|d| d.src_fp).collect();
-        fps.sort_unstable();
-        assert_eq!(fps, vec![7, 8]);
-        assert!(ext.iter().all(|d| d.dst_local == 0 && d.kind_tag == 0));
-        assert!(ext.windows(2).all(|w| w[0].key() <= w[1].key()), "sorted");
     }
 
     #[test]

@@ -1,19 +1,19 @@
 //! The iterative data-flow solver behind the unified [`Solver`] builder.
 //!
-//! Two strategies are provided (see [`Strategy`]):
+//! A full solve ([`Solver::run`]) is round-robin: full passes in reverse
+//! postorder until a pass changes nothing. The pass count it records is the
+//! "Iter" statistic the paper's Table 1 reports.
 //!
-//! * [`Strategy::RoundRobin`] — full passes in reverse postorder until a
-//!   pass changes nothing. The pass count it records is the "Iter"
-//!   statistic the paper's Table 1 reports, so the experiment harness pins
-//!   this strategy.
-//! * [`Strategy::Region`] — Tarjan-condenses the graph (including
-//!   communication edges, see [`crate::scc`]) and solves each strongly
-//!   connected region to a local fixpoint in topological order, revisiting
-//!   only nodes whose inputs may have changed. For monotone problems the
-//!   solution is **byte-identical** to round-robin's (the maximal fixpoint
-//!   is unique); only the counters differ. See `docs/SOLVER.md`.
+//! A partial solve ([`Solver::demand`]) answers facts at chosen nodes with
+//! the region engine: it condenses the graph into strongly connected
+//! regions (communication included, see [`crate::scc`]) and solves only the
+//! regions upstream of the demanded nodes, each to a local fixpoint in
+//! topological order, revisiting only nodes whose inputs may have changed.
+//! For monotone problems every fact inside the slice is **byte-identical**
+//! to round-robin's (the maximal fixpoint is unique); only the counters
+//! differ. See `docs/SOLVER.md`.
 //!
-//! Both strategies handle communication edges: at a node with
+//! Both engines handle communication edges: at a node with
 //! (direction-adjusted) incoming communication edges, the solver evaluates
 //! `f_comm` at each edge's source using that source's *input* fact —
 //! matching the paper's `commOUT(n) = f_comm(IN(n))` for forward analyses
@@ -27,16 +27,12 @@
 //! a visit".
 //!
 //! All solving goes through the [`Solver`] builder — there are no free-
-//! function entry points. Beyond the two full-fixpoint strategies the
-//! builder exposes two *partial* modes: [`Solver::seed`] re-solves only the
-//! SCC regions invalidated by an edit (transplanting byte-identical facts
-//! into the rest), and [`Solver::demand`] answers facts at specific nodes
-//! from the upstream region slice alone. See `docs/INCREMENTAL.md`.
+//! function entry points.
 //!
 //! ```
 //! # use mpi_dfa_core::graph::{NodeId, SimpleGraph};
 //! # use mpi_dfa_core::problem::{Dataflow, Direction};
-//! # use mpi_dfa_core::solver::{Solver, Strategy};
+//! # use mpi_dfa_core::solver::Solver;
 //! # struct Reach;
 //! # impl Dataflow for Reach {
 //! #     type Fact = bool; type CommFact = ();
@@ -51,9 +47,11 @@
 //! g.flow(0, 1);
 //! g.set_entry(0);
 //! g.set_exit(1);
-//! let sol = Solver::new(&Reach, &g).strategy(Strategy::Region).run();
+//! let sol = Solver::new(&Reach, &g).run();
 //! assert!(sol.output[1]);
 //! assert!(sol.stats.converged);
+//! let at_exit = Solver::new(&Reach, &g).demand(NodeId(1)).unwrap().run();
+//! assert_eq!(at_exit.solution.output[1], sol.output[1]);
 //! ```
 
 use crate::budget::{Budget, BudgetMeter, Exhaustion};
@@ -62,97 +60,15 @@ use crate::lattice::MeetSemiLattice;
 use crate::problem::{Dataflow, Direction};
 use crate::scc::{self, Condensation};
 use crate::telemetry;
-use std::borrow::Cow;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 use std::fmt;
-use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
-
-/// Environment variable consulted once per process by
-/// [`Strategy::session_default`] (and thus [`SolveParams::default`]);
-/// lets CI run the whole suite under a different default strategy without
-/// touching call sites.
-pub const STRATEGY_ENV: &str = "MPIDFA_SOLVER";
-
-/// Fixpoint iteration strategy. A pure performance knob: for monotone,
-/// converging problems every strategy computes the same maximal fixpoint,
-/// which is why strategy is deliberately **excluded** from every result
-/// cache key (service result cache, `repro` row cache).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Strategy {
-    /// Full reverse-postorder passes; `passes` matches Table 1's "Iter".
-    RoundRobin,
-    /// SCC condensation solved region by region in topological order;
-    /// converged solves capture the seed [`Solver::seed`] needs.
-    Region,
-}
-
-static SESSION_DEFAULT: OnceLock<Strategy> = OnceLock::new();
-
-impl Strategy {
-    /// Parse the CLI/service spelling: `round-robin` or `region`.
-    pub fn parse(s: &str) -> Result<Strategy, String> {
-        match s {
-            "round-robin" => Ok(Strategy::RoundRobin),
-            "region" => Ok(Strategy::Region),
-            other => Err(format!(
-                "unknown solver strategy {other:?} (expected round-robin|region)"
-            )),
-        }
-    }
-
-    /// The strategy named by [`STRATEGY_ENV`]: `Ok(None)` when the variable
-    /// is unset or empty, `Err` naming the accepted spellings when it holds
-    /// anything else. The CLIs call this at startup, so a stale value fails
-    /// loudly there.
-    pub fn from_env() -> Result<Option<Strategy>, String> {
-        match std::env::var(STRATEGY_ENV) {
-            Ok(v) if !v.trim().is_empty() => Strategy::parse(v.trim())
-                .map(Some)
-                .map_err(|e| format!("{STRATEGY_ENV}: {e}")),
-            _ => Ok(None),
-        }
-    }
-
-    /// Process-wide default strategy: [`STRATEGY_ENV`] read once, falling
-    /// back to [`Strategy::RoundRobin`] (the paper's Table-1 iteration
-    /// scheme) when it is unset or unparsable (a bad value must not turn
-    /// library calls into panics; the CLIs validate loudly instead).
-    /// Cached so hot paths constructing [`SolveParams::default`] never
-    /// touch the environment again.
-    pub fn session_default() -> Strategy {
-        *SESSION_DEFAULT.get_or_init(|| {
-            Strategy::from_env()
-                .ok()
-                .flatten()
-                .unwrap_or(Strategy::RoundRobin)
-        })
-    }
-
-    /// Pin the process-wide default strategy (what `--solver` on the CLIs
-    /// does). Returns `false` when the default was already established —
-    /// either by a previous call or because something already solved under
-    /// the environment-derived default; callers that need the override to
-    /// stick should invoke this before running any analysis.
-    pub fn set_session_default(strategy: Strategy) -> bool {
-        SESSION_DEFAULT.set(strategy).is_ok()
-    }
-}
-
-impl fmt::Display for Strategy {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Strategy::RoundRobin => write!(f, "round-robin"),
-            Strategy::Region => write!(f, "region"),
-        }
-    }
-}
 
 /// Solver tuning knobs.
 #[derive(Debug, Clone)]
 pub struct SolveParams {
-    /// Upper bound on round-robin passes (or, for the region engine, on
+    /// Upper bound on round-robin passes (or, for a demand solve, on
     /// rounds per region). Exceeding it sets
     /// `ConvergenceStats::converged = false` instead of looping forever.
     pub max_passes: usize,
@@ -161,8 +77,6 @@ pub struct SolveParams {
     /// fixpoint early with `converged = false` and records the reason in
     /// `ConvergenceStats::exhausted`.
     pub budget: Budget,
-    /// Iteration strategy; defaults to [`Strategy::session_default`].
-    pub strategy: Strategy,
 }
 
 impl Default for SolveParams {
@@ -170,7 +84,6 @@ impl Default for SolveParams {
         SolveParams {
             max_passes: 10_000,
             budget: Budget::unlimited(),
-            strategy: Strategy::session_default(),
         }
     }
 }
@@ -183,33 +96,25 @@ impl SolveParams {
             ..SolveParams::default()
         }
     }
-
-    /// Default params with the given strategy.
-    pub fn with_strategy(strategy: Strategy) -> Self {
-        SolveParams {
-            strategy,
-            ..SolveParams::default()
-        }
-    }
 }
 
-/// Convergence accounting, reported uniformly by all solver strategies so
-/// bench output can chart budget headroom.
+/// Convergence accounting, reported uniformly by both engines so bench
+/// output can chart budget headroom.
 ///
-/// Under [`Strategy::Region`] every field except `elapsed` is derived from
+/// For a demand solve every field except `elapsed` is derived from
 /// per-region accounting merged in region-id order.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ConvergenceStats {
     /// Number of full passes over the graph (round-robin) or an equivalent
-    /// estimate (region engine: visits / nodes, rounded up).
+    /// estimate (demand: visits / nodes, rounded up).
     pub passes: usize,
     /// Total node transfer evaluations.
     pub node_visits: u64,
-    /// Total `f_comm` evaluations performed. Both strategies memoise
-    /// `f_comm` per comm source, so a source is evaluated once per change
-    /// of its input fact (on the next read), not once per comm edge per
-    /// visit. The region engine re-evaluates a source once more in each
-    /// region that reads it.
+    /// Total `f_comm` evaluations performed. Both engines memoise `f_comm`
+    /// per comm source, so a source is evaluated once per change of its
+    /// input fact (on the next read), not once per comm edge per visit.
+    /// The region engine re-evaluates a source once more in each region
+    /// that reads it.
     pub comm_evals: u64,
     /// Total meet operations applied while recomputing node inputs (one per
     /// upstream non-communication edge visited).
@@ -219,8 +124,8 @@ pub struct ConvergenceStats {
     /// queue).
     pub worklist_peak: usize,
     /// Number of nodes whose input or output changed, per pass (round-robin)
-    /// or per round (region engine: per-region round series summed
-    /// element-wise in region-id order).
+    /// or per round (demand: per-region round series summed element-wise in
+    /// region-id order).
     pub pass_deltas: Vec<u64>,
     /// Per-node visit counts, indexed by `NodeId::index()`. Feeds the DOT
     /// heat overlay; element-wise summed by [`ConvergenceStats::absorb`].
@@ -313,82 +218,17 @@ impl ConvergenceStats {
     }
 }
 
-/// Region-level seed data captured by fingerprint-capable solves (the
-/// region strategy and incremental re-solves, when the problem
-/// implements [`Dataflow::node_fingerprint`]). Consumed by
-/// [`Solver::seed`] on the *next* build of the graph: regions whose local
-/// fingerprint and upstream facts are unchanged get their facts and solve
-/// accounting transplanted instead of re-solved.
-///
-/// Everything inside refers to the graph the seed was computed over; the
-/// incremental solver matches regions structurally, never by raw node id.
-#[derive(Debug, Clone)]
-pub struct SeedRegions {
-    /// Region id → member nodes, in local (sorted-by-node-id) order.
-    regions: Vec<Vec<NodeId>>,
-    /// Region id → local structural fingerprint (see
-    /// [`scc::region_fingerprints`]).
-    local_fp: Vec<u64>,
-    /// Region id → external upstream control-edge descriptors.
-    ext_in: Vec<Vec<scc::ExtInEdge>>,
-    /// Region id → external communication descriptors.
-    ext_comm: Vec<Vec<scc::ExtComm>>,
-    /// The direction-adjusted class view the descriptors name classes of.
-    comm: CommClasses,
-    /// Node index → region id.
-    region_of: Vec<u32>,
-    /// Region id → the region's solve accounting, replayed on transplant so
-    /// a seeded re-solve's merged stats match a cold region-engine solve.
-    stats: Vec<RegionStats>,
-}
-
-impl SeedRegions {
-    /// Number of regions in the solve that produced this seed.
-    pub fn num_regions(&self) -> usize {
-        self.regions.len()
-    }
-}
-
-/// Why a [`Solver`] partial-mode configuration was rejected at build time.
-/// Every misuse the type system cannot rule out statically surfaces here —
-/// never as a run-time panic or a silently-wrong answer.
+/// Why a [`Solver::demand`] root was rejected when it was named — never
+/// at run time.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SolverConfigError {
-    /// The seed solution was solved in the opposite direction.
-    SeedDirectionMismatch { expected: Direction, got: Direction },
-    /// The seed solution did not converge; its facts are not a fixpoint and
-    /// transplanting them would under-approximate.
-    SeedNotConverged,
-    /// The seed solution carries no [`SeedRegions`] (it was not produced by
-    /// a fingerprint-capable solve — see [`Solution::regions`]).
-    SeedWithoutRegions,
-    /// The problem returns `None` from [`Dataflow::node_fingerprint`], so
-    /// regions cannot be matched across graph builds.
-    FingerprintsUnavailable,
-    /// A node handed to `.demand()` or `.dirty()` is outside the graph.
+    /// A node handed to `.demand()` is outside the graph.
     NodeOutOfRange { node: NodeId, num_nodes: usize },
 }
 
 impl fmt::Display for SolverConfigError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            SolverConfigError::SeedDirectionMismatch { expected, got } => write!(
-                f,
-                "seed solution direction {got:?} does not match the problem's {expected:?}"
-            ),
-            SolverConfigError::SeedNotConverged => {
-                write!(f, "seed solution did not converge; re-solve from scratch")
-            }
-            SolverConfigError::SeedWithoutRegions => write!(
-                f,
-                "seed solution has no region seed data (not produced by a \
-                 fingerprint-capable solve)"
-            ),
-            SolverConfigError::FingerprintsUnavailable => write!(
-                f,
-                "problem does not implement node_fingerprint; incremental \
-                 seeding is unavailable"
-            ),
             SolverConfigError::NodeOutOfRange { node, num_nodes } => {
                 write!(f, "node {node} is outside the graph ({num_nodes} nodes)")
             }
@@ -408,11 +248,6 @@ pub struct Solution<F> {
     /// Fact produced by each node's transfer.
     pub output: Vec<F>,
     pub stats: ConvergenceStats,
-    /// Region seed data for incremental re-solving, captured when the solve
-    /// ran the region engine (or an incremental re-solve), converged, and
-    /// the problem implements [`Dataflow::node_fingerprint`]; `None`
-    /// otherwise. Cheap to clone (shared via `Arc`).
-    pub regions: Option<Arc<SeedRegions>>,
 }
 
 impl<F> Solution<F> {
@@ -433,40 +268,20 @@ impl<F> Solution<F> {
     }
 }
 
-/// Unified builder over both iteration strategies — the only solve entry
-/// point in the framework.
+/// Unified builder — the only solve entry point in the framework.
 ///
 /// ```text
 /// Solver::new(problem, graph)
-///     .strategy(Strategy::Region)
 ///     .params(SolveParams::default())   // or .max_passes(..) / .budget(..)
-///     .run()
+///     .run()                            // the round-robin full fixpoint
 /// ```
 ///
-/// # Builder-state rules (partial modes)
-///
-/// Beyond the full fixpoint, the builder branches into two typestate
-/// sub-builders whose misuse is unrepresentable or rejected with a typed
-/// [`SolverConfigError`] at *build* time, never at run time:
-///
-/// * **Incremental**: [`Solver::seed`] validates the previous
-///   [`Solution`] (matching direction, converged, carries
-///   [`SeedRegions`], problem is fingerprintable) and returns a
-///   [`SeededSolver`]. A seeded solver has **no `run()`** — the dirty set
-///   must be declared first via [`SeededSolver::dirty`] (an empty set is
-///   legal: every region is then validated purely by fingerprint + input
-///   facts), which yields an [`IncrementalSolver`] whose
-///   [`IncrementalSolver::run`] re-solves only invalidated regions and
-///   transplants the rest.
-/// * **Demand**: [`Solver::demand`] returns a [`DemandSolver`] that
-///   answers facts at the requested node(s) by solving only the upstream
-///   region slice. More roots can be added by chaining
-///   [`DemandSolver::demand`].
-///
-/// Both partial modes run the region engine whatever the configured
-/// strategy. Both sub-builders consume `self`, so a partial mode cannot be
-/// combined with a later `.strategy(..)` / `.params(..)` rewrite — whatever
-/// was configured before the branch is what runs.
+/// [`Solver::demand`] branches into a [`DemandSolver`] that answers facts
+/// at the requested node(s) by solving only their upstream region slice;
+/// more roots can be added by chaining [`DemandSolver::demand`]. A root
+/// outside the graph is rejected with a typed [`SolverConfigError`] when
+/// it is named, never at run time. The sub-builder consumes `self`, so
+/// whatever was configured before the branch is what runs.
 #[derive(Debug)]
 pub struct Solver<'a, P, G> {
     problem: &'a P,
@@ -485,13 +300,7 @@ impl<'a, P: Dataflow, G: FlowGraph> Solver<'a, P, G> {
         }
     }
 
-    /// Select the iteration strategy (overrides the one in the params).
-    pub fn strategy(mut self, strategy: Strategy) -> Self {
-        self.params.strategy = strategy;
-        self
-    }
-
-    /// Replace all tuning knobs at once (including the strategy).
+    /// Replace all tuning knobs at once.
     pub fn params(mut self, params: SolveParams) -> Self {
         self.params = params;
         self
@@ -509,50 +318,10 @@ impl<'a, P: Dataflow, G: FlowGraph> Solver<'a, P, G> {
         self
     }
 
-    /// Run the fixpoint to completion (or budget/pass-bound exhaustion).
+    /// Run the round-robin fixpoint to completion (or budget/pass-bound
+    /// exhaustion).
     pub fn run(self) -> Solution<P::Fact> {
-        match self.params.strategy {
-            Strategy::RoundRobin => run_round_robin(self.graph, self.problem, &self.params),
-            Strategy::Region => run_region(self.graph, self.problem, &self.params),
-        }
-    }
-
-    /// Branch into **incremental mode**: validate `prev` as a seed and
-    /// return a [`SeededSolver`] (see the builder-state rules on
-    /// [`Solver`]). Errors:
-    ///
-    /// * [`SolverConfigError::SeedDirectionMismatch`] — `prev` was solved
-    ///   in the opposite direction;
-    /// * [`SolverConfigError::SeedNotConverged`] — `prev`'s facts are not a
-    ///   fixpoint;
-    /// * [`SolverConfigError::SeedWithoutRegions`] — `prev` carries no
-    ///   [`SeedRegions`];
-    /// * [`SolverConfigError::FingerprintsUnavailable`] — the problem does
-    ///   not implement [`Dataflow::node_fingerprint`].
-    pub fn seed(
-        self,
-        prev: &'a Solution<P::Fact>,
-    ) -> Result<SeededSolver<'a, P, G>, SolverConfigError> {
-        let expected = self.problem.direction();
-        if prev.direction != expected {
-            return Err(SolverConfigError::SeedDirectionMismatch {
-                expected,
-                got: prev.direction,
-            });
-        }
-        if !prev.stats.converged {
-            return Err(SolverConfigError::SeedNotConverged);
-        }
-        if prev.regions.is_none() {
-            return Err(SolverConfigError::SeedWithoutRegions);
-        }
-        let node_fp = node_fingerprints(self.graph, self.problem)
-            .ok_or(SolverConfigError::FingerprintsUnavailable)?;
-        Ok(SeededSolver {
-            solver: self,
-            prev,
-            node_fp,
-        })
+        run_round_robin(self.graph, self.problem, &self.params)
     }
 
     /// Branch into **demand mode**: answer facts at `at` (and any further
@@ -567,69 +336,6 @@ impl<'a, P: Dataflow, G: FlowGraph> Solver<'a, P, G> {
         }
         .demand(at)
     }
-}
-
-/// Incremental-mode builder produced by [`Solver::seed`]; the seed has been
-/// validated. Has no `run()` — call [`SeededSolver::dirty`] first (the
-/// typestate that makes "seed without dirty" unrepresentable).
-pub struct SeededSolver<'a, P: Dataflow, G> {
-    solver: Solver<'a, P, G>,
-    prev: &'a Solution<P::Fact>,
-    node_fp: Vec<u64>,
-}
-
-impl<'a, P: Dataflow, G: FlowGraph> SeededSolver<'a, P, G> {
-    /// Declare the nodes whose transfer semantics may have changed (for a
-    /// source edit: every node of the edited procedures). Their regions are
-    /// force-re-solved; all other regions are validated by fingerprint and
-    /// upstream-fact equality and transplanted when unchanged. An empty
-    /// dirty set is legal — validation alone decides what re-solves.
-    pub fn dirty(self, nodes: &[NodeId]) -> IncrementalSolver<'a, P, G> {
-        IncrementalSolver {
-            seeded: self,
-            dirty: nodes.to_vec(),
-        }
-    }
-}
-
-/// Ready-to-run incremental re-solve ([`Solver::seed`] + dirty set).
-pub struct IncrementalSolver<'a, P: Dataflow, G> {
-    seeded: SeededSolver<'a, P, G>,
-    dirty: Vec<NodeId>,
-}
-
-impl<P: Dataflow, G: FlowGraph> IncrementalSolver<'_, P, G> {
-    /// Run the incremental re-solve: condense the (new) graph, force-dirty
-    /// the declared regions, validate every other region against the seed,
-    /// transplant validated regions' facts and accounting, and re-solve the
-    /// rest in region topological order. For monotone converging problems
-    /// the resulting facts — and, for transplanted regions, the solve
-    /// accounting — are byte-identical to a cold region-engine solve of the
-    /// same graph.
-    pub fn run(self) -> SeededRun<P::Fact> {
-        run_incremental(
-            self.seeded.solver.graph,
-            self.seeded.solver.problem,
-            &self.seeded.solver.params,
-            self.seeded.prev,
-            &self.seeded.node_fp,
-            &self.dirty,
-        )
-    }
-}
-
-/// Result of an incremental re-solve: the full solution plus the
-/// reuse/re-solve split (also published to telemetry as
-/// `solver_regions_reused_total` / `solver_regions_resolved_total`).
-#[derive(Debug)]
-pub struct SeededRun<F> {
-    pub solution: Solution<F>,
-    /// Total SCC regions in the (new) graph.
-    pub regions_total: usize,
-    /// Regions whose facts were transplanted from the seed.
-    pub regions_reused: usize,
-    /// Regions re-solved (dirty, unmatched, or upstream facts changed).
-    pub regions_resolved: usize,
 }
 
 /// Demand-mode builder produced by [`Solver::demand`].
@@ -671,8 +377,7 @@ impl<P: Dataflow, G: FlowGraph> DemandSolver<'_, P, G> {
 #[derive(Debug)]
 pub struct DemandRun<F> {
     /// Facts are authoritative only where [`DemandRun::node_in_slice`] is
-    /// true; `solution.regions` is always `None` (a partial solution must
-    /// never seed an incremental re-solve).
+    /// true.
     pub solution: Solution<F>,
     /// Total SCC regions in the graph.
     pub regions_total: usize,
@@ -684,24 +389,22 @@ pub struct DemandRun<F> {
 
 /// Direction-adjusted view of the graph. `comm` is the class view whose
 /// sources feed facts to its receivers under the analysis direction: the
-/// graph's own classes forward, their transpose backward.
+/// graph's own classes forward, their transpose backward (built once per
+/// graph, see [`CommClasses::transposed`]).
 struct Oriented<'g, G: FlowGraph> {
     graph: &'g G,
     backward: bool,
-    comm: Cow<'g, CommClasses>,
+    comm: &'g CommClasses,
 }
 
 impl<'g, G: FlowGraph> Oriented<'g, G> {
     fn new(graph: &'g G, direction: Direction) -> Self {
         let backward = direction == Direction::Backward;
+        let comm = graph.comm_classes();
         Oriented {
             graph,
             backward,
-            comm: if backward {
-                Cow::Owned(graph.comm_classes().transpose())
-            } else {
-                Cow::Borrowed(graph.comm_classes())
-            },
+            comm: if backward { comm.transposed() } else { comm },
         }
     }
 
@@ -760,7 +463,7 @@ impl<'g, G: FlowGraph> Oriented<'g, G> {
 /// direction-adjusted graph, the problem, the boundary flags, the solve's
 /// [`CommCache`], the problem's `top()` and `boundary()`, three scratch
 /// facts, and the meet counter.
-/// Both strategies drive their visits through one of these, built once per
+/// Both engines drive their visits through one of these, built once per
 /// solve.
 struct Visitor<'a, P: Dataflow, G: FlowGraph> {
     graph: Oriented<'a, G>,
@@ -817,7 +520,7 @@ impl<'a, P: Dataflow, G: FlowGraph> Visitor<'a, P, G> {
 
         // The communication meet, read before `n`'s own input moves (a
         // collective is its own comm source).
-        let comm = self.cache.meet(&self.graph.comm, i, problem, input);
+        let comm = self.cache.meet(self.graph.comm, i, problem, input);
 
         let in_changed = match edges {
             // One upstream flow edge into a non-boundary node: ⊤ ⊓ x = x,
@@ -858,7 +561,7 @@ impl<'a, P: Dataflow, G: FlowGraph> Visitor<'a, P, G> {
         self.out.clone_from(&input[i]);
         problem.transfer(n, &input[i], comm, &mut self.out);
         if in_changed {
-            self.cache.invalidate(&self.graph.comm, i);
+            self.cache.invalidate(self.graph.comm, i);
         }
         let out_changed = self.out != output[i];
         if out_changed {
@@ -932,7 +635,6 @@ fn run_round_robin<G: FlowGraph, P: Dataflow>(
         input,
         output,
         stats,
-        regions: None,
     }
 }
 
@@ -941,10 +643,8 @@ fn run_round_robin<G: FlowGraph, P: Dataflow>(
 // ---------------------------------------------------------------------------
 
 /// Per-region accounting; merged into [`ConvergenceStats`] in region-id
-/// order. `Clone` because [`SeedRegions`] stores each region's accounting
-/// and the incremental solver replays it when the region's facts are
-/// transplanted.
-#[derive(Debug, Default, Clone)]
+/// order.
+#[derive(Debug, Default)]
 struct RegionStats {
     node_visits: u64,
     comm_evals: u64,
@@ -958,9 +658,8 @@ struct RegionStats {
 }
 
 /// Memo of `f_comm` per source and of the communication meet per receiver
-/// class (of the direction-adjusted class view), shared by both strategies:
-/// one epoch per round-robin solve, one per region solve in the region
-/// engine.
+/// class (of the direction-adjusted class view), shared by both engines:
+/// one epoch per round-robin solve, one per region of a demand solve.
 ///
 /// A source's comm fact changes only when its *input* fact changes (the
 /// [`Dataflow::comm_transfer`] contract), so each source is evaluated once
@@ -970,7 +669,7 @@ struct RegionStats {
 /// a class's sources in ascending node id.
 ///
 /// The epoch bump at region start drops every entry, so facts that flow in
-/// from upstream regions (solved or transplanted) are re-read, never stale.
+/// from upstream regions are re-read, never stale.
 /// Hit/miss behavior depends only on the deterministic visit sequence, so
 /// `comm_evals` (the source miss count) is a deterministic function of the
 /// graph.
@@ -1050,21 +749,8 @@ impl<F: MeetSemiLattice> CommCache<F> {
     }
 }
 
-/// What the region driver does with one region.
-enum Plan {
-    /// Solve the region to its local fixpoint.
-    Solve,
-    /// Leave the region at lattice top (outside a demand slice).
-    Skip,
-    /// The caller already wrote the region's facts (a seed transplant);
-    /// record this accounting for it.
-    Reuse(RegionStats),
-}
-
-/// One region-engine solve: the node visitor, the SCC condensation, each
-/// node's RPO position, the fact vectors, and the budget meter. The full
-/// solve, the incremental re-solve and the demand slice all run
-/// [`RegionEngine::walk`]; they differ only in their [`Plan`]s.
+/// One demand solve: the node visitor, the SCC condensation, each node's
+/// RPO position, the fact vectors, and the budget meter.
 struct RegionEngine<'a, P: Dataflow, G: FlowGraph> {
     visitor: Visitor<'a, P, G>,
     cond: Condensation,
@@ -1097,14 +783,12 @@ impl<'a, P: Dataflow, G: FlowGraph> RegionEngine<'a, P, G> {
 
     /// The region driver: visit the regions in direction-adjusted
     /// topological order (ids are forward-topological, so a backward
-    /// analysis walks them in reverse), let `plan` decide what happens to
-    /// each, and stop after the first region that exhausts the budget. Each
-    /// region reads only regions visited before it, so a solved region
-    /// sees final upstream facts. Returns the per-region accounting.
-    fn walk(
-        &mut self,
-        mut plan: impl FnMut(&Condensation, &CommClasses, usize, &mut [P::Fact], &mut [P::Fact]) -> Plan,
-    ) -> Vec<Option<RegionStats>> {
+    /// analysis walks them in reverse), solve those `in_slice` marks, leave
+    /// the rest at lattice top, and stop after the first region that
+    /// exhausts the budget. Each region reads only regions visited before
+    /// it, so a solved region sees final upstream facts. Returns the
+    /// per-region accounting.
+    fn walk(&mut self, in_slice: &[bool]) -> Vec<Option<RegionStats>> {
         let num_regions = self.cond.num_regions();
         let mut per_region: Vec<Option<RegionStats>> = (0..num_regions).map(|_| None).collect();
         for i in 0..num_regions {
@@ -1113,12 +797,10 @@ impl<'a, P: Dataflow, G: FlowGraph> RegionEngine<'a, P, G> {
             } else {
                 i
             };
-            let comm = &self.visitor.graph.comm;
-            let rs = match plan(&self.cond, comm, rid, &mut self.input, &mut self.output) {
-                Plan::Skip => continue,
-                Plan::Reuse(rs) => rs,
-                Plan::Solve => self.solve_region(rid),
-            };
+            if !in_slice[rid] {
+                continue;
+            }
+            let rs = self.solve_region(rid);
             let stop = rs.exhausted.is_some();
             per_region[rid] = Some(rs);
             if stop {
@@ -1298,45 +980,11 @@ impl<'a, P: Dataflow, G: FlowGraph> RegionEngine<'a, P, G> {
         stats
     }
 
-    /// Structural fingerprints of this engine's regions (see
-    /// [`scc::region_fingerprints`]).
-    fn fingerprints(&self, node_fp: &[u64]) -> scc::RegionFingerprints {
-        let v = &self.visitor;
-        scc::region_fingerprints(
-            v.graph.graph,
-            &self.cond,
-            node_fp,
-            &v.is_boundary,
-            &self.rpo_pos,
-            v.graph.backward,
-            &v.graph.comm,
-        )
-    }
-
-    /// The [`SeedRegions`] of a converged walk; `None` when some region has
-    /// no accounting.
-    fn seed(
-        &self,
-        fps: scc::RegionFingerprints,
-        per_region: Vec<Option<RegionStats>>,
-    ) -> Option<Arc<SeedRegions>> {
-        Some(Arc::new(SeedRegions {
-            regions: self.cond.regions.clone(),
-            local_fp: fps.local_fp,
-            ext_in: fps.ext_in,
-            ext_comm: fps.ext_comm,
-            comm: self.visitor.graph.comm.clone().into_owned(),
-            region_of: self.cond.region_of.clone(),
-            stats: per_region.into_iter().collect::<Option<Vec<_>>>()?,
-        }))
-    }
-
     /// Close the solve's span and hand back its facts.
     fn into_solution(
         self,
         span: &mut telemetry::SpanGuard,
         stats: ConvergenceStats,
-        regions: Option<Arc<SeedRegions>>,
     ) -> Solution<P::Fact> {
         close_solver_span(span, &stats, self.input.len());
         Solution {
@@ -1344,264 +992,7 @@ impl<'a, P: Dataflow, G: FlowGraph> RegionEngine<'a, P, G> {
             input: self.input,
             output: self.output,
             stats,
-            regions,
         }
-    }
-}
-
-/// Region engine over the whole graph: solve every region in topological
-/// order; a converged solve of a fingerprintable problem captures the seed
-/// for the next incremental re-solve.
-fn run_region<G: FlowGraph, P: Dataflow>(
-    graph: &G,
-    problem: &P,
-    params: &SolveParams,
-) -> Solution<P::Fact> {
-    let mut span = telemetry::span("solver", "fixpoint:region");
-    let started = Instant::now();
-    let mut engine = RegionEngine::new(graph, problem, params);
-    let per_region = engine.walk(|_, _, _, _, _| Plan::Solve);
-    let stats = engine.merge(&per_region, started);
-    let regions = if stats.converged {
-        node_fingerprints(graph, problem)
-            .and_then(|node_fp| engine.seed(engine.fingerprints(&node_fp), per_region))
-    } else {
-        None
-    };
-    let num_regions = engine.cond.num_regions();
-    if telemetry::is_enabled() {
-        telemetry::metric_add("solver_regions_total", num_regions as f64);
-    }
-    if span.id().is_some() {
-        span.arg("regions", num_regions);
-        span.arg("largest_region", engine.cond.largest_region());
-    }
-    engine.into_solution(&mut span, stats, regions)
-}
-
-/// Per-node content fingerprints, or `None` when the problem declines for
-/// any node (incremental seeding is then unavailable).
-fn node_fingerprints<G: FlowGraph, P: Dataflow>(graph: &G, problem: &P) -> Option<Vec<u64>> {
-    (0..graph.num_nodes() as u32)
-        .map(|i| problem.node_fingerprint(NodeId(i)))
-        .collect()
-}
-
-// ---------------------------------------------------------------------------
-// Incremental re-solve (Solver::seed)
-// ---------------------------------------------------------------------------
-
-/// Finds, for a region of the new graph, an old region whose structure and
-/// upstream facts prove it would re-solve to exactly the old facts.
-///
-/// The local-fingerprint match guarantees identical member content, member
-/// visit order, internal edges and communication, and external-input
-/// *shape*; what remains is the **input-fact cutoff**: each external input
-/// (current, already-final — regions are processed in topological order)
-/// must equal what the old run saw. Control descriptors are paired by their
-/// graph-independent key; within a run of equal keys the facts are matched
-/// as a multiset, and they compare the source's output. Communication
-/// descriptors are paired by slot and compare the *input* facts (what
-/// `f_comm` reads) of the class's outside sources, in ascending node id.
-struct Transplant<'s, F> {
-    seed: &'s SeedRegions,
-    prev_input: &'s [F],
-    prev_output: &'s [F],
-    /// Old region ids by local fingerprint. Deliberately non-consuming:
-    /// several structurally identical new regions may each validate
-    /// against the same old region — each still proves its own upstream
-    /// facts, so every transplant is individually justified.
-    candidates: HashMap<u64, Vec<u32>>,
-    /// (new class, old class) → whether the sources of two classes with no
-    /// source inside their regions carry equal input facts. Sources are
-    /// final once checked, so the answer holds for the rest of the walk.
-    class_match: HashMap<(u32, u32), bool>,
-}
-
-impl<'s, F: PartialEq> Transplant<'s, F> {
-    fn new(seed: &'s SeedRegions, prev: &'s Solution<F>) -> Self {
-        let mut candidates: HashMap<u64, Vec<u32>> = HashMap::new();
-        for (rid, &fp) in seed.local_fp.iter().enumerate() {
-            candidates.entry(fp).or_default().push(rid as u32);
-        }
-        Transplant {
-            seed,
-            prev_input: &prev.input,
-            prev_output: &prev.output,
-            candidates,
-            class_match: HashMap::new(),
-        }
-    }
-
-    /// The old region to transplant into region `rid` of the new graph
-    /// (class view `comm`, condensation `cond`), if any.
-    fn find(
-        &mut self,
-        fps: &scc::RegionFingerprints,
-        comm: &CommClasses,
-        cond: &Condensation,
-        rid: usize,
-        cur_input: &[F],
-        cur_output: &[F],
-    ) -> Option<u32> {
-        let Transplant {
-            seed,
-            prev_input,
-            prev_output,
-            candidates,
-            class_match,
-        } = self;
-        let new_ext = &fps.ext_in[rid];
-        let new_comm = &fps.ext_comm[rid];
-        'cand: for &old_rid in candidates.get(&fps.local_fp[rid])? {
-            let old_ext = &seed.ext_in[old_rid as usize];
-            let old_comm = &seed.ext_comm[old_rid as usize];
-            // Shape equality is implied by the fingerprint; re-checked here so
-            // a (astronomically unlikely) fingerprint collision degrades to a
-            // harmless re-solve instead of a wrong transplant.
-            if old_ext.len() != new_ext.len()
-                || old_comm.len() != new_comm.len()
-                || seed.regions[old_rid as usize].len() != cond.regions[rid].len()
-            {
-                continue;
-            }
-            for (a, b) in new_ext.iter().zip(old_ext.iter()) {
-                if a.key() != b.key() {
-                    continue 'cand;
-                }
-            }
-            let mut i = 0;
-            while i < new_ext.len() {
-                let mut j = i + 1;
-                while j < new_ext.len() && new_ext[j].key() == new_ext[i].key() {
-                    j += 1;
-                }
-                // Multiset fact match within the equal-key run (runs are tiny:
-                // parallel edges of one kind from same-fingerprint sources).
-                let mut used = vec![false; j - i];
-                for edge in &new_ext[i..j] {
-                    let fa = &cur_output[edge.src.index()];
-                    let mut matched = false;
-                    for b in i..j {
-                        if !used[b - i] && *fa == prev_output[old_ext[b].src.index()] {
-                            used[b - i] = true;
-                            matched = true;
-                            break;
-                        }
-                    }
-                    if !matched {
-                        continue 'cand;
-                    }
-                }
-                i = j;
-            }
-            for (a, b) in new_comm.iter().zip(old_comm.iter()) {
-                if (a.slot, a.src_fp, a.all_outside) != (b.slot, b.src_fp, b.all_outside) {
-                    continue 'cand;
-                }
-                let new_srcs = comm.sources(a.class as usize);
-                let old_srcs = seed.comm.sources(b.class as usize);
-                let same = || {
-                    let new_out = new_srcs
-                        .iter()
-                        .filter(|s| cond.region_of[s.index()] as usize != rid);
-                    let mut old_out = old_srcs
-                        .iter()
-                        .filter(|s| seed.region_of[s.index()] != old_rid);
-                    for s in new_out {
-                        match old_out.next() {
-                            Some(o) if cur_input[s.index()] == prev_input[o.index()] => {}
-                            _ => return false,
-                        }
-                    }
-                    old_out.next().is_none()
-                };
-                let ok = if a.all_outside {
-                    *class_match.entry((a.class, b.class)).or_insert_with(same)
-                } else {
-                    same()
-                };
-                if !ok {
-                    continue 'cand;
-                }
-            }
-            return Some(old_rid);
-        }
-        None
-    }
-}
-
-/// Incremental re-solve over the (new) graph: transplant validated regions,
-/// re-solve the rest in topological order. See [`IncrementalSolver::run`]
-/// for the equivalence contract.
-fn run_incremental<G: FlowGraph, P: Dataflow>(
-    graph: &G,
-    problem: &P,
-    params: &SolveParams,
-    prev: &Solution<P::Fact>,
-    node_fp: &[u64],
-    dirty: &[NodeId],
-) -> SeededRun<P::Fact> {
-    let seed = prev.regions.as_deref().expect("validated by Solver::seed");
-    let mut span = telemetry::span("solver", "fixpoint:incremental");
-    let started = Instant::now();
-    let mut engine = RegionEngine::new(graph, problem, params);
-    let fps = engine.fingerprints(node_fp);
-    let num_regions = engine.cond.num_regions();
-
-    // Dirty planning: a declared-dirty node forces its whole region (nodes
-    // outside the graph cannot name a region and are ignored).
-    let mut force = vec![false; num_regions];
-    for &nd in dirty {
-        if nd.index() < graph.num_nodes() {
-            force[engine.cond.region_of[nd.index()] as usize] = true;
-        }
-    }
-
-    let mut transplant = Transplant::new(seed, prev);
-    let mut reused = 0usize;
-    let mut resolved = 0usize;
-    let per_region = engine.walk(|cond, comm, rid, input, output| {
-        let found = if force[rid] {
-            None
-        } else {
-            transplant.find(&fps, comm, cond, rid, input, output)
-        };
-        let Some(old_rid) = found else {
-            resolved += 1;
-            return Plan::Solve;
-        };
-        let old_members = &seed.regions[old_rid as usize];
-        for (&nd, &old) in cond.regions[rid].iter().zip(old_members) {
-            input[nd.index()] = prev.input[old.index()].clone();
-            output[nd.index()] = prev.output[old.index()].clone();
-        }
-        reused += 1;
-        Plan::Reuse(seed.stats[old_rid as usize].clone())
-    });
-
-    let stats = engine.merge(&per_region, started);
-    // An incremental result can itself seed the next edit.
-    let regions = if stats.converged {
-        engine.seed(fps, per_region)
-    } else {
-        None
-    };
-
-    if telemetry::is_enabled() {
-        telemetry::metric_add("solver_regions_reused_total", reused as f64);
-        telemetry::metric_add("solver_regions_resolved_total", resolved as f64);
-    }
-    if span.id().is_some() {
-        span.arg("regions", num_regions);
-        span.arg("reused", reused);
-        span.arg("resolved", resolved);
-    }
-    SeededRun {
-        solution: engine.into_solution(&mut span, stats, regions),
-        regions_total: num_regions,
-        regions_reused: reused,
-        regions_resolved: resolved,
     }
 }
 
@@ -1637,13 +1028,7 @@ fn run_demand<G: FlowGraph, P: Dataflow>(
         }
     }
 
-    let per_region = engine.walk(|_, _, rid, _, _| {
-        if in_slice[rid] {
-            Plan::Solve
-        } else {
-            Plan::Skip
-        }
-    });
+    let per_region = engine.walk(&in_slice);
     let stats = engine.merge(&per_region, started);
     let num_regions = engine.cond.num_regions();
     if span.id().is_some() {
@@ -1651,7 +1036,7 @@ fn run_demand<G: FlowGraph, P: Dataflow>(
         span.arg("slice_regions", in_slice.iter().filter(|&&b| b).count());
     }
     DemandRun {
-        solution: engine.into_solution(&mut span, stats, None),
+        solution: engine.into_solution(&mut span, stats),
         regions_total: num_regions,
         regions_solved: per_region.iter().flatten().count(),
         node_in_slice,
@@ -1750,16 +1135,6 @@ mod tests {
         fn comm_transfer(&self, _node: NodeId, input: &Self::Fact) -> Self::CommFact {
             *input
         }
-
-        fn node_fingerprint(&self, n: NodeId) -> Option<u64> {
-            // Transfer behavior depends on exactly (gen, recv) — hash those.
-            let mut h = crate::hash::Hasher128::new();
-            h.write_str("toy-consts");
-            h.write_opt_u64(self.gen[n.index()].map(|c| c as u64));
-            h.write_bool(self.recv[n.index()]);
-            let wide = h.finish();
-            Some((wide as u64) ^ ((wide >> 64) as u64))
-        }
     }
 
     fn toy(graph_nodes: usize) -> ToyConsts {
@@ -1770,11 +1145,23 @@ mod tests {
     }
 
     fn rr<P: Dataflow, G: FlowGraph>(g: &G, p: &P) -> Solution<P::Fact> {
-        Solver::new(p, g).strategy(Strategy::RoundRobin).run()
+        Solver::new(p, g).run()
+    }
+
+    /// The region engine over the whole graph: a demand for every node.
+    fn demand_all<P: Dataflow, G: FlowGraph>(solver: Solver<'_, P, G>) -> Solution<P::Fact> {
+        let n = solver.graph.num_nodes() as u32;
+        (1..n)
+            .try_fold(solver.demand(NodeId(0)).unwrap(), |d, i| {
+                d.demand(NodeId(i))
+            })
+            .unwrap()
+            .run()
+            .solution
     }
 
     fn rg<P: Dataflow, G: FlowGraph>(g: &G, p: &P) -> Solution<P::Fact> {
-        Solver::new(p, g).strategy(Strategy::Region).run()
+        demand_all(Solver::new(p, g))
     }
 
     /// The graph used by several equivalence tests: branches, a loop, and
@@ -1980,33 +1367,37 @@ mod tests {
     }
 
     #[test]
-    fn both_strategies_evaluate_f_comm_once_per_input_change() {
+    fn both_engines_evaluate_f_comm_once_per_input_change() {
         let (g, problem) = clique_in_loop();
         let reference = rr(&g, &problem());
-        for strategy in [Strategy::RoundRobin, Strategy::Region] {
+        for engine in ["round-robin", "demand"] {
             let p = problem();
-            let sol = Solver::new(&p, &g).strategy(strategy).run();
-            assert!(sol.stats.converged, "{strategy}");
-            assert_eq!(sol.input, reference.input, "{strategy}");
-            assert_eq!(sol.output, reference.output, "{strategy}");
+            let sol = if engine == "round-robin" {
+                rr(&g, &p)
+            } else {
+                rg(&g, &p)
+            };
+            assert!(sol.stats.converged, "{engine}");
+            assert_eq!(sol.input, reference.input, "{engine}");
+            assert_eq!(sol.output, reference.output, "{engine}");
             let calls = p.comm_calls.borrow().clone();
             let inputs = p.inputs.borrow().clone();
             for src in 2..=9 {
                 let changes = inputs[src].1;
                 assert!(
                     changes >= 2,
-                    "{strategy}: node {src} input changed {changes}×"
+                    "{engine}: node {src} input changed {changes}×"
                 );
                 assert!(
                     calls[src] <= changes + 1,
-                    "{strategy}: node {src}: {} f_comm calls for {changes} input changes",
+                    "{engine}: node {src}: {} f_comm calls for {changes} input changes",
                     calls[src]
                 );
             }
             assert_eq!(
                 sol.stats.comm_evals,
                 calls.iter().sum::<u64>(),
-                "{strategy}: comm_evals counts evaluations performed"
+                "{engine}: comm_evals counts evaluations performed"
             );
         }
     }
@@ -2116,26 +1507,20 @@ mod tests {
         g.flow(0, 0);
         g.set_entry(0);
         g.set_exit(0);
-        let sol = Solver::new(&Flip, &g)
-            .strategy(Strategy::RoundRobin)
-            .max_passes(50)
-            .run();
+        let sol = Solver::new(&Flip, &g).max_passes(50).run();
         assert!(!sol.stats.converged);
         assert_eq!(sol.stats.passes, 50);
         // Pass-bound non-convergence is distinct from budget exhaustion.
         assert_eq!(sol.stats.exhausted, None);
-        // The region strategy hits its per-region round bound too instead
-        // of spinning forever.
-        let par = Solver::new(&Flip, &g)
-            .strategy(Strategy::Region)
-            .max_passes(50)
-            .run();
+        // A demand solve hits its per-region round bound too instead of
+        // spinning forever.
+        let par = demand_all(Solver::new(&Flip, &g).max_passes(50));
         assert!(!par.stats.converged);
         assert_eq!(par.stats.exhausted, None);
     }
 
     #[test]
-    fn budget_exhaustion_stops_both_strategies_and_is_reported() {
+    fn budget_exhaustion_stops_both_engines_and_is_reported() {
         let mut g = SimpleGraph::new(4);
         g.flow(0, 1);
         g.flow(1, 2);
@@ -2145,22 +1530,17 @@ mod tests {
         g.set_exit(3);
         let mut p = toy(4);
         p.gen[0] = Some(1);
-        for strategy in [Strategy::RoundRobin, Strategy::Region] {
-            let sol = Solver::new(&p, &g)
-                .strategy(strategy)
-                .budget(crate::budget::Budget::unlimited().with_max_work(3))
-                .run();
-            assert!(!sol.stats.converged, "{strategy}");
+        let budget = || crate::budget::Budget::unlimited().with_max_work(3);
+        let rr_sol = Solver::new(&p, &g).budget(budget()).run();
+        let rg_sol = demand_all(Solver::new(&p, &g).budget(budget()));
+        for (engine, sol) in [("round-robin", rr_sol), ("demand", rg_sol)] {
+            assert!(!sol.stats.converged, "{engine}");
             assert_eq!(
                 sol.stats.exhausted,
                 Some(crate::budget::Exhaustion::WorkUnits),
-                "{strategy}"
+                "{engine}"
             );
-            assert!(sol.stats.node_visits <= 3, "{strategy}");
-            assert!(
-                sol.regions.is_none(),
-                "{strategy}: no seed from a cut solve"
-            );
+            assert!(sol.stats.node_visits <= 3, "{engine}");
         }
     }
 
@@ -2169,10 +1549,9 @@ mod tests {
         let token = crate::budget::CancelToken::new();
         token.cancel(); // pre-cancelled: every region must refuse to start
         let (g, p) = loopy_comm_graph();
-        let sol = Solver::new(&p, &g)
-            .strategy(Strategy::Region)
-            .budget(crate::budget::Budget::unlimited().with_cancel(token))
-            .run();
+        let sol = demand_all(
+            Solver::new(&p, &g).budget(crate::budget::Budget::unlimited().with_cancel(token)),
+        );
         assert!(!sol.stats.converged);
         assert_eq!(
             sol.stats.exhausted,
@@ -2184,10 +1563,9 @@ mod tests {
     #[test]
     fn region_expired_deadline_stops_immediately() {
         let (g, p) = loopy_comm_graph();
-        let sol = Solver::new(&p, &g)
-            .strategy(Strategy::Region)
-            .budget(crate::budget::Budget::unlimited().with_deadline_ms(0))
-            .run();
+        let sol = demand_all(
+            Solver::new(&p, &g).budget(crate::budget::Budget::unlimited().with_deadline_ms(0)),
+        );
         assert!(!sol.stats.converged);
         assert_eq!(
             sol.stats.exhausted,
@@ -2196,7 +1574,7 @@ mod tests {
     }
 
     #[test]
-    fn both_strategies_report_elapsed_and_visits_uniformly() {
+    fn both_engines_report_elapsed_and_visits_uniformly() {
         let mut g = SimpleGraph::new(3);
         g.flow(0, 1);
         g.flow(1, 2);
@@ -2417,20 +1795,14 @@ mod tests {
     }
 
     #[test]
-    fn region_publishes_region_metrics() {
+    fn demand_traces_one_span_per_solved_region() {
         use crate::telemetry::{self, TraceLevel, TEST_SINK_GATE};
         let _gate = TEST_SINK_GATE.lock().unwrap_or_else(|p| p.into_inner());
         let (g, p) = loopy_comm_graph();
         telemetry::install(TraceLevel::Full);
         let _ = rg(&g, &p);
         let report = telemetry::finish();
-        assert!(
-            report.metrics.get("solver_regions_total").copied() > Some(0.0),
-            "metrics: {:?}",
-            report.metrics.keys().collect::<Vec<_>>()
-        );
-        // Per-region spans exist under the solver category.
-        assert!(report.events.iter().any(|e| e.name == "fixpoint:region"));
+        assert!(report.events.iter().any(|e| e.name == "fixpoint:demand"));
         assert!(report.events.iter().any(|e| e.name == "region"));
     }
 
@@ -2468,48 +1840,11 @@ mod tests {
         g.set_exit(1);
         let sol = rr(&g, &Inc);
         assert_eq!(sol.input[1], ConstLattice::Const(11));
-        // Translate must behave identically across strategies.
+        // Translate must behave identically in both engines.
         let par = rg(&g, &Inc);
         assert_eq!(par.input, sol.input);
         assert_eq!(par.output, sol.output);
     }
-
-    #[test]
-    fn strategy_parse_and_display_round_trip() {
-        for (text, want) in [
-            ("round-robin", Strategy::RoundRobin),
-            ("region", Strategy::Region),
-        ] {
-            let parsed = Strategy::parse(text).unwrap();
-            assert_eq!(parsed, want);
-            assert_eq!(parsed.to_string(), text, "display round-trips");
-        }
-        for old in [
-            "worklist",
-            "region-parallel",
-            "region-parallel:4",
-            "Region",
-            "bogus",
-        ] {
-            let err = Strategy::parse(old).unwrap_err();
-            assert!(
-                err.contains("round-robin") && err.contains("region"),
-                "{old}: {err}"
-            );
-        }
-    }
-
-    #[test]
-    fn solver_env_when_set_names_a_strategy() {
-        // Library calls fall back to round-robin on a value they cannot
-        // parse; this keeps a stale spelling from silently turning a
-        // `MPIDFA_SOLVER=...` test run into a second round-robin run.
-        if let Err(e) = Strategy::from_env() {
-            panic!("{e}");
-        }
-    }
-
-    // -- incremental (Solver::seed) ----------------------------------------
 
     /// A chain 0 -> 1 -> ... -> n-1 with gen at node 0: every node is its
     /// own SCC region, in topological order by node id.
@@ -2523,261 +1858,6 @@ mod tests {
         let mut p = toy(n);
         p.gen[0] = Some(gen0);
         (g, p)
-    }
-
-    #[test]
-    fn seed_requires_a_region_solution() {
-        let (g, p) = loopy_comm_graph();
-        let cold = rr(&g, &p);
-        assert!(cold.regions.is_none());
-        let err = Solver::new(&p, &g).seed(&cold).err().unwrap();
-        assert_eq!(err, SolverConfigError::SeedWithoutRegions);
-        // Converged region runs capture a seed.
-        let warm = rg(&g, &p);
-        assert!(warm.regions.is_some());
-        assert!(Solver::new(&p, &g).seed(&warm).is_ok());
-    }
-
-    #[test]
-    fn seed_rejects_direction_mismatch_and_non_convergence() {
-        struct BackToy(ToyConsts);
-        impl Dataflow for BackToy {
-            type Fact = ConstLattice<i64>;
-            type CommFact = ConstLattice<i64>;
-            fn direction(&self) -> Direction {
-                Direction::Backward
-            }
-            fn top(&self) -> Self::Fact {
-                self.0.top()
-            }
-            fn boundary(&self) -> Self::Fact {
-                self.0.boundary()
-            }
-            fn meet_into(&self, d: &mut Self::Fact, s: &Self::Fact) -> bool {
-                self.0.meet_into(d, s)
-            }
-            fn transfer(&self, n: NodeId, i: &Self::Fact, c: &Self::CommFact, o: &mut Self::Fact) {
-                self.0.transfer(n, i, c, o)
-            }
-            fn comm_transfer(&self, n: NodeId, i: &Self::Fact) -> Self::CommFact {
-                self.0.comm_transfer(n, i)
-            }
-            fn node_fingerprint(&self, n: NodeId) -> Option<u64> {
-                self.0.node_fingerprint(n)
-            }
-        }
-        let (g, p) = loopy_comm_graph();
-        let warm = rg(&g, &p);
-        let back = BackToy(toy(6));
-        assert_eq!(
-            Solver::new(&back, &g).seed(&warm).err().unwrap(),
-            SolverConfigError::SeedDirectionMismatch {
-                expected: Direction::Backward,
-                got: Direction::Forward,
-            }
-        );
-        let mut stale = rg(&g, &p);
-        stale.stats.converged = false;
-        assert_eq!(
-            Solver::new(&p, &g).seed(&stale).err().unwrap(),
-            SolverConfigError::SeedNotConverged
-        );
-    }
-
-    #[test]
-    fn seed_rejects_unfingerprintable_problems() {
-        // `Inc`-style problem without `node_fingerprint`.
-        struct NoFp;
-        impl Dataflow for NoFp {
-            type Fact = bool;
-            type CommFact = ();
-            fn direction(&self) -> Direction {
-                Direction::Forward
-            }
-            fn top(&self) -> bool {
-                false
-            }
-            fn boundary(&self) -> bool {
-                true
-            }
-            fn meet_into(&self, d: &mut bool, s: &bool) -> bool {
-                let c = !*d && *s;
-                *d |= *s;
-                c
-            }
-            fn transfer(&self, _n: NodeId, _i: &bool, _c: &(), _o: &mut bool) {}
-            fn comm_transfer(&self, _n: NodeId, _i: &bool) {}
-        }
-        let mut g = SimpleGraph::new(2);
-        g.flow(0, 1);
-        g.set_entry(0);
-        g.set_exit(1);
-        let warm = rg(&g, &NoFp);
-        // The run itself cannot even capture a seed...
-        assert!(warm.regions.is_none());
-        // ...so seeding reports the missing regions first; a hand-made
-        // "converged" solution would hit FingerprintsUnavailable, which we
-        // exercise via the capture path being disabled.
-        assert_eq!(
-            Solver::new(&NoFp, &g).seed(&warm).err().unwrap(),
-            SolverConfigError::SeedWithoutRegions
-        );
-    }
-
-    #[test]
-    fn incremental_identity_edit_transplants_everything_byte_identically() {
-        // Seeded runs publish reuse metrics into any installed sink.
-        let _gate = crate::telemetry::TEST_SINK_GATE
-            .lock()
-            .unwrap_or_else(|p| p.into_inner());
-        let (g, p) = loopy_comm_graph();
-        let cold = rg(&g, &p);
-        let run = Solver::new(&p, &g).seed(&cold).unwrap().dirty(&[]).run();
-        assert_eq!(run.regions_reused, run.regions_total);
-        assert_eq!(run.regions_resolved, 0);
-        assert_eq!(run.solution.input, cold.input);
-        assert_eq!(run.solution.output, cold.output);
-        // Transplanted accounting replays the cold solve exactly.
-        let mut a = run.solution.stats.clone();
-        let mut b = cold.stats.clone();
-        a.elapsed = Duration::ZERO;
-        b.elapsed = Duration::ZERO;
-        assert_eq!(a, b);
-        // The incremental result can itself seed the next edit.
-        assert!(run.solution.regions.is_some());
-    }
-
-    #[test]
-    fn incremental_gen_change_resolves_only_downstream_regions() {
-        // Seeded runs publish reuse metrics into any installed sink.
-        let _gate = crate::telemetry::TEST_SINK_GATE
-            .lock()
-            .unwrap_or_else(|p| p.into_inner());
-        let (g, p) = chain(12, 3);
-        let warm = rg(&g, &p);
-        // Edit: node 6 now generates 5 instead of passing through. Its
-        // fingerprint changes (forced re-solve) and every downstream
-        // region's upstream fact changes (fact-cutoff re-solve); nodes
-        // 0..=5 transplant.
-        let mut edited = toy(12);
-        edited.gen[0] = Some(3);
-        edited.gen[6] = Some(5);
-        let cold = rg(&g, &edited);
-        let run = Solver::new(&edited, &g)
-            .seed(&warm)
-            .unwrap()
-            .dirty(&[])
-            .run();
-        assert_eq!(run.solution.input, cold.input);
-        assert_eq!(run.solution.output, cold.output);
-        assert_eq!(run.regions_total, 12);
-        assert_eq!(run.regions_reused, 6, "nodes 0..=5 transplant");
-        assert_eq!(run.regions_resolved, 6, "node 6 and downstream re-solve");
-    }
-
-    #[test]
-    fn incremental_fact_neutral_insertion_matches_cold_solve() {
-        // Seeded runs publish reuse metrics into any installed sink.
-        let _gate = crate::telemetry::TEST_SINK_GATE
-            .lock()
-            .unwrap_or_else(|p| p.into_inner());
-        // "Insert a pass-through statement": same chain semantics, one more
-        // node spliced in the middle, with different node ids downstream —
-        // the structural fingerprints must still line regions up.
-        let (g_old, p_old) = chain(8, 3);
-        let warm = rg(&g_old, &p_old);
-        // New graph: 0 -> .. -> 4 -> 8(new) -> 5 -> 6 -> 7.
-        let mut g_new = SimpleGraph::new(9);
-        for i in 0..4 {
-            g_new.flow(i, i + 1);
-        }
-        g_new.flow(4, 8);
-        g_new.flow(8, 5);
-        g_new.flow(5, 6);
-        g_new.flow(6, 7);
-        g_new.set_entry(0);
-        g_new.set_exit(7);
-        let mut p_new = toy(9);
-        p_new.gen[0] = Some(3);
-        let cold = rg(&g_new, &p_new);
-        let run = Solver::new(&p_new, &g_new)
-            .seed(&warm)
-            .unwrap()
-            .dirty(&[NodeId(8)])
-            .run();
-        assert_eq!(run.solution.input, cold.input);
-        assert_eq!(run.solution.output, cold.output);
-        assert!(run.regions_reused >= 7, "all old pass-throughs transplant");
-        assert!(run.regions_resolved >= 1, "the dirty insertion re-solves");
-        assert_eq!(run.regions_total, 9);
-    }
-
-    #[test]
-    fn incremental_ignores_out_of_range_dirty_nodes() {
-        // Seeded runs publish reuse metrics into any installed sink.
-        let _gate = crate::telemetry::TEST_SINK_GATE
-            .lock()
-            .unwrap_or_else(|p| p.into_inner());
-        let (g, p) = loopy_comm_graph();
-        let warm = rg(&g, &p);
-        let run = Solver::new(&p, &g)
-            .seed(&warm)
-            .unwrap()
-            .dirty(&[NodeId(999)])
-            .run();
-        assert_eq!(run.regions_reused, run.regions_total);
-        assert_eq!(run.solution.output, warm.output);
-    }
-
-    #[test]
-    fn incremental_respects_work_budget() {
-        // Seeded runs publish reuse metrics into any installed sink.
-        let _gate = crate::telemetry::TEST_SINK_GATE
-            .lock()
-            .unwrap_or_else(|p| p.into_inner());
-        let (g, p) = chain(12, 3);
-        let warm = rg(&g, &p);
-        let mut edited = toy(12);
-        edited.gen[0] = Some(3);
-        edited.gen[1] = Some(5); // early change: 11 regions must re-solve
-        let run = Solver::new(&edited, &g)
-            .budget(crate::budget::Budget::unlimited().with_max_work(3))
-            .seed(&warm)
-            .unwrap()
-            .dirty(&[])
-            .run();
-        assert!(!run.solution.stats.converged);
-        assert_eq!(
-            run.solution.stats.exhausted,
-            Some(crate::budget::Exhaustion::WorkUnits)
-        );
-        // A non-converged incremental result must not offer itself as seed.
-        assert!(run.solution.regions.is_none());
-    }
-
-    #[test]
-    fn incremental_publishes_reuse_metrics() {
-        use crate::telemetry::{self, TraceLevel, TEST_SINK_GATE};
-        let _gate = TEST_SINK_GATE.lock().unwrap_or_else(|p| p.into_inner());
-        let (g, p) = loopy_comm_graph();
-        let warm = rg(&g, &p);
-        telemetry::install(TraceLevel::Full);
-        let _ = Solver::new(&p, &g).seed(&warm).unwrap().dirty(&[]).run();
-        let report = telemetry::finish();
-        assert_eq!(
-            report.metrics.get("solver_regions_reused_total").copied(),
-            Some(3.0),
-            "metrics: {:?}",
-            report.metrics.keys().collect::<Vec<_>>()
-        );
-        assert_eq!(
-            report.metrics.get("solver_regions_resolved_total").copied(),
-            Some(0.0)
-        );
-        assert!(report
-            .events
-            .iter()
-            .any(|e| e.name == "fixpoint:incremental"));
     }
 
     // -- demand (Solver::demand) -------------------------------------------
@@ -2817,10 +1897,6 @@ mod tests {
         }
         // Outside the slice facts stay at top and must not be trusted.
         assert_eq!(run.solution.output[5], ConstLattice::Top);
-        // Demand solutions never masquerade as incremental seeds.
-        assert!(run.solution.regions.is_none());
-        let err = Solver::new(&p, &g).seed(&run.solution).err().unwrap();
-        assert_eq!(err, SolverConfigError::SeedWithoutRegions);
     }
 
     #[test]
@@ -2828,7 +1904,6 @@ mod tests {
         let (g, p) = chain(10, 7);
         let full = rr(&g, &p);
         let run = Solver::new(&p, &g)
-            .strategy(Strategy::RoundRobin)
             .demand(NodeId(2))
             .unwrap()
             .demand(NodeId(4))
@@ -2875,11 +1950,7 @@ mod tests {
         g.set_entry(0);
         g.set_exit(3);
         let full = rr(&g, &Live);
-        let run = Solver::new(&Live, &g)
-            .strategy(Strategy::RoundRobin)
-            .demand(NodeId(2))
-            .unwrap()
-            .run();
+        let run = Solver::new(&Live, &g).demand(NodeId(2)).unwrap().run();
         // Backward: "upstream" is the exit side — the slice is 2, 3.
         assert_eq!(run.node_in_slice, vec![false, false, true, true]);
         assert_eq!(run.solution.output[2], full.output[2]);
@@ -2888,27 +1959,11 @@ mod tests {
 
     #[test]
     fn solver_config_errors_render_useful_messages() {
-        for (err, needle) in [
-            (SolverConfigError::SeedNotConverged, "converge"),
-            (SolverConfigError::SeedWithoutRegions, "region"),
-            (SolverConfigError::FingerprintsUnavailable, "fingerprint"),
-            (
-                SolverConfigError::NodeOutOfRange {
-                    node: NodeId(9),
-                    num_nodes: 4,
-                },
-                "9",
-            ),
-            (
-                SolverConfigError::SeedDirectionMismatch {
-                    expected: Direction::Forward,
-                    got: Direction::Backward,
-                },
-                "direction",
-            ),
-        ] {
-            let msg = err.to_string();
-            assert!(msg.contains(needle), "{msg:?} should contain {needle:?}");
+        let msg = SolverConfigError::NodeOutOfRange {
+            node: NodeId(9),
+            num_nodes: 4,
         }
+        .to_string();
+        assert!(msg.contains('9') && msg.contains('4'), "{msg:?}");
     }
 }

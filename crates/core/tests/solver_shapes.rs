@@ -3,11 +3,21 @@
 //! couple of bookkeeping passes), communication edges add depth but not
 //! worst-case blowup, and irreducible comm-edge cycles still converge.
 
-use mpi_dfa_core::graph::{EdgeKind, SimpleGraph};
+use mpi_dfa_core::graph::{EdgeKind, FlowGraph, SimpleGraph};
 use mpi_dfa_core::lattice::{ConstLattice, MeetSemiLattice};
 use mpi_dfa_core::problem::{Dataflow, Direction};
-use mpi_dfa_core::solver::{Solver, Strategy};
+use mpi_dfa_core::solver::{Solution, Solver};
 use mpi_dfa_core::NodeId;
+
+/// The region engine over the whole graph: a demand for every node.
+fn region<P: Dataflow>(problem: &P, g: &SimpleGraph) -> Solution<P::Fact> {
+    let first = Solver::new(problem, g).demand(NodeId(0)).unwrap();
+    (1..g.num_nodes() as u32)
+        .try_fold(first, |d, n| d.demand(NodeId(n)))
+        .unwrap()
+        .run()
+        .solution
+}
 
 /// Constant propagation where node 0 generates `7` and every node forwards;
 /// comm targets copy the incoming comm fact.
@@ -68,9 +78,7 @@ fn long_chain_converges_in_constant_passes_with_rpo() {
         }
         g.set_entry(0);
         g.set_exit(n as u32 - 1);
-        let sol = Solver::new(&forwarder(n), &g)
-            .strategy(Strategy::RoundRobin)
-            .run();
+        let sol = Solver::new(&forwarder(n), &g).run();
         assert_eq!(sol.output[n - 1], ConstLattice::Const(7));
         assert!(
             sol.stats.passes <= 2,
@@ -97,9 +105,7 @@ fn nested_loops_take_passes_proportional_to_depth() {
         // back edge from node (n-2-d) to node (1+d): nested loop nest.
         g.flow((n - 2 - d) as u32, (1 + d) as u32);
     }
-    let sol = Solver::new(&forwarder(n), &g)
-        .strategy(Strategy::RoundRobin)
-        .run();
+    let sol = Solver::new(&forwarder(n), &g).run();
     assert!(sol.stats.converged);
     assert_eq!(sol.output[n - 1], ConstLattice::Const(7));
     assert!(
@@ -128,9 +134,7 @@ fn comm_edge_chain_adds_one_pass_per_hop_at_worst() {
     }
     g.set_entry(0);
     g.set_exit(n as u32 - 1);
-    let sol = Solver::new(&problem, &g)
-        .strategy(Strategy::RoundRobin)
-        .run();
+    let sol = Solver::new(&problem, &g).run();
     assert_eq!(
         sol.output[n - 1],
         ConstLattice::Const(7),
@@ -144,7 +148,7 @@ fn comm_edge_chain_adds_one_pass_per_hop_at_worst() {
     );
     // The region engine agrees: each send/recv pair is its own region
     // here, chained by comm edges in topological order.
-    let rp = Solver::new(&problem, &g).strategy(Strategy::Region).run();
+    let rp = region(&problem, &g);
     assert_eq!(rp.output, sol.output);
     assert_eq!(rp.input, sol.input);
 }
@@ -165,16 +169,14 @@ fn irreducible_comm_cycle_converges() {
     g.set_exit(3);
     let mut problem = forwarder(4);
     problem.recv[2] = true;
-    let sol = Solver::new(&problem, &g)
-        .strategy(Strategy::RoundRobin)
-        .run();
+    let sol = Solver::new(&problem, &g).run();
     assert!(sol.stats.converged);
     // The boundary constant enters at 0, flows to 1, hops the comm edge
     // into the second segment, and reaches 3 despite the graph-level cycle.
     assert_eq!(sol.output[3], ConstLattice::Const(7));
     // The comm cycle condenses into a single region, which the region
-    // strategy solves like any other — and agrees.
-    let rp = Solver::new(&problem, &g).strategy(Strategy::Region).run();
+    // engine solves like any other — and agrees.
+    let rp = region(&problem, &g);
     assert!(rp.stats.converged);
     assert_eq!(rp.output, sol.output);
     assert_eq!(rp.input, sol.input);
@@ -193,9 +195,7 @@ fn wide_fanout_meets_cleanly() {
         g.flow(0, 1 + i as u32);
         g.flow(1 + i as u32, n as u32 - 1);
     }
-    let sol = Solver::new(&forwarder(n), &g)
-        .strategy(Strategy::RoundRobin)
-        .run();
+    let sol = Solver::new(&forwarder(n), &g).run();
     assert_eq!(sol.output[n - 1], ConstLattice::Const(7));
     assert!(sol.stats.passes <= 2);
 }
@@ -249,9 +249,7 @@ fn conflicting_comm_sources_meet_to_bottom() {
     g.set_entry(0);
     g.set_entry(1);
     g.set_exit(2);
-    let sol = Solver::new(&TwoConsts, &g)
-        .strategy(Strategy::RoundRobin)
-        .run();
+    let sol = Solver::new(&TwoConsts, &g).run();
     assert!(sol.output[2].is_bottom(), "1 ⊓ 2 over commpred = ⊥");
 }
 
@@ -308,7 +306,7 @@ fn call_edges_and_comm_edges_interleave() {
     g.set_entry(0);
     g.set_entry(2);
     g.set_exit(3);
-    let sol = Solver::new(&Inc, &g).strategy(Strategy::RoundRobin).run();
+    let sol = Solver::new(&Inc, &g).run();
     // 10 at entry, +1 across the call edge, sent over the comm edge.
     assert_eq!(sol.output[3], ConstLattice::Const(11));
 }
@@ -360,11 +358,14 @@ fn translate_sees_only_call_and_return_edges() {
     }
     g.set_entry(0);
     g.set_exit(7);
-    for strategy in [Strategy::RoundRobin, Strategy::Region] {
-        let sol = Solver::new(&CallsOnly, &g).strategy(strategy).run();
-        assert!(sol.stats.converged, "{strategy}");
-        assert_eq!(sol.input[1], 1, "{strategy}: a flow edge delivers as is");
-        assert_eq!(sol.input[2], 1 | 2 | 4, "{strategy}: called and returned");
-        assert_eq!(sol.output[7], 1 | 2 | 4, "{strategy}");
+    let engines = [
+        ("round-robin", Solver::new(&CallsOnly, &g).run()),
+        ("demand", region(&CallsOnly, &g)),
+    ];
+    for (engine, sol) in engines {
+        assert!(sol.stats.converged, "{engine}");
+        assert_eq!(sol.input[1], 1, "{engine}: a flow edge delivers as is");
+        assert_eq!(sol.input[2], 1 | 2 | 4, "{engine}: called and returned");
+        assert_eq!(sol.output[7], 1 | 2 | 4, "{engine}");
     }
 }

@@ -103,55 +103,6 @@ impl ProgramIr {
     }
 }
 
-/// Names of procedures whose normalized source differs between two
-/// programs — the *dirty set* an incremental re-solve must force.
-///
-/// Uses the same per-procedure content boundary as the CFG cache
-/// (`mpi_dfa_lang::pretty::sub_to_string`), so whitespace and comment
-/// edits are invisible while any signature or body edit is not. A
-/// procedure present on only one side is dirty (its callers changed too,
-/// or the program would not compile). If the **global declarations**
-/// differ, every procedure is dirty: the location table renumbers, so no
-/// fact bitvector from the old program can be transplanted. This is a
-/// *forcing hint* only — transplant safety is independently guaranteed by
-/// region fingerprints (see docs/INCREMENTAL.md).
-pub fn dirty_procs(prev: &ProgramIr, next: &ProgramIr) -> Vec<String> {
-    let render_globals = |ir: &ProgramIr| {
-        ir.unit
-            .program
-            .globals
-            .iter()
-            .map(|g| format!("{}: {}", g.name, g.ty))
-            .collect::<Vec<_>>()
-    };
-    if render_globals(prev) != render_globals(next) {
-        return next.cfgs.iter().map(|c| c.name.clone()).collect();
-    }
-    let old: HashMap<&str, String> = prev
-        .unit
-        .program
-        .subs
-        .iter()
-        .map(|s| (s.name.as_str(), mpi_dfa_lang::pretty::sub_to_string(s)))
-        .collect();
-    let mut dirty: Vec<String> = next
-        .unit
-        .program
-        .subs
-        .iter()
-        .filter(|s| old.get(s.name.as_str()) != Some(&mpi_dfa_lang::pretty::sub_to_string(s)))
-        .map(|s| s.name.clone())
-        .collect();
-    for s in &prev.unit.program.subs {
-        if !next.unit.program.subs.iter().any(|n| n.name == s.name)
-            && !dirty.iter().any(|d| d == &s.name)
-        {
-            dirty.push(s.name.clone());
-        }
-    }
-    dirty
-}
-
 /// One procedure instance in the ICFG.
 #[derive(Debug, Clone, Copy)]
 pub struct Instance {
@@ -419,19 +370,6 @@ impl Icfg {
         (0..self.num_nodes() as u32).map(NodeId)
     }
 
-    /// All nodes (across every context-sensitive instance) belonging to
-    /// the named procedures — the node-level dirty set corresponding to a
-    /// [`dirty_procs`] source diff. Names not present in the program are
-    /// ignored.
-    pub fn nodes_of_procs(&self, procs: &[String]) -> Vec<NodeId> {
-        self.nodes()
-            .filter(|&n| {
-                let name = self.ir.proc_name(self.proc_of(n));
-                procs.iter().any(|p| p == name)
-            })
-            .collect()
-    }
-
     /// Entry node of the context routine.
     pub fn context_entry(&self) -> NodeId {
         self.entries[0]
@@ -631,40 +569,6 @@ mod tests {
         sub leaf() { send(x, 1, 7); }\n\
         sub wrap() { call leaf(); }\n\
         sub main() { call wrap(); call wrap(); }";
-
-    #[test]
-    fn dirty_procs_diffs_by_procedure_content() {
-        let a = ProgramIr::from_source(LAYERED).unwrap();
-        // Whitespace-only reformat: nothing is dirty.
-        let b =
-            ProgramIr::from_source(&LAYERED.replace("{ call leaf(); }", "{\n  call leaf();\n}"))
-                .unwrap();
-        assert!(dirty_procs(&a, &b).is_empty());
-        // Body edit in one procedure: exactly that procedure is dirty.
-        let c =
-            ProgramIr::from_source(&LAYERED.replace("call leaf();", "print(1.0); call leaf();"))
-                .unwrap();
-        assert_eq!(dirty_procs(&a, &c), vec!["wrap".to_string()]);
-        // Global-declaration change renumbers the loc table: all dirty.
-        let d = ProgramIr::from_source(
-            &LAYERED.replace("global x: real;", "global q: real;\nglobal x: real;"),
-        )
-        .unwrap();
-        assert_eq!(dirty_procs(&a, &d).len(), 3);
-    }
-
-    #[test]
-    fn nodes_of_procs_selects_every_instance() {
-        let g = icfg(LAYERED, "main", 1);
-        let picked = g.nodes_of_procs(&["leaf".to_string()]);
-        assert!(!picked.is_empty());
-        for &n in &picked {
-            assert_eq!(g.ir.proc_name(g.proc_of(n)), "leaf");
-        }
-        let all: usize = g.nodes().count();
-        assert!(picked.len() < all);
-        assert!(g.nodes_of_procs(&["nope".to_string()]).is_empty());
-    }
 
     #[test]
     fn budget_caps_clone_expansion() {

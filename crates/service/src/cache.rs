@@ -45,7 +45,10 @@ use std::sync::Arc;
 /// answer (a slice) can never be served for a full-solve key or vice
 /// versa. `prev` (the seed's request id) stays **out** of the key:
 /// incremental answers are byte-identical to cold ones.
-pub const CACHE_SCHEMA_VERSION: u64 = 4;
+/// v5: the `solver` field is gone and every full solve is round-robin.
+/// Entries written under v4 may embed another strategy's pass and work
+/// counters, so none of them is served.
+pub const CACHE_SCHEMA_VERSION: u64 = 5;
 
 /// Key for a whole-program IR: exact source text.
 pub fn source_key(source: &str) -> u128 {
@@ -82,19 +85,10 @@ pub fn proc_cfg_key(sub_content: &str, locs_fingerprint: u128, proc_index: usize
 /// Deterministic budget caps (`max_visits`, `max_fact_bytes`,
 /// `max_passes`) *are* cacheable and are part of the key.
 ///
-/// The `solver` strategy is deliberately **excluded**: every strategy
-/// produces byte-identical facts (see `docs/SOLVER.md`), so a result
-/// computed under one strategy is a valid hit for any other — the warm
-/// cache is shared across strategies. (Non-semantic solver counters
-/// embedded in a cached rendering reflect whichever strategy populated
-/// the entry.)
-///
-/// `prev` (an `analyze-delta` request's seed id) is likewise excluded:
-/// incremental answers are byte-identical to cold ones (enforced by
-/// `suite::fuzz` and the `solver_incremental` bench), so which seed
-/// produced a result must not fragment the cache. The demand-driven `at`
-/// node **is** included (in the formerly reserved slot and again at the
-/// tail): a demand answer covers only a slice of the program and must
+/// `prev` (on `analyze-delta`, the id of an earlier request) is excluded:
+/// nothing reads it, so it must not fragment the cache. The demand-driven
+/// `at` node **is** included (in the formerly reserved slot and again at
+/// the tail): a demand answer covers only a slice of the program and must
 /// never be served for a full-solve key or vice versa.
 pub fn result_key(req: &Request, source_hash: u128, effective_max_passes: u64) -> Option<u128> {
     if req.budget_ms.is_some() || req.deadline_ms.is_some() {
@@ -136,8 +130,8 @@ pub fn result_key(req: &Request, source_hash: u128, effective_max_passes: u64) -
 /// when `budget_ms`/`deadline_ms` force a cache bypass — a retried or
 /// hedged bypass request must still land on the same shard family — and
 /// it hashes the raw `program`/`source` fields instead of resolved text,
-/// so the router never has to compile anything. `id` and `solver` are
-/// excluded for the same reason they are excluded from [`result_key`].
+/// so the router never has to compile anything. `id` and `prev` are
+/// excluded for the same reason `prev` is excluded from [`result_key`].
 pub fn routing_key(req: &Request) -> u128 {
     let mut h = Hasher128::new();
     h.write_str("routing")
@@ -224,20 +218,6 @@ mod tests {
     }
 
     #[test]
-    fn solver_strategy_is_not_part_of_the_result_key() {
-        // All strategies produce identical facts, so a warm cache must hit
-        // across them — the strategy is excluded from the key on purpose.
-        let base = result_key(&req(""), 42, 100).unwrap();
-        for solver in [r#","solver":"round-robin""#, r#","solver":"region""#] {
-            assert_eq!(
-                result_key(&req(solver), 42, 100),
-                Some(base),
-                "{solver} must share the strategy-agnostic key"
-            );
-        }
-    }
-
-    #[test]
     fn demand_and_full_solve_keys_never_alias() {
         let full = result_key(&req(""), 42, 100).unwrap();
         let demand = result_key(&req(r#","at":3"#), 42, 100).unwrap();
@@ -265,7 +245,7 @@ mod tests {
         let a = result_key(&delta(""), 42, 100).unwrap();
         let full = result_key(&req(""), 42, 100).unwrap();
         assert_ne!(a, full, "kind is folded into the key");
-        // The seed id must NOT fragment the cache: byte-identical answers.
+        // `prev` is read by nothing, so it must NOT fragment the cache.
         let mut b = delta("");
         b.prev = Some(99);
         assert_eq!(result_key(&b, 42, 100), Some(a));

@@ -19,29 +19,23 @@ use crate::cache::{proc_cfg_key, result_key, source_key, ServiceCaches, RESULTS_
 use crate::proto::{CacheStatus, ProtoError, Request, RequestKind};
 use crate::slo::SloRegistry;
 use mpi_dfa_analyses::activity::{self, demand_active_at, ActivityConfig, ActivityResult, Mode};
-use mpi_dfa_analyses::governor::{
-    governed_activity, governed_activity_delta, AnalysisProvenance, GovernorConfig, Tier,
-};
+use mpi_dfa_analyses::governor::{governed_activity, AnalysisProvenance, GovernorConfig, Tier};
 use mpi_dfa_analyses::mpi_match::build_mpi_icfg_with_budget;
 use mpi_dfa_core::budget::{Budget, Exhaustion};
 use mpi_dfa_core::cache::{CacheSnapshot, DiskStore, FsckReport};
 use mpi_dfa_core::graph::NodeId;
-use mpi_dfa_core::hash::Hasher128;
 use mpi_dfa_core::json::escape;
-use mpi_dfa_core::solver::{SolveParams, Strategy};
+use mpi_dfa_core::solver::SolveParams;
 use mpi_dfa_core::telemetry;
 use mpi_dfa_graph::cfg::ProcCfg;
-use mpi_dfa_graph::icfg::{dirty_procs, Icfg, ProgramIr};
+use mpi_dfa_graph::icfg::{Icfg, ProgramIr};
 use mpi_dfa_graph::loc::LocTable;
 use mpi_dfa_suite::experiments::{by_id, ExperimentSpec};
 use mpi_dfa_suite::programs;
 use mpi_dfa_suite::runner;
 use std::cell::OnceCell;
-use std::collections::HashMap;
-use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::sync::Arc;
-use std::sync::Mutex;
 
 /// Engine construction parameters.
 #[derive(Debug, Clone)]
@@ -73,56 +67,6 @@ impl Default for EngineConfig {
     }
 }
 
-/// How many incremental seeds a worker retains (FIFO). Seeds are
-/// in-memory only — an `ActivityResult` with its solver regions is cheap
-/// to hold but pointless to persist, since an unknown `prev` id simply
-/// falls back to a full solve with the identical answer.
-const SEED_CAPACITY: usize = 64;
-
-/// One retained seed for `analyze-delta`: the analyzed source text, the
-/// analysis-configuration signature it was computed under, and the result
-/// whose solutions carry the solver's seed regions.
-#[derive(Debug)]
-struct SeedEntry {
-    source: String,
-    sig: u128,
-    result: Arc<ActivityResult>,
-}
-
-/// Bounded FIFO map from `analyze` request id → seed. Populated by every
-/// computed precise T0 `analyze` whose solutions captured seed regions
-/// (i.e. a converged region solve); consulted by `analyze-delta`
-/// via its `prev` field.
-/// FIFO insertion order paired with the id → seed map it bounds.
-type SeedEntries = (HashMap<u64, Arc<SeedEntry>>, VecDeque<u64>);
-
-#[derive(Debug, Default)]
-struct SeedStore {
-    entries: Mutex<SeedEntries>,
-}
-
-impl SeedStore {
-    fn put(&self, id: u64, entry: SeedEntry) {
-        let mut guard = self.entries.lock().unwrap();
-        let (map, order) = &mut *guard;
-        if map.insert(id, Arc::new(entry)).is_none() {
-            order.push_back(id);
-        }
-        while map.len() > SEED_CAPACITY {
-            match order.pop_front() {
-                Some(old) => {
-                    map.remove(&old);
-                }
-                None => break,
-            }
-        }
-    }
-
-    fn get(&self, id: u64) -> Option<Arc<SeedEntry>> {
-        self.entries.lock().unwrap().0.get(&id).cloned()
-    }
-}
-
 /// The shared, thread-safe query engine. One instance serves the whole
 /// worker pool / all server connections.
 #[derive(Debug)]
@@ -138,8 +82,6 @@ pub struct Engine {
     /// Per-process latency histograms (verb × cache outcome × shard),
     /// recorded by the serving layer and exposed by the `metrics` verb.
     slo: SloRegistry,
-    /// Incremental seeds for `analyze-delta` (see [`SeedStore`]).
-    seeds: SeedStore,
 }
 
 impl Engine {
@@ -157,7 +99,6 @@ impl Engine {
             fsck,
             shard_id: config.shard_id,
             slo: SloRegistry::new(),
-            seeds: SeedStore::default(),
         })
     }
 
@@ -315,7 +256,7 @@ impl Engine {
             }
         }
 
-        let (result, incremental) = self.compute(req, &source, &context, spec.as_ref(), floor)?;
+        let result = self.compute(req, &source, &context, spec.as_ref(), floor)?;
 
         match key {
             // A load-shedding floor produces a possibly degraded answer:
@@ -327,14 +268,7 @@ impl Engine {
                     // Best-effort: a failed spill only costs future misses.
                     let _ = disk.put(RESULTS_NAMESPACE, key, result.as_bytes());
                 }
-                // An incrementally computed answer is byte-identical to a
-                // cold one and is stored like a miss; only its provenance
-                // label differs.
-                if incremental {
-                    Ok((CacheStatus::Partial, result))
-                } else {
-                    Ok((CacheStatus::Miss, result))
-                }
+                Ok((CacheStatus::Miss, result))
             }
             None => Ok((CacheStatus::Bypass, result)),
         }
@@ -532,9 +466,6 @@ impl Engine {
             budget,
             degrade: req.degrade,
             max_passes: self.effective_max_passes(req) as usize,
-            // Per-request override, else the process default (which the
-            // CLI's `--solver` flag or `MPIDFA_SOLVER` establishes).
-            strategy: req.solver.unwrap_or_else(Strategy::session_default),
             tier_floor: floor,
         }
     }
@@ -555,27 +486,7 @@ impl Engine {
         )
     }
 
-    /// The analysis-configuration signature a seed was computed under: an
-    /// `analyze-delta` can only reuse a seed whose program-independent
-    /// knobs (context, clone level, ind/dep sets, matching, mode, pass
-    /// bound) all match — anything else would transplant facts of a
-    /// different analysis.
-    fn seed_sig(&self, req: &Request, context: &str) -> u128 {
-        Hasher128::new()
-            .write_str("seed-sig")
-            .write_str(context)
-            .write_u64(req.clone_level as u64)
-            .write_strs(&req.ind)
-            .write_strs(&req.dep)
-            .write_str(req.matching_str())
-            .write_str(&req.mode)
-            .write_u64(self.effective_max_passes(req))
-            .finish()
-    }
-
-    /// Compute one response payload. The boolean is true when the answer
-    /// was produced **incrementally** (seeded region transplant) — the
-    /// caller turns it into `cache: "partial"` provenance.
+    /// Compute one response payload.
     fn compute(
         &self,
         req: &Request,
@@ -583,22 +494,29 @@ impl Engine {
         context: &str,
         spec: Option<&ExperimentSpec>,
         floor: Tier,
-    ) -> Result<(String, bool), ProtoError> {
+    ) -> Result<String, ProtoError> {
         match req.kind {
             RequestKind::Analyze if req.at.is_some() => {
                 self.compute_demand(req, source, context, floor)
             }
-            RequestKind::Analyze => {
+            RequestKind::AnalyzeDelta if req.mode != "mpi" => Err(ProtoError::new(
+                "bad-request",
+                "kind `analyze-delta` supports only mode `mpi`",
+            )),
+            // `analyze-delta` is kept for protocol compatibility: it is a
+            // cold `analyze` of its source (`prev` is read by nothing),
+            // cached under its own kind.
+            RequestKind::Analyze | RequestKind::AnalyzeDelta => {
                 let ir = self.ir_for(source)?;
                 let (result, provenance) = self.run_activity(req, &ir, context, floor)?;
-                let result = Arc::new(result);
-                self.maybe_seed(req, context, floor, &result, provenance.as_ref(), source);
-                Ok((
-                    render_activity(req, &ir, context, &result, provenance.as_ref()),
-                    false,
+                Ok(render_activity(
+                    req,
+                    &ir,
+                    context,
+                    &result,
+                    provenance.as_ref(),
                 ))
             }
-            RequestKind::AnalyzeDelta => self.compute_delta(req, source, context, floor),
             RequestKind::ActivityAtLocation => {
                 let ir = self.ir_for(source)?;
                 let var = req.var.as_deref().expect("validated by parse_request");
@@ -613,19 +531,16 @@ impl Engine {
                 })?;
                 let (result, provenance) = self.run_activity(req, &ir, context, floor)?;
                 let info = ir.locs.info(loc);
-                Ok((
-                    format!(
-                        "{{\"var\":\"{}\",\"location\":\"{}\",\"active\":{},\"byte_size\":{},\"tier\":{}}}",
-                        escape(var),
-                        escape(&ir.locs.qualified_name(loc)),
-                        result.active.contains(loc.index()),
-                        info.byte_size(),
-                        provenance
-                            .as_ref()
-                            .map(|p| format!("\"{}\"", p.tier))
-                            .unwrap_or_else(|| "null".to_string()),
-                    ),
-                    false,
+                Ok(format!(
+                    "{{\"var\":\"{}\",\"location\":\"{}\",\"active\":{},\"byte_size\":{},\"tier\":{}}}",
+                    escape(var),
+                    escape(&ir.locs.qualified_name(loc)),
+                    result.active.contains(loc.index()),
+                    info.byte_size(),
+                    provenance
+                        .as_ref()
+                        .map(|p| format!("\"{}\"", p.tier))
+                        .unwrap_or_else(|| "null".to_string()),
                 ))
             }
             RequestKind::Dot => {
@@ -638,14 +553,11 @@ impl Engine {
                     build_mpi_icfg_with_budget(ir, context, req.clone_level, req.matching, &budget)
                         .map_err(|e| Self::analysis_error(req, e.to_string()))?;
                 let dot = mpi_dfa_graph::dot::mpi_icfg_to_dot(&mpi, context);
-                Ok((
-                    format!(
-                        "{{\"context\":\"{}\",\"comm_edges\":{},\"dot\":\"{}\"}}",
-                        escape(context),
-                        mpi.comm_edges.len(),
-                        escape(&dot)
-                    ),
-                    false,
+                Ok(format!(
+                    "{{\"context\":\"{}\",\"comm_edges\":{},\"dot\":\"{}\"}}",
+                    escape(context),
+                    mpi.comm_edges.len(),
+                    escape(&dot)
                 ))
             }
             RequestKind::Verify => {
@@ -672,14 +584,14 @@ impl Engine {
                 };
                 let report = mpi_dfa_verify::verify(&mpi, &vcfg, &budget)
                     .map_err(|e| Self::analysis_error(req, e.to_string()))?;
-                Ok((mpi_dfa_verify::render_json(&report), false))
+                Ok(mpi_dfa_verify::render_json(&report))
             }
             RequestKind::Table1Row => {
                 let spec = spec.expect("resolve_source sets the spec for table1-row");
                 let gov = self.governor(req, floor);
                 let row = runner::run_experiment_governed(spec, &gov)
                     .map_err(|e| Self::analysis_error(req, e))?;
-                Ok((render_row(&row), false))
+                Ok(render_row(&row))
             }
             RequestKind::Ping
             | RequestKind::Shutdown
@@ -730,7 +642,6 @@ impl Engine {
                 let params = SolveParams {
                     max_passes: self.effective_max_passes(req) as usize,
                     budget,
-                    strategy: req.solver.unwrap_or_else(Strategy::session_default),
                 };
                 let r = activity::analyze_icfg_with(&icfg, m, &config, &params)
                     .map_err(|e| Self::analysis_error(req, e))?;
@@ -747,105 +658,6 @@ impl Engine {
         }
     }
 
-    /// Retain `result` as an incremental seed when it can actually seed a
-    /// re-solve: a precise, converged T0 `mpi` analysis whose solutions
-    /// carry solver regions (only converged region-strategy runs capture
-    /// them — see `docs/INCREMENTAL.md`).
-    fn maybe_seed(
-        &self,
-        req: &Request,
-        context: &str,
-        floor: Tier,
-        result: &Arc<ActivityResult>,
-        provenance: Option<&AnalysisProvenance>,
-        source: &str,
-    ) {
-        let precise = provenance.is_some_and(|p| p.is_precise() && !p.saturated);
-        if floor > Tier::T0
-            || req.mode != "mpi"
-            || !precise
-            || !result.converged()
-            || result.vary.regions.is_none()
-            || result.useful.regions.is_none()
-        {
-            return;
-        }
-        self.seeds.put(
-            req.id,
-            SeedEntry {
-                source: source.to_string(),
-                sig: self.seed_sig(req, context),
-                result: result.clone(),
-            },
-        );
-    }
-
-    /// `analyze-delta`: re-analyze edited source seeded from a previous
-    /// `analyze` result. The answer is byte-identical to a cold solve of
-    /// the same source; the boolean reports whether the incremental engine
-    /// produced it (→ `cache: "partial"`) or a fallback full solve did
-    /// (→ `cache: "miss"`). A missing/mismatched seed is **not** an error:
-    /// incremental serving degrades to correct-but-cold, never to wrong.
-    fn compute_delta(
-        &self,
-        req: &Request,
-        source: &str,
-        context: &str,
-        floor: Tier,
-    ) -> Result<(String, bool), ProtoError> {
-        if req.mode != "mpi" {
-            return Err(ProtoError::new(
-                "bad-request",
-                "kind `analyze-delta` supports only mode `mpi`",
-            ));
-        }
-        if req.ind.is_empty() || req.dep.is_empty() {
-            return Err(ProtoError::new(
-                "bad-request",
-                "activity analysis requires non-empty `ind` and `dep`",
-            ));
-        }
-        let ir = self.ir_for(source)?;
-        let config = ActivityConfig::new(req.ind.clone(), req.dep.clone());
-        let gov = self.governor(req, floor);
-        let prev_id = req.prev.expect("validated by parse_request");
-
-        // The incremental path is precise-T0 only: under a load-shedding
-        // floor, or without a usable seed, answer with the normal governed
-        // ladder instead.
-        let seed = if floor > Tier::T0 {
-            None
-        } else {
-            self.seeds
-                .get(prev_id)
-                .filter(|s| s.sig == self.seed_sig(req, context))
-        };
-        let Some(seed) = seed else {
-            if telemetry::is_enabled() {
-                telemetry::metric_add("service_delta_seed_miss_total", 1.0);
-            }
-            let (result, provenance) = self.run_activity(req, &ir, context, floor)?;
-            return Ok((
-                render_activity(req, &ir, context, &result, provenance.as_ref()),
-                false,
-            ));
-        };
-
-        let prev_ir = self.ir_for(&seed.source)?;
-        let dirty = dirty_procs(&prev_ir, &ir);
-        let delta = governed_activity_delta(&ir, context, &config, &gov, &seed.result, &dirty)
-            .map_err(|e| Self::analysis_error(req, e))?;
-        let incremental = delta.incremental;
-        let result = Arc::new(delta.governed.result);
-        let provenance = delta.governed.provenance;
-        // A successful delta is itself a valid seed for the next edit.
-        self.maybe_seed(req, context, floor, &result, Some(&provenance), source);
-        Ok((
-            render_activity(req, &ir, context, &result, Some(&provenance)),
-            incremental,
-        ))
-    }
-
     /// Demand-driven `analyze` (`at` present): activity at one ICFG node,
     /// answered from the upstream region slices without a whole-program
     /// fixpoint. The result shape differs from a full analysis and is
@@ -856,7 +668,7 @@ impl Engine {
         source: &str,
         context: &str,
         floor: Tier,
-    ) -> Result<(String, bool), ProtoError> {
+    ) -> Result<String, ProtoError> {
         if req.mode != "mpi" {
             return Err(ProtoError::new(
                 "bad-request",
@@ -891,7 +703,6 @@ impl Engine {
         let params = SolveParams {
             max_passes: gov.max_passes,
             budget: gov.budget.clone(),
-            strategy: gov.strategy,
         };
         let d = demand_active_at(&mpi, &config, &params, &[NodeId(at as u32)])
             .map_err(|e| Self::analysis_error(req, e))?;
@@ -912,19 +723,16 @@ impl Engine {
             );
         }
         active.push(']');
-        Ok((
-            format!(
-                "{{\"context\":\"{}\",\"at\":{at},\"mode\":\"demand\",\"independents\":{},\
-                 \"dependents\":{},\"active_at\":{active},\"regions_total\":{},\
-                 \"regions_solved\":{},\"nodes_visited\":{}}}",
-                escape(context),
-                render_str_list(&req.ind),
-                render_str_list(&req.dep),
-                d.regions_total,
-                d.regions_solved,
-                d.nodes_visited,
-            ),
-            false,
+        Ok(format!(
+            "{{\"context\":\"{}\",\"at\":{at},\"mode\":\"demand\",\"independents\":{},\
+             \"dependents\":{},\"active_at\":{active},\"regions_total\":{},\
+             \"regions_solved\":{},\"nodes_visited\":{}}}",
+            escape(context),
+            render_str_list(&req.ind),
+            render_str_list(&req.dep),
+            d.regions_total,
+            d.regions_solved,
+            d.nodes_visited,
         ))
     }
 }
@@ -1068,47 +876,6 @@ mod tests {
             Some("T0")
         );
         assert!(result.get("converged").unwrap().as_bool().unwrap());
-    }
-
-    #[test]
-    fn warm_cache_hits_across_solver_strategies() {
-        // Satellite regression: the strategy is excluded from the result
-        // cache key because all strategies produce identical facts. A
-        // result computed under the region engine must be served as a *hit*
-        // to a round-robin request for the same analysis — and the ids
-        // aside, the payload must be the very same cached bytes.
-        let e = engine();
-        let miss = e.handle(&parse(
-            r#"{"id":1,"kind":"analyze","program":"figure1","ind":["x"],"dep":["f"],"solver":"region"}"#,
-        ));
-        assert!(miss.contains("\"cache\":\"miss\""), "{miss}");
-        for (id, solver) in [(2, "round-robin"), (3, "region")] {
-            let hit = e.handle(&parse(&format!(
-                r#"{{"id":{id},"kind":"analyze","program":"figure1","ind":["x"],"dep":["f"],"solver":"{solver}"}}"#,
-            )));
-            assert!(hit.contains("\"cache\":\"hit\""), "{solver}: {hit}");
-            assert_eq!(
-                miss.replace("\"id\":1", &format!("\"id\":{id}"))
-                    .replace("\"cache\":\"miss\"", "\"cache\":\"hit\""),
-                hit,
-                "{solver} must be served the cached region result"
-            );
-        }
-        // An invalid solver value is a structured error, not a panic.
-        let err = e.handle_line(
-            r#"{"id":5,"kind":"analyze","program":"figure1","ind":["x"],"dep":["f"],"solver":"magic"}"#,
-        );
-        assert!(err.contains("\"error\""), "{err}");
-        assert!(err.contains("unknown solver strategy"), "{err}");
-        // So are the retired spellings, and the message names the
-        // surviving strategies.
-        for old in ["worklist", "region-parallel", "region-parallel:2"] {
-            let err = e.handle_line(&format!(
-                r#"{{"id":6,"kind":"analyze","program":"figure1","ind":["x"],"dep":["f"],"solver":"{old}"}}"#,
-            ));
-            assert!(err.contains("\"error\""), "{old}: {err}");
-            assert!(err.contains("round-robin|region"), "{old}: {err}");
-        }
     }
 
     #[test]
@@ -1429,7 +1196,7 @@ mod tests {
 
     fn analyze_line(id: u64, kind: &str, source: &str, extra: &str) -> String {
         format!(
-            r#"{{"id":{id},"kind":"{kind}","source":"{source}","ind":["x"],"dep":["f"],"solver":"region"{extra}}}"#
+            r#"{{"id":{id},"kind":"{kind}","source":"{source}","ind":["x"],"dep":["f"]{extra}}}"#
         )
     }
 
@@ -1440,73 +1207,32 @@ mod tests {
     }
 
     #[test]
-    fn analyze_delta_is_partial_and_byte_identical_to_cold() {
+    fn analyze_delta_is_a_cold_analyze_under_its_own_key() {
         let e = engine();
-        // Seed: a precise converged region analyze.
-        let seed_resp = e.handle(&parse(&analyze_line(10, "analyze", DELTA_BASE, "")));
-        assert!(seed_resp.contains("\"cache\":\"miss\""), "{seed_resp}");
-        // Incremental re-analyze of the edited source.
-        let delta_resp = e.handle(&parse(&analyze_line(
+        let base = e.handle(&parse(&analyze_line(10, "analyze", DELTA_BASE, "")));
+        assert!(base.contains("\"cache\":\"miss\""), "{base}");
+        let delta = e.handle(&parse(&analyze_line(
             11,
             "analyze-delta",
             DELTA_EDIT,
             r#","prev":10"#,
         )));
-        assert!(
-            delta_resp.contains("\"cache\":\"partial\""),
-            "seeded delta must be partial: {delta_resp}"
-        );
-        assert!(delta_resp.contains("\"tier\":\"T0\""), "{delta_resp}");
-        // Byte-identity: a cold analyze of the edited source (different
-        // result key — kind is folded in) renders the exact same result.
-        let cold_resp = e.handle(&parse(&analyze_line(12, "analyze", DELTA_EDIT, "")));
-        assert!(cold_resp.contains("\"cache\":\"miss\""), "{cold_resp}");
-        assert_eq!(
-            result_of(&delta_resp),
-            result_of(&cold_resp),
-            "incremental answer must be byte-identical to the cold solve"
-        );
-        // A repeat of the same delta now hits its own cached entry.
+        assert!(delta.contains("\"cache\":\"miss\""), "{delta}");
+        assert!(delta.contains("\"tier\":\"T0\""), "{delta}");
+        // A cold analyze of the edited source has its own key (the kind is
+        // folded in) and renders the exact same result.
+        let cold = e.handle(&parse(&analyze_line(12, "analyze", DELTA_EDIT, "")));
+        assert!(cold.contains("\"cache\":\"miss\""), "{cold}");
+        assert_eq!(result_of(&delta), result_of(&cold));
+        // `prev` is not part of the key: any id hits the delta's entry.
         let again = e.handle(&parse(&analyze_line(
             13,
             "analyze-delta",
             DELTA_EDIT,
-            r#","prev":10"#,
-        )));
-        assert!(again.contains("\"cache\":\"hit\""), "{again}");
-    }
-
-    #[test]
-    fn analyze_delta_without_seed_falls_back_to_full_miss() {
-        let e = engine();
-        let resp = e.handle(&parse(&analyze_line(
-            20,
-            "analyze-delta",
-            DELTA_EDIT,
             r#","prev":999"#,
         )));
-        assert!(
-            resp.contains("\"cache\":\"miss\""),
-            "unknown seed must fall back to a cold full solve: {resp}"
-        );
-        let cold = e.handle(&parse(&analyze_line(21, "analyze", DELTA_EDIT, "")));
-        assert_eq!(result_of(&resp), result_of(&cold));
-    }
-
-    #[test]
-    fn analyze_delta_seed_config_mismatch_falls_back() {
-        let e = engine();
-        assert!(e
-            .handle(&parse(&analyze_line(30, "analyze", DELTA_BASE, "")))
-            .contains("\"cache\":\"miss\""));
-        // Same prev id, different dep set: the seed must be rejected.
-        let resp = e.handle(&parse(&format!(
-            r#"{{"id":31,"kind":"analyze-delta","source":"{DELTA_EDIT}","ind":["x"],"dep":["t"],"solver":"region","prev":30}}"#
-        )));
-        assert!(
-            resp.contains("\"cache\":\"miss\""),
-            "config mismatch must not transplant: {resp}"
-        );
+        assert!(again.contains("\"cache\":\"hit\""), "{again}");
+        assert_eq!(result_of(&again), result_of(&cold));
     }
 
     #[test]

@@ -18,7 +18,6 @@
 use mpi_dfa_analyses::governor::DegradeMode;
 use mpi_dfa_analyses::mpi_match::Matching;
 use mpi_dfa_core::json::{self, Json};
-use mpi_dfa_core::solver::Strategy;
 use mpi_dfa_core::telemetry;
 
 /// Hard cap on one request line, reusing the lexer's source cap: a request
@@ -66,12 +65,10 @@ impl ProtoError {
 pub enum RequestKind {
     /// Full activity analysis of a program.
     Analyze,
-    /// Incremental activity analysis: re-analyze an edited source seeded
-    /// by the solver regions of a previous `analyze` response (`prev`
-    /// names that response's request id). Answers are **byte-identical**
-    /// to a cold `analyze` of the same source; provenance is
-    /// `cache: "partial"` when regions were transplanted, `"miss"` when
-    /// the engine fell back to a full solve.
+    /// Activity analysis of an edited source, kept for protocol
+    /// compatibility: it requires `prev` (a previous request's id) and
+    /// answers with the same cold solve an `analyze` of the source gives,
+    /// cached under its own kind.
     AnalyzeDelta,
     /// One Table-1 experiment row by id.
     Table1Row,
@@ -198,16 +195,9 @@ pub struct Request {
     pub max_fact_bytes: Option<u64>,
     pub degrade: DegradeMode,
     pub max_passes: Option<u64>,
-    /// Fixpoint strategy (`round-robin` | `region`). Deliberately **not**
-    /// part of the result cache key: every strategy produces identical
-    /// facts (`docs/SOLVER.md`), so a result computed under one strategy is
-    /// a valid hit for any other.
-    pub solver: Option<Strategy>,
-    /// For `analyze-delta`: the request id of a previous `analyze`
-    /// response whose solver regions seed the re-solve. Deliberately
-    /// **not** part of the result cache key — incremental answers are
-    /// byte-identical to cold ones, so which seed produced a result must
-    /// not fragment the cache.
+    /// For `analyze-delta`: the id of a previous request. Required by the
+    /// grammar but read by nothing, so it is **not** part of the result
+    /// cache key.
     pub prev: Option<u64>,
     /// Demand-driven query: answer activity only *at* this ICFG node
     /// (global node index), solving just the upstream region slice.
@@ -242,7 +232,6 @@ impl Request {
             max_fact_bytes: None,
             degrade: DegradeMode::Auto,
             max_passes: None,
-            solver: None,
             prev: None,
             at: None,
             trace: None,
@@ -400,9 +389,6 @@ fn request_fields(id: u64, value: &Json, fields: &[(String, Json)]) -> Result<Re
                 }
             }
             "max_passes" => req.max_passes = Some(u64_field(v, key)?),
-            "solver" => {
-                req.solver = Some(Strategy::parse(&str_field(v, key)?).map_err(ProtoError::bad)?)
-            }
             "prev" => req.prev = Some(u64_field(v, key)?),
             "at" => req.at = Some(u64_field(v, key)?),
             "trace" => {
@@ -569,9 +555,6 @@ pub fn render_request(req: &Request) -> String {
         let _ = write!(out, ",\"degrade\":\"{}\"", req.degrade_str());
     }
     u64_f(&mut out, "max_passes", req.max_passes);
-    if let Some(s) = req.solver {
-        let _ = write!(out, ",\"solver\":\"{s}\"");
-    }
     u64_f(&mut out, "prev", req.prev);
     u64_f(&mut out, "at", req.at);
     if let Some(t) = &req.trace {
@@ -591,10 +574,6 @@ pub enum CacheStatus {
     /// Computed and **not** cached (wall-clock budget present, or the kind
     /// has no cacheable result).
     Bypass,
-    /// Computed **incrementally**: the solve was seeded from a previous
-    /// result and only invalidated regions were re-solved; the answer is
-    /// byte-identical to a cold `miss` and is stored like one.
-    Partial,
 }
 
 impl CacheStatus {
@@ -603,7 +582,6 @@ impl CacheStatus {
             CacheStatus::Hit => "hit",
             CacheStatus::Miss => "miss",
             CacheStatus::Bypass => "bypass",
-            CacheStatus::Partial => "partial",
         }
     }
 }
@@ -661,9 +639,28 @@ mod tests {
 
     #[test]
     fn unknown_field_is_structured() {
-        let e = parse_request(r#"{"id":1,"kind":"ping","wat":true}"#).unwrap_err();
-        assert_eq!(e.code, "bad-request");
-        assert!(e.message.contains("wat"));
+        // `solver` is one: every full solve is round-robin, so a request
+        // still naming a strategy is refused, never run.
+        for (line, field) in [
+            (r#"{"id":1,"kind":"ping","wat":true}"#, "`wat`"),
+            (
+                r#"{"id":1,"kind":"analyze","program":"figure1","ind":["x"],"dep":["f"],"solver":"region"}"#,
+                "`solver`",
+            ),
+            (
+                r#"{"id":1,"kind":"table1-row","row":"LU-1","solver":"round-robin"}"#,
+                "`solver`",
+            ),
+        ] {
+            let e = parse_request(line).unwrap_err();
+            assert_eq!(e.code, "bad-request", "{line}");
+            assert!(e.message.contains(field), "{}", e.message);
+            let resp = read_request(line).unwrap_err();
+            assert!(
+                resp.starts_with(r#"{"id":1,"ok":false,"error":{"code":"bad-request""#),
+                "{resp}"
+            );
+        }
     }
 
     #[test]
@@ -759,7 +756,7 @@ mod tests {
         let lines = [
             r#"{"id":1,"kind":"ping"}"#,
             r#"{"id":2,"kind":"analyze","program":"figure1","ind":["x"],"dep":["f"]}"#,
-            r#"{"id":3,"kind":"table1-row","row":"Biostat","solver":"region"}"#,
+            r#"{"id":3,"kind":"table1-row","row":"Biostat","max_visits":7}"#,
             r#"{"id":4,"kind":"analyze","source":"program \"p\"","ind":["a","b"],"dep":["c"],"clone":2,"matching":"naive","mode":"global","budget_ms":5,"deadline_ms":9,"max_visits":10,"max_fact_bytes":11,"degrade":"off","max_passes":3}"#,
             r#"{"id":5,"kind":"metrics","trace":{"id":"1234","parent":9,"attempt":1}}"#,
             r#"{"id":6,"kind":"verify","program":"figure1","nprocs":4,"schedules":12}"#,
@@ -813,7 +810,6 @@ mod tests {
             let rendered = render_request(&req);
             assert_eq!(parse_request(&rendered).unwrap(), req, "{rendered}");
         }
-        assert_eq!(CacheStatus::Partial.as_str(), "partial");
         assert_eq!(RequestKind::AnalyzeDelta.as_str(), "analyze-delta");
     }
 

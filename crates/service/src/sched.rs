@@ -98,23 +98,10 @@ pub fn run_batch(engine: &Engine, input: &str, pool: usize) -> Vec<String> {
     // later duplicates follow once the leaders have warmed the cache.
     // Keyless jobs (cache bypass, or requests that will fail resolution)
     // are all leaders — duplicates among them recompute by design.
-    //
-    // `analyze-delta` jobs are held back into a third, **sequential**
-    // phase: their `cache:` label (`partial` vs `miss`) depends on whether
-    // the seed request — possibly an earlier line of this very batch, or
-    // an earlier delta in a chain of edits — has already computed. Running
-    // them in input order after everything else makes seed visibility, and
-    // therefore the label, independent of pool size. Deltas are designed
-    // to be the *cheap* requests, so serializing them costs little.
     let mut seen: HashSet<u128> = HashSet::new();
     let mut leaders: Vec<Job> = Vec::new();
     let mut followers: Vec<Job> = Vec::new();
-    let mut deltas: Vec<Job> = Vec::new();
     for (job, key) in jobs {
-        if job.req.kind == RequestKind::AnalyzeDelta {
-            deltas.push(job);
-            continue;
-        }
         match key {
             Some(k) if !seen.insert(k) => followers.push(job),
             _ => leaders.push(job),
@@ -123,7 +110,6 @@ pub fn run_batch(engine: &Engine, input: &str, pool: usize) -> Vec<String> {
 
     run_phase(engine, pool, leaders, &mut responses);
     run_phase(engine, pool, followers, &mut responses);
-    run_phase(engine, 1, deltas, &mut responses);
 
     responses
         .into_iter()

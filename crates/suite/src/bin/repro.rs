@@ -20,11 +20,6 @@
 //! labelled `cache: hit|miss` in Table 1 and the JSON report; runs under a
 //! wall-clock `--budget-ms` bypass the cache.
 //!
-//! Every command accepts `--solver round-robin|region` to pick the
-//! fixpoint strategy for every solve in the run. Strategies
-//! produce identical rows (see `docs/SOLVER.md`), so the row cache is
-//! shared across them: the strategy is not part of any cache key.
-//!
 //! Every command additionally accepts the telemetry flags `--trace-out
 //! FILE.json` (Chrome-trace of the whole reproduction), `--metrics-out
 //! FILE.txt` (Prometheus-style text metrics), and `--trace-level
@@ -90,29 +85,6 @@ fn telemetry_from_args(args: &[String]) -> Result<(CliTelemetry, Vec<String>), S
     }
     let tel = CliTelemetry::resolve(trace_out, metrics_out, level.as_deref())?;
     Ok((tel, rest))
-}
-
-/// Split `--solver STRATEGY` out of `args` and pin it as the process-wide
-/// default (same strip-pass pattern as [`telemetry_from_args`], and for the
-/// same reason: `--solver` alone must not flip a run into governed
-/// rendering). A bad `MPIDFA_SOLVER` is rejected here too. The strategy is
-/// deliberately **not** part of the row-cache key — all strategies produce
-/// identical rows (`docs/SOLVER.md`).
-fn solver_from_args(args: &[String]) -> Result<Vec<String>, String> {
-    mpi_dfa_core::solver::Strategy::from_env()?;
-    let mut rest = Vec::with_capacity(args.len());
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if a == "--solver" {
-            let v = it.next().ok_or_else(|| format!("{a} needs a value"))?;
-            let strategy =
-                mpi_dfa_core::solver::Strategy::parse(v).map_err(|e| format!("--solver: {e}"))?;
-            mpi_dfa_core::solver::Strategy::set_session_default(strategy);
-        } else {
-            rest.push(a.clone());
-        }
-    }
-    Ok(rest)
 }
 
 /// Split `--cache-dir DIR` out of `args` (same pattern as
@@ -229,13 +201,6 @@ fn all_rows(
 fn main() -> ExitCode {
     let raw: Vec<String> = std::env::args().skip(1).collect();
     let (tel, args) = match telemetry_from_args(&raw) {
-        Ok(x) => x,
-        Err(e) => {
-            eprintln!("repro: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let args = match solver_from_args(&args) {
         Ok(x) => x,
         Err(e) => {
             eprintln!("repro: {e}");
@@ -366,9 +331,6 @@ fn drive(args: &[String]) -> ExitCode {
                  caching (row commands): --cache-dir DIR — content-addressed on-disk row store;\n\
                  rows render `cache: hit|miss` and the JSON report gains a `cache` key\n\
                  (--budget-ms runs bypass the cache; see docs/SERVING.md)\n\
-                 solver (any command): --solver round-robin|region\n\
-                 fixpoint strategy for every solve in the run; rows and cache keys are\n\
-                 strategy-independent (see docs/SOLVER.md)\n\
                  telemetry flags (any command): --trace-out FILE.json --metrics-out FILE.txt\n\
                  --trace-level off|spans|full (see docs/OBSERVABILITY.md)"
             );

@@ -16,15 +16,13 @@
 //!   be identical. A divergent verdict is surfaced as a failure with the
 //!   usual span-tree diagnosis.
 //!
-//! A second, *edit-mutation* mode ([`run_edits`]) targets the incremental
+//! A second, *edit-mutation* mode ([`run_edits`]) targets the demand
 //! solver instead of the front end: it applies structured source edits
 //! (statement insertion into one procedure, a fresh declaration that
 //! renumbers the location table, statement duplication) and, for every
-//! mutant that still builds, asserts the equivalence contract — a seeded
-//! incremental re-solve from the base program's converged region
-//! solution must match a cold solve of the mutant **byte for byte** (facts,
-//! active set, iteration counts, node visits), without panicking or
-//! hanging.
+//! mutant that still builds, asserts the demand contract — the activity a
+//! demand query finds at the context entry must equal the round-robin
+//! fixpoint's active set at that node, without panicking or hanging.
 //!
 //! Everything is deterministic in the seed, so a CI failure reproduces
 //! locally with `FUZZ_SEED=<seed> FUZZ_CASES=1 cargo test -p mpi-dfa-suite
@@ -32,15 +30,13 @@
 
 use crate::gen::{self, GenConfig};
 use crate::programs;
-use mpi_dfa_analyses::activity::{
-    analyze_mpi_delta, analyze_mpi_with, ActivityConfig, ActivityResult,
-};
+use mpi_dfa_analyses::activity::{analyze_mpi_with, demand_active_at, ActivityConfig};
 use mpi_dfa_analyses::mpi_match::{build_mpi_icfg_with_budget, Matching};
 use mpi_dfa_core::budget::Budget;
 use mpi_dfa_core::rng::SplitMix64;
-use mpi_dfa_core::solver::{SolveParams, Strategy};
+use mpi_dfa_core::solver::SolveParams;
 use mpi_dfa_core::telemetry::{self, TraceLevel};
-use mpi_dfa_graph::icfg::{dirty_procs, ProgramIr};
+use mpi_dfa_graph::icfg::ProgramIr;
 use std::fmt::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
@@ -392,39 +388,40 @@ pub fn run(config: &FuzzConfig) -> FuzzReport {
 }
 
 // ---------------------------------------------------------------------------
-// Edit-mutation mode: incremental-equivalence fuzzing.
+// Edit-mutation mode: demand-contract fuzzing.
 // ---------------------------------------------------------------------------
 
-/// How far one edit-equivalence case got without violating the contract.
+/// How far one edit case got without violating the contract.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EditStage {
-    /// The base solve could not anchor the case (no globals to build an
-    /// activity config from, or the cold base solve missed the deadline and
-    /// captured no seed regions). Vacuous, not a violation.
+    /// The base program could not anchor the case (it does not compile or
+    /// declares no globals to build an activity config from). Vacuous,
+    /// not a violation.
     Skipped,
-    /// The edit broke the build (front end or graph) or the mutant's cold
-    /// solve missed the deadline; nothing to compare.
+    /// The edit broke the build (front end or graph) or the mutant's
+    /// round-robin solve or demand missed its deadline; nothing to
+    /// compare.
     RejectedEdit,
-    /// Cold solve and seeded re-solve both ran and matched byte for byte.
+    /// The demand answer at the context entry matched the full fixpoint.
     Verified,
 }
 
-/// One verified/skipped/rejected edit case, with transplant coverage.
+/// One verified/skipped/rejected edit case, with the demand's coverage.
 #[derive(Debug, Clone, Copy)]
 pub struct EditOutcome {
     pub stage: EditStage,
-    /// Regions transplanted from the seed (vary + useful phases summed).
-    pub regions_reused: usize,
-    /// Regions re-solved.
-    pub regions_resolved: usize,
+    /// SCC regions of the mutant's graph (vary + useful phases summed).
+    pub regions_total: usize,
+    /// Regions the demand slices solved.
+    pub regions_solved: usize,
 }
 
 impl EditOutcome {
     fn bare(stage: EditStage) -> Self {
         EditOutcome {
             stage,
-            regions_reused: 0,
-            regions_resolved: 0,
+            regions_total: 0,
+            regions_solved: 0,
         }
     }
 }
@@ -433,16 +430,16 @@ impl EditOutcome {
 #[derive(Debug, Default)]
 pub struct EditReport {
     pub cases: usize,
-    /// Buildable mutants whose seeded re-solve matched the cold solve.
+    /// Buildable mutants whose demand answer matched the full fixpoint.
     pub verified: usize,
     /// Edits that broke the build (cleanly rejected).
     pub rejected: usize,
-    /// Cases with no usable base solve to seed from.
+    /// Cases with no usable base program to anchor them.
     pub skipped: usize,
-    /// Transplant coverage summed over verified cases — the run must
-    /// exercise both reuse (> 0) and re-solving (> 0) to mean anything.
-    pub regions_reused: usize,
-    pub regions_resolved: usize,
+    /// Demand coverage summed over verified cases — the run means
+    /// something only if the slices left some regions unsolved.
+    pub regions_total: usize,
+    pub regions_solved: usize,
     pub failures: Vec<FuzzFailure>,
     pub max_case: Duration,
 }
@@ -450,13 +447,10 @@ pub struct EditReport {
 /// Deterministically apply one structured *edit* to a base program. Unlike
 /// [`mutate`] (byte shrapnel for robustness testing), these edits model a
 /// developer touching the source, so most mutants stay buildable and the
-/// seeded re-solve actually runs:
+/// demand contract actually runs:
 ///
-/// * insert two `print` statements into one procedure body — the canonical
-///   one-procedure delta, where downstream-only regions should transplant;
-/// * add a fresh global after the header — renumbers the location table,
-///   shifting every fingerprint, so the re-solve must re-solve everything
-///   and still match the cold solve;
+/// * insert two `print` statements into one procedure body;
+/// * add a fresh global after the header — renumbers the location table;
 /// * declare an unused local in one procedure;
 /// * duplicate one `;`-terminated statement line.
 pub fn edit_mutate(src: &str, rng: &mut SplitMix64) -> String {
@@ -532,55 +526,12 @@ fn edit_config(ir: &ProgramIr) -> Option<ActivityConfig> {
     ))
 }
 
-fn edit_params(deadline: Duration) -> SolveParams {
-    SolveParams {
-        strategy: Strategy::Region,
-        budget: Budget::unlimited().with_deadline_ms(deadline.as_millis() as u64),
-        ..SolveParams::default()
-    }
-}
-
-/// The byte-for-byte leg of the edit contract. Facts, the derived active
-/// set, and the deterministic work counters must all agree — transplanted
-/// regions carry their original solve's stats, so even `node_visits`
-/// matches a cold solve exactly. A mismatch panics; the harness catches it
-/// and reports the seed.
-fn assert_incremental_equivalence(delta: &ActivityResult, cold: &ActivityResult) {
-    assert_eq!(delta.vary.input, cold.vary.input, "vary IN facts diverged");
-    assert_eq!(
-        delta.vary.output, cold.vary.output,
-        "vary OUT facts diverged"
-    );
-    assert_eq!(
-        delta.useful.input, cold.useful.input,
-        "useful IN facts diverged"
-    );
-    assert_eq!(
-        delta.useful.output, cold.useful.output,
-        "useful OUT facts diverged"
-    );
-    assert_eq!(delta.active, cold.active, "active sets diverged");
-    assert_eq!(
-        delta.active_bytes, cold.active_bytes,
-        "active-byte totals diverged"
-    );
-    assert_eq!(delta.iterations, cold.iterations, "pass counts diverged");
-    assert_eq!(
-        delta.vary.stats.node_visits, cold.vary.stats.node_visits,
-        "vary node-visit counters diverged"
-    );
-    assert_eq!(
-        delta.useful.stats.node_visits, cold.useful.stats.node_visits,
-        "useful node-visit counters diverged"
-    );
-}
-
-/// Push one (base, mutant) pair through the incremental-equivalence
-/// contract: cold region solve of the base captures seed regions;
-/// the mutant is re-solved both cold and seeded (dirtying exactly the
-/// procedures [`dirty_procs`] reports as textually changed); the two
-/// results must match byte for byte. Contract violations panic — the
-/// caller runs this under `catch_unwind`.
+/// The demand leg of the edit contract: push one (base, mutant) pair
+/// through a round-robin solve of the mutant and a demand query at its
+/// context entry, and require the demand's active set to equal the
+/// fixpoint's at that node (Vary ∩ Useful on either side). The base
+/// program only anchors the activity config. A mismatch panics; the
+/// caller runs this under `catch_unwind` and reports the seed.
 pub fn edit_pipeline(base: &str, mutant: &str, deadline: Duration) -> EditOutcome {
     let Ok(base_ir) = ProgramIr::from_source(base) else {
         return EditOutcome::bare(EditStage::Skipped);
@@ -588,55 +539,50 @@ pub fn edit_pipeline(base: &str, mutant: &str, deadline: Duration) -> EditOutcom
     let Some(config) = edit_config(&base_ir) else {
         return EditOutcome::bare(EditStage::Skipped);
     };
-    let budget = Budget::unlimited().with_deadline_ms(deadline.as_millis() as u64);
-    let params = edit_params(deadline);
-    let Ok(base_mpi) = build_mpi_icfg_with_budget(
-        base_ir.clone(),
-        "main",
-        1,
-        Matching::ReachingConstants,
-        &budget,
-    ) else {
-        return EditOutcome::bare(EditStage::Skipped);
-    };
-    let Ok(prev) = analyze_mpi_with(&base_mpi, &config, &params) else {
-        return EditOutcome::bare(EditStage::Skipped);
-    };
-    if !prev.converged() || prev.vary.regions.is_none() || prev.useful.regions.is_none() {
-        return EditOutcome::bare(EditStage::Skipped);
-    }
-
+    let ms = deadline.as_millis() as u64;
+    let budget = Budget::unlimited().with_deadline_ms(ms);
+    let params = SolveParams::with_budget(budget.clone());
     let Ok(mut_ir) = ProgramIr::from_source(mutant) else {
         return EditOutcome::bare(EditStage::RejectedEdit);
     };
-    let Ok(mut_mpi) = build_mpi_icfg_with_budget(
-        mut_ir.clone(),
-        "main",
-        1,
-        Matching::ReachingConstants,
-        &budget,
-    ) else {
+    let Ok(mpi) =
+        build_mpi_icfg_with_budget(mut_ir, "main", 1, Matching::ReachingConstants, &budget)
+    else {
         return EditOutcome::bare(EditStage::RejectedEdit);
     };
-    let Ok(cold) = analyze_mpi_with(&mut_mpi, &config, &params) else {
+    let Ok(full) = analyze_mpi_with(&mpi, &config, &params) else {
         return EditOutcome::bare(EditStage::RejectedEdit);
     };
-    if !cold.converged() {
-        // Deadline-bound snapshot; the equivalence contract only speaks
-        // about fixpoints.
+    if !full.converged() {
+        // Deadline-bound snapshot; the contract only speaks about
+        // fixpoints.
         return EditOutcome::bare(EditStage::RejectedEdit);
     }
-
-    let dirty = mut_mpi
-        .icfg()
-        .nodes_of_procs(&dirty_procs(&base_ir, &mut_ir));
-    let delta = analyze_mpi_delta(&mut_mpi, &config, &params, &prev, &dirty)
-        .unwrap_or_else(|e| panic!("seeded re-solve rejected a buildable mutant: {e}"));
-    assert_incremental_equivalence(&delta.result, &cold);
+    // The demand gets a deadline of its own, and one it misses is
+    // deadline-bound like the full solve above.
+    let entry = mpi.icfg().context_entry();
+    let params = SolveParams::with_budget(Budget::unlimited().with_deadline_ms(ms));
+    let Ok(demand) = demand_active_at(&mpi, &config, &params, &[entry]) else {
+        return EditOutcome::bare(EditStage::RejectedEdit);
+    };
+    let mut want = full
+        .vary
+        .before(entry)
+        .intersection(full.useful.before(entry));
+    want.union_into(
+        &full
+            .vary
+            .after(entry)
+            .intersection(full.useful.after(entry)),
+    );
+    assert_eq!(
+        demand.active, want,
+        "demand active set at the context entry diverged from the fixpoint's"
+    );
     EditOutcome {
         stage: EditStage::Verified,
-        regions_reused: delta.regions_reused,
-        regions_resolved: delta.regions_resolved,
+        regions_total: demand.regions_total,
+        regions_solved: demand.regions_solved,
     }
 }
 
@@ -660,8 +606,8 @@ pub fn run_edit_case(
             detail: panic_message(payload.as_ref()),
         }),
         Ok(out) => {
-            // Three solves and two graph builds per case, so the hang bar
-            // is HANG_FACTOR times *five* deadlines rather than one.
+            // Two compiles, a graph build and two solves per case, so the
+            // hang bar is HANG_FACTOR times *five* deadlines rather than one.
             if elapsed > deadline * HANG_FACTOR * 5 {
                 Err(FuzzFailure {
                     seed,
@@ -691,8 +637,8 @@ pub fn run_edits(config: &FuzzConfig) -> EditReport {
                     EditStage::RejectedEdit => report.rejected += 1,
                     EditStage::Verified => {
                         report.verified += 1;
-                        report.regions_reused += out.regions_reused;
-                        report.regions_resolved += out.regions_resolved;
+                        report.regions_total += out.regions_total;
+                        report.regions_solved += out.regions_solved;
                     }
                 }
             }
@@ -772,32 +718,28 @@ mod tests {
     }
 
     #[test]
-    fn one_procedure_edit_verifies_and_transplants_regions() {
-        // The canonical delta: insert prints into LU's first procedure. The
-        // mutant must verify byte-for-byte against a cold solve, and a
-        // multi-procedure program must reuse at least one region.
+    fn one_procedure_edit_verifies_from_a_slice() {
+        // Insert prints into LU's first procedure: the demand at the
+        // context entry must match the fixpoint while solving only a slice.
         let base = programs::LU;
         let at = base.find("sub ").unwrap();
         let pos = at + base[at..].find('{').unwrap() + 1;
         let mutant = format!("{} print(1.0); print(2.0);{}", &base[..pos], &base[pos..]);
         let out = edit_pipeline(base, &mutant, Duration::from_secs(5));
         assert_eq!(out.stage, EditStage::Verified);
-        assert!(out.regions_reused > 0, "{out:?}");
-        assert!(out.regions_resolved > 0, "{out:?}");
+        assert!(out.regions_solved > 0, "{out:?}");
+        assert!(out.regions_solved < out.regions_total, "{out:?}");
     }
 
     #[test]
-    fn declaration_edit_forces_a_full_resolve_that_still_verifies() {
-        // A fresh global renumbers the location table: every fingerprint
-        // shifts, nothing transplants, and the answer must still match.
+    fn declaration_edit_still_verifies() {
+        // A fresh global renumbers the location table.
         let base = programs::LU;
         let at = base.find("program ").unwrap();
         let nl = at + base[at..].find('\n').unwrap();
         let mutant = format!("{}\nglobal zq9: real;{}", &base[..nl], &base[nl..]);
         let out = edit_pipeline(base, &mutant, Duration::from_secs(5));
         assert_eq!(out.stage, EditStage::Verified);
-        assert_eq!(out.regions_reused, 0, "{out:?}");
-        assert!(out.regions_resolved > 0, "{out:?}");
     }
 
     #[test]
@@ -812,12 +754,11 @@ mod tests {
             report.verified + report.rejected + report.skipped,
             report.cases
         );
-        // Structured edits must mostly survive the build — and the run is
-        // only meaningful if it exercised both transplanting and
-        // re-solving.
+        // Structured edits must mostly survive the build, and the run is
+        // only meaningful if the demand slices skipped some regions.
         assert!(report.verified > report.cases / 2, "{report:?}");
-        assert!(report.regions_reused > 0, "{report:?}");
-        assert!(report.regions_resolved > 0, "{report:?}");
+        assert!(report.regions_solved > 0, "{report:?}");
+        assert!(report.regions_solved < report.regions_total, "{report:?}");
     }
 
     #[test]

@@ -31,7 +31,10 @@ use std::time::Duration;
 pub const ROWS_NAMESPACE: &str = "table1-rows";
 
 /// Bump when the record format or key schema changes; old entries miss.
-pub const ROW_SCHEMA_VERSION: u64 = 1;
+/// v2: every full solve is round-robin. A v1 row written by a
+/// `--solver region` run carries that engine's Iter column, so none is
+/// served.
+pub const ROW_SCHEMA_VERSION: u64 = 2;
 
 /// A [`DiskStore`]-backed cache of measured Table-1 rows.
 #[derive(Debug)]
@@ -49,10 +52,6 @@ impl RowCache {
 
     /// The content-addressed key for `spec` under `gov`, or `None` when
     /// the run must bypass the cache (wall-clock deadline budget).
-    ///
-    /// The governor's solver `strategy` is deliberately **not** hashed:
-    /// every strategy produces identical rows (`docs/SOLVER.md`), so a row
-    /// computed under one strategy is a valid hit for any other.
     pub fn key(spec: &ExperimentSpec, gov: Option<&GovernorConfig>) -> Option<u128> {
         if gov.is_some_and(|g| g.budget.deadline.is_some()) {
             return None;
@@ -302,28 +301,6 @@ mod tests {
     }
 
     #[test]
-    fn solver_strategy_does_not_change_the_key() {
-        // Satellite regression: the warm row cache must HIT across solver
-        // strategies — all strategies produce identical rows, so hashing
-        // the strategy would only manufacture cold misses.
-        use mpi_dfa_core::solver::Strategy;
-        let spec = by_id("Biostat").unwrap();
-        let base = GovernorConfig::default();
-        let k0 = RowCache::key(&spec, Some(&base)).unwrap();
-        for strategy in [Strategy::RoundRobin, Strategy::Region] {
-            let gov = GovernorConfig {
-                strategy,
-                ..base.clone()
-            };
-            assert_eq!(
-                k0,
-                RowCache::key(&spec, Some(&gov)).unwrap(),
-                "{strategy} must share the strategy-agnostic row key"
-            );
-        }
-    }
-
-    #[test]
     fn deadline_budgets_bypass() {
         let spec = by_id("Biostat").unwrap();
         let gov = GovernorConfig {
@@ -376,9 +353,10 @@ mod tests {
         let dir = tmpdir("corrupt");
         let cache = RowCache::open(&dir).unwrap();
         let key = RowCache::key(&spec, None).unwrap();
+        let garbled = format!("rowcache v{ROW_SCHEMA_VERSION}\nicfg not numbers\n");
         cache
             .store
-            .put(ROWS_NAMESPACE, key, b"rowcache v1\nicfg not numbers\n")
+            .put(ROWS_NAMESPACE, key, garbled.as_bytes())
             .unwrap();
         assert!(cache.get(key, &spec).is_none());
         cache

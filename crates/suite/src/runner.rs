@@ -182,7 +182,6 @@ pub fn run_experiment_governed(
     let config = ActivityConfig::new(spec.independents.to_vec(), spec.dependents.to_vec());
     let params = SolveParams {
         max_passes: gov.max_passes,
-        strategy: gov.strategy,
         ..SolveParams::default()
     };
 
@@ -539,10 +538,6 @@ mod tests {
             spec.clone_level,
             &SolveParams {
                 max_passes: 1,
-                // Pin the strategy: "one pass" is a round-robin notion; the
-                // region engine's per-region bound could still
-                // reach the fixpoint under a 1-pass budget.
-                strategy: mpi_dfa_core::solver::Strategy::RoundRobin,
                 ..SolveParams::default()
             },
         );

@@ -2,16 +2,17 @@
 //!
 //! The unit tests in `mpi-dfa-core` pin the counter semantics on toy
 //! graphs; these tests re-check them where it matters — the Table 1
-//! benchmarks — and add the cross-strategy bound the region engine's
-//! design promises: a region's round-separated dirty sweeps never do more
-//! work than a round-robin sweep restricted to that region, so on every
-//! program the region engine visits no more nodes than round-robin, while
+//! benchmarks — and add the cross-engine bound the region engine's design
+//! promises: a region's round-separated dirty sweeps never do more work
+//! than a round-robin sweep restricted to that region, so on every program
+//! a demand for every node visits no more nodes than round-robin, while
 //! producing the identical fixpoint.
 
 use mpi_dfa_analyses::activity::{vary_useful_problems, ActivityConfig, Mode};
 use mpi_dfa_analyses::mpi_match::{build_mpi_icfg, Matching};
-use mpi_dfa_core::graph::FlowGraph;
-use mpi_dfa_core::solver::{ConvergenceStats, Solver, Strategy};
+use mpi_dfa_core::graph::{FlowGraph, NodeId};
+use mpi_dfa_core::problem::Dataflow;
+use mpi_dfa_core::solver::{ConvergenceStats, Solution, Solver};
 use mpi_dfa_graph::mpi::MpiIcfg;
 use mpi_dfa_suite::all_experiments;
 use mpi_dfa_suite::programs;
@@ -19,6 +20,16 @@ use mpi_dfa_suite::programs;
 /// Row IDs to exercise: one per distinct benchmark program (running every
 /// LU/Sw variant re-checks the same graphs with different seeds).
 const ROWS: &[&str] = &["Biostat", "SOR", "CG", "LU-1", "MG-1", "Sw-1"];
+
+/// The region engine over the whole graph: a demand for every node.
+fn region<P: Dataflow>(problem: &P, mpi: &MpiIcfg) -> Solution<P::Fact> {
+    let first = Solver::new(problem, mpi).demand(NodeId(0)).expect("a node");
+    (1..mpi.num_nodes() as u32)
+        .try_fold(first, |d, n| d.demand(NodeId(n)))
+        .expect("every node is in range")
+        .run()
+        .solution
+}
 
 fn suite_graphs() -> Vec<(&'static str, MpiIcfg, ActivityConfig)> {
     all_experiments()
@@ -48,25 +59,19 @@ fn region_visits_bounded_by_round_robin_on_suite_programs() {
         for (phase, rr, rg) in [
             (
                 "vary",
-                Solver::new(&vary_p, &mpi)
-                    .strategy(Strategy::RoundRobin)
-                    .run(),
-                Solver::new(&vary_p, &mpi).strategy(Strategy::Region).run(),
+                Solver::new(&vary_p, &mpi).run(),
+                region(&vary_p, &mpi),
             ),
             (
                 "useful",
-                Solver::new(&useful_p, &mpi)
-                    .strategy(Strategy::RoundRobin)
-                    .run(),
-                Solver::new(&useful_p, &mpi)
-                    .strategy(Strategy::Region)
-                    .run(),
+                Solver::new(&useful_p, &mpi).run(),
+                region(&useful_p, &mpi),
             ),
         ] {
             assert!(rr.stats.converged && rg.stats.converged, "{id}");
             assert_eq!(
                 rr.input, rg.input,
-                "{id} {phase}: strategies must agree on the fixpoint"
+                "{id} {phase}: the engines must agree on the fixpoint"
             );
             assert_eq!(rr.output, rg.output, "{id} {phase}");
             assert!(
@@ -99,7 +104,7 @@ fn region_visits_bounded_by_round_robin_on_suite_programs() {
             );
             assert!(
                 rg.stats.worklist_peak > 0 && rr.stats.worklist_peak == 0,
-                "{id} {phase}: only the region strategy has a queue"
+                "{id} {phase}: only the region engine has a queue"
             );
         }
     }
@@ -115,18 +120,8 @@ fn absorb_is_order_independent_across_benchmark_stats() {
     let mut stats: Vec<ConvergenceStats> = Vec::new();
     for (_, mpi, config) in suite_graphs().iter() {
         let (vary_p, _) = vary_useful_problems(mpi.icfg(), Mode::MpiIcfg, config).unwrap();
-        stats.push(
-            Solver::new(&vary_p, mpi)
-                .strategy(Strategy::RoundRobin)
-                .run()
-                .stats,
-        );
-        stats.push(
-            Solver::new(&vary_p, mpi)
-                .strategy(Strategy::Region)
-                .run()
-                .stats,
-        );
+        stats.push(Solver::new(&vary_p, mpi).run().stats);
+        stats.push(region(&vary_p, mpi).stats);
         // Record a graph-size witness so zero-padding in absorb is hit.
         assert!(mpi.num_nodes() > 0);
     }

@@ -1,14 +1,15 @@
-//! Cross-strategy equivalence on the Table-1 benchmarks, checked against
+//! Cross-engine equivalence on the Table-1 benchmarks, checked against
 //! an independent oracle.
 //!
 //! Every Table-1 program (Biostat, SOR, CG, LU, MG, Sweep3d) × the two
 //! nonseparable analyses the paper runs (reaching constants; Vary/Useful
-//! activity, i.e. both solver directions) × both strategies must produce
-//! exactly the facts of the naive reference solver in `oracle/`. The two
-//! engines share their node update, so their agreement with each other
-//! could not catch a bug in it; the oracle shares no code with either. The
-//! same runs also re-check the `ConvergenceStats` bookkeeping invariants
-//! under every strategy. A hand-built graph covers the receiver-class
+//! activity, i.e. both solver directions) × both engines (the round-robin
+//! full solve, and the region engine as a demand for every node) must
+//! produce exactly the facts of the naive reference solver in `oracle/`.
+//! The two engines share their node update, so their agreement with each
+//! other could not catch a bug in it; the oracle shares no code with
+//! either. The same runs also re-check the `ConvergenceStats` bookkeeping
+//! invariants under both engines. A hand-built graph covers the receiver-class
 //! shapes the benchmarks may not: classes that share a source, a clique
 //! with self edges, and a source that changes only on a late loop trip.
 
@@ -20,49 +21,67 @@ use mpi_dfa_analyses::mpi_match::{build_mpi_icfg, Matching};
 use mpi_dfa_core::graph::{FlowGraph, NodeId, SimpleGraph};
 use mpi_dfa_core::lattice::MeetSemiLattice;
 use mpi_dfa_core::problem::{Dataflow, Direction};
-use mpi_dfa_core::solver::{ConvergenceStats, Solver, Strategy};
+use mpi_dfa_core::solver::{ConvergenceStats, Solution, Solver};
 use mpi_dfa_suite::{all_experiments, programs};
 
 /// One row per distinct benchmark program — together these cover every
 /// program in Table 1.
 const ROWS: &[&str] = &["Biostat", "SOR", "CG", "LU-1", "MG-1", "Sw-1"];
 
-fn check_stats_invariants(id: &str, label: &str, strategy: Strategy, stats: &ConvergenceStats) {
-    assert!(stats.converged, "{id} {label} [{strategy}] must converge");
+fn check_stats_invariants(id: &str, label: &str, engine: &str, stats: &ConvergenceStats) {
+    assert!(stats.converged, "{id} {label} [{engine}] must converge");
     assert_eq!(
         stats.per_node_visits.iter().sum::<u64>(),
         stats.node_visits,
-        "{id} {label} [{strategy}]: per-node visits must sum to the total"
+        "{id} {label} [{engine}]: per-node visits must sum to the total"
     );
     assert!(
         stats.pass_deltas.iter().sum::<u64>() > 0,
-        "{id} {label} [{strategy}]: some node must change before the fixpoint"
+        "{id} {label} [{engine}]: some node must change before the fixpoint"
     );
     assert!(
         stats.node_visits > 0,
-        "{id} {label} [{strategy}]: a solve must visit nodes"
+        "{id} {label} [{engine}]: a solve must visit nodes"
     );
 }
 
-/// Solve `problem` over `graph` under both strategies and assert the facts
+/// Both engines over the whole graph: the round-robin full solve, and the
+/// region engine as a demand for every node.
+fn engines<P: Dataflow, G: FlowGraph>(
+    problem: &P,
+    graph: &G,
+) -> [(&'static str, Solution<P::Fact>); 2] {
+    let first = Solver::new(problem, graph)
+        .demand(NodeId(0))
+        .expect("a node");
+    let demand = (1..graph.num_nodes() as u32)
+        .try_fold(first, |d, n| d.demand(NodeId(n)))
+        .expect("every node is in range")
+        .run();
+    [
+        ("round-robin", Solver::new(problem, graph).run()),
+        ("demand", demand.solution),
+    ]
+}
+
+/// Solve `problem` over `graph` with both engines and assert the facts
 /// are identical to the oracle's, byte for byte.
-fn assert_strategies_match_oracle<P, G>(id: &str, label: &str, graph: &G, problem: &P)
+fn assert_engines_match_oracle<P, G>(id: &str, label: &str, graph: &G, problem: &P)
 where
     P: Dataflow,
     P::Fact: std::fmt::Debug,
     G: FlowGraph,
 {
     let reference = oracle::solve(problem, graph, 10_000);
-    for strategy in [Strategy::RoundRobin, Strategy::Region] {
-        let sol = Solver::new(problem, graph).strategy(strategy).run();
-        check_stats_invariants(id, label, strategy, &sol.stats);
+    for (engine, sol) in engines(problem, graph) {
+        check_stats_invariants(id, label, engine, &sol.stats);
         assert_eq!(
             sol.input, reference.input,
-            "{id} {label} [{strategy}]: IN facts must match the oracle"
+            "{id} {label} [{engine}]: IN facts must match the oracle"
         );
         assert_eq!(
             sol.output, reference.output,
-            "{id} {label} [{strategy}]: OUT facts must match the oracle"
+            "{id} {label} [{engine}]: OUT facts must match the oracle"
         );
     }
 }
@@ -81,15 +100,15 @@ fn every_table1_program_and_analysis_matches_the_oracle() {
 
         // Reaching constants over the MPI-ICFG (forward, nonseparable).
         let consts = ReachingConsts::new(mpi.icfg());
-        assert_strategies_match_oracle(spec.id, "consts", &mpi, &consts);
+        assert_engines_match_oracle(spec.id, "consts", &mpi, &consts);
 
         // Activity: Vary (forward) and Useful (backward) — both solver
         // directions over communication edges.
         let config = ActivityConfig::new(spec.independents.to_vec(), spec.dependents.to_vec());
         let (vary_p, useful_p) =
             vary_useful_problems(mpi.icfg(), Mode::MpiIcfg, &config).expect("problems");
-        assert_strategies_match_oracle(spec.id, "vary", &mpi, &vary_p);
-        assert_strategies_match_oracle(spec.id, "useful", &mpi, &useful_p);
+        assert_engines_match_oracle(spec.id, "vary", &mpi, &vary_p);
+        assert_engines_match_oracle(spec.id, "useful", &mpi, &useful_p);
     }
 }
 
@@ -218,9 +237,7 @@ fn receiver_classes_match_the_oracle_on_a_hand_built_graph() {
         0,
         "the clique spreads 8's bit"
     );
-    let late = Solver::new(&problem, &g)
-        .strategy(Strategy::RoundRobin)
-        .run();
+    let late = Solver::new(&problem, &g).run();
     assert!(late.stats.passes >= 9, "{} passes", late.stats.passes);
-    assert_strategies_match_oracle("hand-built", "doubling", &g, &problem);
+    assert_engines_match_oracle("hand-built", "doubling", &g, &problem);
 }

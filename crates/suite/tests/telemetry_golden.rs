@@ -15,7 +15,6 @@
 use mpi_dfa_analyses::governor::{DegradeMode, GovernorConfig};
 use mpi_dfa_core::budget::Budget;
 use mpi_dfa_core::json::{self, Json};
-use mpi_dfa_core::solver::Strategy;
 use mpi_dfa_core::telemetry::{self, TraceLevel, TEST_SINK_GATE};
 use mpi_dfa_suite::{by_id, runner};
 
@@ -23,15 +22,8 @@ use mpi_dfa_suite::{by_id, runner};
 // Acceptance tests
 // ---------------------------------------------------------------------------
 
-/// The fixpoint span name depends on the strategy the run solved under,
-/// which CI varies via `MPIDFA_SOLVER` (the solver-region job runs the
-/// whole suite with the region default).
-fn fixpoint_span() -> &'static str {
-    match Strategy::session_default() {
-        Strategy::RoundRobin => "fixpoint:round_robin",
-        Strategy::Region => "fixpoint:region",
-    }
-}
+/// The span every full (round-robin) fixpoint records.
+const FIXPOINT_SPAN: &str = "fixpoint:round_robin";
 
 /// Assert `trace` is a valid Chrome trace of at least `min_events`
 /// well-formed events, with balanced spans and every `required` name.
@@ -107,7 +99,7 @@ fn chrome_trace_from_cg_and_lu_repro_is_valid_and_complete() {
             "icfg_build",
             "clone_expansion",
             "mpi_matching",
-            fixpoint_span(),
+            FIXPOINT_SPAN,
             "activity:vary",
             "activity:useful",
         ],
@@ -136,7 +128,7 @@ fn repro_row_writes_a_valid_trace_and_the_solver_metrics() {
     let _ = std::fs::remove_file(&trace_path);
     let _ = std::fs::remove_file(&metrics_path);
 
-    check_chrome_trace(&trace, 1, &["compile", "mpi_matching", fixpoint_span()]);
+    check_chrome_trace(&trace, 1, &["compile", "mpi_matching", FIXPOINT_SPAN]);
     for analysis in ["vary", "useful"] {
         for base in [
             "solver_node_visits_total",

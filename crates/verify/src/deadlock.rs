@@ -31,7 +31,7 @@ use crate::VerifyConfig;
 use mpi_dfa_core::budget::Budget;
 use mpi_dfa_core::graph::NodeId;
 use mpi_dfa_core::problem::{Dataflow, Direction};
-use mpi_dfa_core::solver::{SolveParams, Solver};
+use mpi_dfa_core::solver::Solver;
 use mpi_dfa_core::varset::VarSet;
 use mpi_dfa_graph::icfg::Icfg;
 use mpi_dfa_graph::mpi::{fold_int, MpiIcfg};
@@ -153,11 +153,8 @@ pub fn analyze(
 
     let problem = MustBlockReach::new(icfg, &blocking);
     let sol = Solver::new(&problem, g)
-        .params(SolveParams {
-            max_passes: cfg.max_passes,
-            budget: budget.clone(),
-            ..SolveParams::default()
-        })
+        .max_passes(cfg.max_passes)
+        .budget(budget.clone())
         .run();
     sol.stats.publish_metrics("verify_deadlock");
     if !sol.stats.converged {

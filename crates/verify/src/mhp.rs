@@ -24,7 +24,7 @@ use crate::VerifyConfig;
 use mpi_dfa_core::budget::Budget;
 use mpi_dfa_core::graph::NodeId;
 use mpi_dfa_core::problem::{Dataflow, Direction};
-use mpi_dfa_core::solver::{Solution, SolveParams, Solver};
+use mpi_dfa_core::solver::{Solution, Solver};
 use mpi_dfa_core::varset::VarSet;
 use mpi_dfa_graph::icfg::Icfg;
 use mpi_dfa_graph::mpi::MpiIcfg;
@@ -148,11 +148,8 @@ pub fn analyze(
     let problem = PhaseReach::new(icfg);
     let phases = problem.universe;
     let sol: Solution<VarSet> = Solver::new(&problem, g)
-        .params(SolveParams {
-            max_passes: cfg.max_passes,
-            budget: budget.clone(),
-            ..SolveParams::default()
-        })
+        .max_passes(cfg.max_passes)
+        .budget(budget.clone())
         .run();
     sol.stats.publish_metrics("verify_mhp");
     if !sol.stats.converged {

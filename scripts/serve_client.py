@@ -18,10 +18,10 @@ a real socket:
     expired one answers `deadline-exceeded`;
   * the `verify` verb answers SAFE for a Table-1 program and FLAGGED for
     a seeded corpus program, warm hits byte-identical (docs/VERIFY.md);
-  * the incremental surface (docs/INCREMENTAL.md): an `analyze-delta` of
-    an edited source is byte-identical to a cold `analyze` of it (and
-    answers `cache: partial` on a single daemon, where the seed is always
-    local), and a demand query (`at`) has its own cache key;
+  * a request carrying the retired `solver` field is a `bad-request`
+    naming it; an `analyze-delta` of an edited source answers
+    `cache: miss`, its result byte-identical to a cold `analyze` of it;
+    and a demand query (`at`) has its own cache key (docs/SERVING.md);
   * the `metrics` verb carries the SLO latency series;
   * `cache-stats` has the single-box or the cluster shape;
   * `shutdown` is acknowledged and every process exits with code 0.
@@ -50,8 +50,7 @@ import time
 ROWS = ["Biostat", "SOR", "CG", "LU-1", "MG-1"]
 
 # Two-procedure program for the delta step; the edit inserts one
-# fact-neutral statement into `work`, so everything outside it
-# transplants from the seed.
+# fact-neutral statement into `work`.
 DELTA_BASE = (
     "program inc\n"
     "global x: real; global y: real; global out: real;\n"
@@ -85,6 +84,17 @@ class Client:
         resp = self.raw(json.dumps(obj))
         assert resp["id"] == obj["id"], resp
         return resp
+
+    def result_text(self, obj):
+        """`rpc`, returning the response and its `result` text as sent,
+        for byte-for-byte comparisons."""
+        self.f.write(json.dumps(obj) + "\n")
+        self.f.flush()
+        line = self.f.readline()
+        assert line, "server closed the connection unexpectedly"
+        resp = json.loads(line)
+        assert resp["id"] == obj["id"], resp
+        return resp, line.split('"result":', 1)[1]
 
 
 def query_set(base_id):
@@ -144,61 +154,41 @@ def verify_step(client, base_id):
     return cold["result"]
 
 
-def delta_step(client, base_id, expect_partial):
-    """The incremental surface (docs/INCREMENTAL.md).
+def delta_step(client, base_id):
+    """`analyze-delta` and demand queries (docs/SERVING.md).
 
-    Seed with a `"solver": "region"` `analyze` (only region-engine solves
-    capture a reusable seed), send an `analyze-delta` of the edited
-    source naming the seed via `prev`, and assert its result is
-    byte-identical to a cold `analyze` of the same edited source.
-    `expect_partial` is True on the single-process daemon, where the
-    seed is always local; through the router a delta can land on a
-    seedless shard and legitimately fall back to a full solve
-    (`cache: miss`) — identical bytes either way.
+    Every full solve is round-robin, so a request naming a `solver` is
+    refused with a structured `bad-request` that names the field. An
+    `analyze-delta` (which still requires `prev`) is a cold `analyze` of
+    its source under its own key: it answers `cache: miss`, and its
+    result text is byte-identical to a cold `analyze` of the same source,
+    on a single daemon and through the router alike.
     """
     base = {"ind": ["x"], "dep": ["out"]}
-    # Retired strategy spellings are rejected with the surviving names.
-    old = {"id": base_id, "kind": "analyze", "source": DELTA_BASE,
-           "solver": "region-parallel:2", **base}
-    r_old = client.rpc(old)
+    first = {"id": base_id, "kind": "analyze", "source": DELTA_BASE, **base}
+    r_old = client.rpc({**first, "solver": "region"})
     assert r_old["ok"] is False, r_old
-    assert "round-robin|region" in r_old["error"]["message"], r_old
-    seed = {**old, "solver": "region"}
-    r_seed = client.rpc(seed)
-    assert r_seed["ok"] and r_seed["cache"] == "miss", r_seed
-
-    # Cold solve of the edited source FIRST, at the same strategy as the
-    # upcoming delta: facts are strategy-invariant but pass counters are
-    # not, and `solver` is deliberately excluded from the result key, so
-    # the byte-identity comparison needs this entry to have been computed
-    # under the region strategy (different kind => different key, so the
-    # delta below genuinely runs the seeded path rather than hitting this
-    # one).
-    cold = {"id": base_id + 1, "kind": "analyze", "source": DELTA_EDIT,
-            "solver": "region", **base}
-    r_cold = client.rpc(cold)
-    assert r_cold["ok"] and r_cold["cache"] == "miss", r_cold
+    assert r_old["error"]["code"] == "bad-request", r_old
+    assert "`solver`" in r_old["error"]["message"], r_old
+    r_first = client.rpc(first)
+    assert r_first["ok"] and r_first["cache"] == "miss", r_first
 
     delta = {"id": base_id + 2, "kind": "analyze-delta",
-             "source": DELTA_EDIT, "prev": base_id,
-             "solver": "region", **base}
-    r_delta = client.rpc(delta)
-    assert r_delta["ok"], r_delta
-    if expect_partial:
-        assert r_delta["cache"] == "partial", r_delta
-    else:
-        assert r_delta["cache"] in ("partial", "miss"), r_delta
-
-    # The incremental answer must be indistinguishable from the cold
-    # solve of the edited source — facts, counters, provenance.
-    assert r_delta["result"] == r_cold["result"], (
-        "incremental result diverged from the cold solve"
+             "source": DELTA_EDIT, "prev": base_id, **base}
+    r_delta, delta_text = client.result_text(delta)
+    assert r_delta["ok"] and r_delta["cache"] == "miss", r_delta
+    cold = {"id": base_id + 1, "kind": "analyze", "source": DELTA_EDIT,
+            **base}
+    r_cold, cold_text = client.result_text(cold)
+    assert r_cold["ok"] and r_cold["cache"] == "miss", r_cold
+    assert delta_text == cold_text, (
+        "analyze-delta diverged from the cold analyze of its source"
     )
 
     # Re-sending the delta hits its own (kind-scoped) cache entry.
-    r_again = client.rpc(delta)
+    r_again, again_text = client.result_text(delta)
     assert r_again["ok"] and r_again["cache"] == "hit", r_again
-    assert r_again["result"] == r_delta["result"], r_again
+    assert again_text == delta_text, r_again
 
     # Demand query: `at` turns an analyze into a slice-backed
     # fact-at-node question under its own cache key.
@@ -212,10 +202,10 @@ def delta_step(client, base_id, expect_partial):
     assert r_demand2["ok"] and r_demand2["cache"] == "hit", r_demand2
     assert r_demand2["result"] == r_demand["result"], r_demand2
     # The full-solve entry for the same source is untouched by the
-    # demand key: the seed request warm-hits with its original payload.
-    r_full = client.rpc({**seed, "id": base_id + 4})
+    # demand key: the first analyze warm-hits with its original payload.
+    r_full = client.rpc({**first, "id": base_id + 4})
     assert r_full["ok"] and r_full["cache"] == "hit", r_full
-    assert r_full["result"] == r_seed["result"], r_full
+    assert r_full["result"] == r_first["result"], r_full
 
 
 def metrics_step(client, shards):
@@ -413,7 +403,7 @@ def main():
         assert r["error"]["code"] == "deadline-exceeded", r
 
         verify_result = verify_step(c, 400)
-        delta_step(c, 600, expect_partial=not cluster)
+        delta_step(c, 600)
         metrics_step(c, args.shards)
         if cluster:
             traced = trace_step(c, args.binary, log_dir)

@@ -15,7 +15,8 @@
 //! ```
 //!
 //! Every command prints a human-readable report to stdout; parse/sema errors
-//! carry line:column locations and exit with status 1.
+//! carry line:column locations and exit with status 1, as does a flag the
+//! command does not read.
 
 use mpi_dfa::analyses::bitwidth::{self, WidthMode, FULL};
 use mpi_dfa::analyses::consts::{self, CVal};
@@ -24,7 +25,7 @@ use mpi_dfa::analyses::slicing::forward_slice;
 use mpi_dfa::analyses::taint::{self, TaintConfig, TaintMode};
 use mpi_dfa::core::budget::Budget;
 use mpi_dfa::core::lattice::ConstLattice;
-use mpi_dfa::core::solver::{ConvergenceStats, Strategy};
+use mpi_dfa::core::solver::ConvergenceStats;
 use mpi_dfa::core::telemetry;
 use mpi_dfa::lang::fault::FaultPlan;
 use mpi_dfa::lang::interp::{self, InterpConfig, RuntimeLimits};
@@ -88,6 +89,80 @@ impl Opts {
             .map(|v| v.split(',').map(|s| s.trim().to_string()).collect())
             .unwrap_or_default()
     }
+
+    /// Fail on the first flag `cmd` does not read, naming it. Unknown
+    /// commands pass: `dispatch` answers them with the usage text.
+    fn reject_unknown(&self, cmd: &str) -> Result<(), String> {
+        let Some(groups) = command_flags(cmd) else {
+            return Ok(());
+        };
+        let known = |name: &str| {
+            TELEMETRY_FLAGS
+                .iter()
+                .chain(groups.iter().copied().flatten())
+                .any(|&f| f == name)
+        };
+        match self.flags.iter().find(|(name, _)| !known(name)) {
+            Some((name, _)) => Err(format!(
+                "unknown flag --{name} for `{cmd}` (run `mpidfa` for each command's flags)"
+            )),
+            None => Ok(()),
+        }
+    }
+}
+
+/// Flags every command reads.
+const TELEMETRY_FLAGS: &[&str] = &["trace-out", "metrics-out", "trace-level"];
+/// Flags every single-program command reads (see `dispatch`).
+const PROGRAM_FLAGS: &[&str] = &["context", "clone"];
+/// The budget flags [`governor_config`] reads.
+const BUDGET_FLAGS: &[&str] = &["budget-ms", "max-visits", "max-fact-bytes", "degrade"];
+/// The flags [`service_engine`] reads.
+const ENGINE_FLAGS: &[&str] = &["cache-mem", "cache-dir", "max-inflight", "shard-id"];
+
+/// The flags `cmd` reads besides [`TELEMETRY_FLAGS`], or `None` for an
+/// unknown command. `serve` includes the flags the cluster supervisor
+/// passes to its workers (`--shard-id`, `--addr`, `--telemetry-stream`).
+fn command_flags(cmd: &str) -> Option<&'static [&'static [&'static str]]> {
+    Some(match cmd {
+        "activity" => &[PROGRAM_FLAGS, &["ind", "dep", "mode"], BUDGET_FLAGS],
+        "constants" => &[PROGRAM_FLAGS],
+        "slice" => &[PROGRAM_FLAGS, &["stmt", "no-comm"]],
+        "taint" => &[PROGRAM_FLAGS, &["source", "reads-tainted", "conservative"]],
+        "bitwidth" => &[PROGRAM_FLAGS, &["conservative"]],
+        "graph" => &[PROGRAM_FLAGS, &["matching", "heat", "ind", "dep"]],
+        "verify" => &[
+            PROGRAM_FLAGS,
+            &[
+                "matching",
+                "nprocs",
+                "schedules",
+                "seed",
+                "json",
+                "dot",
+                "max-steps",
+            ],
+            BUDGET_FLAGS,
+        ],
+        "run" => &[
+            PROGRAM_FLAGS,
+            &["nprocs", "entry", "faults", "schedules", "max-steps"],
+        ],
+        "batch" => &[ENGINE_FLAGS, &["pool"]],
+        "serve" => &[
+            ENGINE_FLAGS,
+            &[
+                "addr",
+                "shards",
+                "idle-timeout-ms",
+                "log-dir",
+                "telemetry-stream",
+            ],
+        ],
+        "trace" => &[&["log-dir"]],
+        "help" | "--help" | "-h" => &[],
+        _ => return None,
+    })
 }
 
 fn run(args: &[String]) -> Result<(), String> {
@@ -95,21 +170,13 @@ fn run(args: &[String]) -> Result<(), String> {
         return Err(usage());
     };
     let opts = Opts::parse(&args[1..]);
+    opts.reject_unknown(cmd)?;
     let tel = telemetry::CliTelemetry::resolve(
         opts.value("trace-out").map(String::from),
         opts.value("metrics-out").map(String::from),
         opts.value("trace-level"),
     )?;
     tel.install();
-    // `--solver` pins the process-wide default strategy before any analysis
-    // runs; every fixpoint in this invocation (including batch/serve
-    // requests without their own `"solver"` field) then uses it. A bad
-    // value of either `--solver` or `MPIDFA_SOLVER` fails loudly here.
-    Strategy::from_env()?;
-    if let Some(v) = opts.value("solver") {
-        let strategy = Strategy::parse(v).map_err(|e| format!("--solver: {e}"))?;
-        Strategy::set_session_default(strategy);
-    }
     let result = dispatch(cmd, &opts);
     // Telemetry files are written even when the command fails: a trace of a
     // failing run is exactly when you want one. Exception: a cluster serve
@@ -727,13 +794,7 @@ fn cmd_trace(opts: &Opts) -> Result<(), String> {
 fn cmd_serve_cluster(opts: &Opts, shards: usize, addr: &str) -> Result<(), String> {
     let program = std::env::current_exe().map_err(|e| format!("cannot locate own binary: {e}"))?;
     let mut worker_args: Vec<String> = vec!["serve".into()];
-    for flag in [
-        "cache-mem",
-        "cache-dir",
-        "max-inflight",
-        "idle-timeout-ms",
-        "solver",
-    ] {
+    for flag in ["cache-mem", "cache-dir", "max-inflight", "idle-timeout-ms"] {
         if let Some(v) = opts.value(flag) {
             worker_args.push(format!("--{flag}"));
             worker_args.push(v.to_string());
@@ -891,10 +952,6 @@ fn usage() -> String {
                   reorder=P,dup=P,drop=P`; a seed replays its schedule\n\
                   (--max-steps overrides the documented RuntimeLimits\n\
                   default of 20000000 steps per rank)\n\
-     solver (every command): [--solver round-robin|region]\n\
-                  fixpoint strategy for all analyses in this invocation\n\
-                  (default: $MPIDFA_SOLVER, else round-robin; both\n\
-                  strategies produce identical facts — see docs/SOLVER.md)\n\
      telemetry (every command): [--trace-out FILE.json] [--metrics-out FILE.txt]\n\
                   [--trace-level off|spans|full]\n\
                   --trace-out writes a Chrome-trace (chrome://tracing, Perfetto);\n\

@@ -15,9 +15,8 @@
 //!   and MPI-ICFG communication-edge matching;
 //! * [`core`] — the generic solver: lattices, the [`core::Dataflow`] trait
 //!   with its communication transfer function, and the [`core::Solver`]
-//!   builder over round-robin and SCC-region strategies, plus incremental (`seed`/`dirty`) and demand-driven
-//!   (`demand`) partial modes (see `docs/SOLVER.md` and
-//!   `docs/INCREMENTAL.md`);
+//!   builder: round-robin full solves and a demand-driven (`demand`) SCC
+//!   region slice (see `docs/SOLVER.md`);
 //! * [`analyses`] — reaching constants, activity (Vary/Useful/Active),
 //!   liveness, reaching definitions, forward slicing, taint;
 //! * [`suite`] — the benchmark programs and the Table 1 / Figure 4
@@ -76,9 +75,7 @@ pub mod prelude {
     pub use mpi_dfa_analyses::mpi_match::{build_mpi_icfg, Matching};
     pub use mpi_dfa_analyses::{consts, liveness, reaching_defs, slicing, taint};
     pub use mpi_dfa_core::budget::{Budget, BudgetSpent, CancelToken, Exhaustion};
-    pub use mpi_dfa_core::solver::{
-        DemandRun, SeededRun, Solution, SolveParams, Solver, SolverConfigError, Strategy,
-    };
+    pub use mpi_dfa_core::solver::{DemandRun, Solution, SolveParams, Solver, SolverConfigError};
     pub use mpi_dfa_core::{Dataflow, Direction, VarSet};
     pub use mpi_dfa_graph::icfg::{Icfg, ProgramIr};
     pub use mpi_dfa_graph::mpi::{MpiIcfg, SyntacticConsts};

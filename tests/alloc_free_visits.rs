@@ -2,8 +2,9 @@
 //! its call/return translations and its transfer output in reusable
 //! buffers, reads the communication meet from its receiver class, and
 //! installs facts by swapping or copying. So when a solve runs more
-//! passes, the allocations `Solver::run` makes stay flat; only the per-pass
-//! `pass_deltas` vector grows (a few reallocations).
+//! passes, the allocations a round-robin run or a demand for every node
+//! makes stay flat; only the per-pass `pass_deltas` vector grows (a few
+//! reallocations).
 //!
 //! Two problems: a forward union over `VarSet` on a flow loop whose latch
 //! shifts its set up by one bit per trip (so the pass count follows the
@@ -16,7 +17,7 @@ use mpi_dfa_analyses::consts::ReachingConsts;
 use mpi_dfa_core::graph::{Edge, EdgeKind, FlowGraph, NodeId, SimpleGraph};
 use mpi_dfa_core::lattice::BoolOr;
 use mpi_dfa_core::problem::{Dataflow, Direction};
-use mpi_dfa_core::solver::{Solution, Solver, Strategy};
+use mpi_dfa_core::solver::{Solution, Solver};
 use mpi_dfa_core::varset::VarSet;
 use mpi_dfa_graph::icfg::{Icfg, ProgramIr};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -184,16 +185,32 @@ impl Dataflow for Shift {
     }
 }
 
+/// The two engines: the round-robin full solve, and the region engine as
+/// a demand for every node.
+const ENGINES: [&str; 2] = ["round-robin", "demand"];
+
 /// Solve with allocation counting on; returns the solution and the
-/// allocations `Solver::run` made.
+/// allocations the solve made.
 fn counted_run<P: Dataflow, G: FlowGraph>(
     problem: &P,
     g: &G,
-    strategy: Strategy,
+    engine: &str,
 ) -> (Solution<P::Fact>, u64) {
     let before = ALLOCS.with(Cell::get);
     COUNTING.with(|c| c.set(true));
-    let sol = Solver::new(problem, g).strategy(strategy).run();
+    let solver = Solver::new(problem, g);
+    let sol = match engine {
+        "round-robin" => solver.run(),
+        _ => {
+            (1..g.num_nodes() as u32)
+                .try_fold(solver.demand(NodeId(0)).unwrap(), |d, n| {
+                    d.demand(NodeId(n))
+                })
+                .unwrap()
+                .run()
+                .solution
+        }
+    };
     COUNTING.with(|c| c.set(false));
     (sol, ALLOCS.with(Cell::get) - before)
 }
@@ -216,7 +233,7 @@ fn assert_flat(label: &str, short: (u64, u64), long: (u64, u64)) {
 #[test]
 fn more_passes_cost_no_more_allocations() {
     let g = graph();
-    for strategy in [Strategy::RoundRobin, Strategy::Region] {
+    for strategy in ENGINES {
         let (short, short_allocs) = counted_run(&Shift { limit: 8 }, &g, strategy);
         let (long, long_allocs) = counted_run(&Shift { limit: 100 }, &g, strategy);
         for sol in [&short, &long] {
@@ -227,7 +244,7 @@ fn more_passes_cost_no_more_allocations() {
             );
         }
         assert_flat(
-            &strategy.to_string(),
+            strategy,
             (short.stats.node_visits, short_allocs),
             (long.stats.node_visits, long_allocs),
         );
@@ -237,7 +254,7 @@ fn more_passes_cost_no_more_allocations() {
 #[test]
 fn call_and_return_translations_allocate_nothing() {
     let g = call_graph();
-    for strategy in [Strategy::RoundRobin, Strategy::Region] {
+    for strategy in ENGINES {
         let (short, short_allocs) = counted_run(&Shift { limit: 8 }, &g, strategy);
         let (long, long_allocs) = counted_run(&Shift { limit: 100 }, &g, strategy);
         for (sol, limit) in [(&short, 8), (&long, 100)] {
@@ -288,7 +305,7 @@ fn reaching_constants_visits_allocate_nothing() {
         Icfg::build(ir, "main", 0).expect("icfg")
     };
     let (fast, slow) = (icfg(false), icfg(true));
-    for strategy in [Strategy::RoundRobin, Strategy::Region] {
+    for strategy in ENGINES {
         let (short, short_allocs) = counted_run(&ReachingConsts::new(&fast), &fast, strategy);
         let (long, long_allocs) = counted_run(&ReachingConsts::new(&slow), &slow, strategy);
         for (sol, g) in [(&short, &fast), (&long, &slow)] {

@@ -152,27 +152,75 @@ fn missing_required_flags_fail() {
 }
 
 #[test]
-fn retired_solver_spellings_are_rejected_naming_both_strategies() {
-    let args = ["activity", "figure1", "--ind", "x", "--dep", "f"];
-    for old in ["worklist", "region-parallel", "region-parallel:4"] {
-        let (_, stderr, ok) = mpidfa(&[&args[..], &["--solver", old]].concat());
-        assert!(
-            !ok && stderr.contains("round-robin|region"),
-            "{old}: {stderr}"
-        );
+fn unknown_flags_are_rejected_naming_the_flag() {
+    // A typo and the retired `--solver` both fail with exit code 1 and
+    // name the flag, before anything runs: no report, no served socket.
+    for (args, flag) in [
+        (
+            &[
+                "activity",
+                "mg",
+                "--ind",
+                "u",
+                "--dep",
+                "r",
+                "--clone-level",
+                "3",
+            ][..],
+            "--clone-level",
+        ),
+        (
+            &[
+                "activity", "figure1", "--ind", "x", "--dep", "f", "--solver", "region",
+            ][..],
+            "--solver",
+        ),
+        (
+            &["verify", "figure1", "--solver", "round-robin"][..],
+            "--solver",
+        ),
+        (&["batch", "-", "--solver", "region"][..], "--solver"),
+        (
+            &["serve", "--addr", "127.0.0.1:0", "--solver", "region"][..],
+            "--solver",
+        ),
+    ] {
         let out = Command::new(env!("CARGO_BIN_EXE_mpidfa"))
             .args(args)
-            .env("MPIDFA_SOLVER", old)
             .output()
             .expect("binary runs");
         let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
         assert!(
-            !out.status.success()
-                && stderr.contains("MPIDFA_SOLVER")
-                && stderr.contains("round-robin|region"),
-            "{old}: {stderr}"
+            stderr.contains(&format!("unknown flag {flag}")),
+            "{args:?}: {stderr}"
         );
+        assert!(out.stdout.is_empty(), "{args:?} ran anyway");
     }
+    // Every flag a command documents is still read.
+    let (stdout, stderr, ok) = mpidfa(&[
+        "verify",
+        "figure1",
+        "--context",
+        "main",
+        "--clone",
+        "0",
+        "--matching",
+        "consts",
+        "--nprocs",
+        "2",
+        "--schedules",
+        "1",
+        "--seed",
+        "3",
+        "--max-steps",
+        "100000",
+        "--max-visits",
+        "100000",
+        "--json",
+    ]);
+    assert!(ok, "{stderr}");
+    assert!(stdout.contains("\"verdict\""), "{stdout}");
 }
 
 #[test]

@@ -3,9 +3,9 @@
 //! These check the invariants the paper's framework relies on, on *every*
 //! program the generator can produce — not just the benchmark suite:
 //!
-//! * the solver converges and both strategies (round-robin, region) agree
-//!   byte-for-byte with a naive reference solver that shares no code with
-//!   them;
+//! * the solver converges and both engines (the round-robin full solve,
+//!   the region engine as a demand for every node) agree byte-for-byte
+//!   with a naive reference solver that shares no code with them;
 //! * separable analyses (liveness, reaching definitions) are unaffected by
 //!   communication edges;
 //! * the communication-edge matching strategies form a precision ladder;
@@ -19,6 +19,7 @@
 
 use mpi_dfa::analyses::{consts, liveness, reaching_defs};
 use mpi_dfa::core::rng::SplitMix64;
+use mpi_dfa::core::{FlowGraph, NodeId};
 use mpi_dfa::prelude::*;
 use mpi_dfa::suite::gen::{generate, GenConfig};
 
@@ -44,10 +45,13 @@ fn solvers_agree_and_converge() {
         let mpi = build_mpi_icfg(ir, "main", 1, Matching::ReachingConstants).unwrap();
         let problem = consts::ReachingConsts::new(mpi.icfg());
         let reference = oracle::solve(&problem, &mpi, 10_000);
-        let rr = Solver::new(&problem, &mpi)
-            .strategy(Strategy::RoundRobin)
-            .run();
-        let rg = Solver::new(&problem, &mpi).strategy(Strategy::Region).run();
+        let rr = Solver::new(&problem, &mpi).run();
+        let first = Solver::new(&problem, &mpi).demand(NodeId(0)).unwrap();
+        let rg = (1..mpi.num_nodes() as u32)
+            .try_fold(first, |d, n| d.demand(NodeId(n)))
+            .unwrap()
+            .run()
+            .solution;
         for (name, sol) in [("round-robin", &rr), ("region", &rg)] {
             assert!(sol.stats.converged, "seed {seed}, {name}");
             assert_eq!(&sol.input, &reference.input, "seed {seed}, {name}");
@@ -224,7 +228,7 @@ fn vary_always_contains_the_independents() {
         let config = ActivityConfig::new(["s0"], ["s1"]);
         let res = activity::analyze_mpi(&mpi, &config).unwrap();
         let s0 = ir.locs.global("s0").unwrap();
-        for n in 0..mpi_dfa::core::FlowGraph::num_nodes(&mpi) {
+        for n in 0..mpi.num_nodes() {
             assert!(
                 res.vary.output[n].contains(s0.index()),
                 "seed {seed}, node {n}"

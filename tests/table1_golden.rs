@@ -1,18 +1,17 @@
 //! Table 1 and Figure 4, byte for byte. The renderings of all 13 rows must
 //! equal `repro table1` / `repro fig4` as recorded in `tests/golden/`, and
 //! each row's Iter, node-visit and meet counts must equal
-//! `tests/golden/table1_counters.txt` for both modes. The round-robin
-//! solver is pinned explicitly (its pass count is the paper's Iter column),
-//! so the test holds under any `MPIDFA_SOLVER` default. `comm_evals` is
-//! deliberately not pinned: it counts memoised `f_comm` evaluations, an
+//! `tests/golden/table1_counters.txt` for both modes (every full solve is
+//! round-robin, whose pass count is the paper's Iter column). `comm_evals`
+//! is deliberately not pinned: it counts memoised `f_comm` evaluations, an
 //! implementation cost rather than a reproduced figure.
 
-use mpi_dfa::core::solver::{SolveParams, Strategy};
+use mpi_dfa::core::solver::SolveParams;
 use mpi_dfa::suite::experiments::all;
 use mpi_dfa::suite::runner::{render_figure4, render_table1, run_experiment_with, MeasuredRow};
 
 fn rows() -> Vec<MeasuredRow> {
-    let params = SolveParams::with_strategy(Strategy::RoundRobin);
+    let params = SolveParams::default();
     all()
         .iter()
         .map(|spec| run_experiment_with(spec, spec.clone_level, &params))
