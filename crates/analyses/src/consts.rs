@@ -26,7 +26,7 @@ use mpi_dfa_core::problem::{Dataflow, Direction};
 use mpi_dfa_core::solver::{ConvergenceStats, Solution, SolveParams, Solver};
 use mpi_dfa_graph::icfg::{ActualBinding, Icfg, ProgramIr};
 use mpi_dfa_graph::loc::{Loc, ProcId};
-use mpi_dfa_graph::mpi::{ConstQuery, MpiIcfg};
+use mpi_dfa_graph::mpi::{exact_quotient, ConstQuery, MpiIcfg};
 use mpi_dfa_graph::node::{ExprInfo, MpiKind, NodeKind, RefInfo};
 use mpi_dfa_lang::ast::{BinOp, Expr, ExprKind, Intrinsic, LValue, RedOp, UnOp};
 use std::cell::{Ref, RefCell};
@@ -377,13 +377,14 @@ fn eval_binop(op: BinOp, a: CVal, b: CVal) -> Option<CVal> {
     // Integer arithmetic stays integral; anything mixing reals goes real.
     // Overflow (including `i64::MIN / -1`) folds to "not a constant"
     // rather than panicking in debug builds — same treatment as division
-    // by zero.
+    // by zero and as a quotient with a remainder, which the interpreter
+    // (dividing in f64) does not truncate.
     if let (CVal::Int(x), CVal::Int(y)) = (a, b) {
         return match op {
             Add => x.checked_add(y).map(CVal::Int),
             Sub => x.checked_sub(y).map(CVal::Int),
             Mul => x.checked_mul(y).map(CVal::Int),
-            Div => x.checked_div(y).map(CVal::Int),
+            Div => exact_quotient(x, y).map(CVal::Int),
             Eq => Some(CVal::Bool(x == y)),
             Ne => Some(CVal::Bool(x != y)),
             Lt => Some(CVal::Bool(x < y)),
@@ -819,6 +820,20 @@ mod tests {
         }
         assert_eq!(CVal::Real(0.0), CVal::Real(-0.0));
         assert_ne!(CVal::Real(f64::NAN), CVal::Int(0));
+    }
+
+    #[test]
+    fn only_an_exact_integer_quotient_is_constant() {
+        // The interpreter divides in f64: `7 / 2 * 2` is 7, not 6.
+        let v = |rhs: &str| {
+            const_at_exit(
+                &format!("program p global k: int; sub main() {{ k = {rhs}; }}"),
+                "k",
+            )
+        };
+        assert_eq!(v("8 / 2 * 2"), ConstLattice::Const(CVal::Int(8)));
+        assert!(v("7 / 2 * 2").is_bottom());
+        assert!(v("7 / 0").is_bottom());
     }
 
     #[test]

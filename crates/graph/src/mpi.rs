@@ -59,9 +59,17 @@ impl ConstQuery for SyntacticConsts {
     }
 }
 
+/// `a / b` as the interpreter computes it, when that is an integer. The
+/// interpreter divides in `f64`, so `7 / 2` is 3.5, not 3: only an exact
+/// quotient folds to an integer constant. Division by zero and overflow
+/// are not constants either.
+pub fn exact_quotient(a: i64, b: i64) -> Option<i64> {
+    (a.checked_rem(b)? == 0).then(|| a / b)
+}
+
 /// Literal constant folding shared by [`SyntacticConsts`], the verify
-/// passes and the tests. An operation that overflows `i64` (or divides by
-/// zero) is not a constant.
+/// passes and the tests. An operation that overflows `i64`, divides by
+/// zero or leaves a remainder is not a constant.
 pub fn fold_int(e: &Expr) -> Option<i64> {
     match &e.kind {
         ExprKind::IntLit(v) => Some(*v),
@@ -72,7 +80,7 @@ pub fn fold_int(e: &Expr) -> Option<i64> {
                 BinOp::Add => a.checked_add(b),
                 BinOp::Sub => a.checked_sub(b),
                 BinOp::Mul => a.checked_mul(b),
-                BinOp::Div => a.checked_div(b),
+                BinOp::Div => exact_quotient(a, b),
                 _ => None,
             }
         }
@@ -448,6 +456,10 @@ mod tests {
         assert_eq!(fold_int(&e("-(5)")), Some(-5));
         assert_eq!(fold_int(&e("mod(10, 3)")), Some(1));
         assert_eq!(fold_int(&e("10 / 0")), None);
+        // The interpreter divides in f64: only an exact quotient folds.
+        assert_eq!(fold_int(&e("8 / 2 * 2")), Some(8));
+        assert_eq!(fold_int(&e("7 / 2 * 2")), None);
+        assert_eq!(fold_int(&e("-(7) / 7")), Some(-1));
         // Overflow is "not a constant", never a panic or a wrapped value.
         assert_eq!(fold_int(&e("9223372036854775807 + 1")), None);
         assert_eq!(fold_int(&e("9223372036854775807 + 2")), None);

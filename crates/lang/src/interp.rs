@@ -679,6 +679,33 @@ impl Shape {
     }
 }
 
+/// Is `e` the `ANY` wildcard itself? Only a receive's source or tag in
+/// that form lowers to "any"; an `ANY` anywhere else fails the rank when
+/// it is evaluated.
+fn is_any(e: &ast::Expr) -> bool {
+    matches!(e.kind, ast::ExprKind::AnyWildcard)
+}
+
+/// Does some `recv` or `irecv` of `program` take `ANY` as its source?
+///
+/// Without one, a run cannot depend on its schedule: `send` never blocks,
+/// every receive names its source, a legal plan keeps each (source,
+/// communicator) stream in order, collectives take from named ranks in
+/// rank order, and `read` and the step limit are per rank. Each rank then
+/// executes the same statements on the same values under every legal
+/// schedule, so every such run ends as the fault-free run ends.
+pub fn has_wildcard_source(program: &Program) -> bool {
+    let mut found = false;
+    for sub in &program.subs {
+        visit_stmts(&sub.body, &mut |s| {
+            if let ast::StmtKind::Mpi(MpiStmt::Recv { src, .. }) = &s.kind {
+                found |= is_any(src);
+            }
+        });
+    }
+    found
+}
+
 /// Name resolution for one subroutine.
 struct Lower<'p> {
     globals: &'p HashMap<&'p str, u32>,
@@ -770,10 +797,7 @@ impl<'p> Lower<'p> {
 
     /// `None` for the `ANY` wildcard.
     fn wildcard(&self, e: &ast::Expr) -> Option<Expr> {
-        match e.kind {
-            ast::ExprKind::AnyWildcard => None,
-            _ => Some(self.expr(e)),
-        }
+        (!is_any(e)).then(|| self.expr(e))
     }
 
     fn comm(&self, comm: &Option<ast::Expr>) -> Option<Expr> {
@@ -2401,6 +2425,26 @@ mod tests {
         // Without a plan the scheduler is round-robin: senders arrive in
         // rank order.
         assert_eq!(run_src(THREE_SENDERS, 4)[0].printed, vec![1.0, 2.0, 3.0]);
+    }
+
+    #[test]
+    fn only_an_any_source_receive_is_a_wildcard_source() {
+        let has = |body: &str| {
+            let src = format!(
+                "program t global y: real;\n\
+                 sub f() {{ {body} }}\n\
+                 sub main() {{ call f(); }}"
+            );
+            has_wildcard_source(&parse(&src).unwrap())
+        };
+        assert!(has_wildcard_source(&parse(THREE_SENDERS).unwrap()));
+        assert!(has(
+            "if (rank() == 0) { while (y < 1.0) { irecv(y, ANY, 1); } }"
+        ));
+        assert!(has("recv(y, ANY, ANY, 2);"));
+        assert!(!has("recv(y, 0, ANY);"));
+        assert!(!has("recv(y, 1 - rank(), 5); send(y, 1 - rank(), 5);"));
+        assert!(!has("bcast(y, 0); allreduce(MAX, y, y); barrier();"));
     }
 
     #[test]

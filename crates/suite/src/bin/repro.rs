@@ -296,6 +296,15 @@ fn drive(args: &[String]) -> ExitCode {
             }
         }
         "dot" => {
+            // `dot` reads no flags: refuse whatever follows the program
+            // name instead of ignoring it.
+            if let Some(extra) = args.get(2) {
+                match extra.strip_prefix("--") {
+                    Some(flag) => eprintln!("repro: unknown flag --{flag} for `dot`"),
+                    None => eprintln!("repro: unexpected argument `{extra}`"),
+                }
+                return ExitCode::from(2);
+            }
             let name = args.get(1).map(String::as_str).unwrap_or("figure1");
             let spec = all_experiments().into_iter().find(|e| e.program == name);
             let (context, clone) = spec

@@ -14,6 +14,19 @@
 //!   abstracts message counts and rank-dependent peers — but a
 //!   confirmed one is ground truth.
 //!
+//! Only schedules that can differ are run. Without a wildcard-source
+//! receive ([`interp::has_wildcard_source`]) each rank executes the same
+//! statements on the same values under every legal schedule, so each of
+//! the `K` schedules would end where the fault-free baseline ends. Such a
+//! program is decided by its baseline alone, run on the calling thread,
+//! and every schedule is counted as ending that way: a completed baseline
+//! gives `completed = K`, a deadlocked one `deadlocked = K + 1` with the
+//! baseline's rendering. `tests/verify_crosscheck.rs` runs the schedules
+//! anyway on the bundled, corpus and generated programs and compares each
+//! rank's whole result with the baseline's. A program with an `ANY`-source
+//! receive runs the baseline and all `K` schedules, one per available
+//! core. [`CrossCheck::runs`] records which happened.
+//!
 //! Everything is seeded (`base_seed` forks per schedule exactly like
 //! `suite::schedules`, through [`FaultPlan::for_schedule`]), every run is
 //! a pure function of its seed, and the report carries no wall-clock
@@ -71,7 +84,28 @@ pub struct CrossCheck {
     /// Why the fault-free baseline failed, when it failed for a reason
     /// other than deadlock (the exploration is then skipped).
     pub baseline_error: Option<String>,
+    /// Interpreter runs actually made: `K + 1` when the schedules were
+    /// explored, 1 when the baseline decided the program, 0 when the
+    /// cross-check is disabled. Not part of the report: [`crate::render_json`]
+    /// leaves it out, so the report does not depend on how it was reached.
+    pub runs: u32,
     pub outcome: Outcome,
+}
+
+impl CrossCheck {
+    /// The result of a cross-check that ran nothing.
+    pub(crate) fn skipped() -> CrossCheck {
+        CrossCheck {
+            baseline_ok: false,
+            attempted: 0,
+            completed: 0,
+            deadlocked: 0,
+            first_deadlock: None,
+            baseline_error: None,
+            runs: 0,
+            outcome: Outcome::Skipped,
+        }
+    }
 }
 
 fn interp_config(cfg: &VerifyConfig, plan: Option<FaultPlan>) -> InterpConfig {
@@ -94,56 +128,33 @@ fn render_deadlock(err: &RuntimeError) -> String {
     }
 }
 
-/// Explore `schedules` adversarial interleavings and classify the result
-/// against the static verdict (`flagged`).
-///
-/// The fault-free baseline and the schedules are independent runs, so
-/// they run concurrently, one per available core, under the caller's
-/// trace context; the report is assembled in schedule order and does not
-/// depend on the core count.
+/// Check the static verdict (`flagged`) against the runs that can differ:
+/// the baseline alone for a program without a wildcard-source receive,
+/// the baseline and `cfg.schedules` adversarial schedules otherwise (see
+/// the module documentation).
 pub fn run(program: &Program, flagged: bool, cfg: &VerifyConfig) -> CrossCheck {
     let mut span = telemetry::span("verify", "crosscheck");
-    let mut out = CrossCheck {
-        baseline_ok: false,
-        attempted: 0,
-        completed: 0,
-        deadlocked: 0,
-        first_deadlock: None,
-        baseline_error: None,
-        outcome: Outcome::Skipped,
-    };
+    let out = check(program, flagged, cfg);
+    if out.runs > 0 {
+        telemetry::metric_add("verify_crosscheck_runs_total", f64::from(out.runs));
+    }
+    span.arg("runs", u64::from(out.runs));
+    span.arg("outcome", out.outcome.as_str());
+    out
+}
+
+fn check(program: &Program, flagged: bool, cfg: &VerifyConfig) -> CrossCheck {
+    let mut out = CrossCheck::skipped();
     if cfg.schedules == 0 {
-        span.arg("outcome", out.outcome.as_str().to_string());
         return out;
     }
-
-    // Run 0 is the fault-free baseline; run `i + 1` is schedule `i`.
-    let runs = cfg.schedules as usize + 1;
-    let explore = |k: usize| {
-        let plan = k
-            .checked_sub(1)
-            .map(|i| FaultPlan::adversarial(0).for_schedule(cfg.base_seed, i as u64));
-        interp::run(program, &interp_config(cfg, plan)).map(drop)
+    let explored = interp::has_wildcard_source(program);
+    let results = if explored {
+        explore(program, cfg)
+    } else {
+        vec![run_k(program, cfg, 0)]
     };
-    let mut results = vec![Ok(()); runs];
-    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let trace = telemetry::current_trace();
-    // Runs go in waves of one per core: the calling thread takes the
-    // first of each wave and a fresh scoped thread each of the others. A
-    // thread per run hands its allocator caches back when it ends; a
-    // long-lived helper would keep a freed whole-array payload per run
-    // resident.
-    for (w, wave) in results.chunks_mut(threads).enumerate() {
-        let (first, rest) = wave.split_first_mut().expect("chunks are never empty");
-        std::thread::scope(|scope| {
-            for (k, slot) in rest.iter_mut().enumerate() {
-                let explore = &explore;
-                let k = w * threads + k + 1;
-                scope.spawn(move || telemetry::with_trace(trace, || *slot = explore(k)));
-            }
-            *first = explore(w * threads);
-        });
-    }
+    out.runs = results.len() as u32;
     let mut results = results.into_iter();
 
     match results.next().expect("the baseline ran") {
@@ -156,11 +167,19 @@ pub fn run(program: &Program, flagged: bool, cfg: &VerifyConfig) -> CrossCheck {
             // The program does not run (missing entry, runtime failure):
             // exploration cannot say anything about deadlock freedom.
             out.baseline_error = Some(e.to_string());
-            span.arg("outcome", out.outcome.as_str().to_string());
             return out;
         }
     }
 
+    if !explored {
+        // Every schedule ends where the baseline ended.
+        out.attempted = cfg.schedules;
+        if out.baseline_ok {
+            out.completed = cfg.schedules;
+        } else {
+            out.deadlocked = out.deadlocked.saturating_add(cfg.schedules);
+        }
+    }
     for result in results {
         out.attempted += 1;
         match result {
@@ -182,8 +201,43 @@ pub fn run(program: &Program, flagged: bool, cfg: &VerifyConfig) -> CrossCheck {
         (true, false) => Outcome::Unrealized,
     };
     telemetry::metric_add("verify_crosscheck_schedules_total", out.attempted as f64);
-    span.arg("outcome", out.outcome.as_str().to_string());
     out
+}
+
+/// Run `k` of a cross-check: run 0 is the fault-free baseline, run `i + 1`
+/// is adversarial schedule `i`.
+fn run_k(program: &Program, cfg: &VerifyConfig, k: usize) -> Result<(), RuntimeError> {
+    let plan = k
+        .checked_sub(1)
+        .map(|i| FaultPlan::adversarial(0).for_schedule(cfg.base_seed, i as u64));
+    interp::run(program, &interp_config(cfg, plan)).map(drop)
+}
+
+/// The baseline and all `cfg.schedules` schedules, in run order. They are
+/// independent, so they run concurrently, one per available core, under
+/// the caller's trace context; the order of the results does not depend
+/// on the core count.
+fn explore(program: &Program, cfg: &VerifyConfig) -> Vec<Result<(), RuntimeError>> {
+    let mut results = vec![Ok(()); cfg.schedules as usize + 1];
+    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let trace = telemetry::current_trace();
+    // Runs go in waves of one per core: the calling thread takes the
+    // first of each wave and a fresh scoped thread each of the others. A
+    // thread per run hands its allocator caches back when it ends; a
+    // long-lived helper would keep a freed whole-array payload per run
+    // resident.
+    for (w, wave) in results.chunks_mut(threads).enumerate() {
+        let (first, rest) = wave.split_first_mut().expect("chunks are never empty");
+        std::thread::scope(|scope| {
+            for (k, slot) in rest.iter_mut().enumerate() {
+                let k = w * threads + k + 1;
+                scope
+                    .spawn(move || telemetry::with_trace(trace, || *slot = run_k(program, cfg, k)));
+            }
+            *first = run_k(program, cfg, w * threads);
+        });
+    }
+    results
 }
 
 #[cfg(test)]
@@ -205,7 +259,8 @@ mod tests {
         let r = run(&p, false, &cfg);
         assert!(r.baseline_ok);
         assert_eq!(r.outcome, Outcome::ConsistentSafe, "{r:?}");
-        assert_eq!(r.deadlocked, 0);
+        assert_eq!((r.attempted, r.completed, r.deadlocked), (8, 8, 0));
+        assert_eq!(r.runs, 1, "no wildcard source: the baseline decides");
     }
 
     #[test]
@@ -221,6 +276,33 @@ mod tests {
         let r = run(&p, true, &cfg);
         assert_eq!(r.outcome, Outcome::Confirmed, "{r:?}");
         assert!(r.first_deadlock.is_some());
+        assert_eq!((r.attempted, r.completed, r.deadlocked), (2, 0, 3));
+        assert_eq!(r.runs, 1);
+    }
+
+    #[test]
+    fn a_wildcard_source_explores_every_schedule() {
+        let p = program(
+            "program p global x: real; global y: real;\n\
+             sub main() { if (rank() == 0) { recv(y, ANY, 7); } else { send(x, 0, 7); } }",
+        );
+        let cfg = VerifyConfig {
+            schedules: 3,
+            ..VerifyConfig::default()
+        };
+        let r = run(&p, false, &cfg);
+        assert_eq!(r.outcome, Outcome::ConsistentSafe, "{r:?}");
+        assert_eq!((r.attempted, r.completed, r.runs), (3, 3, 4));
+    }
+
+    #[test]
+    fn no_schedules_runs_nothing() {
+        let p = program("program p sub main() { }");
+        let cfg = VerifyConfig {
+            schedules: 0,
+            ..VerifyConfig::default()
+        };
+        assert_eq!(run(&p, false, &cfg), CrossCheck::skipped());
     }
 
     #[test]

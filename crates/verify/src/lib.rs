@@ -166,15 +166,7 @@ pub fn verify_static(
         matchset,
         mhp,
         deadlock,
-        crosscheck: CrossCheck {
-            baseline_ok: false,
-            attempted: 0,
-            completed: 0,
-            deadlocked: 0,
-            first_deadlock: None,
-            baseline_error: None,
-            outcome: Outcome::Skipped,
-        },
+        crosscheck: CrossCheck::skipped(),
     })
 }
 

@@ -195,12 +195,16 @@ fn run(args: &[String]) -> Result<(), String> {
 }
 
 fn dispatch(cmd: &str, opts: &Opts) -> Result<(), String> {
-    // Service front ends take a JSONL stream / a socket address, not a
-    // single SMPL file — route them before the source loader runs.
+    // Service front ends take a JSONL stream / a socket address, and help
+    // takes nothing — route them before the source loader runs.
     match cmd {
         "batch" => return cmd_batch(opts),
         "serve" => return cmd_serve(opts),
         "trace" => return cmd_trace(opts),
+        "help" | "--help" | "-h" => {
+            println!("{}", usage());
+            return Ok(());
+        }
         _ => {}
     }
     let src = load(opts)?;
@@ -559,7 +563,6 @@ fn dispatch(cmd: &str, opts: &Opts) -> Result<(), String> {
                 }
             }
         }
-        "help" | "--help" | "-h" => println!("{}", usage()),
         other => return Err(format!("unknown command `{other}`\n{}", usage())),
     }
     Ok(())
@@ -943,7 +946,9 @@ fn usage() -> String {
                   (static correctness suite: match-set verification, rank-\n\
                   sensitive may-happen-in-parallel, predictive deadlock\n\
                   detection, cross-checked against K seeded adversarial\n\
-                  schedules. Exit 1 when findings are flagged. --json emits\n\
+                  schedules; without an `ANY`-source receive every schedule\n\
+                  ends as the fault-free run does, so that run decides.\n\
+                  Exit 1 when findings are flagged. --json emits\n\
                   the deterministic report object; --dot overlays findings on\n\
                   the MPI-ICFG; see docs/VERIFY.md)\n\
        run        [--nprocs N] [--entry main] [--faults SPEC] [--schedules K]\n\

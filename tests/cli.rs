@@ -310,6 +310,50 @@ fn overflowing_match_arguments_are_not_constants() {
     assert!(batch.contains("\"ok\":true"), "{batch}");
 }
 
+#[test]
+fn an_inexact_integer_quotient_is_not_a_constant() {
+    // The interpreter divides in f64, so the tag `7 / 2 * 2` is 7 and rank
+    // 1's `recv(y, 0, 7)` takes the message. Truncating the quotient folded
+    // the tag to 6: no comm edge, a flagged verify and no active bytes.
+    let dir = std::env::temp_dir().join("mpidfa-cli-division");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("div.smpl");
+    std::fs::write(
+        &path,
+        "program div\n\
+         global x: real;\n\
+         global y: real;\n\
+         sub main() {\n\
+           if (rank() == 0) { send(x, 1, 7 / 2 * 2); } else { recv(y, 0, 7); }\n\
+         }\n",
+    )
+    .unwrap();
+    let file = path.to_str().unwrap();
+    let (stdout, stderr, ok) = mpidfa(&["run", file, "--nprocs", "2"]);
+    assert!(ok, "the message is delivered: {stdout}{stderr}");
+    assert!(stdout.contains("0 sends, 1 recvs"), "{stdout}");
+    for matching in ["syntactic", "consts"] {
+        let (dot, _, ok) = mpidfa(&["graph", file, "--matching", matching]);
+        assert!(ok);
+        assert_eq!(dot.matches("style=dashed").count(), 1, "{matching}: {dot}");
+    }
+    let (stdout, stderr, ok) = mpidfa(&["verify", file]);
+    assert!(ok, "{stdout}{stderr}");
+    assert!(stdout.contains("verdict: SAFE"), "{stdout}");
+    let (stdout, _, ok) = mpidfa(&["activity", file, "--ind", "x", "--dep", "y"]);
+    assert!(ok);
+    assert!(stdout.contains("active storage: 16 bytes"), "{stdout}");
+}
+
+#[test]
+fn help_prints_the_usage_and_succeeds() {
+    for arg in ["help", "--help", "-h"] {
+        let (stdout, stderr, ok) = mpidfa(&[arg]);
+        assert!(ok, "{arg}: {stderr}");
+        assert!(stdout.starts_with("usage: mpidfa"), "{arg}: {stdout}");
+    }
+}
+
 /// A sema-valid chain of `depth` nested calls: `main` calls `s0`, `s0`
 /// calls `s1`, and so on.
 fn call_chain(depth: usize) -> String {
