@@ -7,18 +7,11 @@
 //! both benchmarks (in practice the ratio is orders of magnitude — a warm
 //! hit is one LRU lookup plus a string clone).
 //!
-//! A second section measures the incremental layer: after editing ONE
-//! subroutine of LU, rebuilding the program IR reuses every other
-//! procedure's CFG from the per-procedure cache (statement ids are rebased
-//! on transplant), and reports the rebuild latency next to the
-//! from-scratch cost.
-//!
 //! The final line is a machine-readable JSON summary; the checked-in
 //! `BENCH_service.json` baseline is exactly that line.
 
 use mpi_dfa_bench::{criterion_group, criterion_main, Criterion};
 use mpi_dfa_service::{parse_request, Engine, EngineConfig, Request};
-use mpi_dfa_suite::programs;
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -61,39 +54,6 @@ fn time_warm(line: &str, samples: usize) -> f64 {
         assert!(resp.contains("\"cache\":\"hit\""), "{resp:.200}");
     }
     median_ns(times)
-}
-
-/// Incremental rebuild: edit one subroutine of LU, rebuild the IR, count
-/// per-procedure CFG reuse, and time the rebuild against from-scratch.
-fn incremental_edit_stats() -> (u64, u64, f64, f64) {
-    let lu = programs::source("lu").expect("lu is bundled");
-    let first_sub_at = lu.find("sub ").expect("lu has subs");
-    let insert_at = lu[first_sub_at..].find('{').unwrap() + first_sub_at + 1;
-    let edited = format!(
-        "{} print(1.0); print(2.0); {}",
-        &lu[..insert_at],
-        &lu[insert_at..]
-    );
-
-    const SAMPLES: usize = 15;
-    let mut scratch = Vec::with_capacity(SAMPLES);
-    let mut incremental = Vec::with_capacity(SAMPLES);
-    let mut hits = 0u64;
-    let mut relowered = 0u64;
-    for _ in 0..SAMPLES {
-        let engine = Engine::new(EngineConfig::default()).unwrap();
-        let t = Instant::now();
-        black_box(engine.ir_for(lu).unwrap());
-        scratch.push(t.elapsed().as_secs_f64() * 1e9);
-        let before = engine.caches().cfgs.counters().snapshot();
-        let t = Instant::now();
-        black_box(engine.ir_for(&edited).unwrap());
-        incremental.push(t.elapsed().as_secs_f64() * 1e9);
-        let after = engine.caches().cfgs.counters().snapshot();
-        hits = after.hits - before.hits;
-        relowered = after.insertions - before.insertions;
-    }
-    (hits, relowered, median_ns(scratch), median_ns(incremental))
 }
 
 fn bench_service_cache(c: &mut Criterion) {
@@ -142,20 +102,10 @@ fn bench_service_cache(c: &mut Criterion) {
         ));
     }
 
-    let (hits, relowered, scratch_ns, incr_ns) = incremental_edit_stats();
-    println!(
-        "service_cache incremental LU edit: {hits} proc CFGs reused, \
-         {relowered} re-lowered; scratch {scratch_ns:.0}ns vs incremental {incr_ns:.0}ns"
-    );
-    assert_eq!(relowered, 1, "exactly the edited procedure re-lowers");
-    assert!(hits >= 2, "all other LU procedures must reuse their CFGs");
-
     // Machine-readable baseline — `BENCH_service.json` is this line.
     println!(
         "{{\"bench\":\"service_cache\",\"min_warm_speedup\":{MIN_WARM_SPEEDUP},\
-         \"cases\":[{}],\"incremental_lu_edit\":{{\"proc_cfgs_reused\":{hits},\
-         \"proc_cfgs_relowered\":{relowered},\"ir_scratch_ns_median\":{scratch_ns:.0},\
-         \"ir_incremental_ns_median\":{incr_ns:.0}}}}}",
+         \"cases\":[{}]}}",
         json_cases.join(","),
     );
 }

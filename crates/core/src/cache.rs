@@ -1,11 +1,11 @@
 //! Bounded in-memory LRU caches and a content-addressed on-disk store.
 //!
 //! This module is the storage substrate of the analysis service
-//! (`crates/service`): artifacts produced by the pipeline — per-procedure
-//! CFGs, whole-program IRs, finished analysis responses — are keyed by a
-//! 128-bit content hash ([`crate::hash`]) and held in a bounded LRU, with
-//! an optional spill to a content-addressed directory for results that are
-//! cheap to serialize.
+//! (`crates/service`): artifacts produced by the pipeline — whole-program
+//! IRs and finished analysis responses — are keyed by a 128-bit content
+//! hash ([`crate::hash`]) and held in a bounded LRU, with an optional spill
+//! to a content-addressed directory for results that are cheap to
+//! serialize.
 //!
 //! Design constraints, in order:
 //!
@@ -108,10 +108,6 @@ impl<V> LruCache<V> {
         self.map.is_empty()
     }
 
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     fn bump(counter: &AtomicU64, name: &'static str, which: &str) {
         counter.fetch_add(1, Ordering::Relaxed);
         if telemetry::is_enabled() {
@@ -156,12 +152,6 @@ impl<V> LruCache<V> {
         self.map.insert(key, (self.tick, value));
         Self::bump(&self.counters.insertions, self.name, "insertions");
     }
-
-    /// Does the cache currently hold `key`? Does not refresh recency and
-    /// does not count as a hit or a miss.
-    pub fn peek(&self, key: u128) -> bool {
-        self.map.contains_key(&key)
-    }
 }
 
 /// A mutex-wrapped [`LruCache`] shared across the worker pool. A poisoned
@@ -197,38 +187,8 @@ impl<V: Clone> SharedLru<V> {
         self.lock().put(key, value);
     }
 
-    pub fn len(&self) -> usize {
-        self.lock().len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.lock().is_empty()
-    }
-
-    pub fn capacity(&self) -> usize {
-        self.lock().capacity()
-    }
-
     pub fn counters(&self) -> Arc<CacheCounters> {
         Arc::clone(&self.counters)
-    }
-
-    /// Get-or-compute: returns the cached value or runs `compute`, caching
-    /// its `Ok`. The lock is **not** held during `compute`, so two racing
-    /// workers may both compute the same key — both produce the same bytes
-    /// (values are pure functions of the key), so last-write-wins is
-    /// harmless and the pool never serializes on a slow build.
-    pub fn get_or_try_insert<E>(
-        &self,
-        key: u128,
-        compute: impl FnOnce() -> Result<V, E>,
-    ) -> Result<(V, bool), E> {
-        if let Some(v) = self.get(key) {
-            return Ok((v, true));
-        }
-        let v = compute()?;
-        self.put(key, v.clone());
-        Ok((v, false))
     }
 }
 
@@ -488,13 +448,15 @@ mod tests {
         c.put(2, 2);
         assert!(c.get(1).is_some()); // refresh 1 → 2 is now LRU
         c.put(3, 3);
-        assert!(c.peek(1) && c.peek(3) && !c.peek(2));
+        assert_eq!(c.len(), 2);
         assert_eq!(c.counters().snapshot().evictions, 1);
         // Re-inserting an existing key does not evict.
         c.put(1, 10);
         assert_eq!(c.len(), 2);
         assert_eq!(c.counters().snapshot().evictions, 1);
         assert_eq!(c.get(1), Some(&10));
+        assert_eq!(c.get(3), Some(&3));
+        assert!(c.get(2).is_none(), "the least recently used entry went");
     }
 
     #[test]
@@ -503,28 +465,6 @@ mod tests {
         c.put(1, 1);
         assert!(c.get(1).is_none());
         assert_eq!(c.len(), 0);
-    }
-
-    #[test]
-    fn shared_get_or_insert_computes_once_then_hits() {
-        let c: SharedLru<u64> = SharedLru::new("t", 8);
-        let (v, was_hit) = c.get_or_try_insert::<()>(7, || Ok(42)).unwrap();
-        assert_eq!((v, was_hit), (42, false));
-        let (v, was_hit) = c
-            .get_or_try_insert::<()>(7, || panic!("must not recompute"))
-            .unwrap();
-        assert_eq!((v, was_hit), (42, true));
-        let s = c.counters().snapshot();
-        assert_eq!(s.hits, 1);
-        // get() inside the first get_or_try_insert counted the miss.
-        assert_eq!(s.misses, 1);
-    }
-
-    #[test]
-    fn shared_error_is_not_cached() {
-        let c: SharedLru<u64> = SharedLru::new("t", 8);
-        assert!(c.get_or_try_insert(9, || Err("boom")).is_err());
-        assert!(c.get(9).is_none());
     }
 
     #[test]

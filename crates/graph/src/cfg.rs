@@ -20,7 +20,7 @@ pub const ENTRY: u32 = 0;
 pub const EXIT: u32 = 1;
 
 /// The CFG of a single procedure.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct ProcCfg {
     pub proc: ProcId,
     pub name: String,
@@ -43,32 +43,6 @@ impl ProcCfg {
         &self.preds[n as usize]
     }
 
-    /// Shift every [`StmtId`] in this CFG (node annotations and call-site
-    /// records) by `delta`.
-    ///
-    /// Statement ids are program-unique and assigned sequentially by the
-    /// parser, so an identical subroutine parsed at a different position
-    /// in an edited program carries the same *relative* ids at a different
-    /// base. The incremental cache stores per-procedure CFGs normalized to
-    /// base 0 (`rebase_stmt_ids(-base)`) and transplants them into a new
-    /// program with `rebase_stmt_ids(+new_base)`, keeping slicing and
-    /// dumps exact without re-lowering. Source spans are deliberately left
-    /// untouched: no analysis or renderer consumes them from the CFG.
-    pub fn rebase_stmt_ids(&mut self, delta: i64) {
-        if delta == 0 {
-            return;
-        }
-        let shift = |id: StmtId| StmtId((i64::from(id.0) + delta) as u32);
-        for n in &mut self.nodes {
-            if let Some(id) = n.stmt {
-                n.stmt = Some(shift(id));
-            }
-        }
-        for cs in &mut self.call_sites {
-            cs.stmt = shift(cs.stmt);
-        }
-    }
-
     /// All local flow edges.
     pub fn edges(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
         self.succs
@@ -78,79 +52,37 @@ impl ProcCfg {
     }
 }
 
-/// Lower every procedure of `unit` against `locs`.
+/// Lower every procedure of `unit` against `locs`, in declaration order
+/// (procedure `i` is `unit.program.subs[i]`). Statement ids and source
+/// spans are copied from the AST, so the CFGs belong to this program only.
 pub fn lower_program(unit: &CompiledUnit, locs: &LocTable) -> Vec<ProcCfg> {
-    (0..unit.program.subs.len())
-        .map(|i| lower_sub(unit, locs, i))
-        .collect()
-}
-
-/// Lower a single procedure (by index into `unit.program.subs`).
-///
-/// This is the per-procedure artifact boundary the incremental cache
-/// builds on: the resulting [`ProcCfg`] depends only on this subroutine's
-/// AST and the location table, so it can be cached under
-/// `(hash(pretty(sub)), locs.fingerprint())` and reused verbatim when
-/// neither changed — see [`lower_program_with_reuse`].
-pub fn lower_sub(unit: &CompiledUnit, locs: &LocTable, i: usize) -> ProcCfg {
-    let sub = &unit.program.subs[i];
-    Lowerer {
-        unit,
-        locs,
-        proc: ProcId(i as u32),
-        nodes: vec![
-            CfgNode {
-                kind: NodeKind::Entry,
-                stmt: None,
-                span: sub.span,
-            },
-            CfgNode {
-                kind: NodeKind::Exit,
-                stmt: None,
-                span: sub.span,
-            },
-        ],
-        edges: Vec::new(),
-        call_sites: Vec::new(),
-    }
-    .lower(sub)
-}
-
-/// How many procedures a cached build reused vs re-lowered.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LowerReuse {
-    pub reused: usize,
-    pub lowered: usize,
-}
-
-/// Lower every procedure, consulting `reuse` first: for procedure index
-/// `i` it may return a previously lowered [`ProcCfg`] (from a cache keyed
-/// by per-procedure content hash + location-table fingerprint — the caller
-/// owns the key discipline); `None` lowers from scratch. Freshly lowered
-/// CFGs are offered back through `store` so the caller can cache them.
-pub fn lower_program_with_reuse(
-    unit: &CompiledUnit,
-    locs: &LocTable,
-    reuse: &mut dyn FnMut(usize) -> Option<ProcCfg>,
-    store: &mut dyn FnMut(usize, &ProcCfg),
-) -> (Vec<ProcCfg>, LowerReuse) {
-    let mut stats = LowerReuse::default();
-    let cfgs = (0..unit.program.subs.len())
-        .map(|i| match reuse(i) {
-            Some(cfg) => {
-                debug_assert_eq!(cfg.proc, ProcId(i as u32), "reused CFG for wrong slot");
-                stats.reused += 1;
-                cfg
+    unit.program
+        .subs
+        .iter()
+        .enumerate()
+        .map(|(i, sub)| {
+            Lowerer {
+                unit,
+                locs,
+                proc: ProcId(i as u32),
+                nodes: vec![
+                    CfgNode {
+                        kind: NodeKind::Entry,
+                        stmt: None,
+                        span: sub.span,
+                    },
+                    CfgNode {
+                        kind: NodeKind::Exit,
+                        stmt: None,
+                        span: sub.span,
+                    },
+                ],
+                edges: Vec::new(),
+                call_sites: Vec::new(),
             }
-            None => {
-                let cfg = lower_sub(unit, locs, i);
-                stats.lowered += 1;
-                store(i, &cfg);
-                cfg
-            }
+            .lower(sub)
         })
-        .collect();
-    (cfgs, stats)
+        .collect()
 }
 
 struct Lowerer<'a> {

@@ -55,42 +55,6 @@ impl ProgramIr {
         Ok(Self::build(mpi_dfa_lang::compile(src)?))
     }
 
-    /// Like [`ProgramIr::build`], but consults a per-procedure CFG cache:
-    /// `reuse(i, locs)` may return an already-lowered [`ProcCfg`] for
-    /// procedure `i` (valid only when keyed by that procedure's content
-    /// hash *and* `locs.fingerprint()` — see `lower_program_with_reuse`);
-    /// freshly lowered CFGs are offered back through `store`. Returns the
-    /// IR plus how much lowering was skipped, so callers can publish
-    /// incremental-reuse telemetry.
-    pub fn build_with_cfg_cache(
-        unit: CompiledUnit,
-        reuse: &mut dyn FnMut(usize, &LocTable) -> Option<ProcCfg>,
-        store: &mut dyn FnMut(usize, &LocTable, &ProcCfg),
-    ) -> (Arc<Self>, crate::cfg::LowerReuse) {
-        let mut span = telemetry::span("pipeline", "cfg_build");
-        let locs = LocTable::build(&unit);
-        let (cfgs, stats) = crate::cfg::lower_program_with_reuse(
-            &unit,
-            &locs,
-            &mut |i| reuse(i, &locs),
-            &mut |i, cfg| store(i, &locs, cfg),
-        );
-        let callgraph = CallGraph::build(&cfgs);
-        span.arg("procs", cfgs.len());
-        span.arg("locs", locs.len());
-        span.arg("cfgs_reused", stats.reused as u64);
-        span.arg("cfgs_lowered", stats.lowered as u64);
-        (
-            Arc::new(ProgramIr {
-                unit,
-                locs,
-                cfgs,
-                callgraph,
-            }),
-            stats,
-        )
-    }
-
     pub fn proc_id(&self, name: &str) -> Option<ProcId> {
         self.cfgs
             .iter()

@@ -180,29 +180,6 @@ impl LocTable {
         self.num_globals
     }
 
-    /// Deterministic 128-bit fingerprint of the whole table: every location
-    /// in interning order with its name, owning procedure, and type.
-    ///
-    /// This is the **validity guard for per-procedure artifact reuse** in
-    /// the incremental cache (`crates/service`): a cached `ProcCfg` refers
-    /// to locations by [`Loc`] index, so it may only be reused when the
-    /// location table of the new program assigns exactly the same indices —
-    /// i.e. when the fingerprints match. Any edit that adds, removes,
-    /// retypes, or reorders a declaration anywhere in the program changes
-    /// the fingerprint and forces a (cheap, per-procedure) re-lower.
-    pub fn fingerprint(&self) -> u128 {
-        let mut h = mpi_dfa_core::hash::Hasher128::new();
-        h.write_u64(self.infos.len() as u64);
-        h.write_u64(self.num_globals as u64);
-        for info in &self.infos {
-            h.write_str(&info.name);
-            h.write_opt_u64(info.proc.map(|p| u64::from(p.0)));
-            h.write_str(&info.ty.to_string());
-            h.write_u64(info.byte_size());
-        }
-        h.finish()
-    }
-
     /// Human-readable name including the owning procedure.
     pub fn qualified_name(&self, loc: Loc) -> String {
         let info = self.info(loc);

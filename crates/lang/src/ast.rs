@@ -60,45 +60,6 @@ pub struct SubDecl {
     pub span: Span,
 }
 
-impl SubDecl {
-    /// Smallest [`StmtId`] anywhere in this subroutine's body, or `None`
-    /// for an empty body.
-    ///
-    /// The parser assigns statement ids sequentially across the whole
-    /// program, so a subroutine's ids form the contiguous range
-    /// `first_stmt_id() .. first_stmt_id() + count`. The incremental
-    /// analysis cache (`crates/service`) uses this base to *rebase* a
-    /// cached per-procedure CFG when the identical subroutine reappears at
-    /// a different position in an edited program: same content ⇒ same
-    /// relative ids, only the base shifts.
-    pub fn first_stmt_id(&self) -> Option<StmtId> {
-        fn min_block(b: &Block) -> Option<u32> {
-            b.stmts.iter().filter_map(min_stmt).min()
-        }
-        fn min_stmt(s: &Stmt) -> Option<u32> {
-            let nested = match &s.kind {
-                StmtKind::If {
-                    then_blk, else_blk, ..
-                } => {
-                    let t = min_block(then_blk);
-                    let e = else_blk.as_ref().and_then(min_block);
-                    match (t, e) {
-                        (Some(a), Some(b)) => Some(a.min(b)),
-                        (x, None) | (None, x) => x,
-                    }
-                }
-                StmtKind::While { body, .. } | StmtKind::For { body, .. } => min_block(body),
-                _ => None,
-            };
-            Some(match nested {
-                Some(n) => s.id.0.min(n),
-                None => s.id.0,
-            })
-        }
-        min_block(&self.body).map(StmtId)
-    }
-}
-
 /// A `{ ... }` sequence of statements.
 #[derive(Debug, Clone, Default)]
 pub struct Block {

@@ -21,15 +21,7 @@ pub fn program_to_string(p: &Program) -> String {
 }
 
 /// Render one subroutine declaration (signature + body) as SMPL source.
-///
-/// This is the **per-procedure content boundary** used by the incremental
-/// analysis cache (`crates/service`): a procedure's cache identity is the
-/// hash of this normalized rendering, so whitespace/comment edits and
-/// edits to *other* procedures leave it unchanged, while any edit to the
-/// procedure's own signature or body changes it. The rendering is
-/// normalized (fixed indentation, no spans, no comments), making it a
-/// stable hashing hook — treat its output as a compatibility surface.
-pub fn sub_to_string(s: &SubDecl) -> String {
+fn sub_to_string(s: &SubDecl) -> String {
     let mut out = String::new();
     let _ = write!(out, "sub {}(", s.name);
     for (i, pm) in s.params.iter().enumerate() {

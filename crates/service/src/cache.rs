@@ -1,20 +1,13 @@
 //! Content-addressed cache keys and the service's cache layers.
 //!
-//! Three layers, each a bounded [`SharedLru`] from `mpi_dfa_core::cache`:
+//! Two in-memory layers, each a bounded [`SharedLru`] from
+//! `mpi_dfa_core::cache`:
 //!
 //! 1. **`irs`** — whole-program [`ProgramIr`]s keyed by the 128-bit FNV
-//!    hash of the *exact source text* ([`source_key`]). The cheapest layer
-//!    to hit: identical text ⇒ identical IR.
-//! 2. **`cfgs`** — per-procedure CFGs keyed by [`proc_cfg_key`]: the
-//!    normalized rendering of the subroutine
-//!    (`mpi_dfa_lang::pretty::sub_to_string`, so whitespace and comments
-//!    don't matter), the [`LocTable`] fingerprint (so a `Loc`-index shift
-//!    anywhere in the program invalidates), and the procedure index.
-//!    Entries are stored with statement ids rebased to 0 and transplanted
-//!    with `ProcCfg::rebase_stmt_ids` — this is what lets an edit to *one*
-//!    subroutine reuse every other procedure's CFG even though statement
-//!    ids are program-global.
-//! 3. **`results`** — rendered result JSON keyed by [`result_key`], which
+//!    hash of the *exact source text* ([`source_key`]): identical text ⇒
+//!    identical IR, statement ids and source spans included. Any other
+//!    text is compiled and lowered from scratch.
+//! 2. **`results`** — rendered result JSON keyed by [`result_key`], which
 //!    embeds **every analysis-configuration input** (kind, source hash,
 //!    context, clone level, independents/dependents, matching, mode,
 //!    degrade mode, deterministic budget caps, pass bound). A degraded or
@@ -24,13 +17,12 @@
 //!    key at all and bypass the cache entirely.
 //!
 //! The optional [`DiskStore`] persists only the `results` layer (namespace
-//! `"results"`): artifacts are cheap to rebuild from a warm IR cache, while
-//! results carry the expensive fixpoints across process restarts.
+//! `"results"`): IRs are cheap to rebuild, while results carry the
+//! expensive fixpoints across process restarts.
 
 use crate::proto::{Request, RequestKind};
 use mpi_dfa_core::cache::{DiskStore, SharedLru};
 use mpi_dfa_core::hash::Hasher128;
-use mpi_dfa_graph::cfg::ProcCfg;
 use mpi_dfa_graph::icfg::ProgramIr;
 use std::sync::Arc;
 
@@ -48,7 +40,11 @@ use std::sync::Arc;
 /// v5: the `solver` field is gone and every full solve is round-robin.
 /// Entries written under v4 may embed another strategy's pass and work
 /// counters, so none of them is served.
-pub const CACHE_SCHEMA_VERSION: u64 = 5;
+/// v6: the per-procedure CFG layer is gone. A v5 `verify` result may have
+/// been rendered from a CFG lowered for another program, whose source
+/// spans place findings at that program's lines, so none of them is
+/// served.
+pub const CACHE_SCHEMA_VERSION: u64 = 6;
 
 /// Key for a whole-program IR: exact source text.
 pub fn source_key(source: &str) -> u128 {
@@ -56,20 +52,6 @@ pub fn source_key(source: &str) -> u128 {
         .write_str("ir")
         .write_u64(CACHE_SCHEMA_VERSION)
         .write_str(source)
-        .finish()
-}
-
-/// Key for one procedure's CFG artifact. See the module docs for why each
-/// component is present; `locs_fingerprint` is
-/// `mpi_dfa_graph::loc::LocTable::fingerprint`.
-pub fn proc_cfg_key(sub_content: &str, locs_fingerprint: u128, proc_index: usize) -> u128 {
-    Hasher128::new()
-        .write_str("proccfg")
-        .write_u64(CACHE_SCHEMA_VERSION)
-        .write_str(sub_content)
-        .write_u64(locs_fingerprint as u64)
-        .write_u64((locs_fingerprint >> 64) as u64)
-        .write_u64(proc_index as u64)
         .finish()
 }
 
@@ -157,11 +139,10 @@ pub fn routing_key(req: &Request) -> u128 {
     h.finish()
 }
 
-/// The three in-memory layers plus the optional on-disk result store.
+/// The two in-memory layers plus the optional on-disk result store.
 #[derive(Debug, Clone)]
 pub struct ServiceCaches {
     pub irs: SharedLru<Arc<ProgramIr>>,
-    pub cfgs: SharedLru<ProcCfg>,
     pub results: SharedLru<String>,
     pub disk: Option<DiskStore>,
 }
@@ -175,7 +156,6 @@ impl ServiceCaches {
     pub fn new(capacity: usize, disk: Option<DiskStore>) -> Self {
         ServiceCaches {
             irs: SharedLru::new("ir", capacity),
-            cfgs: SharedLru::new("proccfg", capacity.saturating_mul(8)),
             results: SharedLru::new("result", capacity),
             disk,
         }
@@ -273,21 +253,8 @@ mod tests {
     }
 
     #[test]
-    fn source_and_proc_keys_are_stable_and_distinct() {
+    fn source_keys_are_stable_and_distinct() {
         assert_eq!(source_key("program p"), source_key("program p"));
         assert_ne!(source_key("program p"), source_key("program q"));
-        let fp = 0xdead_beef_u128;
-        assert_eq!(
-            proc_cfg_key("sub f() {}", fp, 0),
-            proc_cfg_key("sub f() {}", fp, 0)
-        );
-        assert_ne!(
-            proc_cfg_key("sub f() {}", fp, 0),
-            proc_cfg_key("sub f() {}", fp, 1)
-        );
-        assert_ne!(
-            proc_cfg_key("sub f() {}", fp, 0),
-            proc_cfg_key("sub f() {}", fp + 1, 0)
-        );
     }
 }

@@ -4,7 +4,7 @@
 //! Layering per request (all misses fall through, all hits short-circuit):
 //!
 //! ```text
-//! result LRU ── result disk store ── IR LRU ── per-procedure CFG LRU ── lower/solve
+//! result LRU ── result disk store ── IR LRU ── compile/lower ── solve
 //! ```
 //!
 //! Determinism contract: for any request without a wall-clock budget, the
@@ -15,7 +15,7 @@
 //! never cached (`cache: "bypass"`).
 
 use crate::admission::{AdmissionConfig, AdmissionControl};
-use crate::cache::{proc_cfg_key, result_key, source_key, ServiceCaches, RESULTS_NAMESPACE};
+use crate::cache::{result_key, source_key, ServiceCaches, RESULTS_NAMESPACE};
 use crate::proto::{CacheStatus, ProtoError, Request, RequestKind};
 use crate::slo::SloRegistry;
 use mpi_dfa_analyses::activity::{self, demand_active_at, ActivityConfig, ActivityResult, Mode};
@@ -27,13 +27,11 @@ use mpi_dfa_core::graph::NodeId;
 use mpi_dfa_core::json::escape;
 use mpi_dfa_core::solver::SolveParams;
 use mpi_dfa_core::telemetry;
-use mpi_dfa_graph::cfg::ProcCfg;
 use mpi_dfa_graph::icfg::{Icfg, ProgramIr};
 use mpi_dfa_graph::loc::LocTable;
 use mpi_dfa_suite::experiments::{by_id, ExperimentSpec};
 use mpi_dfa_suite::programs;
 use mpi_dfa_suite::runner;
-use std::cell::OnceCell;
 use std::fmt::Write as _;
 use std::sync::Arc;
 
@@ -102,8 +100,7 @@ impl Engine {
         })
     }
 
-    /// The cache layers (counters are used by tests, benches, and the
-    /// telemetry exporters).
+    /// The cache layers (tests read their counters).
     pub fn caches(&self) -> &ServiceCaches {
         &self.caches
     }
@@ -312,10 +309,9 @@ impl Engine {
             Some(id) => id.to_string(),
         };
         format!(
-            "{{\"shard\":{shard},\"admission\":{admission},\"caches\":{{\"ir\":{},\"proccfg\":{},\
+            "{{\"shard\":{shard},\"admission\":{admission},\"caches\":{{\"ir\":{},\
              \"result\":{},\"disk\":{disk}}},\"fsck\":{fsck}}}",
             layer(&self.caches.irs.counters().snapshot()),
-            layer(&self.caches.cfgs.counters().snapshot()),
             layer(&self.caches.results.counters().snapshot()),
         )
     }
@@ -389,52 +385,15 @@ impl Engine {
         Ok((source, context, None))
     }
 
-    /// Build (or fetch) the [`ProgramIr`] for `source`, reusing cached
-    /// per-procedure CFGs for subroutines whose normalized content and
-    /// location table are unchanged.
-    pub fn ir_for(&self, source: &str) -> Result<Arc<ProgramIr>, ProtoError> {
+    /// Fetch the [`ProgramIr`] for `source` from the IR layer, or compile
+    /// and lower it whole.
+    fn ir_for(&self, source: &str) -> Result<Arc<ProgramIr>, ProtoError> {
         let key = source_key(source);
         if let Some(ir) = self.caches.irs.get(key) {
             return Ok(ir);
         }
-        let unit =
-            mpi_dfa_lang::compile(source).map_err(|e| ProtoError::new("compile", e.to_string()))?;
-
-        // Per-subroutine cache metadata, computed before `unit` moves into
-        // the builder: normalized content and the statement-id base used to
-        // rebase transplanted CFGs (ids are program-global; see
-        // `ProcCfg::rebase_stmt_ids`).
-        let subs: Vec<(String, i64)> = unit
-            .program
-            .subs
-            .iter()
-            .map(|s| {
-                (
-                    mpi_dfa_lang::pretty::sub_to_string(s),
-                    i64::from(s.first_stmt_id().map(|id| id.0).unwrap_or(0)),
-                )
-            })
-            .collect();
-        let fp_cell: OnceCell<u128> = OnceCell::new();
-        let fingerprint = |locs: &LocTable| *fp_cell.get_or_init(|| locs.fingerprint());
-
-        let cfgs = self.caches.cfgs.clone();
-        let mut reuse = |i: usize, locs: &LocTable| -> Option<ProcCfg> {
-            let key = proc_cfg_key(&subs[i].0, fingerprint(locs), i);
-            cfgs.get(key).map(|mut cfg| {
-                cfg.rebase_stmt_ids(subs[i].1);
-                cfg
-            })
-        };
-        let cfgs2 = self.caches.cfgs.clone();
-        let mut store = |i: usize, locs: &LocTable, cfg: &ProcCfg| {
-            let key = proc_cfg_key(&subs[i].0, fingerprint(locs), i);
-            let mut normalized = cfg.clone();
-            normalized.rebase_stmt_ids(-subs[i].1);
-            cfgs2.put(key, normalized);
-        };
-
-        let (ir, _reuse_stats) = ProgramIr::build_with_cfg_cache(unit, &mut reuse, &mut store);
+        let ir = ProgramIr::from_source(source)
+            .map_err(|e| ProtoError::new("compile", e.to_string()))?;
         self.caches.irs.put(key, ir.clone());
         Ok(ir)
     }
@@ -1274,57 +1233,5 @@ mod tests {
             r#","at":100000"#,
         )));
         assert!(err.contains("out of range"), "{err}");
-    }
-
-    #[test]
-    fn single_sub_edit_reuses_all_other_proc_cfgs() {
-        // The incremental-reuse acceptance criterion, on the real LU
-        // benchmark: edit ONE subroutine (the paper's `rhs` driver context
-        // keeps working), re-analyze, and every *other* procedure's CFG
-        // must come from the cache even though the edit shifts every
-        // following subroutine's statement ids.
-        let e = engine();
-        let lu = programs::source("lu").unwrap();
-        let n_subs = {
-            let ir = e.ir_for(lu).unwrap();
-            ir.cfgs.len()
-        };
-        assert!(n_subs >= 3, "LU has several procedures: {n_subs}");
-        let before = e.caches().cfgs.counters().snapshot();
-        assert_eq!(before.insertions as usize, n_subs, "cold build stores all");
-
-        // Edit the body of the FIRST subroutine in the file (worst case for
-        // statement-id shifting: every later sub's ids move).
-        let first_sub_at = lu.find("sub ").expect("lu has subs");
-        let insert_at = lu[first_sub_at..].find('{').unwrap() + first_sub_at + 1;
-        let edited = format!(
-            "{} print(1.0); print(2.0); {}",
-            &lu[..insert_at],
-            &lu[insert_at..]
-        );
-        let ir2 = e.ir_for(&edited).unwrap();
-        assert_eq!(ir2.cfgs.len(), n_subs);
-        let after = e.caches().cfgs.counters().snapshot();
-        assert_eq!(
-            (after.hits - before.hits) as usize,
-            n_subs - 1,
-            "all but the edited procedure reuse their CFG"
-        );
-        assert_eq!(
-            (after.insertions - before.insertions) as usize,
-            1,
-            "only the edited procedure re-lowers"
-        );
-
-        // The transplanted CFGs carry correctly rebased statement ids:
-        // lowering from scratch must agree exactly.
-        let fresh = ProgramIr::from_source(&edited).unwrap();
-        for (a, b) in ir2.cfgs.iter().zip(fresh.cfgs.iter()) {
-            assert_eq!(a.name, b.name);
-            assert_eq!(a.num_nodes(), b.num_nodes());
-            for (na, nb) in a.nodes.iter().zip(b.nodes.iter()) {
-                assert_eq!(na.stmt, nb.stmt, "stmt ids rebased exactly in {}", a.name);
-            }
-        }
     }
 }

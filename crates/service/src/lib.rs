@@ -1,15 +1,15 @@
-//! Analysis service: content-addressed incremental cache + parallel
+//! Analysis service: content-addressed result cache + parallel
 //! batch/daemon query engine.
 //!
 //! This crate packages the whole analysis pipeline (parse → sema → CFG →
 //! MPI-ICFG → governed fixpoint) behind a line-oriented JSONL request
-//! protocol, with three layers of content-addressed caching in front of
-//! the expensive work:
+//! protocol, with content-addressed caching in front of the expensive
+//! work: an in-memory result layer, an optional on-disk result store, and
+//! an in-memory layer of whole-program IRs keyed by exact source text.
 //!
 //! * [`cache`] — key construction ([`cache::source_key`],
-//!   [`cache::proc_cfg_key`], [`cache::result_key`]) and the bounded
-//!   in-memory LRU layers + optional on-disk result store
-//!   ([`cache::ServiceCaches`]).
+//!   [`cache::result_key`]) and the bounded in-memory LRU layers +
+//!   optional on-disk result store ([`cache::ServiceCaches`]).
 //! * [`engine`] — the single-request evaluator: resolves a source,
 //!   consults the caches (memory → disk → compute), and renders
 //!   deterministic JSON responses. [`engine::Engine`] is `Sync` and is

@@ -21,10 +21,9 @@
 //!   liveness, reaching definitions, forward slicing, taint;
 //! * [`suite`] — the benchmark programs and the Table 1 / Figure 4
 //!   experiment harness;
-//! * [`service`] — the analysis service: content-addressed incremental
-//!   caching (per-procedure CFG reuse, whole-program IR, result store)
-//!   behind a JSONL batch scheduler and TCP daemon (see
-//!   `docs/SERVING.md`);
+//! * [`service`] — the analysis service: content-addressed caching
+//!   (result store, whole-program IR) behind a JSONL batch scheduler and
+//!   TCP daemon (see `docs/SERVING.md`);
 //! * [`verify`] — the static correctness suite: match-set verification,
 //!   rank-sensitive may-happen-in-parallel, and predictive deadlock
 //!   detection, cross-checked against the schedule explorer (see

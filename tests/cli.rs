@@ -528,3 +528,52 @@ fn batch_output_does_not_depend_on_the_pool_size() {
     assert_eq!(outputs[0], outputs[1], "pool 1 and pool 4 differ");
     assert_eq!(outputs[0], outputs[2], "pool 1 and pool 8 differ");
 }
+
+#[test]
+fn a_batch_verify_places_findings_at_its_own_source_lines() {
+    // B is A with two statements inserted above `sub f`, whose body is
+    // identical in both. A verify of B answered after a verify of A must
+    // report B's own line numbers, exactly as a fresh `mpidfa verify`.
+    let a = "program shifted\n\
+             global x: real;\n\
+             global y: real;\n\
+             sub main() {\n  \
+               x = 1.0;\n  \
+               call f();\n\
+             }\n\
+             sub f() {\n  \
+               send(x, 1 - rank(), 1);\n  \
+               recv(y, 1 - rank(), 2);\n\
+             }\n";
+    let b = a.replace("x = 1.0;\n", "x = 1.0;\n  x = x + 1.0;\n  x = x * 2.0;\n");
+    let dir = std::env::temp_dir().join(format!("mpidfa-cli-shift-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let prog_b = dir.join("b.smpl");
+    std::fs::write(&prog_b, &b).unwrap();
+    let (cli, stderr, _) = mpidfa(&["verify", prog_b.to_str().unwrap(), "--json"]);
+    assert!(cli.contains("\"unmatched_sends\""), "{cli}{stderr}");
+    assert!(cli.contains("11:3") && cli.contains("12:3"), "{cli}");
+
+    let requests: String = [a, b.as_str()]
+        .iter()
+        .enumerate()
+        .map(|(i, src)| {
+            format!(
+                "{{\"id\":{},\"kind\":\"verify\",\"source\":\"{}\"}}\n",
+                i + 1,
+                mpi_dfa::core::json::escape(src)
+            )
+        })
+        .collect();
+    let path = dir.join("a-then-b.jsonl");
+    std::fs::write(&path, requests).unwrap();
+    let (batch, stderr, ok) = mpidfa(&["batch", path.to_str().unwrap(), "--pool", "1"]);
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(ok, "{batch}{stderr}");
+    let answer_b = batch.lines().nth(1).expect("two answers");
+    assert_eq!(
+        answer_b.split_once(",\"result\":").expect("ok answer").1,
+        format!("{}}}", cli.trim_end()),
+        "B's verify answer depends on what the engine saw before it"
+    );
+}
