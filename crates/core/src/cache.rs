@@ -15,22 +15,25 @@
 //!   functions of their key (the key embeds every configuration input —
 //!   see `service::cache` for the key schema) and the eviction policy
 //!   never influences results, only hit rates.
-//! * **Bounded.** `capacity` caps the entry count; inserting into a full
-//!   cache evicts the least-recently-used entry. Capacity 0 disables the
-//!   cache (every lookup misses, nothing is retained).
+//! * **Bounded in bytes.** Each in-memory cache has a byte budget and
+//!   each entry a weight the caller supplies on insert (a rendered result
+//!   weighs its length; an IR weighs an estimate from its node count).
+//!   Inserting evicts least-recently-used entries until the new entry
+//!   fits; an entry heavier than the whole budget is not kept. Budget 0
+//!   disables the cache (every lookup misses, nothing is retained).
 //! * **Observable.** Every cache carries [`CacheCounters`]
 //!   (hits/misses/insertions/evictions as relaxed atomics, readable
 //!   without locking) and mirrors them into the telemetry sink as
 //!   `cache_hits_total{cache="…"}`-style series when tracing is enabled.
-//! * **Zero dependencies.** The LRU is a `HashMap` plus a monotonic use
-//!   tick; eviction scans for the minimum tick. That is O(n) per eviction,
-//!   which is fine at the capacities the service uses (hundreds of entries
-//!   holding megabyte-scale artifacts — the artifact build being cached
-//!   costs orders of magnitude more than the scan).
+//! * **Zero dependencies.** The LRU is a `HashMap` plus a `BTreeMap` from
+//!   each entry's last-use tick to its key, so the least recently used
+//!   entry is the map's first: a lookup, an insert and each eviction cost
+//!   O(log n). A budget of a few MiB admits tens of thousands of small
+//!   results, where a scan for the minimum tick per eviction would not.
 
 use crate::hash::{fnv64, hex128};
 use crate::telemetry;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -70,27 +73,35 @@ impl CacheCounters {
     }
 }
 
-/// A bounded LRU keyed by a 128-bit content hash.
+/// A byte-bounded LRU keyed by a 128-bit content hash.
 ///
 /// Not thread-safe by itself; wrap in [`SharedLru`] to share across the
 /// service worker pool.
 #[derive(Debug)]
 pub struct LruCache<V> {
     name: &'static str,
-    capacity: usize,
+    budget: usize,
+    /// Sum of the weights of the entries held; never above `budget`.
+    bytes: usize,
     tick: u64,
-    map: HashMap<u128, (u64, V)>,
+    /// Key → (last-use tick, weight, value).
+    map: HashMap<u128, (u64, usize, V)>,
+    /// Last-use tick → key; the first entry is the least recently used.
+    order: BTreeMap<u64, u128>,
     counters: Arc<CacheCounters>,
 }
 
 impl<V> LruCache<V> {
-    /// An LRU holding at most `capacity` entries. Capacity 0 disables it.
-    pub fn new(name: &'static str, capacity: usize) -> Self {
+    /// An LRU holding entries whose weights sum to at most `budget`.
+    /// Budget 0 disables it.
+    pub fn new(name: &'static str, budget: usize) -> Self {
         LruCache {
             name,
-            capacity,
+            budget,
+            bytes: 0,
             tick: 0,
             map: HashMap::new(),
+            order: BTreeMap::new(),
             counters: Arc::new(CacheCounters::default()),
         }
     }
@@ -108,6 +119,11 @@ impl<V> LruCache<V> {
         self.map.is_empty()
     }
 
+    /// Sum of the weights of the entries held.
+    pub fn bytes(&self) -> usize {
+        self.bytes
+    }
+
     fn bump(counter: &AtomicU64, name: &'static str, which: &str) {
         counter.fetch_add(1, Ordering::Relaxed);
         if telemetry::is_enabled() {
@@ -123,7 +139,9 @@ impl<V> LruCache<V> {
         self.tick += 1;
         let tick = self.tick;
         match self.map.get_mut(&key) {
-            Some((last, v)) => {
+            Some((last, _, v)) => {
+                self.order.remove(last);
+                self.order.insert(tick, key);
                 *last = tick;
                 Self::bump(&self.counters.hits, self.name, "hits");
                 Some(v)
@@ -135,21 +153,32 @@ impl<V> LruCache<V> {
         }
     }
 
-    /// Insert `value` under `key`, evicting the least-recently-used entry
-    /// when full. A zero-capacity cache drops the value immediately.
-    pub fn put(&mut self, key: u128, value: V) {
-        if self.capacity == 0 {
+    /// Insert `value` under `key` at `weight` bytes, evicting least
+    /// recently used entries until it fits. An entry heavier than the
+    /// whole budget is dropped, and so is every value of a zero-budget
+    /// cache.
+    pub fn put(&mut self, key: u128, value: V, weight: usize) {
+        if weight > self.budget || self.budget == 0 {
             return;
         }
-        self.tick += 1;
-        if !self.map.contains_key(&key) && self.map.len() >= self.capacity {
-            // Evict the minimum-tick entry. O(n) scan — see module docs.
-            if let Some(&victim) = self.map.iter().min_by_key(|(_, (t, _))| *t).map(|(k, _)| k) {
-                self.map.remove(&victim);
-                Self::bump(&self.counters.evictions, self.name, "evictions");
-            }
+        // A re-insert replaces the entry (values are pure functions of
+        // their key, so only the recency changes).
+        if let Some((tick, w, _)) = self.map.remove(&key) {
+            self.order.remove(&tick);
+            self.bytes -= w;
         }
-        self.map.insert(key, (self.tick, value));
+        while self.bytes + weight > self.budget {
+            let Some((_, victim)) = self.order.pop_first() else {
+                break;
+            };
+            let (_, w, _) = self.map.remove(&victim).expect("order and map agree");
+            self.bytes -= w;
+            Self::bump(&self.counters.evictions, self.name, "evictions");
+        }
+        self.tick += 1;
+        self.order.insert(self.tick, key);
+        self.map.insert(key, (self.tick, weight, value));
+        self.bytes += weight;
         Self::bump(&self.counters.insertions, self.name, "insertions");
     }
 }
@@ -165,8 +194,8 @@ pub struct SharedLru<V> {
 }
 
 impl<V: Clone> SharedLru<V> {
-    pub fn new(name: &'static str, capacity: usize) -> Self {
-        let cache = LruCache::new(name, capacity);
+    pub fn new(name: &'static str, budget: usize) -> Self {
+        let cache = LruCache::new(name, budget);
         let counters = cache.counters();
         SharedLru {
             inner: Arc::new(Mutex::new(cache)),
@@ -183,12 +212,23 @@ impl<V: Clone> SharedLru<V> {
         self.lock().get(key).cloned()
     }
 
-    pub fn put(&self, key: u128, value: V) {
-        self.lock().put(key, value);
+    /// Insert `value` at `weight` bytes (see [`LruCache::put`]).
+    pub fn put(&self, key: u128, value: V, weight: usize) {
+        self.lock().put(key, value, weight);
     }
 
     pub fn counters(&self) -> Arc<CacheCounters> {
         Arc::clone(&self.counters)
+    }
+
+    /// Sum of the weights of the entries held now.
+    pub fn bytes(&self) -> usize {
+        self.lock().bytes()
+    }
+
+    /// The byte budget.
+    pub fn budget(&self) -> usize {
+        self.lock().budget
     }
 }
 
@@ -435,7 +475,7 @@ mod tests {
     fn lru_hit_miss_counters() {
         let mut c = LruCache::new("t", 4);
         assert!(c.get(1).is_none());
-        c.put(1, "one");
+        c.put(1, "one", 1);
         assert_eq!(c.get(1), Some(&"one"));
         let s = c.counters().snapshot();
         assert_eq!((s.hits, s.misses, s.insertions, s.evictions), (1, 1, 1, 0));
@@ -444,14 +484,14 @@ mod tests {
     #[test]
     fn lru_evicts_least_recently_used() {
         let mut c = LruCache::new("t", 2);
-        c.put(1, 1);
-        c.put(2, 2);
+        c.put(1, 1, 1);
+        c.put(2, 2, 1);
         assert!(c.get(1).is_some()); // refresh 1 → 2 is now LRU
-        c.put(3, 3);
+        c.put(3, 3, 1);
         assert_eq!(c.len(), 2);
         assert_eq!(c.counters().snapshot().evictions, 1);
         // Re-inserting an existing key does not evict.
-        c.put(1, 10);
+        c.put(1, 10, 1);
         assert_eq!(c.len(), 2);
         assert_eq!(c.counters().snapshot().evictions, 1);
         assert_eq!(c.get(1), Some(&10));
@@ -460,11 +500,129 @@ mod tests {
     }
 
     #[test]
-    fn zero_capacity_disables() {
+    fn lru_evicts_until_the_new_entry_fits_and_skips_an_oversized_one() {
+        let mut c = LruCache::new("t", 100);
+        c.put(1, 'a', 40);
+        c.put(2, 'b', 40);
+        c.put(3, 'c', 20);
+        assert_eq!(c.bytes(), 100);
+        // 70 bytes need room from both of the two oldest entries.
+        c.put(4, 'd', 70);
+        assert_eq!((c.len(), c.bytes()), (2, 90));
+        assert_eq!(c.counters().snapshot().evictions, 2);
+        assert!(c.get(1).is_none() && c.get(2).is_none());
+        // Heavier than the whole budget: not kept, nothing evicted.
+        c.put(5, 'e', 101);
+        assert_eq!((c.len(), c.bytes()), (2, 90));
+        assert_eq!(c.counters().snapshot().evictions, 2);
+        assert!(c.get(5).is_none());
+        // A re-insert at another weight re-weighs the entry.
+        c.put(3, 'c', 5);
+        assert_eq!(c.bytes(), 75);
+    }
+
+    #[test]
+    fn zero_budget_disables() {
         let mut c = LruCache::new("t", 0);
-        c.put(1, 1);
+        c.put(1, 1, 0);
         assert!(c.get(1).is_none());
-        assert_eq!(c.len(), 0);
+        assert_eq!((c.len(), c.bytes()), (0, 0));
+    }
+
+    /// The eviction policy as a scan for the minimum last-use tick, one
+    /// scan per eviction: the reference the ordered index must agree with.
+    struct ScanLru {
+        budget: usize,
+        bytes: usize,
+        tick: u64,
+        map: HashMap<u128, (u64, usize)>,
+        evicted: Vec<u128>,
+    }
+
+    impl ScanLru {
+        fn get(&mut self, key: u128) -> bool {
+            self.tick += 1;
+            match self.map.get_mut(&key) {
+                Some((last, _)) => {
+                    *last = self.tick;
+                    true
+                }
+                None => false,
+            }
+        }
+
+        fn put(&mut self, key: u128, weight: usize) {
+            if weight > self.budget || self.budget == 0 {
+                return;
+            }
+            if let Some((_, w)) = self.map.remove(&key) {
+                self.bytes -= w;
+            }
+            while self.bytes + weight > self.budget {
+                let victim = *self
+                    .map
+                    .iter()
+                    .min_by_key(|(_, (t, _))| *t)
+                    .map(|(k, _)| k)
+                    .expect("over budget means nonempty");
+                let (_, w) = self.map.remove(&victim).unwrap();
+                self.bytes -= w;
+                self.evicted.push(victim);
+            }
+            self.tick += 1;
+            self.map.insert(key, (self.tick, weight));
+            self.bytes += weight;
+        }
+    }
+
+    #[test]
+    fn ordered_eviction_matches_the_minimum_tick_scan() {
+        let mut rng = crate::rng::SplitMix64::new(0x5eed);
+        for budget in [0usize, 1, 64, 1000] {
+            let mut fast: LruCache<()> = LruCache::new("t", budget);
+            let mut scan = ScanLru {
+                budget,
+                bytes: 0,
+                tick: 0,
+                map: HashMap::new(),
+                evicted: Vec::new(),
+            };
+            for op in 0..5_000 {
+                let key = rng.below(200) as u128;
+                if rng.chance(0.5) {
+                    assert_eq!(fast.get(key).is_some(), scan.get(key), "op {op}: get {key}");
+                    continue;
+                }
+                let weight = rng.below(120);
+                let ticks: HashMap<u128, u64> =
+                    fast.map.iter().map(|(k, (t, _, _))| (*k, *t)).collect();
+                let seen = scan.evicted.len();
+                fast.put(key, (), weight);
+                scan.put(key, weight);
+                // What left the ordered cache, oldest first.
+                let mut gone: Vec<u128> = ticks
+                    .keys()
+                    .copied()
+                    .filter(|k| *k != key && !fast.map.contains_key(k))
+                    .collect();
+                gone.sort_by_key(|k| ticks[k]);
+                assert_eq!(
+                    gone,
+                    scan.evicted[seen..],
+                    "op {op}: put {key} at {weight} B"
+                );
+                assert_eq!(fast.bytes(), scan.bytes);
+                assert!(fast.bytes() <= budget);
+            }
+            assert_eq!(
+                fast.counters().snapshot().evictions as usize,
+                scan.evicted.len(),
+                "budget {budget}"
+            );
+            if budget >= 64 {
+                assert!(!scan.evicted.is_empty(), "budget {budget} never evicted");
+            }
+        }
     }
 
     #[test]

@@ -86,8 +86,17 @@ pub struct ChaosReport {
     /// Worker processes SIGKILLed by cluster scenarios (always 0 for the
     /// single-process harness).
     pub kills: u64,
+    /// In-memory cache evictions the server reported over all its epochs
+    /// (single-process harness only).
+    pub evictions: u64,
     pub failure: Option<ChaosFailure>,
 }
+
+/// Per-layer cache budget of the chaos server and its reference engine:
+/// one to three of the pool's results (66–390 bytes; the 1,067-byte
+/// `dot` result is never kept) at a time, so scenarios keep evicting, and
+/// no IR (figure1's weighs about 26 KB).
+const CACHE_BYTES: usize = 512;
 
 /// The request pool scenarios draw from: cheap requests with
 /// precomputable fault-free reference answers (`id` is patched per send).
@@ -153,7 +162,7 @@ struct Epoch {
 
 fn start_epoch(cache_dir: &str) -> Result<Epoch, String> {
     let engine = Arc::new(Engine::new(EngineConfig {
-        cache_capacity: 64,
+        cache_bytes: CACHE_BYTES,
         cache_dir: Some(cache_dir.to_string()),
         // Small ladder so burst scenarios actually reach the shed path.
         admission: AdmissionConfig {
@@ -181,8 +190,18 @@ fn start_epoch(cache_dir: &str) -> Result<Epoch, String> {
     Ok(Epoch { addr, handle })
 }
 
-fn stop_epoch(epoch: Epoch) -> Result<(), String> {
+/// Stop a server epoch, adding the evictions its caches counted to
+/// `report`.
+fn stop_epoch(epoch: Epoch, report: &mut ChaosReport) -> Result<(), String> {
     let mut c = ChaosClient::connect(epoch.addr)?;
+    c.send_raw(b"{\"id\":999998,\"kind\":\"cache-stats\"}\n")?;
+    let stats = mpi_dfa_core::json::parse(&c.read_line()?).map_err(|e| e.to_string())?;
+    for layer in ["ir", "result"] {
+        report.evictions += stats
+            .get("result")
+            .and_then(|r| r.get("caches")?.get(layer)?.get("evictions")?.as_u64())
+            .unwrap_or(0);
+    }
     c.send_raw(b"{\"id\":999999,\"kind\":\"shutdown\"}\n")?;
     let _ = c.read_line();
     match epoch.handle.join() {
@@ -212,7 +231,7 @@ impl ReferenceAnswers {
     fn new() -> Result<ReferenceAnswers, String> {
         Ok(ReferenceAnswers {
             engine: Engine::new(EngineConfig {
-                cache_capacity: 64,
+                cache_bytes: CACHE_BYTES,
                 cache_dir: None,
                 admission: AdmissionConfig::default(),
                 shard_id: None,
@@ -360,7 +379,7 @@ pub fn run_chaos(config: ChaosConfig) -> ChaosReport {
             Ok(true) => {
                 // The scenario corrupted the disk store; restart the server
                 // so the in-memory layer is cold and reads go to disk.
-                if let Err(e) = stop_epoch(epoch) {
+                if let Err(e) = stop_epoch(epoch, &mut report) {
                     report.failure = Some(fail(case, config.seed, format!("restart: {e}")));
                     return report;
                 }
@@ -375,14 +394,14 @@ pub fn run_chaos(config: ChaosConfig) -> ChaosReport {
             }
             Err(detail) => {
                 report.failure = Some(fail(case, config.seed, detail));
-                let _ = stop_epoch(epoch);
+                let _ = stop_epoch(epoch, &mut report);
                 let _ = std::fs::remove_dir_all(&dir);
                 return report;
             }
         }
     }
 
-    if let Err(e) = stop_epoch(epoch) {
+    if let Err(e) = stop_epoch(epoch, &mut report) {
         report.failure = Some(fail(config.cases, config.seed, format!("shutdown: {e}")));
     }
     let _ = std::fs::remove_dir_all(&dir);

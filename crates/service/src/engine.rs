@@ -15,14 +15,14 @@
 //! never cached (`cache: "bypass"`).
 
 use crate::admission::{AdmissionConfig, AdmissionControl};
-use crate::cache::{result_key, source_key, ServiceCaches, RESULTS_NAMESPACE};
+use crate::cache::{ir_weight, result_key, source_key, ServiceCaches, RESULTS_NAMESPACE};
 use crate::proto::{CacheStatus, ProtoError, Request, RequestKind};
 use crate::slo::SloRegistry;
 use mpi_dfa_analyses::activity::{self, demand_active_at, ActivityConfig, ActivityResult, Mode};
 use mpi_dfa_analyses::governor::{governed_activity, AnalysisProvenance, GovernorConfig, Tier};
 use mpi_dfa_analyses::mpi_match::build_mpi_icfg_with_budget;
 use mpi_dfa_core::budget::{Budget, Exhaustion};
-use mpi_dfa_core::cache::{CacheSnapshot, DiskStore, FsckReport};
+use mpi_dfa_core::cache::{DiskStore, FsckReport, SharedLru};
 use mpi_dfa_core::graph::NodeId;
 use mpi_dfa_core::json::escape;
 use mpi_dfa_core::solver::SolveParams;
@@ -35,11 +35,15 @@ use mpi_dfa_suite::runner;
 use std::fmt::Write as _;
 use std::sync::Arc;
 
+/// Default `--cache-mem`: MiB per in-memory cache layer.
+pub const DEFAULT_CACHE_MIB: usize = 16;
+
 /// Engine construction parameters.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
-    /// Entry bound per in-memory cache layer; 0 disables in-memory caching.
-    pub cache_capacity: usize,
+    /// Byte budget per in-memory cache layer (`--cache-mem` MiB); 0
+    /// disables in-memory caching.
+    pub cache_bytes: usize,
     /// Optional on-disk result store root (`--cache-dir`).
     pub cache_dir: Option<String>,
     /// Admission-control watermarks (see [`crate::admission`]). The engine
@@ -57,7 +61,7 @@ pub struct EngineConfig {
 impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
-            cache_capacity: 256,
+            cache_bytes: DEFAULT_CACHE_MIB << 20,
             cache_dir: None,
             admission: AdmissionConfig::default(),
             shard_id: None,
@@ -92,7 +96,7 @@ impl Engine {
         // from it, so a torn write from a previous crash can never be read.
         let fsck = disk.as_ref().map(DiskStore::fsck);
         Ok(Engine {
-            caches: ServiceCaches::new(config.cache_capacity, disk),
+            caches: ServiceCaches::new(config.cache_bytes, disk),
             admission: AdmissionControl::new(config.admission),
             fsck,
             shard_id: config.shard_id,
@@ -245,7 +249,7 @@ impl Engine {
                 if let Some(bytes) = disk.get(RESULTS_NAMESPACE, key) {
                     if let Ok(result) = String::from_utf8(bytes) {
                         // Warm the memory layer so the next hit skips I/O.
-                        self.caches.results.put(key, result.clone());
+                        self.caches.results.put(key, result.clone(), result.len());
                         span.arg("layer", "disk");
                         return Ok((CacheStatus::Hit, result));
                     }
@@ -260,7 +264,7 @@ impl Engine {
             // never store it under the precise request's key.
             Some(_) if floor > Tier::T0 => Ok((CacheStatus::Bypass, result)),
             Some(key) => {
-                self.caches.results.put(key, result.clone());
+                self.caches.results.put(key, result.clone(), result.len());
                 if let Some(disk) = &self.caches.disk {
                     // Best-effort: a failed spill only costs future misses.
                     let _ = disk.put(RESULTS_NAMESPACE, key, result.as_bytes());
@@ -272,13 +276,21 @@ impl Engine {
     }
 
     /// Deterministic-key-order JSON for the `cache-stats` verb: admission
-    /// counters, per-layer cache counters, and the startup fsck report.
-    /// Values are live counters, so the verb always bypasses the cache.
+    /// counters, per-layer cache counters with the bytes held and the
+    /// layer's budget, and the startup fsck report. Values are live
+    /// counters, so the verb always bypasses the cache.
     fn render_cache_stats(&self) -> String {
-        fn layer(s: &CacheSnapshot) -> String {
+        fn layer<V: Clone>(lru: &SharedLru<V>) -> String {
+            let s = lru.counters().snapshot();
             format!(
-                "{{\"hits\":{},\"misses\":{},\"insertions\":{},\"evictions\":{}}}",
-                s.hits, s.misses, s.insertions, s.evictions
+                "{{\"hits\":{},\"misses\":{},\"insertions\":{},\"evictions\":{},\
+                 \"bytes\":{},\"budget_bytes\":{}}}",
+                s.hits,
+                s.misses,
+                s.insertions,
+                s.evictions,
+                lru.bytes(),
+                lru.budget()
             )
         }
         let a = self.admission.snapshot();
@@ -311,8 +323,8 @@ impl Engine {
         format!(
             "{{\"shard\":{shard},\"admission\":{admission},\"caches\":{{\"ir\":{},\
              \"result\":{},\"disk\":{disk}}},\"fsck\":{fsck}}}",
-            layer(&self.caches.irs.counters().snapshot()),
-            layer(&self.caches.results.counters().snapshot()),
+            layer(&self.caches.irs),
+            layer(&self.caches.results),
         )
     }
 
@@ -394,7 +406,7 @@ impl Engine {
         }
         let ir = ProgramIr::from_source(source)
             .map_err(|e| ProtoError::new("compile", e.to_string()))?;
-        self.caches.irs.put(key, ir.clone());
+        self.caches.irs.put(key, ir.clone(), ir_weight(&ir));
         Ok(ir)
     }
 
@@ -1008,6 +1020,52 @@ mod tests {
         // No --cache-dir: disk and fsck are null.
         assert_eq!(caches.get("disk"), Some(&mpi_dfa_core::json::Json::Null));
         assert_eq!(result.get("fsck"), Some(&mpi_dfa_core::json::Json::Null));
+    }
+
+    #[test]
+    fn distinct_programs_stay_within_a_one_mib_budget_and_evict() {
+        const BUDGET: usize = 1 << 20;
+        let e = Engine::new(EngineConfig {
+            cache_bytes: BUDGET,
+            ..Default::default()
+        })
+        .unwrap();
+        let base = programs::source("figure1").unwrap();
+        // figure1's IR weighs about 26 KB, so 64 distinct texts overflow
+        // the IR layer about one and a half times.
+        for i in 0..64 {
+            let source = format!("{base}{}", "\n".repeat(i));
+            let resp = e.handle(&parse(&format!(
+                r#"{{"id":{i},"kind":"analyze","source":"{}","ind":["x"],"dep":["f"]}}"#,
+                escape(&source)
+            )));
+            assert!(resp.contains("\"cache\":\"miss\""), "{resp}");
+            for lru in [e.caches().irs.bytes(), e.caches().results.bytes()] {
+                assert!(lru <= BUDGET, "a layer holds {lru} bytes");
+            }
+        }
+        let irs = e.caches().irs.counters().snapshot();
+        assert_eq!(irs.insertions, 64);
+        assert!(irs.evictions > 0, "{irs:?}");
+        assert_eq!(
+            e.caches().irs.bytes(),
+            (irs.insertions - irs.evictions) as usize * ir_weight(&e.ir_for(base).unwrap()),
+            "every text weighs what figure1 does"
+        );
+        let stats = e.handle(&parse(r#"{"id":99,"kind":"cache-stats"}"#));
+        let parsed = mpi_dfa_core::json::parse(&stats).unwrap();
+        let ir = parsed
+            .get("result")
+            .unwrap()
+            .get("caches")
+            .unwrap()
+            .get("ir")
+            .unwrap();
+        assert_eq!(
+            ir.get("budget_bytes").unwrap().as_u64(),
+            Some(BUDGET as u64)
+        );
+        assert!(ir.get("bytes").unwrap().as_u64().unwrap() <= BUDGET as u64);
     }
 
     #[test]

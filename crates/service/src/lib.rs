@@ -79,7 +79,7 @@ pub mod supervisor;
 pub use admission::{AdmissionConfig, AdmissionControl, AdmissionSnapshot, Permit};
 pub use cache::{routing_key, ServiceCaches, CACHE_SCHEMA_VERSION};
 pub use chaos::{run_chaos, run_cluster_chaos, ChaosConfig, ChaosReport, ClusterChaosConfig};
-pub use engine::{Engine, EngineConfig};
+pub use engine::{Engine, EngineConfig, DEFAULT_CACHE_MIB};
 pub use health::{HealthConfig, HealthMonitor, HealthVerdict};
 pub use obs::{AccessRecord, CompletedSpan, SpanPairer, TelemetryHub, TELE_PREFIX};
 pub use proto::{

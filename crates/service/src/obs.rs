@@ -17,6 +17,15 @@
 //! with the epoch that died). The router's own spans take the same path
 //! in-process (pid 0).
 //!
+//! Spans cost memory and pipe traffic only where something reads them.
+//! A hub keeps spans in memory only when it was built to (the router of
+//! `serve --shards N --trace-out F`, which renders them at shutdown); its
+//! `--log-dir` spool receives every completed span either way. Workers
+//! stream spans up the pipe only when told to (`--telemetry-stream
+//! spans`, which the cluster spawner passes when the router spools or
+//! keeps them); otherwise each update carries metrics and the SLO
+//! snapshot alone, which is all the `metrics` verb reads.
+//!
 //! Timestamps are absolute same-host UNIX microseconds
 //! (`event.ts_us + telemetry::unix_base_us()`), which is what lets spans
 //! from several processes interleave correctly on one timeline. Span ids
@@ -32,7 +41,7 @@
 use crate::slo::{self, SloSnapshot};
 use mpi_dfa_core::json::{self, Json};
 use mpi_dfa_core::telemetry::{self, Event, EventKind};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::fmt::Write as _;
 use std::fs::{File, OpenOptions};
 use std::io::Write as _;
@@ -43,9 +52,9 @@ use std::sync::{Arc, Mutex};
 /// tell them apart from anything else the child writes to stdout.
 pub const TELE_PREFIX: &str = "@tele ";
 
-/// Upper bound on spans held in memory by the hub; beyond it new spans
-/// are counted as dropped instead of stored (the spool file still gets
-/// them). Keeps a long-running router bounded.
+/// Upper bound on spans a retaining hub holds in memory; beyond it new
+/// spans are counted as dropped instead of stored (the spool file still
+/// gets them). Keeps a long-running exporting router bounded.
 const MAX_SPANS: usize = 100_000;
 
 /// Maximum in-memory access-log lines retained (the file gets them all).
@@ -276,7 +285,8 @@ impl SpanPairer {
 
 /// Render one telemetry-stream line (without [`TELE_PREFIX`]):
 /// `{"spans":[...],"open":[...],"metrics":{...},"slo":[...]}`.
-/// Metrics and SLO snapshots are cumulative; spans are incremental.
+/// Metrics and SLO snapshots are cumulative; spans are incremental, and
+/// both span lists are empty from a worker not asked to stream spans.
 pub fn render_tele_update(
     spans: &[CompletedSpan],
     open: &[CompletedSpan],
@@ -474,8 +484,9 @@ struct HubState {
     worker_metrics: BTreeMap<(u64, u64), BTreeMap<String, f64>>,
     /// Latest cumulative SLO snapshot per worker incarnation.
     worker_slo: BTreeMap<(u64, u64), SloSnapshot>,
-    /// Recent access lines (the file, when configured, gets them all).
-    access: Vec<String>,
+    /// The most recent [`MAX_ACCESS`] access lines (the file, when
+    /// configured, gets them all).
+    access: VecDeque<String>,
     access_total: u64,
 }
 
@@ -487,12 +498,16 @@ pub struct TelemetryHub {
     spool_file: Mutex<Option<File>>,
     access_file: Mutex<Option<File>>,
     log_dir: Option<PathBuf>,
+    keep_spans: bool,
 }
 
 impl TelemetryHub {
     /// `log_dir`, when given, receives `spans.jsonl` (the span spool the
-    /// `mpidfa trace` subcommand reads) and `access.jsonl`.
-    pub fn new(log_dir: Option<&Path>) -> Result<Arc<TelemetryHub>, String> {
+    /// `mpidfa trace` subcommand reads) and `access.jsonl`. `keep_spans`
+    /// holds spans in memory for [`TelemetryHub::spans`] and
+    /// [`TelemetryHub::merged_chrome_trace`]; only a process that will
+    /// export a merged trace needs it.
+    pub fn new(log_dir: Option<&Path>, keep_spans: bool) -> Result<Arc<TelemetryHub>, String> {
         let mut spool_file = None;
         let mut access_file = None;
         if let Some(dir) = log_dir {
@@ -513,6 +528,7 @@ impl TelemetryHub {
             spool_file: Mutex::new(spool_file),
             access_file: Mutex::new(access_file),
             log_dir: log_dir.map(Path::to_path_buf),
+            keep_spans,
         }))
     }
 
@@ -520,23 +536,31 @@ impl TelemetryHub {
         self.log_dir.as_deref()
     }
 
+    /// Whether this hub does anything with spans: keeps them or spools
+    /// them. When it does not, span producers need not render any.
+    pub fn wants_spans(&self) -> bool {
+        self.keep_spans || self.log_dir.is_some()
+    }
+
     fn lock(&self) -> std::sync::MutexGuard<'_, HubState> {
         self.state.lock().unwrap_or_else(|p| p.into_inner())
     }
 
-    /// Store spans (completed or open). Completed spans are appended to
-    /// the spool file; open ones live only in memory until their
-    /// completed version replaces them (or shutdown renders them
-    /// unfinished).
+    /// Take spans (completed or open). Completed spans are appended to
+    /// the spool file. A retaining hub also stores them, open ones until
+    /// their completed version replaces them (or shutdown renders them
+    /// unfinished); any other hub drops them here.
     pub fn add_spans(&self, spans: Vec<CompletedSpan>) {
         let mut spool = String::new();
-        {
+        if self.log_dir.is_some() {
+            for s in spans.iter().filter(|s| s.dur_us.is_some()) {
+                spool.push_str(&s.render());
+                spool.push('\n');
+            }
+        }
+        if self.keep_spans {
             let mut st = self.lock();
             for s in spans {
-                if s.dur_us.is_some() {
-                    spool.push_str(&s.render());
-                    spool.push('\n');
-                }
                 let key = (s.pid, s.epoch, s.id);
                 if st.spans.len() >= MAX_SPANS && !st.spans.contains_key(&key) {
                     st.dropped_spans += 1;
@@ -584,9 +608,10 @@ impl TelemetryHub {
         {
             let mut st = self.lock();
             st.access_total += 1;
-            if st.access.len() < MAX_ACCESS {
-                st.access.push(line.clone());
+            if st.access.len() == MAX_ACCESS {
+                st.access.pop_front();
             }
+            st.access.push_back(line.clone());
         }
         let mut f = self.access_file.lock().unwrap_or_else(|p| p.into_inner());
         if let Some(f) = f.as_mut() {
@@ -595,12 +620,13 @@ impl TelemetryHub {
         }
     }
 
-    /// Recent access-log lines (test/introspection surface).
+    /// Recent access-log lines, oldest first (test/introspection surface).
     pub fn access_lines(&self) -> Vec<String> {
-        self.lock().access.clone()
+        self.lock().access.iter().cloned().collect()
     }
 
-    /// All stored spans, timeline-sorted.
+    /// All stored spans, timeline-sorted; empty unless the hub keeps
+    /// spans.
     pub fn spans(&self) -> Vec<CompletedSpan> {
         let st = self.lock();
         let mut spans: Vec<CompletedSpan> = st.spans.values().cloned().collect();
@@ -972,7 +998,7 @@ mod tests {
         local.insert("router_requests_total".to_string(), 5.0);
         let local_slo = SloSnapshot::new();
         let render = |order_rev: bool| {
-            let hub = TelemetryHub::new(None).unwrap();
+            let hub = TelemetryHub::new(None, false).unwrap();
             let updates = [
                 (0u64, make_update(10.0, 3.0, 100)),
                 (1u64, make_update(7.0, 9.0, 900)),
@@ -1006,7 +1032,7 @@ mod tests {
 
     #[test]
     fn merged_trace_replaces_open_spans_and_keeps_epochs() {
-        let hub = TelemetryHub::new(None).unwrap();
+        let hub = TelemetryHub::new(None, true).unwrap();
         // Worker 0 epoch 1 streams an open span, then dies; worker 0
         // epoch 2 streams a completed span with the same local id.
         let mut open = span_fixture(0, 11, 1_000, 0xfeed);
@@ -1039,6 +1065,44 @@ mod tests {
         assert!(json.contains("\"epoch\":2"), "{json}");
         assert!(json.contains("\"ph\":\"X\""));
         assert!(json.contains(&format!("\"trace\":\"{:032x}\"", 0xfeedu128)));
+    }
+
+    #[test]
+    fn a_hub_that_does_not_keep_spans_stores_none_but_spools_them() {
+        let dir = std::env::temp_dir().join(format!("mpidfa-hub-spool-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let hub = TelemetryHub::new(Some(&dir), false).unwrap();
+        assert!(hub.wants_spans());
+        let mut open = span_fixture(0, 2, 20, 0x1);
+        open.dur_us = None;
+        hub.add_spans(vec![span_fixture(0, 1, 10, 0x1), open]);
+        assert!(hub.spans().is_empty());
+        let spool = std::fs::read_to_string(dir.join("spans.jsonl")).unwrap();
+        assert_eq!(spool.lines().count(), 1, "only the completed span: {spool}");
+        assert!(!TelemetryHub::new(None, false).unwrap().wants_spans());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn the_access_ring_keeps_the_most_recent_lines() {
+        let hub = TelemetryHub::new(None, false).unwrap();
+        let rec = |i: usize| AccessRecord {
+            trace: i as u128,
+            verb: "analyze".into(),
+            shard: None,
+            epoch: 0,
+            attempts: 1,
+            cache: "hit".into(),
+            tier: "-".into(),
+            latency_us: i as u64,
+        };
+        for i in 0..MAX_ACCESS + 3 {
+            hub.record_access(&rec(i));
+        }
+        let lines = hub.access_lines();
+        assert_eq!(lines.len(), MAX_ACCESS);
+        assert_eq!(lines[0], rec(3).render(), "the ring starts at record 3");
+        assert_eq!(lines[MAX_ACCESS - 1], rec(MAX_ACCESS + 2).render());
     }
 
     #[test]

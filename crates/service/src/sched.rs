@@ -19,11 +19,12 @@
 //!    `hit` against a pre-warmed cache) and followers always report
 //!    `hit`, no matter how the pool interleaves.
 //!
-//! Caveat, documented rather than hidden: if the result cache's capacity
-//! is smaller than the number of distinct keys in one batch, phase-1
-//! evictions can race and follower labels may vary. The default capacity
-//! (256) is far above any bundled workload; size `--cache-mem` to the
-//! batch if you feed larger ones.
+//! Caveat, documented rather than hidden: if the result cache's byte
+//! budget cannot hold the results of every distinct key in one batch,
+//! phase-1 evictions can race and follower labels may vary (payloads
+//! never do). The default 16 MiB per layer holds tens of thousands of
+//! bundled-program results; size `--cache-mem` (MiB) to the batch if you
+//! feed larger ones.
 //!
 //! Panic isolation: each job runs under `catch_unwind`, so a bug in one
 //! analysis yields a structured `internal` error for that line while the
@@ -247,11 +248,13 @@ mod tests {
 
     #[test]
     fn eviction_under_pressure_recomputes_to_equal_results() {
-        // Satellite: with a result cache big enough for ONE entry, a batch
-        // of distinct requests evicts constantly; re-running the same batch
-        // must recompute every evicted entry to a byte-equal payload.
+        // With a result cache big enough for one analyze result (268
+        // bytes; the dot result is heavier than the budget and never
+        // kept), a batch of distinct requests evicts constantly;
+        // re-running the same batch must recompute every evicted entry to
+        // a byte-equal payload.
         let tiny = Engine::new(EngineConfig {
-            cache_capacity: 1,
+            cache_bytes: 512,
             ..Default::default()
         })
         .unwrap();
@@ -264,7 +267,10 @@ mod tests {
         let cold = run_batch(&tiny, input, 1);
         let rerun = run_batch(&tiny, input, 1);
         let evictions = tiny.caches().results.counters().snapshot().evictions;
-        assert!(evictions > 0, "capacity 1 must evict under this batch");
+        assert!(
+            evictions > 0,
+            "a 512-byte budget must evict under this batch"
+        );
         // Payloads (everything but the cache label) are identical; against
         // a roomy engine they also match exactly.
         let roomy = run_batch(&engine(), input, 1);

@@ -28,14 +28,15 @@ fn chaos_run_is_clean() {
     let report = run_chaos(ChaosConfig { seed, cases });
 
     println!(
-        "chaos: {} cases, {} requests, {} ok, {} errors, {} sheds, {} corruptions, {} disconnects",
+        "chaos: {} cases, {} requests, {} ok, {} errors, {} sheds, {} corruptions, {} disconnects, {} evictions",
         report.cases,
         report.requests_sent,
         report.ok_responses,
         report.error_responses,
         report.sheds,
         report.corruptions,
-        report.disconnects
+        report.disconnects,
+        report.evictions
     );
 
     if let Some(f) = &report.failure {
@@ -56,4 +57,5 @@ fn chaos_run_is_clean() {
 
     assert!(report.requests_sent > 0, "chaos run sent no requests");
     assert!(report.ok_responses > 0, "chaos run saw no successes");
+    assert!(report.evictions > 0, "the small cache budget never evicted");
 }

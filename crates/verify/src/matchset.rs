@@ -21,10 +21,12 @@
 //! run (no send lies in any loop). The matcher abstracts message counts,
 //! so such a receive looks matched, yet repeated iterations can consume
 //! more messages than the senders ever produce — a deadlock the comm
-//! edges cannot show. Loop membership is a nontrivial SCC of the
-//! non-communication flow; a send also inside *some* loop silences the
-//! diagnostic (its supply is unbounded too), which keeps iterative
-//! exchange patterns (send-in-loop / recv-in-loop) quiet.
+//! edges cannot show. Loop membership follows realizable paths only: a
+//! node repeats if it lies on a flow cycle (a call site counts as one
+//! step to its return site) or in a callee entered from a repeating call
+//! site. A send also inside *some* loop silences the diagnostic (its
+//! supply is unbounded too), which keeps iterative exchange patterns
+//! (send-in-loop / recv-in-loop) quiet.
 //!
 //! Finally, **collective participation**: each collective kind
 //! (`barrier`, `bcast`, `reduce`, `allreduce`) requires *every* rank to
@@ -40,7 +42,7 @@
 use crate::guard::Guards;
 use crate::report::Diag;
 use crate::VerifyConfig;
-use mpi_dfa_core::graph::{FlowGraph, NodeId};
+use mpi_dfa_core::graph::{Edge, EdgeKind, FlowGraph, NodeId};
 use mpi_dfa_graph::icfg::Icfg;
 use mpi_dfa_graph::mpi::{fold_int, MpiIcfg};
 use mpi_dfa_graph::node::{MatchExpr, MpiInfo, MpiKind, NodeKind};
@@ -194,10 +196,11 @@ pub fn check(g: &MpiIcfg, guards: &Guards, cfg: &VerifyConfig) -> MatchReport {
     }
 
     // Supply exhaustion: a looping receive whose matched sends all run
-    // at most once. Loop membership degrades gracefully with cloning
-    // precision: shared callee instances (clone level 0) merge SCCs and
-    // can only make a send *look* looped, silencing the diagnostic, never
-    // inventing one.
+    // at most once. A callee instance shared by several call sites (clone
+    // level 0) repeats when any of its call sites does, so sharing merges
+    // contexts both ways: a receive counts as looped if it repeats under
+    // some caller, and a send that repeats under one caller silences the
+    // diagnostic for a receive it matches under another.
     let looped = in_loop(icfg);
     for &r in &recvs {
         if !looped[r.index()] {
@@ -270,9 +273,14 @@ pub fn check(g: &MpiIcfg, guards: &Guards, cfg: &VerifyConfig) -> MatchReport {
     report
 }
 
-/// `true` for nodes inside a nontrivial strongly connected component of
-/// the non-communication flow (loops, including interprocedural ones
-/// through call/return edges). Iterative Tarjan over the dense node ids.
+/// `true` for nodes that can execute more than once per run along a
+/// realizable path: members of a nontrivial strongly connected component
+/// of the flow edges plus one call → after-call summary edge per call
+/// site (iterative Tarjan over the dense node ids), and every node of a
+/// callee instance entered from such a node, transitively. Taking SCCs
+/// over call and return edges instead would close cycles no run takes:
+/// with a shared callee, returning to another call site's after-call
+/// node.
 fn in_loop(icfg: &Icfg) -> Vec<bool> {
     const UNVISITED: u32 = u32::MAX;
     let n = FlowGraph::num_nodes(icfg);
@@ -283,7 +291,14 @@ fn in_loop(icfg: &Icfg) -> Vec<bool> {
     let mut stack: Vec<usize> = Vec::new();
     let mut counter = 0u32;
 
-    let succs = |i: usize| icfg.out_edges(NodeId(i as u32)).iter();
+    // The successor an out-edge stands for: a flow edge's target, a call
+    // edge's after-call node (the call summarised), none for a return.
+    let target = |e: &Edge| match e.kind {
+        EdgeKind::Flow => Some(e.to.index()),
+        EdgeKind::Call { site } => Some(icfg.call_site(site).after_node.index()),
+        EdgeKind::Return { .. } => None,
+    };
+    let out = |i: usize| icfg.out_edges(NodeId(i as u32));
 
     for root in 0..n {
         if index[root] != UNVISITED {
@@ -298,13 +313,12 @@ fn in_loop(icfg: &Icfg) -> Vec<bool> {
                 on_stack[v] = true;
                 stack.push(v);
             }
-            if let Some(e) = succs(v).nth(*next) {
+            if let Some(e) = out(v).get(*next) {
                 *next += 1;
-                let w = e.to.index();
-                if index[w] == UNVISITED {
-                    frames.push((w, 0));
-                } else if on_stack[w] {
-                    low[v] = low[v].min(index[w]);
+                match target(e) {
+                    Some(w) if index[w] == UNVISITED => frames.push((w, 0)),
+                    Some(w) if on_stack[w] => low[v] = low[v].min(index[w]),
+                    _ => {}
                 }
             } else {
                 frames.pop();
@@ -313,16 +327,36 @@ fn in_loop(icfg: &Icfg) -> Vec<bool> {
                 }
                 if low[v] == index[v] {
                     // Root of an SCC: pop it; nontrivial iff >1 member or
-                    // a non-comm self-edge.
+                    // a self-edge.
                     let start = stack.iter().rposition(|&x| x == v).expect("v on stack");
                     let members = &stack[start..];
-                    let nontrivial = members.len() > 1 || succs(v).any(|e| e.to.index() == v);
+                    let nontrivial =
+                        members.len() > 1 || out(v).iter().any(|e| target(e) == Some(v));
                     for &m in members {
                         on_stack[m] = false;
                         looped[m] = nontrivial;
                     }
                     stack.truncate(start);
                 }
+            }
+        }
+    }
+
+    // A callee entered from a repeating call site repeats whole. Each
+    // sweep marks a new instance or is the last.
+    let mut marked = vec![false; icfg.instances.len()];
+    let mut changed = true;
+    while changed {
+        changed = false;
+        for cs in &icfg.call_sites {
+            let callee = icfg.instance_of(cs.callee_entry) as usize;
+            if looped[cs.call_node.index()] && !marked[callee] {
+                marked[callee] = true;
+                changed = true;
+                let inst = &icfg.instances[callee];
+                let base = inst.base as usize;
+                let len = icfg.ir.cfgs[inst.proc.index()].num_nodes();
+                looped[base..base + len].fill(true);
             }
         }
     }

@@ -23,7 +23,9 @@ a real socket:
     `cache: miss`, its result byte-identical to a cold `analyze` of it;
     and a demand query (`at`) has its own cache key (docs/SERVING.md);
   * the `metrics` verb carries the SLO latency series;
-  * `cache-stats` has the single-box or the cluster shape;
+  * `cache-stats` has the single-box or the cluster shape, and every
+    in-memory layer holds no more `bytes` than its `budget_bytes` (the
+    16 MiB default);
   * `shutdown` is acknowledged and every process exits with code 0.
 
 A cluster run additionally (docs/OBSERVABILITY.md) sends traced requests
@@ -35,7 +37,14 @@ worker spans to a router span. It then restarts on the same cache
 directory at another shard count, and the first queries must already be
 disk hits: the cache is keyed by content, not by topology.
 
-Usage: python3 scripts/serve_client.py [path/to/mpidfa] [--shards N]
+With `--bounded-memory` it instead starts a daemon with `--cache-mem 1`
+and sends 200 distinct sources made by editing figure1's text (an
+`analyze` and a `dot` of each, so the second reads the first's IR). Every
+answer must be byte-identical to `mpidfa batch --cache-mem 0` on the same
+requests, and `cache-stats` must then show IR evictions with each layer
+within its 1 MiB budget.
+
+Usage: python3 scripts/serve_client.py [path/to/mpidfa] [--shards N | --bounded-memory]
 """
 
 import argparse
@@ -62,6 +71,14 @@ DELTA_BASE = (
     "}\n"
 )
 DELTA_EDIT = DELTA_BASE.replace("x = x * 2.0;", "print(1.0); x = x * 2.0;")
+
+# The bundled program the bounded-memory run edits, and how many
+# distinct texts it makes of it: figure1's IR weighs about 26 KB, so 200
+# of them overflow a 1 MiB IR layer about five times.
+FIGURE1 = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..",
+                       "crates", "suite", "src", "programs", "figure1.smpl")
+BOUNDED_SOURCES = 200
+DEFAULT_CACHE_BYTES = 16 << 20
 
 
 class Client:
@@ -124,6 +141,61 @@ def shutdown(client, proc):
     assert r["ok"] and r["result"]["stopping"] is True, r
     code = proc.wait(timeout=60)
     assert code == 0, f"server exited with {code}"
+
+
+def check_budgets(caches, budget):
+    """Each in-memory layer reports its budget and stays within it."""
+    for layer in ("ir", "result"):
+        stats = caches[layer]
+        assert stats["budget_bytes"] == budget, caches
+        assert 0 <= stats["bytes"] <= stats["budget_bytes"], caches
+
+
+def bounded_memory_run(binary):
+    """`--cache-mem 1` against 200 distinct sources: answers equal a
+    fresh in-process engine's, the IR layer evicts, no layer outgrows its
+    budget."""
+    with open(FIGURE1, encoding="utf-8") as f:
+        base = f.read()
+    assert "b = 7.0;" in base, "figure1 lost the statement the edits rewrite"
+    reqs = []
+    for i in range(BOUNDED_SOURCES):
+        src = base.replace("b = 7.0;", f"b = {7 + i}.0;")
+        reqs.append({"id": 2 * i + 1, "kind": "analyze", "source": src,
+                     "ind": ["x"], "dep": ["f"]})
+        reqs.append({"id": 2 * i + 2, "kind": "dot", "source": src})
+    batch = subprocess.run(
+        [binary, "batch", "-", "--pool", "1", "--cache-mem", "0"],
+        input="".join(json.dumps(r) + "\n" for r in reqs),
+        capture_output=True, text=True, check=True,
+    ).stdout.splitlines()
+    assert len(batch) == len(reqs), "batch answered a different count"
+
+    proc, host, port = spawn([binary, "serve", "--addr", "127.0.0.1:0",
+                              "--cache-mem", "1"])
+    try:
+        c = Client(host, port)
+        for req, fresh in zip(reqs, batch):
+            resp, text = c.result_text(req)
+            assert resp["ok"] and resp["cache"] == "miss", resp
+            assert text.rstrip("\n") == fresh.split('"result":', 1)[1], (
+                f"request {req['id']} diverged from the in-process answer"
+            )
+        r = c.rpc({"id": 9000, "kind": "cache-stats"})
+        caches = r["result"]["caches"]
+        check_budgets(caches, 1 << 20)
+        assert caches["ir"]["evictions"] > 0, caches
+        shutdown(c, proc)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+    print(
+        f"ok [--cache-mem 1]: {len(reqs)} answers over {BOUNDED_SOURCES} "
+        f"distinct sources equal the in-process ones; IR layer "
+        f"{caches['ir']['bytes']} of {caches['ir']['budget_bytes']} bytes "
+        f"after {caches['ir']['evictions']} evictions, result layer "
+        f"{caches['result']['bytes']} bytes"
+    )
 
 
 def verify_step(client, base_id):
@@ -332,7 +404,16 @@ def main():
         help="smoke a supervised cluster of N workers instead of the "
         "single-process daemon",
     )
+    ap.add_argument(
+        "--bounded-memory",
+        action="store_true",
+        help="only check a --cache-mem 1 daemon against 200 distinct "
+        "sources",
+    )
     args = ap.parse_args()
+    if args.bounded_memory:
+        bounded_memory_run(args.binary)
+        return
     cluster = args.shards is not None
 
     tmp = tempfile.mkdtemp(prefix="mpidfa-serve-smoke-")
@@ -427,10 +508,13 @@ def main():
             assert sorted(w["shard"] for w in workers if w) == list(
                 range(args.shards)
             ), stats
+            for w in workers:
+                check_budgets(w["caches"], DEFAULT_CACHE_BYTES)
         else:
             assert stats["admission"]["max_inflight"] > 0, stats
             assert stats["admission"]["tier_floor"] == "T0", stats
             assert stats["caches"]["result"]["hits"] >= len(ROWS), stats
+            check_budgets(stats["caches"], DEFAULT_CACHE_BYTES)
 
         if cluster:
             time.sleep(0.6)  # let the 150 ms telemetry flush deliver spans

@@ -9,8 +9,8 @@
 //! mpidfa graph     <file.smpl> --context main [--clone N] [--matching naive|syntactic|consts]
 //! mpidfa verify    <file.smpl> --context main [--nprocs N] [--schedules K] [--seed N] [--json] [--dot]
 //! mpidfa run       <file.smpl> [--nprocs N] [--entry main] [--faults seed=N[,...]] [--schedules K]
-//! mpidfa batch     <requests.jsonl | -> [--pool N] [--cache-mem N] [--cache-dir D]
-//! mpidfa serve     [--addr 127.0.0.1:PORT] [--shards N] [--cache-mem N] [--cache-dir D] [--max-inflight N] [--idle-timeout-ms MS] [--log-dir D]
+//! mpidfa batch     <requests.jsonl | -> [--pool N] [--cache-mem MIB] [--cache-dir D]
+//! mpidfa serve     [--addr 127.0.0.1:PORT] [--shards N] [--cache-mem MIB] [--cache-dir D] [--max-inflight N] [--idle-timeout-ms MS] [--log-dir D]
 //! mpidfa trace     <trace-id> --log-dir D
 //! ```
 //!
@@ -569,14 +569,14 @@ fn dispatch(cmd: &str, opts: &Opts) -> Result<(), String> {
 }
 
 /// Build the shared service [`Engine`](mpi_dfa::service::Engine) from the
-/// cache flags (`--cache-mem` entries per layer, `--cache-dir` on-disk
-/// result store).
+/// cache flags (`--cache-mem` MiB per in-memory layer, `--cache-dir`
+/// on-disk result store).
 fn service_engine(opts: &Opts) -> Result<mpi_dfa::service::Engine, String> {
-    let cache_capacity: usize = opts
+    let cache_mib: usize = opts
         .value("cache-mem")
         .map(|v| v.parse().map_err(|e| format!("--cache-mem: {e}")))
         .transpose()?
-        .unwrap_or(256);
+        .unwrap_or(mpi_dfa::service::DEFAULT_CACHE_MIB);
     let admission = opts
         .value("max-inflight")
         .map(|v| v.parse().map_err(|e| format!("--max-inflight: {e}")))
@@ -588,14 +588,14 @@ fn service_engine(opts: &Opts) -> Result<mpi_dfa::service::Engine, String> {
         .map(|v| v.parse().map_err(|e| format!("--shard-id: {e}")))
         .transpose()?;
     mpi_dfa::service::Engine::new(mpi_dfa::service::EngineConfig {
-        cache_capacity,
+        cache_bytes: cache_mib.saturating_mul(1 << 20),
         cache_dir: opts.value("cache-dir").map(String::from),
         admission,
         shard_id,
     })
 }
 
-/// `mpidfa batch requests.jsonl [--pool N] [--cache-mem N] [--cache-dir D]`
+/// `mpidfa batch requests.jsonl [--pool N] [--cache-mem MIB] [--cache-dir D]`
 /// — answer a JSONL request file on stdout, responses in input order,
 /// byte-identical for any `--pool` size.
 fn cmd_batch(opts: &Opts) -> Result<(), String> {
@@ -633,7 +633,7 @@ fn cmd_batch(opts: &Opts) -> Result<(), String> {
     Ok(())
 }
 
-/// `mpidfa serve --addr 127.0.0.1:PORT [--cache-mem N] [--cache-dir D]
+/// `mpidfa serve --addr 127.0.0.1:PORT [--cache-mem MIB] [--cache-dir D]
 /// [--max-inflight N] [--idle-timeout-ms MS]` — JSONL-over-TCP daemon;
 /// prints `listening on ADDR`, runs until a client sends
 /// `{"kind":"shutdown"}`. `--max-inflight` derives the whole admission
@@ -671,14 +671,17 @@ fn cmd_serve(opts: &Opts) -> Result<(), String> {
         config.idle_timeout = std::time::Duration::from_millis(ms.max(1));
     }
     // `--telemetry-stream` (appended by the cluster spawner, usable by
-    // hand) streams spans/metrics/SLO histograms up the stdout pipe as
-    // `@tele ` JSONL; `--log-dir` keeps a local span spool + access log so
-    // `mpidfa trace` works against a single-box server too.
+    // hand) streams metrics and SLO histograms up the stdout pipe as
+    // `@tele ` JSONL, and spans too as `--telemetry-stream spans`;
+    // `--log-dir` keeps a local span spool + access log so `mpidfa trace`
+    // works against a single-box server too.
     let stream_mode = opts.switch("telemetry-stream");
+    let stream_spans = opts.value("telemetry-stream") == Some("spans");
     let hub = match opts.value("log-dir") {
-        Some(dir) => Some(mpi_dfa::service::TelemetryHub::new(Some(
-            std::path::Path::new(dir),
-        ))?),
+        Some(dir) => Some(mpi_dfa::service::TelemetryHub::new(
+            Some(std::path::Path::new(dir)),
+            false,
+        )?),
         None => None,
     };
     if (stream_mode || hub.is_some()) && !telemetry::is_enabled() {
@@ -701,7 +704,7 @@ fn cmd_serve(opts: &Opts) -> Result<(), String> {
     let _ = std::io::stdout().flush();
     let flusher = (stream_mode || hub.is_some()).then(|| {
         spawn_tele_flusher(move |pairer| {
-            flush_worker_telemetry(pairer, &engine, hub.as_ref(), stream_mode);
+            flush_worker_telemetry(pairer, &engine, hub.as_ref(), stream_mode, stream_spans);
         })
     });
     let result = server.run();
@@ -730,21 +733,33 @@ fn spawn_tele_flusher(
     move || flush(&mut pairer.lock().unwrap_or_else(|p| p.into_inner()))
 }
 
-/// One worker-side flush: drain the local sink, pair spans, stream the
-/// `@tele ` line upward (when supervised) and spool locally (when
-/// `--log-dir` is set).
+/// One worker-side flush: drain the local sink, stream the `@tele ` line
+/// upward (when supervised; with spans only when `stream_spans`) and
+/// spool locally (when `--log-dir` is set). Spans nothing reads are
+/// dropped unpaired.
 fn flush_worker_telemetry(
     pairer: &mut mpi_dfa::service::SpanPairer,
     engine: &std::sync::Arc<mpi_dfa::service::Engine>,
     hub: Option<&std::sync::Arc<mpi_dfa::service::TelemetryHub>>,
     stream_mode: bool,
+    stream_spans: bool,
 ) {
     let report = telemetry::drain();
-    let completed = pairer.feed(&report.events, telemetry::unix_base_us());
+    let (completed, open) = if stream_spans || hub.is_some() {
+        let completed = pairer.feed(&report.events, telemetry::unix_base_us());
+        (completed, pairer.open_spans())
+    } else {
+        (Vec::new(), Vec::new())
+    };
     if stream_mode {
+        let (spans, open): (&[_], &[_]) = if stream_spans {
+            (&completed, &open)
+        } else {
+            (&[], &[])
+        };
         let line = mpi_dfa::service::obs::render_tele_update(
-            &completed,
-            &pairer.open_spans(),
+            spans,
+            open,
             &report.metrics,
             &engine.slo().snapshot(),
         );
@@ -756,7 +771,7 @@ fn flush_worker_telemetry(
     }
     if let Some(hub) = hub {
         let mut spans = completed;
-        spans.extend(pairer.open_spans());
+        spans.extend(open);
         hub.add_spans(spans);
     }
 }
@@ -796,23 +811,18 @@ fn cmd_trace(opts: &Opts) -> Result<(), String> {
 /// structured `overloaded` + `retry_after_ms` when out of candidates.
 fn cmd_serve_cluster(opts: &Opts, shards: usize, addr: &str) -> Result<(), String> {
     let program = std::env::current_exe().map_err(|e| format!("cannot locate own binary: {e}"))?;
-    let mut worker_args: Vec<String> = vec!["serve".into()];
-    for flag in ["cache-mem", "cache-dir", "max-inflight", "idle-timeout-ms"] {
-        if let Some(v) = opts.value(flag) {
-            worker_args.push(format!("--{flag}"));
-            worker_args.push(v.to_string());
-        }
-    }
-    // Workers always stream their telemetry up the stdout pipe: the
-    // supervisor's drain thread feeds the hub, so the `metrics` verb and
-    // the merged trace are cluster-wide by construction, and a worker
-    // killed mid-request still leaves its flushed spans behind.
-    worker_args.push("--telemetry-stream".into());
+    // The router keeps spans in memory only to write the merged trace,
+    // and spools them only with --log-dir.
+    let hub = mpi_dfa::service::TelemetryHub::new(
+        opts.value("log-dir").map(std::path::Path::new),
+        opts.value("trace-out").is_some(),
+    )?;
+    let worker_args = cluster_worker_args(opts, hub.wants_spans());
     let worker = mpi_dfa::service::WorkerSpec::new(program, worker_args);
     let cfg = mpi_dfa::service::ClusterConfig::new(shards, worker);
-    let hub = mpi_dfa::service::TelemetryHub::new(opts.value("log-dir").map(std::path::Path::new))?;
     // Router spans (route/hedge/retry/brownout_wait) must land in the
-    // same merged trace, so the router sink is always on at span level.
+    // same merged trace, so the router sink is always on at span level;
+    // its metrics feed the `metrics` verb either way.
     if !telemetry::is_enabled() {
         telemetry::install(telemetry::TraceLevel::Spans);
     }
@@ -823,13 +833,16 @@ fn cmd_serve_cluster(opts: &Opts, shards: usize, addr: &str) -> Result<(), Strin
     println!("listening on {bound}");
     use std::io::Write as _;
     let _ = std::io::stdout().flush();
-    // Router-process flusher: pid 0 in the merged trace.
+    // Router-process flusher: pid 0 in the merged trace. Without a
+    // reader for spans it only empties the sink.
     let hub2 = std::sync::Arc::clone(&hub);
     let flush = spawn_tele_flusher(move |pairer| {
         let report = telemetry::drain();
-        let mut spans = pairer.feed(&report.events, telemetry::unix_base_us());
-        spans.extend(pairer.open_spans());
-        hub2.add_spans(spans);
+        if hub2.wants_spans() {
+            let mut spans = pairer.feed(&report.events, telemetry::unix_base_us());
+            spans.extend(pairer.open_spans());
+            hub2.add_spans(spans);
+        }
     });
     let result = cluster.run();
     flush();
@@ -844,6 +857,28 @@ fn cmd_serve_cluster(opts: &Opts, shards: usize, addr: &str) -> Result<(), Strin
             .map_err(|e| format!("--metrics-out {path}: {e}"))?;
     }
     result
+}
+
+/// The arguments of each cluster worker: plain `serve` with the cache and
+/// admission flags passed through. Workers always stream their metrics
+/// and SLO histograms up the stdout pipe: the supervisor's drain thread
+/// feeds the hub, so the `metrics` verb is cluster-wide by construction.
+/// They render and stream spans only when `stream_spans` (the hub keeps
+/// or spools them); then a worker killed mid-request still leaves its
+/// flushed spans behind.
+fn cluster_worker_args(opts: &Opts, stream_spans: bool) -> Vec<String> {
+    let mut args: Vec<String> = vec!["serve".into()];
+    for flag in ["cache-mem", "cache-dir", "max-inflight", "idle-timeout-ms"] {
+        if let Some(v) = opts.value(flag) {
+            args.push(format!("--{flag}"));
+            args.push(v.to_string());
+        }
+    }
+    args.push("--telemetry-stream".into());
+    if stream_spans {
+        args.push("spans".into());
+    }
+    args
 }
 
 /// Build [`RuntimeLimits`] from the `--max-steps` flag, starting from the
@@ -916,10 +951,12 @@ fn usage() -> String {
                   grey = never visited; comm edges no fixpoint exercised are\n\
                   flagged `never`. Uses activity when --ind/--dep are given,\n\
                   else the reaching-constants bootstrap.)\n\
-       batch      <requests.jsonl | -> [--pool N] [--cache-mem N] [--cache-dir D]\n\
+       batch      <requests.jsonl | -> [--pool N] [--cache-mem MIB] [--cache-dir D]\n\
                   (JSONL request stream -> JSONL responses on stdout, in input\n\
-                  order, byte-identical for any --pool size; see docs/SERVING.md)\n\
-       serve      [--addr 127.0.0.1:7117] [--shards N] [--cache-mem N]\n\
+                  order, byte-identical for any --pool size; --cache-mem bounds\n\
+                  each in-memory cache layer, results and IRs, in MiB:\n\
+                  default 16, 0 disables; see docs/SERVING.md)\n\
+       serve      [--addr 127.0.0.1:7117] [--shards N] [--cache-mem MIB]\n\
                   [--cache-dir D] [--max-inflight N] [--idle-timeout-ms MS]\n\
                   (JSONL-over-TCP daemon; prints `listening on ADDR`; stops on\n\
                   a `{\"kind\":\"shutdown\"}` request. --max-inflight derives the\n\
@@ -934,7 +971,9 @@ fn usage() -> String {
                   trace`; with --shards, --trace-out/--metrics-out write the\n\
                   merged cross-process Chrome trace and cluster Prometheus\n\
                   text at shutdown, and a `{\"kind\":\"metrics\"}` request\n\
-                  returns the live cluster scrape; see docs/OBSERVABILITY.md)\n\
+                  returns the live cluster scrape. Spans are kept in memory\n\
+                  only for --trace-out, and workers stream them only when\n\
+                  --log-dir or --trace-out reads them; see docs/OBSERVABILITY.md)\n\
        trace      <trace-id> --log-dir D\n\
                   (reconstruct one request's cross-shard timeline — router\n\
                   route/hedge spans and every worker's admission/cache/solve\n\
@@ -969,4 +1008,31 @@ fn usage() -> String {
                   deadlock-tag-mismatch, deadlock-barrier-mismatch,\n\
                   deadlock-orphan-recv, deadlock-loop-starved"
         .to_string()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn opts(args: &[&str]) -> Opts {
+        Opts::parse(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn cluster_workers_stream_spans_only_when_the_router_reads_them() {
+        let o = opts(&["--shards", "2", "--cache-mem", "4"]);
+        assert_eq!(
+            cluster_worker_args(&o, false),
+            ["serve", "--cache-mem", "4", "--telemetry-stream"]
+        );
+        assert_eq!(
+            cluster_worker_args(&o, true).last().map(String::as_str),
+            Some("spans")
+        );
+        // The worker reads the value off the switch.
+        let worker = opts(&["--telemetry-stream", "spans", "--shard-id", "0"]);
+        assert!(worker.switch("telemetry-stream"));
+        assert_eq!(worker.value("telemetry-stream"), Some("spans"));
+        assert_eq!(worker.value("shard-id"), Some("0"));
+    }
 }

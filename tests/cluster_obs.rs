@@ -24,13 +24,15 @@ fn rpc(addr: SocketAddr, line: &str) -> String {
     resp.trim_end().to_string()
 }
 
-/// Start a cluster of real worker processes with `--telemetry-stream`
-/// (the flag the CLI cluster spawner always appends) wired into a fresh
-/// [`TelemetryHub`] spooling under `log_dir`.
+/// Start a cluster of real worker processes with `--telemetry-stream
+/// spans` (what the CLI cluster spawner appends when the router spools
+/// spans) wired into a fresh [`TelemetryHub`] spooling under `log_dir`,
+/// keeping spans in memory when `keep_spans`.
 fn start_obs_cluster(
     shards: usize,
     cache_dir: &std::path::Path,
     log_dir: &std::path::Path,
+    keep_spans: bool,
 ) -> (Cluster, Arc<TelemetryHub>) {
     let mut worker = WorkerSpec::new(
         env!("CARGO_BIN_EXE_mpidfa"),
@@ -41,6 +43,7 @@ fn start_obs_cluster(
             "--max-inflight".into(),
             "8".into(),
             "--telemetry-stream".into(),
+            "spans".into(),
         ],
     );
     worker.backoff = BackoffConfig {
@@ -53,7 +56,7 @@ fn start_obs_cluster(
         timeout: Duration::from_millis(1500),
         miss_budget: 3,
     };
-    let hub = TelemetryHub::new(Some(log_dir)).expect("hub");
+    let hub = TelemetryHub::new(Some(log_dir), keep_spans).expect("hub");
     let cluster = Cluster::start_with_hub(
         ClusterConfig::new(shards, worker),
         "127.0.0.1:0",
@@ -82,7 +85,7 @@ fn parse_access(line: &str) -> AccessRecord {
 fn trace_id_survives_hedged_retry_with_one_access_line() {
     let cache = tmp_dir("hedge-cache");
     let logs = tmp_dir("hedge-logs");
-    let (cluster, hub) = start_obs_cluster(3, &cache, &logs);
+    let (cluster, hub) = start_obs_cluster(3, &cache, &logs, false);
     let addr = cluster.local_addr().unwrap();
     let supervisor = cluster.supervisor();
     let router = cluster.router();
@@ -160,7 +163,7 @@ fn trace_id_survives_hedged_retry_with_one_access_line() {
 fn worker_spans_reach_the_hub_under_the_client_trace_id() {
     let cache = tmp_dir("spans-cache");
     let logs = tmp_dir("spans-logs");
-    let (cluster, hub) = start_obs_cluster(3, &cache, &logs);
+    let (cluster, hub) = start_obs_cluster(3, &cache, &logs, true);
     let addr = cluster.local_addr().unwrap();
     let serve = std::thread::spawn(move || cluster.run());
 
@@ -231,7 +234,7 @@ fn worker_spans_reach_the_hub_under_the_client_trace_id() {
 fn metrics_verb_returns_cluster_wide_merge() {
     let cache = tmp_dir("metrics-cache");
     let logs = tmp_dir("metrics-logs");
-    let (cluster, hub) = start_obs_cluster(3, &cache, &logs);
+    let (cluster, hub) = start_obs_cluster(3, &cache, &logs, false);
     let addr = cluster.local_addr().unwrap();
     let serve = std::thread::spawn(move || cluster.run());
 
@@ -285,4 +288,137 @@ fn metrics_verb_returns_cluster_wide_merge() {
     serve.join().unwrap().unwrap();
     let _ = std::fs::remove_dir_all(&cache);
     let _ = std::fs::remove_dir_all(&logs);
+}
+
+/// Without an exporter the router's hub keeps no spans: requests served
+/// through a cluster that spools under `--log-dir` leave the hub empty
+/// while the spool fills with the workers' spans.
+#[test]
+fn a_hub_without_an_exporter_keeps_no_spans_while_the_spool_fills() {
+    let cache = tmp_dir("nokeep-cache");
+    let logs = tmp_dir("nokeep-logs");
+    let (cluster, hub) = start_obs_cluster(1, &cache, &logs, false);
+    let addr = cluster.local_addr().unwrap();
+    let serve = std::thread::spawn(move || cluster.run());
+
+    for (id, row) in ["Biostat", "SOR", "CG"].iter().enumerate() {
+        let resp = rpc(
+            addr,
+            &format!("{{\"id\":{id},\"kind\":\"table1-row\",\"row\":\"{row}\"}}"),
+        );
+        assert!(resp.contains("\"ok\":true"), "table1-row failed: {resp}");
+    }
+    let spool = logs.join("spans.jsonl");
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let text = std::fs::read_to_string(&spool).unwrap_or_default();
+        if text.contains("\"name\":\"request\"") {
+            break;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "worker spans never reached the spool: {text}"
+        );
+        std::thread::sleep(Duration::from_millis(100));
+    }
+    assert!(hub.spans().is_empty(), "a non-exporting hub kept spans");
+    let scrape = rpc(addr, "{\"id\":4,\"kind\":\"metrics\"}");
+    assert!(
+        scrape.contains("obs_spans_dropped_total 0"),
+        "nothing is retained, so nothing is dropped: {scrape}"
+    );
+
+    let _ = rpc(addr, "{\"id\":9,\"kind\":\"shutdown\"}");
+    serve.join().unwrap().unwrap();
+    let _ = std::fs::remove_dir_all(&cache);
+    let _ = std::fs::remove_dir_all(&logs);
+}
+
+/// The counter a worker's metrics carry once a request's result was
+/// cached.
+const RESULT_INSERTED: &str = "cache_insertions_total{cache=\"result\"}";
+
+/// Read `@tele` updates from a worker's stdout until one carries the
+/// counters of a finished request (or one carries spans, when
+/// `until_spans`); returns every update read.
+fn read_updates(
+    out: &mut impl BufRead,
+    until_spans: bool,
+) -> Vec<mpi_dfa_service::obs::TeleUpdate> {
+    let mut updates = Vec::new();
+    let mut line = String::new();
+    // The flusher writes every 150 ms: 200 lines is 30 s.
+    for _ in 0..200 {
+        line.clear();
+        if out.read_line(&mut line).unwrap_or(0) == 0 {
+            break;
+        }
+        let Some(payload) = line.trim_end().strip_prefix(mpi_dfa_service::TELE_PREFIX) else {
+            continue;
+        };
+        let update = mpi_dfa_service::obs::parse_tele_update(payload).expect("@tele line parses");
+        let done = if until_spans {
+            !update.spans.is_empty()
+        } else {
+            update.metrics.contains_key(RESULT_INSERTED)
+        };
+        updates.push(update);
+        if done {
+            break;
+        }
+    }
+    updates
+}
+
+/// A worker started as the cluster spawner starts it without `--log-dir`
+/// or `--trace-out` (`--telemetry-stream` alone) streams metrics and no
+/// spans; with `--telemetry-stream spans` the same request's spans come
+/// up the pipe.
+#[test]
+fn a_worker_streams_spans_only_when_asked() {
+    for with_spans in [false, true] {
+        let mut args = vec!["serve", "--shard-id", "0", "--addr", "127.0.0.1:0"];
+        args.push("--telemetry-stream");
+        if with_spans {
+            args.push("spans");
+        }
+        let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_mpidfa"))
+            .args(&args)
+            .stdin(std::process::Stdio::piped())
+            .stdout(std::process::Stdio::piped())
+            .spawn()
+            .expect("spawn worker");
+        let mut out = BufReader::new(child.stdout.take().unwrap());
+        let mut banner = String::new();
+        out.read_line(&mut banner).expect("banner");
+        let addr: SocketAddr = banner
+            .trim()
+            .strip_prefix("listening on ")
+            .and_then(|a| a.parse().ok())
+            .unwrap_or_else(|| panic!("bad banner {banner:?}"));
+        let resp = rpc(
+            addr,
+            r#"{"id":1,"kind":"analyze","program":"figure1","ind":["x"],"dep":["f"]}"#,
+        );
+        assert!(resp.contains("\"ok\":true"), "analyze failed: {resp}");
+        let updates = read_updates(&mut out, with_spans);
+        let last = updates.last().expect("the worker streamed updates");
+        if with_spans {
+            assert!(!last.spans.is_empty(), "no spans came up the pipe");
+        } else {
+            assert!(
+                last.metrics.contains_key(RESULT_INSERTED),
+                "the request's metrics never came up the pipe"
+            );
+            assert!(
+                updates
+                    .iter()
+                    .all(|u| u.spans.is_empty() && u.open.is_empty()),
+                "a worker not asked for spans streamed some"
+            );
+        }
+        // Closing stdin is the worker's cue to exit.
+        drop(child.stdin.take());
+        let _ = child.wait();
+    }
 }

@@ -310,6 +310,30 @@ fn a_wildcard_source_is_explored_and_its_schedules_differ() {
     assert!(differs > 0, "no schedule changed the arrival order");
 }
 
+/// `generate(2, scaled(1))` deadlocks in its fault-free run: a receive
+/// in a loop outlasts a send that runs once. At clone level 0 callees are
+/// shared, and loops once taken over call and return edges closed cycles
+/// no run takes (out of a shared callee to another call site's return
+/// point), so the one-shot send looked looped and the static passes
+/// called the program safe against a deadlocking baseline.
+#[test]
+fn shared_callees_do_not_hide_a_starved_receive() {
+    let src = generate(2, &GenConfig::scaled(1));
+    let vc = cfg(8);
+    for clone in [0, 1] {
+        let ir = ProgramIr::from_source(&src).unwrap();
+        let g = build_mpi_icfg(ir, &vc.entry, clone, Matching::ReachingConstants).unwrap();
+        let r = verify::verify(&g, &vc, &Budget::unlimited()).unwrap();
+        assert_eq!(
+            (r.verdict, r.crosscheck.outcome),
+            (Verdict::Flagged, Outcome::Confirmed),
+            "clone {clone}: {:?} {:?}",
+            r.matchset,
+            r.crosscheck
+        );
+    }
+}
+
 /// Inputs of the golden reports: the `verify` benchmark's twelve programs
 /// by name, and three generated programs that receive from `ANY`.
 const GOLDEN_NAMED: [&str; 12] = [
