@@ -25,6 +25,7 @@ use mpi_dfa_graph::icfg::{ActualBinding, Icfg};
 use mpi_dfa_graph::loc::{Loc, LocTable};
 use mpi_dfa_graph::mpi::MpiIcfg;
 use mpi_dfa_graph::node::{ExprInfo, MpiKind, NodeKind, RefInfo};
+use mpi_dfa_lang::arith;
 use mpi_dfa_lang::ast::{BinOp, Expr, ExprKind, Intrinsic, UnOp};
 
 /// Bits required to represent a variable's value. 0 = no information (⊤);
@@ -172,14 +173,9 @@ impl<'g> Bitwidth<'g> {
                 // The divisor folds with every variable ⊥: only literal
                 // arithmetic bounds the result.
                 Intrinsic::Mod => {
-                    let divisor = match crate::consts::fold(&args[1], &mut |_| {
-                        mpi_dfa_core::lattice::ConstLattice::Bottom
-                    }) {
-                        mpi_dfa_core::lattice::ConstLattice::Const(c) => {
-                            c.as_int().filter(|&m| m > 0)
-                        }
-                        _ => None,
-                    };
+                    let divisor = arith::literal(&args[1])
+                        .map(arith::to_int)
+                        .filter(|&m| m > 0);
                     let w = match divisor {
                         // `mod(x, m)` with literal m: result < m.
                         Some(m) => {

@@ -11,6 +11,10 @@
 //! SPMD subtlety: `rank()` evaluates differently on every process, so it is
 //! ⊥, never a constant; `nprocs()` is uniform but statically unknown, also ⊥.
 //!
+//! A constant is a [`Value`], the `f64` a run holds, folded with the run's
+//! own arithmetic ([`mpi_dfa_lang::arith::fold`]), so a location claimed
+//! constant holds that value on every rank of every run.
+//!
 //! Encoding: a fact holds one `u32` [`ConstCell`] per location (0 = ⊤,
 //! 1 = ⊥, k ≥ 2 = the k-th constant of the solve's [`ConstPool`]). The pool
 //! gives equal constants one cell, except that `0.0` and `-0.0` keep a cell
@@ -26,80 +30,22 @@ use mpi_dfa_core::problem::{Dataflow, Direction};
 use mpi_dfa_core::solver::{ConvergenceStats, Solution, SolveParams, Solver};
 use mpi_dfa_graph::icfg::{ActualBinding, Icfg, ProgramIr};
 use mpi_dfa_graph::loc::{Loc, ProcId};
-use mpi_dfa_graph::mpi::{exact_quotient, ConstQuery, MpiIcfg};
+use mpi_dfa_graph::mpi::{ConstQuery, MpiIcfg};
 use mpi_dfa_graph::node::{ExprInfo, MpiKind, NodeKind, RefInfo};
-use mpi_dfa_lang::ast::{BinOp, Expr, ExprKind, Intrinsic, LValue, RedOp, UnOp};
+pub use mpi_dfa_lang::arith::Value;
+use mpi_dfa_lang::arith::{self, fold};
+use mpi_dfa_lang::ast::{Expr, RedOp};
 use std::cell::{Ref, RefCell};
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// A constant runtime value.
-#[derive(Debug, Clone, Copy)]
-pub enum CVal {
-    Int(i64),
-    Real(f64),
-    Bool(bool),
-}
-
-/// Equality of constants, not IEEE comparison: two NaN reals are the same
-/// constant. Otherwise `Const(NaN)` would never equal itself, and a node
-/// holding it would count as changed on every pass, so the solve could
-/// never reach its fixpoint. `0.0 == -0.0` still holds.
-impl PartialEq for CVal {
-    fn eq(&self, other: &Self) -> bool {
-        match (self, other) {
-            (CVal::Int(a), CVal::Int(b)) => a == b,
-            (CVal::Real(a), CVal::Real(b)) => a == b || (a.is_nan() && b.is_nan()),
-            (CVal::Bool(a), CVal::Bool(b)) => a == b,
-            _ => false,
-        }
-    }
-}
-
-impl std::fmt::Display for CVal {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            CVal::Int(v) => write!(f, "{v}"),
-            CVal::Real(v) => write!(f, "{v}"),
-            CVal::Bool(b) => write!(f, "{b}"),
-        }
-    }
-}
-
-impl CVal {
-    pub fn as_int(self) -> Option<i64> {
-        match self {
-            CVal::Int(v) => Some(v),
-            _ => None,
-        }
-    }
-
-    fn as_f64(self) -> Option<f64> {
-        match self {
-            CVal::Int(v) => Some(v as f64),
-            CVal::Real(v) => Some(v),
-            CVal::Bool(_) => None,
-        }
-    }
-
-    fn truthy(self) -> bool {
-        match self {
-            CVal::Int(v) => v != 0,
-            CVal::Real(v) => v != 0.0,
-            CVal::Bool(b) => b,
-        }
-    }
-
-    /// A hashable key with the equality of [`CVal`], except that `0.0`
-    /// and `-0.0` keep apart: they print differently. Every NaN has one
-    /// key (all print `NaN`).
-    fn key(self) -> (u8, u64) {
-        match self {
-            CVal::Int(v) => (0, v as u64),
-            CVal::Real(v) if v.is_nan() => (1, f64::NAN.to_bits()),
-            CVal::Real(v) => (1, v.to_bits()),
-            CVal::Bool(b) => (2, u64::from(b)),
-        }
+/// The pool key of a constant: its bits, with every NaN as one NaN. Equal
+/// [`Value`]s share a key, except `0.0` and `-0.0`, which print differently.
+fn key(v: Value) -> u64 {
+    if v.0.is_nan() {
+        f64::NAN.to_bits()
+    } else {
+        v.0.to_bits()
     }
 }
 
@@ -155,16 +101,15 @@ impl MeetSemiLattice for ConstCell {
 }
 
 /// The constants of one solve, each interned once: cell `k ≥ 2` stands
-/// for the k-th. Constants share a cell when they are equal as [`CVal`]s
-/// (all NaNs share one; `Int(1)` and `Real(1.0)` get two), except `0.0`
-/// and `-0.0`: cells 2 and 3, which the meet and fact compare treat as one
-/// constant, so each location keeps the sign of the zero that reached it
-/// first.
+/// for the k-th. Constants share a cell when they are equal as [`Value`]s
+/// (all NaNs share one), except `0.0` and `-0.0`: cells 2 and 3, which the
+/// meet and fact compare treat as one constant, so each location keeps the
+/// sign of the zero that reached it first.
 #[derive(Debug, Clone)]
 pub struct ConstPool {
     /// Indexed by cell: ⊤, ⊥, then the constants in interning order.
-    values: Vec<ConstLattice<CVal>>,
-    cells: HashMap<(u8, u64), ConstCell>,
+    values: Vec<ConstLattice<Value>>,
+    cells: HashMap<u64, ConstCell>,
 }
 
 impl Default for ConstPool {
@@ -173,26 +118,26 @@ impl Default for ConstPool {
             values: vec![ConstLattice::Top, ConstLattice::Bottom],
             cells: HashMap::new(),
         };
-        pool.intern(ConstLattice::Const(CVal::Real(0.0)));
-        pool.intern(ConstLattice::Const(CVal::Real(-0.0)));
+        pool.intern(ConstLattice::Const(Value(0.0)));
+        pool.intern(ConstLattice::Const(Value(-0.0)));
         pool
     }
 }
 
 impl ConstPool {
     /// The value `cell` stands for.
-    pub fn value(&self, cell: ConstCell) -> &ConstLattice<CVal> {
+    pub fn value(&self, cell: ConstCell) -> &ConstLattice<Value> {
         &self.values[cell.0 as usize]
     }
 
     /// The cell of `v`, interning a constant not seen before.
-    fn intern(&mut self, v: ConstLattice<CVal>) -> ConstCell {
+    fn intern(&mut self, v: ConstLattice<Value>) -> ConstCell {
         match v {
             ConstLattice::Top => ConstCell::TOP,
             ConstLattice::Bottom => ConstCell::BOTTOM,
             ConstLattice::Const(c) => {
                 let values = &mut self.values;
-                *self.cells.entry(c.key()).or_insert_with(|| {
+                *self.cells.entry(key(c)).or_insert_with(|| {
                     values.push(v);
                     let k = u32::try_from(values.len() - 1);
                     ConstCell(k.expect("a solve interns fewer than 2^32 constants"))
@@ -269,188 +214,15 @@ impl ConstEnv {
     }
 }
 
-/// Fold `e` to a constant, reading each `Var` leaf through `var`, which is
-/// called once per leaf in evaluation order: the order of
-/// [`ExprInfo::operands`]. Subscripts are not evaluated; an element reads
-/// its array's value.
-///
-/// Result is ⊥ when any needed operand is ⊥ or non-constant by nature
-/// (`rank()`, `nprocs()`), ⊤ only when some operand is still ⊤.
-pub fn fold(e: &Expr, var: &mut impl FnMut(&LValue) -> ConstLattice<CVal>) -> ConstLattice<CVal> {
-    use ConstLattice::*;
-    match &e.kind {
-        ExprKind::IntLit(v) => Const(CVal::Int(*v)),
-        ExprKind::RealLit(v) => Const(CVal::Real(*v)),
-        ExprKind::BoolLit(b) => Const(CVal::Bool(*b)),
-        ExprKind::Rank | ExprKind::Nprocs | ExprKind::AnyWildcard => Bottom,
-        ExprKind::Var(lv) => var(lv),
-        ExprKind::Unary(op, inner) => {
-            let v = fold(inner, var);
-            lift1(v, |c| match (op, c) {
-                (UnOp::Neg, CVal::Int(v)) => v.checked_neg().map(CVal::Int),
-                (UnOp::Neg, CVal::Real(v)) => Some(CVal::Real(-v)),
-                (UnOp::Not, c) => Some(CVal::Bool(!c.truthy())),
-                (UnOp::Neg, CVal::Bool(_)) => None,
-            })
-        }
-        ExprKind::Binary(op, a, b) => {
-            let va = fold(a, var);
-            let vb = fold(b, var);
-            lift2(va, vb, |x, y| eval_binop(*op, x, y))
-        }
-        ExprKind::Intrinsic(i, args) => {
-            // Every argument is folded (keeping `var` in step with the
-            // operand order); sema allows at most two.
-            let (mut bottom, mut top) = (false, false);
-            let mut consts = [CVal::Int(0); 2];
-            let mut n = 0;
-            for a in args {
-                match fold(a, var) {
-                    Bottom => bottom = true,
-                    Top => top = true,
-                    Const(c) => {
-                        if let Some(slot) = consts.get_mut(n) {
-                            *slot = c;
-                            n += 1;
-                        }
-                    }
-                }
-            }
-            if bottom {
-                Bottom
-            } else if top {
-                Top
-            } else {
-                match eval_intrinsic(*i, &consts[..n]) {
-                    Some(c) => Const(c),
-                    None => Bottom,
-                }
-            }
-        }
-    }
-}
-
 /// Evaluate a lowered expression under `env`, reading its operands by
 /// position; no name is looked up.
-fn eval_expr(e: &ExprInfo, env: &ConstEnv, pool: &ConstPool) -> ConstLattice<CVal> {
+fn eval_expr(e: &ExprInfo, env: &ConstEnv, pool: &ConstPool) -> ConstLattice<Value> {
     let mut operands = e.operands.iter();
     fold(&e.expr, &mut |_| match operands.next() {
         Some(&loc) => *pool.value(env.get(loc)),
         // Lowering records one operand per leaf; ⊥ keeps a mismatch sound.
         None => ConstLattice::Bottom,
     })
-}
-
-fn lift1(v: ConstLattice<CVal>, f: impl FnOnce(CVal) -> Option<CVal>) -> ConstLattice<CVal> {
-    match v {
-        ConstLattice::Const(c) => match f(c) {
-            Some(r) => ConstLattice::Const(r),
-            None => ConstLattice::Bottom,
-        },
-        other => other,
-    }
-}
-
-fn lift2(
-    a: ConstLattice<CVal>,
-    b: ConstLattice<CVal>,
-    f: impl FnOnce(CVal, CVal) -> Option<CVal>,
-) -> ConstLattice<CVal> {
-    use ConstLattice::*;
-    match (a, b) {
-        (Bottom, _) | (_, Bottom) => Bottom,
-        (Top, _) | (_, Top) => Top,
-        (Const(x), Const(y)) => match f(x, y) {
-            Some(r) => Const(r),
-            None => Bottom,
-        },
-    }
-}
-
-fn eval_binop(op: BinOp, a: CVal, b: CVal) -> Option<CVal> {
-    use BinOp::*;
-    match op {
-        And => return Some(CVal::Bool(a.truthy() && b.truthy())),
-        Or => return Some(CVal::Bool(a.truthy() || b.truthy())),
-        _ => {}
-    }
-    // Integer arithmetic stays integral; anything mixing reals goes real.
-    // Overflow (including `i64::MIN / -1`) folds to "not a constant"
-    // rather than panicking in debug builds — same treatment as division
-    // by zero and as a quotient with a remainder, which the interpreter
-    // (dividing in f64) does not truncate.
-    if let (CVal::Int(x), CVal::Int(y)) = (a, b) {
-        return match op {
-            Add => x.checked_add(y).map(CVal::Int),
-            Sub => x.checked_sub(y).map(CVal::Int),
-            Mul => x.checked_mul(y).map(CVal::Int),
-            Div => exact_quotient(x, y).map(CVal::Int),
-            Eq => Some(CVal::Bool(x == y)),
-            Ne => Some(CVal::Bool(x != y)),
-            Lt => Some(CVal::Bool(x < y)),
-            Le => Some(CVal::Bool(x <= y)),
-            Gt => Some(CVal::Bool(x > y)),
-            Ge => Some(CVal::Bool(x >= y)),
-            // Handled by the early return above; `None` keeps the fold
-            // panic-free regardless.
-            And | Or => None,
-        };
-    }
-    let (x, y) = (a.as_f64()?, b.as_f64()?);
-    match op {
-        Add => Some(CVal::Real(x + y)),
-        Sub => Some(CVal::Real(x - y)),
-        Mul => Some(CVal::Real(x * y)),
-        Div => (y != 0.0).then(|| CVal::Real(x / y)),
-        Eq => Some(CVal::Bool(x == y)),
-        Ne => Some(CVal::Bool(x != y)),
-        Lt => Some(CVal::Bool(x < y)),
-        Le => Some(CVal::Bool(x <= y)),
-        Gt => Some(CVal::Bool(x > y)),
-        Ge => Some(CVal::Bool(x >= y)),
-        // Handled by the early return above; see the integer arm.
-        And | Or => None,
-    }
-}
-
-/// Fold one intrinsic over constant arguments. Sema enforces arities, but
-/// indexing stays checked (`get`) and the `i64` edge cases
-/// (`i64::MIN.rem_euclid(-1)`, `i64::MIN.abs()`) fold to "not a constant"
-/// instead of panicking.
-fn eval_intrinsic(i: Intrinsic, args: &[CVal]) -> Option<CVal> {
-    let a0 = *args.first()?;
-    match i {
-        Intrinsic::Mod => {
-            let (a, m) = (a0.as_int()?, args.get(1)?.as_int()?);
-            a.checked_rem_euclid(m).map(CVal::Int)
-        }
-        Intrinsic::Max | Intrinsic::Min => {
-            let a1 = *args.get(1)?;
-            if let (CVal::Int(x), CVal::Int(y)) = (a0, a1) {
-                return Some(CVal::Int(if i == Intrinsic::Max {
-                    x.max(y)
-                } else {
-                    x.min(y)
-                }));
-            }
-            let (x, y) = (a0.as_f64()?, a1.as_f64()?);
-            Some(CVal::Real(if i == Intrinsic::Max {
-                x.max(y)
-            } else {
-                x.min(y)
-            }))
-        }
-        Intrinsic::Abs => match a0 {
-            CVal::Int(v) => v.checked_abs().map(CVal::Int),
-            CVal::Real(v) => Some(CVal::Real(v.abs())),
-            CVal::Bool(_) => None,
-        },
-        Intrinsic::Sqrt => Some(CVal::Real(a0.as_f64()?.abs().sqrt())),
-        Intrinsic::Exp => Some(CVal::Real(a0.as_f64()?.exp())),
-        Intrinsic::Log => Some(CVal::Real(a0.as_f64()?.abs().max(1e-300).ln())),
-        Intrinsic::Sin => Some(CVal::Real(a0.as_f64()?.sin())),
-        Intrinsic::Cos => Some(CVal::Real(a0.as_f64()?.cos())),
-    }
 }
 
 /// The reaching-constants problem. Borrow the ICFG (for payloads/bindings)
@@ -668,7 +440,7 @@ pub struct ConstView<'a> {
 
 impl<'a> ConstView<'a> {
     /// The constant lattice value of `loc`.
-    pub fn get(&self, loc: Loc) -> &'a ConstLattice<CVal> {
+    pub fn get(&self, loc: Loc) -> &'a ConstLattice<Value> {
         self.pool.value(self.env.get(loc))
     }
 }
@@ -752,7 +524,7 @@ impl ConstQuery for ConstsQuery {
             None => ConstLattice::Bottom,
         });
         match v {
-            ConstLattice::Const(c) => c.as_int(),
+            ConstLattice::Const(c) => Some(arith::to_int(c.0)),
             _ => None,
         }
     }
@@ -770,7 +542,7 @@ mod tests {
     }
 
     /// Constant value of `name` at the context exit.
-    fn const_at_exit(src: &str, name: &str) -> ConstLattice<CVal> {
+    fn const_at_exit(src: &str, name: &str) -> ConstLattice<Value> {
         let g = icfg(src, "main");
         let mpi = MpiIcfg::build(g, &SyntacticConsts);
         let sol = analyze_mpi(&mpi);
@@ -784,7 +556,7 @@ mod tests {
             "program p global x: real; sub main() { x = 2.0; x = x * 3.0; }",
             "x",
         );
-        assert_eq!(v, ConstLattice::Const(CVal::Real(6.0)));
+        assert_eq!(v, ConstLattice::Const(Value(6.0)));
     }
 
     #[test]
@@ -800,7 +572,7 @@ mod tests {
              sub main() { if (rank() == 0) { x = 5.0; } else { x = 5.0; } }",
             "x",
         );
-        assert_eq!(same, ConstLattice::Const(CVal::Real(5.0)));
+        assert_eq!(same, ConstLattice::Const(Value(5.0)));
     }
 
     #[test]
@@ -808,32 +580,30 @@ mod tests {
         // inf - inf: a NaN constant must equal itself, or the node holding
         // it changes on every pass and the solve never converges.
         let src = "program p global x: real; global y: real;\n\
-                   sub main() { x = exp(1000.0) - exp(1000.0); y = x + 1.0; print(y); }";
+                   sub main() { x = 1e308 * 10.0 - 1e308 * 10.0; y = x + 1.0; print(y); }";
         let mpi = MpiIcfg::build(icfg(src, "main"), &SyntacticConsts);
         let sol = analyze_mpi(&mpi);
         assert!(sol.stats.converged, "{:?}", sol.stats.passes);
         let exit = mpi.context_exit();
         let x = mpi.resolve_at(exit, "x").expect("x");
         match sol.before(exit).get(x) {
-            ConstLattice::Const(CVal::Real(v)) => assert!(v.is_nan(), "{v}"),
+            ConstLattice::Const(Value(v)) => assert!(v.is_nan(), "{v}"),
             other => panic!("x should be the NaN constant, got {other:?}"),
         }
-        assert_eq!(CVal::Real(0.0), CVal::Real(-0.0));
-        assert_ne!(CVal::Real(f64::NAN), CVal::Int(0));
     }
 
     #[test]
-    fn only_an_exact_integer_quotient_is_constant() {
-        // The interpreter divides in f64: `7 / 2 * 2` is 7, not 6.
+    fn a_quotient_folds_as_a_run_divides() {
+        // A run divides in f64 and by zero to 0: `7 / 2 * 2` is 7, not 6.
         let v = |rhs: &str| {
             const_at_exit(
                 &format!("program p global k: int; sub main() {{ k = {rhs}; }}"),
                 "k",
             )
         };
-        assert_eq!(v("8 / 2 * 2"), ConstLattice::Const(CVal::Int(8)));
-        assert!(v("7 / 2 * 2").is_bottom());
-        assert!(v("7 / 0").is_bottom());
+        assert_eq!(v("8 / 2 * 2"), ConstLattice::Const(Value(8.0)));
+        assert_eq!(v("7 / 2 * 2"), ConstLattice::Const(Value(7.0)));
+        assert_eq!(v("7 / 0"), ConstLattice::Const(Value(0.0)));
     }
 
     #[test]
@@ -856,17 +626,13 @@ mod tests {
     #[test]
     fn array_whole_assign_is_strong_element_weak() {
         let whole = const_at_exit("program p global a: real[4]; sub main() { a = 3.0; }", "a");
-        assert_eq!(whole, ConstLattice::Const(CVal::Real(3.0)));
+        assert_eq!(whole, ConstLattice::Const(Value(3.0)));
         let elem = const_at_exit(
             "program p global a: real[4]; global i: int;\n\
              sub main() { a = 3.0; a[i] = 3.0; }",
             "a",
         );
-        assert_eq!(
-            elem,
-            ConstLattice::Const(CVal::Real(3.0)),
-            "same value stays"
-        );
+        assert_eq!(elem, ConstLattice::Const(Value(3.0)), "same value stays");
         let clobber = const_at_exit(
             "program p global a: real[4]; global i: int;\n\
              sub main() { a = 3.0; a[i] = 4.0; }",
@@ -905,7 +671,7 @@ mod tests {
         let y = mpi.resolve_at(recv, "y").unwrap();
         assert_eq!(
             sol.after(recv).get(y),
-            &ConstLattice::Const(CVal::Real(1.0)),
+            &ConstLattice::Const(Value(1.0)),
             "y receives the constant 1 over the communication edge"
         );
         // z = b * y = 7 * 1 = 7 after the else branch, but the merge with
@@ -938,10 +704,7 @@ mod tests {
             .copied()
             .find(|&n| matches!(&mpi.payload(n).kind, NodeKind::Mpi(m) if m.kind == MpiKind::Recv))
             .unwrap();
-        assert_eq!(
-            sol.after(recv).get(y),
-            &ConstLattice::Const(CVal::Real(4.0))
-        );
+        assert_eq!(sol.after(recv).get(y), &ConstLattice::Const(Value(4.0)));
     }
 
     #[test]
@@ -984,10 +747,7 @@ mod tests {
             .find(|&n| matches!(&mpi.payload(n).kind, NodeKind::Mpi(m) if m.kind == MpiKind::Recv))
             .unwrap();
         let y = mpi.resolve_at(recv, "y").unwrap();
-        assert_eq!(
-            sol.after(recv).get(y),
-            &ConstLattice::Const(CVal::Real(9.0))
-        );
+        assert_eq!(sol.after(recv).get(y), &ConstLattice::Const(Value(9.0)));
     }
 
     #[test]
@@ -1009,10 +769,7 @@ mod tests {
         let sol2 = analyze_mpi(&mpi2);
         let bcast2 = mpi2.mpi_nodes()[0];
         let c2 = mpi2.resolve_at(bcast2, "c").unwrap();
-        assert_eq!(
-            sol2.after(bcast2).get(c2),
-            &ConstLattice::Const(CVal::Real(3.5))
-        );
+        assert_eq!(sol2.after(bcast2).get(c2), &ConstLattice::Const(Value(3.5)));
     }
 
     #[test]
@@ -1034,7 +791,7 @@ mod tests {
         let r2 = mpi2.resolve_at(node2, "r").unwrap();
         assert_eq!(
             sol2.after(node2).get(r2),
-            &ConstLattice::Const(CVal::Real(2.0)),
+            &ConstLattice::Const(Value(2.0)),
             "allreduce MAX writes everywhere: strong update with shared constant"
         );
 
@@ -1063,7 +820,7 @@ mod tests {
         };
         assert_eq!(
             v,
-            ConstLattice::Const(CVal::Real(8.0)),
+            ConstLattice::Const(Value(8.0)),
             "by-ref write propagates back"
         );
     }
@@ -1078,7 +835,7 @@ mod tests {
         let loc = g.resolve_at(g.context_exit(), "g").unwrap();
         assert_eq!(
             sol.before(g.context_exit()).get(loc),
-            &ConstLattice::Const(CVal::Real(1.0))
+            &ConstLattice::Const(Value(1.0))
         );
     }
 
@@ -1092,7 +849,7 @@ mod tests {
         let loc = g.resolve_at(g.context_exit(), "out").unwrap();
         assert_eq!(
             sol.before(g.context_exit()).get(loc),
-            &ConstLattice::Const(CVal::Real(6.0))
+            &ConstLattice::Const(Value(6.0))
         );
     }
 
@@ -1133,35 +890,33 @@ mod tests {
         };
         assert_eq!(
             fold(rhs, &mut |_| ConstLattice::Bottom),
-            ConstLattice::Const(CVal::Real(4.0))
+            ConstLattice::Const(Value(4.0))
         );
     }
 
-    fn cells(pool: &mut ConstPool, vals: &[CVal]) -> Vec<ConstCell> {
+    fn cells(pool: &mut ConstPool, vals: &[f64]) -> Vec<ConstCell> {
         vals.iter()
-            .map(|&c| pool.intern(ConstLattice::Const(c)))
+            .map(|&c| pool.intern(ConstLattice::Const(Value(c))))
             .collect()
     }
 
     #[test]
     fn nan_has_one_cell_and_meets_itself_unchanged() {
         let mut pool = ConstPool::default();
-        let nan = cells(&mut pool, &[CVal::Real(f64::NAN), CVal::Real(-f64::NAN)]);
+        let nan = cells(&mut pool, &[f64::NAN, -f64::NAN]);
         assert_eq!(nan[0], nan[1], "every NaN is one constant");
         let mut c = nan[0];
         assert!(!c.meet_with(&nan[1]), "NaN ⊓ NaN = NaN, unchanged");
         let mut env = ConstEnv::top(1);
         assert!(env.meet_env(&ConstEnv(vec![nan[0]])));
         assert!(!env.meet_env(&ConstEnv(vec![nan[1]])), "so a solve settles");
-        assert!(
-            matches!(pool.value(env.get(Loc(0))), ConstLattice::Const(CVal::Real(v)) if v.is_nan())
-        );
+        assert!(matches!(pool.value(env.get(Loc(0))), ConstLattice::Const(Value(v)) if v.is_nan()));
     }
 
     #[test]
     fn zero_meets_negative_zero_keeping_its_own_sign() {
         let mut pool = ConstPool::default();
-        let z = cells(&mut pool, &[CVal::Real(0.0), CVal::Real(-0.0)]);
+        let z = cells(&mut pool, &[0.0, -0.0]);
         assert_ne!(z[0], z[1], "the zeros print differently, so keep apart");
         for (a, b, printed) in [(z[0], z[1], "0"), (z[1], z[0], "-0")] {
             let mut c = a;
@@ -1183,31 +938,33 @@ mod tests {
             );
             let v = const_at_exit(&merge, "x");
             assert!(
-                matches!(v, ConstLattice::Const(CVal::Real(z)) if z == 0.0),
+                matches!(v, ConstLattice::Const(Value(z)) if z == 0.0),
                 "{v:?}"
             );
         }
     }
 
     #[test]
-    fn int_and_real_one_are_different_constants() {
-        let mut pool = ConstPool::default();
-        let c = cells(
-            &mut pool,
-            &[CVal::Int(1), CVal::Real(1.0), CVal::Bool(true)],
-        );
-        assert!(c[0] != c[1] && c[1] != c[2] && c[0] != c[2]);
-        let mut m = c[0];
-        assert!(m.meet_with(&c[1]));
-        assert_eq!(m, ConstCell::BOTTOM, "Int(1) ⊓ Real(1.0) = ⊥");
-        assert_eq!(cells(&mut pool, &[CVal::Int(1)])[0], c[0], "interned once");
+    fn an_int_a_real_and_a_true_one_are_one_constant() {
+        let merge = |a: &str, b: &str| {
+            const_at_exit(
+                &format!(
+                    "program p global x: real;\n\
+                     sub main() {{ if (rank() == 0) {{ x = {a}; }} else {{ x = {b}; }} }}"
+                ),
+                "x",
+            )
+        };
+        assert_eq!(merge("1", "1.0"), ConstLattice::Const(Value(1.0)));
+        assert_eq!(merge("true", "2 > 1"), ConstLattice::Const(Value(1.0)));
+        assert!(merge("1", "2.0").is_bottom());
     }
 
     #[test]
     fn cell_meet_is_the_constant_lattice() {
         let mut pool = ConstPool::default();
-        let k = cells(&mut pool, &[CVal::Int(7), CVal::Int(8)]);
-        let z = cells(&mut pool, &[CVal::Real(0.0), CVal::Real(-0.0)]);
+        let k = cells(&mut pool, &[7.0, 8.0]);
+        let z = cells(&mut pool, &[0.0, -0.0]);
         let (t, b) = (ConstCell::TOP, ConstCell::BOTTOM);
         for (x, y, want) in [
             (z[0], z[1], z[0]),
@@ -1227,26 +984,29 @@ mod tests {
             assert_eq!(m.meet_with(&y), want != x, "{x:?} ⊓ {y:?}");
             assert_eq!(m, want, "{x:?} ⊓ {y:?}");
             let old = pool.value(x).meet(pool.value(y));
-            assert_eq!(&old, pool.value(want), "agrees with ConstLattice<CVal>");
+            assert_eq!(&old, pool.value(want), "agrees with ConstLattice<Value>");
         }
     }
 
     #[test]
-    fn i64_overflow_folds_to_bottom() {
-        for expr in [
-            "9223372036854775807 + 1",
-            "-9223372036854775807 - 2",
-            "4611686018427387904 * 2",
-            "abs(-9223372036854775807 - 1)",
-            "mod(-9223372036854775807 - 1, -1)",
+    fn i64_overflow_folds_to_what_a_run_computes() {
+        // f64 arithmetic: a sum past i64::MAX rounds to 2^63, and the
+        // truncated operands of `mod(i64::MIN, -1)` leave no remainder.
+        let two_63 = 9223372036854775808.0;
+        for (expr, want) in [
+            ("9223372036854775807 + 1", two_63),
+            ("-9223372036854775807 - 2", -two_63),
+            ("4611686018427387904 * 2", two_63),
+            ("abs(-9223372036854775807 - 1)", two_63),
+            ("mod(-9223372036854775807 - 1, -1)", 0.0),
+            ("9223372036854775806 + 1", two_63),
         ] {
             let src = format!("program p global k: int; sub main() {{ k = {expr}; }}");
-            assert!(const_at_exit(&src, "k").is_bottom(), "{expr}");
+            assert_eq!(
+                const_at_exit(&src, "k"),
+                ConstLattice::Const(Value(want)),
+                "{expr}"
+            );
         }
-        let fits = const_at_exit(
-            "program p global k: int; sub main() { k = 9223372036854775806 + 1; }",
-            "k",
-        );
-        assert_eq!(fits, ConstLattice::Const(CVal::Int(i64::MAX)));
     }
 }

@@ -31,7 +31,7 @@ pub mod taint;
 pub mod twocopy;
 
 pub use activity::{ActivityConfig, ActivityResult, Mode};
-pub use consts::{CVal, ConstEnv, ConstsQuery};
+pub use consts::{ConstEnv, ConstsQuery};
 pub use governor::{
     governed_activity, AnalysisProvenance, DegradeMode, GovernedActivity, GovernorConfig, Tier,
 };

@@ -27,7 +27,8 @@ use crate::icfg::{Icfg, IcfgError};
 use crate::node::{MatchExpr, MpiInfo, MpiKind, NodeKind};
 use mpi_dfa_core::budget::{Budget, BudgetMeter};
 use mpi_dfa_core::graph::{CommClasses, Edge, FlowGraph, NodeId};
-use mpi_dfa_lang::ast::{BinOp, Expr, ExprKind, Intrinsic, UnOp};
+use mpi_dfa_lang::arith;
+use mpi_dfa_lang::ast::Expr;
 use std::collections::HashMap;
 use std::ops::Deref;
 
@@ -48,47 +49,15 @@ impl ConstQuery for NoConsts {
     }
 }
 
-/// Folds expressions built from integer literals (no variables, no
-/// `rank()`/`nprocs()`). Covers the common literal-tag/root/communicator
-/// case without running any data-flow analysis.
+/// Folds expressions built from literals alone (no variables, no
+/// `rank()`/`nprocs()`) with the run's arithmetic. Covers the common
+/// literal-tag/root/communicator case without running any data-flow
+/// analysis.
 pub struct SyntacticConsts;
 
 impl ConstQuery for SyntacticConsts {
     fn eval_int(&self, _node: NodeId, expr: &Expr) -> Option<i64> {
-        fold_int(expr)
-    }
-}
-
-/// `a / b` as the interpreter computes it, when that is an integer. The
-/// interpreter divides in `f64`, so `7 / 2` is 3.5, not 3: only an exact
-/// quotient folds to an integer constant. Division by zero and overflow
-/// are not constants either.
-pub fn exact_quotient(a: i64, b: i64) -> Option<i64> {
-    (a.checked_rem(b)? == 0).then(|| a / b)
-}
-
-/// Literal constant folding shared by [`SyntacticConsts`], the verify
-/// passes and the tests. An operation that overflows `i64`, divides by
-/// zero or leaves a remainder is not a constant.
-pub fn fold_int(e: &Expr) -> Option<i64> {
-    match &e.kind {
-        ExprKind::IntLit(v) => Some(*v),
-        ExprKind::Unary(UnOp::Neg, inner) => fold_int(inner)?.checked_neg(),
-        ExprKind::Binary(op, a, b) => {
-            let (a, b) = (fold_int(a)?, fold_int(b)?);
-            match op {
-                BinOp::Add => a.checked_add(b),
-                BinOp::Sub => a.checked_sub(b),
-                BinOp::Mul => a.checked_mul(b),
-                BinOp::Div => exact_quotient(a, b),
-                _ => None,
-            }
-        }
-        ExprKind::Intrinsic(Intrinsic::Mod, args) => {
-            let (a, m) = (fold_int(&args[0])?, fold_int(&args[1])?);
-            a.checked_rem_euclid(m)
-        }
-        _ => None,
+        arith::literal(expr).map(arith::to_int)
     }
 }
 
@@ -443,7 +412,7 @@ mod tests {
     }
 
     #[test]
-    fn fold_int_cases() {
+    fn literal_match_arguments_fold_as_a_run_computes() {
         let e = |src: &str| {
             let p = parse(&format!("program t sub f() {{ var q: int; q = {src}; }}")).unwrap();
             match &p.subs[0].body.stmts[1].kind {
@@ -451,26 +420,27 @@ mod tests {
                 _ => unreachable!(),
             }
         };
-        assert_eq!(fold_int(&e("7")), Some(7));
-        assert_eq!(fold_int(&e("2 + 3 * 4")), Some(14));
-        assert_eq!(fold_int(&e("-(5)")), Some(-5));
-        assert_eq!(fold_int(&e("mod(10, 3)")), Some(1));
-        assert_eq!(fold_int(&e("10 / 0")), None);
-        // The interpreter divides in f64: only an exact quotient folds.
-        assert_eq!(fold_int(&e("8 / 2 * 2")), Some(8));
-        assert_eq!(fold_int(&e("7 / 2 * 2")), None);
-        assert_eq!(fold_int(&e("-(7) / 7")), Some(-1));
-        // Overflow is "not a constant", never a panic or a wrapped value.
-        assert_eq!(fold_int(&e("9223372036854775807 + 1")), None);
-        assert_eq!(fold_int(&e("9223372036854775807 + 2")), None);
+        let fold = |src: &str| SyntacticConsts.eval_int(NodeId(0), &e(src));
+        assert_eq!(fold("7"), Some(7));
+        assert_eq!(fold("2 + 3 * 4"), Some(14));
+        assert_eq!(fold("-(5)"), Some(-5));
+        assert_eq!(fold("mod(10, 3)"), Some(1));
+        // A run divides in f64, by zero to 0, and converts a tag with a
+        // saturating cast: every literal folds to the integer a run uses.
+        assert_eq!(fold("10 / 0"), Some(0));
+        assert_eq!(fold("8 / 2 * 2"), Some(8));
+        assert_eq!(fold("7 / 2 * 2"), Some(7));
+        assert_eq!(fold("-(7) / 7"), Some(-1));
+        assert_eq!(fold("9223372036854775807 + 1"), Some(i64::MAX));
+        assert_eq!(fold("9223372036854775807 + 2"), Some(i64::MAX));
         let min = "(0 - 9223372036854775807 - 1)";
-        assert_eq!(fold_int(&e(min)), Some(i64::MIN));
-        assert_eq!(fold_int(&e(&format!("{min} / (0 - 1)"))), None);
-        assert_eq!(fold_int(&e(&format!("mod({min}, 0 - 1)"))), None);
-        assert_eq!(fold_int(&e(&format!("-({min})"))), None);
-        assert_eq!(fold_int(&e("3037000500 * 3037000500")), None);
-        assert_eq!(fold_int(&e("rank()")), None);
-        assert_eq!(fold_int(&e("q")), None);
+        assert_eq!(fold(min), Some(i64::MIN));
+        assert_eq!(fold(&format!("{min} / (0 - 1)")), Some(i64::MAX));
+        assert_eq!(fold(&format!("mod({min}, 0 - 1)")), Some(0));
+        assert_eq!(fold(&format!("-({min})")), Some(i64::MAX));
+        assert_eq!(fold("3037000500 * 3037000500"), Some(i64::MAX));
+        assert_eq!(fold("rank()"), None);
+        assert_eq!(fold("q"), None);
     }
 
     #[test]

@@ -30,7 +30,8 @@
 //! with an error, not an abort, when the allocation is refused.
 //!
 //! Semantics notes:
-//! * numbers are stored as `f64` (exact for the integer ranges used);
+//! * numbers are stored as `f64`, and every operator and intrinsic is
+//!   computed by [`crate::arith`], the arithmetic the analyses fold with;
 //! * names resolve by scope at run time: a local binds when its `var`
 //!   statement executes, and until then a reference falls through to the
 //!   same-named global;
@@ -45,6 +46,7 @@
 //!   like `recv` (a deliberate simplification; the *analyses* treat them
 //!   distinctly where it matters).
 
+use crate::arith;
 use crate::ast::{
     self, visit_stmts, BinOp, Intrinsic, LValue, MpiStmt, Program, RedOp, SubDecl, UnOp, VarDecl,
 };
@@ -777,14 +779,14 @@ impl<'p> Lower<'p> {
             ast::ExprKind::Unary(op, inner) => {
                 let inner = self.expr(inner);
                 match inner.num() {
-                    Some(x) => ExprKind::Num(unary(*op, x)),
+                    Some(x) => ExprKind::Num(arith::unary(*op, x)),
                     None => ExprKind::Unary(*op, Box::new(inner)),
                 }
             }
             ast::ExprKind::Binary(op, a, b) => {
                 let (a, b) = (self.expr(a), self.expr(b));
                 match (a.num(), b.num()) {
-                    (Some(x), Some(y)) => ExprKind::Num(scalar(*op, x, y)),
+                    (Some(x), Some(y)) => ExprKind::Num(arith::binary(*op, x, y)),
                     _ => ExprKind::Binary(*op, Box::new(a), Box::new(b)),
                 }
             }
@@ -1828,7 +1830,7 @@ impl<'a> Process<'a> {
         let v = self
             .eval(e)?
             .as_num(|| self.err(e.span, "expected scalar"))?;
-        Ok(v as i64)
+        Ok(arith::to_int(v))
     }
 
     fn eval_comm(&self, comm: &Option<Expr>) -> Result<i64, RuntimeError> {
@@ -1954,8 +1956,10 @@ impl<'a> Process<'a> {
             ExprKind::Any => Err(self.err(e.span, "`ANY` has no value")),
             ExprKind::Load(place) => self.load(place),
             ExprKind::Unary(op, inner) => match (op, self.eval(inner)?) {
-                (_, Val::Num(x)) => Ok(Val::Num(unary(*op, x))),
-                (UnOp::Neg, Val::Arr(xs)) => Ok(Val::Arr(xs.into_iter().map(|x| -x).collect())),
+                (_, Val::Num(x)) => Ok(Val::Num(arith::unary(*op, x))),
+                (UnOp::Neg, Val::Arr(xs)) => Ok(Val::Arr(
+                    xs.into_iter().map(|x| arith::unary(*op, x)).collect(),
+                )),
                 (UnOp::Not, Val::Arr(_)) => Err(self.err(e.span, "cannot negate array logically")),
             },
             ExprKind::Binary(op, a, b) => {
@@ -1974,23 +1978,8 @@ impl<'a> Process<'a> {
                         *slot = v;
                     }
                 }
-                let r = match i {
-                    Intrinsic::Sqrt => vals[0].abs().sqrt(),
-                    Intrinsic::Exp => vals[0].min(50.0).exp(),
-                    Intrinsic::Log => vals[0].abs().max(1e-12).ln(),
-                    Intrinsic::Sin => vals[0].sin(),
-                    Intrinsic::Cos => vals[0].cos(),
-                    Intrinsic::Abs => vals[0].abs(),
-                    Intrinsic::Max => vals[0].max(vals[1]),
-                    Intrinsic::Min => vals[0].min(vals[1]),
-                    Intrinsic::Mod => {
-                        let m = vals[1] as i64;
-                        if m == 0 {
-                            return Err(self.err(e.span, "mod by zero"));
-                        }
-                        ((vals[0] as i64).rem_euclid(m)) as f64
-                    }
-                };
+                let r = arith::intrinsic(*i, vals[0], vals[1])
+                    .ok_or_else(|| self.err(e.span, "mod by zero"))?;
                 Ok(Val::Num(r))
             }
         }
@@ -1998,12 +1987,12 @@ impl<'a> Process<'a> {
 
     fn binop(&self, op: BinOp, a: Val, b: Val, span: Span) -> Result<Val, RuntimeError> {
         Ok(match (a, b) {
-            (Val::Num(x), Val::Num(y)) => Val::Num(scalar(op, x, y)),
+            (Val::Num(x), Val::Num(y)) => Val::Num(arith::binary(op, x, y)),
             (Val::Arr(xs), Val::Num(y)) => {
-                Val::Arr(xs.into_iter().map(|x| scalar(op, x, y)).collect())
+                Val::Arr(xs.into_iter().map(|x| arith::binary(op, x, y)).collect())
             }
             (Val::Num(x), Val::Arr(ys)) => {
-                Val::Arr(ys.into_iter().map(|y| scalar(op, x, y)).collect())
+                Val::Arr(ys.into_iter().map(|y| arith::binary(op, x, y)).collect())
             }
             (Val::Arr(xs), Val::Arr(ys)) => {
                 if xs.len() != ys.len() {
@@ -2012,48 +2001,11 @@ impl<'a> Process<'a> {
                 Val::Arr(
                     xs.into_iter()
                         .zip(ys)
-                        .map(|(x, y)| scalar(op, x, y))
+                        .map(|(x, y)| arith::binary(op, x, y))
                         .collect(),
                 )
             }
         })
-    }
-}
-
-fn unary(op: UnOp, x: f64) -> f64 {
-    match op {
-        UnOp::Neg => -x,
-        UnOp::Not => {
-            if x == 0.0 {
-                1.0
-            } else {
-                0.0
-            }
-        }
-    }
-}
-
-fn scalar(op: BinOp, x: f64, y: f64) -> f64 {
-    use BinOp::*;
-    match op {
-        Add => x + y,
-        Sub => x - y,
-        Mul => x * y,
-        Div => {
-            if y == 0.0 {
-                0.0 // benign: benchmarks guard real divisions
-            } else {
-                x / y
-            }
-        }
-        Eq => (x == y) as i64 as f64,
-        Ne => (x != y) as i64 as f64,
-        Lt => (x < y) as i64 as f64,
-        Le => (x <= y) as i64 as f64,
-        Gt => (x > y) as i64 as f64,
-        Ge => (x >= y) as i64 as f64,
-        And => ((x != 0.0) && (y != 0.0)) as i64 as f64,
-        Or => ((x != 0.0) || (y != 0.0)) as i64 as f64,
     }
 }
 
@@ -2091,6 +2043,18 @@ mod tests {
             1,
         );
         assert_eq!(r[0].printed, vec![7.0]);
+    }
+
+    #[test]
+    fn the_most_negative_integer_mod_minus_one_is_zero() {
+        // The truncated operands are i64::MIN and -1, whose remainder
+        // overflows a checked `rem_euclid`.
+        let r = run_src(
+            "program t sub main() { var m: real; m = 0 - 1;\n\
+               print(mod(0 - 9223372036854775807 - 1, m)); print(mod(-(7.5), 2)); }",
+            1,
+        );
+        assert_eq!(r[0].printed, vec![0.0, 1.0]);
     }
 
     #[test]

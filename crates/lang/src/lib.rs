@@ -32,6 +32,7 @@
 
 #![forbid(unsafe_code)]
 
+pub mod arith;
 pub mod ast;
 pub mod error;
 pub mod fault;

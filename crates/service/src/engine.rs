@@ -967,6 +967,28 @@ mod tests {
     }
 
     #[test]
+    fn verify_of_mod_by_minus_one_answers_and_the_engine_lives_on() {
+        // `i64::MIN mod -1` is 0 in every run and every fold; it used to
+        // panic the worker, answering `internal`.
+        let e = engine();
+        let source = "program m\\n\
+                      global x: real;\\n\
+                      sub main() {\\n\
+                        x = mod(0 - 9223372036854775807 - 1, 0 - 1);\\n\
+                        if (rank() == 0) { send(x, 1, 7); } else { recv(x, 0, 7); }\\n\
+                        print(x);\\n\
+                      }\\n";
+        let r = e.handle_line(&format!(
+            r#"{{"id":1,"kind":"verify","source":"{source}","schedules":2}}"#
+        ));
+        assert!(r.contains("\"ok\":true"), "{r}");
+        assert!(r.contains("\"verdict\":\"safe\""), "{r}");
+        assert!(r.contains("\"outcome\":\"consistent-safe\""), "{r}");
+        let pong = e.handle_line(r#"{"id":2,"kind":"ping"}"#);
+        assert!(pong.contains("\"pong\":true"), "{pong}");
+    }
+
+    #[test]
     fn wall_clock_budget_bypasses_cache() {
         let e = engine();
         let req = parse(

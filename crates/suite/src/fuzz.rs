@@ -14,7 +14,11 @@
 //!   MPI-ICFG also runs the static verify passes (match-set, MHP,
 //!   deadlock; no schedule exploration) twice, and the two reports must
 //!   be identical. A divergent verdict is surfaced as a failure with the
-//!   usual span-tree diagnosis.
+//!   usual span-tree diagnosis;
+//! * **constants a run computes** — every mutant that builds also runs,
+//!   fault-free on two ranks under a step cap, without panicking; when the
+//!   run completes, every global that reaching constants claims constant
+//!   at the context exit must end with that value on every rank.
 //!
 //! A second, *edit-mutation* mode ([`run_edits`]) targets the demand
 //! solver instead of the front end: it applies structured source edits
@@ -31,12 +35,17 @@
 use crate::gen::{self, GenConfig};
 use crate::programs;
 use mpi_dfa_analyses::activity::{analyze_mpi_with, demand_active_at, ActivityConfig};
+use mpi_dfa_analyses::consts;
 use mpi_dfa_analyses::mpi_match::{build_mpi_icfg_with_budget, Matching};
 use mpi_dfa_core::budget::Budget;
+use mpi_dfa_core::lattice::ConstLattice;
 use mpi_dfa_core::rng::SplitMix64;
 use mpi_dfa_core::solver::SolveParams;
 use mpi_dfa_core::telemetry::{self, TraceLevel};
 use mpi_dfa_graph::icfg::ProgramIr;
+use mpi_dfa_graph::mpi::MpiIcfg;
+use mpi_dfa_lang::arith::Value;
+use mpi_dfa_lang::interp::{self, InterpConfig, RuntimeLimits};
 use std::fmt::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
@@ -90,6 +99,10 @@ pub struct FuzzReport {
     pub cases: usize,
     /// Mutants that made it all the way to an MPI-ICFG.
     pub built: usize,
+    /// Built mutants whose fault-free run completed.
+    pub ran: usize,
+    /// Exit constants checked against those runs.
+    pub claims: usize,
     /// Mutants cleanly rejected by lexer/parser/sema.
     pub rejected_frontend: usize,
     /// Mutants cleanly rejected during graph construction/matching
@@ -100,8 +113,31 @@ pub struct FuzzReport {
     pub max_case: Duration,
 }
 
-/// The mutation corpus: all bundled benchmarks plus a few deterministic
-/// generated programs (which exercise wrapper calls and deeper nesting).
+/// A corpus program whose exit constants sit on the corners of the run's
+/// arithmetic. No other corpus program both claims an exit constant and
+/// is small enough for the run leg to capture its globals (only LU claims
+/// any), so without it the run leg would check no claim.
+const ARITH: &str = "program arith
+global t: int;
+global k: int;
+global e: real;
+global l: real;
+global q: int;
+global x: real;
+global y: real;
+sub main() {
+  t = 7 / 2 * 2;
+  k = mod(0 - 9223372036854775807 - 1, 0 - 1);
+  e = exp(100.0) + log(0.0);
+  l = 1.0 / 0.0 + (9223372036854775807 + 1);
+  q = 9007199254740993 - 9007199254740992;
+  if (rank() == 0) { send(x, 1, q); } else { recv(y, 0, 0); }
+}
+";
+
+/// The mutation corpus: all bundled benchmarks, a few deterministic
+/// generated programs (which exercise wrapper calls and deeper nesting)
+/// and [`ARITH`].
 pub fn corpus() -> Vec<String> {
     let mut v: Vec<String> = programs::ALL
         .iter()
@@ -110,12 +146,15 @@ pub fn corpus() -> Vec<String> {
     for seed in 0..3u64 {
         v.push(gen::generate(seed, &GenConfig::default()));
     }
+    v.push(ARITH.to_string());
     v
 }
 
 /// ASCII fragments spliced into mutants: statement/keyword/punctuation
 /// shrapnel chosen to hit parser and sema edges (unbalanced brackets,
-/// wildcards, huge literals, MPI forms, nesting openers).
+/// wildcards, huge literals, MPI forms, nesting openers) and the corners
+/// of the run's arithmetic (literals past 2^53 and `i64`, division,
+/// `mod`, the clamped `exp` and `log`).
 const SPLICE: &[&str] = &[
     "{",
     "}",
@@ -151,6 +190,11 @@ const SPLICE: &[&str] = &[
     "nprocs()",
     "9999999999999999999",
     "9223372036854775807",
+    "9007199254740993",
+    "mod(",
+    " / ",
+    "exp(",
+    "log(",
     "0",
     "1e308",
     "sub ",
@@ -210,8 +254,20 @@ pub fn mutate(src: &str, rng: &mut SplitMix64) -> String {
 pub enum Stage {
     RejectedFrontend,
     RejectedGraph,
-    Built,
+    /// Built; `claims` counts the exit constants checked against its
+    /// fault-free run, `None` when that run did not complete.
+    Built {
+        claims: Option<usize>,
+    },
 }
+
+/// Statement cap of the run leg. A debug build runs it in well under a
+/// second, far inside [`HANG_FACTOR`] times the default deadline.
+const RUN_STEPS: u64 = 100_000;
+
+/// Declared elements from which the run leg does not capture globals:
+/// capturing flattens every array, and MG declares 76M elements.
+const CAPTURE_LIMIT: u64 = 4_000_000;
 
 /// Push one source through the full pipeline under a wall-clock budget.
 /// Returns the stage reached; all rejections must be clean `Err`s.
@@ -231,19 +287,19 @@ pub fn pipeline(src: &str, deadline: Duration) -> Stage {
         return Stage::RejectedGraph;
     };
     verify_contract(&g);
+    let claims = run_contract(&ir, &g);
     if let Ok(t1) = build_mpi_icfg_with_budget(ir, "main", 0, Matching::Syntactic, &budget) {
         verify_contract(&t1);
     }
-    Stage::Built
+    Stage::Built { claims }
 }
 
 /// The verify leg of the fuzz contract: the static passes must neither
 /// panic nor hang on any buildable mutant (the pass-bounded solver keeps
 /// them finite without a wall-clock budget), and two runs over the same
-/// graph must produce identical reports. Schedule exploration stays off —
-/// the fuzzer must never spawn interpreter threads per case. A divergence
-/// panics, which the harness catches and reports like any other
-/// contract violation.
+/// graph must produce identical reports. Schedule exploration stays off;
+/// the run leg makes the one run a case needs. A divergence panics, which
+/// the harness catches and reports like any other contract violation.
 fn verify_contract(g: &mpi_dfa_graph::mpi::MpiIcfg) {
     let cfg = mpi_dfa_verify::VerifyConfig {
         schedules: 0,
@@ -255,6 +311,55 @@ fn verify_contract(g: &mpi_dfa_graph::mpi::MpiIcfg) {
         a == b,
         "verify verdict diverged across two runs on one graph:\n  first:  {a:?}\n  second: {b:?}"
     );
+}
+
+/// The run leg of the fuzz contract: `ir` runs fault-free on two ranks on
+/// the calling thread, which must not panic, and when the run completes
+/// every global reaching constants claims constant at `g`'s context exit
+/// must end with that value on every rank (NaN equal to NaN). Returns the
+/// number of claims checked, or `None` when the run did not complete.
+fn run_contract(ir: &ProgramIr, g: &MpiIcfg) -> Option<usize> {
+    let program = &ir.unit.program;
+    let declared = program
+        .globals
+        .iter()
+        .map(|d| d.ty.elem_count())
+        .fold(0, u64::saturating_add);
+    let config = InterpConfig {
+        nprocs: 2,
+        limits: RuntimeLimits {
+            max_steps: RUN_STEPS,
+        },
+        capture_globals: declared < CAPTURE_LIMIT,
+        ..InterpConfig::default()
+    };
+    let results = interp::run(program, &config).ok()?;
+    if !config.capture_globals {
+        return Some(0);
+    }
+    let sol = consts::analyze_mpi(g);
+    let exit = sol.before(g.context_exit());
+    let mut claims = 0;
+    for (loc, info) in ir.locs.iter() {
+        if info.proc.is_some() || info.name == "__mpi_buffer" {
+            continue;
+        }
+        let ConstLattice::Const(claim) = exit.get(loc) else {
+            continue;
+        };
+        claims += 1;
+        for (rank, r) in results.iter().enumerate() {
+            let finals = r.final_globals.iter().find(|(n, _)| *n == info.name);
+            for &v in finals.map_or(&[][..], |(_, vs)| vs) {
+                assert!(
+                    Value(v) == *claim,
+                    "reaching constants claim {} = {claim} at exit; rank {rank} ends with {v}",
+                    info.name
+                );
+            }
+        }
+    }
+    Some(claims)
 }
 
 /// The text a panic carried, for a failure report.
@@ -324,7 +429,13 @@ pub fn diagnose_case(seed: u64, corpus: &[String], deadline: Duration) -> String
             let budget = Budget::unlimited().with_deadline_ms(deadline.as_millis() as u64);
             let graph_started = Instant::now();
             let graph = catch_unwind(AssertUnwindSafe(|| {
-                build_mpi_icfg_with_budget(ir, "main", 1, Matching::ReachingConstants, &budget)
+                build_mpi_icfg_with_budget(
+                    ir.clone(),
+                    "main",
+                    1,
+                    Matching::ReachingConstants,
+                    &budget,
+                )
             }));
             let _ = writeln!(out, "  graph+matching: {:?}", graph_started.elapsed());
             let verdict = match &graph {
@@ -341,6 +452,15 @@ pub fn diagnose_case(seed: u64, corpus: &[String], deadline: Duration) -> String
                     let _ = writeln!(
                         out,
                         "  verify outcome: PANICKED (or diverged) in the verify passes"
+                    );
+                }
+                let run_started = Instant::now();
+                let rr = catch_unwind(AssertUnwindSafe(|| run_contract(&ir, g)));
+                let _ = writeln!(out, "  run:            {:?}", run_started.elapsed());
+                if rr.is_err() {
+                    let _ = writeln!(
+                        out,
+                        "  run outcome:    PANICKED (or disagreed with a constant) in the run"
                     );
                 }
             }
@@ -374,7 +494,13 @@ pub fn run(config: &FuzzConfig) -> FuzzReport {
                 match stage {
                     Stage::RejectedFrontend => report.rejected_frontend += 1,
                     Stage::RejectedGraph => report.rejected_graph += 1,
-                    Stage::Built => report.built += 1,
+                    Stage::Built { claims } => {
+                        report.built += 1;
+                        if let Some(n) = claims {
+                            report.ran += 1;
+                            report.claims += n;
+                        }
+                    }
                 }
             }
             Err(mut f) => {
@@ -700,10 +826,16 @@ mod tests {
     #[test]
     fn verify_contract_holds_on_the_unmutated_corpus() {
         // Every corpus program builds; `pipeline` therefore runs the
-        // verify determinism contract on each (a divergence panics).
+        // verify determinism contract on each (a divergence panics), and
+        // the run leg checks ARITH's five exit constants.
+        let mut claims = 0;
         for src in corpus() {
-            assert_eq!(pipeline(&src, Duration::from_secs(5)), Stage::Built);
+            match pipeline(&src, Duration::from_secs(5)) {
+                Stage::Built { claims: n } => claims += n.unwrap_or(0),
+                other => panic!("a corpus program did not build: {other:?}"),
+            }
         }
+        assert_eq!(claims, 5);
     }
 
     #[test]

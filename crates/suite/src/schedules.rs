@@ -22,7 +22,7 @@
 //! `mpidfa run --faults seed=N --schedules K`.
 
 use mpi_dfa_analyses::activity::{self, ActivityConfig};
-use mpi_dfa_analyses::consts::{self, CVal};
+use mpi_dfa_analyses::consts::{self, Value};
 use mpi_dfa_analyses::mpi_match::{build_mpi_icfg, Matching};
 use mpi_dfa_core::lattice::ConstLattice;
 use mpi_dfa_graph::icfg::ProgramIr;
@@ -130,7 +130,7 @@ fn checkable(info: &mpi_dfa_graph::loc::LocInfo) -> bool {
 }
 
 /// Constant claims at the context exit: `(global name, expected value)`.
-fn constant_claims(src: &str) -> Result<Vec<(String, f64)>, String> {
+fn constant_claims(src: &str) -> Result<Vec<(String, Value)>, String> {
     let ir = ProgramIr::from_source(src).map_err(|e| e.to_string())?;
     let mpi = build_mpi_icfg(ir.clone(), "main", 0, Matching::ReachingConstants)
         .map_err(|e| e.to_string())?;
@@ -141,19 +141,8 @@ fn constant_claims(src: &str) -> Result<Vec<(String, f64)>, String> {
         if !checkable(info) {
             continue;
         }
-        if let ConstLattice::Const(c) = exit_env.get(loc) {
-            let expected = match c {
-                CVal::Int(v) => *v as f64,
-                CVal::Real(v) => *v,
-                CVal::Bool(b) => {
-                    if *b {
-                        1.0
-                    } else {
-                        0.0
-                    }
-                }
-            };
-            claims.push((info.name.clone(), expected));
+        if let ConstLattice::Const(expected) = exit_env.get(loc) {
+            claims.push((info.name.clone(), *expected));
         }
     }
     Ok(claims)
@@ -202,7 +191,7 @@ pub fn check_constants(src: &str, sc: &ScheduleConfig) -> Result<Option<Schedule
                 for (name, expected) in &claims {
                     for (rank, _) in results.iter().enumerate() {
                         for v in final_value(&results, rank, name) {
-                            if v != *expected {
+                            if Value(v) != *expected {
                                 report.violations.push(Violation {
                                     seed,
                                     message: format!(

@@ -2,7 +2,7 @@
 //!
 //! `ReachingConsts` keeps one pool cell per location and reads operands
 //! recorded at lowering; `oracle/consts_ref.rs` keeps a
-//! `ConstLattice<CVal>` per location and resolves names. On the 13 Table-1
+//! `ConstLattice<Value>` per location and resolves names. On the 13 Table-1
 //! rows, on 240 generated programs and on programs built around signed
 //! zeros and NaN, over the plain ICFG (the matching bootstrap) and the
 //! MPI-ICFG, the decoded facts must equal the reference facts at every node

@@ -1,8 +1,9 @@
 //! Seeded fuzz smoke test for the full front-end + graph pipeline.
 //!
 //! Runs a deterministic range of mutated inputs through
-//! lexer → parser → sema → ICFG → MPI-ICFG and asserts the robustness
-//! contract (no panic, no hang). Case count and start seed come from the
+//! lexer → parser → sema → ICFG → MPI-ICFG, the verify passes and a
+//! fault-free run, and asserts the robustness contract (no panic, no hang,
+//! exit constants the run computes). Case count and start seed come from the
 //! environment so CI can run a wide sweep while local runs stay fast:
 //!
 //! ```sh
@@ -27,6 +28,11 @@ fn seeded_fuzz_run_upholds_the_no_panic_no_hang_contract() {
         ..FuzzConfig::default()
     };
     let report = run(&config);
+    eprintln!(
+        "fuzz: {} cases, {} built, {} ran fault-free, {} exit constants checked, \
+         slowest case {:?}",
+        report.cases, report.built, report.ran, report.claims, report.max_case
+    );
     assert!(
         report.failures.is_empty(),
         "fuzz contract violations (reproduce with FUZZ_SEED=<seed> FUZZ_CASES=1):\n{:#?}",

@@ -6,14 +6,13 @@
 //! the semantics both implement, not the operand lookup.
 
 use mpi_dfa_analyses::bitwidth::{bits_for, Width, WidthEnv, WidthMode, FULL};
-use mpi_dfa_analyses::consts::fold;
 use mpi_dfa_analyses::interproc::BindMaps;
 use mpi_dfa_core::graph::{Edge, EdgeKind, NodeId};
-use mpi_dfa_core::lattice::ConstLattice;
 use mpi_dfa_core::problem::{Dataflow, Direction};
 use mpi_dfa_graph::icfg::{ActualBinding, Icfg};
 use mpi_dfa_graph::loc::Loc;
 use mpi_dfa_graph::node::{MpiKind, NodeKind, RefInfo};
+use mpi_dfa_lang::arith::{literal, to_int};
 use mpi_dfa_lang::ast::{BinOp, Expr, ExprKind, Intrinsic, UnOp};
 
 pub struct RefBitwidth<'g> {
@@ -71,11 +70,8 @@ impl<'g> RefBitwidth<'g> {
                 }
             }
             ExprKind::Intrinsic(i, args) => match i {
-                Intrinsic::Mod => match fold(&args[1], &mut |_| ConstLattice::Bottom) {
-                    ConstLattice::Const(c) => match c.as_int() {
-                        Some(m) if m > 0 => bits_for(m - 1),
-                        _ => self.eval(&args[0], env, node),
-                    },
+                Intrinsic::Mod => match literal(&args[1]).map(to_int) {
+                    Some(m) if m > 0 => bits_for(m - 1),
                     _ => self.eval(&args[0], env, node),
                 },
                 Intrinsic::Abs => self.eval(&args[0], env, node),

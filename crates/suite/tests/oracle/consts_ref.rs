@@ -1,14 +1,13 @@
 //! The reaching-constants problem in its unpacked encoding, kept as the
 //! reference for the packed one in `mpi_dfa_analyses::consts`.
 //!
-//! A fact holds one `ConstLattice<CVal>` per location, meets and compares
+//! A fact holds one `ConstLattice<Value>` per location, meets and compares
 //! element by element, and every variable is resolved by name at its node
 //! (`LocTable::resolve`), so it shares neither the constant pool, the cell
 //! meet, nor the operand lists recorded at lowering with the code under
-//! test. Constant folding (`consts::fold`) is shared: it is the semantics
+//! test. Constant folding (`arith::fold`) is shared: it is the semantics
 //! both encodings implement, not the encoding.
 
-use mpi_dfa_analyses::consts::{fold, CVal};
 use mpi_dfa_analyses::interproc::BindMaps;
 use mpi_dfa_core::graph::{Edge, EdgeKind, NodeId};
 use mpi_dfa_core::lattice::{ConstLattice, MeetSemiLattice};
@@ -16,13 +15,14 @@ use mpi_dfa_core::problem::{Dataflow, Direction};
 use mpi_dfa_graph::icfg::{ActualBinding, Icfg};
 use mpi_dfa_graph::mpi::ConstQuery;
 use mpi_dfa_graph::node::{MpiKind, NodeKind, RefInfo};
+use mpi_dfa_lang::arith::{fold, to_int, Value};
 use mpi_dfa_lang::ast::{Expr, RedOp};
 
-type Value = ConstLattice<CVal>;
+type Lattice = ConstLattice<Value>;
 
 /// One lattice value per location, indexed by `Loc`.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Env(pub Vec<Value>);
+pub struct Env(pub Vec<Lattice>);
 
 pub struct RefConsts<'g> {
     icfg: &'g Icfg,
@@ -40,7 +40,7 @@ impl<'g> RefConsts<'g> {
     }
 
     /// `e` under `env`, its names resolved in `node`'s procedure.
-    fn eval(&self, node: NodeId, e: &Expr, env: &Env) -> Value {
+    fn eval(&self, node: NodeId, e: &Expr, env: &Env) -> Lattice {
         let proc = self.icfg.proc_of(node);
         fold(
             e,
@@ -51,7 +51,7 @@ impl<'g> RefConsts<'g> {
         )
     }
 
-    fn assign(&self, env: &mut Env, lhs: &RefInfo, v: Value) {
+    fn assign(&self, env: &mut Env, lhs: &RefInfo, v: Lattice) {
         if lhs.is_strong_def() {
             env.0[lhs.loc.index()] = v;
         } else {
@@ -62,7 +62,7 @@ impl<'g> RefConsts<'g> {
 
 impl Dataflow for RefConsts<'_> {
     type Fact = Env;
-    type CommFact = Value;
+    type CommFact = Lattice;
 
     fn direction(&self) -> Direction {
         Direction::Forward
@@ -84,7 +84,7 @@ impl Dataflow for RefConsts<'_> {
         changed
     }
 
-    fn transfer(&self, node: NodeId, input: &Env, comm: &Value, out: &mut Env) {
+    fn transfer(&self, node: NodeId, input: &Env, comm: &Lattice, out: &mut Env) {
         match &self.icfg.payload(node).kind {
             NodeKind::Assign { lhs, rhs } => {
                 let v = self.eval(node, &rhs.expr, input);
@@ -116,7 +116,7 @@ impl Dataflow for RefConsts<'_> {
         }
     }
 
-    fn comm_transfer(&self, node: NodeId, input: &Env) -> Value {
+    fn comm_transfer(&self, node: NodeId, input: &Env) -> Lattice {
         match &self.icfg.payload(node).kind {
             NodeKind::Mpi(m) if m.kind.sends_data() => match m.kind {
                 MpiKind::Reduce | MpiKind::Allreduce => match m.value.as_ref() {
@@ -182,7 +182,7 @@ pub struct RefQuery<'g> {
 impl ConstQuery for RefQuery<'_> {
     fn eval_int(&self, node: NodeId, expr: &Expr) -> Option<i64> {
         match self.problem.eval(node, expr, &self.env_at[node.index()]) {
-            ConstLattice::Const(c) => c.as_int(),
+            ConstLattice::Const(c) => Some(to_int(c.0)),
             _ => None,
         }
     }

@@ -34,8 +34,9 @@ use mpi_dfa_core::problem::{Dataflow, Direction};
 use mpi_dfa_core::solver::Solver;
 use mpi_dfa_core::varset::VarSet;
 use mpi_dfa_graph::icfg::Icfg;
-use mpi_dfa_graph::mpi::{fold_int, MpiIcfg};
+use mpi_dfa_graph::mpi::MpiIcfg;
 use mpi_dfa_graph::node::{MpiKind, NodeKind};
+use mpi_dfa_lang::arith;
 use std::collections::HashMap;
 
 /// Cap on reported cycles (the count of SCCs is always exact).
@@ -204,7 +205,8 @@ pub fn analyze(
             .as_ref()
             .filter(|p| !p.is_any)
             .and_then(|p| p.expr.as_ref())
-            .and_then(fold_int);
+            .and_then(arith::literal)
+            .map(arith::to_int);
         for s in g.comm_preds(r) {
             if !live(s) {
                 continue;
@@ -229,7 +231,8 @@ pub fn analyze(
                 .as_ref()
                 .filter(|p| !p.is_any)
                 .and_then(|p| p.expr.as_ref())
-                .and_then(fold_int);
+                .and_then(arith::literal)
+                .map(arith::to_int);
             if let Some(dst) = s_dst {
                 if dst < 0 || dst >= nprocs as i64 {
                     continue;

@@ -13,8 +13,8 @@
 //! direction for both consumers — MHP keeps the pair (may-happen), the
 //! wait-for builder keeps the edge (candidate cycle survives).
 
-use mpi_dfa_graph::mpi::fold_int;
-use mpi_dfa_lang::ast::{BinOp, Block, Expr, ExprKind, Program, Stmt, StmtKind, UnOp};
+use mpi_dfa_lang::arith;
+use mpi_dfa_lang::ast::{BinOp, Block, Expr, ExprKind, Program, Stmt, StmtKind};
 
 /// Comparison operator of a rank atom (a strict subset of [`BinOp`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -242,26 +242,30 @@ fn is_rank(e: &Expr) -> bool {
     matches!(e.kind, ExprKind::Rank)
 }
 
+/// The integer a folded bound stands for. A rank compares with a
+/// fractional or NaN bound as with no integer, so those bounds stay
+/// unknown; an integral one converts as a run converts.
+fn integral(v: Option<f64>) -> Option<i64> {
+    v.filter(|v| *v == v.trunc()).map(arith::to_int)
+}
+
 fn bound_of(e: &Expr) -> Option<Bound> {
-    if let Some(c) = fold_int(e) {
+    let lit = |e: &Expr| integral(arith::literal(e));
+    if let Some(c) = lit(e) {
         return Some(Bound::Const(c));
     }
     match &e.kind {
         ExprKind::Nprocs => Some(Bound::NprocsPlus(0)),
-        ExprKind::Binary(BinOp::Add, a, b) => match (&a.kind, fold_int(b)) {
+        ExprKind::Binary(BinOp::Add, a, b) => match (&a.kind, lit(b)) {
             (ExprKind::Nprocs, Some(c)) => Some(Bound::NprocsPlus(c)),
-            _ => match (fold_int(a), &b.kind) {
+            _ => match (lit(a), &b.kind) {
                 (Some(c), ExprKind::Nprocs) => Some(Bound::NprocsPlus(c)),
                 _ => None,
             },
         },
-        ExprKind::Binary(BinOp::Sub, a, b) => match (&a.kind, fold_int(b)) {
-            (ExprKind::Nprocs, Some(c)) => c.checked_neg().map(Bound::NprocsPlus),
+        ExprKind::Binary(BinOp::Sub, a, b) => match (&a.kind, arith::literal(b)) {
+            (ExprKind::Nprocs, Some(c)) => integral(Some(-c)).map(Bound::NprocsPlus),
             _ => None,
-        },
-        ExprKind::Unary(UnOp::Neg, inner) => match bound_of(inner)? {
-            Bound::Const(c) => c.checked_neg().map(Bound::Const),
-            Bound::NprocsPlus(_) => None,
         },
         _ => None,
     }
@@ -329,6 +333,21 @@ mod tests {
         let send = g.of(mpi[0]);
         assert!(send.admits(0, 2) && !send.admits(1, 2));
         assert!(send.admits(2, 4) && !send.admits(3, 4));
+    }
+
+    #[test]
+    fn only_an_integral_bound_guards() {
+        // A run compares `rank()` with the f64 bound: `1.0` is the rank 1,
+        // while `0.5` and NaN equal no rank, and `!=` them admits every one.
+        let (g, p) = guards_of(
+            "program p global x: real;\n\
+             sub main() { if (rank() == 3 / 3.0) { send(x, 1, 7); }\n\
+             if (rank() != 0.5) { send(x, 1, 7); }\n\
+             if (rank() == 1e308 * 10.0 - 1e308 * 10.0) { send(x, 1, 7); } }",
+        );
+        let mpi = mpi_stmts(&p);
+        assert!(!g.of(mpi[0]).admits(0, 2) && g.of(mpi[0]).admits(1, 2));
+        assert!(g.of(mpi[1]).is_any() && g.of(mpi[2]).is_any());
     }
 
     #[test]

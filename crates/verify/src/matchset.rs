@@ -44,8 +44,9 @@ use crate::report::Diag;
 use crate::VerifyConfig;
 use mpi_dfa_core::graph::{Edge, EdgeKind, FlowGraph, NodeId};
 use mpi_dfa_graph::icfg::Icfg;
-use mpi_dfa_graph::mpi::{fold_int, MpiIcfg};
+use mpi_dfa_graph::mpi::MpiIcfg;
 use mpi_dfa_graph::node::{MatchExpr, MpiInfo, MpiKind, NodeKind};
+use mpi_dfa_lang::arith;
 
 /// Outcome of the match-set pass.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -76,7 +77,7 @@ impl MatchReport {
 }
 
 /// The tag or communicator value of a point-to-point operation, as far as
-/// syntactic folding can tell.
+/// literal folding can tell.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum ArgAbs {
     Any,
@@ -88,7 +89,7 @@ fn abs_of(m: Option<&MatchExpr>, default: i64) -> ArgAbs {
     match m {
         None => ArgAbs::Const(default),
         Some(me) if me.is_any => ArgAbs::Any,
-        Some(me) => match me.expr.as_ref().and_then(fold_int) {
+        Some(me) => match me.expr.as_ref().and_then(arith::literal).map(arith::to_int) {
             Some(v) => ArgAbs::Const(v),
             None => ArgAbs::Unknown,
         },
@@ -183,7 +184,7 @@ pub fn check(g: &MpiIcfg, guards: &Guards, cfg: &VerifyConfig) -> MatchReport {
             if me.is_any {
                 continue;
             }
-            if let Some(v) = me.expr.as_ref().and_then(fold_int) {
+            if let Some(v) = me.expr.as_ref().and_then(arith::literal).map(arith::to_int) {
                 if v < 0 || v >= cfg.nprocs as i64 {
                     report.rank_diags.push(Diag::at(
                         g,

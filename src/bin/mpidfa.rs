@@ -19,7 +19,7 @@
 //! command does not read.
 
 use mpi_dfa::analyses::bitwidth::{self, WidthMode, FULL};
-use mpi_dfa::analyses::consts::{self, CVal};
+use mpi_dfa::analyses::consts;
 use mpi_dfa::analyses::governor::{governed_activity, DegradeMode, GovernorConfig};
 use mpi_dfa::analyses::slicing::forward_slice;
 use mpi_dfa::analyses::taint::{self, TaintConfig, TaintMode};
@@ -307,17 +307,15 @@ fn dispatch(cmd: &str, opts: &Opts) -> Result<(), String> {
                 if info.name == "__mpi_buffer" {
                     continue;
                 }
-                match env.get(loc) {
-                    ConstLattice::Const(CVal::Int(v)) => {
-                        println!("  {:<24} = {v}", ir.locs.qualified_name(loc))
+                if let ConstLattice::Const(v) = env.get(loc) {
+                    let name = ir.locs.qualified_name(loc);
+                    // A run holds `true` as 1 and `false` as 0.
+                    match (info.ty.base, v.0) {
+                        (mpi_dfa::lang::BaseType::Logical, x) if x == 0.0 || x == 1.0 => {
+                            println!("  {name:<24} = {}", x == 1.0)
+                        }
+                        _ => println!("  {name:<24} = {v}"),
                     }
-                    ConstLattice::Const(CVal::Real(v)) => {
-                        println!("  {:<24} = {v}", ir.locs.qualified_name(loc))
-                    }
-                    ConstLattice::Const(CVal::Bool(v)) => {
-                        println!("  {:<24} = {v}", ir.locs.qualified_name(loc))
-                    }
-                    _ => {}
                 }
             }
             println!("(unlisted locations are not provably constant)");

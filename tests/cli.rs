@@ -102,8 +102,9 @@ fn file_input_and_errors() {
 
 #[test]
 fn nan_constant_answers_at_the_precise_tier() {
-    // inf - inf folds to a NaN constant. The constants bootstrap must treat
-    // it as equal to itself, converge, and leave the answer at T0.
+    // inf - inf folds to a NaN constant, as a run computes it. The
+    // constants bootstrap must treat it as equal to itself, converge, and
+    // leave the answer at T0.
     let dir = std::env::temp_dir().join("mpidfa-cli-test");
     std::fs::create_dir_all(&dir).unwrap();
     let nan = dir.join("nan.smpl");
@@ -113,7 +114,7 @@ fn nan_constant_answers_at_the_precise_tier() {
          global x: real;\n\
          global y: real;\n\
          sub main() {\n\
-           x = exp(1000.0) - exp(1000.0);\n\
+           x = 1e308 * 10.0 - 1e308 * 10.0;\n\
            y = x + 1.0;\n\
            print(y);\n\
          }\n",
@@ -132,6 +133,9 @@ fn nan_constant_answers_at_the_precise_tier() {
     assert!(ok, "{stdout}{stderr}");
     assert!(stdout.contains("tier T0"), "{stdout}");
     assert!(!stdout.contains("degraded:"), "{stdout}");
+    let (stdout, _, ok) = mpidfa(&["constants", nan.to_str().unwrap()]);
+    assert!(ok);
+    assert!(stdout.contains(&format!("{:<24} = NaN", "x")), "{stdout}");
 }
 
 #[test]
@@ -248,11 +252,12 @@ fn verify_survives_a_huge_declaration() {
 }
 
 #[test]
-fn overflowing_match_arguments_are_not_constants() {
-    // Folding `i64::MIN / -1` used to abort verify, and `MAX + 1` /
-    // `MAX + 2` used to wrap to distinct constants, pruning a pair the
-    // interpreter (which computes in f64) delivers. Overflow is "not a
-    // constant": verify answers, and the syntactic graph keeps the pair.
+fn overflowing_match_arguments_fold_as_a_run_converts_them() {
+    // Folding `i64::MIN / -1` used to abort verify, then (checked) made it
+    // "not a constant", so verify answered SAFE about a send every run
+    // fails. A run computes 2^63 and converts it to the peer i64::MAX; the
+    // static pass now reports that rank. `MAX + 1` and `MAX + 2` both
+    // convert to the tag i64::MAX, so the pair is matched, as in a run.
     let dir = std::env::temp_dir().join("mpidfa-cli-overflow");
     std::fs::create_dir_all(&dir).unwrap();
     let div_src = "program div\n\
@@ -282,19 +287,20 @@ fn overflowing_match_arguments_are_not_constants() {
          }\n",
     )
     .unwrap();
-    for file in [&div, &wrap] {
+    for (file, code, verdict) in [(&div, 1, "verdict: FLAGGED"), (&wrap, 0, "verdict: SAFE")] {
         let out = Command::new(env!("CARGO_BIN_EXE_mpidfa"))
             .args(["verify", file.to_str().unwrap()])
             .output()
             .expect("binary runs");
         let stdout = String::from_utf8_lossy(&out.stdout);
-        let code = out.status.code();
-        assert!(
-            matches!(code, Some(0) | Some(1)),
-            "{file:?} exited {code:?}: {stdout}"
-        );
-        assert!(stdout.contains("verdict: "), "{stdout}");
+        assert_eq!(out.status.code(), Some(code), "{file:?}: {stdout}");
+        assert!(stdout.contains(verdict), "{stdout}");
     }
+    let (stdout, _, _) = mpidfa(&["verify", div.to_str().unwrap()]);
+    assert!(
+        stdout.contains("peer rank 9223372036854775807 outside 0..2"),
+        "{stdout}"
+    );
     let (dot, _, ok) = mpidfa(&["graph", wrap.to_str().unwrap(), "--matching", "syntactic"]);
     assert!(ok);
     assert_eq!(dot.matches("style=dashed").count(), 1, "{dot}");
@@ -308,41 +314,146 @@ fn overflowing_match_arguments_are_not_constants() {
     let (batch, stderr, ok) = mpidfa(&["batch", requests.to_str().unwrap()]);
     assert!(ok, "{batch}{stderr}");
     assert!(batch.contains("\"ok\":true"), "{batch}");
+    assert!(batch.contains("\"verdict\":\"flagged\""), "{batch}");
 }
 
 #[test]
-fn an_inexact_integer_quotient_is_not_a_constant() {
+fn an_inexact_integer_quotient_folds_as_the_run_divides() {
     // The interpreter divides in f64, so the tag `7 / 2 * 2` is 7 and rank
     // 1's `recv(y, 0, 7)` takes the message. Truncating the quotient folded
     // the tag to 6: no comm edge, a flagged verify and no active bytes.
+    // Likewise 9007199254740993 rounds to 2^53 in a run, so the second tag
+    // is 0, where i64 folding made it 1.
     let dir = std::env::temp_dir().join("mpidfa-cli-division");
     std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("div.smpl");
+    for (name, tag, recv_tag) in [
+        ("div", "7 / 2 * 2", 7),
+        ("round", "9007199254740993 - 9007199254740992", 0),
+    ] {
+        let path = dir.join(format!("{name}.smpl"));
+        std::fs::write(
+            &path,
+            format!(
+                "program {name}\n\
+                 global x: real;\n\
+                 global y: real;\n\
+                 global f: real;\n\
+                 sub main() {{\n\
+                   if (rank() == 0) {{ send(x, 1, {tag}); }}\n\
+                   else {{ recv(y, 0, {recv_tag}); f = y * 2.0; }}\n\
+                 }}\n"
+            ),
+        )
+        .unwrap();
+        let file = path.to_str().unwrap();
+        let (stdout, stderr, ok) = mpidfa(&["run", file, "--nprocs", "2"]);
+        assert!(ok, "the message is delivered: {stdout}{stderr}");
+        assert!(stdout.contains("0 sends, 1 recvs"), "{stdout}");
+        for matching in ["syntactic", "consts"] {
+            let (dot, _, ok) = mpidfa(&["graph", file, "--matching", matching]);
+            assert!(ok);
+            assert_eq!(dot.matches("style=dashed").count(), 1, "{matching}: {dot}");
+        }
+        let (stdout, stderr, ok) = mpidfa(&["verify", file]);
+        assert!(ok, "{stdout}{stderr}");
+        assert!(stdout.contains("verdict: SAFE"), "{stdout}");
+        assert!(stdout.contains("consistent-safe"), "{stdout}");
+        for (dep, bytes) in [("y", 16), ("f", 24)] {
+            let (stdout, _, ok) = mpidfa(&["activity", file, "--ind", "x", "--dep", dep]);
+            assert!(ok);
+            let want = format!("active storage: {bytes} bytes");
+            assert!(stdout.contains(&want), "{name} --dep {dep}: {stdout}");
+        }
+    }
+}
+
+#[test]
+fn constants_report_what_a_run_computes() {
+    let dir = std::env::temp_dir().join("mpidfa-cli-constants");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("consts.smpl");
     std::fs::write(
         &path,
-        "program div\n\
-         global x: real;\n\
-         global y: real;\n\
+        "program consts\n\
+         global a: real;\n\
+         global b: real;\n\
+         global t: int;\n\
+         global l: logical;\n\
          sub main() {\n\
-           if (rank() == 0) { send(x, 1, 7 / 2 * 2); } else { recv(y, 0, 7); }\n\
+           a = exp(100.0); b = log(0.0); t = 7 / 2 * 2; l = 7 / 2 > 3;\n\
+           print(a); print(b); print(t); print(l);\n\
          }\n",
     )
     .unwrap();
     let file = path.to_str().unwrap();
-    let (stdout, stderr, ok) = mpidfa(&["run", file, "--nprocs", "2"]);
-    assert!(ok, "the message is delivered: {stdout}{stderr}");
-    assert!(stdout.contains("0 sends, 1 recvs"), "{stdout}");
-    for matching in ["syntactic", "consts"] {
-        let (dot, _, ok) = mpidfa(&["graph", file, "--matching", matching]);
-        assert!(ok);
-        assert_eq!(dot.matches("style=dashed").count(), 1, "{matching}: {dot}");
-    }
-    let (stdout, stderr, ok) = mpidfa(&["verify", file]);
-    assert!(ok, "{stdout}{stderr}");
-    assert!(stdout.contains("verdict: SAFE"), "{stdout}");
-    let (stdout, _, ok) = mpidfa(&["activity", file, "--ind", "x", "--dep", "y"]);
+    let (run, stderr, ok) = mpidfa(&["run", file, "--nprocs", "1"]);
+    assert!(ok, "{run}{stderr}");
+    let printed: Vec<f64> = run
+        .split_once("printed [")
+        .and_then(|(_, rest)| rest.split_once(']'))
+        .expect("rank 0 prints")
+        .0
+        .split(", ")
+        .map(|v| v.parse().unwrap())
+        .collect();
+    let (stdout, _, ok) = mpidfa(&["constants", file]);
     assert!(ok);
-    assert!(stdout.contains("active storage: 16 bytes"), "{stdout}");
+    let value = |name: &str| {
+        let line = stdout
+            .lines()
+            .find(|l| l.trim_start().starts_with(&format!("{name} ")))
+            .unwrap_or_else(|| panic!("{name} is not reported constant: {stdout}"));
+        line.rsplit("= ").next().unwrap().to_string()
+    };
+    for (name, ran) in ["a", "b", "t"].into_iter().zip(&printed) {
+        assert_eq!(
+            value(name).parse::<f64>().unwrap(),
+            *ran,
+            "{name}: {stdout}"
+        );
+    }
+    assert_eq!(printed[3], 1.0);
+    assert_eq!(value("l"), "true");
+}
+
+#[test]
+fn mod_of_the_most_negative_integer_by_minus_one_runs_and_verifies() {
+    // `i64::MIN mod -1` overflowed a checked remainder and aborted both
+    // commands; it is 0, so rank 0 sends to rank 1 with tag 0.
+    let dir = std::env::temp_dir().join("mpidfa-cli-mod");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("mod.smpl");
+    std::fs::write(
+        &path,
+        "program m\n\
+         global x: real;\n\
+         global k: int;\n\
+         sub main() {\n\
+           k = mod(0 - 9223372036854775807 - 1, 0 - 1);\n\
+           if (rank() == 0) { send(x, 1, k); } else { recv(x, 0, 0); }\n\
+           print(k);\n\
+         }\n",
+    )
+    .unwrap();
+    for cmd in ["run", "verify"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_mpidfa"))
+            .args([cmd, path.to_str().unwrap(), "--nprocs", "2"])
+            .output()
+            .expect("binary runs");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let code = out.status.code();
+        assert!(
+            matches!(code, Some(0) | Some(1)),
+            "{cmd} exited {code:?}: {stdout}{stderr}"
+        );
+        let report = if cmd == "run" {
+            "rank 1: printed [0.0]"
+        } else {
+            "verdict: "
+        };
+        assert!(stdout.contains(report), "{cmd}: {stdout}{stderr}");
+    }
 }
 
 #[test]

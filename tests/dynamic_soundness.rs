@@ -21,7 +21,7 @@
 //! `mpi_dfa::suite::schedules`) and re-check both obligations under every
 //! explored schedule.
 
-use mpi_dfa::analyses::consts::{self, CVal};
+use mpi_dfa::analyses::consts::{self, Value};
 use mpi_dfa::core::lattice::ConstLattice;
 use mpi_dfa::lang::interp::{run, InterpConfig, ProcessResult, RuntimeLimits};
 use mpi_dfa::prelude::*;
@@ -53,43 +53,34 @@ fn final_value(results: &[ProcessResult], rank: usize, name: &str) -> Vec<f64> {
 }
 
 /// Obligation 1 on one program: every Const claim at exit must hold on
-/// every rank of an actual run.
-fn check_constants(src: &str) -> bool {
-    let Some(results) = interp(src, &[]) else {
-        return false;
-    };
+/// every rank of an actual run (NaN equal to NaN). Returns the globals
+/// claimed constant, or `None` when the run does not complete.
+fn check_constants(src: &str) -> Option<Vec<String>> {
+    let results = interp(src, &[])?;
     let ir = ProgramIr::from_source(src).unwrap();
     let mpi = build_mpi_icfg(ir.clone(), "main", 0, Matching::ReachingConstants).unwrap();
     let sol = consts::analyze_mpi(&mpi);
     let exit_env = sol.before(mpi.context_exit());
+    let mut claimed = Vec::new();
     for (loc, info) in ir.locs.iter() {
         if info.proc.is_some() || info.name == "__mpi_buffer" {
             continue;
         }
-        if let ConstLattice::Const(c) = exit_env.get(loc) {
-            let expected = match c {
-                CVal::Int(v) => *v as f64,
-                CVal::Real(v) => *v,
-                CVal::Bool(b) => {
-                    if *b {
-                        1.0
-                    } else {
-                        0.0
-                    }
-                }
-            };
+        if let ConstLattice::Const(expected) = exit_env.get(loc) {
             for rank in 0..results.len() {
                 for v in final_value(&results, rank, &info.name) {
                     assert_eq!(
-                        v, expected,
+                        Value(v),
+                        *expected,
                         "analysis claims {} = {expected} at exit, rank {rank} has {v}\n{src}",
                         info.name
                     );
                 }
             }
+            claimed.push(info.name.clone());
         }
     }
-    true
+    Some(claimed)
 }
 
 /// Obligation 2 on one program: non-varying globals must not respond to a
@@ -127,7 +118,7 @@ fn check_vary(src: &str, ind: &str) -> bool {
 
 #[test]
 fn constants_sound_on_figure1() {
-    assert!(check_constants(mpi_dfa::suite::programs::FIGURE1));
+    assert!(check_constants(mpi_dfa::suite::programs::FIGURE1).is_some());
 }
 
 #[test]
@@ -144,8 +135,54 @@ fn constants_sound_on_handwritten_cases() {
          sub main() { x = 3.0; call helper(x); y = x + 1.0; }",
     ];
     for (i, src) in cases.iter().enumerate() {
-        assert!(check_constants(src), "case {i} deadlocked unexpectedly");
+        assert!(
+            check_constants(src).is_some(),
+            "case {i} deadlocked unexpectedly"
+        );
     }
+    // Each folds to the value a run computes, where i64 folding, an
+    // unclamped `exp`/`log` or a truncating `/` would disagree with it.
+    for (ty, expr) in [
+        ("real", "exp(100.0)"),
+        ("real", "log(0.0)"),
+        ("int", "7 / 2 * 2"),
+        ("real", "1.0 / 0.0"),
+        ("int", "9223372036854775807 + 1"),
+        ("int", "(0 - 9223372036854775807 - 1) / (0 - 1)"),
+        ("int", "mod(0 - 9223372036854775807 - 1, 0 - 1)"),
+        ("int", "9007199254740993 - 9007199254740992"),
+        ("logical", "7 / 2 > 3"),
+        ("real", "1e308 * 10.0 - 1e308 * 10.0"),
+    ] {
+        let src = format!("program p global k: {ty}; sub main() {{ k = {expr}; }}");
+        let claimed = check_constants(&src).unwrap_or_else(|| panic!("{expr}: the run failed"));
+        assert_eq!(claimed, ["k"], "{expr} must be claimed constant");
+    }
+}
+
+#[test]
+fn a_tag_the_run_delivers_keeps_its_pair() {
+    // The tag is 1 in i64 arithmetic but 0 in the run's f64 arithmetic,
+    // where 9007199254740993 rounds to 2^53: the run delivers the message.
+    let src = "program tag\n\
+        global x: real; global y: real; global f: real;\n\
+        sub main() {\n\
+          if (rank() == 0) { send(x, 1, 9007199254740993 - 9007199254740992); }\n\
+          else { recv(y, 0, 0); f = y * 2.0; }\n\
+        }";
+    assert!(interp(src, &[]).is_some(), "the receive must be satisfied");
+    let ir = ProgramIr::from_source(src).unwrap();
+    let mpi = build_mpi_icfg(ir.clone(), "main", 0, Matching::ReachingConstants).unwrap();
+    assert_eq!(mpi.comm_edges.len(), 1, "the delivered pair is kept");
+    let res = activity::analyze_mpi(&mpi, &ActivityConfig::new(["x"], ["f"])).unwrap();
+    let mut active: Vec<String> = res
+        .active_locs()
+        .into_iter()
+        .filter(|&l| l != mpi_dfa::graph::LocTable::MPI_BUFFER)
+        .map(|l| ir.locs.info(l).name.clone())
+        .collect();
+    active.sort();
+    assert_eq!(active, ["f", "x", "y"]);
 }
 
 #[test]
@@ -180,7 +217,7 @@ fn constants_sound_on_generated_programs() {
                 ..GenConfig::default()
             },
         );
-        if check_constants(&src) {
+        if check_constants(&src).is_some() {
             checked += 1;
         }
     }

@@ -1,7 +1,7 @@
 //! End-to-end integration test on the paper's Figure 1 program: every claim
 //! the paper makes about this example, checked across all crates at once.
 
-use mpi_dfa::analyses::consts::{self, CVal};
+use mpi_dfa::analyses::consts::{self, Value};
 use mpi_dfa::analyses::slicing::forward_slice;
 use mpi_dfa::core::lattice::ConstLattice;
 use mpi_dfa::graph::node::{MpiKind, NodeKind};
@@ -44,10 +44,7 @@ fn reaching_constants_propagate_one_over_the_comm_edge() {
     let sol = consts::analyze_mpi(&g);
     let recv = find_mpi(&g, MpiKind::Recv);
     let y = g.resolve_at(recv, "y").unwrap();
-    assert_eq!(
-        sol.after(recv).get(y),
-        &ConstLattice::Const(CVal::Real(1.0))
-    );
+    assert_eq!(sol.after(recv).get(y), &ConstLattice::Const(Value(1.0)));
     // And b = 7 ⊓ (x*3 = 3) merges to ⊥ at the reduce.
     let reduce = find_mpi(&g, MpiKind::Reduce);
     let b = g.resolve_at(reduce, "b").unwrap();
