@@ -7,11 +7,14 @@
 //! (forward, nonseparable) and the Vary/Useful activity pair (both solver
 //! directions). For each problem the bench asserts that
 //!
-//! * the region engine's facts equal round-robin's, byte for byte, and
+//! * the region engine's facts equal round-robin's, byte for byte,
 //! * region `node_visits` / round-robin `node_visits` stays at or below
-//!   the problem's `*_CEILING` constant.
+//!   the problem's `*_CEILING` constant, and
+//! * the transfers round-robin runs (`evaluated_visits`: its sweep
+//!   positions minus the ones it skips because no input changed) stay
+//!   within [`EVALUATED_TOLERANCE`] of the region engine's visits.
 //!
-//! Node visits are exact, so the gate does not depend on the host. The
+//! Visit counts are exact, so the gate does not depend on the host. The
 //! ceilings are the measured ratios (20,307/64,680, 14,157/34,650 and
 //! 6,817/13,860) rounded up to two decimals. Medians of wall-clock time
 //! and the visits that changed a fact (`changed_visits`, Σ `pass_deltas`)
@@ -39,6 +42,11 @@ use std::time::Instant;
 const CONSTS_CEILING: f64 = 0.32;
 const VARY_CEILING: f64 = 0.41;
 const USEFUL_CEILING: f64 = 0.50;
+
+/// Asserted bound on |round-robin `evaluated_visits` / region
+/// `node_visits` - 1|: both engines run a node only when an input of it
+/// changed, in different orders.
+const EVALUATED_TOLERANCE: f64 = 0.01;
 
 /// Timed iterations per (problem, strategy) cell.
 const SAMPLES: usize = 9;
@@ -86,15 +94,20 @@ impl<F> Cell<F> {
         self.solution.stats.node_visits
     }
 
+    fn evaluated_visits(&self) -> u64 {
+        self.solution.stats.evaluated_visits
+    }
+
     fn changed_visits(&self) -> u64 {
         self.solution.stats.pass_deltas.iter().sum()
     }
 
     fn json(&self, strategy: &str) -> String {
         format!(
-            "{{\"strategy\":\"{strategy}\",\"node_visits\":{},\"changed_visits\":{},\
-             \"ns_median\":{:.0}}}",
+            "{{\"strategy\":\"{strategy}\",\"node_visits\":{},\"evaluated_visits\":{},\
+             \"changed_visits\":{},\"ns_median\":{:.0}}}",
             self.visits(),
+            self.evaluated_visits(),
             self.changed_visits(),
             self.median_ns
         )
@@ -134,11 +147,14 @@ where
         "{name}: region OUT facts must match round-robin"
     );
     let ratio = rg.visits() as f64 / rr.visits() as f64;
+    let evaluated = rr.evaluated_visits() as f64 / rg.visits() as f64;
     println!(
         "solver_parallel {name}: region {}/{} visits = {ratio:.4} (ceiling {ceiling}); \
+         round-robin evaluated {} = {evaluated:.4} of region; \
          changed {}/{}; median {:.0}ns vs round-robin {:.0}ns",
         rg.visits(),
         rr.visits(),
+        rr.evaluated_visits(),
         rg.changed_visits(),
         rr.changed_visits(),
         rg.median_ns,
@@ -147,6 +163,11 @@ where
     assert!(
         ratio <= ceiling,
         "{name}: region makes {ratio:.4} of round-robin's node visits (ceiling {ceiling})"
+    );
+    assert!(
+        (evaluated - 1.0).abs() <= EVALUATED_TOLERANCE,
+        "{name}: round-robin evaluates {evaluated:.4} of the region engine's visits \
+         (tolerance {EVALUATED_TOLERANCE})"
     );
     format!(
         "{{\"problem\":\"{name}\",\"visit_ratio\":{ratio:.4},\"max_visit_ratio\":{ceiling},\

@@ -23,9 +23,13 @@
 //! A third section guards the *always-on* serving observability: the
 //! per-request SLO accounting (cache-outcome classification, histogram
 //! record, access-line render) must stay ≤ 10% of the cheapest real
-//! request the service answers — a warm in-memory cache hit. The final
-//! line is a machine-readable JSON summary; the checked-in
-//! `BENCH_telemetry.json` baseline is exactly that line.
+//! request the service answers — a warm in-memory cache hit. The two are
+//! timed in interleaved rounds (a block of warm hits, then a block of SLO
+//! accounting) and the gate reads the median of the per-round ratios, so
+//! host speed that drifts during the bench moves both sides of a ratio
+//! alike. The final line is a machine-readable JSON summary; the
+//! checked-in `BENCH_telemetry.json` baseline is that line plus the date,
+//! git rev, host and command it was recorded with.
 
 use mpi_dfa_analyses::consts::ReachingConsts;
 use mpi_dfa_analyses::mpi_match::{build_mpi_icfg, Matching};
@@ -45,8 +49,6 @@ fn median_ns(mut samples: Vec<f64>) -> f64 {
     samples[samples.len() / 2]
 }
 
-/// Median wall-clock (ns) of `samples` solver runs under the *current*
-/// sink state, plus the (deterministic) visit count.
 /// The probes one solve over `mpi` runs: every event it records at
 /// `full` except span ends (a span is one probe). Leaves the sink off.
 fn probes_per_solve(mpi: &MpiIcfg) -> usize {
@@ -61,6 +63,8 @@ fn probes_per_solve(mpi: &MpiIcfg) -> usize {
         .count()
 }
 
+/// Median wall-clock (ns) of `samples` solver runs under the *current*
+/// sink state, plus the (deterministic) visit count.
 fn time_solver(mpi: &MpiIcfg, samples: usize) -> (f64, u64) {
     let p = ReachingConsts::new(mpi.icfg());
     let mut times = Vec::with_capacity(samples);
@@ -143,48 +147,62 @@ fn bench_overhead(c: &mut Criterion) {
     let warm_req = parse_request(r#"{"id":1,"kind":"table1-row","row":"CG"}"#).unwrap();
     let warm_resp = engine.handle(&warm_req);
     assert!(warm_resp.contains("\"cache\":\"miss\""), "{warm_resp:.200}");
-    let mut times = Vec::with_capacity(200);
-    let mut hit_resp = String::new();
-    for _ in 0..200 {
-        let t = Instant::now();
-        hit_resp = black_box(engine.handle(&warm_req));
-        times.push(t.elapsed().as_secs_f64() * 1e9);
-    }
-    assert!(hit_resp.contains("\"cache\":\"hit\""), "{hit_resp:.200}");
-    let warm_hit_ns = median_ns(times);
-
-    const SLO_ITERS: u32 = 100_000;
+    const ROUNDS: usize = 15;
+    const HITS_PER_ROUND: usize = 40;
+    const SLO_ITERS: u32 = 5_000;
     let reg = SloRegistry::new();
-    let t = Instant::now();
-    for i in 0..SLO_ITERS {
-        let cache = black_box(slo::cache_outcome(&hit_resp));
-        let tier = black_box(slo::tier_of(&hit_resp));
-        reg.record("table1-row", cache, "0", u64::from(i % 1024) + 1);
-        let line = AccessRecord {
-            trace: 0xfeed_0000_c1a0_u128 + u128::from(i),
-            verb: "table1-row".to_string(),
-            shard: Some(0),
-            epoch: 1,
-            attempts: 1,
-            cache: cache.to_string(),
-            tier: tier.to_string(),
-            latency_us: u64::from(i % 1024) + 1,
+    let mut hit_resp = String::new();
+    let (mut hit_rounds, mut slo_rounds, mut ratios) = (Vec::new(), Vec::new(), Vec::new());
+    for _ in 0..ROUNDS {
+        let mut times = Vec::with_capacity(HITS_PER_ROUND);
+        for _ in 0..HITS_PER_ROUND {
+            let t = Instant::now();
+            hit_resp = black_box(engine.handle(&warm_req));
+            times.push(t.elapsed().as_secs_f64() * 1e9);
         }
-        .render();
-        black_box(&line);
+        assert!(hit_resp.contains("\"cache\":\"hit\""), "{hit_resp:.200}");
+        let hit_ns = median_ns(times);
+
+        let t = Instant::now();
+        for i in 0..SLO_ITERS {
+            let cache = black_box(slo::cache_outcome(&hit_resp));
+            let tier = black_box(slo::tier_of(&hit_resp));
+            reg.record("table1-row", cache, "0", u64::from(i % 1024) + 1);
+            let line = AccessRecord {
+                trace: 0xfeed_0000_c1a0_u128 + u128::from(i),
+                verb: "table1-row".to_string(),
+                shard: Some(0),
+                epoch: 1,
+                attempts: 1,
+                cache: cache.to_string(),
+                tier: tier.to_string(),
+                latency_us: u64::from(i % 1024) + 1,
+            }
+            .render();
+            black_box(&line);
+        }
+        let slo_ns = t.elapsed().as_secs_f64() * 1e9 / f64::from(SLO_ITERS);
+        hit_rounds.push(hit_ns);
+        slo_rounds.push(slo_ns);
+        ratios.push(100.0 * slo_ns / hit_ns);
     }
-    let slo_ns = t.elapsed().as_secs_f64() * 1e9 / f64::from(SLO_ITERS);
-    let slo_pct = 100.0 * slo_ns / warm_hit_ns;
+    let warm_hit_ns = median_ns(hit_rounds);
+    let slo_ns = median_ns(slo_rounds);
+    let slo_pct = median_ns(ratios);
     println!(
         "slo_hot_path: {slo_ns:.0}ns per request (histogram record + access render) \
-         vs warm hit {warm_hit_ns:.0}ns => {slo_pct:.2}% (bound 10%)"
+         vs warm hit {warm_hit_ns:.0}ns; median of {ROUNDS} per-round ratios {slo_pct:.2}% \
+         (bound 10%)"
     );
     assert!(
         slo_pct <= 10.0,
         "per-request SLO accounting costs {slo_pct:.2}% of a warm cache hit (> 10%); \
          the histogram/access-log hot path must stay cheap"
     );
-    assert!(reg.snapshot().values().map(|h| h.count()).sum::<u64>() == u64::from(SLO_ITERS));
+    assert_eq!(
+        reg.snapshot().values().map(|h| h.count()).sum::<u64>(),
+        ROUNDS as u64 * u64::from(SLO_ITERS)
+    );
 
     // Machine-readable baseline — `BENCH_telemetry.json` is this line.
     println!(
@@ -193,7 +211,8 @@ fn bench_overhead(c: &mut Criterion) {
          \"probes_per_solve\":{},\
          \"disabled_probe_ns\":{:.2},\"disabled_overhead_bound_pct\":{:.4},\
          \"full_level_events\":{},\
-         \"slo_hot_path_ns\":{:.0},\"warm_hit_ns\":{:.0},\"slo_overhead_pct\":{:.3}}}",
+         \"slo_rounds\":{ROUNDS},\"slo_hot_path_ns\":{:.0},\"warm_hit_ns\":{:.0},\
+         \"slo_overhead_pct\":{:.3}}}",
         mpi_dfa_core::FlowGraph::num_nodes(&mpi),
         visits,
         disabled_ns,

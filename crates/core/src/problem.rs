@@ -64,6 +64,11 @@ pub trait Dataflow {
     /// (direction-adjusted) communication edges, or `CommFact::top()` when
     /// it has none. `out` arrives equal to `input`; the transfer edits it
     /// into the node's output fact.
+    ///
+    /// The output must depend only on `node`, `input` and `comm`: a
+    /// round-robin sweep skips a node whose input facts and communication
+    /// meet have not changed since its last transfer, keeping the output
+    /// that transfer produced.
     fn transfer(
         &self,
         node: NodeId,
@@ -78,9 +83,10 @@ pub trait Dataflow {
     /// edges.
     ///
     /// The result must depend only on `node` and `input`: both solver
-    /// engines memoise it per source node and re-evaluates it only after
-    /// that node's input fact changes, and memoises the communication meet
-    /// per set of sources until one of them changes.
+    /// engines memoise it per source node and re-evaluate it only after
+    /// that node's input fact changes, memoise the communication meet per
+    /// set of sources until one of them changes, and a round-robin sweep
+    /// skips a receiver none of whose sources' inputs changed.
     fn comm_transfer(&self, node: NodeId, input: &Self::Fact) -> Self::CommFact;
 
     /// Translate a fact across a call or return edge (actual↔formal
@@ -89,6 +95,10 @@ pub trait Dataflow {
     /// the edge delivers. The default delivers `fact` unchanged. Only
     /// `Call` and `Return` edges are passed here: a `Flow` edge delivers
     /// its source's fact as it is.
+    ///
+    /// The result must depend only on `edge` and `fact`: a round-robin
+    /// sweep skips a node none of whose upstream outputs changed, keeping
+    /// the input met from the last translations.
     fn translate_into(&self, edge: &Edge, fact: &Self::Fact, out: &mut Self::Fact) {
         let _ = (edge, fact, out);
     }

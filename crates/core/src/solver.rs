@@ -2,7 +2,10 @@
 //!
 //! A full solve ([`Solver::run`]) is round-robin: full passes in reverse
 //! postorder until a pass changes nothing. The pass count it records is the
-//! "Iter" statistic the paper's Table 1 reports.
+//! "Iter" statistic the paper's Table 1 reports. A sweep position runs its
+//! node's transfer only when one of the node's inputs changed since its
+//! last run; the others are skipped, but still counted and charged as
+//! visits.
 //!
 //! A partial solve ([`Solver::demand`]) answers facts at chosen nodes with
 //! the region engine: it condenses the graph into strongly connected
@@ -108,16 +111,23 @@ pub struct ConvergenceStats {
     /// Number of full passes over the graph (round-robin) or an equivalent
     /// estimate (demand: visits / nodes, rounded up).
     pub passes: usize,
-    /// Total node transfer evaluations.
+    /// Total node visits: round-robin's sweep positions, the region
+    /// engine's pops. Each charges one budget work unit.
     pub node_visits: u64,
+    /// Visits that ran the node's transfer. Round-robin skips a sweep
+    /// position whose node has run before and whose control predecessors'
+    /// outputs and receiver-class sources' inputs have not changed since;
+    /// the region engine runs every visit it makes, so there this equals
+    /// `node_visits`.
+    pub evaluated_visits: u64,
     /// Total `f_comm` evaluations performed. Both engines memoise `f_comm`
     /// per comm source, so a source is evaluated once per change of its
     /// input fact (on the next read), not once per comm edge per visit.
     /// The region engine re-evaluates a source once more in each region
     /// that reads it.
     pub comm_evals: u64,
-    /// Total meet operations applied while recomputing node inputs (one per
-    /// upstream non-communication edge visited).
+    /// Upstream control edges of the nodes visited, one per edge per visit
+    /// (a skipped round-robin position counts its edges too).
     pub meets: u64,
     /// High-water mark of the region engine's pending nodes: the **maximum
     /// over per-region queue high-waters** (0 for round-robin, which has no
@@ -142,16 +152,18 @@ impl ConvergenceStats {
     /// Merge the consumption of a sub-solve into this one (used by clients
     /// that run several solves under one budget).
     ///
-    /// On the pure counters (`passes`, `node_visits`, `comm_evals`, `meets`,
-    /// `worklist_peak`, `pass_deltas`, `per_node_visits`, `elapsed`,
-    /// `converged`) this operation is commutative and associative — sums,
-    /// maxima, element-wise sums, and conjunction all are — so merged
-    /// metrics do not depend on merge order. `exhausted` deliberately
+    /// On the pure counters (`passes`, `node_visits`, `evaluated_visits`,
+    /// `comm_evals`, `meets`, `worklist_peak`, `pass_deltas`,
+    /// `per_node_visits`, `elapsed`, `converged`) this operation is
+    /// commutative and associative — sums, maxima, element-wise sums, and
+    /// conjunction all are — so merged metrics do not depend on merge
+    /// order. `exhausted` deliberately
     /// keeps the *first* recorded reason, so it depends on absorb order (a
     /// degradation trace reads in pipeline order).
     pub fn absorb(&mut self, other: &ConvergenceStats) {
         self.passes = self.passes.max(other.passes);
         self.node_visits += other.node_visits;
+        self.evaluated_visits += other.evaluated_visits;
         self.comm_evals += other.comm_evals;
         self.meets += other.meets;
         self.worklist_peak = self.worklist_peak.max(other.worklist_peak);
@@ -194,6 +206,10 @@ impl ConvergenceStats {
         telemetry::metric_add(
             &telemetry::metric_name("solver_node_visits_total", &labels),
             self.node_visits as f64,
+        );
+        telemetry::metric_add(
+            &telemetry::metric_name("solver_evaluated_visits_total", &labels),
+            self.evaluated_visits as f64,
         );
         telemetry::metric_add(
             &telemetry::metric_name("solver_comm_evals_total", &labels),
@@ -573,6 +589,19 @@ impl<'a, P: Dataflow, G: FlowGraph> Visitor<'a, P, G> {
 
 /// Round-robin fixpoint in reverse postorder. The recorded `passes` value is
 /// directly comparable to the paper's Table 1 "Iter" column.
+///
+/// A sweep position runs `update_node` only when its node is *stale*: it
+/// has never run, a control predecessor's output changed after its last
+/// run (a mark pushed downstream), or a source of its receiver class
+/// changed its input after its last run (a per-class stamp, compared with
+/// the node's last-run stamp). Any other node would recompute exactly the
+/// facts it holds, because its transfer, its edge translations and its
+/// sources' `f_comm` are functions of their arguments (the [`Dataflow`]
+/// contract), so it is skipped. A skipped position still charges the
+/// budget and counts as a visit, with its upstream edges in `meets`:
+/// every counter but `evaluated_visits` is what a sweep that ran every
+/// node would report, and so is every `f_comm` evaluation, since a
+/// skipped receiver's class meet is still valid.
 fn run_round_robin<G: FlowGraph, P: Dataflow>(
     graph: &G,
     problem: &P,
@@ -581,6 +610,17 @@ fn run_round_robin<G: FlowGraph, P: Dataflow>(
     let mut visitor = Visitor::new(graph, problem);
     let n = graph.num_nodes();
     let order = visitor.graph.order();
+    let comm = visitor.graph.comm;
+    // A control predecessor's output changed since the node last ran (or
+    // it never ran).
+    let mut marked = vec![true; n];
+    // The clock when the node last ran, and when a source of class `c`
+    // last changed its input. A collective is its own source and reads its
+    // class meet before its input moves, so its own change must stamp
+    // later than its run.
+    let mut last_run = vec![0u64; n];
+    let mut class_changed = vec![0u64; comm.num_classes()];
+    let mut clock = 0u64;
 
     let mut input = vec![problem.top(); n];
     let mut output = vec![problem.top(); n];
@@ -606,8 +646,31 @@ fn run_round_robin<G: FlowGraph, P: Dataflow>(
                 break 'passes;
             }
             stats.node_visits += 1;
-            stats.per_node_visits[node.index()] += 1;
+            let i = node.index();
+            stats.per_node_visits[i] += 1;
+            let comm_stale = comm
+                .class_of(node)
+                .is_some_and(|c| class_changed[c] > last_run[i]);
+            if !marked[i] && !comm_stale {
+                visitor.meets += visitor.graph.upstream(node).len() as u64;
+                continue;
+            }
+            // Clear before propagating: a self-loop re-marks the node.
+            marked[i] = false;
+            last_run[i] = clock;
+            clock += 1;
+            stats.evaluated_visits += 1;
             let (ic, oc) = visitor.update_node(&mut input, &mut output, node);
+            if oc {
+                for e in visitor.graph.downstream(node) {
+                    marked[visitor.graph.target(e).index()] = true;
+                }
+            }
+            if ic {
+                for &c in comm.feeds(node) {
+                    class_changed[c as usize] = clock;
+                }
+            }
             if ic || oc {
                 pass_delta += 1;
             }
@@ -975,6 +1038,7 @@ impl<'a, P: Dataflow, G: FlowGraph> RegionEngine<'a, P, G> {
                 stats.exhausted = rs.exhausted;
             }
         }
+        stats.evaluated_visits = stats.node_visits;
         stats.passes = (stats.node_visits as usize).div_ceil(n.max(1));
         stats.elapsed = started.elapsed();
         stats
@@ -1074,6 +1138,7 @@ fn close_solver_span(span: &mut telemetry::SpanGuard, stats: &ConvergenceStats, 
     span.arg("nodes", nodes);
     span.arg("passes", stats.passes);
     span.arg("node_visits", stats.node_visits);
+    span.arg("evaluated_visits", stats.evaluated_visits);
     span.arg("comm_evals", stats.comm_evals);
     span.arg("meets", stats.meets);
     span.arg("worklist_peak", stats.worklist_peak);
@@ -1402,6 +1467,90 @@ mod tests {
         }
     }
 
+    // -- round-robin skips nodes whose inputs have not changed -----------
+
+    /// The solve converged to exactly the expected facts while skipping
+    /// some sweep positions.
+    fn assert_skipping_fixpoint<F: PartialEq + fmt::Debug>(
+        sol: &Solution<F>,
+        input: &[F],
+        output: &[F],
+    ) {
+        assert!(sol.stats.converged);
+        assert_eq!(sol.input, input, "IN facts");
+        assert_eq!(sol.output, output, "OUT facts");
+        assert!(
+            sol.stats.evaluated_visits < sol.stats.node_visits,
+            "{} evaluated of {} visits",
+            sol.stats.evaluated_visits,
+            sol.stats.node_visits
+        );
+    }
+
+    #[test]
+    fn a_receiver_reruns_when_its_only_source_changes_later_in_a_loop() {
+        // 0 → 1 (receiver) → 2 (gen 3) → 3 ⇄ {4 → 5 (gen 9)}, 3 → 6, and
+        // one comm pair 4 → 1. Node 1's control input settles in pass 1;
+        // its only source 4 sits later in RPO, inside the loop, and
+        // changes its input in pass 1 (⊤ → 3) and in pass 2 (3 → ⊥, once
+        // the latch's 9 comes round). Only the class stamp reruns node 1.
+        let mut g = SimpleGraph::new(7);
+        for (a, b) in [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 3), (3, 6)] {
+            g.flow(a, b);
+        }
+        g.comm(4, 1);
+        g.set_entry(0);
+        g.set_exit(6);
+        let mut p = toy(7);
+        p.recv[1] = true;
+        p.gen[2] = Some(3);
+        p.gen[5] = Some(9);
+        let sol = rr(&g, &p);
+        use ConstLattice::{Bottom as B, Const as C};
+        assert_skipping_fixpoint(&sol, &[B; 7], &[B, B, C(3), B, B, C(9), B]);
+        assert_eq!(sol.stats.passes, 4);
+    }
+
+    #[test]
+    fn a_collective_reruns_after_its_own_input_changes() {
+        // 0 (gen 5) → 1 → 2, where 1 is a collective: the one source and
+        // the one receiver of its class. Its first run reads the class
+        // meet of its ⊤ input, then takes 5 as input; only a stamp later
+        // than that run makes pass 2 rerun it to read f_comm(5).
+        let mut g = SimpleGraph::new(3);
+        g.flow(0, 1);
+        g.flow(1, 2);
+        g.comm(1, 1);
+        g.set_entry(0);
+        g.set_exit(2);
+        let mut p = toy(3);
+        p.gen[0] = Some(5);
+        p.recv[1] = true;
+        let sol = rr(&g, &p);
+        use ConstLattice::{Bottom as B, Const as C};
+        assert_skipping_fixpoint(&sol, &[B, C(5), C(5)], &[C(5); 3]);
+    }
+
+    #[test]
+    fn a_self_loop_latch_reruns_until_its_output_settles() {
+        // 0 → 1 ⟲ → 2, where 1's transfer doubles its set: each run grows
+        // its output, and only the mark its own out-edge leaves reruns it.
+        let mut g = SimpleGraph::new(3);
+        g.flow(0, 1);
+        g.flow(1, 1);
+        g.flow(1, 2);
+        g.set_entry(0);
+        g.set_exit(2);
+        let p = CountingClique {
+            gen: vec![1, 0, 0],
+            latch: 1,
+            comm_calls: std::cell::RefCell::new(vec![0; 3]),
+            inputs: std::cell::RefCell::new(vec![(0, 0); 3]),
+        };
+        let sol = rr(&g, &p);
+        assert_skipping_fixpoint(&sol, &[0, u16::MAX, u16::MAX], &[1, u16::MAX, u16::MAX]);
+    }
+
     #[test]
     fn region_backward_direction() {
         struct Live;
@@ -1682,6 +1831,7 @@ mod tests {
         fn stats(
             passes: usize,
             visits: u64,
+            evaluated: u64,
             meets: u64,
             comm: u64,
             peak: usize,
@@ -1693,6 +1843,7 @@ mod tests {
             ConvergenceStats {
                 passes,
                 node_visits: visits,
+                evaluated_visits: evaluated,
                 comm_evals: comm,
                 meets,
                 worklist_peak: peak,
@@ -1705,9 +1856,9 @@ mod tests {
         }
         // Zero out order-dependent state (`exhausted` is first-wins by
         // design); every *counter* must combine commutatively.
-        let a = stats(3, 10, 20, 2, 7, &[5, 3, 0], &[4, 6], 100, true);
-        let b = stats(5, 4, 9, 1, 2, &[4], &[1, 2, 1], 50, true);
-        let c = stats(1, 8, 3, 0, 9, &[2, 2, 2, 2], &[8], 10, false);
+        let a = stats(3, 10, 6, 20, 2, 7, &[5, 3, 0], &[4, 6], 100, true);
+        let b = stats(5, 4, 4, 9, 1, 2, &[4], &[1, 2, 1], 50, true);
+        let c = stats(1, 8, 3, 3, 0, 9, &[2, 2, 2, 2], &[8], 10, false);
 
         let combine = |xs: &[&ConvergenceStats]| {
             let mut acc = ConvergenceStats {
@@ -1720,11 +1871,17 @@ mod tests {
             acc
         };
         let abc = combine(&[&a, &b, &c]);
+        assert_eq!(
+            abc.evaluated_visits,
+            6 + 4 + 3,
+            "evaluated visits are summed"
+        );
         let cba = combine(&[&c, &b, &a]);
         let bac = combine(&[&b, &a, &c]);
         for other in [&cba, &bac] {
             assert_eq!(abc.passes, other.passes);
             assert_eq!(abc.node_visits, other.node_visits);
+            assert_eq!(abc.evaluated_visits, other.evaluated_visits);
             assert_eq!(abc.comm_evals, other.comm_evals);
             assert_eq!(abc.meets, other.meets);
             assert_eq!(abc.worklist_peak, other.worklist_peak);

@@ -550,7 +550,12 @@ impl TelemetryHub {
     /// the spool file. A retaining hub also stores them, open ones until
     /// their completed version replaces them (or shutdown renders them
     /// unfinished); any other hub drops them here.
-    pub fn add_spans(&self, spans: Vec<CompletedSpan>) {
+    pub fn add_spans(&self, mut spans: Vec<CompletedSpan>) {
+        // Instants all carry id 0, which would collide in the span store;
+        // give each a synthetic unique id in the high range.
+        for s in spans.iter_mut().filter(|s| s.id == 0) {
+            s.id = (1 << 48) | (s.ts_us & 0xffff_ffff_ffff);
+        }
         let mut spool = String::new();
         if self.log_dir.is_some() {
             for s in spans.iter().filter(|s| s.dur_us.is_some()) {
@@ -585,18 +590,8 @@ impl TelemetryHub {
             s.epoch = epoch;
             s
         };
-        // Instants all carry id 0, which would collide in the span store;
-        // give each a synthetic unique id in the high range.
-        let mut spans: Vec<CompletedSpan> =
-            Vec::with_capacity(update.spans.len() + update.open.len());
-        for s in update.spans.into_iter().chain(update.open) {
-            let mut s = stamp(s);
-            if s.id == 0 {
-                s.id = (1 << 48) | (s.ts_us & 0xffff_ffff_ffff);
-            }
-            spans.push(s);
-        }
-        self.add_spans(spans);
+        let spans = update.spans.into_iter().chain(update.open).map(stamp);
+        self.add_spans(spans.collect());
         let mut st = self.lock();
         st.worker_metrics.insert((shard, epoch), update.metrics);
         st.worker_slo.insert((shard, epoch), update.slo);
@@ -623,6 +618,12 @@ impl TelemetryHub {
     /// Recent access-log lines, oldest first (test/introspection surface).
     pub fn access_lines(&self) -> Vec<String> {
         self.lock().access.iter().cloned().collect()
+    }
+
+    /// Spans a retaining hub did not store because it already held
+    /// `MAX_SPANS` (`obs_spans_dropped_total` in the cluster metrics).
+    pub fn dropped_spans(&self) -> u64 {
+        self.lock().dropped_spans
     }
 
     /// All stored spans, timeline-sorted; empty unless the hub keeps

@@ -179,13 +179,16 @@ fn run(args: &[String]) -> Result<(), String> {
     tel.install();
     let result = dispatch(cmd, &opts);
     // Telemetry files are written even when the command fails: a trace of a
-    // failing run is exactly when you want one. Exception: a cluster serve
-    // (or a supervisor-managed worker streaming its telemetry upward) owns
-    // its exports — the merged cross-process trace and cluster metrics are
-    // written by `cmd_serve_cluster` itself, and a late local-sink write
-    // here would clobber them with one process's partial view.
-    let serve_owns_telemetry =
-        cmd == "serve" && (opts.value("shards").is_some() || opts.switch("telemetry-stream"));
+    // failing run is exactly when you want one. Exception: a serve that
+    // exports through a `TelemetryHub` writes its own files. A cluster
+    // serve writes the merged cross-process trace and cluster metrics, a
+    // supervisor-managed worker streams upward, and a single-box serve
+    // with --trace-out writes the spans its flusher drained from the sink,
+    // which holds nothing to write here.
+    let serve_owns_telemetry = cmd == "serve"
+        && (opts.value("shards").is_some()
+            || opts.switch("telemetry-stream")
+            || opts.value("trace-out").is_some());
     let tel_result = if serve_owns_telemetry {
         Ok(())
     } else {
@@ -672,15 +675,21 @@ fn cmd_serve(opts: &Opts) -> Result<(), String> {
     // hand) streams metrics and SLO histograms up the stdout pipe as
     // `@tele ` JSONL, and spans too as `--telemetry-stream spans`;
     // `--log-dir` keeps a local span spool + access log so `mpidfa trace`
-    // works against a single-box server too.
+    // works against a single-box server too. `--trace-out` exports as a
+    // cluster does: the hub keeps a bounded number of spans and the file
+    // is written from them at shutdown, so a long-running daemon does not
+    // hold every event it ever recorded.
     let stream_mode = opts.switch("telemetry-stream");
     let stream_spans = opts.value("telemetry-stream") == Some("spans");
-    let hub = match opts.value("log-dir") {
-        Some(dir) => Some(mpi_dfa::service::TelemetryHub::new(
-            Some(std::path::Path::new(dir)),
-            false,
-        )?),
-        None => None,
+    let trace_out = opts.value("trace-out");
+    let log_dir = opts.value("log-dir").map(std::path::Path::new);
+    let hub = if log_dir.is_some() || trace_out.is_some() {
+        Some(mpi_dfa::service::TelemetryHub::new(
+            log_dir,
+            trace_out.is_some(),
+        )?)
+    } else {
+        None
     };
     if (stream_mode || hub.is_some()) && !telemetry::is_enabled() {
         telemetry::install(telemetry::TraceLevel::Spans);
@@ -700,14 +709,34 @@ fn cmd_serve(opts: &Opts) -> Result<(), String> {
     println!("listening on {bound}");
     use std::io::Write as _;
     let _ = std::io::stdout().flush();
+    let flush_hub = hub.clone();
     let flusher = (stream_mode || hub.is_some()).then(|| {
         spawn_tele_flusher(move |pairer| {
-            flush_worker_telemetry(pairer, &engine, hub.as_ref(), stream_mode, stream_spans);
+            flush_worker_telemetry(
+                pairer,
+                &engine,
+                flush_hub.as_ref(),
+                stream_mode,
+                stream_spans,
+            );
         })
     });
     let result = server.run();
     if let Some(flush) = flusher {
         flush(); // final drain: trailing spans beat the process exit
+    }
+    if let (Some(path), Some(hub)) = (trace_out, &hub) {
+        std::fs::write(path, hub.merged_chrome_trace())
+            .map_err(|e| format!("--trace-out {path}: {e}"))?;
+        let dropped = hub.dropped_spans();
+        if dropped > 0 {
+            eprintln!("--trace-out {path}: {dropped} spans past the in-memory cap were dropped");
+        }
+        if let Some(path) = opts.value("metrics-out") {
+            let metrics = telemetry::finish().metrics;
+            std::fs::write(path, telemetry::export_metrics_text(&metrics))
+                .map_err(|e| format!("--metrics-out {path}: {e}"))?;
+        }
     }
     result
 }
@@ -970,8 +999,9 @@ fn usage() -> String {
                   merged cross-process Chrome trace and cluster Prometheus\n\
                   text at shutdown, and a `{\"kind\":\"metrics\"}` request\n\
                   returns the live cluster scrape. Spans are kept in memory\n\
-                  only for --trace-out, and workers stream them only when\n\
-                  --log-dir or --trace-out reads them; see docs/OBSERVABILITY.md)\n\
+                  (at most 100,000, with or without --shards) only for\n\
+                  --trace-out, and workers stream them only when --log-dir\n\
+                  or --trace-out reads them; see docs/OBSERVABILITY.md)\n\
        trace      <trace-id> --log-dir D\n\
                   (reconstruct one request's cross-shard timeline — router\n\
                   route/hedge spans and every worker's admission/cache/solve\n\

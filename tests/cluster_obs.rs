@@ -422,3 +422,82 @@ fn a_worker_streams_spans_only_when_asked() {
         let _ = child.wait();
     }
 }
+
+/// A single-box daemon with `--trace-out` and `--log-dir` exports the
+/// spans of the requests it answered, under the client's trace ids, even
+/// though its flusher keeps draining the sink into the span spool.
+#[test]
+fn a_single_box_trace_out_keeps_the_spans_its_log_dir_spools() {
+    let logs = tmp_dir("single-box-logs");
+    std::fs::create_dir_all(&logs).unwrap();
+    let trace_path = logs.join("trace.json");
+    let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_mpidfa"))
+        .args(["serve", "--addr", "127.0.0.1:0", "--log-dir"])
+        .arg(&logs)
+        .arg("--trace-out")
+        .arg(&trace_path)
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::null())
+        .spawn()
+        .expect("spawn serve");
+    let mut out = BufReader::new(child.stdout.take().unwrap());
+    let mut banner = String::new();
+    out.read_line(&mut banner).expect("banner");
+    let addr: SocketAddr = banner
+        .trim()
+        .strip_prefix("listening on ")
+        .and_then(|a| a.parse().ok())
+        .unwrap_or_else(|| panic!("bad banner {banner:?}"));
+
+    let traces = [
+        "000000000000000000000000000a11ce",
+        "00000000000000000000000000000b0b",
+    ];
+    for (i, trace_hex) in traces.iter().enumerate() {
+        let resp = rpc(
+            addr,
+            &format!(
+                "{{\"id\":{i},\"kind\":\"table1-row\",\"row\":\"CG\",\
+                 \"trace\":{{\"id\":\"{trace_hex}\",\"parent\":5,\"attempt\":0}}}}"
+            ),
+        );
+        assert!(resp.contains("\"ok\":true"), "table1-row failed: {resp}");
+    }
+    // Wait until the flusher has spooled both requests: the sink the
+    // trace used to be written from has been drained by then.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let spool = std::fs::read_to_string(logs.join("spans.jsonl")).unwrap_or_default();
+        if traces.iter().all(|t| spool.contains(t)) {
+            break;
+        }
+        assert!(Instant::now() < deadline, "the spool never got both traces");
+        std::thread::sleep(Duration::from_millis(100));
+    }
+    let _ = rpc(addr, "{\"id\":9,\"kind\":\"shutdown\"}");
+    assert!(child.wait().expect("serve exits").success());
+
+    let trace = std::fs::read_to_string(&trace_path).expect("--trace-out written");
+    let doc = mpi_dfa_core::json::parse(&trace).expect("the trace is JSON");
+    let events = doc
+        .get("traceEvents")
+        .and_then(|e| e.as_array())
+        .expect("traceEvents");
+    for trace_hex in traces {
+        let names: Vec<&str> = events
+            .iter()
+            .filter(|e| {
+                e.get("args")
+                    .and_then(|a| a.get("trace"))
+                    .and_then(|t| t.as_str())
+                    == Some(trace_hex)
+            })
+            .filter_map(|e| e.get("name").and_then(|n| n.as_str()))
+            .collect();
+        assert!(
+            names.contains(&"request"),
+            "trace {trace_hex} lost its request span; spans under it: {names:?}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&logs);
+}
