@@ -1034,7 +1034,7 @@ mod demand_tests {
     fn demand_visits_fewer_nodes_than_the_full_fixpoint_near_entry() {
         let cfg = ActivityConfig::new(["x"], ["out"]);
         let mpi = mpi_of(BASE);
-        // The region engine over the whole graph: a demand for every node.
+        // A demand for every node: every region of the graph, swept in turn.
         let every: Vec<NodeId> = mpi.icfg().nodes().collect();
         let full = demand_active_at(&mpi, &cfg, &SolveParams::default(), &every).unwrap();
         let cold = analyze_mpi_with(&mpi, &cfg, &SolveParams::default()).unwrap();

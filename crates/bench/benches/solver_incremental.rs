@@ -11,8 +11,8 @@
 //!
 //! Around the floor, a **byte-identity sweep** runs over every Table 1
 //! experiment row plus three generated programs, against the round-robin
-//! solve of each: a demand for every node (the region engine over the
-//! whole graph) must reproduce its facts and active set; and
+//! solve of each: a demand for every node (every region of the graph,
+//! swept in turn) must reproduce its facts and active set; and
 //! each demand query at the context entry and at the last node must agree
 //! with the full solution at the queried node while holding only slice
 //! facts elsewhere (equal-or-bottom at every node).

@@ -1,18 +1,18 @@
-//! Region engine gate: a deterministic visit-ratio floor, not a timing one.
+//! Demand-solve gate: a deterministic visit-ratio floor, not a timing one.
 //!
 //! On the largest `suite::gen` multi-procedure program (seed 42,
 //! `GenConfig::scaled(5)` — the top end of the `solver_scaling` sweep)
 //! three problems are solved by both engines — the round-robin full solve
-//! and the region engine as a demand for every node: reaching constants
-//! (forward, nonseparable) and the Vary/Useful activity pair (both solver
-//! directions). For each problem the bench asserts that
+//! and a demand for every node (the same stale sweep, region by region):
+//! reaching constants (forward, nonseparable) and the Vary/Useful activity
+//! pair (both solver directions). For each problem the bench asserts that
 //!
-//! * the region engine's facts equal round-robin's, byte for byte,
+//! * the demand's facts equal round-robin's, byte for byte,
 //! * region `node_visits` / round-robin `node_visits` stays at or below
 //!   the problem's `*_CEILING` constant, and
 //! * the transfers round-robin runs (`evaluated_visits`: its sweep
 //!   positions minus the ones it skips because no input changed) stay
-//!   within [`EVALUATED_TOLERANCE`] of the region engine's visits.
+//!   within [`EVALUATED_TOLERANCE`] of the demand's visits.
 //!
 //! Visit counts are exact, so the gate does not depend on the host. The
 //! ceilings are the measured ratios (20,307/64,680, 14,157/34,650 and
@@ -62,7 +62,7 @@ fn graph() -> MpiIcfg {
 #[derive(Clone, Copy)]
 enum Engine {
     RoundRobin,
-    /// The region engine over the whole graph: a demand for every node.
+    /// A demand for every node: every region of the graph, swept in turn.
     Region,
 }
 
@@ -166,7 +166,7 @@ where
     );
     assert!(
         (evaluated - 1.0).abs() <= EVALUATED_TOLERANCE,
-        "{name}: round-robin evaluates {evaluated:.4} of the region engine's visits \
+        "{name}: round-robin evaluates {evaluated:.4} of the demand's visits \
          (tolerance {EVALUATED_TOLERANCE})"
     );
     format!(

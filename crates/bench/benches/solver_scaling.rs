@@ -3,7 +3,7 @@
 //! The paper bounds convergence by graph depth × number of variables and
 //! observes that real iteration counts stay far below the bound. This bench
 //! measures how activity solving scales with generated-program size and
-//! times the round-robin sweep on a fixed program (the region engine's
+//! times the round-robin sweep on a fixed program (the demand solve's
 //! gate on the same generator is `solver_parallel`).
 
 use mpi_dfa_analyses::activity::{self, ActivityConfig};

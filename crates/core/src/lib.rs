@@ -21,8 +21,9 @@
 //! The [`solver`] module exposes a single builder entry point,
 //! [`solver::Solver`]: a full solve is round-robin (its pass count is the
 //! paper's "Iter" statistic), and a demand solve answers facts at chosen
-//! nodes with an SCC region engine (backed by [`scc`]) whose facts inside
-//! the slice are byte-identical to round-robin's.
+//! nodes by running the same stale sweep over each strongly connected
+//! region of their slice (regions from [`scc`]); its facts inside the slice
+//! are byte-identical to round-robin's.
 //! [`varset::VarSet`] and the lattices in [`lattice`] cover the fact types
 //! the canonical analyses need.
 //!
@@ -73,7 +74,7 @@ pub use hash::{fnv128, fnv64, hex128, Hasher128};
 pub use hist::LogHistogram;
 pub use lattice::{BoolAnd, BoolOr, ConstLattice, MeetSemiLattice};
 pub use problem::{Dataflow, Direction};
-pub use scc::{condense, upstream_closure, Condensation};
+pub use scc::{condense, Condensation};
 pub use solver::{
     ConvergenceStats, DemandRun, DemandSolver, Solution, SolveParams, Solver, SolverConfigError,
 };

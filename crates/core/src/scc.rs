@@ -1,7 +1,7 @@
 //! Strongly connected condensation of a [`FlowGraph`] into regions.
 //!
-//! The region engine behind [`crate::solver::Solver::demand`] needs to
-//! know which nodes can participate in a fact cycle. On an MPI-ICFG
+//! A demand solve ([`crate::solver::Solver::demand`]) needs to know which
+//! nodes can participate in a fact cycle. On an MPI-ICFG
 //! a cycle may run through **communication** — a send whose payload
 //! feeds a receive that loops back to the send (CG's cyclic communication
 //! structure is the canonical case) — so the condensation here traverses
@@ -29,7 +29,7 @@
 //! Both searches are iterative (see [`crate::graph::Dfs`]); deep
 //! straight-line programs must not overflow the thread stack.
 
-use crate::graph::{CommClasses, Dfs, FlowGraph, NodeId};
+use crate::graph::{Dfs, FlowGraph, NodeId};
 
 /// The condensation: each node mapped to its strongly connected region, with
 /// region ids in topological order of the region DAG.
@@ -37,32 +37,27 @@ use crate::graph::{CommClasses, Dfs, FlowGraph, NodeId};
 pub struct Condensation {
     /// Node index → region id. Invariant: for every control edge or
     /// communication pair `u -> v`, `region_of[u] <= region_of[v]`, with
-    /// equality exactly when `u` and `v` share a region.
+    /// equality exactly when `u` and `v` share a region. Every node of the
+    /// graph (including unreachable ones) has a region, and every id below
+    /// [`Condensation::num_regions`] names at least one node.
     pub region_of: Vec<u32>,
-    /// Node index → position of the node inside `regions[region_of[node]]`.
-    pub local_index: Vec<u32>,
-    /// Region id → member nodes, sorted by node index. Every node of the
-    /// graph (including unreachable ones) appears in exactly one region.
-    pub regions: Vec<Vec<NodeId>>,
-    /// Region id → distinct successor region ids along control edges
-    /// (sorted, deduplicated). Communication between regions is read from
-    /// the graph's classes (see [`upstream_closure`]).
-    pub succs: Vec<Vec<u32>>,
-    /// Region id → distinct predecessor region ids along control edges
-    /// (sorted, deduplicated).
-    pub preds: Vec<Vec<u32>>,
+    count: usize,
 }
 
 impl Condensation {
     /// Number of strongly connected regions.
     pub fn num_regions(&self) -> usize {
-        self.regions.len()
+        self.count
     }
 
-    /// Size of the largest region (a single giant comm SCC means the region
-    /// engine solves almost the whole graph as one region).
+    /// Size of the largest region (a single giant comm SCC means a demand
+    /// solve sweeps almost the whole graph as one region).
     pub fn largest_region(&self) -> usize {
-        self.regions.iter().map(Vec::len).max().unwrap_or(0)
+        let mut sizes = vec![0usize; self.count];
+        for &r in &self.region_of {
+            sizes[r as usize] += 1;
+        }
+        sizes.into_iter().max().unwrap_or(0)
     }
 }
 
@@ -77,116 +72,16 @@ pub fn condense<G: FlowGraph>(graph: &G) -> Condensation {
     }
 
     let mut backward = Dfs::new(graph, true);
-    let mut regions: Vec<Vec<NodeId>> = Vec::new();
     let mut region_of = vec![0u32; n];
+    let mut count = 0;
     for &root in finished.iter().rev() {
         if backward.visited[root.index()] {
             continue;
         }
-        let mut comp = Vec::new();
-        backward.run(root, |v| comp.push(v));
-        comp.sort_unstable();
-        for nd in &comp {
-            region_of[nd.index()] = regions.len() as u32;
-        }
-        regions.push(comp);
+        backward.run(root, |v| region_of[v.index()] = count as u32);
+        count += 1;
     }
-    let mut local_index = vec![0u32; n];
-    for region in &regions {
-        for (i, nd) in region.iter().enumerate() {
-            local_index[nd.index()] = i as u32;
-        }
-    }
-
-    // Cross-region control adjacency, deduplicated.
-    let r = regions.len();
-    let mut succs: Vec<Vec<u32>> = vec![Vec::new(); r];
-    let mut preds: Vec<Vec<u32>> = vec![Vec::new(); r];
-    for u in 0..n {
-        let ru = region_of[u];
-        for e in graph.out_edges(NodeId(u as u32)) {
-            let rv = region_of[e.to.index()];
-            if ru != rv {
-                debug_assert!(
-                    ru < rv,
-                    "topological invariant violated: edge {u} -> {} maps {ru} -> {rv}",
-                    e.to.index()
-                );
-                succs[ru as usize].push(rv);
-                preds[rv as usize].push(ru);
-            }
-        }
-    }
-    for list in succs.iter_mut().chain(preds.iter_mut()) {
-        list.sort_unstable();
-        list.dedup();
-    }
-
-    Condensation {
-        region_of,
-        local_index,
-        regions,
-        succs,
-        preds,
-    }
-}
-
-/// Mark the upstream dependency closure of `roots`: every region whose
-/// facts can reach a root region under the analysis direction (for a
-/// forward problem, predecessor regions; for a backward one, successor
-/// regions), roots included, following control edges and the graph's
-/// communication classes `comm`. This is the demand slice: solving exactly
-/// these regions in topological order yields, at every node they contain,
-/// the same facts a whole-program fixpoint would.
-pub fn upstream_closure(
-    cond: &Condensation,
-    comm: &CommClasses,
-    roots: &[u32],
-    backward: bool,
-) -> Vec<bool> {
-    let deps = if backward { &cond.succs } else { &cond.preds };
-    let mut in_slice = vec![false; cond.num_regions()];
-    // Each class is a hub: crossing it once marks all its far-side regions.
-    let mut hub_done = vec![false; comm.num_classes()];
-    let mut stack: Vec<u32> = Vec::new();
-    let mut mark = |r: u32, stack: &mut Vec<u32>| {
-        if !std::mem::replace(&mut in_slice[r as usize], true) {
-            stack.push(r);
-        }
-    };
-    for &r in roots {
-        mark(r, &mut stack);
-    }
-    while let Some(r) = stack.pop() {
-        for &d in &deps[r as usize] {
-            mark(d, &mut stack);
-        }
-        for &nd in &cond.regions[r as usize] {
-            // Forward, facts arrive from the sources of `nd`'s class;
-            // backward, from the receivers of the classes `nd` feeds.
-            let mut cross = |c: usize, stack: &mut Vec<u32>| {
-                if std::mem::replace(&mut hub_done[c], true) {
-                    return;
-                }
-                let far = if backward {
-                    comm.receivers(c)
-                } else {
-                    comm.sources(c)
-                };
-                for m in far {
-                    mark(cond.region_of[m.index()], stack);
-                }
-            };
-            if backward {
-                for &c in comm.feeds(nd) {
-                    cross(c as usize, &mut stack);
-                }
-            } else if let Some(c) = comm.class_of(nd) {
-                cross(c, &mut stack);
-            }
-        }
-    }
-    in_slice
+    Condensation { region_of, count }
 }
 
 #[cfg(test)]
@@ -194,17 +89,19 @@ mod tests {
     use super::*;
     use crate::graph::SimpleGraph;
 
-    fn check_invariants<G: FlowGraph>(g: &G, c: &Condensation) {
-        // Every node is in exactly one region, at its recorded local index.
-        let mut seen = vec![0usize; g.num_nodes()];
-        for (rid, region) in c.regions.iter().enumerate() {
-            for (i, nd) in region.iter().enumerate() {
-                seen[nd.index()] += 1;
-                assert_eq!(c.region_of[nd.index()], rid as u32);
-                assert_eq!(c.local_index[nd.index()], i as u32);
-            }
+    /// Region id → member nodes in index order.
+    fn members(c: &Condensation) -> Vec<Vec<NodeId>> {
+        let mut regions = vec![Vec::new(); c.num_regions()];
+        for (i, &r) in c.region_of.iter().enumerate() {
+            regions[r as usize].push(NodeId(i as u32));
         }
-        assert!(seen.iter().all(|&s| s == 1), "partition property: {seen:?}");
+        regions
+    }
+
+    fn check_invariants<G: FlowGraph>(g: &G, c: &Condensation) {
+        // Every node has a region and every region id names a node.
+        assert_eq!(c.region_of.len(), g.num_nodes());
+        assert!(members(c).iter().all(|m| !m.is_empty()), "dense region ids");
         // Topological numbering across every edge kind and comm pair.
         for u in 0..g.num_nodes() {
             for e in g.out_edges(NodeId(u as u32)) {
@@ -215,15 +112,6 @@ mod tests {
         for (s, r) in g.comm_classes().pairs() {
             let (rs, rr) = (c.region_of[s.index()], c.region_of[r.index()]);
             assert!(rs <= rr, "comm {s}->{r} regions {rs}->{rr}");
-        }
-        // Adjacency lists are consistent, sorted, deduplicated.
-        for (rid, ss) in c.succs.iter().enumerate() {
-            for w in ss.windows(2) {
-                assert!(w[0] < w[1], "succs sorted+deduped");
-            }
-            for &s in ss {
-                assert!(c.preds[s as usize].contains(&(rid as u32)));
-            }
         }
     }
 
@@ -242,7 +130,6 @@ mod tests {
         assert_eq!(c.largest_region(), 1);
         assert_eq!(c.region_of[0], 0, "entry first");
         assert_eq!(c.region_of[3], 3, "join last");
-        assert_eq!(c.preds[c.region_of[3] as usize].len(), 2);
     }
 
     #[test]
@@ -312,7 +199,7 @@ mod tests {
         let c = condense(&g);
         check_invariants(&g, &c);
         assert_eq!(c.num_regions(), 4, "self-loop region is its own SCC");
-        assert_eq!(c.regions[c.region_of[0] as usize], vec![NodeId(0)]);
+        assert_eq!(members(&c)[c.region_of[0] as usize], vec![NodeId(0)]);
     }
 
     #[test]
@@ -361,47 +248,6 @@ mod tests {
         assert_eq!(c.region_of[0], 0);
         assert_eq!(c.region_of[2], 1);
         assert_eq!(c.region_of[4], 2);
-        assert_eq!(c.succs[0], vec![1]);
-        assert_eq!(c.succs[1], vec![2]);
-        assert_eq!(c.preds[2], vec![1]);
-    }
-
-    #[test]
-    fn upstream_closure_follows_direction() {
-        // 0 -> 1 -> 2, 3 isolated.
-        let mut g = SimpleGraph::new(4);
-        g.flow(0, 1);
-        g.flow(1, 2);
-        g.set_entry(0);
-        g.set_exit(2);
-        let c = condense(&g);
-        let r = |n: usize| c.region_of[n];
-        let fwd = upstream_closure(&c, g.comm_classes(), &[r(1)], false);
-        assert!(fwd[r(0) as usize] && fwd[r(1) as usize]);
-        assert!(!fwd[r(2) as usize] && !fwd[r(3) as usize]);
-        let bwd = upstream_closure(&c, g.comm_classes(), &[r(1)], true);
-        assert!(bwd[r(1) as usize] && bwd[r(2) as usize]);
-        assert!(!bwd[r(0) as usize]);
-    }
-
-    #[test]
-    fn upstream_closure_crosses_comm_hubs() {
-        // 0 -comm-> 2 and 1 -comm-> 2, 3: the classes carry facts across
-        // otherwise unconnected regions.
-        let mut g = SimpleGraph::new(5);
-        g.comm(0, 2);
-        g.comm(1, 2);
-        g.comm(1, 3);
-        g.flow(3, 4);
-        let c = condense(&g);
-        check_invariants(&g, &c);
-        let r = |n: usize| c.region_of[n];
-        let fwd = upstream_closure(&c, g.comm_classes(), &[r(2)], false);
-        assert!(fwd[r(0) as usize] && fwd[r(1) as usize] && fwd[r(2) as usize]);
-        assert!(!fwd[r(3) as usize] && !fwd[r(4) as usize]);
-        let bwd = upstream_closure(&c, g.comm_classes(), &[r(1)], true);
-        assert!(bwd[r(2) as usize] && bwd[r(3) as usize] && bwd[r(4) as usize]);
-        assert!(!bwd[r(0) as usize]);
     }
 
     /// Tarjan's algorithm over explicit adjacency (control edges, then comm
@@ -487,7 +333,7 @@ mod tests {
                 .collect();
             let c = condense(&g);
             check_invariants(&g, &c);
-            assert_eq!(c.regions, tarjan_regions(&adj));
+            assert_eq!(members(&c), tarjan_regions(&adj));
         }
     }
 }

@@ -7,16 +7,16 @@
 //! last run; the others are skipped, but still counted and charged as
 //! visits.
 //!
-//! A partial solve ([`Solver::demand`]) answers facts at chosen nodes with
-//! the region engine: it condenses the graph into strongly connected
-//! regions (communication included, see [`crate::scc`]) and solves only the
-//! regions upstream of the demanded nodes, each to a local fixpoint in
-//! topological order, revisiting only nodes whose inputs may have changed.
+//! A partial solve ([`Solver::demand`]) answers facts at chosen nodes: one
+//! search against the analysis direction finds the nodes whose facts can
+//! reach them, a union of strongly connected regions (communication
+//! included, see [`crate::scc`]), and the same stale sweep solves those
+//! regions one at a time in topological order, each to a local fixpoint.
 //! For monotone problems every fact inside the slice is **byte-identical**
 //! to round-robin's (the maximal fixpoint is unique); only the counters
 //! differ. See `docs/SOLVER.md`.
 //!
-//! Both engines handle communication edges: at a node with
+//! Both solves handle communication edges: at a node with
 //! (direction-adjusted) incoming communication edges, the solver evaluates
 //! `f_comm` at each edge's source using that source's *input* fact —
 //! matching the paper's `commOUT(n) = f_comm(IN(n))` for forward analyses
@@ -58,13 +58,11 @@
 //! ```
 
 use crate::budget::{Budget, BudgetMeter, Exhaustion};
-use crate::graph::{reverse_postorder, CommClasses, Edge, EdgeKind, FlowGraph, NodeId};
+use crate::graph::{reverse_postorder, CommClasses, Dfs, Edge, EdgeKind, FlowGraph, NodeId};
 use crate::lattice::MeetSemiLattice;
 use crate::problem::{Dataflow, Direction};
-use crate::scc::{self, Condensation};
+use crate::scc;
 use crate::telemetry;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::fmt;
 use std::time::{Duration, Instant};
 
@@ -101,41 +99,40 @@ impl SolveParams {
     }
 }
 
-/// Convergence accounting, reported uniformly by both engines so bench
+/// Convergence accounting, reported uniformly by both solves so bench
 /// output can chart budget headroom.
 ///
-/// For a demand solve every field except `elapsed` is derived from
-/// per-region accounting merged in region-id order.
+/// A demand solve adds each region's counts straight into these fields.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ConvergenceStats {
     /// Number of full passes over the graph (round-robin) or an equivalent
     /// estimate (demand: visits / nodes, rounded up).
     pub passes: usize,
-    /// Total node visits: round-robin's sweep positions, the region
-    /// engine's pops. Each charges one budget work unit.
+    /// Total node visits: round-robin's sweep positions, a demand solve's
+    /// runs of stale nodes. Each charges one budget work unit.
     pub node_visits: u64,
     /// Visits that ran the node's transfer. Round-robin skips a sweep
     /// position whose node has run before and whose control predecessors'
     /// outputs and receiver-class sources' inputs have not changed since;
-    /// the region engine runs every visit it makes, so there this equals
+    /// a demand solve visits only the nodes it runs, so there this equals
     /// `node_visits`.
     pub evaluated_visits: u64,
-    /// Total `f_comm` evaluations performed. Both engines memoise `f_comm`
+    /// Total `f_comm` evaluations performed. Both solves memoise `f_comm`
     /// per comm source, so a source is evaluated once per change of its
     /// input fact (on the next read), not once per comm edge per visit.
-    /// The region engine re-evaluates a source once more in each region
-    /// that reads it.
+    /// A demand solve re-evaluates a source once more in each region that
+    /// reads it.
     pub comm_evals: u64,
     /// Upstream control edges of the nodes visited, one per edge per visit
     /// (a skipped round-robin position counts its edges too).
     pub meets: u64,
-    /// High-water mark of the region engine's pending nodes: the **maximum
-    /// over per-region queue high-waters** (0 for round-robin, which has no
-    /// queue).
+    /// The most nodes a demand solve had stale at once: the size of the
+    /// largest region it started, since each region starts with every
+    /// member stale (0 for round-robin).
     pub worklist_peak: usize,
     /// Number of nodes whose input or output changed, per pass (round-robin)
-    /// or per round (demand: per-region round series summed element-wise in
-    /// region-id order).
+    /// or per round (demand: each region's sweeps add at their round
+    /// index).
     pub pass_deltas: Vec<u64>,
     /// Per-node visit counts, indexed by `NodeId::index()`. Feeds the DOT
     /// heat overlay; element-wise summed by [`ConvergenceStats::absorb`].
@@ -475,17 +472,31 @@ impl<'g, G: FlowGraph> Oriented<'g, G> {
     }
 }
 
-/// Everything a node visit reads and writes besides the fact slices: the
-/// direction-adjusted graph, the problem, the boundary flags, the solve's
-/// [`CommCache`], the problem's `top()` and `boundary()`, three scratch
-/// facts, and the meet counter.
-/// Both engines drive their visits through one of these, built once per
-/// solve.
-struct Visitor<'a, P: Dataflow, G: FlowGraph> {
+/// One solve: the direction-adjusted graph, the problem, the fact vectors,
+/// the staleness marks and clocks, the solve's [`CommCache`], the budget
+/// meter and the counters, with the problem's `top()` and `boundary()` and
+/// three scratch facts. A full solve sweeps it over the whole graph, a
+/// demand solve over each region of its slice, both through
+/// [`Fixpoint::sweep`].
+struct Fixpoint<'a, P: Dataflow, G: FlowGraph> {
     graph: Oriented<'a, G>,
     problem: &'a P,
+    params: &'a SolveParams,
+    meter: BudgetMeter,
+    input: Vec<P::Fact>,
+    output: Vec<P::Fact>,
     is_boundary: Vec<bool>,
     cache: CommCache<P::CommFact>,
+    /// A control predecessor's output changed since the node last ran (or
+    /// it never ran).
+    marked: Vec<bool>,
+    /// The clock when the node last ran, and when a source of class `c`
+    /// last changed its input. A collective is its own source and reads its
+    /// class meet before its input moves, so its own change must stamp
+    /// later than its run.
+    last_run: Vec<u64>,
+    class_changed: Vec<u64>,
+    clock: u64,
     top: P::Fact,
     boundary: P::Fact,
     /// Scratch for the met input and the transfer output; each is installed
@@ -494,11 +505,11 @@ struct Visitor<'a, P: Dataflow, G: FlowGraph> {
     out: P::Fact,
     /// Scratch for a fact translated across a call or return edge.
     translated: P::Fact,
-    meets: u64,
+    stats: ConvergenceStats,
 }
 
-impl<'a, P: Dataflow, G: FlowGraph> Visitor<'a, P, G> {
-    fn new(graph: &'a G, problem: &'a P) -> Self {
+impl<'a, P: Dataflow, G: FlowGraph> Fixpoint<'a, P, G> {
+    fn new(graph: &'a G, problem: &'a P, params: &'a SolveParams) -> Self {
         let graph = Oriented::new(graph, problem.direction());
         let n = graph.graph.num_nodes();
         let mut is_boundary = vec![false; n];
@@ -506,46 +517,157 @@ impl<'a, P: Dataflow, G: FlowGraph> Visitor<'a, P, G> {
             is_boundary[b.index()] = true;
         }
         let top = problem.top();
-        Visitor {
+        Fixpoint {
             cache: CommCache::new(n, graph.comm.num_classes()),
+            class_changed: vec![0; graph.comm.num_classes()],
             graph,
             problem,
+            params,
+            meter: params.budget.meter(),
+            input: vec![top.clone(); n],
+            output: vec![top.clone(); n],
             is_boundary,
+            marked: vec![true; n],
+            last_run: vec![0; n],
+            clock: 0,
             boundary: problem.boundary(),
             met: top.clone(),
             out: top.clone(),
             translated: top.clone(),
             top,
-            meets: 0,
+            stats: ConvergenceStats {
+                per_node_visits: vec![0; n],
+                ..Default::default()
+            },
+        }
+    }
+
+    /// Whether `node` must run: it never ran, a control predecessor's
+    /// output changed since its last run, or a source of its receiver class
+    /// changed its input since.
+    fn is_stale(&self, node: NodeId) -> bool {
+        let i = node.index();
+        self.marked[i]
+            || self
+                .graph
+                .comm
+                .class_of(node)
+                .is_some_and(|c| self.class_changed[c] > self.last_run[i])
+    }
+
+    /// Stale sweeps over `members`, given in reverse postorder, until one
+    /// leaves no member stale. Returns whether they got there: the budget
+    /// (recorded in `exhausted`) or `max_passes` sweeps can stop them first.
+    ///
+    /// Only a stale node runs `update_node`. Any other would recompute
+    /// exactly the facts it holds, because its transfer, its edge
+    /// translations and its sources' `f_comm` are functions of their
+    /// arguments (the [`Dataflow`] contract). A changed output marks the
+    /// node's control successors and a changed input stamps the classes it
+    /// feeds. Each sweep is a round, and its fact-changing visits add to
+    /// `pass_deltas` at the round's index.
+    ///
+    /// `round_robin` selects the full solve's accounting, under which every
+    /// counter is what a sweep that ran every node would report: each
+    /// position, stale or clean, charges the budget and counts as a visit (a
+    /// clean one with its upstream edges in `meets`); a round that changed a
+    /// fact is followed by another, so the solve closes with a zero-change
+    /// pass; and a round the budget cuts short still records its delta.
+    /// Otherwise only stale nodes are charged and counted, the sweeps stop
+    /// as soon as no member is stale, and a cut round records nothing.
+    fn sweep(&mut self, members: &[NodeId], round_robin: bool) -> bool {
+        let traced = round_robin && telemetry::is_enabled();
+        let mut round = 0;
+        loop {
+            round += 1;
+            let mut delta = 0u64;
+            for &node in members {
+                let stale = self.is_stale(node);
+                if !stale && !round_robin {
+                    continue;
+                }
+                if let Err(e) = self.meter.charge(1) {
+                    self.stats.exhausted = Some(e);
+                    if round_robin {
+                        self.add_round_delta(round, delta);
+                    }
+                    return false;
+                }
+                let i = node.index();
+                self.stats.node_visits += 1;
+                self.stats.per_node_visits[i] += 1;
+                if !stale {
+                    self.stats.meets += self.graph.upstream(node).len() as u64;
+                    continue;
+                }
+                // Clear before propagating: a self-loop re-marks the node.
+                self.marked[i] = false;
+                self.last_run[i] = self.clock;
+                self.clock += 1;
+                self.stats.evaluated_visits += 1;
+                let (ic, oc) = self.update_node(node);
+                if oc {
+                    for e in self.graph.downstream(node) {
+                        self.marked[self.graph.target(e).index()] = true;
+                    }
+                }
+                if ic {
+                    for &c in self.graph.comm.feeds(node) {
+                        self.class_changed[c as usize] = self.clock;
+                    }
+                }
+                if ic || oc {
+                    delta += 1;
+                }
+            }
+            self.add_round_delta(round, delta);
+            if traced {
+                sample_budget_headroom(&self.params.budget, self.meter.work());
+            }
+            let more = if round_robin {
+                delta > 0
+            } else {
+                members.iter().any(|&m| self.is_stale(m))
+            };
+            if !more {
+                return true;
+            }
+            if round >= self.params.max_passes {
+                return false;
+            }
+        }
+    }
+
+    /// Add a round's fact-changing visits to `pass_deltas` at its index
+    /// (rounds count from 1).
+    fn add_round_delta(&mut self, round: usize, delta: u64) {
+        match self.stats.pass_deltas.get_mut(round - 1) {
+            Some(d) => *d += delta,
+            None => self.stats.pass_deltas.push(delta),
         }
     }
 
     /// Recompute node `n` from its upstream facts, returning
     /// (input_changed, output_changed). A changed input drops `n`'s
     /// memoised comm fact and every class meet it feeds.
-    fn update_node(
-        &mut self,
-        input: &mut [P::Fact],
-        output: &mut [P::Fact],
-        n: NodeId,
-    ) -> (bool, bool) {
+    fn update_node(&mut self, n: NodeId) -> (bool, bool) {
         let problem = self.problem;
         let i = n.index();
         let edges = self.graph.upstream(n);
-        self.meets += edges.len() as u64;
+        self.stats.meets += edges.len() as u64;
 
         // The communication meet, read before `n`'s own input moves (a
         // collective is its own comm source).
-        let comm = self.cache.meet(self.graph.comm, i, problem, input);
+        let comm = self.cache.meet(self.graph.comm, i, problem, &self.input);
 
         let in_changed = match edges {
             // One upstream flow edge into a non-boundary node: ⊤ ⊓ x = x,
             // so the met input is the predecessor's output itself.
             [e] if e.kind == EdgeKind::Flow && !self.is_boundary[i] => {
-                let src = &output[self.graph.source(e).index()];
-                let changed = *src != input[i];
+                let src = &self.output[self.graph.source(e).index()];
+                let changed = *src != self.input[i];
                 if changed {
-                    input[i].clone_from(src);
+                    self.input[i].clone_from(src);
                 }
                 changed
             }
@@ -558,7 +680,7 @@ impl<'a, P: Dataflow, G: FlowGraph> Visitor<'a, P, G> {
                     &self.top
                 });
                 for e in edges {
-                    let src = &output[self.graph.source(e).index()];
+                    let src = &self.output[self.graph.source(e).index()];
                     if e.kind == EdgeKind::Flow {
                         problem.meet_into(&mut self.met, src);
                     } else {
@@ -567,161 +689,64 @@ impl<'a, P: Dataflow, G: FlowGraph> Visitor<'a, P, G> {
                         problem.meet_into(&mut self.met, &self.translated);
                     }
                 }
-                let changed = self.met != input[i];
+                let changed = self.met != self.input[i];
                 if changed {
-                    std::mem::swap(&mut self.met, &mut input[i]);
+                    std::mem::swap(&mut self.met, &mut self.input[i]);
                 }
                 changed
             }
         };
-        self.out.clone_from(&input[i]);
-        problem.transfer(n, &input[i], comm, &mut self.out);
+        self.out.clone_from(&self.input[i]);
+        problem.transfer(n, &self.input[i], comm, &mut self.out);
         if in_changed {
             self.cache.invalidate(self.graph.comm, i);
         }
-        let out_changed = self.out != output[i];
+        let out_changed = self.out != self.output[i];
         if out_changed {
-            std::mem::swap(&mut self.out, &mut output[i]);
+            std::mem::swap(&mut self.out, &mut self.output[i]);
         }
         (in_changed, out_changed)
     }
+
+    /// Close the solve's span and hand back its facts.
+    fn into_solution(
+        mut self,
+        span: &mut telemetry::SpanGuard,
+        started: Instant,
+    ) -> Solution<P::Fact> {
+        self.stats.comm_evals = self.cache.evals;
+        self.stats.elapsed = started.elapsed();
+        close_solver_span(span, &self.stats, self.input.len());
+        Solution {
+            direction: self.problem.direction(),
+            input: self.input,
+            output: self.output,
+            stats: self.stats,
+        }
+    }
 }
 
-/// Round-robin fixpoint in reverse postorder. The recorded `passes` value is
-/// directly comparable to the paper's Table 1 "Iter" column.
-///
-/// A sweep position runs `update_node` only when its node is *stale*: it
-/// has never run, a control predecessor's output changed after its last
-/// run (a mark pushed downstream), or a source of its receiver class
-/// changed its input after its last run (a per-class stamp, compared with
-/// the node's last-run stamp). Any other node would recompute exactly the
-/// facts it holds, because its transfer, its edge translations and its
-/// sources' `f_comm` are functions of their arguments (the [`Dataflow`]
-/// contract), so it is skipped. A skipped position still charges the
-/// budget and counts as a visit, with its upstream edges in `meets`:
-/// every counter but `evaluated_visits` is what a sweep that ran every
-/// node would report, and so is every `f_comm` evaluation, since a
-/// skipped receiver's class meet is still valid.
+/// Round-robin fixpoint: stale sweeps over the whole graph in reverse
+/// postorder under the full solve's accounting (see [`Fixpoint::sweep`]).
+/// The recorded `passes` value is directly comparable to the paper's
+/// Table 1 "Iter" column.
 fn run_round_robin<G: FlowGraph, P: Dataflow>(
     graph: &G,
     problem: &P,
     params: &SolveParams,
 ) -> Solution<P::Fact> {
-    let mut visitor = Visitor::new(graph, problem);
-    let n = graph.num_nodes();
-    let order = visitor.graph.order();
-    let comm = visitor.graph.comm;
-    // A control predecessor's output changed since the node last ran (or
-    // it never ran).
-    let mut marked = vec![true; n];
-    // The clock when the node last ran, and when a source of class `c`
-    // last changed its input. A collective is its own source and reads its
-    // class meet before its input moves, so its own change must stamp
-    // later than its run.
-    let mut last_run = vec![0u64; n];
-    let mut class_changed = vec![0u64; comm.num_classes()];
-    let mut clock = 0u64;
-
-    let mut input = vec![problem.top(); n];
-    let mut output = vec![problem.top(); n];
-    let mut stats = ConvergenceStats {
-        converged: true,
-        per_node_visits: vec![0; n],
-        ..Default::default()
-    };
+    let mut fx = Fixpoint::new(graph, problem, params);
+    let order = fx.graph.order();
     let mut span = telemetry::span("solver", "fixpoint:round_robin");
-    let traced = telemetry::is_enabled();
     let started = Instant::now();
-    let mut meter = params.budget.meter();
-
-    'passes: loop {
-        stats.passes += 1;
-        let mut changed = false;
-        let mut pass_delta = 0u64;
-        for &node in &order {
-            if let Err(e) = meter.charge(1) {
-                stats.converged = false;
-                stats.exhausted = Some(e);
-                stats.pass_deltas.push(pass_delta);
-                break 'passes;
-            }
-            stats.node_visits += 1;
-            let i = node.index();
-            stats.per_node_visits[i] += 1;
-            let comm_stale = comm
-                .class_of(node)
-                .is_some_and(|c| class_changed[c] > last_run[i]);
-            if !marked[i] && !comm_stale {
-                visitor.meets += visitor.graph.upstream(node).len() as u64;
-                continue;
-            }
-            // Clear before propagating: a self-loop re-marks the node.
-            marked[i] = false;
-            last_run[i] = clock;
-            clock += 1;
-            stats.evaluated_visits += 1;
-            let (ic, oc) = visitor.update_node(&mut input, &mut output, node);
-            if oc {
-                for e in visitor.graph.downstream(node) {
-                    marked[visitor.graph.target(e).index()] = true;
-                }
-            }
-            if ic {
-                for &c in comm.feeds(node) {
-                    class_changed[c as usize] = clock;
-                }
-            }
-            if ic || oc {
-                pass_delta += 1;
-            }
-            changed |= ic | oc;
-        }
-        stats.pass_deltas.push(pass_delta);
-        if traced {
-            sample_budget_headroom(&params.budget, meter.work());
-        }
-        if !changed {
-            break;
-        }
-        if stats.passes >= params.max_passes {
-            stats.converged = false;
-            break;
-        }
-    }
-
-    stats.meets = visitor.meets;
-    stats.comm_evals = visitor.cache.evals;
-    stats.elapsed = started.elapsed();
-    close_solver_span(&mut span, &stats, n);
-    Solution {
-        direction: problem.direction(),
-        input,
-        output,
-        stats,
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Region engine
-// ---------------------------------------------------------------------------
-
-/// Per-region accounting; merged into [`ConvergenceStats`] in region-id
-/// order.
-#[derive(Debug, Default)]
-struct RegionStats {
-    node_visits: u64,
-    comm_evals: u64,
-    meets: u64,
-    worklist_peak: usize,
-    pass_deltas: Vec<u64>,
-    /// Visit counts indexed by the node's local index within the region.
-    visits: Vec<u64>,
-    converged: bool,
-    exhausted: Option<Exhaustion>,
+    fx.stats.converged = fx.sweep(&order, true);
+    // Every pass records its delta, a pass the budget cut short included.
+    fx.stats.passes = fx.stats.pass_deltas.len();
+    fx.into_solution(&mut span, started)
 }
 
 /// Memo of `f_comm` per source and of the communication meet per receiver
-/// class (of the direction-adjusted class view), shared by both engines:
+/// class (of the direction-adjusted class view), shared by both solves:
 /// one epoch per round-robin solve, one per region of a demand solve.
 ///
 /// A source's comm fact changes only when its *input* fact changes (the
@@ -812,262 +837,15 @@ impl<F: MeetSemiLattice> CommCache<F> {
     }
 }
 
-/// One demand solve: the node visitor, the SCC condensation, each node's
-/// RPO position, the fact vectors, and the budget meter.
-struct RegionEngine<'a, P: Dataflow, G: FlowGraph> {
-    visitor: Visitor<'a, P, G>,
-    cond: Condensation,
-    /// Node index → position in the global direction-adjusted RPO.
-    rpo_pos: Vec<u32>,
-    input: Vec<P::Fact>,
-    output: Vec<P::Fact>,
-    meter: BudgetMeter,
-    max_passes: usize,
-}
-
-impl<'a, P: Dataflow, G: FlowGraph> RegionEngine<'a, P, G> {
-    fn new(graph: &'a G, problem: &'a P, params: &SolveParams) -> Self {
-        let visitor = Visitor::new(graph, problem);
-        let n = graph.num_nodes();
-        let mut rpo_pos = vec![0u32; n];
-        for (i, nd) in visitor.graph.order().iter().enumerate() {
-            rpo_pos[nd.index()] = i as u32;
-        }
-        RegionEngine {
-            visitor,
-            cond: scc::condense(graph),
-            rpo_pos,
-            input: vec![problem.top(); n],
-            output: vec![problem.top(); n],
-            meter: params.budget.meter(),
-            max_passes: params.max_passes,
-        }
-    }
-
-    /// The region driver: visit the regions in direction-adjusted
-    /// topological order (ids are forward-topological, so a backward
-    /// analysis walks them in reverse), solve those `in_slice` marks, leave
-    /// the rest at lattice top, and stop after the first region that
-    /// exhausts the budget. Each region reads only regions visited before
-    /// it, so a solved region sees final upstream facts. Returns the
-    /// per-region accounting.
-    fn walk(&mut self, in_slice: &[bool]) -> Vec<Option<RegionStats>> {
-        let num_regions = self.cond.num_regions();
-        let mut per_region: Vec<Option<RegionStats>> = (0..num_regions).map(|_| None).collect();
-        for i in 0..num_regions {
-            let rid = if self.visitor.graph.backward {
-                num_regions - 1 - i
-            } else {
-                i
-            };
-            if !in_slice[rid] {
-                continue;
-            }
-            let rs = self.solve_region(rid);
-            let stop = rs.exhausted.is_some();
-            per_region[rid] = Some(rs);
-            if stop {
-                break;
-            }
-        }
-        per_region
-    }
-
-    /// Solve one region to its local fixpoint with **round-separated dirty
-    /// sweeps**: each round pops pending nodes from a priority heap in
-    /// global RPO order, and a change propagates *within* the current round
-    /// only to targets later in RPO (forward edges) — back-edge targets,
-    /// which already ran this round, are deferred to the next round's heap.
-    /// Pops are therefore monotone in RPO within a round, every node runs at
-    /// most once per round, and a round visits only the dirty subset — so
-    /// the region never does more work than a round-robin sweep restricted
-    /// to it.
-    ///
-    /// (A single heap without the round barrier is pathological on the
-    /// collective classes matching produces, where every member feeds every
-    /// member: a change at a high-RPO member re-enqueues every lower-RPO
-    /// member *ahead of* the still-pending tail, driving O(k²) visits per
-    /// wave through a k-member class. The round barrier restores the
-    /// O(k)-per-wave sweep bound.)
-    fn solve_region(&mut self, rid: usize) -> RegionStats {
-        self.visitor.cache.begin_region();
-        let nodes = &self.cond.regions[rid];
-        let len = nodes.len();
-        let mut span = telemetry::span("solver", "region");
-        let mut stats = RegionStats {
-            converged: true,
-            visits: vec![0; len],
-            ..Default::default()
-        };
-
-        if let Err(e) = self.meter.poll() {
-            // Don't even start: deadline passed or cancellation requested. The
-            // region records zero work and the exhaustion reason.
-            stats.converged = false;
-            stats.exhausted = Some(e);
-            return stats;
-        }
-        let (meets_before, evals_before) = (self.visitor.meets, self.visitor.cache.evals);
-
-        let rpo_pos = &self.rpo_pos;
-        let local_index = &self.cond.local_index;
-        let region_of = &self.cond.region_of;
-        let mut current: BinaryHeap<Reverse<(u32, u32)>> = nodes
-            .iter()
-            .map(|&nd| Reverse((rpo_pos[nd.index()], nd.0)))
-            .collect();
-        let mut next: BinaryHeap<Reverse<(u32, u32)>> = BinaryHeap::new();
-        let mut in_current = vec![true; len];
-        let mut in_next = vec![false; len];
-        stats.worklist_peak = current.len();
-        let mut rounds = 0usize;
-        let mut round_delta = 0u64;
-
-        'rounds: loop {
-            rounds += 1;
-            while let Some(Reverse((pos, v))) = current.pop() {
-                let node = NodeId(v);
-                let local = local_index[node.index()] as usize;
-                in_current[local] = false;
-                if let Err(e) = self.meter.charge(1) {
-                    stats.converged = false;
-                    stats.exhausted = Some(e);
-                    break 'rounds;
-                }
-                stats.node_visits += 1;
-                stats.visits[local] += 1;
-                let (ic, oc) = self
-                    .visitor
-                    .update_node(&mut self.input, &mut self.output, node);
-                if ic || oc {
-                    round_delta += 1;
-                    let graph = &self.visitor.graph;
-                    let mut notify = |t: NodeId| {
-                        // Cross-region targets need no notification: their
-                        // region seeds every node when it starts, after this
-                        // one is final.
-                        if region_of[t.index()] as usize != rid {
-                            return;
-                        }
-                        let lt = local_index[t.index()] as usize;
-                        if in_current[lt] || in_next[lt] {
-                            return; // already pending this round or the next
-                        }
-                        if rpo_pos[t.index()] > pos {
-                            // Forward edge: `t` has not run yet this round
-                            // (pops are RPO-monotone), so it sweeps with fresh
-                            // data in this round.
-                            in_current[lt] = true;
-                            current.push(Reverse((rpo_pos[t.index()], t.0)));
-                        } else {
-                            // Back edge: `t` already ran this round — defer.
-                            in_next[lt] = true;
-                            next.push(Reverse((rpo_pos[t.index()], t.0)));
-                        }
-                    };
-                    // Output changes invalidate control successors; input
-                    // changes invalidate the receivers of the classes `node`
-                    // feeds.
-                    if oc {
-                        for e in graph.downstream(node) {
-                            notify(graph.target(e));
-                        }
-                    }
-                    if ic {
-                        for &c in graph.comm.feeds(node) {
-                            for &t in graph.comm.receivers(c as usize) {
-                                notify(t);
-                            }
-                        }
-                    }
-                    stats.worklist_peak = stats.worklist_peak.max(current.len() + next.len());
-                }
-            }
-            stats.pass_deltas.push(round_delta);
-            round_delta = 0;
-            if next.is_empty() {
-                break;
-            }
-            if rounds >= self.max_passes {
-                stats.converged = false;
-                break;
-            }
-            std::mem::swap(&mut current, &mut next);
-            std::mem::swap(&mut in_current, &mut in_next);
-        }
-        stats.meets = self.visitor.meets - meets_before;
-        stats.comm_evals = self.visitor.cache.evals - evals_before;
-
-        if span.id().is_some() {
-            span.arg("region", rid as u64);
-            span.arg("nodes", len);
-            span.arg("node_visits", stats.node_visits);
-            span.arg("converged", stats.converged);
-        }
-        stats
-    }
-
-    /// Merge per-region accounting into one [`ConvergenceStats`] in
-    /// region-id order, whichever plan produced each entry.
-    fn merge(&self, per_region: &[Option<RegionStats>], started: Instant) -> ConvergenceStats {
-        let n = self.input.len();
-        let mut stats = ConvergenceStats {
-            converged: true,
-            per_node_visits: vec![0; n],
-            ..Default::default()
-        };
-        for (rid, rs) in per_region.iter().enumerate() {
-            let Some(rs) = rs else {
-                continue;
-            };
-            stats.node_visits += rs.node_visits;
-            stats.comm_evals += rs.comm_evals;
-            stats.meets += rs.meets;
-            stats.worklist_peak = stats.worklist_peak.max(rs.worklist_peak);
-            if stats.pass_deltas.len() < rs.pass_deltas.len() {
-                stats.pass_deltas.resize(rs.pass_deltas.len(), 0);
-            }
-            for (d, s) in stats.pass_deltas.iter_mut().zip(rs.pass_deltas.iter()) {
-                *d += *s;
-            }
-            for (local, &count) in rs.visits.iter().enumerate() {
-                stats.per_node_visits[self.cond.regions[rid][local].index()] += count;
-            }
-            stats.converged &= rs.converged;
-            if stats.exhausted.is_none() {
-                stats.exhausted = rs.exhausted;
-            }
-        }
-        stats.evaluated_visits = stats.node_visits;
-        stats.passes = (stats.node_visits as usize).div_ceil(n.max(1));
-        stats.elapsed = started.elapsed();
-        stats
-    }
-
-    /// Close the solve's span and hand back its facts.
-    fn into_solution(
-        self,
-        span: &mut telemetry::SpanGuard,
-        stats: ConvergenceStats,
-    ) -> Solution<P::Fact> {
-        close_solver_span(span, &stats, self.input.len());
-        Solution {
-            direction: self.visitor.problem.direction(),
-            input: self.input,
-            output: self.output,
-            stats,
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Demand-driven slice solve (Solver::demand)
-// ---------------------------------------------------------------------------
-
-/// Solve only the upstream region closure of the demand roots, in
-/// topological order. Inside the slice every fact is what the
-/// whole-program fixpoint would compute (each solved region reads only
-/// already-final slice regions); outside it, facts stay at lattice top.
+/// Solve only the demand roots' slice: every node whose facts can reach a
+/// root under the analysis direction, found by one search against it.
+/// Every node of a strongly connected region reaches every other, so the
+/// slice is a union of whole regions (see [`crate::scc`]). They are solved
+/// one at a time in topological order, each by stale sweeps over its
+/// members in the full solve's reverse postorder, so a region reads only
+/// final facts from the regions before it. Inside the slice every fact is
+/// what the whole-program fixpoint computes; outside it, facts stay at
+/// lattice top. The first region the budget stops ends the solve.
 fn run_demand<G: FlowGraph, P: Dataflow>(
     graph: &G,
     problem: &P,
@@ -1076,33 +854,68 @@ fn run_demand<G: FlowGraph, P: Dataflow>(
 ) -> DemandRun<P::Fact> {
     let mut span = telemetry::span("solver", "fixpoint:demand");
     let started = Instant::now();
-    let mut engine = RegionEngine::new(graph, problem, params);
-    let cond = &engine.cond;
-    let root_regions: Vec<u32> = roots.iter().map(|nd| cond.region_of[nd.index()]).collect();
-    let in_slice = scc::upstream_closure(
-        cond,
-        graph.comm_classes(),
-        &root_regions,
-        engine.visitor.graph.backward,
-    );
-    let mut node_in_slice = vec![false; graph.num_nodes()];
-    for (members, _) in cond.regions.iter().zip(&in_slice).filter(|(_, &s)| s) {
-        for nd in members {
-            node_in_slice[nd.index()] = true;
+    let mut fx = Fixpoint::new(graph, problem, params);
+    let backward = fx.graph.backward;
+    let mut search = Dfs::new(graph, !backward);
+    for &root in roots {
+        search.run(root, |_| {});
+    }
+    let node_in_slice = search.visited;
+
+    // Region ids are forward-topological, so a backward analysis walks
+    // them in reverse. A stable sort keeps each region's members in RPO.
+    let cond = scc::condense(graph);
+    let num_regions = cond.num_regions();
+    let rank = |n: &NodeId| {
+        let r = cond.region_of[n.index()] as usize;
+        if backward {
+            num_regions - 1 - r
+        } else {
+            r
+        }
+    };
+    let mut members = fx.graph.order();
+    members.retain(|n| node_in_slice[n.index()]);
+    members.sort_by_key(rank);
+    let regions: Vec<&[NodeId]> = members.chunk_by(|a, b| rank(a) == rank(b)).collect();
+
+    fx.stats.converged = true;
+    let mut regions_solved = 0;
+    for region in &regions {
+        regions_solved += 1;
+        fx.cache.begin_region();
+        let mut region_span = telemetry::span("solver", "region");
+        if let Err(e) = fx.meter.poll() {
+            // Don't start: the deadline passed or cancellation was
+            // requested. The region's span closes without args.
+            fx.stats.converged = false;
+            fx.stats.exhausted = Some(e);
+            break;
+        }
+        let visits_before = fx.stats.node_visits;
+        // Every member starts stale: the most a region has pending.
+        fx.stats.worklist_peak = fx.stats.worklist_peak.max(region.len());
+        let converged = fx.sweep(region, false);
+        fx.stats.converged &= converged;
+        if region_span.id().is_some() {
+            region_span.arg("region", cond.region_of[region[0].index()] as u64);
+            region_span.arg("nodes", region.len());
+            region_span.arg("node_visits", fx.stats.node_visits - visits_before);
+            region_span.arg("converged", converged);
+        }
+        if fx.stats.exhausted.is_some() {
+            break;
         }
     }
-
-    let per_region = engine.walk(&in_slice);
-    let stats = engine.merge(&per_region, started);
-    let num_regions = engine.cond.num_regions();
+    fx.stats.passes = (fx.stats.node_visits as usize).div_ceil(graph.num_nodes().max(1));
     if span.id().is_some() {
         span.arg("regions", num_regions);
-        span.arg("slice_regions", in_slice.iter().filter(|&&b| b).count());
+        span.arg("slice_regions", regions.len());
     }
     DemandRun {
-        solution: engine.into_solution(&mut span, stats),
+        solution: fx.into_solution(&mut span, started),
         regions_total: num_regions,
-        regions_solved: per_region.iter().flatten().count(),
+        regions_solved,
         node_in_slice,
     }
 }
@@ -1209,11 +1022,35 @@ mod tests {
         }
     }
 
+    /// Backward liveness of one boolean: true wherever the exit is reachable.
+    struct Live;
+
+    impl Dataflow for Live {
+        type Fact = bool;
+        type CommFact = ();
+        fn direction(&self) -> Direction {
+            Direction::Backward
+        }
+        fn top(&self) -> bool {
+            false
+        }
+        fn boundary(&self) -> bool {
+            true
+        }
+        fn meet_into(&self, dst: &mut bool, src: &bool) -> bool {
+            let c = !*dst && *src;
+            *dst |= src;
+            c
+        }
+        fn transfer(&self, _n: NodeId, _i: &bool, _c: &(), _o: &mut bool) {}
+        fn comm_transfer(&self, _n: NodeId, _i: &bool) {}
+    }
+
     fn rr<P: Dataflow, G: FlowGraph>(g: &G, p: &P) -> Solution<P::Fact> {
         Solver::new(p, g).run()
     }
 
-    /// The region engine over the whole graph: a demand for every node.
+    /// A demand for every node: every region of the graph, swept in turn.
     fn demand_all<P: Dataflow, G: FlowGraph>(solver: Solver<'_, P, G>) -> Solution<P::Fact> {
         let n = solver.graph.num_nodes() as u32;
         (1..n)
@@ -1553,27 +1390,6 @@ mod tests {
 
     #[test]
     fn region_backward_direction() {
-        struct Live;
-        impl Dataflow for Live {
-            type Fact = bool;
-            type CommFact = ();
-            fn direction(&self) -> Direction {
-                Direction::Backward
-            }
-            fn top(&self) -> bool {
-                false
-            }
-            fn boundary(&self) -> bool {
-                true
-            }
-            fn meet_into(&self, dst: &mut bool, src: &bool) -> bool {
-                let c = !*dst && *src;
-                *dst |= src;
-                c
-            }
-            fn transfer(&self, _n: NodeId, _i: &bool, _c: &(), _o: &mut bool) {}
-            fn comm_transfer(&self, _n: NodeId, _i: &bool) {}
-        }
         let mut g = SimpleGraph::new(5);
         g.flow(0, 1);
         g.flow(1, 2);
@@ -1591,27 +1407,6 @@ mod tests {
 
     #[test]
     fn backward_direction_swaps_roles() {
-        struct Live;
-        impl Dataflow for Live {
-            type Fact = bool;
-            type CommFact = ();
-            fn direction(&self) -> Direction {
-                Direction::Backward
-            }
-            fn top(&self) -> bool {
-                false
-            }
-            fn boundary(&self) -> bool {
-                true
-            }
-            fn meet_into(&self, dst: &mut bool, src: &bool) -> bool {
-                let c = !*dst && *src;
-                *dst |= src;
-                c
-            }
-            fn transfer(&self, _n: NodeId, _i: &bool, _c: &(), _o: &mut bool) {}
-            fn comm_transfer(&self, _n: NodeId, _i: &bool) {}
-        }
         let mut g = SimpleGraph::new(3);
         g.flow(0, 1);
         g.flow(1, 2);
@@ -1819,10 +1614,15 @@ mod tests {
         // Round-robin has no queue.
         let rr_sol = rr(&g, &p);
         assert_eq!(rr_sol.stats.worklist_peak, 0);
-        // Region: peak is the max per-region high-water — on this
-        // acyclic graph every region is a single node, so the peak is 1.
+        // A demand starts each region with every member stale, so the peak
+        // is the largest region solved: on this acyclic graph every region
+        // is a single node.
         let rp_sol = rg(&g, &p);
         assert_eq!(rp_sol.stats.worklist_peak, 1);
+        // The loop region {1,2,3,4} of the comm graph.
+        let (g, p) = loopy_comm_graph();
+        assert_eq!(rr(&g, &p).stats.worklist_peak, 0);
+        assert_eq!(rg(&g, &p).stats.worklist_peak, 4);
     }
 
     #[test]
@@ -1964,6 +1764,32 @@ mod tests {
     }
 
     #[test]
+    fn a_region_refused_at_its_start_closes_its_span_without_args() {
+        use crate::telemetry::{self, EventKind, TraceLevel, TEST_SINK_GATE};
+        let _gate = TEST_SINK_GATE.lock().unwrap_or_else(|p| p.into_inner());
+        let token = crate::budget::CancelToken::new();
+        token.cancel();
+        let (g, p) = loopy_comm_graph();
+        telemetry::install(TraceLevel::Full);
+        let run = Solver::new(&p, &g)
+            .budget(crate::budget::Budget::unlimited().with_cancel(token))
+            .demand(NodeId(5))
+            .unwrap()
+            .run();
+        let report = telemetry::finish();
+        assert_eq!(run.regions_solved, 1, "the walk ends at the first region");
+        let regions: Vec<_> = report
+            .events
+            .iter()
+            .filter(|e| e.name == "region")
+            .collect();
+        assert!(regions
+            .iter()
+            .any(|e| matches!(e.kind, EventKind::SpanEnd { .. })));
+        assert!(regions.iter().all(|e| e.args.is_empty()), "{regions:?}");
+    }
+
+    #[test]
     fn translate_is_applied_on_call_edges() {
         /// Increment the constant when crossing a call edge (a stand-in for
         /// actual→formal renaming).
@@ -2079,27 +1905,6 @@ mod tests {
 
     #[test]
     fn demand_backward_slices_downstream_regions() {
-        struct Live;
-        impl Dataflow for Live {
-            type Fact = bool;
-            type CommFact = ();
-            fn direction(&self) -> Direction {
-                Direction::Backward
-            }
-            fn top(&self) -> bool {
-                false
-            }
-            fn boundary(&self) -> bool {
-                true
-            }
-            fn meet_into(&self, d: &mut bool, s: &bool) -> bool {
-                let c = !*d && *s;
-                *d |= *s;
-                c
-            }
-            fn transfer(&self, _n: NodeId, _i: &bool, _c: &(), _o: &mut bool) {}
-            fn comm_transfer(&self, _n: NodeId, _i: &bool) {}
-        }
         let mut g = SimpleGraph::new(4);
         g.flow(0, 1);
         g.flow(1, 2);
@@ -2112,6 +1917,44 @@ mod tests {
         assert_eq!(run.node_in_slice, vec![false, false, true, true]);
         assert_eq!(run.solution.output[2], full.output[2]);
         assert_eq!(run.regions_solved, 2);
+    }
+
+    #[test]
+    fn demand_slice_follows_direction() {
+        // 0 -> 1 -> 2, 3 isolated.
+        let mut g = SimpleGraph::new(4);
+        g.flow(0, 1);
+        g.flow(1, 2);
+        g.set_entry(0);
+        g.set_exit(2);
+        let fwd = Solver::new(&toy(4), &g).demand(NodeId(1)).unwrap().run();
+        assert_eq!(fwd.node_in_slice, vec![true, true, false, false]);
+        assert_eq!((fwd.regions_solved, fwd.regions_total), (2, 4));
+        let bwd = Solver::new(&Live, &g).demand(NodeId(1)).unwrap().run();
+        assert_eq!(bwd.node_in_slice, vec![false, true, true, false]);
+        assert_eq!((bwd.regions_solved, bwd.regions_total), (2, 4));
+    }
+
+    #[test]
+    fn demand_slice_crosses_comm_classes() {
+        // 0 -comm-> 2 and 1 -comm-> 2, 3: the classes carry facts across
+        // otherwise unconnected nodes.
+        let mut g = SimpleGraph::new(5);
+        g.comm(0, 2);
+        g.comm(1, 2);
+        g.comm(1, 3);
+        g.flow(3, 4);
+        let mut p = toy(5);
+        p.gen[0] = Some(1);
+        p.gen[1] = Some(1);
+        p.recv[2] = true;
+        let fwd = Solver::new(&p, &g).demand(NodeId(2)).unwrap().run();
+        assert_eq!(fwd.node_in_slice, vec![true, true, true, false, false]);
+        assert_eq!(fwd.regions_solved, 3);
+        assert_eq!(fwd.solution.output[2], rr(&g, &p).output[2]);
+        let bwd = Solver::new(&Live, &g).demand(NodeId(1)).unwrap().run();
+        assert_eq!(bwd.node_in_slice, vec![false, true, true, true, true]);
+        assert_eq!(bwd.regions_solved, 4);
     }
 
     #[test]

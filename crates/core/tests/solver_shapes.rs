@@ -9,7 +9,7 @@ use mpi_dfa_core::problem::{Dataflow, Direction};
 use mpi_dfa_core::solver::{Solution, Solver};
 use mpi_dfa_core::NodeId;
 
-/// The region engine over the whole graph: a demand for every node.
+/// A demand for every node: every region of the graph, swept in turn.
 fn region<P: Dataflow>(problem: &P, g: &SimpleGraph) -> Solution<P::Fact> {
     let first = Solver::new(problem, g).demand(NodeId(0)).unwrap();
     (1..g.num_nodes() as u32)
@@ -146,7 +146,7 @@ fn comm_edge_chain_adds_one_pass_per_hop_at_worst() {
         "{} passes for {p} comm hops (depth-proportional, not worst-case)",
         sol.stats.passes
     );
-    // The region engine agrees: each send/recv pair is its own region
+    // A demand for every node agrees: each send/recv pair is its own region
     // here, chained by comm edges in topological order.
     let rp = region(&problem, &g);
     assert_eq!(rp.output, sol.output);

@@ -51,8 +51,8 @@ fn check(label: &str, build: impl Fn() -> Icfg) -> usize {
 
         let drawn = PairGraph::new(mpi.icfg(), &reference.edges);
         assert_eq!(
-            condense(&mpi).regions,
-            condense(&drawn).regions,
+            condense(&mpi).region_of,
+            condense(&drawn).region_of,
             "{label}: regions"
         );
         assert_eq!(

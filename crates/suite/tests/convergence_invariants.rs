@@ -2,11 +2,12 @@
 //!
 //! The unit tests in `mpi-dfa-core` pin the counter semantics on toy
 //! graphs; these tests re-check them where it matters — the Table 1
-//! benchmarks — and add the cross-engine bound the region engine's design
-//! promises: a region's round-separated dirty sweeps never do more work
-//! than a round-robin sweep restricted to that region, so on every program
-//! a demand for every node visits no more nodes than round-robin, while
-//! producing the identical fixpoint.
+//! benchmarks — and add the bound the shared stale sweep promises: a
+//! demand solve sweeps each region under round-robin's marks and stamps but
+//! counts only the stale nodes it runs, never the clean positions
+//! round-robin still counts, so on every program a demand for every node
+//! visits no more nodes than round-robin, while producing the identical
+//! fixpoint.
 
 use mpi_dfa_analyses::activity::{vary_useful_problems, ActivityConfig, Mode};
 use mpi_dfa_analyses::mpi_match::{build_mpi_icfg, Matching};
@@ -21,7 +22,7 @@ use mpi_dfa_suite::programs;
 /// LU/Sw variant re-checks the same graphs with different seeds).
 const ROWS: &[&str] = &["Biostat", "SOR", "CG", "LU-1", "MG-1", "Sw-1"];
 
-/// The region engine over the whole graph: a demand for every node.
+/// A demand for every node: every region of the graph, swept in turn.
 fn region<P: Dataflow>(problem: &P, mpi: &MpiIcfg) -> Solution<P::Fact> {
     let first = Solver::new(problem, mpi).demand(NodeId(0)).expect("a node");
     (1..mpi.num_nodes() as u32)
@@ -104,7 +105,8 @@ fn region_visits_bounded_by_round_robin_on_suite_programs() {
             );
             assert!(
                 rg.stats.worklist_peak > 0 && rr.stats.worklist_peak == 0,
-                "{id} {phase}: only the region engine has a queue"
+                "{id} {phase}: only a demand solve reports the largest region it \
+                 started with every member stale"
             );
         }
     }
@@ -114,9 +116,9 @@ fn region_visits_bounded_by_round_robin_on_suite_programs() {
 fn absorb_is_order_independent_across_benchmark_stats() {
     // Absorbing the per-benchmark stats in any order yields the same
     // counters — the property that makes cross-run metric aggregation in
-    // the telemetry sink well-defined. Mixing in stats produced by the
-    // region engine (which itself merges per-region stats in region-id
-    // order) extends the property to region-merged inputs.
+    // the telemetry sink well-defined. Mixing in stats produced by a
+    // demand for every node (which adds each region's counts as it sweeps
+    // it) extends the property to region-summed inputs.
     let mut stats: Vec<ConvergenceStats> = Vec::new();
     for (_, mpi, config) in suite_graphs().iter() {
         let (vary_p, _) = vary_useful_problems(mpi.icfg(), Mode::MpiIcfg, config).unwrap();

@@ -4,7 +4,7 @@
 //! Every Table-1 program (Biostat, SOR, CG, LU, MG, Sweep3d) × the two
 //! nonseparable analyses the paper runs (reaching constants; Vary/Useful
 //! activity, i.e. both solver directions) × both engines (the round-robin
-//! full solve, and the region engine as a demand for every node) must
+//! full solve, and a demand for every node, swept region by region) must
 //! produce exactly the facts of the naive reference solver in `oracle/`.
 //! The two engines share their node update, so their agreement with each
 //! other could not catch a bug in it; the oracle shares no code with
@@ -45,8 +45,8 @@ fn check_stats_invariants(id: &str, label: &str, engine: &str, stats: &Convergen
     );
 }
 
-/// Both engines over the whole graph: the round-robin full solve, and the
-/// region engine as a demand for every node.
+/// Both engines over the whole graph: the round-robin full solve, and a
+/// demand for every node.
 fn engines<P: Dataflow, G: FlowGraph>(
     problem: &P,
     graph: &G,

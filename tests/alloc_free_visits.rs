@@ -185,8 +185,8 @@ impl Dataflow for Shift {
     }
 }
 
-/// The two engines: the round-robin full solve, and the region engine as
-/// a demand for every node.
+/// The two modes: the round-robin full solve, and a demand for every
+/// node.
 const ENGINES: [&str; 2] = ["round-robin", "demand"];
 
 /// Solve with allocation counting on; returns the solution and the

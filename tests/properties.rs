@@ -3,9 +3,10 @@
 //! These check the invariants the paper's framework relies on, on *every*
 //! program the generator can produce — not just the benchmark suite:
 //!
-//! * the solver converges and both engines (the round-robin full solve,
-//!   the region engine as a demand for every node) agree byte-for-byte
-//!   with a naive reference solver that shares no code with them;
+//! * the solver converges and both solves (the round-robin full solve,
+//!   and a demand for every node, swept region by region) agree
+//!   byte-for-byte with a naive reference solver that shares no code with
+//!   them;
 //! * separable analyses (liveness, reaching definitions) are unaffected by
 //!   communication edges;
 //! * the communication-edge matching strategies form a precision ladder;
@@ -57,8 +58,8 @@ fn solvers_agree_and_converge() {
             assert_eq!(&sol.input, &reference.input, "seed {seed}, {name}");
             assert_eq!(&sol.output, &reference.output, "seed {seed}, {name}");
         }
-        // A region's dirty sweeps never do more work than round-robin
-        // sweeps restricted to it.
+        // A demand sweeps each region as round-robin does but counts only
+        // the stale nodes it runs, so it never visits more.
         assert!(rg.stats.node_visits <= rr.stats.node_visits, "seed {seed}");
     }
 }
